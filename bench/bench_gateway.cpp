@@ -6,8 +6,9 @@
 //   * >= 1k sessions at 20% loss / 5% corruption with reordering and
 //     duplication on reach 100% completion with ZERO corrupted frames
 //     accepted and zero stuck sessions;
-//   * the campaign digest is bit-identical across reruns and thread
-//     counts (the determinism contract extended over the failure model);
+//   * the campaign digest equals its pinned value at 1, 2 and 4 shards,
+//     serial and parallel (the determinism contract extended over the
+//     failure model);
 //   * a mid-protocol full-fleet failover (snapshot every session, kill the
 //     node, restore onto a fresh one) changes none of that.
 //
@@ -20,25 +21,30 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "engine/gateway.h"
+#include "engine/shard.h"
 #include "engine/transport.h"
 
 namespace {
 
 using namespace medsec;
 
-engine::ChaosCampaignConfig campaign_config(std::size_t sessions,
-                                            double loss, double corrupt) {
-  engine::ChaosCampaignConfig cfg;
-  cfg.sessions = sessions;
-  cfg.sessions_per_shard = 64;
-  cfg.seed = 0xC4A05CA7;
-  cfg.uplink.drop = loss;
-  cfg.uplink.corrupt = corrupt;
-  cfg.uplink.reorder = 0.10;
-  cfg.uplink.duplicate = 0.05;
-  cfg.downlink = cfg.uplink;
-  return cfg;
+// Pinned digests of the acceptance drill, without and with failover.
+constexpr std::uint64_t kDrillDigest = 0xfa1b52d04bb3babbULL;
+constexpr std::uint64_t kFailoverDrillDigest = 0x1d3a1207c9e98956ULL;
+
+/// The campaign over one shard world per 64 sessions.
+engine::ShardedCampaignConfig campaign_config(std::size_t sessions,
+                                              double loss, double corrupt) {
+  engine::ShardedCampaignConfig sc;
+  sc.chaos.sessions = sessions;
+  sc.chaos.seed = 0xC4A05CA7;
+  sc.chaos.uplink.drop = loss;
+  sc.chaos.uplink.corrupt = corrupt;
+  sc.chaos.uplink.reorder = 0.10;
+  sc.chaos.uplink.duplicate = 0.05;
+  sc.chaos.downlink = sc.chaos.uplink;
+  sc.shards = (sessions + 63) / 64;
+  return sc;
 }
 
 // --- the headline numbers, printed before the timers -------------------------
@@ -54,8 +60,9 @@ bool print_table() {
       "complete", "retx/sess", "p50", "p99", "max");
   for (const double corrupt : {0.0, 0.05}) {
     for (const double loss : {0.0, 0.05, 0.10, 0.20, 0.30}) {
-      const auto r = engine::run_chaos_campaign(
-          campaign_config(256, loss, corrupt));
+      const auto r =
+          engine::run_sharded_campaign(campaign_config(256, loss, corrupt))
+              .chaos;
       char label[64];
       std::snprintf(label, sizeof(label), "%2.0f%% loss / %2.0f%% corrupt",
                     loss * 100, corrupt * 100);
@@ -70,41 +77,51 @@ bool print_table() {
     }
   }
 
-  // The acceptance drill: 1k+ sessions under the headline fault mix,
-  // twice (serial and wide), plus a mid-protocol full-fleet failover.
+  // The acceptance drill: 1k+ sessions under the headline fault mix, plus
+  // a mid-protocol full-fleet failover, each at 1, 2 and 4 shards, serial
+  // and parallel, against its pinned digest.
   auto cfg = campaign_config(1024, 0.20, 0.05);
-  cfg.threads = 1;
-  const auto serial = engine::run_chaos_campaign(cfg);
-  cfg.threads = 0;
-  const auto wide = engine::run_chaos_campaign(cfg);
-  cfg.failover_at = 200;
-  const auto failover = engine::run_chaos_campaign(cfg);
-
   std::printf("\n  acceptance drill (%zu sessions, 20%% loss, 5%% corrupt,"
-              " reorder+dup on):\n", serial.sessions);
+              " reorder+dup on):\n", cfg.chaos.sessions);
+  bool digests_ok = true;
+  engine::ChaosCampaignResult drill, failover;
+  for (const core::Cycle failover_at : {core::Cycle{0}, core::Cycle{200}}) {
+    const std::uint64_t pinned =
+        failover_at == 0 ? kDrillDigest : kFailoverDrillDigest;
+    cfg.chaos.failover_at = failover_at;
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+      for (const bool parallel : {false, true}) {
+        cfg.shards = shards;
+        cfg.parallel = parallel;
+        const auto r = engine::run_sharded_campaign(cfg).chaos;
+        digests_ok = digests_ok && r.digest == pinned;
+        std::printf("    failover@%-3llu %zu shard(s) %-8s digest=%016llx"
+                    "  (%s)\n",
+                    static_cast<unsigned long long>(failover_at), shards,
+                    parallel ? "parallel" : "serial",
+                    static_cast<unsigned long long>(r.digest),
+                    r.digest == pinned ? "pinned" : "MISMATCH");
+        (failover_at == 0 ? drill : failover) = r;
+      }
+    }
+  }
   std::printf("    completed %zu/%zu   stuck %zu   corrupt frames accepted"
-              " %llu\n", serial.completed, serial.sessions, serial.stuck,
-              static_cast<unsigned long long>(serial.corrupt_accepted));
+              " %llu\n", drill.completed, drill.sessions, drill.stuck,
+              static_cast<unsigned long long>(drill.corrupt_accepted));
   std::printf("    frames: %llu sent, %llu dropped, %llu corrupted, %llu"
               " retransmits\n",
-              static_cast<unsigned long long>(serial.frames_sent),
-              static_cast<unsigned long long>(serial.frames_dropped),
-              static_cast<unsigned long long>(serial.frames_corrupted),
-              static_cast<unsigned long long>(serial.retransmits));
-  std::printf("    digest serial=%016llx wide=%016llx  (%s)\n",
-              static_cast<unsigned long long>(serial.digest),
-              static_cast<unsigned long long>(wide.digest),
-              serial.digest == wide.digest ? "bit-identical"
-                                           : "MISMATCH");
+              static_cast<unsigned long long>(drill.frames_sent),
+              static_cast<unsigned long long>(drill.frames_dropped),
+              static_cast<unsigned long long>(drill.frames_corrupted),
+              static_cast<unsigned long long>(drill.retransmits));
   std::printf("    failover@200: completed %zu/%zu, restored %llu,"
               " corrupt accepted %llu\n", failover.completed,
               failover.sessions,
               static_cast<unsigned long long>(failover.gateway.restored),
               static_cast<unsigned long long>(failover.corrupt_accepted));
 
-  const bool ok = serial.completed == serial.sessions &&
-                  serial.stuck == 0 && serial.corrupt_accepted == 0 &&
-                  serial.digest == wide.digest &&
+  const bool ok = drill.completed == drill.sessions && drill.stuck == 0 &&
+                  drill.corrupt_accepted == 0 && digests_ok &&
                   failover.completed == failover.sessions &&
                   failover.corrupt_accepted == 0;
   std::printf("    verdict: %s\n", ok ? "PASS" : "FAIL");
@@ -121,7 +138,7 @@ void BM_ChaosCampaign(benchmark::State& state) {
   auto cfg = campaign_config(sessions, loss, loss / 4.0);
   std::size_t completed = 0;
   for (auto _ : state) {
-    const auto r = engine::run_chaos_campaign(cfg);
+    const auto r = engine::run_sharded_campaign(cfg).chaos;
     completed += r.completed;
     benchmark::DoNotOptimize(r.digest);
   }

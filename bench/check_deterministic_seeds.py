@@ -7,9 +7,9 @@ sources -- std::random_device, C rand()/srand() -- silently break rerun
 identity, so this script fails CI when one appears outside an explicitly
 annotated site.
 
-A use that is genuinely meant to be non-deterministic (e.g. the fleet
-server folding process entropy into live challenge seeds) is suppressed by
-placing the marker comment on the offending line or the line above it:
+A use that is genuinely meant to be non-deterministic (e.g. a shard
+folding process entropy into its batch verifier's RLC seed) is suppressed
+by placing the marker comment on the offending line or the line above it:
 
     // seed-audit: allow(<reason>)
 

@@ -1,24 +1,31 @@
-// fleet_server — the engine layer end to end: a mini-server multiplexing a
-// fleet of implanted tags over a worker pool, with batched transcript
-// verification and per-session energy telemetry.
+// fleet_server — the serving stack end to end, in process: a mini-server
+// authenticating a fleet of implanted tags on N shard event loops, with
+// device enrollment in a DeviceRegistry, batched transcript verification
+// on every shard, and the tags' own energy ledgers summed at the end.
 //
-//   usage: fleet_server [devices] [sessions] [threads] [batch]
-//          (defaults: 32 devices, 512 sessions, 4 threads, batch 64)
+//   usage: fleet_server [devices] [sessions] [shards] [batch]
+//          (defaults: 32 devices, 512 sessions, 4 shards, batch 64)
 //
-// Every session is a full message-driven Schnorr identification run: the
-// tag side (SchnorrProver machines, driven here as the "radio front-end")
-// talks to the server exclusively through FleetServer::deliver and the
-// downlink callback. Two sessions are impersonators; the batch verifier's
-// fallback isolates exactly those.
+// Every session is a full message-driven Schnorr identification run over
+// the framed ARQ channel: each tag (a SchnorrProver behind a
+// DeviceEndpoint) offers its frames into its shard's mailbox, and the
+// shard's downlinks come straight back through an in-process Transport.
+// Session s belongs to device (s - 1) % devices. Two sessions are
+// impersonators holding keys the registry never enrolled; the batch
+// verifier's fallback isolates exactly those.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <chrono>
+#include <random>
+#include <vector>
 
+#include "core/event_queue.h"
 #include "ecc/curve.h"
-#include "engine/fleet_server.h"
+#include "engine/device_registry.h"
+#include "engine/gateway.h"
+#include "engine/shard.h"
 #include "gf2m/backend.h"
 #include "hw/radio.h"
 #include "protocol/schnorr.h"
@@ -29,38 +36,27 @@ namespace proto = protocol;
 
 namespace {
 
-struct Radio {
-  const ecc::Curve& c;
-  engine::FleetServer& server;
-  std::mutex mu;
-  std::map<std::uint64_t, std::unique_ptr<proto::SchnorrProver>> provers;
-  std::map<std::uint64_t, std::unique_ptr<rng::Xoshiro256>> rngs;
+/// One implanted tag: its prover machine behind a reliable endpoint. The
+/// tag's own EventQueue is never advanced: the in-process loop loses
+/// nothing, so no tag retransmit ever comes due.
+struct Tag {
+  explicit Tag(std::uint64_t seed) : rng(seed) {}
+  rng::Xoshiro256 rng;
+  std::unique_ptr<proto::SchnorrProver> prover;
+  core::EventQueue queue;
+  std::unique_ptr<engine::DeviceEndpoint> endpoint;
+  /// Mailbox lane for this tag's uplinks: 0 (the main thread) for the
+  /// opening commitment, then its shard's own lane — after the loops
+  /// start, a tag is only ever touched by the loop thread of its shard.
+  std::size_t lane = 0;
+};
 
-  void downlink(std::uint64_t sid, const proto::Message& m) {
-    proto::SchnorrProver* prover;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      prover = provers.at(sid).get();
-    }
-    const auto r = prover->on_message(m);
-    for (const auto& out : r.out) server.deliver(sid, out);
-    if (prover->state() == proto::SessionState::kDone)
-      server.report_tag_energy(sid, prover->ledger());
-  }
-
-  std::uint64_t launch(std::uint32_t device, const proto::SchnorrKeyPair& key,
-                       std::uint64_t seed) {
-    const auto sid = server.open_schnorr_session(device);
-    auto rng = std::make_unique<rng::Xoshiro256>(seed);
-    auto prover = std::make_unique<proto::SchnorrProver>(c, key, *rng);
-    const auto r = prover->start();
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      rngs.emplace(sid, std::move(rng));
-      provers.emplace(sid, std::move(prover));
-    }
-    for (const auto& out : r.out) server.deliver(sid, out);
-    return sid;
+/// Downlinks go straight back into the tag of their session.
+struct Loopback final : engine::Transport {
+  std::map<std::uint64_t, std::unique_ptr<Tag>> tags;
+  void send_downlink(std::uint64_t session, const engine::Peer&,
+                     std::vector<std::uint8_t> bytes) override {
+    tags.at(session)->endpoint->on_downlink(std::move(bytes));
   }
 };
 
@@ -69,92 +65,159 @@ struct Radio {
 int main(int argc, char** argv) {
   const std::size_t n_devices = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 32;
   const std::size_t n_sessions = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 512;
-  const std::size_t n_threads = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 4;
+  const std::size_t n_shards = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 4;
   const std::size_t batch = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 64;
+  if (n_devices == 0 || n_shards == 0) {
+    std::fprintf(stderr, "fleet_server: devices and shards must be > 0\n");
+    return 2;
+  }
 
   const ecc::Curve& c = ecc::Curve::k163();
-  std::printf("fleet_server: %zu devices, %zu sessions, %zu workers, "
+  std::printf("fleet_server: %zu devices, %zu sessions, %zu shards, "
               "verify batch %zu, gf2m backend %s\n",
-              n_devices, n_sessions, n_threads, batch,
+              n_devices, n_sessions, n_shards, batch,
               gf2m::backend_name(gf2m::active_backend()));
 
   rng::Xoshiro256 rng(1);
   std::vector<proto::SchnorrKeyPair> keys;
-  for (std::size_t d = 0; d < n_devices; ++d)
+  engine::DeviceRegistry registry(c);
+  for (std::size_t d = 0; d < n_devices; ++d) {
     keys.push_back(proto::schnorr_keygen(c, rng));
-
-  engine::FleetConfig cfg;
-  cfg.worker_threads = n_threads;
-  cfg.verify_batch = batch;
-
-  std::unique_ptr<Radio> radio;
-  engine::FleetServer server(
-      c, cfg,
-      [&radio](std::uint64_t sid, const proto::Message& m) {
-        radio->downlink(sid, m);
-      });
-  radio = std::unique_ptr<Radio>(new Radio{c, server, {}, {}, {}});
-  for (const auto& kp : keys) server.enroll(kp.X);
-
-  // Launch the fleet; sessions 7 and n-3 are impersonators holding keys
-  // the server never enrolled.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::uint64_t> sids;
-  std::vector<std::uint64_t> forged_sids;
-  for (std::size_t i = 0; i < n_sessions; ++i) {
-    const auto dev = static_cast<std::uint32_t>(i % n_devices);
-    if (n_sessions > 8 && (i == 7 || i == n_sessions - 3)) {
-      forged_sids.push_back(
-          radio->launch(dev, proto::schnorr_keygen(c, rng), 500 + i));
-      sids.push_back(forged_sids.back());
-    } else {
-      sids.push_back(radio->launch(dev, keys[dev], 500 + i));
-    }
+    registry.enroll(keys.back().X);
   }
-  server.drain();
+  const auto device_of = [n_devices](std::uint64_t sid) {
+    return static_cast<std::uint32_t>((sid - 1) % n_devices);
+  };
+
+  // A known challenge lets a keyless tag forge R = s·P − e·X, so the
+  // server's per-session challenge seeds start from process entropy.
+  // seed-audit: allow(live challenges must be unpredictable to the tags)
+  std::random_device entropy;
+  const std::uint64_t challenge_seed =
+      (static_cast<std::uint64_t>(entropy()) << 32) | entropy();
+  engine::SessionFactory factory = [&c, &registry, device_of,
+                                    challenge_seed](std::uint64_t sid) {
+    engine::SessionSetup s;
+    const auto key = registry.admit(device_of(sid));
+    if (!key) return s;  // unknown or quarantined: the shard sends kReject
+    auto r = std::make_unique<rng::Xoshiro256>(challenge_seed ^ sid);
+    s.machine = std::make_unique<proto::SchnorrVerifier>(
+        c, *key, *r, proto::SchnorrVerifier::Mode::kDeferred);
+    s.deferred_schnorr = true;
+    s.rng = std::move(r);
+    return s;
+  };
+
+  engine::ShardFleetConfig cfg;
+  cfg.shards = n_shards;
+  cfg.verify_batch = batch;
+  // Every opening commitment is queued before the loops start, and a
+  // shard's own lane holds at most a response and an ack per session.
+  cfg.mailbox_capacity = 2 * n_sessions + 16;
+  // 1 cycle = 1 µs: a lossless loop never needs a retransmit.
+  cfg.gateway.delivery.rto_initial = 1'000'000;
+  cfg.gateway.delivery.rto_max = 4'000'000;
+
+  Loopback loop;
+  engine::ShardFleet fleet(c, cfg, factory, /*producers=*/1 + n_shards);
+
+  // Launch the fleet; sessions 8 and n-2 are impersonators.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<bool> forged(n_sessions + 1, false);
+  std::size_t n_forged = 0;
+  for (std::uint64_t sid = 1; sid <= n_sessions; ++sid) {
+    const bool impostor =
+        n_sessions > 8 && (sid == 8 || sid == n_sessions - 2);
+    auto tag = std::make_unique<Tag>(500 + sid);
+    tag->prover = std::make_unique<proto::SchnorrProver>(
+        c, impostor ? proto::schnorr_keygen(c, rng) : keys[device_of(sid)],
+        tag->rng);
+    tag->endpoint = std::make_unique<engine::DeviceEndpoint>(
+        tag->queue, sid, sid, *tag->prover);
+    Tag* t = tag.get();
+    tag->endpoint->set_uplink([&fleet, t, sid](
+                                  std::vector<std::uint8_t> bytes) {
+      engine::IngressItem item;
+      item.session = sid;
+      item.peer = engine::Peer{0, 1};
+      item.bytes = std::move(bytes);
+      fleet.offer(t->lane, std::move(item));  // a shed counts in totals()
+    });
+    loop.tags.emplace(sid, std::move(tag));
+    t->endpoint->start();
+    t->lane = 1 + fleet.shard_index(sid);
+    forged[sid] = impostor;
+    n_forged += impostor ? 1 : 0;
+  }
+  fleet.start(loop);
+  const engine::DrainReport drained = fleet.drain_for(std::chrono::seconds(60));
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const auto st = server.stats();
-  std::printf("\ncompleted %zu sessions in %.3f s  ->  %.0f sessions/s\n",
-              st.sessions_completed, secs,
-              static_cast<double>(st.sessions_completed) / secs);
-  std::printf("accepted %zu, rejected %zu (expected rejects: %zu)\n",
-              st.accepted, st.rejected, forged_sids.size());
+  // The loops are stopped: every shard is safe to read from here.
+  const engine::ShardStats st = fleet.totals();
+  engine::BatchVerifierStats vs;
+  std::size_t verdict_mismatches = 0;
+  for (std::size_t s = 0; s < fleet.shards(); ++s) {
+    const engine::BatchVerifierStats v = fleet.shard(s).verifier().stats();
+    vs.items += v.items;
+    vs.batches += v.batches;
+    vs.decode_failures += v.decode_failures;
+    vs.rlc_failures += v.rlc_failures;
+    vs.single_fallbacks += v.single_fallbacks;
+    for (const auto& [sid, rec] : fleet.shard(s).records())
+      if (rec.accepted == forged[sid]) ++verdict_mismatches;
+  }
+
+  std::printf("\ncompleted %llu sessions in %.3f s  ->  %.0f sessions/s\n",
+              static_cast<unsigned long long>(st.completed), secs,
+              static_cast<double>(st.completed) / secs);
+  std::printf("accepted %llu, rejected %llu (expected rejects: %zu)\n",
+              static_cast<unsigned long long>(st.accepted),
+              static_cast<unsigned long long>(st.rejected), n_forged);
   std::printf("verifier: %zu batches over %zu items "
               "(%.1f items/batch), %zu decode failures, "
               "%zu RLC fallbacks re-checking %zu transcripts\n",
-              st.verifier.batches, st.verifier.items,
-              st.verifier.batches
-                  ? static_cast<double>(st.verifier.items) /
-                        static_cast<double>(st.verifier.batches)
-                  : 0.0,
-              st.verifier.decode_failures, st.verifier.rlc_failures,
-              st.verifier.single_fallbacks);
+              vs.batches, vs.items,
+              vs.batches ? static_cast<double>(vs.items) /
+                               static_cast<double>(vs.batches)
+                         : 0.0,
+              vs.decode_failures, vs.rlc_failures, vs.single_fallbacks);
+  std::printf("drain: %s, %zu stragglers, %llu mailbox sheds\n",
+              drained.quiescent ? "quiescent" : "forced",
+              drained.stragglers.size(),
+              static_cast<unsigned long long>(st.mailbox_shed));
 
-  // Per-session energy telemetry, aggregated from the registry (§4's
-  // accounting, now at fleet scale).
+  // Tag-side energy, summed over the fleet's own ledgers (§4's
+  // per-session accounting at fleet scale).
+  proto::EnergyLedger fleet_energy;
+  for (const auto& [sid, tag] : loop.tags) fleet_energy += tag->prover->ledger();
   const proto::TagCostModel cost;
   const auto radio_model = hw::RadioModel::ban();
-  const double fleet_j =
-      cost.session_energy_j(st.fleet_tag_energy, radio_model, 0.5);
+  const double fleet_j = cost.session_energy_j(fleet_energy, radio_model, 0.5);
   std::printf("fleet tag-side energy: %zu ECPM, %zu modmul, %zu TX bits "
               "->  %.1f uJ total (%.2f uJ/session at 0.5 m BAN)\n",
-              st.fleet_tag_energy.ecpm, st.fleet_tag_energy.modmul,
-              st.fleet_tag_energy.tx_bits, fleet_j * 1e6,
+              fleet_energy.ecpm, fleet_energy.modmul, fleet_energy.tx_bits,
+              fleet_j * 1e6,
               fleet_j * 1e6 / static_cast<double>(n_sessions));
 
-  // Spot-check one record.
-  const auto rec = server.record(sids.front());
-  std::printf("session %llu: device %u, completed %d, accepted %d, "
-              "%zu msgs in, rx %zu bits, tx %zu bits\n",
-              static_cast<unsigned long long>(rec.id), rec.device,
-              rec.completed ? 1 : 0, rec.accepted ? 1 : 0, rec.messages_in,
-              rec.rx_bits, rec.tx_bits);
+  // Spot-check one session from both ends.
+  if (n_sessions > 0) {
+    const std::uint64_t sid = 1;
+    const auto& rec = fleet.shard(fleet.shard_index(sid)).records().at(sid);
+    const engine::DeliveryStats& ds = loop.tags.at(sid)->endpoint->stats();
+    std::printf("session %llu: device %u, shard %zu, accepted %d, tag sent "
+                "%llu data + %llu ack frames\n",
+                static_cast<unsigned long long>(sid), device_of(sid),
+                fleet.shard_index(sid), rec.accepted ? 1 : 0,
+                static_cast<unsigned long long>(ds.data_sent),
+                static_cast<unsigned long long>(ds.acks_sent));
+  }
 
-  const bool ok = st.rejected == forged_sids.size() &&
-                  st.sessions_completed == n_sessions;
+  const bool ok = drained.quiescent && drained.stragglers.empty() &&
+                  st.mailbox_shed == 0 && st.completed == n_sessions &&
+                  st.rejected == n_forged && verdict_mismatches == 0;
   std::printf("%s\n", ok ? "OK" : "MISMATCH");
   return ok ? 0 : 1;
 }

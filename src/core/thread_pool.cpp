@@ -35,18 +35,6 @@ bool ThreadPool::submit(std::function<void()> fn) {
   return true;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-bool ThreadPool::wait_idle_for(std::chrono::milliseconds budget) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return idle_cv_.wait_for(lock, budget, [this] {
-    return queue_.empty() && in_flight_ == 0;
-  });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -56,14 +44,8 @@ void ThreadPool::worker_loop() {
       if (stop_) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     task();
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-    }
-    idle_cv_.notify_all();
   }
 }
 

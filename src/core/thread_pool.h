@@ -1,20 +1,14 @@
-// thread_pool.h — the shared worker-pool substrate of the engine and
-// campaign layers.
+// thread_pool.h — the shared worker-pool substrate of the campaign
+// layers: the trace simulator, the streaming CPA/TVLA analysis, the fault
+// drill and the sharded campaign.
 //
-// Extracted from the FleetServer's private worker pool once the trace
-// simulator and the streaming CPA/TVLA analysis needed the same thing: a
-// fixed set of threads, a task queue, and a blocking data-parallel helper.
-// Two usage patterns:
-//
-//   * submit() + wait_idle(): the FleetServer's message-driven mode — fire
-//     one task per radio message, drain when the caller needs a barrier.
-//
-//   * parallel_for(): the campaign engine's mode — split [0, n) into
-//     chunks, run them on the workers *and the calling thread*, return
-//     when every chunk is done. The caller participates in the work, so a
-//     1-worker pool (or a call from inside a worker task) degrades to a
-//     serial loop instead of deadlocking, and the pool adds throughput
-//     strictly on top of the caller's own core.
+// A fixed set of threads, a task queue (submit()), and the blocking
+// data-parallel helper everything uses, parallel_for(): split [0, n) into
+// chunks, run them on the workers *and the calling thread*, return when
+// every chunk is done. The caller participates in the work, so a 1-worker
+// pool (or a call from inside a worker task) degrades to a serial loop
+// instead of deadlocking, and the pool adds throughput strictly on top of
+// the caller's own core.
 //
 // Determinism contract: the pool schedules work but never partitions it —
 // chunk boundaries come from the caller. Campaign code keeps its output
@@ -22,7 +16,6 @@
 // merging results in chunk-index order (see trace_sim.cpp / dpa.cpp).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -39,7 +32,7 @@ class ThreadPool {
   /// threads == 0 picks std::thread::hardware_concurrency() (min 1).
   explicit ThreadPool(std::size_t threads = 0);
   /// Stops the workers. Tasks already running finish; tasks still queued
-  /// are abandoned (the FleetServer's shutdown semantics).
+  /// are abandoned.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -51,14 +44,6 @@ class ThreadPool {
   /// Dropped (returns false) once shutdown has begun.
   bool submit(std::function<void()> fn);
 
-  /// Block until the queue is empty and no task is running.
-  void wait_idle();
-
-  /// wait_idle() with a budget: returns true if the pool went idle within
-  /// `budget`, false if work was still in flight when it expired (the
-  /// FleetServer's bounded-drain straggler path).
-  bool wait_idle_for(std::chrono::milliseconds budget);
-
   /// Run fn(begin, end) over [0, n) split into chunks of `grain` (last
   /// chunk may be short). Blocks until all chunks are done. The calling
   /// thread executes chunks alongside the workers, pulling from a shared
@@ -69,9 +54,8 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Process-wide pool sized to the hardware (lazy, never destroyed
-  /// before exit). The campaign engine and the averaged-capture fan-out
-  /// use this one; the FleetServer owns a private pool sized by its
-  /// config.
+  /// before exit). The campaign engines and the averaged-capture fan-out
+  /// use this one.
   static ThreadPool& shared();
 
   /// Resolve a caller-facing `threads` knob for parallel_for fan-out:
@@ -88,9 +72,7 @@ class ThreadPool {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers: work available / stop
-  std::condition_variable idle_cv_;  ///< wait_idle(): queue empty + idle
   std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

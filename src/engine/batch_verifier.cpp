@@ -1,6 +1,5 @@
 #include "engine/batch_verifier.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -130,7 +129,7 @@ void SchnorrBatchVerifier::enqueue(PendingTranscript t) {
     ++stats_.items;
     if (queue_.size() < batch_size_) return;
     batch.swap(queue_);
-    for (const auto& p : batch) in_verify_.push_back(p.session);
+    in_verify_ += batch.size();
   }
   verify_batch(std::move(batch));
 }
@@ -141,22 +140,14 @@ void SchnorrBatchVerifier::flush() {
     const std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return;
     batch.swap(queue_);
-    for (const auto& p : batch) in_verify_.push_back(p.session);
+    in_verify_ += batch.size();
   }
   verify_batch(std::move(batch));
 }
 
 std::size_t SchnorrBatchVerifier::pending() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + in_verify_.size();
-}
-
-std::vector<std::uint64_t> SchnorrBatchVerifier::pending_sessions() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::uint64_t> ids = in_verify_;
-  ids.reserve(ids.size() + queue_.size());
-  for (const auto& t : queue_) ids.push_back(t.session);
-  return ids;
+  return queue_.size() + in_verify_;
 }
 
 BatchVerifierStats SchnorrBatchVerifier::stats() const {
@@ -214,16 +205,10 @@ void SchnorrBatchVerifier::verify_batch(std::vector<PendingTranscript> batch) {
   for (std::size_t i = 0; i < batch.size(); ++i)
     if (batch[i].on_result) batch[i].on_result(accepted[i]);
 
-  // Verdicts delivered: this batch is no longer pending. One occurrence
-  // per id — a callback may have re-entered enqueue and pushed the same
-  // session into a fresh in-verify batch.
+  // Verdicts delivered: this batch is no longer pending.
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& t : batch) {
-      const auto it =
-          std::find(in_verify_.begin(), in_verify_.end(), t.session);
-      if (it != in_verify_.end()) in_verify_.erase(it);
-    }
+    in_verify_ -= batch.size();
   }
 }
 

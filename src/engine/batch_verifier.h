@@ -22,9 +22,10 @@
 //     never hide behind its batch, and an honest session can never be
 //     rejected because of one.
 //
-// SchnorrBatchVerifier is the thread-safe queue the FleetServer drains:
-// sessions enqueue their (still wire-encoded) transcripts plus a
-// completion callback; the queue flushes at batch_size.
+// SchnorrBatchVerifier is the thread-safe queue each shard drains (one
+// per ShardEngine, flushed every tick): sessions enqueue their (still
+// wire-encoded) transcripts plus a completion callback; the queue also
+// flushes on its own at batch_size.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +67,7 @@ BatchVerifyOutcome schnorr_verify_batch(
 
 /// One Schnorr transcript awaiting verification, still in wire form.
 struct PendingTranscript {
-  /// Owning session id — lets drain accounting name the sessions whose
-  /// verdicts are still in flight (0 = anonymous).
+  /// Owning session id (0 = anonymous).
   std::uint64_t session = 0;
   ecc::Point X;                               ///< registered device key
   std::vector<std::uint8_t> commitment_wire;  ///< compressed R_c
@@ -106,9 +106,6 @@ class SchnorrBatchVerifier {
   /// Transcripts without a verdict yet: queued PLUS mid-verification on
   /// some thread. A session is only "drained" once this excludes it.
   std::size_t pending() const;
-  /// Session ids of every verdict-pending transcript (queued or mid-
-  /// verification), unsorted; the drain straggler report's verifier half.
-  std::vector<std::uint64_t> pending_sessions() const;
   BatchVerifierStats stats() const;
 
  private:
@@ -118,9 +115,9 @@ class SchnorrBatchVerifier {
   std::size_t batch_size_;
   mutable std::mutex mu_;          ///< guards queue_, in_verify_, stats_
   std::vector<PendingTranscript> queue_;
-  /// Session ids of batches moved out of queue_ and currently inside
-  /// verify_batch — still verdict-pending, no longer "queued".
-  std::vector<std::uint64_t> in_verify_;
+  /// Transcripts moved out of queue_ and currently inside verify_batch —
+  /// still verdict-pending, no longer "queued".
+  std::size_t in_verify_ = 0;
   BatchVerifierStats stats_;
   std::mutex rng_mu_;              ///< guards rng_
   rng::Xoshiro256 rng_;

@@ -1,15 +1,15 @@
-// campaign_fixtures.h — the chaos campaign's deterministic world-building
-// kit, shared between the PR 6 single-queue campaign (gateway.cpp) and the
-// sharded engine's hash-partitioned campaign (shard.cpp).
+// campaign_fixtures.h — the deterministic world-building kit shared by the
+// sharded campaign (shard.cpp: run_sharded_campaign), the fault drill
+// (fault_drill.cpp) and the benchmark's traced campaign replica.
 //
-// The determinism contract both campaigns rely on: every per-session
+// The determinism contract the campaign relies on: every per-session
 // object (device machine, server machine, link fault schedule, delivery
 // jitter) is seeded by a pure function of (campaign seed, global session
 // id). That makes a session's outcome independent of which shard hosts it
 // and which sessions it shares an EventQueue with — the property the
 // shard-count-invariance suite pins. Anything here that changes seed
 // derivation, the protocol mix, or the outcome digest breaks bit-identity
-// with recorded PR 6 digests; change with intent.
+// with the pinned campaign digests; change with intent.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +58,10 @@ struct Fixtures {
   std::vector<std::uint8_t> telemetry;
 };
 
+/// Draw every credential on `curve` from `rng`, in a fixed order.
+Fixtures make_fixtures(const ecc::Curve& curve, rng::Xoshiro256& rng);
+
+/// The campaign's fixtures: K-163, drawn from mix_seed(seed, 0xF177).
 Fixtures make_fixtures(std::uint64_t seed);
 
 using MachineFactory =
@@ -90,7 +94,7 @@ struct SessionOutcome {
 };
 
 /// Fold one outcome into the running campaign digest (FNV-1a, session
-/// order). Both campaigns must fold identically or bit-identity dies.
+/// order). Every driver of the campaign must fold identically.
 inline std::uint64_t digest_outcome(std::uint64_t digest,
                                     const SessionOutcome& o) {
   digest = fnv1a(digest, o.id);

@@ -1,27 +1,24 @@
 #include "engine/fault_drill.h"
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "ciphers/aes128.h"
 #include "core/thread_pool.h"
 #include "ecc/scalar_mult.h"
+#include "engine/campaign_fixtures.h"
 #include "hw/fault_injector.h"
-#include "protocol/ecies.h"
-#include "protocol/mutual_auth.h"
-#include "protocol/peeters_hermans.h"
-#include "protocol/schnorr.h"
 #include "rng/xoshiro.h"
 #include "sidechannel/countermeasures.h"
 
 namespace medsec::engine {
 
 namespace {
+
+using campaign::fnv1a;
 
 // Derivation lanes on the injector's counter space. Lanes 0–5 belong to
 // the injector itself (rate draw + fault coordinates); the drill's own
@@ -31,96 +28,6 @@ constexpr std::uint64_t kLaneDevRng = 9;
 constexpr std::uint64_t kLaneSrvRng = 10;
 constexpr std::uint64_t kLaneFixtures = 12;  // counter 0
 constexpr std::uint64_t kLaneProbe = 13;     // counter 0
-
-/// The protocol mix's shared, read-only credentials (the chaos campaign's
-/// fixture set, rebuilt here from the drill seed).
-struct Fixtures {
-  const ecc::Curve& curve;
-  protocol::SchnorrKeyPair schnorr_key;
-  protocol::PhReader ph_reader;
-  protocol::PhTag ph_tag;
-  protocol::SharedKeys keys;
-  protocol::CipherFactory make_cipher;
-  protocol::EciesKeyPair ecies_key;
-  std::vector<std::uint8_t> telemetry;
-};
-
-Fixtures make_fixtures(const ecc::Curve& curve, std::uint64_t seed) {
-  rng::Xoshiro256 rng(seed);
-  Fixtures fx{curve,
-              protocol::schnorr_keygen(curve, rng),
-              protocol::ph_setup_reader(curve, rng),
-              {},
-              {},
-              [](std::span<const std::uint8_t> key) {
-                return std::unique_ptr<ciphers::BlockCipher>(
-                    new ciphers::Aes128(key));
-              },
-              {},
-              {}};
-  fx.ph_tag = protocol::ph_register_tag(curve, fx.ph_reader, rng);
-  std::vector<std::uint8_t> master(32);
-  rng.fill(master);
-  fx.keys = protocol::derive_session_keys(master, 16);
-  fx.ecies_key = protocol::ecies_keygen(curve, rng);
-  fx.telemetry.resize(48);
-  rng.fill(fx.telemetry);
-  return fx;
-}
-
-std::unique_ptr<protocol::SessionMachine> device_machine(
-    const Fixtures& fx, std::uint64_t gid, rng::RandomSource& r) {
-  switch (gid % 4) {
-    case 0:
-      return std::make_unique<protocol::SchnorrProver>(fx.curve,
-                                                       fx.schnorr_key, r);
-    case 1:
-      return std::make_unique<protocol::PhTagMachine>(fx.curve, fx.ph_tag,
-                                                      r);
-    case 2:
-      return std::make_unique<protocol::MutualAuthTag>(fx.make_cipher,
-                                                       fx.keys,
-                                                       fx.telemetry, r);
-    default:
-      return std::make_unique<protocol::EciesUploader>(
-          fx.curve, fx.ecies_key.Y, fx.telemetry, fx.make_cipher, 16, r);
-  }
-}
-
-std::unique_ptr<protocol::SessionMachine> server_machine(
-    const Fixtures& fx, std::uint64_t gid, rng::RandomSource& r) {
-  switch (gid % 4) {
-    case 0:
-      return std::make_unique<protocol::SchnorrVerifier>(
-          fx.curve, fx.schnorr_key.X, r);
-    case 1:
-      return std::make_unique<protocol::PhReaderMachine>(fx.curve,
-                                                         fx.ph_reader, r);
-    case 2:
-      return std::make_unique<protocol::MutualAuthServer>(fx.make_cipher,
-                                                          fx.keys, r);
-    default:
-      return std::make_unique<protocol::EciesReceiver>(
-          fx.curve, fx.ecies_key.y, fx.make_cipher, 16);
-  }
-}
-
-bool judge(std::uint64_t gid, const protocol::SessionMachine& m) {
-  switch (gid % 4) {
-    case 0:
-      return static_cast<const protocol::SchnorrVerifier&>(m).accepted();
-    case 1:
-      return static_cast<const protocol::PhReaderMachine&>(m)
-          .identity()
-          .has_value();
-    case 2: {
-      const auto& s = static_cast<const protocol::MutualAuthServer&>(m);
-      return s.accepted_tag() && s.telemetry_delivered();
-    }
-    default:
-      return static_cast<const protocol::EciesReceiver&>(m).delivered();
-  }
-}
 
 /// In-process message pump: alternate deliveries until both machines
 /// settle. A healthy handshake here is a handful of messages; the step
@@ -153,7 +60,8 @@ bool run_handshake(protocol::SessionMachine& dev,
     return false;
   }
   return dev.state() == protocol::SessionState::kDone &&
-         srv.state() == protocol::SessionState::kDone && judge(gid, srv);
+         srv.state() == protocol::SessionState::kDone &&
+         campaign::judge_for(gid)(srv);
 }
 
 /// One session's record, written by exactly one shard, merged in gid
@@ -169,14 +77,6 @@ struct Entry {
   bool accepted = false;
   ecc::Fe x;  ///< released x-coordinate
 };
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -194,7 +94,8 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
   if (cfg.devices == 0) cfg.devices = 1;
   const hw::FaultInjector injector(cfg.seed, cfg.fault_rate);
   const core::SecureEccProcessor proc(curve, cfg.processor, cfg.seed);
-  const Fixtures fx = make_fixtures(curve, injector.word(0, kLaneFixtures));
+  rng::Xoshiro256 fixture_rng(injector.word(0, kLaneFixtures));
+  const campaign::Fixtures fx = campaign::make_fixtures(curve, fixture_rng);
 
   // Calibrate the fault shape from one clean probe run: the injector
   // scales glitch coordinates to what the hardened schedule actually
@@ -286,8 +187,8 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
           // reaches the handshake.
           rng::Xoshiro256 dr(injector.word(gid, kLaneDevRng));
           rng::Xoshiro256 sr(injector.word(gid, kLaneSrvRng));
-          const auto dev = device_machine(fx, gid, dr);
-          const auto srv = server_machine(fx, gid, sr);
+          const auto dev = campaign::device_factory(fx, gid)(dr);
+          const auto srv = campaign::server_factory(fx, gid, false)(sr);
           en.proto_ran = true;
           en.accepted = run_handshake(*dev, *srv, gid);
         }

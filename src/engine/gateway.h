@@ -20,10 +20,8 @@
 //     resumed on a fresh GatewayServer, surviving node death with nothing
 //     but a retransmit visible to the device.
 //
-// run_chaos_campaign() is the proof harness: a sharded fleet of device ↔
-// gateway sessions over seeded LossyLinks, bit-reproducible across reruns
-// and thread counts (fixed shard geometry, results merged in shard order —
-// the PR 3 determinism contract).
+// shard.h runs one GatewayServer per shard loop, and its
+// run_sharded_campaign() is the proof harness for these policies.
 #pragma once
 
 #include <cstdint>
@@ -223,61 +221,5 @@ class DeviceEndpoint {
   bool failed_ = false;
   core::Cycle done_at_ = 0;
 };
-
-// --- chaos campaign ----------------------------------------------------------
-
-struct ChaosCampaignConfig {
-  std::size_t sessions = 256;
-  /// Fixed shard geometry — the determinism contract. Results are merged
-  /// in shard order, so output is bit-identical for any thread count.
-  std::size_t sessions_per_shard = 64;
-  /// parallel_for fan-out: 0 = shared pool, 1 = serial, n = n runners.
-  std::size_t threads = 0;
-  std::uint64_t seed = 0xC4A05CA7;
-  FaultProfile uplink;
-  FaultProfile downlink;
-  DeliveryConfig delivery;
-  core::Cycle session_deadline = 0;
-  core::Cycle idle_timeout = 0;
-  /// Virtual-time safety valve per shard.
-  core::Cycle max_cycles = 4'000'000;
-  /// >0: at this virtual cycle each shard snapshots EVERY session, tears
-  /// its GatewayServer down, and restores onto a fresh one — node death
-  /// mid-protocol, the failover drill.
-  core::Cycle failover_at = 0;
-};
-
-struct ChaosCampaignResult {
-  std::size_t sessions = 0;
-  std::size_t completed = 0;  ///< device done AND server verdict in
-  std::size_t accepted = 0;
-  std::size_t failed = 0;
-  std::size_t stuck = 0;  ///< neither completed nor failed at shard end
-  GatewayStats gateway;   ///< summed across shards
-  // Channel + delivery aggregates (both directions, all sessions).
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t frames_corrupted = 0;
-  std::uint64_t frames_duplicated = 0;
-  std::uint64_t frames_reordered = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t dup_suppressed = 0;
-  /// Frames a session machine saw whose bytes had been corrupted in
-  /// flight: must be 0 — the CRC turns corruption into loss.
-  std::uint64_t corrupt_accepted = 0;
-  // Completion latency over completed sessions, virtual cycles.
-  core::Cycle latency_p50 = 0;
-  core::Cycle latency_p99 = 0;
-  core::Cycle latency_max = 0;
-  /// FNV-1a over every per-session outcome in session order — two runs
-  /// are bit-identical iff their digests match.
-  std::uint64_t digest = 0;
-};
-
-/// Run a seeded chaos campaign: `sessions` device↔gateway sessions (mixed
-/// Schnorr / Peeters–Hermans / mutual-auth / ECIES), each over its own
-/// seeded LossyLink, sharded into independent virtual worlds.
-ChaosCampaignResult run_chaos_campaign(const ChaosCampaignConfig& config);
 
 }  // namespace medsec::engine

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <random>
 #include <utility>
 
 #include "core/thread_pool.h"
@@ -12,6 +13,25 @@
 namespace medsec::engine {
 
 using campaign::mix_seed;
+
+namespace {
+
+/// One word of process entropy, drawn once. The batch verifier's 2^-64
+/// bound holds only if its RLC coefficients are drawn after — and
+/// unpredictably to — whoever produced the transcripts; from
+/// config.seed alone they would be a public function of the source, and
+/// a device could forge two transcripts whose errors cancel in the
+/// combination.
+std::uint64_t rlc_entropy() {
+  static const std::uint64_t word = [] {
+    // seed-audit: allow(RLC coefficients must be unpredictable to devices)
+    std::random_device rd;
+    return (static_cast<std::uint64_t>(rd()) << 32) | rd();
+  }();
+  return word;
+}
+
+}  // namespace
 
 // --- ShardEngine -------------------------------------------------------------
 
@@ -25,7 +45,7 @@ ShardEngine::ShardEngine(std::size_t index, const ShardFleetConfig& config,
       gateway_(std::make_unique<GatewayServer>(
           queue_, mix_seed(config.seed, 0x6A7E + index), config.gateway)),
       verifier_(curve, config.verify_batch == 0 ? 1 : config.verify_batch,
-                mix_seed(config.seed, 0xB47C + index)),
+                mix_seed(config.seed ^ rlc_entropy(), 0xB47C + index)),
       mailbox_(producers, config.mailbox_capacity) {}
 
 bool ShardEngine::offer(std::size_t lane, IngressItem&& item) {
@@ -59,16 +79,30 @@ void ShardEngine::record_verdict(std::uint64_t id, bool accepted) {
       .fetch_add(1, std::memory_order_relaxed);
 }
 
+void ShardEngine::send(std::uint64_t id, std::vector<std::uint8_t> bytes) {
+  if (transport_ == nullptr) return;
+  const auto p = peers_.find(id);
+  if (p != peers_.end())
+    transport_->send_downlink(id, p->second, std::move(bytes));
+}
+
 void ShardEngine::open_from_ingress(const IngressItem& item) {
   const std::uint64_t id = item.session;
   SessionSetup setup = factory_(id);
-  if (!setup.machine) return;  // factory refused the id; datagram dropped
+  if (!setup.machine) {
+    // Refused (unknown or quarantined device): an explicit verdict, as
+    // for a shed, so the device fails fast instead of retransmitting into
+    // silence.
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    Frame reject;
+    reject.type = FrameType::kReject;
+    reject.session = id;
+    send(id, encode_frame(reject));
+    return;
+  }
 
   GatewayServer::Downlink down = [this, id](std::vector<std::uint8_t> bytes) {
-    if (transport_ == nullptr) return;
-    const auto p = peers_.find(id);
-    if (p != peers_.end())
-      transport_->send_downlink(id, p->second, std::move(bytes));
+    send(id, std::move(bytes));
   };
 
   GatewayServer::Judge judge;
@@ -157,6 +191,7 @@ void ShardFleet::start(Transport& transport) {
   stop_.store(false, std::memory_order_release);
   force_stop_.store(false, std::memory_order_release);
   for (auto& e : engines_) e->set_transport(&transport);
+  loops_running_.store(engines_.size(), std::memory_order_release);
   threads_.reserve(engines_.size());
   for (auto& e : engines_) {
     ShardEngine* eng = e.get();
@@ -180,6 +215,7 @@ void ShardFleet::start(Transport& transport) {
         if (drained == 0)
           std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
+      loops_running_.fetch_sub(1, std::memory_order_release);
     });
   }
 }
@@ -192,6 +228,27 @@ void ShardFleet::stop(bool force) {
   threads_.clear();
   stop_.store(false, std::memory_order_release);
   force_stop_.store(false, std::memory_order_release);
+}
+
+DrainReport ShardFleet::drain_for(std::chrono::milliseconds budget) {
+  DrainReport report;
+  report.quiescent = true;
+  if (running()) {
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    stop_.store(true, std::memory_order_release);
+    while (loops_running_.load(std::memory_order_acquire) != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    report.quiescent = loops_running_.load(std::memory_order_acquire) == 0;
+    stop(/*force=*/true);
+  }
+  // The loops are joined: every gateway is safe to read from here.
+  for (const auto& e : engines_)
+    for (const std::uint64_t id : e->gateway().session_ids())
+      if (e->gateway().status(id) == GatewaySessionStatus::kActive)
+        report.stragglers.push_back(id);
+  std::sort(report.stragglers.begin(), report.stragglers.end());
+  return report;
 }
 
 ShardStats ShardFleet::totals() const {
@@ -224,20 +281,17 @@ struct WorldResult {
   std::uint64_t retransmits = 0;
   std::uint64_t decode_failures = 0;
   std::uint64_t dup_suppressed = 0;
-  std::uint64_t frames_sent = 0;
   BatchVerifierStats verifier;
 };
 
-/// One shard's virtual world: the PR 6 run_shard construction verbatim
-/// (per-gid seeds, failover drill, outcome extraction), except that the
-/// session list is an arbitrary gid set (hash partition, not a contiguous
-/// range) and gid%4==0 Schnorr verdicts are deferred through a per-shard
-/// SchnorrBatchVerifier instead of the inline judge. Deferred mode emits
+/// One shard's virtual world: per-gid seeds, the failover drill and
+/// outcome extraction over an arbitrary gid set (the hash partition), with
+/// gid%4==0 Schnorr verdicts deferred through a per-shard
+/// SchnorrBatchVerifier instead of an inline judge. Deferred mode emits
 /// identical wire traffic and consumes identical rng (the challenge draw),
 /// and the batch verifier is verdict-equivalent (honest transcripts always
 /// pass; a failing batch falls back per item), so every per-session
-/// outcome — and therefore the campaign digest — is bit-identical to the
-/// inline path.
+/// outcome — and therefore the campaign digest — is the inline path's.
 WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
                       const std::vector<std::uint64_t>& gids,
                       std::size_t verify_batch) {
@@ -356,7 +410,7 @@ WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
   out.gateway.idle_evicted += pre_failover.idle_evicted;
   // Deferred judges returned the placeholder `false` at settle, so the
   // gateway never counted their accepts; fold the batch verdicts back in
-  // to keep the summed stats comparable with the inline campaign.
+  // so `gateway.accepted` counts every accepted session.
   for (const auto& [gid, ok] : verdicts)
     if (ok) ++out.gateway.accepted;
   out.verifier = bv.stats();
@@ -396,8 +450,6 @@ WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
       out.link.reordered += ls.reordered;
       out.link.corrupted_delivered += ls.corrupted_delivered;
     }
-    out.frames_sent += devices[i]->stats().data_sent +
-                       devices[i]->stats().acks_sent;
     out.outcomes.push_back(o);
   }
   return out;
@@ -422,12 +474,8 @@ ShardedCampaignResult run_sharded_campaign(
     for (std::size_t s = b; s < e; ++s)
       results[s] = run_world(cfg, fx, parts[s], scfg.verify_batch);
   };
-  std::unique_ptr<core::ThreadPool> owner;
-  core::ThreadPool* pool =
-      scfg.parallel ? core::ThreadPool::for_config(cfg.threads, owner)
-                    : nullptr;
-  if (pool != nullptr && scfg.shards > 1)
-    pool->parallel_for(scfg.shards, 1, work);
+  if (scfg.parallel && scfg.shards > 1)
+    core::ThreadPool::shared().parallel_for(scfg.shards, 1, work);
   else
     work(0, scfg.shards);
 
@@ -455,6 +503,8 @@ ShardedCampaignResult run_sharded_campaign(
     c.retransmits += r.retransmits;
     c.decode_failures += r.decode_failures;
     c.dup_suppressed += r.dup_suppressed;
+    // Every corrupted delivery must surface as a decode failure; any gap
+    // means a mangled frame got past the CRC into a machine.
     c.corrupt_accepted += r.link.corrupted_delivered;
     out.verifier.items += r.verifier.items;
     out.verifier.batches += r.verifier.batches;
@@ -466,8 +516,7 @@ ShardedCampaignResult run_sharded_campaign(
     outcomes.insert(outcomes.end(), r.outcomes.begin(), r.outcomes.end());
   }
   // The hash partition scatters gids across shards; the digest folds in
-  // GLOBAL session order — the same order the contiguous-range campaign
-  // produces naturally — so the two are bit-comparable.
+  // GLOBAL session order, so it is the same at any shard count.
   std::sort(outcomes.begin(), outcomes.end(),
             [](const SessionOutcome& a, const SessionOutcome& b) {
               return a.id < b.id;

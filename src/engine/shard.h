@@ -26,16 +26,17 @@
 // mailbox rings (wait-free), the verifier (internally locked, but only
 // ever touched by its own shard here), and the relaxed stats counters.
 //
-// Deterministic mode: run_sharded_campaign() re-runs the PR 6 chaos
-// campaign with sessions hash-partitioned across N shard worlds and
-// Schnorr verdicts deferred to the per-shard batch verifiers. Because
-// every per-session seed is a pure function of (campaign seed, global
-// session id) — see campaign_fixtures.h — its outcome digest is
-// bit-identical to engine::run_chaos_campaign at ANY shard count; the
-// shard suite pins that.
+// Deterministic mode: run_sharded_campaign() is the chaos campaign —
+// device <-> gateway sessions over seeded LossyLinks, hash-partitioned
+// across N shard worlds with Schnorr verdicts deferred to per-shard batch
+// verifiers. Every per-session seed is a pure function of (campaign
+// seed, global session id) — see campaign_fixtures.h — so its outcome
+// digest is bit-identical at ANY shard count, serial or parallel; the
+// gateway and shard suites pin the digests.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -68,9 +69,9 @@ struct IngressItem {
   std::vector<std::uint8_t> bytes;
 };
 
-/// Where a shard writes a session's downlink bytes. Implementations: the
-/// UDP front end (net.h, sendto is datagram-atomic and thread-safe) and
-/// the deterministic in-process LossyLink adapter used by tests.
+/// Where a shard writes a session's downlink bytes: the UDP front end
+/// (net.h, sendto is datagram-atomic and thread-safe), or an in-process
+/// loopback to device endpoints (tests, examples/fleet_server).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -102,7 +103,9 @@ struct SessionSetup {
 
 /// Builds the server half for a session id. Must be thread-safe across
 /// shards (each shard calls it from its own thread) and deterministic in
-/// the id for reproducible runs.
+/// the id for reproducible runs. A setup without a machine refuses the
+/// session (e.g. a DeviceRegistry quarantine): the shard answers the
+/// datagram with a kReject frame.
 using SessionFactory = std::function<SessionSetup(std::uint64_t session)>;
 
 struct ShardFleetConfig {
@@ -161,7 +164,8 @@ class ShardEngine {
   void set_transport(Transport* t) { transport_ = t; }
 
   /// Drain up to `limit` mailbox items into the gateway (auto-opening
-  /// unknown sessions via the factory). Returns items processed.
+  /// unknown sessions via the factory, answering a refusal with
+  /// kReject). Returns items processed.
   std::size_t drain_mailbox(std::size_t limit);
 
   /// Run timers due by virtual cycle `t` (ARQ retransmits, deadlines).
@@ -198,6 +202,7 @@ class ShardEngine {
 
  private:
   void open_from_ingress(const IngressItem& item);
+  void send(std::uint64_t id, std::vector<std::uint8_t> bytes);
   void record_verdict(std::uint64_t id, bool accepted);
 
   std::size_t index_;
@@ -222,6 +227,16 @@ class ShardEngine {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> verifier_flushes_{0};
   std::atomic<std::uint64_t> ticks_{0};
+};
+
+/// What a bounded drain left behind.
+struct DrainReport {
+  /// Every loop went quiescent (mailbox, timers and verifier empty) within
+  /// the budget; false = at least one was force-stopped.
+  bool quiescent = false;
+  /// Sessions still active on their shard once the loops stopped, in id
+  /// order: a device that went silent mid-protocol shows up here.
+  std::vector<std::uint64_t> stragglers;
 };
 
 /// The shard collective: owns N ShardEngines and (in socket mode) one
@@ -250,6 +265,11 @@ class ShardFleet {
   /// Signal the loops to finish draining and join them. Loops exit once
   /// told to stop AND their shard is quiescent (or `force` is set).
   void stop(bool force = false);
+  /// stop() with a deadline: let the loops stop as they go quiescent,
+  /// force-stop whatever is still running when `budget` expires (at most
+  /// one more tick each), then list the sessions left active. The
+  /// operator's shutdown path: it never hangs on a stuck session.
+  DrainReport drain_for(std::chrono::milliseconds budget);
   bool running() const { return !threads_.empty(); }
 
   /// Sum of per-shard stats.
@@ -261,33 +281,78 @@ class ShardFleet {
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> force_stop_{false};
+  std::atomic<std::size_t> loops_running_{0};
 };
 
 // --- deterministic sharded campaign ------------------------------------------
 
+struct ChaosCampaignConfig {
+  std::size_t sessions = 256;
+  std::uint64_t seed = 0xC4A05CA7;
+  FaultProfile uplink;
+  FaultProfile downlink;
+  DeliveryConfig delivery;
+  core::Cycle session_deadline = 0;
+  core::Cycle idle_timeout = 0;
+  /// Virtual-time safety valve per shard.
+  core::Cycle max_cycles = 4'000'000;
+  /// >0: at this virtual cycle each shard snapshots EVERY session, tears
+  /// its GatewayServer down, and restores onto a fresh one — node death
+  /// mid-protocol, the failover drill.
+  core::Cycle failover_at = 0;
+};
+
+struct ChaosCampaignResult {
+  std::size_t sessions = 0;
+  std::size_t completed = 0;  ///< device done AND server verdict in
+  std::size_t accepted = 0;
+  std::size_t failed = 0;
+  std::size_t stuck = 0;  ///< neither completed nor failed at shard end
+  GatewayStats gateway;   ///< summed across shards
+  // Channel + delivery aggregates (both directions, all sessions).
+  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_dropped = 0;
+  std::uint64_t frames_corrupted = 0;
+  std::uint64_t frames_duplicated = 0;
+  std::uint64_t frames_reordered = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t decode_failures = 0;
+  std::uint64_t dup_suppressed = 0;
+  /// Frames a session machine saw whose bytes had been corrupted in
+  /// flight: must be 0 — the CRC turns corruption into loss.
+  std::uint64_t corrupt_accepted = 0;
+  // Completion latency over completed sessions, virtual cycles.
+  core::Cycle latency_p50 = 0;
+  core::Cycle latency_p99 = 0;
+  core::Cycle latency_max = 0;
+  /// FNV-1a over every per-session outcome in session order — two runs
+  /// are bit-identical iff their digests match.
+  std::uint64_t digest = 0;
+};
+
 struct ShardedCampaignConfig {
-  /// The PR 6 campaign knobs — seeds, fault profiles, deadlines. Its
-  /// sessions_per_shard/threads fields are ignored here; partitioning is
-  /// by shard_of(gid, shards) instead of contiguous ranges.
+  /// The campaign knobs — seeds, fault profiles, deadlines, failover.
   ChaosCampaignConfig chaos;
   std::size_t shards = 4;
   /// Per-shard deferred-Schnorr batch size.
   std::size_t verify_batch = 64;
-  /// Run shard worlds on one thread each (true) or serially (false) —
-  /// bit-identical either way.
+  /// Run shard worlds on the shared thread pool (true) or serially
+  /// (false) — bit-identical either way.
   bool parallel = true;
 };
 
 struct ShardedCampaignResult {
-  ChaosCampaignResult chaos;     ///< same digest semantics as PR 6
+  ChaosCampaignResult chaos;
   BatchVerifierStats verifier;   ///< summed across shards
   std::size_t shards = 0;
 };
 
-/// The PR 6 chaos campaign over the sharded engine: sessions hash-
-/// partitioned across `shards` deterministic worlds, gid%4==0 Schnorr
-/// verdicts deferred through per-shard batch verifiers. Digest is
-/// bit-identical to run_chaos_campaign(config.chaos) at any shard count.
+/// Run a seeded chaos campaign: `chaos.sessions` device <-> gateway
+/// sessions (session gid runs Schnorr / Peeters–Hermans / mutual auth /
+/// ECIES by gid % 4), each over its own seeded LossyLink, hash-partitioned
+/// across `shards` deterministic worlds, gid%4==0 Schnorr verdicts
+/// deferred through per-shard batch verifiers. The digest depends on the
+/// campaign config only — not on `shards`, `verify_batch` or `parallel`.
 ShardedCampaignResult run_sharded_campaign(
     const ShardedCampaignConfig& config);
 

@@ -47,7 +47,7 @@ const char* intern_label(std::string_view label);
 enum class FrameType : std::uint8_t {
   kData = 1,    ///< one protocol message (label + payload)
   kAck = 2,     ///< cumulative ack: seq = highest in-order seq received
-  kReject = 3,  ///< load-shedding verdict: session refused, do not retry
+  kReject = 3,  ///< refusal verdict (shed, evicted, quarantined): do not retry
 };
 
 struct Frame {

@@ -1,19 +1,16 @@
 // Tests for the engine layer: interleaved multi-scalar multiplication, the
 // cofactor-2 fast subgroup gate, batch point decoding, random-linear-
-// combination batch verification, and the FleetServer end to end.
+// combination batch verification, and device enrollment. The serving
+// stack end to end lives in test_shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <stdexcept>
 
-#include "ciphers/aes128.h"
 #include "ecc/curve.h"
 #include "ecc/scalar_mult.h"
 #include "engine/batch_verifier.h"
-#include "engine/fleet_server.h"
-#include "protocol/mutual_auth.h"
+#include "engine/device_registry.h"
 #include "protocol/schnorr.h"
 #include "protocol/wire.h"
 #include "rng/xoshiro.h"
@@ -231,113 +228,6 @@ TEST(BatchVerifierQueue, FlushesAtBatchSizeAndOnDemand) {
   EXPECT_EQ(st.rlc_failures, 1u);
 }
 
-// --- fleet server ------------------------------------------------------------
-
-/// Drives N tag-side provers against a FleetServer over its message API.
-struct FleetHarness {
-  const Curve& c;
-  engine::FleetServer server;
-  std::mutex mu;
-  std::map<std::uint64_t, std::unique_ptr<proto::SchnorrProver>> provers;
-  std::map<std::uint64_t, std::unique_ptr<Xoshiro256>> rngs;
-
-  explicit FleetHarness(const Curve& curve, engine::FleetConfig cfg)
-      : c(curve),
-        server(curve, cfg, [this](std::uint64_t sid, const proto::Message& m) {
-          downlink(sid, m);
-        }) {}
-
-  void downlink(std::uint64_t sid, const proto::Message& m) {
-    std::unique_ptr<proto::SchnorrProver>* prover = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      const auto it = provers.find(sid);
-      if (it == provers.end()) return;  // device went silent mid-protocol
-      prover = &it->second;
-    }
-    const auto r = (*prover)->on_message(m);
-    for (const auto& out : r.out) server.deliver(sid, out);
-    if ((*prover)->state() == proto::SessionState::kDone)
-      server.report_tag_energy(sid, (*prover)->ledger());
-  }
-
-  /// Open a session where the tag proves knowledge of `key` against the
-  /// enrolled key of `device`.
-  std::uint64_t run_tag(std::uint32_t device,
-                        const proto::SchnorrKeyPair& key,
-                        std::uint64_t seed) {
-    const std::uint64_t sid = server.open_schnorr_session(device);
-    auto rng = std::make_unique<Xoshiro256>(seed);
-    auto prover = std::make_unique<proto::SchnorrProver>(c, key, *rng);
-    const auto r = prover->start();
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      rngs.emplace(sid, std::move(rng));
-      provers.emplace(sid, std::move(prover));
-    }
-    for (const auto& out : r.out) server.deliver(sid, out);
-    return sid;
-  }
-};
-
-TEST(FleetServer, BatchedFleetAcceptsHonestAndIsolatesForged) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(9);
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 4;
-  cfg.verify_batch = 16;
-
-  std::vector<proto::SchnorrKeyPair> keys;
-  for (int i = 0; i < 8; ++i) keys.push_back(proto::schnorr_keygen(c, rng));
-
-  FleetHarness h(c, cfg);
-  for (const auto& kp : keys) h.server.enroll(kp.X);
-
-  std::vector<std::uint64_t> honest, forged;
-  for (int i = 0; i < 40; ++i) {
-    const auto device = static_cast<std::uint32_t>(i % keys.size());
-    if (i == 17 || i == 31) {
-      // Impersonators: prove knowledge of a key that is not the enrolled
-      // one for this device.
-      forged.push_back(
-          h.run_tag(device, proto::schnorr_keygen(c, rng), 1000u + i));
-    } else {
-      honest.push_back(h.run_tag(device, keys[device], 1000u + i));
-    }
-  }
-  h.server.drain();
-
-  for (const auto sid : honest) {
-    const auto rec = h.server.record(sid);
-    EXPECT_TRUE(rec.completed) << sid;
-    EXPECT_TRUE(rec.accepted) << sid;
-    EXPECT_EQ(rec.tag_ledger.ecpm, 1u);
-    EXPECT_GT(rec.rx_bits, 0u);
-    EXPECT_GT(rec.tx_bits, 0u);
-  }
-  for (const auto sid : forged) {
-    const auto rec = h.server.record(sid);
-    EXPECT_TRUE(rec.completed) << sid;
-    EXPECT_FALSE(rec.accepted) << sid;
-  }
-
-  const auto st = h.server.stats();
-  EXPECT_EQ(st.devices, keys.size());
-  EXPECT_EQ(st.sessions_opened, 40u);
-  EXPECT_EQ(st.sessions_completed, 40u);
-  EXPECT_EQ(st.accepted, 38u);
-  EXPECT_EQ(st.rejected, 2u);
-  EXPECT_EQ(st.verifier.items, 40u);
-  EXPECT_GE(st.verifier.rlc_failures, 1u);
-  EXPECT_EQ(st.fleet_tag_energy.ecpm, 40u);
-
-  // Records harvested; eviction reclaims every completed session and
-  // keeps long-running servers bounded.
-  EXPECT_EQ(h.server.evict_completed(), 40u);
-  EXPECT_THROW(h.server.record(honest.front()), std::out_of_range);
-  EXPECT_EQ(h.server.evict_completed(), 0u);
-}
-
 // --- negative paths ----------------------------------------------------------
 
 TEST(BatchVerify, AllForgedBatchRejectsEveryItem) {
@@ -383,149 +273,33 @@ TEST(BatchVerify, AllForgedBatchRejectsEveryItem) {
   EXPECT_EQ(q.stats().rlc_failures, 1u);
 }
 
-TEST(FleetServer, DoubleEnrollIsRejected) {
+// --- device registry ---------------------------------------------------------
+
+TEST(DeviceRegistry, DoubleEnrollIsRejected) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(21);
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 1;
-  FleetHarness h(c, cfg);
+  engine::DeviceRegistry reg(c);
   const auto kp = proto::schnorr_keygen(c, rng);
-  const auto idx = h.server.enroll(kp.X);
-  EXPECT_EQ(h.server.device_key(idx), kp.X);
-  EXPECT_THROW(h.server.enroll(kp.X), std::invalid_argument);
-  // A different key still enrolls; the registry is untouched by the
-  // rejected attempt.
-  EXPECT_EQ(h.server.enroll(proto::schnorr_keygen(c, rng).X), idx + 1);
-  EXPECT_EQ(h.server.stats().devices, 2u);
+  const auto idx = reg.enroll(kp.X);
+  EXPECT_EQ(reg.admit(idx), kp.X);
+  EXPECT_THROW(reg.enroll(kp.X), std::invalid_argument);
+  // A different key still enrolls, in the next slot: the rejected attempt
+  // took none.
+  EXPECT_EQ(reg.enroll(proto::schnorr_keygen(c, rng).X), idx + 1);
+  EXPECT_FALSE(reg.admit(idx + 2).has_value());
 }
 
-TEST(FleetServer, MessageToEvictedSessionIsDropped) {
+TEST(DeviceRegistry, InvalidKeyIsRejectedAtEnroll) {
   const Curve& c = Curve::k163();
-  Xoshiro256 rng(22);
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 2;
-  cfg.verify_batch = 1;
-  const auto kp = proto::schnorr_keygen(c, rng);
-  FleetHarness h(c, cfg);
-  h.server.enroll(kp.X);
-  const auto sid = h.run_tag(0, kp, 7);
-  h.server.drain();
-  ASSERT_TRUE(h.server.record(sid).completed);
-  ASSERT_EQ(h.server.evict_completed(), 1u);
-
-  // A straggler radio frame addressed to the evicted session: dropped
-  // without fault, and the engine keeps serving.
-  h.server.deliver(sid, proto::Message{"late response", {0xAB, 0xCD}});
-  h.server.drain();
-  EXPECT_THROW(h.server.record(sid), std::out_of_range);
-  const auto st = h.server.stats();
-  EXPECT_EQ(st.sessions_completed, 1u);
-
-  const auto sid2 = h.run_tag(0, kp, 8);
-  h.server.drain();
-  EXPECT_TRUE(h.server.record(sid2).accepted);
-}
-
-TEST(FleetServer, EvictCompletedUnderChurnLeavesLiveSessionsUntouched) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(23);
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 2;
-  cfg.verify_batch = 1;
-  const auto kp = proto::schnorr_keygen(c, rng);
-  FleetHarness h(c, cfg);
-  h.server.enroll(kp.X);
-
-  // Wave 1 completes; wave 2 is suspended mid-protocol (commitment
-  // delivered, response withheld).
-  std::vector<std::uint64_t> done, live;
-  for (int i = 0; i < 6; ++i) done.push_back(h.run_tag(0, kp, 100 + i));
-  h.server.drain();
-  for (int i = 0; i < 4; ++i) {
-    const auto sid = h.server.open_schnorr_session(0);
-    live.push_back(sid);
-    // Commitment only — no prover is registered with the harness, so the
-    // server's challenge goes nowhere and the session stays suspended.
-    proto::SchnorrProver prover(c, kp, rng);
-    for (const auto& out : prover.start().out) h.server.deliver(sid, out);
-  }
-  h.server.drain();
-
-  const std::size_t evicted = h.server.evict_completed();
-  EXPECT_EQ(evicted, done.size());
-  for (const auto sid : done)
-    EXPECT_THROW(h.server.record(sid), std::out_of_range);
-  // Live sessions remain addressable and incomplete.
-  for (const auto sid : live) {
-    const auto rec = h.server.record(sid);
-    EXPECT_FALSE(rec.completed) << sid;
-    EXPECT_EQ(rec.state, proto::SessionState::kAwait) << sid;
-  }
-  // And a fresh wave still completes after the purge.
-  const auto sid3 = h.run_tag(0, kp, 200);
-  h.server.drain();
-  EXPECT_TRUE(h.server.record(sid3).completed);
-  EXPECT_EQ(h.server.evict_completed(), 1u);
-}
-
-TEST(FleetServer, BatchSizeOneIsIndependentVerification) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(10);
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 2;
-  cfg.verify_batch = 1;
-  const auto kp = proto::schnorr_keygen(c, rng);
-  FleetHarness h(c, cfg);
-  h.server.enroll(kp.X);
-  const auto sid = h.run_tag(0, kp, 99);
-  h.server.drain();
-  const auto rec = h.server.record(sid);
-  EXPECT_TRUE(rec.completed);
-  EXPECT_TRUE(rec.accepted);
-  EXPECT_EQ(h.server.stats().verifier.batches, 1u);
-}
-
-TEST(FleetServer, GenericSessionsMultiplexOtherProtocols) {
-  // A symmetric mutual-auth session through the same engine: the server
-  // machine rides the generic open_session path.
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(11);
-  proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
-  const auto keys = proto::derive_session_keys(
-      std::vector<std::uint8_t>(16, 7), 16);
-  const std::vector<std::uint8_t> telemetry{'o', 'k'};
-
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 2;
-
-  Xoshiro256 tag_rng(12), srv_rng(13);
-  proto::MutualAuthTag tag(aes, keys, telemetry, tag_rng);
-
-  std::mutex mu;
-  std::uint64_t sid = 0;
-  engine::FleetServer server(
-      c, cfg,
-      [&](std::uint64_t s, const proto::Message& m) {
-        const std::lock_guard<std::mutex> lock(mu);
-        const auto r = tag.on_message(m);
-        for (const auto& out : r.out) server.deliver(s, out);
-      });
-  sid = server.open_session(
-      std::make_unique<proto::MutualAuthServer>(aes, keys, srv_rng),
-      [](const proto::SessionMachine& m) {
-        const auto& srv = static_cast<const proto::MutualAuthServer&>(m);
-        return srv.accepted_tag() && srv.telemetry_delivered();
-      });
-  for (const auto& out : tag.start().out) server.deliver(sid, out);
-  server.drain();
-
-  const auto rec = server.record(sid);
-  EXPECT_TRUE(rec.completed);
-  EXPECT_TRUE(rec.accepted);
-  EXPECT_TRUE(tag.accepted_server());
+  engine::DeviceRegistry reg(c);
+  // The order-2 point (0, sqrt(b)) is on the curve but outside the
+  // prime-order subgroup; infinity is no key at all.
+  EXPECT_THROW(reg.enroll(Point::affine(Fe::zero(), Fe::sqrt(c.b()))),
+               std::invalid_argument);
+  EXPECT_THROW(reg.enroll(Point::at_infinity()), std::invalid_argument);
+  // Nothing was enrolled, and unknown devices are refused.
+  EXPECT_FALSE(reg.admit(0).has_value());
+  EXPECT_FALSE(reg.quarantined(0));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // test_faults.cpp — the fault-attack adversary subsystem, bottom to top:
 // the seeded injector, the co-processor's fault physics, the guarded
 // victim's detectors, the session recovery loop, the eval-matrix fault
-// verdicts, the TRNG health gate, fleet quarantine under concurrency, and
+// verdicts, the TRNG health gate, device quarantine under concurrency, and
 // the end-to-end fault drill with its golden digest.
 
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@
 #include "ecc/curve.h"
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
+#include "engine/device_registry.h"
 #include "engine/fault_drill.h"
-#include "engine/fleet_server.h"
 #include "hw/coprocessor.h"
 #include "hw/fault_injector.h"
 #include "protocol/schnorr.h"
@@ -540,53 +540,47 @@ TEST(TrngHealth, HardenedLadderRefusesBlindsFromFailedSource) {
                std::runtime_error);
 }
 
-// --- fleet quarantine under concurrency --------------------------------------
+// --- device quarantine under concurrency ------------------------------------
 
-TEST(FleetQuarantine, ConcurrentTelemetryQuarantinesFaultingDevice) {
+TEST(DeviceQuarantine, ConcurrentFaultReportsQuarantineFaultingDevice) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(9);
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 4;
-  cfg.verify_batch = 1;
-  cfg.device_fault_threshold = 3;
+  engine::DeviceRegistry reg(c);
+  const std::uint32_t bad = reg.enroll(proto::schnorr_keygen(c, rng).X);
+  const std::uint32_t good = reg.enroll(proto::schnorr_keygen(c, rng).X);
 
-  const auto kp_bad = proto::schnorr_keygen(c, rng);
-  const auto kp_good = proto::schnorr_keygen(c, rng);
-  engine::FleetServer server(c, cfg, [](std::uint64_t, const proto::Message&) {});
-  const std::uint32_t bad = server.enroll(kp_bad.X);
-  const std::uint32_t good = server.enroll(kp_good.X);
-
-  // Device `bad` reports unrecovered faults from many front-end threads
-  // at once (each one also opens a fresh session, TSan's favorite
-  // interleaving); device `good` reports recoveries only.
+  // Eight front-end threads at once, each opening sessions the way a shard
+  // factory does (admit, then serve): device `bad` comes back with an
+  // unrecovered fault every time, device `good` never does.
   std::vector<std::thread> threads;
-  std::atomic<int> opened_after_quarantine{0};
+  std::atomic<int> admitted_bad{0}, refused{0}, crossings{0};
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
+      const std::uint32_t device = t % 2 == 0 ? bad : good;
       for (int i = 0; i < 4; ++i) {
-        const std::uint64_t sid =
-            server.open_schnorr_session(t % 2 == 0 ? bad : good);
-        if (sid != 0)
-          server.report_fault_telemetry(sid, /*detected=*/1, /*retries=*/1,
-                                        /*unrecovered=*/t % 2 == 0);
-        else
-          ++opened_after_quarantine;
+        if (!reg.admit(device)) {
+          ++refused;
+          continue;
+        }
+        if (device == bad) {
+          ++admitted_bad;
+          if (reg.report_unrecovered_fault(bad)) ++crossings;
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
-  server.drain();
 
-  EXPECT_TRUE(server.device_quarantined(bad));
-  EXPECT_FALSE(server.device_quarantined(good));
-  EXPECT_EQ(server.open_schnorr_session(bad), 0u);
-  EXPECT_NE(server.open_schnorr_session(good), 0u);
-  const auto st = server.stats();
-  EXPECT_EQ(st.devices_quarantined, 1u);
-  EXPECT_GE(st.faults_unrecovered, cfg.device_fault_threshold);
-  // Refusals only start once the threshold is crossed.
-  EXPECT_EQ(st.sessions_refused_quarantine,
-            static_cast<std::size_t>(opened_after_quarantine) + 1);
+  EXPECT_TRUE(reg.quarantined(bad));
+  EXPECT_FALSE(reg.quarantined(good));
+  EXPECT_FALSE(reg.admit(bad).has_value());
+  EXPECT_TRUE(reg.admit(good).has_value());
+  EXPECT_EQ(crossings.load(), 1);  // exactly one report crossed the line
+  // Refusals only start once the threshold is crossed, and only for the
+  // faulting device.
+  EXPECT_GE(admitted_bad.load(),
+            static_cast<int>(engine::DeviceRegistry::kFaultThreshold));
+  EXPECT_EQ(admitted_bad.load() + refused.load(), 16);
 }
 
 // --- the end-to-end fault drill ----------------------------------------------

@@ -1,31 +1,36 @@
-// Tests for the sharded async gateway (PR 10): the lock-free SPSC/MPSC
-// mailbox rings under concurrent producers (the TSan target), explicit
-// shedding under mailbox overflow, the shard-count invariance contract
-// (run_sharded_campaign digest == run_chaos_campaign digest at ANY shard
-// count, failover and faults included), per-shard batch verification with
-// forgery isolation, the FleetServer drain_for verdict_pending report,
+// Tests for the serving stack (UdpFrontEnd -> ShardFleet/ShardEngine ->
+// GatewayServer): the lock-free SPSC/MPSC mailbox rings under concurrent
+// producers (the TSan target), explicit shedding under mailbox overflow,
+// the shard-count invariance contract (one pinned run_sharded_campaign
+// digest at ANY shard count, failover and faults included), per-shard
+// batch verification with forgery isolation and unpredictable RLC
+// coefficients, the inline-judge path, registry refusals answered with
+// kReject, a multi-shard fleet on its loop threads, bounded drain_for,
 // frame-buffer pooling, and the UDP front end end-to-end over loopback.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "ciphers/aes128.h"
 #include "core/event_queue.h"
 #include "core/mpsc_ring.h"
 #include "ecc/curve.h"
 #include "ecc/fixed_base.h"
+#include "engine/campaign_fixtures.h"
 #include "engine/delivery.h"
-#include "engine/fleet_server.h"
+#include "engine/device_registry.h"
 #include "engine/gateway.h"
 #include "engine/net.h"
 #include "engine/shard.h"
 #include "engine/transport.h"
+#include "protocol/mutual_auth.h"
 #include "protocol/schnorr.h"
 #include "protocol/wire.h"
 #include "rng/xoshiro.h"
@@ -270,110 +275,406 @@ TEST(ShardEngine, DeferredSchnorrBatchIsolatesForgedSession) {
 
 // --- shard-count invariance --------------------------------------------------
 
-TEST(ShardedCampaign, DigestBitIdenticalToUnshardedAtAnyShardCount) {
-  engine::ChaosCampaignConfig cfg;
-  cfg.sessions = 96;
-  cfg.uplink.drop = 0.05;
-  cfg.uplink.corrupt = 0.03;
-  cfg.downlink.drop = 0.05;
-  cfg.downlink.duplicate = 0.02;
-  cfg.failover_at = 3000;  // node death mid-protocol rides along
-  const auto base = engine::run_chaos_campaign(cfg);
-  ASSERT_GT(base.completed, 0u);
-  ASSERT_EQ(base.corrupt_accepted, 0u);
-
+TEST(ShardedCampaign, DigestBitIdenticalAtAnyShardCount) {
+  engine::ShardedCampaignConfig sc;
+  sc.chaos.sessions = 96;
+  sc.chaos.uplink.drop = 0.05;
+  sc.chaos.uplink.corrupt = 0.03;
+  sc.chaos.downlink.drop = 0.05;
+  sc.chaos.downlink.duplicate = 0.02;
+  sc.chaos.failover_at = 3000;  // node death mid-protocol rides along
+  sc.verify_batch = 8;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    engine::ShardedCampaignConfig sc;
-    sc.chaos = cfg;
-    sc.shards = shards;
-    sc.verify_batch = 8;
-    const auto r = engine::run_sharded_campaign(sc);
-    // THE tentpole contract: hash-partitioned shard worlds with deferred
-    // batched Schnorr verification reproduce the PR 6 campaign bit for
-    // bit — same digest, same aggregate outcome counts — at any width.
-    EXPECT_EQ(r.chaos.digest, base.digest) << "shards=" << shards;
-    EXPECT_EQ(r.chaos.completed, base.completed);
-    EXPECT_EQ(r.chaos.accepted, base.accepted);
-    EXPECT_EQ(r.chaos.failed, base.failed);
-    EXPECT_EQ(r.chaos.corrupt_accepted, 0u);
-    EXPECT_EQ(r.chaos.gateway.accepted, base.gateway.accepted);
-    // The gid%4==0 Schnorr quarter really went through the batch path.
-    EXPECT_GT(r.verifier.items, 0u);
-    EXPECT_GT(r.verifier.batches, 0u);
+    for (const bool parallel : {false, true}) {
+      sc.shards = shards;
+      sc.parallel = parallel;
+      const auto r = engine::run_sharded_campaign(sc);
+      // Hash-partitioned shard worlds with deferred batched Schnorr
+      // verification give one campaign, bit for bit, at any width.
+      EXPECT_EQ(r.chaos.digest, 0x536390b50aa6aba0ull)
+          << std::hex << "shards=" << shards << " parallel=" << parallel
+          << " digest 0x" << r.chaos.digest;
+      EXPECT_EQ(r.chaos.completed, 96u);
+      EXPECT_EQ(r.chaos.corrupt_accepted, 0u);
+      EXPECT_EQ(r.chaos.gateway.accepted, r.chaos.accepted);
+      // The gid%4==0 Schnorr quarter really went through the batch path.
+      EXPECT_GT(r.verifier.items, 0u);
+      EXPECT_GT(r.verifier.batches, 0u);
+    }
   }
-  // Serial and parallel shard execution are the same campaign.
-  engine::ShardedCampaignConfig serial;
-  serial.chaos = cfg;
-  serial.shards = 4;
-  serial.verify_batch = 8;
-  serial.parallel = false;
-  EXPECT_EQ(engine::run_sharded_campaign(serial).chaos.digest, base.digest);
 }
 
-// --- FleetServer: drain_for names verifier-queued sessions -------------------
+// --- ShardEngine: batch-verify coefficients ----------------------------------
 
-TEST(FleetDrain, VerdictPendingNamesBatchQueuedSession) {
+TEST(ShardEngine, BatchCoefficientsAreUnpredictableToDevices) {
+  // If a shard's RLC coefficients were a function of its config, a device
+  // could read them off the source and forge two transcripts
+  // s_i = k_i + e_i·x + δ_i with c1·δ1 + c2·δ2 = 0: each fails alone,
+  // and their errors cancel in the combined equation.
+  const Curve& c = Curve::k163();
+  const engine::ShardFleetConfig cfg;
+  engine::ShardEngine eng(0, cfg, c, /*factory=*/{}, /*producers=*/1);
+  Xoshiro256 predicted(engine::campaign::mix_seed(cfg.seed, 0xB47C));
+  const auto coefficient = [&predicted] {
+    std::uint64_t v;
+    do {
+      v = predicted.next_u64();
+    } while (v == 0);
+    return medsec::ecc::Scalar{v};
+  };
+  const medsec::ecc::Scalar c1 = coefficient();
+  const medsec::ecc::Scalar c2 = coefficient();
+
+  const auto& ring = c.scalar_ring();
+  Xoshiro256 rng(61);
+  const auto kp = proto::schnorr_keygen(c, rng);
+  int accepted = 0, rejected = 0;
+  for (const medsec::ecc::Scalar& delta : {c2, ring.neg(c1)}) {
+    const medsec::ecc::Scalar k = rng.uniform_nonzero(c.order());
+    const medsec::ecc::Scalar e = rng.uniform_nonzero(c.order());
+    const medsec::ecc::Point R = medsec::ecc::generator_comb(c).mult_ct(k);
+    const medsec::ecc::Scalar s =
+        ring.add(ring.add(k, ring.mul(e, kp.x)), delta);
+    ASSERT_FALSE(proto::schnorr_verify(c, kp.X, {R, e, s}));
+    engine::PendingTranscript t;
+    t.X = kp.X;
+    t.commitment_wire = proto::encode_point(c, R);
+    t.challenge = e;
+    t.response = s;
+    t.on_result = [&](bool ok) { ++(ok ? accepted : rejected); };
+    eng.verifier().enqueue(std::move(t));
+  }
+  eng.flush_verifier();
+  EXPECT_EQ(accepted, 0);
+  EXPECT_EQ(rejected, 2);
+  EXPECT_EQ(eng.verifier().stats().rlc_failures, 1u);
+}
+
+// --- in-process devices looped into the serving stack ------------------------
+
+/// Device halves looped straight into a ShardEngine or ShardFleet. Each
+/// device is a tag machine behind a DeviceEndpoint on its own client-side
+/// EventQueue, never advanced: the loop loses nothing, so no device
+/// retransmit ever comes due. A device's downlinks arrive on the thread
+/// that runs its shard; its uplinks go out through `offer` on its `lane`.
+/// Devices are added (and send their opening frame) before any loop
+/// thread starts; from then on only their shard's thread touches them.
+struct LoopDevices final : engine::Transport {
+  struct Device {
+    explicit Device(std::uint64_t seed) : rng(seed) {}
+    Xoshiro256 rng;
+    std::unique_ptr<proto::SessionMachine> machine;
+    core::EventQueue queue;
+    std::unique_ptr<engine::DeviceEndpoint> endpoint;
+    std::size_t lane = 0;
+    bool silent = false;  ///< drops every downlink: a device gone dark
+  };
+  using MakeMachine =
+      std::function<std::unique_ptr<proto::SessionMachine>(Xoshiro256&)>;
+
+  std::function<bool(std::size_t lane, engine::IngressItem&&)> offer;
+  std::map<std::uint64_t, std::unique_ptr<Device>> devices;
+
+  Device& add(std::uint64_t id, const MakeMachine& make) {
+    auto owned = std::make_unique<Device>(1000 + id);
+    Device& d = *owned;
+    devices.emplace(id, std::move(owned));
+    d.machine = make(d.rng);
+    d.endpoint =
+        std::make_unique<engine::DeviceEndpoint>(d.queue, id, id, *d.machine);
+    d.endpoint->set_uplink([this, id, &d](std::vector<std::uint8_t> bytes) {
+      engine::IngressItem item;
+      item.session = id;
+      item.peer = engine::Peer{1, 1};
+      item.bytes = std::move(bytes);
+      EXPECT_TRUE(offer(d.lane, std::move(item))) << "shed " << id;
+    });
+    d.endpoint->start();
+    return d;
+  }
+
+  void send_downlink(std::uint64_t session, const engine::Peer&,
+                     std::vector<std::uint8_t> bytes) override {
+    Device& d = *devices.at(session);
+    if (!d.silent) d.endpoint->on_downlink(std::move(bytes));
+  }
+};
+
+proto::CipherFactory aes_factory() {
+  return [](std::span<const std::uint8_t> key) {
+    return std::unique_ptr<medsec::ciphers::BlockCipher>(
+        new medsec::ciphers::Aes128(key));
+  };
+}
+
+// --- ShardEngine: the inline-judge path --------------------------------------
+
+TEST(ShardEngine, InlineJudgeSettlesMutualAuthSessions) {
+  // Generic sessions ride the same shard: a symmetric mutual-auth server
+  // machine, judged inline at settle instead of through the batch queue.
+  const Curve& c = Curve::k163();
+  const proto::CipherFactory aes = aes_factory();
+  const auto keys =
+      proto::derive_session_keys(std::vector<std::uint8_t>(16, 7), 16);
+  const std::vector<std::uint8_t> telemetry{'o', 'k'};
+  engine::SessionFactory factory = [&aes, &keys](std::uint64_t id) {
+    engine::SessionSetup s;
+    auto rng = std::make_unique<Xoshiro256>(300 + id);
+    s.machine = std::make_unique<proto::MutualAuthServer>(aes, keys, *rng);
+    s.judge = [](const proto::SessionMachine& m) {
+      const auto& srv = static_cast<const proto::MutualAuthServer&>(m);
+      return srv.accepted_tag() && srv.telemetry_delivered();
+    };
+    s.rng = std::move(rng);
+    return s;
+  };
+  engine::ShardEngine eng(0, engine::ShardFleetConfig{}, c, factory,
+                          /*producers=*/1);
+  LoopDevices loop;
+  loop.offer = [&eng](std::size_t lane, engine::IngressItem&& item) {
+    return eng.offer(lane, std::move(item));
+  };
+  eng.set_transport(&loop);
+
+  constexpr std::uint64_t kSessions = 4;
+  for (std::uint64_t id = 1; id <= kSessions; ++id)
+    loop.add(id, [&](Xoshiro256& r) {
+      return std::make_unique<proto::MutualAuthTag>(aes, keys, telemetry, r);
+    });
+  while (eng.drain_mailbox(1024) != 0) {
+  }
+
+  const engine::ShardStats st = eng.stats();
+  EXPECT_EQ(st.opened, kSessions);
+  EXPECT_EQ(st.completed, kSessions);
+  EXPECT_EQ(st.accepted, kSessions);
+  EXPECT_EQ(st.rejected, 0u);
+  for (std::uint64_t id = 1; id <= kSessions; ++id) {
+    const auto rec = eng.records().find(id);
+    ASSERT_NE(rec, eng.records().end()) << id;
+    EXPECT_TRUE(rec->second.completed);
+    EXPECT_TRUE(rec->second.accepted);
+    EXPECT_TRUE(loop.devices.at(id)->endpoint->done());
+    EXPECT_TRUE(static_cast<const proto::MutualAuthTag&>(
+                    *loop.devices.at(id)->machine)
+                    .accepted_server());
+  }
+  EXPECT_EQ(eng.verifier().stats().items, 0u);  // nothing was deferred
+}
+
+// --- ShardEngine: a refused open is answered, not dropped -------------------
+
+TEST(ShardEngine, RefusedOpenIsAnsweredWithReject) {
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(44);
+  const auto kp = proto::schnorr_keygen(c, rng);
+  engine::DeviceRegistry registry(c);
+  const std::uint32_t device = registry.enroll(kp.X);
+  for (std::size_t i = 0; i < engine::DeviceRegistry::kFaultThreshold; ++i)
+    registry.report_unrecovered_fault(device);
+  ASSERT_TRUE(registry.quarantined(device));
+
+  engine::SessionFactory factory = [&c, &registry, device](std::uint64_t id) {
+    engine::SessionSetup s;
+    const auto key = registry.admit(device);
+    if (!key) return s;  // quarantined: refuse
+    auto r = std::make_unique<Xoshiro256>(id);
+    s.machine = std::make_unique<proto::SchnorrVerifier>(
+        c, *key, *r, proto::SchnorrVerifier::Mode::kDeferred);
+    s.deferred_schnorr = true;
+    s.rng = std::move(r);
+    return s;
+  };
+  engine::ShardEngine eng(0, engine::ShardFleetConfig{}, c, factory,
+                          /*producers=*/1);
+  std::vector<std::vector<std::uint8_t>> downlinks;
+  struct Capture final : engine::Transport {
+    std::vector<std::vector<std::uint8_t>>* out;
+    void send_downlink(std::uint64_t, const engine::Peer&,
+                       std::vector<std::uint8_t> bytes) override {
+      out->push_back(std::move(bytes));
+    }
+  } capture;
+  capture.out = &downlinks;
+  eng.set_transport(&capture);
+
+  core::EventQueue cq;
+  engine::ReliableEndpoint ep(cq, 7, 9);
+  ep.set_frame_sink([&eng](std::vector<std::uint8_t> bytes) {
+    engine::IngressItem it;
+    it.session = 7;
+    it.peer = engine::Peer{1, 1};
+    it.bytes = std::move(bytes);
+    ASSERT_TRUE(eng.offer(0, std::move(it)));
+  });
+  ep.send_message("commitment R", proto::encode_point(c, kp.X));
+  eng.drain_mailbox(1024);
+
+  ASSERT_EQ(downlinks.size(), 1u);
+  const auto f = engine::decode_frame(downlinks[0]);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->type, engine::FrameType::kReject);
+  EXPECT_EQ(f->session, 7u);
+  EXPECT_FALSE(eng.gateway().has_session(7));
+  const engine::ShardStats st = eng.stats();
+  EXPECT_EQ(st.opened, 0u);
+  EXPECT_EQ(st.rejected, 1u);
+  // The device fails fast instead of retransmitting into silence.
+  ep.on_bytes(std::move(downlinks[0]));
+  EXPECT_TRUE(ep.failed());
+}
+
+// --- ShardFleet: a multi-shard fleet on its loop threads ---------------------
+
+constexpr std::uint32_t kFleetDevices = 8;
+
+std::uint32_t device_of(std::uint64_t session) {
+  return static_cast<std::uint32_t>((session - 1) % kFleetDevices);
+}
+
+engine::ShardFleetConfig loop_fleet_config(std::size_t shards,
+                                           std::size_t verify_batch) {
+  engine::ShardFleetConfig cfg;
+  cfg.shards = shards;
+  cfg.verify_batch = verify_batch;
+  // 1 cycle = 1 µs: no retransmit comes due on a lossless loop.
+  cfg.gateway.delivery.rto_initial = 1'000'000;
+  cfg.gateway.delivery.rto_max = 4'000'000;
+  return cfg;
+}
+
+/// Deferred Schnorr verifiers against the key the registry admits for the
+/// session's device.
+engine::SessionFactory registry_factory(const Curve& c,
+                                        const engine::DeviceRegistry& reg) {
+  return [&c, &reg](std::uint64_t id) {
+    engine::SessionSetup s;
+    const auto key = reg.admit(device_of(id));
+    if (!key) return s;
+    auto r = std::make_unique<Xoshiro256>(5000 + id);
+    s.machine = std::make_unique<proto::SchnorrVerifier>(
+        c, *key, *r, proto::SchnorrVerifier::Mode::kDeferred);
+    s.deferred_schnorr = true;
+    s.rng = std::move(r);
+    return s;
+  };
+}
+
+void run_forged_fleet(std::size_t verify_batch) {
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(9);
+  engine::DeviceRegistry registry(c);
+  std::vector<proto::SchnorrKeyPair> keys;
+  for (std::uint32_t d = 0; d < kFleetDevices; ++d) {
+    keys.push_back(proto::schnorr_keygen(c, rng));
+    registry.enroll(keys.back().X);
+  }
+  const engine::ShardFleetConfig cfg = loop_fleet_config(4, verify_batch);
+  LoopDevices loop;
+  engine::ShardFleet fleet(c, cfg, registry_factory(c, registry),
+                           /*producers=*/1 + cfg.shards);
+  loop.offer = [&fleet](std::size_t lane, engine::IngressItem&& item) {
+    return fleet.offer(lane, std::move(item));
+  };
+
+  constexpr std::uint64_t kSessions = 40;
+  const auto forged = [](std::uint64_t id) { return id == 18 || id == 32; };
+  for (std::uint64_t id = 1; id <= kSessions; ++id) {
+    // Impersonators prove knowledge of a key that is not the one enrolled
+    // for their device.
+    const proto::SchnorrKeyPair key =
+        forged(id) ? proto::schnorr_keygen(c, rng) : keys[device_of(id)];
+    loop.add(id, [&](Xoshiro256& r) {
+          return std::make_unique<proto::SchnorrProver>(c, key, r);
+        }).lane = 1 + fleet.shard_index(id);
+  }
+  fleet.start(loop);
+  const engine::DrainReport report = fleet.drain_for(std::chrono::seconds(60));
+  EXPECT_TRUE(report.quiescent);
+  EXPECT_TRUE(report.stragglers.empty());
+
+  engine::BatchVerifierStats vs;
+  for (std::size_t s = 0; s < fleet.shards(); ++s) {
+    const engine::BatchVerifierStats v = fleet.shard(s).verifier().stats();
+    vs.items += v.items;
+    vs.batches += v.batches;
+    vs.rlc_failures += v.rlc_failures;
+  }
+  for (std::uint64_t id = 1; id <= kSessions; ++id) {
+    const auto& records = fleet.shard(fleet.shard_index(id)).records();
+    const auto rec = records.find(id);
+    ASSERT_NE(rec, records.end()) << id;
+    EXPECT_TRUE(rec->second.completed) << id;
+    EXPECT_EQ(rec->second.accepted, !forged(id)) << id;
+  }
+  const engine::ShardStats st = fleet.totals();
+  EXPECT_EQ(st.opened, kSessions);
+  EXPECT_EQ(st.completed, kSessions);
+  EXPECT_EQ(st.accepted, kSessions - 2);
+  EXPECT_EQ(st.rejected, 2u);
+  EXPECT_EQ(st.mailbox_shed, 0u);
+  EXPECT_EQ(vs.items, kSessions);
+  EXPECT_GE(vs.rlc_failures, 1u);  // the forgeries' batches fell back
+  if (verify_batch == 1) {
+    EXPECT_EQ(vs.batches, kSessions);
+  }
+}
+
+TEST(ShardFleet, BatchedFleetAcceptsHonestAndIsolatesForged) {
+  run_forged_fleet(16);
+}
+
+TEST(ShardFleet, BatchSizeOneIsIndependentVerification) {
+  run_forged_fleet(1);
+}
+
+TEST(ShardFleet, DrainForNamesDeviceThatWentSilent) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(31);
-  const auto kp = proto::schnorr_keygen(c, rng);
-  engine::FleetConfig fcfg;
-  fcfg.worker_threads = 2;
-  fcfg.verify_batch = 64;  // the exchange alone never fills a batch
-  fcfg.deterministic = true;
-
-  std::mutex mu;
-  std::map<std::uint64_t, std::unique_ptr<proto::SchnorrProver>> provers;
-  engine::FleetServer* srv = nullptr;
-  engine::FleetServer fleet(
-      c, fcfg, [&](std::uint64_t sid, const proto::Message& m) {
-        proto::SchnorrProver* p = nullptr;
-        {
-          const std::lock_guard<std::mutex> lock(mu);
-          const auto it = provers.find(sid);
-          if (it == provers.end()) return;
-          p = it->second.get();
-        }
-        for (const auto& out : p->on_message(m).out) srv->deliver(sid, out);
-      });
-  srv = &fleet;
-  fleet.enroll(kp.X);
-  const std::uint64_t sid = fleet.open_schnorr_session(0);
-  ASSERT_NE(sid, 0u);
-  {
-    auto prover = std::make_unique<proto::SchnorrProver>(c, kp, rng);
-    const auto r = prover->start();
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      provers.emplace(sid, std::move(prover));
-    }
-    for (const auto& out : r.out) fleet.deliver(sid, out);
+  engine::DeviceRegistry registry(c);
+  std::vector<proto::SchnorrKeyPair> keys;
+  for (std::uint32_t d = 0; d < kFleetDevices; ++d) {
+    keys.push_back(proto::schnorr_keygen(c, rng));
+    registry.enroll(keys.back().X);
   }
-  // A zero-budget drain never flushes the verifier; poll until the
-  // workers have landed the transcript in the batch queue.
-  engine::DrainReport report;
+  const engine::ShardFleetConfig cfg = loop_fleet_config(2, 64);
+  LoopDevices loop;
+  engine::ShardFleet fleet(c, cfg, registry_factory(c, registry),
+                           /*producers=*/1 + cfg.shards);
+  loop.offer = [&fleet](std::size_t lane, engine::IngressItem&& item) {
+    return fleet.offer(lane, std::move(item));
+  };
+  constexpr std::uint64_t kSilent = 3;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    LoopDevices::Device& d = loop.add(id, [&](Xoshiro256& r) {
+      return std::make_unique<proto::SchnorrProver>(c, keys[device_of(id)],
+                                                    r);
+    });
+    d.lane = 1 + fleet.shard_index(id);
+    // Sends its commitment, then hears nothing: the challenge is never
+    // acked, so its shard keeps a retransmit timer and never goes quiet.
+    d.silent = id == kSilent;
+  }
+  fleet.start(loop);
   const auto t0 = std::chrono::steady_clock::now();
-  for (;;) {
-    report = fleet.drain_for(std::chrono::milliseconds(0));
-    if (!report.verdict_pending.empty()) break;
-    ASSERT_LT(std::chrono::steady_clock::now() - t0,
-              std::chrono::seconds(10))
-        << "transcript never reached the batch queue";
+  while (fleet.totals().completed < 3) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // The session's protocol exchange is DONE but its verdict is not: it
-  // must show up both as a straggler and, specifically, verdict_pending —
-  // the "needs a flush, not an eviction" distinction.
-  EXPECT_FALSE(report.completed);
-  EXPECT_EQ(report.verdict_pending, std::vector<std::uint64_t>{sid});
-  EXPECT_EQ(report.stragglers, std::vector<std::uint64_t>{sid});
-  EXPECT_FALSE(fleet.record(sid).completed);
 
-  fleet.drain();  // unbounded drain flushes the batch
-  const auto after = fleet.drain_for(std::chrono::milliseconds(100));
-  EXPECT_TRUE(after.completed);
-  EXPECT_TRUE(after.verdict_pending.empty());
-  EXPECT_TRUE(fleet.record(sid).completed);
-  EXPECT_TRUE(fleet.record(sid).accepted);
+  const auto t1 = std::chrono::steady_clock::now();
+  const engine::DrainReport report =
+      fleet.drain_for(std::chrono::milliseconds(20));
+  EXPECT_LT(std::chrono::steady_clock::now() - t1, std::chrono::seconds(5));
+  EXPECT_FALSE(fleet.running());
+  EXPECT_FALSE(report.quiescent);  // the silent session's shard was forced
+  EXPECT_EQ(report.stragglers, std::vector<std::uint64_t>{kSilent});
+  for (const std::uint64_t id : {1u, 2u, 4u}) {
+    const auto& records = fleet.shard(fleet.shard_index(id)).records();
+    const auto rec = records.find(id);
+    ASSERT_NE(rec, records.end()) << id;
+    EXPECT_TRUE(rec->second.accepted) << id;
+  }
 }
 
 // --- frame pool --------------------------------------------------------------
