@@ -2,15 +2,17 @@
 // for everything above them (no paper table; supporting data for
 // EXPERIMENTS.md's runtime notes).
 //
-// The Gf163 benchmarks run once per arithmetic backend (portable /
-// karatsuba / clmul when the CPU has a hardware carry-less multiply);
-// unavailable backends report "unavailable" and are skipped. Unless the
+// The Gf163 benchmarks run once per arithmetic backend and the BM_Lane*
+// benchmarks once per lane backend, each row named after its backend
+// (BM_Gf163Mul/clmul, BM_LaneMul/vpclmul512); rows for backends this CPU
+// lacks are skipped with an error note. Unless the
 // caller passes its own --benchmark_out, the run also emits
 // BENCH_field_ops.json (google-benchmark's JSON schema) next to the
 // binary, which the CI job archives as the perf trajectory artifact.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -39,31 +41,47 @@ Gf163 rand_fe(rng::Xoshiro256& rng) {
   return Gf163::from_bits(v);
 }
 
-/// Switch the global dispatch to the backend named by the benchmark arg;
-/// returns false (after flagging the run) when it is unavailable.
-bool use_backend(benchmark::State& state) {
-  const auto b = static_cast<Backend>(state.range(0));
-  if (!gf2m::set_backend(b)) {
-    state.SkipWithError("backend unavailable on this CPU");
-    return false;
-  }
-  state.SetLabel(gf2m::backend_name(b));
+/// Switch the global dispatch to backend `b`; returns false (after
+/// flagging the run) when it is unavailable.
+bool use_backend(benchmark::State& state, Backend b) {
+  if (gf2m::set_backend(b)) return true;
+  state.SkipWithError("backend unavailable on this CPU");
+  return false;
+}
+
+/// One row per compiled-in backend, named after it (BM_Gf163Mul/clmul,
+/// BM_LaneMul/vpclmul512), so a row keeps its meaning when the backend
+/// list changes.
+bool register_rows(const char* bench,
+                   void (*fn)(benchmark::State&, Backend)) {
+  for (const Backend b : gf2m::known_backends())
+    benchmark::RegisterBenchmark(
+        (std::string(bench) + "/" + gf2m::backend_name(b)).c_str(), fn, b);
+  return true;
+}
+
+bool register_rows(const char* bench,
+                   void (*fn)(benchmark::State&, LaneBackend)) {
+  for (const LaneBackend b : gf2m::known_lane_backends())
+    benchmark::RegisterBenchmark(
+        (std::string(bench) + "/" + gf2m::lane_backend_name(b)).c_str(), fn,
+        b);
   return true;
 }
 
 #define MEDSEC_BENCH_BACKENDS(fn) \
-  BENCHMARK(fn)->Arg(0)->Arg(1)->Arg(2)->ArgName("backend")
+  [[maybe_unused]] const bool fn##_rows = register_rows(#fn, fn)
 
-void BM_Gf163Mul(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_Gf163Mul(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(1);
   const Gf163 a = rand_fe(rng), b = rand_fe(rng);
   for (auto _ : state) benchmark::DoNotOptimize(Gf163::mul(a, b));
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163Mul);
 
-void BM_Gf163MulAddMul(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_Gf163MulAddMul(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(11);
   const Gf163 a = rand_fe(rng), b = rand_fe(rng);
   const Gf163 c = rand_fe(rng), d = rand_fe(rng);
@@ -72,24 +90,24 @@ void BM_Gf163MulAddMul(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163MulAddMul);
 
-void BM_Gf163Sqr(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_Gf163Sqr(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(2);
   const Gf163 a = rand_fe(rng);
   for (auto _ : state) benchmark::DoNotOptimize(Gf163::sqr(a));
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163Sqr);
 
-void BM_Gf163Inv(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_Gf163Inv(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(3);
   const Gf163 a = rand_fe(rng);
   for (auto _ : state) benchmark::DoNotOptimize(Gf163::inv(a));
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163Inv);
 
-void BM_Gf163BatchInv(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_Gf163BatchInv(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(13);
   constexpr std::size_t kBatch = 64;
   std::vector<Gf163> pool(kBatch);
@@ -108,16 +126,16 @@ void BM_Gf163BatchInv(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163BatchInv);
 
-void BM_Gf163Sqrt(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_Gf163Sqrt(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(4);
   const Gf163 a = rand_fe(rng);
   for (auto _ : state) benchmark::DoNotOptimize(Gf163::sqrt(a));
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163Sqrt);
 
-void BM_LadderIteration(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_LadderIteration(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   const ecc::Curve& c = ecc::Curve::k163();
   ecc::LadderState s =
       ecc::ladder_initial_state(c.b(), c.base_point().x);
@@ -129,8 +147,8 @@ void BM_LadderIteration(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_LadderIteration);
 
-void BM_LadderScalarMult(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_LadderScalarMult(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   const ecc::Curve& c = ecc::Curve::k163();
   rng::Xoshiro256 rng(7);
   const auto k = rng.uniform_nonzero(c.order());
@@ -139,8 +157,8 @@ void BM_LadderScalarMult(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_LadderScalarMult);
 
-void BM_FixedBaseCombMult(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_FixedBaseCombMult(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   const ecc::Curve& c = ecc::Curve::k163();
   const auto& comb = ecc::generator_comb(c);
   rng::Xoshiro256 rng(8);
@@ -149,8 +167,8 @@ void BM_FixedBaseCombMult(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_FixedBaseCombMult);
 
-void BM_FixedBaseCombMultCt(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_FixedBaseCombMultCt(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   const ecc::Curve& c = ecc::Curve::k163();
   const auto& comb = ecc::generator_comb(c);
   rng::Xoshiro256 rng(9);
@@ -159,8 +177,8 @@ void BM_FixedBaseCombMultCt(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_FixedBaseCombMultCt);
 
-void BM_TauNafMultPrecomp(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_TauNafMultPrecomp(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   const ecc::Curve& c = ecc::Curve::k163();
   const auto& pre = ecc::generator_tau_precomp(c);
   rng::Xoshiro256 rng(10);
@@ -170,8 +188,8 @@ void BM_TauNafMultPrecomp(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_TauNafMultPrecomp);
 
-void BM_AffinePointAdd(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_AffinePointAdd(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   const ecc::Curve& c = ecc::Curve::k163();
   const ecc::Point g = c.base_point();
   ecc::Point p = c.dbl(g);
@@ -182,8 +200,8 @@ void BM_AffinePointAdd(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_AffinePointAdd);
 
-void BM_ValidateSubgroupPoint(benchmark::State& state) {
-  if (!use_backend(state)) return;
+void BM_ValidateSubgroupPoint(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
   const ecc::Curve& c = ecc::Curve::k163();
   rng::Xoshiro256 rng(12);
   const ecc::Point p =
@@ -205,16 +223,14 @@ MEDSEC_BENCH_BACKENDS(BM_ValidateSubgroupPoint);
 
 constexpr std::size_t kLaneBatch = 1024;
 
-/// Pin the lane dispatch to the backend named by the benchmark arg;
-/// returns false (after flagging the run) when it is unavailable.
-bool use_lane_backend(benchmark::State& state) {
-  const auto b = static_cast<LaneBackend>(state.range(0));
-  if (!gf2m::set_lane_backend(b)) {
-    state.SkipWithError("lane backend unavailable on this CPU");
-    return false;
-  }
-  state.SetLabel(gf2m::lane_backend_name(b));
-  return true;
+/// Pin the lane dispatch to backend `b`; returns false (after flagging
+/// the run) when it is unavailable. The per-lane `scalar` loop runs over
+/// karatsuba, the scalar backend auto-dispatch pairs it with.
+bool use_lane_backend(benchmark::State& state, LaneBackend b) {
+  if (b == LaneBackend::kLaneScalar) gf2m::set_backend(Backend::kKaratsuba);
+  if (gf2m::set_lane_backend(b)) return true;
+  state.SkipWithError("lane backend unavailable on this CPU");
+  return false;
 }
 
 Gf163xN rand_lanes(rng::Xoshiro256& rng, std::size_t n) {
@@ -223,12 +239,8 @@ Gf163xN rand_lanes(rng::Xoshiro256& rng, std::size_t n) {
   return v;
 }
 
-#define MEDSEC_BENCH_LANE_BACKENDS(fn)                         \
-  BENCHMARK(fn)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)\
-      ->ArgName("lane_backend")
-
-void BM_LaneMul(benchmark::State& state) {
-  if (!use_lane_backend(state)) return;
+void BM_LaneMul(benchmark::State& state, LaneBackend backend) {
+  if (!use_lane_backend(state, backend)) return;
   rng::Xoshiro256 rng(21);
   const Gf163xN a = rand_lanes(rng, kLaneBatch);
   const Gf163xN b = rand_lanes(rng, kLaneBatch);
@@ -241,10 +253,10 @@ void BM_LaneMul(benchmark::State& state) {
                           kLaneBatch);
   gf2m::reset_lane_backend();
 }
-MEDSEC_BENCH_LANE_BACKENDS(BM_LaneMul);
+MEDSEC_BENCH_BACKENDS(BM_LaneMul);
 
-void BM_LaneSqr(benchmark::State& state) {
-  if (!use_lane_backend(state)) return;
+void BM_LaneSqr(benchmark::State& state, LaneBackend backend) {
+  if (!use_lane_backend(state, backend)) return;
   rng::Xoshiro256 rng(22);
   const Gf163xN a = rand_lanes(rng, kLaneBatch);
   Gf163xN out(kLaneBatch);
@@ -256,10 +268,10 @@ void BM_LaneSqr(benchmark::State& state) {
                           kLaneBatch);
   gf2m::reset_lane_backend();
 }
-MEDSEC_BENCH_LANE_BACKENDS(BM_LaneSqr);
+MEDSEC_BENCH_BACKENDS(BM_LaneSqr);
 
-void BM_LaneMulAddMul(benchmark::State& state) {
-  if (!use_lane_backend(state)) return;
+void BM_LaneMulAddMul(benchmark::State& state, LaneBackend backend) {
+  if (!use_lane_backend(state, backend)) return;
   rng::Xoshiro256 rng(23);
   const Gf163xN a = rand_lanes(rng, kLaneBatch);
   const Gf163xN b = rand_lanes(rng, kLaneBatch);
@@ -274,10 +286,10 @@ void BM_LaneMulAddMul(benchmark::State& state) {
                           kLaneBatch);
   gf2m::reset_lane_backend();
 }
-MEDSEC_BENCH_LANE_BACKENDS(BM_LaneMulAddMul);
+MEDSEC_BENCH_BACKENDS(BM_LaneMulAddMul);
 
-void BM_LaneSqrAddMul(benchmark::State& state) {
-  if (!use_lane_backend(state)) return;
+void BM_LaneSqrAddMul(benchmark::State& state, LaneBackend backend) {
+  if (!use_lane_backend(state, backend)) return;
   rng::Xoshiro256 rng(24);
   const Gf163xN a = rand_lanes(rng, kLaneBatch);
   const Gf163xN b = rand_lanes(rng, kLaneBatch);
@@ -291,7 +303,7 @@ void BM_LaneSqrAddMul(benchmark::State& state) {
                           kLaneBatch);
   gf2m::reset_lane_backend();
 }
-MEDSEC_BENCH_LANE_BACKENDS(BM_LaneSqrAddMul);
+MEDSEC_BENCH_BACKENDS(BM_LaneSqrAddMul);
 
 // --- backend-independent substrates (integer scalar ring) -------------------
 

@@ -22,7 +22,7 @@
 
 namespace medsec::ctaudit {
 
-/// Every registered audit target: the 3 × 3 scalar-backend × lane-backend
+/// Every registered audit target: the 2 × 2 scalar-backend × lane-backend
 /// kernel grid, the ISA-gated mega-lane rows, the modeled co-processor
 /// ladders (unblinded classic and scalar-blinded fixed-length), and the
 /// two leaky negative controls. Rows for combos this CPU cannot run are
@@ -118,8 +118,9 @@ struct CtAuditGrid {
 };
 
 /// Run both engines over the full target grid. Serial by design: kernel
-/// targets pin the global backend registries per row; the active scalar
-/// and lane backends are restored before returning.
+/// targets switch the global scalar backend per row and restore it
+/// before returning; the lane dispatch (auto or pinned) is left as it
+/// was.
 CtAuditGrid run_ct_audit_grid(const GridConfig& config = {});
 
 /// Serialize the grid verdicts to the BENCH_ct_audit.json schema

@@ -7,9 +7,9 @@
 // data. That makes the whole campaign embarrassingly lane-parallel — this
 // file steps N independent ladders through one shared iteration loop, with
 // every field operation batched across lanes (Gf163xN), so the wide
-// backends — VPCLMULQDQ ZMM/YMM (8–16 lanes register-resident),
-// interleaved clmul, 64/256-lane bitsliced — see long runs of
-// independent products instead of one latency-bound dependency chain.
+// backends — VPCLMULQDQ ZMM/YMM (8–16 lanes register-resident) and
+// interleaved clmul — see long runs of independent products instead of
+// one latency-bound dependency chain.
 // Callers that size batches from active_lane_vtable()->preferred_width
 // (the campaign engine uses 4x) retarget onto wider silicon with no
 // code changes.

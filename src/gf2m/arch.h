@@ -1,11 +1,11 @@
 // arch.h — host ISA detection shared by every accelerated gf2m kernel.
 //
 // One place defines the architecture gates (MEDSEC_ARCH_X86_64 /
-// MEDSEC_ARCH_AARCH64) and the runtime CPUID predicates the backend
+// MEDSEC_ARCH_AARCH64) and the runtime CPUID predicates the lane
 // registry dispatches on. The hardware paths use GCC/Clang-only
 // constructs (target attributes, __builtin_cpu_supports), so the gates
-// require those compilers too; other compilers fall back to the portable
-// backends.
+// require those compilers too; other compilers fall back to the software
+// (karatsuba / per-lane scalar) backends.
 #pragma once
 
 #if (defined(__x86_64__) || defined(_M_X64)) && \
@@ -27,10 +27,6 @@ namespace medsec::gf2m::cpu {
 
 #if MEDSEC_ARCH_X86_64
 
-/// 128-bit PCLMULQDQ (the PR 1 scalar hardware backend and the PR 3
-/// interleaved lane backend).
-inline bool has_clmul128() { return __builtin_cpu_supports("pclmul") != 0; }
-
 /// 512-bit VPCLMULQDQ: four carryless multiplies per instruction across
 /// ZMM lanes. The EVEX encoding needs AVX-512F; BW/VL cover the byte and
 /// 256-bit forms the kernels mix in.
@@ -49,31 +45,12 @@ inline bool has_vpclmul256() {
          __builtin_cpu_supports("avx2") != 0;
 }
 
-inline bool has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-inline bool has_avx512() {
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512bw") != 0 &&
-         __builtin_cpu_supports("avx512vl") != 0;
-}
-
-/// GFNI bit-matrix path for the 64x64 bit-plane transpose
-/// (vgf2p8affineqb for the 8x8 tile transposes, vpermb for the byte
-/// gathers — hence the AVX512VBMI requirement).
-inline bool has_gfni512() {
-  return __builtin_cpu_supports("gfni") != 0 && has_avx512() &&
-         __builtin_cpu_supports("avx512vbmi") != 0;
-}
-
 #else
 
 // Non-x86 hosts: the vector paths below are x86-only; carry-less
 // multiply detection stays with hwclmul::clmul_supported() (clmul_hw.h).
 inline bool has_vpclmul512() { return false; }
 inline bool has_vpclmul256() { return false; }
-inline bool has_avx2() { return false; }
-inline bool has_avx512() { return false; }
-inline bool has_gfni512() { return false; }
 
 #endif
 

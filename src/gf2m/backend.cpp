@@ -13,20 +13,7 @@ namespace medsec::gf2m {
 
 namespace {
 
-// --- portable schoolbook (the seed reference path) --------------------------
-
-void mul326_portable(const std::uint64_t a[3], const std::uint64_t b[3],
-                     std::uint64_t p[6]) {
-  p[0] = p[1] = p[2] = p[3] = p[4] = p[5] = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      std::uint64_t lo = 0, hi = 0;
-      clmul64(a[i], b[j], lo, hi);
-      p[i + j] ^= lo;
-      p[i + j + 1] ^= hi;
-    }
-  }
-}
+// --- software carry-less square: three emulated limb squares ----------------
 
 void sqr326_portable(const std::uint64_t a[3], std::uint64_t p[6]) {
   for (std::size_t i = 0; i < 3; ++i) clsqr64(a[i], p[2 * i], p[2 * i + 1]);
@@ -82,8 +69,6 @@ void sqr326_clmul(const std::uint64_t a[3], std::uint64_t p[6]) {
 
 // --- vtables and dispatch ---------------------------------------------------
 
-constexpr BackendVTable kPortableVTable{Backend::kPortable, "portable",
-                                        &mul326_portable, &sqr326_portable};
 constexpr BackendVTable kKaratsubaVTable{Backend::kKaratsuba, "karatsuba",
                                          &mul326_karatsuba, &sqr326_portable};
 #if MEDSEC_ARCH_X86_64 || MEDSEC_ARCH_AARCH64
@@ -93,8 +78,6 @@ constexpr BackendVTable kClmulVTable{Backend::kClmul, "clmul", &mul326_clmul,
 
 const BackendVTable* vtable_for(Backend b) {
   switch (b) {
-    case Backend::kPortable:
-      return &kPortableVTable;
     case Backend::kKaratsuba:
       return &kKaratsubaVTable;
     case Backend::kClmul:
@@ -143,9 +126,9 @@ std::atomic<const BackendVTable*>& dispatch_slot() {
 
 // --- lane dispatch ----------------------------------------------------------
 //
-// The lane vtables themselves live in lanes.cpp (they pull in the bitsliced
-// and interleaved-clmul kernels); this translation unit owns the selection
-// policy so the scalar and wide registries stay one subsystem.
+// The lane vtables themselves live in lanes.cpp (they pull in the
+// interleaved and vector clmul kernels); this translation unit owns the
+// selection policy so the scalar and wide registries stay one subsystem.
 
 /// Lane backend pinned by set_lane_backend / MEDSEC_GF2M_LANES, or null
 /// for automatic (follow the scalar backend).
@@ -195,8 +178,6 @@ Backend active_backend() { return detail::active_vtable()->id; }
 
 const char* backend_name(Backend b) {
   switch (b) {
-    case Backend::kPortable:
-      return "portable";
     case Backend::kKaratsuba:
       return "karatsuba";
     case Backend::kClmul:
@@ -215,16 +196,12 @@ bool set_backend(Backend b) {
 }
 
 std::vector<Backend> known_backends() {
-  return {Backend::kClmul, Backend::kKaratsuba, Backend::kPortable};
+  return {Backend::kClmul, Backend::kKaratsuba};
 }
 
 const BackendVTable* backend_vtable(Backend b) { return vtable_for(b); }
 
 bool backend_from_name(std::string_view name, Backend& out) {
-  if (name == "portable") {
-    out = Backend::kPortable;
-    return true;
-  }
   if (name == "karatsuba") {
     out = Backend::kKaratsuba;
     return true;
@@ -238,7 +215,6 @@ bool backend_from_name(std::string_view name, Backend& out) {
 
 const char* backend_requirement(Backend b) {
   switch (b) {
-    case Backend::kPortable:
     case Backend::kKaratsuba:
       return "nothing (portable C++)";
     case Backend::kClmul:
@@ -251,16 +227,12 @@ const char* lane_backend_name(LaneBackend b) {
   switch (b) {
     case LaneBackend::kLaneScalar:
       return "scalar";
-    case LaneBackend::kLaneBitsliced:
-      return "bitsliced";
     case LaneBackend::kLaneClmulWide:
       return "clmulwide";
     case LaneBackend::kLaneVpclmul512:
       return "vpclmul512";
     case LaneBackend::kLaneVpclmul256:
       return "vpclmul256";
-    case LaneBackend::kLaneBitsliced256:
-      return "bitsliced256";
   }
   return "?";
 }
@@ -268,14 +240,6 @@ const char* lane_backend_name(LaneBackend b) {
 bool lane_backend_from_name(std::string_view name, LaneBackend& out) {
   if (name == "scalar") {
     out = LaneBackend::kLaneScalar;
-    return true;
-  }
-  if (name == "bitsliced") {
-    out = LaneBackend::kLaneBitsliced;
-    return true;
-  }
-  if (name == "bitsliced256") {
-    out = LaneBackend::kLaneBitsliced256;
     return true;
   }
   if (name == "clmul" || name == "clmulwide" || name == "wide") {
@@ -297,16 +261,12 @@ const char* lane_backend_requirement(LaneBackend b) {
   switch (b) {
     case LaneBackend::kLaneScalar:
       return "nothing (follows the scalar backend)";
-    case LaneBackend::kLaneBitsliced:
-      return "nothing (portable C++)";
     case LaneBackend::kLaneClmulWide:
       return "PCLMULQDQ (x86-64)";
     case LaneBackend::kLaneVpclmul512:
       return "VPCLMULQDQ + AVX-512F/BW/VL";
     case LaneBackend::kLaneVpclmul256:
       return "VPCLMULQDQ + AVX2";
-    case LaneBackend::kLaneBitsliced256:
-      return "AVX2";
   }
   return "?";
 }
@@ -319,22 +279,15 @@ const LaneVTable* active_lane_vtable() {
     return t;
   // Automatic: follow the scalar backend. Hardware clmul gets the widest
   // vector kernel the CPU offers (ZMM mega-lanes > YMM > interleaved
-  // 128-bit); the portable reference path gets the bitsliced one (no ISA
-  // assumptions); karatsuba (a tuning variant of the scalar emulation)
-  // keeps the plain per-lane loop.
-  switch (active_backend()) {
-    case Backend::kClmul:
-      if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneVpclmul512))
-        return t;
-      if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneVpclmul256))
-        return t;
-      if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneClmulWide))
-        return t;
-      break;
-    case Backend::kPortable:
-      return lane_vtable(LaneBackend::kLaneBitsliced);
-    case Backend::kKaratsuba:
-      break;
+  // 128-bit); karatsuba (the no-CLMUL software path) keeps the plain
+  // per-lane loop over itself.
+  if (active_backend() == Backend::kClmul) {
+    if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneVpclmul512))
+      return t;
+    if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneVpclmul256))
+      return t;
+    if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneClmulWide))
+      return t;
   }
   return lane_vtable(LaneBackend::kLaneScalar);
 }
@@ -353,9 +306,8 @@ void reset_lane_backend() {
 }
 
 std::vector<LaneBackend> known_lane_backends() {
-  return {LaneBackend::kLaneVpclmul512,   LaneBackend::kLaneVpclmul256,
-          LaneBackend::kLaneClmulWide,    LaneBackend::kLaneBitsliced256,
-          LaneBackend::kLaneBitsliced,    LaneBackend::kLaneScalar};
+  return {LaneBackend::kLaneVpclmul512, LaneBackend::kLaneVpclmul256,
+          LaneBackend::kLaneClmulWide, LaneBackend::kLaneScalar};
 }
 
 }  // namespace medsec::gf2m

@@ -2,23 +2,24 @@
 //
 // The paper's thesis is that a carry-less multiplier is smaller and faster
 // than an integer one; this subsystem makes the *software model* of that
-// multiplier as fast as the host allows, with three interchangeable
-// implementations of the unreduced 3x3-limb carry-less product:
+// multiplier as fast as the host allows, with two interchangeable
+// implementations of the unreduced 3x3-limb carry-less product — one per
+// kind of target, as auto-dispatch picks them:
 //
-//   kPortable   — the seed's branchless 4-bit-window emulation, schoolbook
-//                 (9 emulated clmuls). Reference path, always available.
-//   kKaratsuba  — same emulated clmul primitive, 3-limb Karatsuba
-//                 (6 emulated clmuls instead of 9).
+//   kKaratsuba  — branchless 4-bit-window clmul emulation, 3-limb
+//                 Karatsuba (6 emulated clmuls). Always available; the
+//                 pick on CPUs without a carry-less multiplier.
 //   kClmul      — hardware carry-less multiply (x86 PCLMULQDQ or AArch64
 //                 PMULL) plus the same Karatsuba schedule. Available only
 //                 when the CPU advertises the instruction.
 //
 // Selection: runtime CPU detection picks the fastest available backend at
 // startup; the MEDSEC_GF2M_BACKEND environment variable
-// (portable | karatsuba | clmul | auto) overrides it, and set_backend()
-// switches programmatically (used by the per-backend benches and the
-// cross-check tests). All backends are bit-for-bit interchangeable; the
-// dispatch is a single relaxed-atomic pointer load per field multiply.
+// (karatsuba | clmul | auto) overrides it, and set_backend() switches
+// programmatically (used by the per-backend benches and the cross-check
+// tests). Both backends are bit-for-bit interchangeable (gf2_poly.h is
+// the independent oracle they are checked against); the dispatch is a
+// single relaxed-atomic pointer load per field multiply.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,6 @@
 namespace medsec::gf2m {
 
 enum class Backend {
-  kPortable,
   kKaratsuba,
   kClmul,
 };
@@ -50,8 +50,8 @@ struct BackendVTable {
 Backend active_backend();
 const char* backend_name(Backend b);
 
-/// True if the backend can run on this CPU (kPortable/kKaratsuba always;
-/// kClmul only with PCLMULQDQ / PMULL support).
+/// True if the backend can run on this CPU (kKaratsuba always; kClmul
+/// only with PCLMULQDQ / PMULL support).
 bool backend_available(Backend b);
 
 /// Switch the active backend. Returns false (and leaves the dispatch
@@ -72,7 +72,7 @@ const BackendVTable* backend_vtable(Backend b);
 /// through.
 bool backend_from_name(std::string_view name, Backend& out);
 
-/// Human-readable ISA requirement ("none (portable C++)",
+/// Human-readable ISA requirement ("nothing (portable C++)",
 /// "PCLMULQDQ (x86-64) / PMULL (AArch64)", ...), for --list-backends
 /// output and dispatch diagnostics.
 const char* backend_requirement(Backend b);
@@ -86,46 +86,34 @@ const BackendVTable* active_vtable();
 // --- wide-lane backends -----------------------------------------------------
 //
 // The batch field layer (gf163_lanes.h) computes N independent field
-// operations per call over structure-of-arrays operands. Six
+// operations per call over structure-of-arrays operands. Four
 // implementations of that contract:
 //
-//   kLaneScalar       — per-lane loop over the active scalar backend.
-//                       Reference path, always available.
-//   kLaneBitsliced    — portable 64-lane bitslicing: lanes are
-//                       transposed into 163 bit-planes, multiplied as one
-//                       plane-wise Karatsuba, shift-reduced in the plane
-//                       domain and transposed back. Branch-free and
-//                       constant-time by construction; no hardware
-//                       assumptions.
-//   kLaneClmulWide    — hardware carry-less multiply with 2–4
-//                       independent products interleaved per iteration to
-//                       hide PCLMULQDQ latency (x86-64 only).
-//   kLaneVpclmul512   — VPCLMULQDQ mega-lanes: 8–16 lanes ZMM-resident
-//                       through mul/sqr and the fused forms, vector
-//                       shift-reduce fold (needs VPCLMULQDQ +
-//                       AVX-512F/BW/VL).
-//   kLaneVpclmul256   — the 4-wide YMM variant of the same kernels for
-//                       VPCLMULQDQ+AVX2 hosts without AVX-512.
-//   kLaneBitsliced256 — the bitsliced backend widened to 256-lane blocks
-//                       on AVX2 plane words, with the SoA <-> plane
-//                       transposes vectorized (AVX2 / AVX-512 / GFNI,
-//                       runtime-dispatched).
+//   kLaneScalar     — per-lane loop over the active scalar backend.
+//                     Reference path, always available.
+//   kLaneClmulWide  — hardware carry-less multiply with 2–4 independent
+//                     products interleaved per iteration to hide
+//                     PCLMULQDQ latency (x86-64 only).
+//   kLaneVpclmul512 — VPCLMULQDQ mega-lanes: 8–16 lanes ZMM-resident
+//                     through mul/sqr and the fused forms, vector
+//                     shift-reduce fold (needs VPCLMULQDQ +
+//                     AVX-512F/BW/VL).
+//   kLaneVpclmul256 — the 4-wide YMM variant of the same kernels for
+//                     VPCLMULQDQ+AVX2 hosts without AVX-512.
 //
 // Selection follows the scalar registry: set_backend() / the
 // MEDSEC_GF2M_BACKEND override pick the matching lane backend (clmul →
-// the widest available of vpclmul512 > vpclmul256 > clmulwide, portable →
-// kLaneBitsliced, karatsuba → kLaneScalar). MEDSEC_GF2M_LANES
-// (scalar | bitsliced | bitsliced256 | clmul | vpclmul512 | vpclmul256 |
-// auto) or set_lane_backend() force a specific one regardless; an
-// unknown name aborts with the list of compiled-in backends.
+// the widest available of vpclmul512 > vpclmul256 > clmulwide, karatsuba
+// → kLaneScalar). MEDSEC_GF2M_LANES (scalar | clmulwide | vpclmul512 |
+// vpclmul256 | auto) or set_lane_backend() force a specific one
+// regardless; an unknown name aborts with the list of compiled-in
+// backends.
 
 enum class LaneBackend {
   kLaneScalar,
-  kLaneBitsliced,
   kLaneClmulWide,
   kLaneVpclmul512,
   kLaneVpclmul256,
-  kLaneBitsliced256,
 };
 
 /// Structure-of-arrays views over N field elements: limb l of lane i is
@@ -156,8 +144,8 @@ struct LaneVTable {
   LaneBackend id;
   const char* name;
   /// Natural lane granularity (the width at which the backend hits full
-  /// throughput): 64 for bitsliced, a few for interleaved clmul. Campaign
-  /// code sizes its trace blocks as a multiple of this.
+  /// throughput): 16 for the ZMM kernels, a few for interleaved clmul.
+  /// Campaign code sizes its trace blocks as a multiple of this.
   std::size_t preferred_width;
   LaneMulFn mul;
   LaneSqrFn sqr;

@@ -7,7 +7,7 @@
 //
 // The hardware paths use GCC/Clang-only constructs (target attributes,
 // __builtin_cpu_supports), so the gates require those compilers too; other
-// compilers fall back to the portable/karatsuba backends.
+// compilers fall back to the karatsuba backend.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +121,7 @@ inline bool clmul_supported() {
 #elif defined(MEDSEC_HAVE_AUXV) && defined(HWCAP_PMULL)
   return (getauxval(AT_HWCAP) & HWCAP_PMULL) != 0;
 #else
-  return false;  // no detection channel: stay on the portable paths
+  return false;  // no detection channel: stay on the software paths
 #endif
 }
 

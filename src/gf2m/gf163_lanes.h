@@ -4,7 +4,7 @@
 // Gf163xN stores N field elements structure-of-arrays (limb-major), which
 // is the layout every wide backend wants: the interleaved-clmul kernel
 // streams consecutive lanes through independent PCLMULQDQ chains, the
-// bitsliced kernel transposes 64-lane blocks into bit-planes, and
+// VPCLMULQDQ kernels load 4 or 8 consecutive limbs per register, and
 // per-lane taps (the trace simulator's Hamming-weight probe, the ladder's
 // conditional swaps) index a lane directly without deinterleaving.
 //

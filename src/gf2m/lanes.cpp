@@ -1,24 +1,10 @@
 // lanes.cpp — wide-lane kernels for the batch field layer.
 //
-// Six implementations of the LaneVTable contract (see backend.h):
+// Four implementations of the LaneVTable contract (see backend.h):
 //
 //   * scalar loop — per-lane calls into the active scalar backend. The
-//     reference every other lane backend is cross-checked against.
-//
-//   * bitsliced — 64 lanes are transposed into 163 bit-planes (one
-//     machine word per polynomial coefficient, one bit per lane), the
-//     product is a plane-wise Karatsuba over GF(2), the 325-plane result
-//     is shift-reduced in the plane domain, and the 163 output planes are
-//     transposed back. Branch-free from end to end: the instruction
-//     stream never depends on lane values, so the batch is constant-time
-//     by construction (the property the paper's co-processor gets from
-//     hardware, recovered here in portable C++).
-//
-//   * bitsliced256 — the same plane-domain pipeline widened to 256-lane
-//     blocks: one __m256i per plane word (four 64-lane groups in
-//     lockstep), AVX2 plane Karatsuba, and the SoA <-> plane transposes
-//     going through the vectorized 64x64 transpose (transpose_bits.h:
-//     GFNI / AVX-512 / AVX2, runtime-dispatched).
+//     reference every other lane backend is cross-checked against, and
+//     the auto pick on CPUs without a carry-less multiplier.
 //
 //   * interleaved clmul — the 3-limb Karatsuba schedule on hardware
 //     carry-less multiplies, two independent lanes per loop iteration
@@ -37,14 +23,12 @@
 //     independent products per group. Tails (< one group) fall back to
 //     the scalar 128-bit clmul kernel — bit-identical by the shared fold.
 #include <bit>
-#include <cstring>
 
 #include "gf2m/backend.h"
 #include "gf2m/clmul_hw.h"
 #include "gf2m/clmul_vec.h"
 #include "gf2m/gf163_lanes.h"
 #include "gf2m/reduce_163.h"
-#include "gf2m/transpose_bits.h"
 
 namespace medsec::gf2m {
 
@@ -120,371 +104,6 @@ constexpr LaneVTable kLaneScalarVTable{
     LaneBackend::kLaneScalar, "scalar", 4,
     &lane_mul_scalar, &lane_sqr_scalar,
     &lane_mul_add_mul_scalar, &lane_sqr_add_mul_scalar};
-
-// --- bitsliced lane kernels -------------------------------------------------
-
-constexpr std::size_t kBsWidth = 64;    ///< lanes per bitsliced block
-constexpr std::size_t kBits = 163;      ///< planes per operand
-constexpr std::size_t kProdBits = 325;  ///< planes per unreduced product
-
-/// Lanes [base, base+count) of v -> bit planes (count <= 64; missing
-/// lanes read as zero). planes[p] bit i = bit p of lane base+i. The
-/// transpose runs through the widest ISA variant the host offers
-/// (transpose_bits.h).
-void gather_planes(LaneView v, std::size_t base, std::size_t count,
-                   std::uint64_t planes[192]) {
-  const std::uint64_t* limbs[3] = {v.l0, v.l1, v.l2};
-  for (std::size_t l = 0; l < 3; ++l) {
-    std::uint64_t* m = planes + 64 * l;
-    for (std::size_t i = 0; i < kBsWidth; ++i)
-      m[i] = i < count ? limbs[l][base + i] : 0;
-    bits::transpose64(m);
-  }
-}
-
-/// Bit planes -> lanes [base, base+count) of out (inverse of
-/// gather_planes; planes above index 162 must be zero).
-void scatter_planes(const std::uint64_t planes[192], LaneSpan out,
-                    std::size_t base, std::size_t count) {
-  std::uint64_t* limbs[3] = {out.l0, out.l1, out.l2};
-  std::uint64_t m[64];
-  for (std::size_t l = 0; l < 3; ++l) {
-    std::memcpy(m, planes + 64 * l, sizeof m);
-    bits::transpose64(m);
-    for (std::size_t i = 0; i < count; ++i) limbs[l][base + i] = m[i];
-  }
-}
-
-/// Schoolbook plane product: c[0..na+nb-2] ^= a (x) b. Branch-free on
-/// plane values (no zero-skipping: a skip would leak that all 64 lanes
-/// share a zero coefficient).
-void bs_mul_schoolbook(const std::uint64_t* a, std::size_t na,
-                       const std::uint64_t* b, std::size_t nb,
-                       std::uint64_t* c) {
-  for (std::size_t i = 0; i < na; ++i) {
-    const std::uint64_t ai = a[i];
-    std::uint64_t* ci = c + i;
-    for (std::size_t j = 0; j < nb; ++j) ci[j] ^= ai & b[j];
-  }
-}
-
-/// Recursive plane-domain Karatsuba: c[0..2n-2] ^= a (x) b. `scratch`
-/// must hold >= 6n words and is consumed front-to-back per level (child
-/// calls reuse the space beyond this level's slices).
-void bs_mul_rec(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
-                std::uint64_t* c, std::uint64_t* scratch) {
-  if (n <= 24) {
-    bs_mul_schoolbook(a, n, b, n, c);
-    return;
-  }
-  const std::size_t h = n / 2;   // low part
-  const std::size_t w = n - h;   // high part (w >= h)
-
-  std::uint64_t* sa = scratch;                  // w
-  std::uint64_t* sb = sa + w;                   // w
-  std::uint64_t* p0 = sb + w;                   // 2h-1
-  std::uint64_t* p2 = p0 + (2 * h - 1);         // 2w-1
-  std::uint64_t* pm = p2 + (2 * w - 1);         // 2w-1
-  std::uint64_t* next = pm + (2 * w - 1);
-
-  for (std::size_t i = 0; i < w; ++i) {
-    sa[i] = (i < h ? a[i] : 0) ^ a[h + i];
-    sb[i] = (i < h ? b[i] : 0) ^ b[h + i];
-  }
-  std::memset(p0, 0, (2 * h - 1) * sizeof(std::uint64_t));
-  std::memset(p2, 0, (2 * w - 1) * sizeof(std::uint64_t));
-  std::memset(pm, 0, (2 * w - 1) * sizeof(std::uint64_t));
-  bs_mul_rec(a, b, h, p0, next);
-  bs_mul_rec(a + h, b + h, w, p2, next);
-  bs_mul_rec(sa, sb, w, pm, next);
-
-  // c += P0 + x^h (Pm + P0 + P2) + x^2h P2.
-  for (std::size_t i = 0; i < 2 * h - 1; ++i) c[i] ^= p0[i];
-  for (std::size_t i = 0; i < 2 * w - 1; ++i) c[2 * h + i] ^= p2[i];
-  for (std::size_t i = 0; i < 2 * h - 1; ++i) c[h + i] ^= p0[i];
-  for (std::size_t i = 0; i < 2 * w - 1; ++i) c[h + i] ^= pm[i] ^ p2[i];
-}
-
-/// Shift-reduce in the plane domain: the shared fold from reduce_163.h
-/// instantiated on one machine word per plane.
-void bs_reduce(std::uint64_t c[kProdBits]) { reduce_planes(c, kProdBits); }
-
-/// Karatsuba scratch: 6n at the top level + 6(n/2) + ... < 12n. 2048
-/// words is comfortably above 12*163.
-struct BsScratch {
-  std::uint64_t prod[kProdBits];
-  std::uint64_t karat[2048];
-};
-
-void bs_mul_block(const std::uint64_t a[192], const std::uint64_t b[192],
-                  std::uint64_t prod[kProdBits], std::uint64_t* karat) {
-  std::memset(prod, 0, kProdBits * sizeof(std::uint64_t));
-  bs_mul_rec(a, b, kBits, prod, karat);
-}
-
-/// Squaring in the plane domain is a zero-interleave: coefficient i of
-/// the square is coefficient 2i of the input.
-void bs_sqr_block(const std::uint64_t a[192], std::uint64_t prod[kProdBits]) {
-  std::memset(prod, 0, kProdBits * sizeof(std::uint64_t));
-  for (std::size_t i = 0; i < kBits; ++i) prod[2 * i] = a[i];
-}
-
-void lane_mul_bitsliced(LaneView a, LaneView b, LaneSpan out, std::size_t n) {
-  BsScratch s;
-  std::uint64_t pa[192], pb[192];
-  for (std::size_t base = 0; base < n; base += kBsWidth) {
-    const std::size_t count = n - base < kBsWidth ? n - base : kBsWidth;
-    gather_planes(a, base, count, pa);
-    gather_planes(b, base, count, pb);
-    bs_mul_block(pa, pb, s.prod, s.karat);
-    bs_reduce(s.prod);
-    scatter_planes(s.prod, out, base, count);
-  }
-}
-
-void lane_sqr_bitsliced(LaneView a, LaneSpan out, std::size_t n) {
-  BsScratch s;
-  std::uint64_t pa[192];
-  for (std::size_t base = 0; base < n; base += kBsWidth) {
-    const std::size_t count = n - base < kBsWidth ? n - base : kBsWidth;
-    gather_planes(a, base, count, pa);
-    bs_sqr_block(pa, s.prod);
-    bs_reduce(s.prod);
-    scatter_planes(s.prod, out, base, count);
-  }
-}
-
-void lane_mul_add_mul_bitsliced(LaneView a, LaneView b, LaneView c, LaneView d,
-                                LaneSpan out, std::size_t n) {
-  BsScratch s;
-  std::uint64_t pa[192], pb[192];
-  std::uint64_t acc[kProdBits];
-  for (std::size_t base = 0; base < n; base += kBsWidth) {
-    const std::size_t count = n - base < kBsWidth ? n - base : kBsWidth;
-    gather_planes(a, base, count, pa);
-    gather_planes(b, base, count, pb);
-    bs_mul_block(pa, pb, acc, s.karat);
-    gather_planes(c, base, count, pa);
-    gather_planes(d, base, count, pb);
-    // Accumulate the second product into the first before the single
-    // shift-reduce (the lane-domain form of the scalar lazy reduction).
-    bs_mul_rec(pa, pb, kBits, acc, s.karat);
-    bs_reduce(acc);
-    scatter_planes(acc, out, base, count);
-  }
-}
-
-void lane_sqr_add_mul_bitsliced(LaneView a, LaneView b, LaneView c,
-                                LaneSpan out, std::size_t n) {
-  BsScratch s;
-  std::uint64_t pa[192], pb[192];
-  std::uint64_t acc[kProdBits];
-  for (std::size_t base = 0; base < n; base += kBsWidth) {
-    const std::size_t count = n - base < kBsWidth ? n - base : kBsWidth;
-    gather_planes(a, base, count, pa);
-    bs_sqr_block(pa, acc);
-    gather_planes(b, base, count, pa);
-    gather_planes(c, base, count, pb);
-    bs_mul_rec(pa, pb, kBits, acc, s.karat);
-    bs_reduce(acc);
-    scatter_planes(acc, out, base, count);
-  }
-}
-
-constexpr LaneVTable kLaneBitslicedVTable{
-    LaneBackend::kLaneBitsliced, "bitsliced", kBsWidth,
-    &lane_mul_bitsliced, &lane_sqr_bitsliced,
-    &lane_mul_add_mul_bitsliced, &lane_sqr_add_mul_bitsliced};
-
-// --- 256-lane bitsliced kernels (AVX2 plane words) --------------------------
-//
-// Identical pipeline to the 64-lane backend with one __m256i per plane
-// word: word w of plane p covers lanes 64w..64w+63, so the SoA <-> plane
-// conversion is four independent 64x64 transposes per limb (the
-// vectorized transpose dispatch in transpose_bits.h), and every plane
-// operation processes four 64-lane groups per instruction. Same
-// branch-free/constant-time structure: the instruction stream never
-// depends on lane values.
-
-#if MEDSEC_ARCH_X86_64
-
-constexpr std::size_t kBs4Width = 256;  ///< lanes per widened block
-constexpr std::size_t kBs4Words = 4;    ///< 64-lane groups per block
-
-#define MEDSEC_TARGET_AVX2 __attribute__((target("avx2")))
-
-/// Lanes [base, base+count) -> planes (count <= 256, missing lanes
-/// zero). Plane words are written through a scalar view: the transpose
-/// itself is the vectorized one.
-void gather_planes_x4(LaneView v, std::size_t base, std::size_t count,
-                      __m256i planes[192]) {
-  const std::uint64_t* limbs[3] = {v.l0, v.l1, v.l2};
-  std::uint64_t* pw = reinterpret_cast<std::uint64_t*>(planes);
-  std::uint64_t m[64];
-  for (std::size_t l = 0; l < 3; ++l) {
-    for (std::size_t w = 0; w < kBs4Words; ++w) {
-      const std::size_t group = 64 * w;
-      for (std::size_t i = 0; i < 64; ++i)
-        m[i] = group + i < count ? limbs[l][base + group + i] : 0;
-      bits::transpose64(m);
-      for (std::size_t k = 0; k < 64; ++k)
-        pw[kBs4Words * (64 * l + k) + w] = m[k];
-    }
-  }
-}
-
-void scatter_planes_x4(const __m256i planes[192], LaneSpan out,
-                       std::size_t base, std::size_t count) {
-  std::uint64_t* limbs[3] = {out.l0, out.l1, out.l2};
-  const std::uint64_t* pw = reinterpret_cast<const std::uint64_t*>(planes);
-  std::uint64_t m[64];
-  for (std::size_t l = 0; l < 3; ++l) {
-    for (std::size_t w = 0; w < kBs4Words; ++w) {
-      const std::size_t group = 64 * w;
-      if (group >= count) break;
-      for (std::size_t k = 0; k < 64; ++k)
-        m[k] = pw[kBs4Words * (64 * l + k) + w];
-      bits::transpose64(m);
-      const std::size_t lim = count - group < 64 ? count - group : 64;
-      for (std::size_t i = 0; i < lim; ++i)
-        limbs[l][base + group + i] = m[i];
-    }
-  }
-}
-
-MEDSEC_TARGET_AVX2 void bs_mul_schoolbook_x4(const __m256i* a, std::size_t na,
-                                             const __m256i* b, std::size_t nb,
-                                             __m256i* c) {
-  for (std::size_t i = 0; i < na; ++i) {
-    const __m256i ai = a[i];
-    __m256i* ci = c + i;
-    for (std::size_t j = 0; j < nb; ++j)
-      ci[j] = _mm256_xor_si256(ci[j], _mm256_and_si256(ai, b[j]));
-  }
-}
-
-/// Same recursion and scratch discipline as bs_mul_rec, on vector plane
-/// words.
-MEDSEC_TARGET_AVX2 void bs_mul_rec_x4(const __m256i* a, const __m256i* b,
-                                      std::size_t n, __m256i* c,
-                                      __m256i* scratch) {
-  if (n <= 24) {
-    bs_mul_schoolbook_x4(a, n, b, n, c);
-    return;
-  }
-  const std::size_t h = n / 2;
-  const std::size_t w = n - h;
-
-  __m256i* sa = scratch;
-  __m256i* sb = sa + w;
-  __m256i* p0 = sb + w;
-  __m256i* p2 = p0 + (2 * h - 1);
-  __m256i* pm = p2 + (2 * w - 1);
-  __m256i* next = pm + (2 * w - 1);
-
-  for (std::size_t i = 0; i < w; ++i) {
-    sa[i] = _mm256_xor_si256(i < h ? a[i] : _mm256_setzero_si256(), a[h + i]);
-    sb[i] = _mm256_xor_si256(i < h ? b[i] : _mm256_setzero_si256(), b[h + i]);
-  }
-  std::memset(p0, 0, (2 * h - 1) * sizeof(__m256i));
-  std::memset(p2, 0, (2 * w - 1) * sizeof(__m256i));
-  std::memset(pm, 0, (2 * w - 1) * sizeof(__m256i));
-  bs_mul_rec_x4(a, b, h, p0, next);
-  bs_mul_rec_x4(a + h, b + h, w, p2, next);
-  bs_mul_rec_x4(sa, sb, w, pm, next);
-
-  for (std::size_t i = 0; i < 2 * h - 1; ++i)
-    c[i] = _mm256_xor_si256(c[i], p0[i]);
-  for (std::size_t i = 0; i < 2 * w - 1; ++i)
-    c[2 * h + i] = _mm256_xor_si256(c[2 * h + i], p2[i]);
-  for (std::size_t i = 0; i < 2 * h - 1; ++i)
-    c[h + i] = _mm256_xor_si256(c[h + i], p0[i]);
-  for (std::size_t i = 0; i < 2 * w - 1; ++i)
-    c[h + i] = _mm256_xor_si256(c[h + i], _mm256_xor_si256(pm[i], p2[i]));
-}
-
-struct Bs4Scratch {
-  __m256i prod[kProdBits];
-  __m256i karat[2048];
-};
-
-MEDSEC_TARGET_AVX2 void bs_mul_block_x4(const __m256i a[192],
-                                        const __m256i b[192], __m256i* prod,
-                                        __m256i* karat) {
-  std::memset(prod, 0, kProdBits * sizeof(__m256i));
-  bs_mul_rec_x4(a, b, kBits, prod, karat);
-}
-
-MEDSEC_TARGET_AVX2 void bs_sqr_block_x4(const __m256i a[192], __m256i* prod) {
-  std::memset(prod, 0, kProdBits * sizeof(__m256i));
-  for (std::size_t i = 0; i < kBits; ++i) prod[2 * i] = a[i];
-}
-
-MEDSEC_TARGET_AVX2 void lane_mul_bitsliced256(LaneView a, LaneView b, LaneSpan out,
-                           std::size_t n) {
-  Bs4Scratch s;
-  __m256i pa[192], pb[192];
-  for (std::size_t base = 0; base < n; base += kBs4Width) {
-    const std::size_t count = n - base < kBs4Width ? n - base : kBs4Width;
-    gather_planes_x4(a, base, count, pa);
-    gather_planes_x4(b, base, count, pb);
-    bs_mul_block_x4(pa, pb, s.prod, s.karat);
-    reduce_planes_x4(s.prod, kProdBits);
-    scatter_planes_x4(s.prod, out, base, count);
-  }
-}
-
-MEDSEC_TARGET_AVX2 void lane_sqr_bitsliced256(LaneView a, LaneSpan out, std::size_t n) {
-  Bs4Scratch s;
-  __m256i pa[192];
-  for (std::size_t base = 0; base < n; base += kBs4Width) {
-    const std::size_t count = n - base < kBs4Width ? n - base : kBs4Width;
-    gather_planes_x4(a, base, count, pa);
-    bs_sqr_block_x4(pa, s.prod);
-    reduce_planes_x4(s.prod, kProdBits);
-    scatter_planes_x4(s.prod, out, base, count);
-  }
-}
-
-MEDSEC_TARGET_AVX2 void lane_mul_add_mul_bitsliced256(LaneView a, LaneView b, LaneView c,
-                                   LaneView d, LaneSpan out, std::size_t n) {
-  Bs4Scratch s;
-  __m256i pa[192], pb[192];
-  for (std::size_t base = 0; base < n; base += kBs4Width) {
-    const std::size_t count = n - base < kBs4Width ? n - base : kBs4Width;
-    gather_planes_x4(a, base, count, pa);
-    gather_planes_x4(b, base, count, pb);
-    bs_mul_block_x4(pa, pb, s.prod, s.karat);
-    gather_planes_x4(c, base, count, pa);
-    gather_planes_x4(d, base, count, pb);
-    bs_mul_rec_x4(pa, pb, kBits, s.prod, s.karat);
-    reduce_planes_x4(s.prod, kProdBits);
-    scatter_planes_x4(s.prod, out, base, count);
-  }
-}
-
-MEDSEC_TARGET_AVX2 void lane_sqr_add_mul_bitsliced256(LaneView a, LaneView b, LaneView c,
-                                   LaneSpan out, std::size_t n) {
-  Bs4Scratch s;
-  __m256i pa[192], pb[192];
-  for (std::size_t base = 0; base < n; base += kBs4Width) {
-    const std::size_t count = n - base < kBs4Width ? n - base : kBs4Width;
-    gather_planes_x4(a, base, count, pa);
-    bs_sqr_block_x4(pa, s.prod);
-    gather_planes_x4(b, base, count, pa);
-    gather_planes_x4(c, base, count, pb);
-    bs_mul_rec_x4(pa, pb, kBits, s.prod, s.karat);
-    reduce_planes_x4(s.prod, kProdBits);
-    scatter_planes_x4(s.prod, out, base, count);
-  }
-}
-
-constexpr LaneVTable kLaneBitsliced256VTable{
-    LaneBackend::kLaneBitsliced256, "bitsliced256", kBs4Width,
-    &lane_mul_bitsliced256, &lane_sqr_bitsliced256,
-    &lane_mul_add_mul_bitsliced256, &lane_sqr_add_mul_bitsliced256};
-
-#endif  // MEDSEC_ARCH_X86_64
 
 // --- interleaved hardware-clmul lane kernels (x86-64) -----------------------
 //
@@ -884,8 +503,6 @@ const LaneVTable* lane_vtable(LaneBackend b) {
   switch (b) {
     case LaneBackend::kLaneScalar:
       return &kLaneScalarVTable;
-    case LaneBackend::kLaneBitsliced:
-      return &kLaneBitslicedVTable;
     case LaneBackend::kLaneClmulWide:
 #if MEDSEC_ARCH_X86_64
       if (hwclmul::clmul_supported()) return &kLaneClmulWideVTable;
@@ -899,11 +516,6 @@ const LaneVTable* lane_vtable(LaneBackend b) {
     case LaneBackend::kLaneVpclmul256:
 #if MEDSEC_ARCH_X86_64
       if (cpu::has_vpclmul256()) return &kLaneVpclmul256VTable;
-#endif
-      return nullptr;
-    case LaneBackend::kLaneBitsliced256:
-#if MEDSEC_ARCH_X86_64
-      if (cpu::has_avx2()) return &kLaneBitsliced256VTable;
 #endif
       return nullptr;
   }

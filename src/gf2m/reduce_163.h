@@ -2,13 +2,13 @@
 //
 // THE one fold definition. Every backend — the scalar field element
 // (gf2_163.cpp), the interleaved hardware-clmul lane kernels and the
-// VPCLMULQDQ vector kernels (lanes.cpp), the bitsliced plane-domain
-// kernels — produces the same unreduced 326-bit carry-less product
-// layout, and this header is the only place that knows how to fold it
-// back into 163 bits. All variants (scalar word, ZMM/YMM word-vector,
-// bit-plane) derive their shift distances from kPentanomialExps below, so
-// the reduction polynomial is written exactly once: drift between the
-// folds would silently break the 1-lane ≡ N-lane bit-identity contract.
+// VPCLMULQDQ vector kernels (lanes.cpp) — produces the same unreduced
+// 326-bit carry-less product layout, and this header is the only place
+// that knows how to fold it back into 163 bits. All variants (scalar
+// word, ZMM/YMM word-vector) derive their shift distances from
+// kPentanomialExps below, so the reduction polynomial is written exactly
+// once: drift between the folds would silently break the 1-lane ≡ N-lane
+// bit-identity contract.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +61,6 @@ inline void reduce326(const std::uint64_t p_in[6], std::uint64_t out[3]) {
   out[2] = p[2] & kTopLimbMask;
 }
 
-/// Plane-domain form, used by the bitsliced backends: c holds 325 plane
-/// words (one word = one polynomial coefficient across W lanes, W the
-/// word type's bit width); fold planes 324..163 down onto
-/// {e-163+0, e-163+3, e-163+6, e-163+7}. Iterating downward handles the
-/// cascade (a fold target >= 163 is itself folded later in the loop).
-/// Word is uint64_t for the 64-lane backend and a SIMD vector proxy for
-/// the widened ones — only operator^= is required of it.
-template <typename Word>
-inline void reduce_planes(Word* c, std::size_t prod_bits) {
-  for (std::size_t i = prod_bits - 1; i >= kFieldBits; --i) {
-    for (const unsigned e : kPentanomialExps) c[i - kFieldBits + e] ^= c[i];
-    c[i] = Word{};
-  }
-}
-
 #if MEDSEC_ARCH_X86_64
 
 // GCC's unmasked AVX-512 shift intrinsics expand through
@@ -86,18 +71,6 @@ inline void reduce_planes(Word* c, std::size_t prod_bits) {
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-
-/// Plane-domain fold for the 256-lane bitsliced backend: identical
-/// schedule to reduce_planes, one __m256i (= 256 lanes) per plane word.
-__attribute__((target("avx2"))) inline void reduce_planes_x4(
-    __m256i* c, std::size_t prod_bits) {
-  for (std::size_t i = prod_bits - 1; i >= kFieldBits; --i) {
-    const __m256i t = c[i];
-    for (const unsigned e : kPentanomialExps)
-      c[i - kFieldBits + e] = _mm256_xor_si256(c[i - kFieldBits + e], t);
-    c[i] = _mm256_setzero_si256();
-  }
-}
 
 // Word-vector forms of the same fold for the VPCLMULQDQ lane kernels:
 // p[w] holds word w of the unreduced product for 8 (ZMM) or 4 (YMM)

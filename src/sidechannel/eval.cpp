@@ -225,11 +225,6 @@ void EvalConfig::validate() const {
              "fault-safe-error, fault-invalid-point)");
     }
   }
-  for (const std::string& name : lane_backends) {
-    if (name != "scalar" && name != "bitsliced" && name != "clmul")
-      fail("unknown lane backend '" + name +
-           "' (known: scalar, bitsliced, clmul)");
-  }
   for (const CountermeasureConfig& cm : countermeasures) {
     if (cm.infective_computation && !cm.detects_faults())
       fail("row '" + cm.name() +
@@ -258,107 +253,70 @@ void EvalConfig::validate() const {
 EvalMatrix run_eval_matrix(const Curve& curve, const Scalar& k,
                            const EvalConfig& config) {
   config.validate();
-
-  // Resolve the lane-backend sweep: named backends that are actually
-  // available, or the single active one.
-  struct LaneChoice {
-    gf2m::LaneBackend backend;
-    std::string name;
-  };
-  std::vector<LaneChoice> lanes;
-  if (config.lane_backends.empty()) {
-    lanes.push_back({gf2m::active_lane_backend(),
-                     gf2m::lane_backend_name(gf2m::active_lane_backend())});
-  } else {
-    for (const std::string& name : config.lane_backends) {
-      gf2m::LaneBackend b;
-      if (name == "scalar") b = gf2m::LaneBackend::kLaneScalar;
-      else if (name == "bitsliced") b = gf2m::LaneBackend::kLaneBitsliced;
-      else if (name == "clmul") b = gf2m::LaneBackend::kLaneClmulWide;
-      else
-        throw std::invalid_argument("run_eval_matrix: unknown lane backend '" +
-                                    name +
-                                    "' (known: scalar, bitsliced, clmul)");
-      if (gf2m::lane_backend_available(b)) lanes.push_back({b, name});
-    }
-    if (lanes.empty())
-      throw std::invalid_argument(
-          "run_eval_matrix: no requested lane backend is available");
-  }
-
-  // Restore the process-global lane dispatch even if a cell throws —
-  // otherwise every later field-lane operation in the process silently
-  // runs on whichever backend the grid died on.
-  struct LaneRestore {
-    gf2m::LaneBackend backend;
-    ~LaneRestore() { gf2m::set_lane_backend(backend); }
-  } restore{gf2m::active_lane_backend()};
+  const std::string lane_backend =
+      gf2m::lane_backend_name(gf2m::active_lane_backend());
 
   EvalMatrix out;
-  out.cells.reserve(lanes.size() * config.countermeasures.size() *
-                    config.attacks.size());
+  out.cells.reserve(config.countermeasures.size() * config.attacks.size());
 
-  for (const LaneChoice& lane : lanes) {
-    gf2m::set_lane_backend(lane.backend);
-    for (const CountermeasureConfig& cm : config.countermeasures) {
-      CampaignCache cache(curve, k, cm, config);
-      for (const EvalAttack attack : config.attacks) {
-        const auto t0 = std::chrono::steady_clock::now();
-        EvalCell cell;
-        cell.attack = eval_attack_name(attack);
-        cell.countermeasure = cm.name();
-        cell.lane_backend = lane.name;
+  for (const CountermeasureConfig& cm : config.countermeasures) {
+    CampaignCache cache(curve, k, cm, config);
+    for (const EvalAttack attack : config.attacks) {
+      const auto t0 = std::chrono::steady_clock::now();
+      EvalCell cell;
+      cell.attack = eval_attack_name(attack);
+      cell.countermeasure = cm.name();
+      cell.lane_backend = lane_backend;
 
-        if (attack == EvalAttack::kTvla) {
-          cell.traces = 2 * config.tvla_traces_per_group;
-          const TvlaReport rep = run_tvla(curve, k, cm, config);
-          cell.tvla_max_t = rep.max_abs_t;
-          cell.tvla_leaks = rep.leaks();
-          cell.defense_holds = !rep.leaks();
-        } else if (attack == EvalAttack::kSpa) {
-          run_spa_cell(curve, k, cm, config, cell);
-        } else if (attack == EvalAttack::kFaultSafeError ||
-                   attack == EvalAttack::kFaultInvalidPoint) {
-          // Fault cells are per-shot, not per-trace: bits_to_attack
-          // glitched executions against the guarded victim. The verdict
-          // is key recovery alone — a handful of coin guesses landing
-          // right is chance, not a broken defense.
-          const FaultAttackResult r =
-              attack == EvalAttack::kFaultSafeError
-                  ? safe_error_attack(curve, cm, k, config.bits_to_attack,
-                                      config.seed)
-                  : invalid_point_attack(curve, cm, k, config.bits_to_attack,
-                                         config.seed);
-          cell.traces = r.shots;
-          cell.accuracy = r.accuracy;
-          cell.key_recovered = r.key_recovered;
-          cell.informative_shots = r.informative_shots;
-          cell.defense_holds = !r.key_recovered;
-        } else {
-          cell.traces = config.traces;
-          const DpaResult r = run_recovery(curve, cache, cm, attack,
-                                           config.traces, config);
-          cell.accuracy = r.accuracy;
-          cell.key_recovered = r.full_success;
-          // Traces-to-break sweep: the smallest budget in the sweep that
-          // recovers every attacked bit (0 = the sweep never broke it).
-          for (const std::size_t n : config.break_sweep) {
-            const DpaResult rs =
-                run_recovery(curve, cache, cm, attack, n, config);
-            if (rs.full_success) {
-              cell.traces_to_break = n;
-              break;
-            }
+      if (attack == EvalAttack::kTvla) {
+        cell.traces = 2 * config.tvla_traces_per_group;
+        const TvlaReport rep = run_tvla(curve, k, cm, config);
+        cell.tvla_max_t = rep.max_abs_t;
+        cell.tvla_leaks = rep.leaks();
+        cell.defense_holds = !rep.leaks();
+      } else if (attack == EvalAttack::kSpa) {
+        run_spa_cell(curve, k, cm, config, cell);
+      } else if (attack == EvalAttack::kFaultSafeError ||
+                 attack == EvalAttack::kFaultInvalidPoint) {
+        // Fault cells are per-shot, not per-trace: bits_to_attack
+        // glitched executions against the guarded victim. The verdict
+        // is key recovery alone — a handful of coin guesses landing
+        // right is chance, not a broken defense.
+        const FaultAttackResult r =
+            attack == EvalAttack::kFaultSafeError
+                ? safe_error_attack(curve, cm, k, config.bits_to_attack,
+                                    config.seed)
+                : invalid_point_attack(curve, cm, k, config.bits_to_attack,
+                                       config.seed);
+        cell.traces = r.shots;
+        cell.accuracy = r.accuracy;
+        cell.key_recovered = r.key_recovered;
+        cell.informative_shots = r.informative_shots;
+        cell.defense_holds = !r.key_recovered;
+      } else {
+        cell.traces = config.traces;
+        const DpaResult r = run_recovery(curve, cache, cm, attack,
+                                         config.traces, config);
+        cell.accuracy = r.accuracy;
+        cell.key_recovered = r.full_success;
+        // Traces-to-break sweep: the smallest budget in the sweep that
+        // recovers every attacked bit (0 = the sweep never broke it).
+        for (const std::size_t n : config.break_sweep) {
+          const DpaResult rs =
+              run_recovery(curve, cache, cm, attack, n, config);
+          if (rs.full_success) {
+            cell.traces_to_break = n;
+            break;
           }
-          // The verdict folds in BOTH probes: a defense that fell to the
-          // main run or to any sweep budget did not hold — the JSON must
-          // never say "holds" and "broken at N traces" in one cell.
-          cell.defense_holds =
-              !cell.key_recovered && cell.traces_to_break == 0;
         }
-        cell.seconds = seconds_since(t0);
-        out.cells.push_back(std::move(cell));
+        // The verdict folds in BOTH probes: a defense that fell to the
+        // main run or to any sweep budget did not hold — the JSON must
+        // never say "holds" and "broken at N traces" in one cell.
+        cell.defense_holds =
+            !cell.key_recovered && cell.traces_to_break == 0;
       }
+      cell.seconds = seconds_since(t0);
+      out.cells.push_back(std::move(cell));
     }
   }
   return out;

@@ -3,8 +3,8 @@
 // The paper's §7 evaluation is one row of a much larger table: one attack
 // (DPA), one countermeasure (RPC), one implementation. This engine runs
 // the whole grid — every attack in the repo's arsenal against every
-// countermeasure configuration, optionally across every wide-lane backend
-// — and renders a verdict per cell: did the key fall, at what trace
+// countermeasure configuration, on the active wide-lane backend — and
+// renders a verdict per cell: did the key fall, at what trace
 // budget, and does any trace point still leak (TVLA)? Like HARP's
 // write-and-verify loop, a countermeasure only counts once the
 // measurement that motivated it has been re-run against it.
@@ -57,11 +57,6 @@ struct EvalConfig {
   std::vector<CountermeasureConfig> countermeasures;
   /// Grid columns: the attacks to run against each row.
   std::vector<EvalAttack> attacks;
-  /// Lane backends to sweep by name ("scalar", "bitsliced", "clmul");
-  /// empty = just the currently active backend. Unavailable backends are
-  /// skipped (recorded nowhere — the matrix only contains real runs).
-  std::vector<std::string> lane_backends;
-
   std::size_t traces = 400;          ///< campaign budget per attack cell
   std::size_t bits_to_attack = 12;   ///< leading key bits per recovery
   /// Trace-count sweep for the traces-to-break column (key-recovery
@@ -80,12 +75,11 @@ struct EvalConfig {
   static EvalConfig standard();
 
   /// Fail loudly on an unknown or incoherent grid before any campaign
-  /// runs: empty axes, out-of-range budgets, lane backends outside the
-  /// compiled-in set ("scalar", "bitsliced", "clmul" — the PR 7
-  /// MEDSEC_GF2M_BACKEND contract), and countermeasure rows that cannot
-  /// mean anything (infective computation with no detector, zero-width
-  /// or over-wide scalar blinds, shuffling with zero dummies). Throws
-  /// std::invalid_argument naming the offending field and the valid set.
+  /// runs: empty axes, out-of-range budgets, and countermeasure rows
+  /// that cannot mean anything (infective computation with no detector,
+  /// zero-width or over-wide scalar blinds, shuffling with zero dummies).
+  /// Throws std::invalid_argument naming the offending field and the
+  /// valid set.
   void validate() const;
 };
 
@@ -93,7 +87,7 @@ struct EvalConfig {
 struct EvalCell {
   std::string attack;
   std::string countermeasure;
-  std::string lane_backend;
+  std::string lane_backend;  ///< active lane backend the cell ran on
   std::size_t traces = 0;
   // Key-recovery attacks:
   double accuracy = 0.0;           ///< recovered-bit accuracy (0.5 ~ chance)
@@ -121,8 +115,10 @@ struct EvalMatrix {
   bool write_json(const std::string& path) const;
 };
 
-/// Run the grid for victim secret k. Deterministic for a fixed config
-/// (counter-seeded campaigns; the thread axis never changes values).
+/// Run the grid for victim secret k on the active lane backend, leaving
+/// the lane dispatch untouched. Deterministic for a fixed config
+/// (counter-seeded campaigns; neither the thread axis nor the lane
+/// backend changes values).
 EvalMatrix run_eval_matrix(const ecc::Curve& curve, const ecc::Scalar& k,
                            const EvalConfig& config);
 

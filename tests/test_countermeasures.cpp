@@ -17,6 +17,7 @@
 #include "ecc/curve.h"
 #include "ecc/ladder.h"
 #include "ecc/ladder_many.h"
+#include "gf2m/backend.h"
 #include "protocol/ecies.h"
 #include "protocol/peeters_hermans.h"
 #include "protocol/schnorr.h"
@@ -413,9 +414,32 @@ TEST(EvalMatrix, SmallGridRunsAndSerializes) {
 
   EXPECT_THROW(sc::run_eval_matrix(c, k, sc::EvalConfig{}),
                std::invalid_argument);
-  sc::EvalConfig bad = cfg;
-  bad.lane_backends = {"not-a-backend"};
-  EXPECT_THROW(sc::run_eval_matrix(c, k, bad), std::invalid_argument);
+}
+
+TEST(EvalMatrix, LeavesLaneDispatchAuto) {
+  // The matrix runs on the active lane backend and must not pin it: after
+  // a run, switching the scalar backend still moves the lanes.
+  namespace gf = medsec::gf2m;
+  const gf::Backend prev = gf::active_backend();
+  gf::reset_lane_backend();
+  if (gf::backend_available(gf::Backend::kClmul))
+    gf::set_backend(gf::Backend::kClmul);
+  const std::string lanes = gf::lane_backend_name(gf::active_lane_backend());
+
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(41);
+  sc::EvalConfig cfg;
+  cfg.countermeasures = {sc::CountermeasureConfig::none()};
+  cfg.attacks = {sc::EvalAttack::kTvla};
+  cfg.tvla_traces_per_group = 8;
+  cfg.threads = 1;
+  const auto m = sc::run_eval_matrix(c, rng.uniform_nonzero(c.order()), cfg);
+  ASSERT_EQ(m.cells.size(), 1u);
+  EXPECT_EQ(m.cells[0].lane_backend, lanes);
+
+  gf::set_backend(gf::Backend::kKaratsuba);
+  EXPECT_EQ(gf::active_lane_backend(), gf::LaneBackend::kLaneScalar);
+  gf::set_backend(prev);
 }
 
 TEST(HardenedLadder, ConfigNamesAreStable) {

@@ -323,11 +323,11 @@ TEST(CtAudit, GridAcceptanceOnSmallConfig) {
     for (const auto& f : grid.acceptance_failures) s += f + "; ";
     return s;
   }();
-  // All 12 combo rows present (9 core + 3 mega).
+  // All 6 combo rows present (4 core + 2 mega).
   std::size_t combos = 0;
   for (const auto& row : grid.dudect)
     if (row.report.target == "lane-ladder-step") ++combos;
-  EXPECT_EQ(combos, 12u);
+  EXPECT_EQ(combos, 6u);
   EXPECT_EQ(grid.taint.size(), 5u);
 }
 
@@ -350,14 +350,32 @@ TEST(CtAudit, GridIsDeterministicAcrossRuns) {
 TEST(CtAudit, GridRestoresPinnedBackends) {
   namespace gf = medsec::gf2m;
   const gf::Backend be = gf::active_backend();
-  const gf::LaneBackend lb = gf::active_lane_backend();
   ct::GridConfig cfg = small_grid();
   cfg.target_filter = "lane-ladder-step";  // kernel rows only, fast
   cfg.samples = 64;
   cfg.calibration = 16;
+
+  // Auto lane dispatch stays auto: after the grid, switching the scalar
+  // backend still moves the lanes.
+  gf::reset_lane_backend();
+  if (gf::backend_available(gf::Backend::kClmul))
+    gf::set_backend(gf::Backend::kClmul);
+  const gf::Backend auto_be = gf::active_backend();
   (void)ct::run_ct_audit_grid(cfg);
-  EXPECT_EQ(gf::active_backend(), be);
-  EXPECT_EQ(gf::active_lane_backend(), lb);
+  EXPECT_EQ(gf::active_backend(), auto_be);
+  gf::set_backend(gf::Backend::kKaratsuba);
+  EXPECT_EQ(gf::active_lane_backend(), gf::LaneBackend::kLaneScalar);
+
+  // A pin stays pinned, whatever the scalar backend does afterwards.
+  ASSERT_TRUE(gf::set_lane_backend(gf::LaneBackend::kLaneScalar));
+  (void)ct::run_ct_audit_grid(cfg);
+  EXPECT_EQ(gf::active_backend(), gf::Backend::kKaratsuba);
+  if (gf::set_backend(gf::Backend::kClmul)) {
+    EXPECT_EQ(gf::active_lane_backend(), gf::LaneBackend::kLaneScalar);
+  }
+
+  gf::reset_lane_backend();
+  gf::set_backend(be);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 //
 // Every flow below runs from a fixed deterministic RNG seed and must
 // produce *bit-identical* output on every field-arithmetic backend
-// (portable / karatsuba / clmul) and every wide-lane backend (scalar /
-// bitsliced / clmul) — CI runs this suite once per backend cell. A
+// (karatsuba / clmul) and every wide-lane backend (scalar / clmulwide /
+// vpclmul256 / vpclmul512) — CI runs this suite once per backend cell. A
 // failing vector means cross-backend drift: some path produced different
 // bytes than the recorded reference, which previously could only be
 // caught indirectly (a verifier rejecting, a statistic shifting).

@@ -10,7 +10,6 @@
 #include "ecc/ladder_many.h"
 #include "gf2m/backend.h"
 #include "gf2m/gf163_lanes.h"
-#include "gf2m/transpose_bits.h"
 #include "rng/xoshiro.h"
 
 namespace {
@@ -70,9 +69,8 @@ class LaneBackends : public ::testing::TestWithParam<LaneBackend> {
 };
 
 TEST_P(LaneBackends, TenThousandOperandSetsMatchScalar) {
-  // >= 10k operand sets per op (issue acceptance), including the edge
-  // patterns, in several differently-sized batches to cover the 64-lane
-  // bitsliced block tails.
+  // >= 10k operand sets per op, including the edge patterns, in several
+  // differently-sized batches to cover every backend's group tails.
   const std::size_t kSizes[] = {1, 3, 63, 64, 65, 130, 1024, 8750};
   std::uint64_t seed = 1;
   std::size_t total = 0;
@@ -178,25 +176,19 @@ TEST_P(LaneBackends, BatchedLadderMatchesScalarLadder) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllLaneBackends, LaneBackends,
-    ::testing::Values(LaneBackend::kLaneScalar, LaneBackend::kLaneBitsliced,
-                      LaneBackend::kLaneClmulWide,
+    ::testing::Values(LaneBackend::kLaneScalar, LaneBackend::kLaneClmulWide,
                       LaneBackend::kLaneVpclmul512,
-                      LaneBackend::kLaneVpclmul256,
-                      LaneBackend::kLaneBitsliced256),
+                      LaneBackend::kLaneVpclmul256),
     [](const auto& info) {
       switch (info.param) {
         case LaneBackend::kLaneScalar:
           return "Scalar";
-        case LaneBackend::kLaneBitsliced:
-          return "Bitsliced";
         case LaneBackend::kLaneClmulWide:
           return "ClmulWide";
         case LaneBackend::kLaneVpclmul512:
           return "Vpclmul512";
-        case LaneBackend::kLaneVpclmul256:
-          return "Vpclmul256";
         default:
-          return "Bitsliced256";
+          return "Vpclmul256";
       }
     });
 
@@ -250,17 +242,23 @@ TEST(LaneRegistry, DispatchFollowsScalarBackendAndEnvOverride) {
             : LaneBackend::kLaneClmulWide;
     EXPECT_EQ(gf::active_lane_backend(), expected);
   }
-  gf::set_backend(gf::Backend::kPortable);
-  EXPECT_EQ(gf::active_lane_backend(), LaneBackend::kLaneBitsliced);
   gf::set_backend(gf::Backend::kKaratsuba);
   EXPECT_EQ(gf::active_lane_backend(), LaneBackend::kLaneScalar);
 
-  // Pinning wins over the scalar backend; reset restores auto.
-  ASSERT_TRUE(gf::set_lane_backend(LaneBackend::kLaneBitsliced));
-  gf::set_backend(gf::Backend::kKaratsuba);
-  EXPECT_EQ(gf::active_lane_backend(), LaneBackend::kLaneBitsliced);
-  gf::reset_lane_backend();
-  EXPECT_EQ(gf::active_lane_backend(), LaneBackend::kLaneScalar);
+  // Pinning wins over the scalar backend in both directions; reset
+  // restores auto. (clmulwide implies an x86 host with PCLMULQDQ.)
+  if (gf::lane_backend_available(LaneBackend::kLaneClmulWide)) {
+    ASSERT_TRUE(gf::set_lane_backend(LaneBackend::kLaneClmulWide));
+    EXPECT_EQ(gf::active_lane_backend(), LaneBackend::kLaneClmulWide);
+    gf::reset_lane_backend();
+    EXPECT_EQ(gf::active_lane_backend(), LaneBackend::kLaneScalar);
+
+    gf::set_backend(gf::Backend::kClmul);
+    ASSERT_TRUE(gf::set_lane_backend(LaneBackend::kLaneScalar));
+    EXPECT_EQ(gf::active_lane_backend(), LaneBackend::kLaneScalar);
+    gf::reset_lane_backend();
+    EXPECT_NE(gf::active_lane_backend(), LaneBackend::kLaneScalar);
+  }
 
   gf::set_backend(prev);
   gf::reset_lane_backend();
@@ -303,59 +301,14 @@ TEST(LaneRegistry, NameParsingRoundTripsAndRejectsUnknown) {
 
   // Unknown names must be reported, not silently mapped (the env-var
   // startup path aborts on these — this is the parse primitive it uses).
-  EXPECT_FALSE(gf::lane_backend_from_name("bitsilced", lb));
+  EXPECT_FALSE(gf::lane_backend_from_name("vpclmul521", lb));
   EXPECT_FALSE(gf::lane_backend_from_name("", lb));
   EXPECT_FALSE(gf::lane_backend_from_name("auto", lb));  // not a backend
   EXPECT_FALSE(gf::backend_from_name("clmull", sb));
-}
-
-// Forward ∘ inverse ≡ identity for the 64x64 bit transpose, every
-// compiled-in implementation, at block widths 64/128/256 (a W-lane block
-// is W/64 independent 64x64 transposes) — plus bit-identity of each
-// vector variant against the portable butterfly.
-TEST(TransposeBits, RoundTripAndVariantsMatchPortableAtAllWidths) {
-  namespace bits = medsec::gf2m::bits;
-  Xoshiro256 rng(321);
-  const bits::TransposeImpl impls[] = {
-      bits::TransposeImpl::kPortable, bits::TransposeImpl::kAvx2,
-      bits::TransposeImpl::kAvx512, bits::TransposeImpl::kGfni};
-  for (const bits::TransposeImpl impl : impls) {
-    if (!bits::transpose64_available(impl)) {
-      GTEST_LOG_(INFO) << "transpose " << bits::transpose_impl_name(impl)
-                       << " unavailable on this CPU; skipped";
-      continue;
-    }
-    for (const std::size_t width : {64u, 128u, 256u}) {
-      const std::size_t groups = width / 64;
-      for (int trial = 0; trial < 50; ++trial) {
-        std::vector<std::uint64_t> block(width), ref(width), orig(width);
-        for (auto& w : block) w = rng.next_u64();
-        ref = block;
-        orig = block;
-        for (std::size_t g = 0; g < groups; ++g) {
-          bits::transpose64_run(impl, block.data() + 64 * g);
-          bits::transpose64_portable(ref.data() + 64 * g);
-        }
-        ASSERT_EQ(block, ref) << bits::transpose_impl_name(impl) << " width "
-                              << width << " trial " << trial;
-        for (std::size_t g = 0; g < groups; ++g)
-          bits::transpose64_run(impl, block.data() + 64 * g);
-        ASSERT_EQ(block, orig)
-            << bits::transpose_impl_name(impl) << " not an involution, width "
-            << width << " trial " << trial;
-      }
-    }
-  }
-
-  // The dispatched entry (what gather/scatter_planes actually call) is
-  // also exercised through the multi-group block helper.
-  std::vector<std::uint64_t> block(256), ref(256);
-  for (auto& w : block) w = rng.next_u64();
-  ref = block;
-  bits::transpose64_blocks(block.data(), 4);
-  for (std::size_t g = 0; g < 4; ++g)
-    bits::transpose64_portable(ref.data() + 64 * g);
-  EXPECT_EQ(block, ref);
+  // Backends that auto-dispatch could never select are not compiled in:
+  // their old names are unknown like any typo.
+  EXPECT_FALSE(gf::lane_backend_from_name("bitsliced", lb));
+  EXPECT_FALSE(gf::backend_from_name("portable", sb));
 }
 
 TEST(LadderMany, RejectsBadInputsAndReusesWorkspace) {

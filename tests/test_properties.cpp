@@ -182,11 +182,13 @@ TEST_P(SeedSweep, B163LadderAgreesWithReference) {
 
 // --- reduce_163 fold equivalence --------------------------------------------
 //
-// THE one fold definition (gf2m/reduce_163.h) has four transcriptions:
-// the scalar word fold, the bit-plane fold, and the YMM/ZMM word-vector
-// folds. These properties pin all of them to a naive bit-at-a-time
-// reference generated from kPentanomialExps alone, on the reduction's
-// worst boundary patterns and a 10k seeded random sweep.
+// THE one fold definition (gf2m/reduce_163.h) has three transcriptions:
+// the scalar word fold and the YMM/ZMM word-vector folds. These
+// properties pin all of them to a naive bit-at-a-time reference
+// generated from kPentanomialExps alone, on the reduction's worst
+// boundary patterns and a 10k seeded random sweep. Each vector fold is
+// checked on the hosts where the lane backend that uses it can run
+// (vpclmul256 for the YMM fold, vpclmul512 for the ZMM fold).
 
 namespace gf = medsec::gf2m;
 
@@ -233,35 +235,6 @@ TEST(ReduceFold, ScalarMatchesNaiveReferenceOnBoundaries) {
   }
 }
 
-/// Run one 326-bit (<= 325-coefficient) input through the bit-plane fold
-/// with the value in a single lane, transposing by hand: plane j's word
-/// holds coefficient j of lanes 0..63.
-std::array<std::uint64_t, 3> via_plane_fold(
-    const std::array<std::uint64_t, 6>& p, unsigned lane) {
-  std::vector<std::uint64_t> planes(325, 0);
-  for (std::size_t j = 0; j < 325; ++j)
-    if ((p[j / 64] >> (j % 64)) & 1) planes[j] |= 1ull << lane;
-  gf::reduce_planes<std::uint64_t>(planes.data(), 325);
-  std::array<std::uint64_t, 3> out{};
-  for (std::size_t j = 0; j < gf::kFieldBits; ++j)
-    if ((planes[j] >> lane) & 1) out[j / 64] |= 1ull << (j % 64);
-  return out;
-}
-
-TEST(ReduceFold, PlaneFoldMatchesScalarOnBoundaries) {
-  for (const auto& p_full : fold_boundary_inputs()) {
-    // Plane domain carries 325 coefficients (a genuine clmul product of
-    // two degree-162 polynomials); truncate the 384-bit pattern to match.
-    std::array<std::uint64_t, 6> p = p_full;
-    p[5] &= (1ull << 5) - 1;  // keep bits 320..324
-    const auto want = naive_reduce384(p);
-    const auto got = via_plane_fold(p, /*lane=*/7);
-    EXPECT_EQ(got[0], want[0]);
-    EXPECT_EQ(got[1], want[1]);
-    EXPECT_EQ(got[2], want[2]);
-  }
-}
-
 #if MEDSEC_ARCH_X86_64
 __attribute__((target("avx2"))) std::array<std::uint64_t, 3> via_x4_fold(
     const std::array<std::uint64_t, 6>& p, int lane) {
@@ -300,14 +273,15 @@ __attribute__((target("avx512f"))) std::array<std::uint64_t, 3> via_x8_fold(
 }
 
 TEST(ReduceFold, VectorFoldsMatchScalarOnBoundaries) {
-  if (!gf::cpu::has_avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  if (!gf::cpu::has_vpclmul256())
+    GTEST_SKIP() << "no VPCLMULQDQ+AVX2 on this CPU";
   for (const auto& p : fold_boundary_inputs()) {
     const auto want = naive_reduce384(p);
     for (const int lane : {0, 3}) {
       const auto got4 = via_x4_fold(p, lane);
       EXPECT_EQ(got4, want);
     }
-    if (gf::cpu::has_avx512()) {
+    if (gf::cpu::has_vpclmul512()) {
       for (const int lane : {0, 7}) {
         const auto got8 = via_x8_fold(p, lane);
         EXPECT_EQ(got8, want);
@@ -322,9 +296,6 @@ TEST(ReduceFold, AllVariantsAgreeOn10kSeededInputs) {
   for (int iter = 0; iter < 10000; ++iter) {
     std::array<std::uint64_t, 6> p;
     for (auto& w : p) w = rng.next_u64();
-    // The plane fold carries 325 coefficients; test every variant on the
-    // same in-range product so one naive reference serves all.
-    p[5] &= (1ull << 5) - 1;
 
     const auto want = naive_reduce384(p);
     std::uint64_t scalar[3];
@@ -333,17 +304,12 @@ TEST(ReduceFold, AllVariantsAgreeOn10kSeededInputs) {
     ASSERT_EQ(scalar[1], want[1]) << "iter " << iter;
     ASSERT_EQ(scalar[2], want[2]) << "iter " << iter;
 
-    // The plane transpose is the slow part; sample it every 16th input
-    // (625 full plane folds) while the word folds run all 10k.
-    if (iter % 16 == 0) {
-      const auto planes = via_plane_fold(p, iter % 64);
-      ASSERT_EQ(planes, want) << "iter " << iter;
-    }
 #if MEDSEC_ARCH_X86_64
-    if (gf::cpu::has_avx2()) {
+    if (gf::cpu::has_vpclmul256()) {
       ASSERT_EQ(via_x4_fold(p, iter % 4), want) << "iter " << iter;
-      if (gf::cpu::has_avx512())
-        ASSERT_EQ(via_x8_fold(p, iter % 8), want) << "iter " << iter;
+    }
+    if (gf::cpu::has_vpclmul512()) {
+      ASSERT_EQ(via_x8_fold(p, iter % 8), want) << "iter " << iter;
     }
 #endif
   }
