@@ -22,6 +22,7 @@
 #include "ecc/fixed_base.h"
 #include "ecc/koblitz.h"
 #include "ecc/ladder.h"
+#include "ecc/scalar_mult.h"
 #include "gf2m/backend.h"
 #include "gf2m/gf163_lanes.h"
 #include "gf2m/gf2_163.h"
@@ -72,29 +73,81 @@ bool register_rows(const char* bench,
 #define MEDSEC_BENCH_BACKENDS(fn) \
   [[maybe_unused]] const bool fn##_rows = register_rows(#fn, fn)
 
+// The single-op rows pass their inputs through DoNotOptimize on every
+// iteration: an op the compiler can see into must not be hoisted out of
+// the timed loop as loop-invariant.
+
 void BM_Gf163Mul(benchmark::State& state, Backend backend) {
   if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(1);
-  const Gf163 a = rand_fe(rng), b = rand_fe(rng);
-  for (auto _ : state) benchmark::DoNotOptimize(Gf163::mul(a, b));
+  Gf163 a = rand_fe(rng), b = rand_fe(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+    benchmark::DoNotOptimize(Gf163::mul(a, b));
+  }
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163Mul);
+
+/// Dependent chain: each multiply waits for the previous one — the
+/// latency a caller of the per-operation API sees.
+void BM_Gf163MulChain(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
+  rng::Xoshiro256 rng(14);
+  Gf163 acc = rand_fe(rng), b = rand_fe(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(b);
+    acc = Gf163::mul(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+MEDSEC_BENCH_BACKENDS(BM_Gf163MulChain);
+
+/// 1024 independent Gf163::mul over arrays: the per-operation API's
+/// throughput, comparable per batch with the BM_LaneMul rows (the ratio
+/// gate against BM_LaneMul/clmulwide bounds the per-call dispatch cost).
+void BM_Gf163MulStream(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
+  constexpr std::size_t kStream = 1024;
+  rng::Xoshiro256 rng(15);
+  std::vector<Gf163> a(kStream), b(kStream), out(kStream);
+  for (std::size_t i = 0; i < kStream; ++i) {
+    a[i] = rand_fe(rng);
+    b[i] = rand_fe(rng);
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kStream; ++i) out[i] = Gf163::mul(a[i], b[i]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kStream);
+}
+MEDSEC_BENCH_BACKENDS(BM_Gf163MulStream);
 
 void BM_Gf163MulAddMul(benchmark::State& state, Backend backend) {
   if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(11);
-  const Gf163 a = rand_fe(rng), b = rand_fe(rng);
-  const Gf163 c = rand_fe(rng), d = rand_fe(rng);
-  for (auto _ : state)
+  Gf163 a = rand_fe(rng), b = rand_fe(rng);
+  Gf163 c = rand_fe(rng), d = rand_fe(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+    benchmark::DoNotOptimize(c);
+    benchmark::DoNotOptimize(d);
     benchmark::DoNotOptimize(Gf163::mul_add_mul(a, b, c, d));
+  }
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163MulAddMul);
 
 void BM_Gf163Sqr(benchmark::State& state, Backend backend) {
   if (!use_backend(state, backend)) return;
   rng::Xoshiro256 rng(2);
-  const Gf163 a = rand_fe(rng);
-  for (auto _ : state) benchmark::DoNotOptimize(Gf163::sqr(a));
+  Gf163 a = rand_fe(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(Gf163::sqr(a));
+  }
 }
 MEDSEC_BENCH_BACKENDS(BM_Gf163Sqr);
 
@@ -307,15 +360,48 @@ MEDSEC_BENCH_BACKENDS(BM_LaneSqrAddMul);
 
 // --- backend-independent substrates (integer scalar ring) -------------------
 
+/// ModRing::mul: widening product + Barrett reduction.
 void BM_ScalarRingMul(benchmark::State& state) {
   const ecc::Curve& c = ecc::Curve::k163();
   rng::Xoshiro256 rng(5);
-  const auto a = rng.uniform_nonzero(c.order());
-  const auto b = rng.uniform_nonzero(c.order());
-  for (auto _ : state)
+  auto a = rng.uniform_nonzero(c.order());
+  auto b = rng.uniform_nonzero(c.order());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
     benchmark::DoNotOptimize(c.scalar_ring().mul(a, b));
+  }
 }
 BENCHMARK(BM_ScalarRingMul);
+
+/// The same product reduced by BigUInt::mod's shift-subtract loop (the
+/// oracle path) — the baseline of the Barrett ratio gate.
+void BM_ScalarRingMulShiftSubtract(benchmark::State& state) {
+  const ecc::Curve& c = ecc::Curve::k163();
+  rng::Xoshiro256 rng(5);
+  auto a = rng.uniform_nonzero(c.order());
+  auto b = rng.uniform_nonzero(c.order());
+  const auto m = c.order().resize<384>();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+    benchmark::DoNotOptimize(widening_mul(a, b).mod(m));  // ADL: hidden friend
+  }
+}
+BENCHMARK(BM_ScalarRingMulShiftSubtract);
+
+/// Width-4 wNAF recoding of a full-width scalar (the MSM's per-term
+/// recoding).
+void BM_WnafDigits(benchmark::State& state) {
+  const ecc::Curve& c = ecc::Curve::k163();
+  rng::Xoshiro256 rng(16);
+  auto k = rng.uniform_nonzero(c.order());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(k);
+    benchmark::DoNotOptimize(ecc::wnaf_digits(k, 4));
+  }
+}
+BENCHMARK(BM_WnafDigits);
 
 void BM_ScalarRingInv(benchmark::State& state) {
   const ecc::Curve& c = ecc::Curve::k163();

@@ -114,6 +114,15 @@ RATIO_GATES = [
     # interleaved-clmul backend, per batch of 1024.
     ("BENCH_field_ops.json", "BM_LaneMul/clmulwide",
      "BM_LaneMul/vpclmul512", 2.0),
+    # Per-operation dispatch: 1024 Gf163::mul calls through the scalar API
+    # cost at most 1.5x 1024 lanes of the interleaved kernel, which runs
+    # the same mul326_clmul + reduce326 (ratio >= 0.67).
+    ("BENCH_field_ops.json", "BM_LaneMul/clmulwide",
+     "BM_Gf163MulStream/clmul", 0.67),
+    # Barrett: ModRing::mul is >= 8x the same product reduced by the
+    # shift-subtract BigUInt::mod loop.
+    ("BENCH_field_ops.json", "BM_ScalarRingMulShiftSubtract",
+     "BM_ScalarRingMul", 8.0),
     # PR 7 acceptance: the 20k-trace DPA campaign retargeted onto the
     # ZMM backend is >= 1.5x the PR 3 interleaved-clmul path (both
     # pinned to 1 thread, auto lane count).
@@ -308,11 +317,11 @@ def main():
         ratio = fresh[slow] / fresh[fast] if fresh[fast] > 0 else 0.0
         verdict = "FAIL" if ratio < min_ratio else "ok"
         print(f"{verdict:4s} {name}: {slow} / {fast} = {ratio:.2f}x "
-              f"(required >= {min_ratio:.1f}x)")
+              f"(required >= {min_ratio:g}x)")
         if ratio < min_ratio:
             failures.append(
                 f"{name}: speedup {ratio:.2f}x below required "
-                f"{min_ratio:.1f}x ({slow} vs {fast})")
+                f"{min_ratio:g}x ({slow} vs {fast})")
 
     matrix_path = os.path.join(args.fresh, "BENCH_eval_matrix.json")
     if not os.path.exists(matrix_path):

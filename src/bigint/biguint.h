@@ -7,12 +7,16 @@
 // BigUInt<Bits> is a value type backed by 64-bit limbs (little-endian limb
 // order). All arithmetic is well-defined (no UB on overflow: add/sub report
 // carry/borrow, mul widens). Operations run in time independent of the
-// *values* involved except where noted (division/modulo are not
-// constant-time; they are host-side helpers, never executed on the modeled
-// secure zone — see DESIGN.md §4).
+// *values* involved except where noted: compare() exits at the first
+// differing limb, and mod() is a shift-subtract loop whose trip count
+// follows the operands' bit lengths. Secret scalars (nonces, keys,
+// blinds) are therefore never reduced with mod(); they go through
+// ModRing::reduce, the branch-free Barrett path (modring.h). mod() stays
+// the reduction for small moduli and the test oracle.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <string>
@@ -95,17 +99,18 @@ class BigUInt {
     else limb_[i / 64] &= ~mask;
   }
 
-  /// Number of significant bits (0 for zero).
+  /// Number of significant bits (0 for zero). Visits every limb and
+  /// keeps the highest nonzero one under a mask: no early exit and no
+  /// bit-by-bit scan, so the cost does not depend on the value.
   constexpr std::size_t bit_length() const {
-    for (std::size_t i = kLimbs; i-- > 0;) {
-      if (limb_[i] != 0) {
-        std::size_t b = 64;
-        std::uint64_t v = limb_[i];
-        while ((v >> 63) == 0) { v <<= 1; --b; }
-        return i * 64 + b;
-      }
+    std::size_t len = 0;
+    for (std::size_t i = 0; i < kLimbs; ++i) {
+      const std::size_t here =
+          i * 64 + 64 - static_cast<std::size_t>(std::countl_zero(limb_[i]));
+      const std::size_t keep = 0 - static_cast<std::size_t>(limb_[i] != 0);
+      len = (here & keep) | (len & ~keep);
     }
-    return 0;
+    return len;
   }
 
   /// Three-way compare: -1, 0, +1.
@@ -215,7 +220,7 @@ class BigUInt {
     return a.shr(n);
   }
 
-  /// Widening schoolbook multiply.
+  /// Widening schoolbook multiply (fixed loop counts, no carry branch).
   friend constexpr BigUInt<2 * Bits> widening_mul(const BigUInt& a,
                                                   const BigUInt& b) {
     BigUInt<2 * Bits> out;
@@ -228,15 +233,10 @@ class BigUInt {
         out.set_limb(i + j, static_cast<std::uint64_t>(cur));
         carry = static_cast<std::uint64_t>(cur >> 64);
       }
-      // Propagate the final carry (cannot overflow the 2*Bits result).
-      std::size_t k = i + kLimbs;
-      while (carry != 0 && k < BigUInt<2 * Bits>::kLimbs) {
-        const unsigned __int128 cur =
-            static_cast<unsigned __int128>(out.limb(k)) + carry;
-        out.set_limb(k, static_cast<std::uint64_t>(cur));
-        carry = static_cast<std::uint64_t>(cur >> 64);
-        ++k;
-      }
+      // Limb i + kLimbs is still zero here (row i - 1 ended one limb
+      // lower), so the row's carry lands there without propagating.
+      if (i + kLimbs < BigUInt<2 * Bits>::kLimbs)
+        out.set_limb(i + kLimbs, carry);
     }
     return out;
   }
@@ -285,7 +285,10 @@ class BigUInt {
   }
 
   /// Remainder of *this divided by m (shift-subtract long division).
-  /// Not constant-time; host-side use only. m must be nonzero.
+  /// Not constant-time: the loop runs once per bit of length difference
+  /// and branches on every trial subtraction. Public values and the test
+  /// oracle only; secrets reduce through ModRing::reduce. m must be
+  /// nonzero.
   constexpr BigUInt mod(const BigUInt& m) const {
     if (m.is_zero()) throw std::invalid_argument("BigUInt::mod: zero modulus");
     BigUInt r = *this;

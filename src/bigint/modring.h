@@ -4,6 +4,17 @@
 // subgroup (a 163-bit prime for K-163). Residues are kept fully reduced in
 // [0, m). Inversion uses the binary extended GCD; exponentiation is
 // left-to-right square-and-multiply.
+//
+// Reduction is Barrett's (HAC Algorithm 14.42) with base b = 2^64 and
+// k = Bits / 64 limbs: mu = floor(2^(2·Bits) / m) is computed once in the
+// constructor, after which reducing any 2·Bits-wide value costs two
+// fixed-size multiplications and two masked subtractions — no loop over
+// the operand's bit length and no branch on its value. This is the path
+// every secret scalar takes (nonce reduction in the comb, the
+// constant-length ladder padding, scalar blinding, the prover's e·x).
+// Barrett needs the modulus' top limb to be nonzero (m >= 2^(Bits-64));
+// smaller moduli fall back to BigUInt::mod, which also serves as the
+// test oracle.
 #pragma once
 
 #include <optional>
@@ -16,44 +27,60 @@ namespace medsec::bigint {
 /// Ring of integers modulo m, where m fits in Bits bits.
 template <std::size_t Bits>
 class ModRing {
+  static_assert(Bits % 64 == 0, "ModRing: Barrett works on whole limbs");
+
  public:
   using Value = BigUInt<Bits>;
+  using Wide = BigUInt<2 * Bits>;
 
   explicit ModRing(Value modulus) : m_(modulus) {
     if (m_.is_zero()) throw std::invalid_argument("ModRing: zero modulus");
     if (!m_.bit(0)) throw std::invalid_argument("ModRing: modulus must be odd");
+    barrett_ = m_.limb(Value::kLimbs - 1) != 0 && !(m_ == Value{1});
+    if (barrett_) mu_ = reciprocal(m_);
   }
 
   const Value& modulus() const { return m_; }
 
+  /// True when reduce/reduce_wide run Barrett (m >= 2^(Bits-64)); false
+  /// for small moduli, which reduce with BigUInt::mod.
+  bool uses_barrett() const { return barrett_; }
+
   /// Reduce an arbitrary Bits-wide value into [0, m).
-  Value reduce(const Value& a) const { return a.mod(m_); }
+  Value reduce(const Value& a) const {
+    if (!barrett_) return a.mod(m_);
+    return barrett(a.template resize<2 * Bits>());
+  }
 
   /// Reduce a double-width value (e.g. a product) into [0, m).
-  Value reduce_wide(const BigUInt<2 * Bits>& a) const {
-    return a.mod(m_.template resize<2 * Bits>()).template resize<Bits>();
+  Value reduce_wide(const Wide& a) const {
+    if (!barrett_)
+      return a.mod(m_.template resize<2 * Bits>()).template resize<Bits>();
+    return barrett(a);
   }
 
   Value add(const Value& a, const Value& b) const {
     Value r = a;
     const std::uint64_t carry = r.add_in_place(b);
-    // With both inputs < m < 2^Bits the sum fits unless the top limb carried
-    // (possible only when Bits is a multiple of 64 and m is close to 2^Bits).
-    if (carry != 0 || r >= m_) r.sub_in_place(m_);
-    return r;
+    Value t = r;
+    const std::uint64_t borrow = t.sub_in_place(m_);
+    // a + b - m when the sum carried out of the top limb (then t wrapped
+    // back into range) or is at least m; selected under a mask.
+    return Value::select(carry | (borrow ^ 1), r, t);
   }
 
   Value sub(const Value& a, const Value& b) const {
     Value r = a;
-    if (r.sub_in_place(b) != 0) r.add_in_place(m_);
-    return r;
+    const std::uint64_t borrow = r.sub_in_place(b);
+    Value t = r;
+    t.add_in_place(m_);
+    return Value::select(borrow, r, t);
   }
 
   Value neg(const Value& a) const {
-    if (a.is_zero()) return a;
     Value r = m_;
     r.sub_in_place(a);
-    return r;
+    return Value::select(static_cast<std::uint64_t>(a.is_zero()), r, a);
   }
 
   Value mul(const Value& a, const Value& b) const {
@@ -106,7 +133,49 @@ class ModRing {
   }
 
  private:
+  /// One limb wider than Value: the width of q1, mu and q3 below.
+  using Ext = BigUInt<Bits + 64>;
+  static constexpr std::size_t kK = Value::kLimbs;
+
+  /// mu = floor(2^(2·Bits) / m) by restoring division of 2^(2·Bits) - 1,
+  /// which has the same quotient (an odd m > 1 never divides a power of
+  /// two). Runs once per ring; m >= 2^(Bits-64) keeps mu below 2^(Bits+64).
+  static Ext reciprocal(const Value& m) {
+    const Ext me = m.template resize<Bits + 64>();
+    Ext r, q;
+    for (std::size_t i = 2 * Bits; i-- > 0;) {
+      r = r.shl(1);
+      r.set_bit(0, true);
+      q = q.shl(1);
+      if (r >= me) {
+        r.sub_in_place(me);
+        q.set_bit(0, true);
+      }
+    }
+    return q;
+  }
+
+  /// HAC 14.42: q3 = floor(floor(x / b^(k-1)) · mu / b^(k+1)) undershoots
+  /// floor(x / m) by at most 2, so r = x - q3·m (computed mod b^(k+1))
+  /// lies in [0, 3m) and two masked subtractions finish the job.
+  Value barrett(const Wide& x) const {
+    const Ext q1 = x.shr(64 * (kK - 1)).template resize<Bits + 64>();
+    const Ext q3 = widening_mul(q1, mu_).shr(64 * (kK + 1)).template resize<
+        Bits + 64>();
+    const Ext me = m_.template resize<Bits + 64>();
+    Ext r = x.template resize<Bits + 64>();
+    r.sub_in_place(q3 * me);  // both sides mod b^(k+1)
+    for (int i = 0; i < 2; ++i) {
+      Ext t = r;
+      const std::uint64_t borrow = t.sub_in_place(me);
+      r = Ext::select(borrow ^ 1, r, t);
+    }
+    return r.template resize<Bits>();
+  }
+
   Value m_;
+  bool barrett_ = false;
+  Ext mu_{};
 };
 
 }  // namespace medsec::bigint

@@ -330,9 +330,9 @@ TaintLadderResult taint_audit_ladder_classic(const Curve& curve,
 
   // Exactly montgomery_ladder_raw's schedule over the audited field: the
   // same ladder_*_t templates, skipping the processed leading 1.
-  auto s = ecc::ladder_initial_state_t(b, x);
+  auto s = ecc::ladder_initial_state_t<TaintFe>(b, x);
   for (std::size_t i = 1; i < bits.size(); ++i)
-    ecc::ladder_iteration_t(b, x, s, bits[i]);
+    ecc::ladder_iteration_t<TaintFe>(b, x, s, bits[i]);
 
   return TaintLadderResult{ctx.report(), declassify_state(s)};
 }
@@ -349,7 +349,8 @@ TaintLadderResult taint_audit_ladder_blinded(const Curve& curve,
   // montgomery_ladder_fixed_raw's schedule: neutral start, every bit
   // processed, leading zeros included.
   auto s = ecc::ladder_zero_state_t(x);
-  for (const TaintBit& bit : bits) ecc::ladder_iteration_t(b, x, s, bit);
+  for (const TaintBit& bit : bits)
+    ecc::ladder_iteration_t<TaintFe>(b, x, s, bit);
 
   return TaintLadderResult{ctx.report(), declassify_state(s)};
 }

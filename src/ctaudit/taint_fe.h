@@ -1,11 +1,11 @@
 // taint_fe.h — GF(2^163) field element over tainted limbs, for the
 // secret-taint audit of the ladder core.
 //
-// TaintFe satisfies the FE contract of ecc/ladder_core.h (mul / sqr /
-// mul_add_mul / sqr_add_mul / cswap / zero / one / operator+) with three
-// Tainted<uint64_t> limbs, so the audit build instantiates the *same*
-// ladder formulas the production Gf163 runs. The arithmetic here is a
-// deliberately branch-free reference implementation:
+// TaintFe satisfies both the Ops and the FE contract of ecc/ladder_core.h
+// (mul / sqr / mul_add_mul / sqr_add_mul, and cswap / zero / one /
+// operator+) with three Tainted<uint64_t> limbs, so the audit build
+// instantiates the *same* ladder formulas the production Gf163 runs. The
+// arithmetic here is a deliberately branch-free reference implementation:
 //
 //   * carry-less 64×64 multiply — a fixed 64-round shift/mask/XOR loop
 //     (no early exit on zero words, no data-dependent iteration count);

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "ecc/fixed_base.h"
+#include "ecc/point_arith.h"
 
 namespace medsec::ecc {
 
@@ -51,39 +51,20 @@ const Curve& Curve::b163() {
 }
 
 bool Curve::is_on_curve(const Point& p) const {
-  if (p.infinity) return true;
-  // y^2 + xy == x^3 + a x^2 + b
-  const Fe lhs = Fe::sqr(p.y) + Fe::mul(p.x, p.y);
-  const Fe x2 = Fe::sqr(p.x);
-  const Fe rhs = Fe::mul(x2, p.x) + Fe::mul(a_, x2) + b_;
-  return lhs == rhs;
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return PointArith<Ops>::is_on_curve(*this, p); });
 }
 
 bool Curve::validate_subgroup_point(const Point& p) const {
-  if (p.infinity) return false;
-  if (!is_on_curve(p)) return false;
-  if (p.x.is_zero()) return false;  // the order-2 point (0, sqrt(b))
-  if (cofactor_ == 2) {
-    // Point-halving criterion (Knudsen): on y^2 + xy = x^3 + a x^2 + b an
-    // affine point is in the image of doubling iff Tr(x) == Tr(a), and for
-    // cofactor 2 that image is exactly the prime-order subgroup (it has
-    // index 2 and contains no 2-torsion). One trace computation instead of
-    // an order-length scalar multiplication — this is what lets the engine
-    // layer validate thousands of incoming points per second.
-    return Fe::trace(p.x) == trace_a_;
-  }
-  return validate_subgroup_point_exact(p);
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return PointArith<Ops>::validate_subgroup_point(*this, p);
+  });
 }
 
 bool Curve::validate_subgroup_point_exact(const Point& p) const {
-  if (p.infinity) return false;
-  if (!is_on_curve(p)) return false;
-  if (p.x.is_zero()) return false;
-  // Exact order·P in projective coordinates: one inversion total instead
-  // of one per affine group operation. (The constant-length ladder cannot
-  // be used here: its k -> k + n padding is only sound for points whose
-  // order divides n, which is the very thing being checked.)
-  return scalar_mult_ld(*this, order_, p).infinity;
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return PointArith<Ops>::validate_subgroup_point_exact(*this, p);
+  });
 }
 
 Point Curve::negate(const Point& p) const {
@@ -92,8 +73,8 @@ Point Curve::negate(const Point& p) const {
 }
 
 Point Curve::frobenius(const Point& p) const {
-  if (p.infinity) return p;
-  return Point::affine(Fe::sqr(p.x), Fe::sqr(p.y));
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return PointArith<Ops>::frobenius(p); });
 }
 
 int Curve::frobenius_trace_mu() const {
@@ -103,26 +84,13 @@ int Curve::frobenius_trace_mu() const {
 }
 
 Point Curve::add(const Point& p, const Point& q) const {
-  if (p.infinity) return q;
-  if (q.infinity) return p;
-  if (p.x == q.x) {
-    if (p.y == q.y) return dbl(p);
-    return Point::at_infinity();  // q == -p
-  }
-  const Fe dx = p.x + q.x;
-  const Fe lambda = Fe::mul(p.y + q.y, Fe::inv(dx));
-  const Fe x3 = Fe::sqr(lambda) + lambda + dx + a_;
-  const Fe y3 = Fe::mul(lambda, p.x + x3) + x3 + p.y;
-  return Point::affine(x3, y3);
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return PointArith<Ops>::add(*this, p, q); });
 }
 
 Point Curve::dbl(const Point& p) const {
-  if (p.infinity) return p;
-  if (p.x.is_zero()) return Point::at_infinity();  // order-2 point
-  const Fe lambda = p.x + Fe::mul(p.y, Fe::inv(p.x));
-  const Fe x3 = Fe::sqr(lambda) + lambda + a_;
-  const Fe y3 = Fe::sqr(p.x) + Fe::mul(lambda + Fe::one(), x3);
-  return Point::affine(x3, y3);
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return PointArith<Ops>::dbl(*this, p); });
 }
 
 Point Curve::scalar_mult_reference(const Scalar& k, const Point& p) const {
@@ -137,32 +105,13 @@ Point Curve::scalar_mult_reference(const Scalar& k, const Point& p) const {
 Curve::Compressed Curve::compress(const Point& p) const {
   if (p.infinity)
     throw std::invalid_argument("compress: cannot compress infinity");
-  int bit = 0;
-  if (!p.x.is_zero()) {
-    const Fe z = Fe::mul(p.y, Fe::inv(p.x));
-    bit = z.bit(0) ? 1 : 0;
-  }
-  return Compressed{p.x, bit};
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return PointArith<Ops>::compress(p); });
 }
 
 std::optional<Point> Curve::decompress(const Compressed& c) const {
-  if (c.x.is_zero()) {
-    // y^2 = b -> the order-2 point.
-    const Fe y = Fe::sqrt(b_);
-    return Point::affine(c.x, y);
-  }
-  // Solve y^2 + xy = x^3 + a x^2 + b. Substitute y = x*z:
-  // z^2 + z = x + a + b/x^2.
-  const Fe x_inv = Fe::inv(c.x);
-  const Fe rhs = c.x + a_ + Fe::mul(b_, Fe::sqr(x_inv));
-  if (Fe::trace(rhs) != 0) return std::nullopt;  // no solution
-  Fe z = Fe::half_trace(rhs);
-  // half_trace solves z^2+z=rhs when Tr(rhs)=0; pick the root with the
-  // requested low bit (the other root is z+1).
-  if ((z.bit(0) ? 1 : 0) != c.y_bit) z += Fe::one();
-  const Point p = Point::affine(c.x, Fe::mul(c.x, z));
-  if (!is_on_curve(p)) return std::nullopt;
-  return p;
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return PointArith<Ops>::decompress(*this, c); });
 }
 
 }  // namespace medsec::ecc

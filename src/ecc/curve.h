@@ -8,7 +8,9 @@
 //
 // Affine arithmetic here is the *reference* path (used by the reader/server
 // side and by tests); the constant-time ladder in ladder.h is what the
-// modeled tag hardware runs.
+// modeled tag hardware runs. The formulas themselves live in
+// point_arith.h: each member below reads the field backend once and runs
+// on its inlined kernel.
 #pragma once
 
 #include <optional>
@@ -58,6 +60,8 @@ class Curve {
   const Point& base_point() const { return g_; }
   const Scalar& order() const { return order_; }
   unsigned cofactor() const { return cofactor_; }
+  /// Tr(a), precomputed for the halving-criterion subgroup gate.
+  int trace_a() const { return trace_a_; }
   /// Arithmetic modulo the group order (for protocol scalars).
   const bigint::ModRing<192>& scalar_ring() const { return ring_; }
 

@@ -1,21 +1,24 @@
 #include "ecc/ladder.h"
 
-#include <stdexcept>
+#include "ecc/ladder_arith.h"
 
 namespace medsec::ecc {
 
-// The arithmetic below lives in ladder_core.h, templated over the field
-// type so the constant-time audit build (ctaudit::TaintFe) runs the same
-// formulas; these wrappers pin the production Fe instantiation behind the
-// historical signatures.
+// The arithmetic lives in ladder_core.h (the formulas, shared with the
+// constant-time audit's TaintFe build) and ladder_arith.h (the wrappers,
+// templated over the field policy). Each entry point below reads the
+// active field backend once and runs the matching instantiation.
 
 void ladder_add(const Fe& xd, const Fe& x1, const Fe& z1, const Fe& x2,
                 const Fe& z2, Fe& x3, Fe& z3) {
-  ladder_add_t(xd, x1, z1, x2, z2, x3, z3);
+  gf2m::with_field_ops([&]<class Ops>(Ops) {
+    LadderArith<Ops>::add(xd, x1, z1, x2, z2, x3, z3);
+  });
 }
 
 void ladder_double(const Fe& b, const Fe& x, const Fe& z, Fe& x3, Fe& z3) {
-  ladder_double_t(b, x, z, x3, z3);
+  gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { LadderArith<Ops>::dbl(b, x, z, x3, z3); });
 }
 
 Fe random_nonzero_fe(rng::RandomSource& rng) {
@@ -29,95 +32,36 @@ Fe random_nonzero_fe(rng::RandomSource& rng) {
   }
 }
 
-namespace {
-
-/// Shared recovery arithmetic once the two inverses (1/Z1 and
-/// 1/(x·Z1·Z2)) are in hand — the single-point path computes them with a
-/// joint two-element inversion, the batch path with Gf163::batch_inv.
-/// z1z2 is the already-computed Z1·Z2 from the caller's denominator.
-Point recover_affine(const Curve& curve, const Point& p, const Fe& x1,
-                     const Fe& z1, const Fe& x2, const Fe& z2,
-                     const Fe& z1z2, const Fe& z1_inv, const Fe& den_inv) {
-  const Fe x = p.x, y = p.y;
-  const Fe xa = Fe::mul(x1, z1_inv);  // affine x(kP)
-
-  const Fe t2 = x1 + Fe::mul(x, z1);  // X1 + x Z1
-  const Fe t4 = x2 + Fe::mul(x, z2);  // X2 + x Z2
-  const Fe num = Fe::mul_add_mul(t2, t4, Fe::sqr(x) + y, z1z2);
-  const Fe ya = Fe::mul(Fe::mul(x + xa, num), den_inv) + y;
-
-  const Point out = Point::affine(xa, ya);
-  // Fault-detection canary (cheap version of the paper's point-validation
-  // practice): the recovered point must satisfy the curve equation.
-  if (!curve.is_on_curve(out))
-    throw std::logic_error("montgomery_ladder: recovered point off-curve");
-  return out;
-}
-
-}  // namespace
-
 Point recover_from_ladder(const Curve& curve, const Point& p, const Fe& x1,
                           const Fe& z1, const Fe& x2, const Fe& z2) {
-  if (z1.is_zero()) return Point::at_infinity();
-  if (z2.is_zero()) return curve.negate(p);  // kP = -P
-
-  // Joint inversion of Z1 and x·Z1·Z2 (Montgomery's trick): one
-  // Itoh–Tsujii inversion instead of two.
-  const Fe z1z2 = Fe::mul(z1, z2);
-  const Fe den = Fe::mul(p.x, z1z2);
-  const Fe joint = Fe::inv(Fe::mul(z1, den));
-  const Fe z1_inv = Fe::mul(joint, den);
-  const Fe den_inv = Fe::mul(joint, z1);
-  return recover_affine(curve, p, x1, z1, x2, z2, z1z2, z1_inv, den_inv);
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return LadderArith<Ops>::recover(curve, p, x1, z1, x2, z2);
+  });
 }
 
 std::vector<Point> recover_from_ladder_batch(
     const Curve& curve, const std::vector<Point>& bases,
     const std::vector<LadderState>& states) {
-  if (bases.size() != states.size())
-    throw std::invalid_argument(
-        "recover_from_ladder_batch: bases/states size mismatch");
-  const std::size_t n = states.size();
-  // Two denominators per point: [2i] = Z1, [2i+1] = x·Z1·Z2. Degenerate
-  // accumulators stay zero, which batch_inv skips. Z1·Z2 is kept: the
-  // recovery formula needs it again.
-  std::vector<Fe> denoms(2 * n);
-  std::vector<Fe> z1z2s(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const LadderState& s = states[i];
-    if (s.z1.is_zero() || s.z2.is_zero()) continue;
-    z1z2s[i] = Fe::mul(s.z1, s.z2);
-    denoms[2 * i] = s.z1;
-    denoms[2 * i + 1] = Fe::mul(bases[i].x, z1z2s[i]);
-  }
-  Fe::batch_inv(denoms.data(), denoms.size());
-
-  std::vector<Point> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const LadderState& s = states[i];
-    if (s.z1.is_zero()) {
-      out.push_back(Point::at_infinity());
-    } else if (s.z2.is_zero()) {
-      out.push_back(curve.negate(bases[i]));
-    } else {
-      out.push_back(recover_affine(curve, bases[i], s.x1, s.z1, s.x2, s.z2,
-                                   z1z2s[i], denoms[2 * i],
-                                   denoms[2 * i + 1]));
-    }
-  }
-  return out;
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return LadderArith<Ops>::recover_batch(curve, bases, states);
+  });
 }
 
 Scalar constant_length_scalar(const Curve& curve, const Scalar& k0) {
-  Scalar k = k0.mod(curve.order()) + curve.order();
-  if (k.bit_length() == curve.order().bit_length()) k = k + curve.order();
-  return k;
+  // r = k mod n through Barrett, then k1 = r + n has bit length t or t + 1
+  // (t = bitlen(n)); k1 + n has t + 1 bits whenever k1 has t. Pick under a
+  // mask on bit t of k1, so neither the reduction nor the choice branches
+  // on the secret.
+  const Scalar& n = curve.order();
+  const Scalar k1 = curve.scalar_ring().reduce(k0) + n;
+  const std::uint64_t short_k1 = k1.bit(n.bit_length()) ? 0 : 1;
+  return Scalar::select(short_k1, k1, k1 + n);
 }
 
 LadderState ladder_initial_state(const Fe& b, const Fe& x) {
   // lo = P = (x : 1), hi = 2P = (x^4 + b : x^2).
-  return ladder_initial_state_t(b, x);
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return LadderArith<Ops>::initial_state(b, x); });
 }
 
 LadderState ladder_zero_state(const Fe& x) {
@@ -126,137 +70,47 @@ LadderState ladder_zero_state(const Fe& x) {
 }
 
 void randomize_ladder_state(LadderState& s, const Fe& l1, const Fe& l2) {
-  s.x1 = Fe::mul(s.x1, l1);
-  s.z1 = Fe::mul(s.z1, l1);
-  s.x2 = Fe::mul(s.x2, l2);
-  s.z2 = Fe::mul(s.z2, l2);
+  gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { LadderArith<Ops>::randomize(s, l1, l2); });
 }
 
 void ladder_iteration(const Fe& b, const Fe& x_base, LadderState& s,
                       std::uint64_t bit) {
-  ladder_iteration_t(b, x_base, s, bit);
+  gf2m::with_field_ops([&]<class Ops>(Ops) {
+    LadderArith<Ops>::iteration(b, x_base, s, bit);
+  });
 }
-
-namespace {
-
-/// §7 projective randomization of a fresh ladder state: (x1, z1) *= l1,
-/// (x2, z2) *= l2 with the randomizers drawn from the RNG or, in the
-/// white-box scenario, taken from options.known_randomizers. Shared by
-/// the classic and the fixed-length (blinded) entries.
-void randomize_state(LadderState& s, const LadderOptions& options) {
-  if (!options.randomize_z && !options.known_randomizers) return;
-  Fe l1, l2;
-  if (options.known_randomizers) {
-    l1 = options.known_randomizers->first;
-    l2 = options.known_randomizers->second;
-    if (l1.is_zero() || l2.is_zero())
-      throw std::invalid_argument("montgomery_ladder: zero randomizer");
-  } else {
-    if (options.rng == nullptr)
-      throw std::invalid_argument(
-          "montgomery_ladder: randomize_z requires an RNG");
-    l1 = random_nonzero_fe(*options.rng);
-    l2 = random_nonzero_fe(*options.rng);
-  }
-  randomize_ladder_state(s, l1, l2);
-}
-
-void check_base_point(const Point& p) {
-  if (p.infinity)
-    throw std::invalid_argument("montgomery_ladder_raw: P is infinity");
-  if (p.x.is_zero())
-    throw std::invalid_argument("montgomery_ladder: x(P) = 0 (order-2 point)");
-}
-
-}  // namespace
 
 LadderState montgomery_ladder_fixed_raw(const Curve& curve,
                                         const WideScalar& k,
                                         std::size_t iterations, const Point& p,
                                         const LadderOptions& options) {
-  check_base_point(p);
-  if (iterations < k.bit_length() || iterations > WideScalar::kBits)
-    throw std::invalid_argument(
-        "montgomery_ladder_fixed_raw: iteration count does not cover k");
-
-  const Fe x = p.x;
-  const Fe b = curve.b();
-  LadderState s = ladder_zero_state(x);
-  randomize_state(s, options);
-
-  const bool has_observer = static_cast<bool>(options.observer);
-  for (std::size_t i = iterations; i-- > 0;) {
-    const std::uint64_t bit = k.bit(i) ? 1 : 0;
-    ladder_iteration(b, x, s, bit);
-    if (has_observer) {
-      options.observer(LadderObservation{
-          .bit_index = i,
-          .key_bit = static_cast<int>(bit),
-          .x1 = s.x1,
-          .z1 = s.z1,
-          .x2 = s.x2,
-          .z2 = s.z2,
-      });
-    }
-  }
-  return s;
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return LadderArith<Ops>::fixed_raw(curve, k, iterations, p, options);
+  });
 }
 
 Point montgomery_ladder_fixed(const Curve& curve, const WideScalar& k,
                               std::size_t iterations, const Point& p,
                               const LadderOptions& options) {
-  if (p.infinity) return Point::at_infinity();
-  const LadderState s =
-      montgomery_ladder_fixed_raw(curve, k, iterations, p, options);
-  return recover_from_ladder(curve, p, s.x1, s.z1, s.x2, s.z2);
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return LadderArith<Ops>::fixed(curve, k, iterations, p, options);
+  });
 }
 
-LadderState montgomery_ladder_raw(const Curve& curve, const Scalar& k0,
+LadderState montgomery_ladder_raw(const Curve& curve, const Scalar& k,
                                   const Point& p,
                                   const LadderOptions& options) {
-  check_base_point(p);
-
-  // Constant-length recoding: k + r (or k + 2r) acts identically on P but
-  // has a fixed, key-independent bit length, so the iteration count is a
-  // curve constant — the paper's timing-attack claim (§7).
-  const Scalar k = constant_length_scalar(curve, k0);
-
-  const Fe x = p.x;
-  const Fe b = curve.b();
-
-  LadderState s = ladder_initial_state(b, x);
-  randomize_state(s, options);
-
-  // Hoist the std::function emptiness test out of the hot loop: when no
-  // observer is installed the iteration body is pure field arithmetic and
-  // no LadderObservation is ever materialized.
-  const bool has_observer = static_cast<bool>(options.observer);
-
-  const std::size_t t = k.bit_length();  // == order.bit_length() + 1, always
-  for (std::size_t i = t - 1; i-- > 0;) {
-    const std::uint64_t bit = k.bit(i) ? 1 : 0;
-    ladder_iteration(b, x, s, bit);
-
-    if (has_observer) {
-      options.observer(LadderObservation{
-          .bit_index = i,
-          .key_bit = static_cast<int>(bit),
-          .x1 = s.x1,
-          .z1 = s.z1,
-          .x2 = s.x2,
-          .z2 = s.z2,
-      });
-    }
-  }
-
-  return s;
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return LadderArith<Ops>::raw(curve, k, p, options);
+  });
 }
 
 Point montgomery_ladder(const Curve& curve, const Scalar& k, const Point& p,
                         const LadderOptions& options) {
-  if (p.infinity) return Point::at_infinity();
-  const LadderState s = montgomery_ladder_raw(curve, k, p, options);
-  return recover_from_ladder(curve, p, s.x1, s.z1, s.x2, s.z2);
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return LadderArith<Ops>::mult(curve, k, p, options);
+  });
 }
 
 }  // namespace medsec::ecc

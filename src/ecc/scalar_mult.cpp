@@ -1,9 +1,11 @@
 #include "ecc/scalar_mult.h"
 
-#include "ecc/fixed_base.h"
-#include "ecc/koblitz.h"
-
+#include <array>
+#include <bit>
 #include <stdexcept>
+
+#include "ecc/koblitz.h"
+#include "ecc/point_arith.h"
 
 namespace medsec::ecc {
 
@@ -64,86 +66,12 @@ Point wnaf_mult(const Curve& curve, const Scalar& k, const Point& p,
   return acc;
 }
 
-/// wNAF window for the interleaved MSM: 4 precomputed odd multiples
-/// (1, 3, 5, 7)·P per term, ~163/5 additions per full-width scalar.
-constexpr unsigned kMsmWidth = 4;
-constexpr std::size_t kMsmOdd = std::size_t{1} << (kMsmWidth - 2);
-
-/// Normalize a flat list of López–Dahab points to affine with one shared
-/// batch inversion. Z == 0 (infinity) entries stay at their zero marker and
-/// come back as the point at infinity.
-std::vector<Point> normalize_ld_batch(const std::vector<LdPoint>& pts) {
-  std::vector<Fe> zinv(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) zinv[i] = pts[i].Z;
-  Fe::batch_inv(zinv.data(), zinv.size());
-  std::vector<Point> out(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (pts[i].is_infinity()) continue;  // stays at the default infinity
-    out[i] = Point::affine(Fe::mul(pts[i].X, zinv[i]),
-                           Fe::mul(pts[i].Y, Fe::sqr(zinv[i])));
-  }
-  return out;
-}
-
 }  // namespace
 
 Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
-  struct Entry {
-    std::vector<int> digits;
-    std::size_t table_offset = 0;  // into the flat odd-multiple table
-  };
-  std::vector<Entry> entries;
-  entries.reserve(terms.size());
-
-  // Phase 1: 2P for every live term, normalized together (1st batch_inv).
-  std::vector<LdPoint> doubles;
-  std::vector<const Point*> bases;
-  for (const auto& t : terms) {
-    if (t.p.infinity) continue;
-    const Scalar k = t.k.mod(curve.order());
-    if (k.is_zero()) continue;
-    Entry e;
-    e.digits = wnaf_digits(k, kMsmWidth);
-    e.table_offset = bases.size() * kMsmOdd;
-    entries.push_back(std::move(e));
-    bases.push_back(&t.p);
-    doubles.push_back(ld_double(curve, LdPoint::from_affine(t.p)));
-  }
-  if (entries.empty()) return Point::at_infinity();
-  const std::vector<Point> two_p = normalize_ld_batch(doubles);
-
-  // Phase 2: odd multiples 1P, 3P, 5P, 7P per term — a mixed-addition chain
-  // in projective coordinates, normalized together (2nd batch_inv).
-  std::vector<LdPoint> odd_ld;
-  odd_ld.reserve(bases.size() * kMsmOdd);
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    LdPoint acc = LdPoint::from_affine(*bases[i]);
-    odd_ld.push_back(acc);
-    for (std::size_t j = 1; j < kMsmOdd; ++j) {
-      acc = ld_add_affine(curve, acc, two_p[i]);
-      odd_ld.push_back(acc);
-    }
-  }
-  const std::vector<Point> odd = normalize_ld_batch(odd_ld);
-
-  // Phase 3: one shared doubling chain, interleaved wNAF additions.
-  std::size_t max_len = 0;
-  for (const auto& e : entries)
-    if (e.digits.size() > max_len) max_len = e.digits.size();
-
-  LdPoint acc = LdPoint::infinity();
-  for (std::size_t j = max_len; j-- > 0;) {
-    acc = ld_double(curve, acc);
-    for (const auto& e : entries) {
-      if (j >= e.digits.size()) continue;
-      const int d = e.digits[j];
-      if (d == 0) continue;
-      const Point& m =
-          odd[e.table_offset + static_cast<std::size_t>(d > 0 ? d : -d) / 2];
-      acc = ld_add_affine(curve, acc, d > 0 ? m : curve.negate(m));
-    }
-  }
-  return acc.to_affine();
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return PointArith<Ops>::multi_scalar_mult(curve, terms);
+  });
 }
 
 Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,
@@ -155,26 +83,53 @@ Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,
 std::vector<int> wnaf_digits(const Scalar& k0, unsigned width) {
   if (width < 2 || width > 8)
     throw std::invalid_argument("wnaf_digits: width must be in [2, 8]");
-  std::vector<int> out;
-  Scalar k = k0;
-  const std::uint64_t modulus = 1ull << width;       // 2^w
-  const std::int64_t half = 1ll << (width - 1);      // 2^(w-1)
-  while (!k.is_zero()) {
-    int digit = 0;
-    if (k.bit(0)) {
-      // k mods 2^w: the signed residue in (-2^(w-1), 2^(w-1)].
-      const std::int64_t r =
-          static_cast<std::int64_t>(k.limb(0) & (modulus - 1));
-      digit = static_cast<int>(r >= half ? r - static_cast<std::int64_t>(modulus) : r);
-      if (digit > 0) {
-        k.sub_in_place(Scalar{static_cast<std::uint64_t>(digit)});
-      } else {
-        k.add_in_place(Scalar{static_cast<std::uint64_t>(-digit)});
+  // Digits are decided in place on the limbs of k, lowest first, without
+  // shifting k: a run of zero bits is skipped with countr_zero, and each
+  // nonzero digit clears its w-bit window. One spare limb keeps the carry
+  // a negative digit pushes past the top bit.
+  constexpr std::size_t kLimbs = Scalar::kLimbs + 1;
+  std::array<std::uint64_t, kLimbs> k{};
+  for (std::size_t l = 0; l < Scalar::kLimbs; ++l) k[l] = k0.limb(l);
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;  // 2^w - 1
+  const std::uint64_t half = std::uint64_t{1} << (width - 1);  // 2^(w-1)
+  std::vector<int> out(k0.bit_length() + 1, 0);  // at most bitlen + 1 digits
+  std::size_t len = 0;
+  for (std::size_t i = 0;;) {
+    std::size_t l = i / 64;
+    if (l >= kLimbs) break;
+    std::uint64_t rest = k[l] >> (i % 64);
+    while (rest == 0 && ++l < kLimbs) {
+      rest = k[l];
+      i = 64 * l;
+    }
+    if (rest == 0) break;
+    i += static_cast<std::size_t>(std::countr_zero(rest));
+
+    // r = k mod 2^w is the window at bit i (it may straddle two limbs);
+    // the digit is r, or r - 2^w when r >= 2^(w-1). Subtracting the digit
+    // clears the window and, for a negative digit, carries 2^(i+w) in.
+    const std::size_t li = i / 64, bi = i % 64;
+    const bool straddles = bi + width > 64 && li + 1 < kLimbs;
+    std::uint64_t r = k[li] >> bi;
+    if (straddles) r |= k[li + 1] << (64 - bi);
+    r &= mask;
+    k[li] &= ~(mask << bi);
+    if (straddles) k[li + 1] &= ~(mask >> (64 - bi));
+    int digit = static_cast<int>(r);
+    if (r >= half) {
+      digit -= static_cast<int>(mask + 1);
+      const std::size_t p = i + width;
+      std::uint64_t carry = std::uint64_t{1} << (p % 64);
+      for (std::size_t c = p / 64; carry != 0 && c < kLimbs; ++c) {
+        k[c] += carry;
+        carry = k[c] < carry ? 1 : 0;
       }
     }
-    out.push_back(digit);
-    k = k >> 1;
+    out[i] = digit;
+    len = i + 1;
+    i += width;  // the next w - 1 digits are zero
   }
+  out.resize(len);
   return out;
 }
 
@@ -182,10 +137,11 @@ Point scalar_mult(const Curve& curve, const Scalar& k, const Point& p,
                   const MultOptions& options) {
   switch (options.algorithm) {
     case MultAlgorithm::kDoubleAndAdd:
-      return double_and_add(curve, k.mod(curve.order()), p, options.stats);
+      return double_and_add(curve, curve.scalar_ring().reduce(k), p,
+                            options.stats);
 
     case MultAlgorithm::kWnaf:
-      return wnaf_mult(curve, k.mod(curve.order()), p, /*width=*/4,
+      return wnaf_mult(curve, curve.scalar_ring().reduce(k), p, /*width=*/4,
                        options.stats);
 
     case MultAlgorithm::kTauNaf:

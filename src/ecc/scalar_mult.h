@@ -61,10 +61,15 @@ struct MsmTerm {
 /// sum_i terms[i].k * terms[i].p. All terms share ONE doubling chain in
 /// López–Dahab projective coordinates; each term contributes only its wNAF
 /// additions, and every per-term precomputed odd multiple across the whole
-/// call is normalized to affine with a shared Gf163::batch_inv. For n
+/// call is normalized to affine with a shared batch inversion. For n
 /// full-width terms this costs ~163 doublings + n*(163/5 + 4) additions +
 /// 2 field inversions total, against n*(163 + 81) operations for n
-/// independent double-and-add multiplications.
+/// independent double-and-add multiplications. The verifier's 64-item
+/// batch (n = 129 terms, 64 of them with 64-bit coefficients) needs about
+/// 2.9k mixed additions this way; Pippenger buckets with c = 5 would need
+/// about 5.3k, so Straus stays. The whole call runs on one field backend,
+/// read once at entry, with every field operation inlined (point_arith.h);
+/// scalars reduce mod the order through Barrett.
 ///
 /// Variable-time (verifier/reader-side only — never feed it a secret
 /// scalar). Zero scalars and infinity points contribute nothing. Like

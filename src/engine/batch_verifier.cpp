@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ecc/point_arith.h"
 #include "ecc/scalar_mult.h"
 #include "protocol/wire.h"
 
@@ -19,17 +20,13 @@ std::vector<std::optional<Point>> decode_points_batch(
     const Curve& curve, const std::vector<std::vector<std::uint8_t>>& encoded) {
   std::vector<std::optional<Point>> out(encoded.size());
 
-  // Pass 1: parse prefix + x and collect the x^2 decompression
-  // denominators of every well-formed entry.
-  struct Slot {
-    std::size_t index;
-    Fe x;
-    int y_bit;
-  };
-  std::vector<Slot> slots;
-  std::vector<Fe> denoms;  // x^2 per slot, inverted in one shared batch
+  // Parse prefix + x of every well-formed entry; the field work (one
+  // shared inversion, root selection, subgroup gate) then runs in one
+  // call on one field backend.
+  std::vector<std::size_t> index;
+  std::vector<Curve::Compressed> slots;
+  index.reserve(encoded.size());
   slots.reserve(encoded.size());
-  denoms.reserve(encoded.size());
   for (std::size_t i = 0; i < encoded.size(); ++i) {
     const auto& bytes = encoded[i];
     if (bytes.size() != 1 + protocol::kFeBytes) continue;
@@ -41,25 +38,14 @@ std::vector<std::optional<Point>> decode_points_batch(
       continue;
     }
     if (x.is_zero()) continue;  // the order-2 point: never a protocol point
-    slots.push_back(Slot{i, x, bytes[0] & 1});
-    denoms.push_back(Fe::sqr(x));
+    index.push_back(i);
+    slots.push_back(Curve::Compressed{x, bytes[0] & 1});
   }
 
-  Fe::batch_inv(denoms.data(), denoms.size());
-
-  // Pass 2: solve z^2 + z = x + a + b/x^2 per slot, pick the root with the
-  // encoded parity, and gate on subgroup membership — the same pipeline as
-  // protocol::decode_point, minus one inversion per point.
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    const Fe& x = slots[s].x;
-    const Fe rhs = x + curve.a() + Fe::mul(curve.b(), denoms[s]);
-    if (Fe::trace(rhs) != 0) continue;  // x is not on the curve
-    Fe z = Fe::half_trace(rhs);
-    if ((z.bit(0) ? 1 : 0) != slots[s].y_bit) z += Fe::one();
-    const Point p = Point::affine(x, Fe::mul(x, z));
-    if (!curve.validate_subgroup_point(p)) continue;
-    out[slots[s].index] = p;
-  }
+  const auto points = gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return ecc::PointArith<Ops>::decode_batch(curve, slots);
+  });
+  for (std::size_t s = 0; s < slots.size(); ++s) out[index[s]] = points[s];
   return out;
 }
 

@@ -6,83 +6,29 @@
 #include <cstring>
 #include <string_view>
 
-#include "gf2m/clmul.h"
 #include "gf2m/clmul_hw.h"
+#include "gf2m/field_ops.h"
 
 namespace medsec::gf2m {
 
 namespace {
 
-// --- software carry-less square: three emulated limb squares ----------------
-
-void sqr326_portable(const std::uint64_t a[3], std::uint64_t p[6]) {
-  for (std::size_t i = 0; i < 3; ++i) clsqr64(a[i], p[2 * i], p[2 * i + 1]);
-}
-
-// --- portable Karatsuba: 6 emulated clmuls instead of 9 ---------------------
-//
-// With a = a0 + a1 X + a2 X^2 (X = x^64) and the six products
-//   d_i  = a_i b_i,   e_ij = (a_i + a_j)(b_i + b_j)
-// the coefficients of the product are
-//   c0 = d0
-//   c1 = e01 + d0 + d1
-//   c2 = e02 + d0 + d1 + d2
-//   c3 = e12 + d1 + d2
-//   c4 = d2
-// (characteristic 2: additions are XOR, no carries anywhere).
-
-void mul326_karatsuba(const std::uint64_t a[3], const std::uint64_t b[3],
-                      std::uint64_t p[6]) {
-  std::uint64_t d0l, d0h, d1l, d1h, d2l, d2h;
-  std::uint64_t e01l, e01h, e02l, e02h, e12l, e12h;
-  clmul64(a[0], b[0], d0l, d0h);
-  clmul64(a[1], b[1], d1l, d1h);
-  clmul64(a[2], b[2], d2l, d2h);
-  clmul64(a[0] ^ a[1], b[0] ^ b[1], e01l, e01h);
-  clmul64(a[0] ^ a[2], b[0] ^ b[2], e02l, e02h);
-  clmul64(a[1] ^ a[2], b[1] ^ b[2], e12l, e12h);
-
-  const std::uint64_t c1l = e01l ^ d0l ^ d1l, c1h = e01h ^ d0h ^ d1h;
-  const std::uint64_t c2l = e02l ^ d0l ^ d1l ^ d2l,
-                      c2h = e02h ^ d0h ^ d1h ^ d2h;
-  const std::uint64_t c3l = e12l ^ d1l ^ d2l, c3h = e12h ^ d1h ^ d2h;
-
-  p[0] = d0l;
-  p[1] = d0h ^ c1l;
-  p[2] = c1h ^ c2l;
-  p[3] = c2h ^ c3l;
-  p[4] = c3h ^ d2l;
-  p[5] = d2h;
-}
-
-// --- hardware carry-less multiply (kernels shared via clmul_hw.h) -----------
-
-#if MEDSEC_ARCH_X86_64 || MEDSEC_ARCH_AARCH64
-void mul326_clmul(const std::uint64_t a[3], const std::uint64_t b[3],
-                  std::uint64_t p[6]) {
-  hwclmul::mul326_clmul(a, b, p);
-}
-void sqr326_clmul(const std::uint64_t a[3], std::uint64_t p[6]) {
-  hwclmul::sqr326_clmul(a, p);
-}
-#endif
-
 // --- vtables and dispatch ---------------------------------------------------
+//
+// The karatsuba vtable is built here; the clmul one lives in
+// clmul_instances.cpp with every other ClmulOps instantiation, so this
+// object never contains a carry-less multiply instruction.
 
-constexpr BackendVTable kKaratsubaVTable{Backend::kKaratsuba, "karatsuba",
-                                         &mul326_karatsuba, &sqr326_portable};
-#if MEDSEC_ARCH_X86_64 || MEDSEC_ARCH_AARCH64
-constexpr BackendVTable kClmulVTable{Backend::kClmul, "clmul", &mul326_clmul,
-                                     &sqr326_clmul};
-#endif
+constexpr BackendVTable kKaratsubaVTable =
+    make_backend_vtable<KaratsubaOps>(Backend::kKaratsuba, "karatsuba");
 
 const BackendVTable* vtable_for(Backend b) {
   switch (b) {
     case Backend::kKaratsuba:
       return &kKaratsubaVTable;
     case Backend::kClmul:
-#if MEDSEC_ARCH_X86_64 || MEDSEC_ARCH_AARCH64
-      if (hwclmul::clmul_supported()) return &kClmulVTable;
+#if MEDSEC_HAVE_CLMUL_OPS
+      if (hwclmul::clmul_supported()) return &detail::kClmulVTable;
 #endif
       return nullptr;
   }
@@ -117,11 +63,6 @@ const BackendVTable* default_vtable() {
   }
   if (const BackendVTable* t = vtable_for(Backend::kClmul)) return t;
   return &kKaratsubaVTable;
-}
-
-std::atomic<const BackendVTable*>& dispatch_slot() {
-  static std::atomic<const BackendVTable*> slot{default_vtable()};
-  return slot;
 }
 
 // --- lane dispatch ----------------------------------------------------------
@@ -169,8 +110,17 @@ std::atomic<const LaneVTable*>& lane_override_slot() {
 }  // namespace
 
 namespace detail {
-const BackendVTable* active_vtable() {
-  return dispatch_slot().load(std::memory_order_relaxed);
+constinit std::atomic<const BackendVTable*> active_slot{nullptr};
+
+const BackendVTable* init_active_vtable() {
+  // Runs default_vtable() — and with it the MEDSEC_GF2M_BACKEND check —
+  // exactly once, however many threads race to the first operation.
+  static const bool initialized = [] {
+    active_slot.store(default_vtable(), std::memory_order_relaxed);
+    return true;
+  }();
+  (void)initialized;
+  return active_slot.load(std::memory_order_relaxed);
 }
 }  // namespace detail
 
@@ -191,7 +141,8 @@ bool backend_available(Backend b) { return vtable_for(b) != nullptr; }
 bool set_backend(Backend b) {
   const BackendVTable* t = vtable_for(b);
   if (t == nullptr) return false;
-  dispatch_slot().store(t, std::memory_order_relaxed);
+  detail::init_active_vtable();  // the environment is read before any pin
+  detail::active_slot.store(t, std::memory_order_relaxed);
   return true;
 }
 

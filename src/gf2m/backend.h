@@ -18,15 +18,25 @@
 // (karatsuba | clmul | auto) overrides it, and set_backend() switches
 // programmatically (used by the per-backend benches and the cross-check
 // tests). Both backends are bit-for-bit interchangeable (gf2_poly.h is
-// the independent oracle they are checked against); the dispatch is a
-// single relaxed-atomic pointer load per field multiply.
+// the independent oracle they are checked against).
+//
+// Dispatch happens once per top-level operation, not once per multiply:
+// a scalar multiplication, MSM, batch decode or inversion reads
+// active_backend() once and runs formulas instantiated over that
+// backend's inlined kernel (field_ops.h). set_backend() takes effect at
+// the next such call. Only the Gf163::mul / sqr / mul_add_mul /
+// sqr_add_mul per-operation API, kept for cold callers, still goes
+// through the vtable below on every call.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
 namespace medsec::gf2m {
+
+class Gf163;
 
 enum class Backend {
   kKaratsuba,
@@ -42,11 +52,19 @@ using SqrFn = void (*)(const std::uint64_t a[3], std::uint64_t p[6]);
 struct BackendVTable {
   Backend id;
   const char* name;
+  /// Unreduced kernels (cross-check tests, the per-lane scalar loop).
   MulFn mul;
   SqrFn sqr;
+  /// The reduced single operations behind the Gf163 per-operation API.
+  Gf163 (*field_mul)(const Gf163& a, const Gf163& b);
+  Gf163 (*field_sqr)(const Gf163& a);
+  Gf163 (*field_mul_add_mul)(const Gf163& a, const Gf163& b, const Gf163& c,
+                             const Gf163& d);
+  Gf163 (*field_sqr_add_mul)(const Gf163& a, const Gf163& b,
+                             const Gf163& c);
 };
 
-/// The backend currently wired into Gf163::mul / Gf163::sqr.
+/// The backend the next top-level operation will run on.
 Backend active_backend();
 const char* backend_name(Backend b);
 
@@ -54,8 +72,9 @@ const char* backend_name(Backend b);
 /// only with PCLMULQDQ / PMULL support).
 bool backend_available(Backend b);
 
-/// Switch the active backend. Returns false (and leaves the dispatch
-/// unchanged) if the backend is unavailable on this CPU.
+/// Switch the active backend, effective from the next top-level call.
+/// Returns false (and leaves the dispatch unchanged) if the backend is
+/// unavailable on this CPU.
 bool set_backend(Backend b);
 
 /// All backends this build knows about, in preference order (fastest first).
@@ -78,9 +97,17 @@ bool backend_from_name(std::string_view name, Backend& out);
 const char* backend_requirement(Backend b);
 
 namespace detail {
-/// The active vtable (never null; initialized on first use from CPU
-/// detection + MEDSEC_GF2M_BACKEND).
-const BackendVTable* active_vtable();
+/// The active vtable, null until the first use initializes it.
+extern std::atomic<const BackendVTable*> active_slot;
+/// Initializes active_slot from CPU detection + MEDSEC_GF2M_BACKEND (once)
+/// and returns it.
+const BackendVTable* init_active_vtable();
+/// The active vtable (never null). Inline: the Gf163 per-operation API
+/// pays one relaxed load and one indirect call per operation.
+inline const BackendVTable* active_vtable() {
+  const BackendVTable* t = active_slot.load(std::memory_order_relaxed);
+  return t != nullptr ? t : init_active_vtable();
+}
 }  // namespace detail
 
 // --- wide-lane backends -----------------------------------------------------

@@ -1,12 +1,15 @@
-// clmul.h — portable carry-less (polynomial) 64x64 -> 128 multiplication.
+// clmul.h — portable carry-less (polynomial) 64x64 -> 128 multiplication,
+// and the software 3x3-limb product kernels built on it.
 //
 // Software emulation of a carry-less multiplier using the classic 4-bit
 // window method with top-bit correction (the same scheme OpenSSL uses for
 // GF(2^m) arithmetic). Branchless: the correction terms are applied under
 // arithmetic masks so the instruction sequence does not depend on operand
-// values.
+// values. mul326_karatsuba / sqr326_portable are the `karatsuba` backend's
+// kernels (backend.h); field_ops.h inlines them into the formula layers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace medsec::gf2m {
@@ -74,6 +77,47 @@ inline void clsqr64(std::uint64_t a, std::uint64_t& lo, std::uint64_t& hi) {
   };
   lo = spread32(static_cast<std::uint32_t>(a));
   hi = spread32(static_cast<std::uint32_t>(a >> 32));
+}
+
+/// Unreduced carry-less square of a 3-limb polynomial: three emulated
+/// limb squares, p[0..5] = a (x) a.
+inline void sqr326_portable(const std::uint64_t a[3], std::uint64_t p[6]) {
+  for (std::size_t i = 0; i < 3; ++i) clsqr64(a[i], p[2 * i], p[2 * i + 1]);
+}
+
+/// Unreduced carry-less product p[0..5] = a (x) b by 3-limb Karatsuba:
+/// 6 emulated clmuls instead of 9. With a = a0 + a1 X + a2 X^2 (X = x^64)
+/// and the six products
+///   d_i  = a_i b_i,   e_ij = (a_i + a_j)(b_i + b_j)
+/// the coefficients of the product are
+///   c0 = d0
+///   c1 = e01 + d0 + d1
+///   c2 = e02 + d0 + d1 + d2
+///   c3 = e12 + d1 + d2
+///   c4 = d2
+/// (characteristic 2: additions are XOR, no carries anywhere).
+inline void mul326_karatsuba(const std::uint64_t a[3],
+                             const std::uint64_t b[3], std::uint64_t p[6]) {
+  std::uint64_t d0l, d0h, d1l, d1h, d2l, d2h;
+  std::uint64_t e01l, e01h, e02l, e02h, e12l, e12h;
+  clmul64(a[0], b[0], d0l, d0h);
+  clmul64(a[1], b[1], d1l, d1h);
+  clmul64(a[2], b[2], d2l, d2h);
+  clmul64(a[0] ^ a[1], b[0] ^ b[1], e01l, e01h);
+  clmul64(a[0] ^ a[2], b[0] ^ b[2], e02l, e02h);
+  clmul64(a[1] ^ a[2], b[1] ^ b[2], e12l, e12h);
+
+  const std::uint64_t c1l = e01l ^ d0l ^ d1l, c1h = e01h ^ d0h ^ d1h;
+  const std::uint64_t c2l = e02l ^ d0l ^ d1l ^ d2l,
+                      c2h = e02h ^ d0h ^ d1h ^ d2h;
+  const std::uint64_t c3l = e12l ^ d1l ^ d2l, c3h = e12h ^ d1h ^ d2h;
+
+  p[0] = d0l;
+  p[1] = d0h ^ c1l;
+  p[2] = c1h ^ c2l;
+  p[3] = c2h ^ c3l;
+  p[4] = c3h ^ d2l;
+  p[5] = d2h;
 }
 
 }  // namespace medsec::gf2m

@@ -1,9 +1,15 @@
 // clmul_hw.h — hardware carry-less multiply kernels (internal).
 //
 // The unreduced 3x3-limb product on x86-64 PCLMULQDQ and AArch64 PMULL,
-// shared between the scalar backend dispatch (backend.cpp) and the
-// wide-lane kernels (lanes.cpp). Both run the same 3-limb Karatsuba
-// schedule (6 hardware carry-less multiplies per product).
+// shared between the `clmul` field policy (field_ops.h, instantiated only
+// in clmul_instances.cpp) and the wide-lane kernels (lanes.cpp). Both run
+// the same 3-limb Karatsuba schedule (6 hardware carry-less multiplies per
+// product).
+//
+// The x86 kernels need PCLMULQDQ and nothing newer: lane moves use SSE2
+// (_mm_unpackhi_epi64 + _mm_cvtsi128_si64) rather than SSE4.1's
+// _mm_extract_epi64, so clmul_instances.cpp, compiled with -mpclmul alone,
+// can inline them.
 //
 // The hardware paths use GCC/Clang-only constructs (target attributes,
 // __builtin_cpu_supports), so the gates require those compilers too; other
@@ -18,7 +24,13 @@ namespace medsec::gf2m::hwclmul {
 
 #if MEDSEC_ARCH_X86_64
 
-__attribute__((target("pclmul,sse4.1"))) inline void mul326_clmul(
+/// The high 64-bit lane of v (SSE2 only).
+inline std::uint64_t hi64(__m128i v) {
+  return static_cast<std::uint64_t>(
+      _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)));
+}
+
+__attribute__((target("pclmul"))) inline void mul326_clmul(
     const std::uint64_t a[3], const std::uint64_t b[3], std::uint64_t p[6]) {
   const __m128i a01 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
   const __m128i b01 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
@@ -44,24 +56,20 @@ __attribute__((target("pclmul,sse4.1"))) inline void mul326_clmul(
   const __m128i c3 = _mm_xor_si128(e12, _mm_xor_si128(d1, d2));
 
   p[0] = static_cast<std::uint64_t>(_mm_cvtsi128_si64(d0));
-  p[1] = static_cast<std::uint64_t>(_mm_extract_epi64(d0, 1)) ^
-         static_cast<std::uint64_t>(_mm_cvtsi128_si64(c1));
-  p[2] = static_cast<std::uint64_t>(_mm_extract_epi64(c1, 1)) ^
-         static_cast<std::uint64_t>(_mm_cvtsi128_si64(c2));
-  p[3] = static_cast<std::uint64_t>(_mm_extract_epi64(c2, 1)) ^
-         static_cast<std::uint64_t>(_mm_cvtsi128_si64(c3));
-  p[4] = static_cast<std::uint64_t>(_mm_extract_epi64(c3, 1)) ^
-         static_cast<std::uint64_t>(_mm_cvtsi128_si64(d2));
-  p[5] = static_cast<std::uint64_t>(_mm_extract_epi64(d2, 1));
+  p[1] = hi64(d0) ^ static_cast<std::uint64_t>(_mm_cvtsi128_si64(c1));
+  p[2] = hi64(c1) ^ static_cast<std::uint64_t>(_mm_cvtsi128_si64(c2));
+  p[3] = hi64(c2) ^ static_cast<std::uint64_t>(_mm_cvtsi128_si64(c3));
+  p[4] = hi64(c3) ^ static_cast<std::uint64_t>(_mm_cvtsi128_si64(d2));
+  p[5] = hi64(d2);
 }
 
-__attribute__((target("pclmul,sse4.1"))) inline void sqr326_clmul(
+__attribute__((target("pclmul"))) inline void sqr326_clmul(
     const std::uint64_t a[3], std::uint64_t p[6]) {
   for (std::size_t i = 0; i < 3; ++i) {
     const __m128i v = _mm_cvtsi64_si128(static_cast<long long>(a[i]));
     const __m128i s = _mm_clmulepi64_si128(v, v, 0x00);
     p[2 * i] = static_cast<std::uint64_t>(_mm_cvtsi128_si64(s));
-    p[2 * i + 1] = static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
+    p[2 * i + 1] = hi64(s);
   }
 }
 

@@ -3,10 +3,9 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
-#include <vector>
 
 #include "gf2m/backend.h"
-#include "gf2m/clmul.h"
+#include "gf2m/field_ops.h"
 #include "gf2m/reduce_163.h"
 
 namespace medsec::gf2m {
@@ -37,37 +36,6 @@ Gf163 Gf163::reduce_product(const std::array<std::uint64_t, 6>& prod) {
   std::uint64_t out[3];
   reduce326(prod.data(), out);  // shared shift-reduce fold (reduce_163.h)
   return Gf163{out[0], out[1], out[2]};
-}
-
-Gf163 Gf163::mul(const Gf163& a, const Gf163& b) {
-  std::array<std::uint64_t, 6> p;
-  detail::active_vtable()->mul(a.limb_.data(), b.limb_.data(), p.data());
-  return reduce_product(p);
-}
-
-Gf163 Gf163::mul_add_mul(const Gf163& a, const Gf163& b, const Gf163& c,
-                         const Gf163& d) {
-  const BackendVTable* vt = detail::active_vtable();
-  std::array<std::uint64_t, 6> p, q;
-  vt->mul(a.limb_.data(), b.limb_.data(), p.data());
-  vt->mul(c.limb_.data(), d.limb_.data(), q.data());
-  for (std::size_t i = 0; i < 6; ++i) p[i] ^= q[i];
-  return reduce_product(p);
-}
-
-Gf163 Gf163::sqr_add_mul(const Gf163& a, const Gf163& b, const Gf163& c) {
-  const BackendVTable* vt = detail::active_vtable();
-  std::array<std::uint64_t, 6> p, q;
-  vt->sqr(a.limb_.data(), p.data());
-  vt->mul(b.limb_.data(), c.limb_.data(), q.data());
-  for (std::size_t i = 0; i < 6; ++i) p[i] ^= q[i];
-  return reduce_product(p);
-}
-
-Gf163 Gf163::sqr(const Gf163& a) {
-  std::array<std::uint64_t, 6> p;
-  detail::active_vtable()->sqr(a.limb_.data(), p.data());
-  return reduce_product(p);
 }
 
 namespace {
@@ -113,7 +81,8 @@ struct MultiSqrTable {
 
 /// Tables for the strides of the Itoh–Tsujii addition chain
 /// (1 -> 2 -> 4 -> 5 -> 10 -> 20 -> 40 -> 80 -> 81 -> 162) plus sqrt
-/// (162 = 81 + 81). Built lazily on first use (thread-safe magic statics).
+/// (162 = 81 + 81), i.e. detail::kMultiSqrStrides. Built lazily on first
+/// use (thread-safe magic statics).
 const MultiSqrTable* msqr_table(unsigned n) {
   switch (n) {
     case 5: {
@@ -143,58 +112,20 @@ const MultiSqrTable* msqr_table(unsigned n) {
 
 }  // namespace
 
+Gf163 detail::multi_sqr(const Gf163& a, unsigned stride) {
+  return msqr_table(stride)->apply(a);
+}
+
 Gf163 Gf163::sqr_n(Gf163 a, unsigned n) {
-  static constexpr unsigned kStrides[] = {81, 40, 20, 10, 5};
-  for (const unsigned stride : kStrides) {
-    while (n >= stride) {
-      a = msqr_table(stride)->apply(a);
-      n -= stride;
-    }
-  }
-  for (; n > 0; --n) a = sqr(a);
-  return a;
+  return with_field_ops([&]<class Ops>(Ops) { return Ops::sqr_n(a, n); });
 }
 
 Gf163 Gf163::inv(const Gf163& a) {
-  // Itoh–Tsujii: a^{-1} = (a^(2^162 - 1))^2, with the addition chain
-  // 1 -> 2 -> 4 -> 5 -> 10 -> 20 -> 40 -> 80 -> 81 -> 162 for the
-  // exponents beta_k = a^(2^k - 1). The sqr_n steps with stride >= 5 hit
-  // the precomputed multi-squaring tables.
-  const Gf163 b1 = a;
-  const Gf163 b2 = mul(sqr(b1), b1);
-  const Gf163 b4 = mul(sqr_n(b2, 2), b2);
-  const Gf163 b5 = mul(sqr(b4), b1);
-  const Gf163 b10 = mul(sqr_n(b5, 5), b5);
-  const Gf163 b20 = mul(sqr_n(b10, 10), b10);
-  const Gf163 b40 = mul(sqr_n(b20, 20), b20);
-  const Gf163 b80 = mul(sqr_n(b40, 40), b40);
-  const Gf163 b81 = mul(sqr(b80), b1);
-  const Gf163 b162 = mul(sqr_n(b81, 81), b81);
-  return sqr(b162);
+  return with_field_ops([&]<class Ops>(Ops) { return Ops::inv(a); });
 }
 
 void Gf163::batch_inv(Gf163* elems, std::size_t n) {
-  if (n == 0) return;
-  if (n == 1) {
-    if (!elems[0].is_zero()) elems[0] = inv(elems[0]);
-    return;
-  }
-  // Forward pass: prefix[i] = product of the nonzero elements before i.
-  std::vector<Gf163> prefix(n);
-  Gf163 acc = one();
-  for (std::size_t i = 0; i < n; ++i) {
-    prefix[i] = acc;
-    if (!elems[i].is_zero()) acc = mul(acc, elems[i]);
-  }
-  // One inversion for the whole batch (acc == 1 if every element was zero).
-  Gf163 inv_acc = inv(acc);
-  // Backward pass: peel one element off the running inverse at a time.
-  for (std::size_t i = n; i-- > 0;) {
-    if (elems[i].is_zero()) continue;
-    const Gf163 original = elems[i];
-    elems[i] = mul(inv_acc, prefix[i]);
-    inv_acc = mul(inv_acc, original);
-  }
+  with_field_ops([&]<class Ops>(Ops) { Ops::batch_inv(elems, n); });
 }
 
 Gf163 Gf163::sqrt(const Gf163& a) {

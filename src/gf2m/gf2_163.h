@@ -17,6 +17,7 @@
 #include <string_view>
 
 #include "bigint/biguint.h"
+#include "gf2m/backend.h"
 
 namespace medsec::gf2m {
 
@@ -46,6 +47,8 @@ class Gf163 {
   bigint::U192 to_bits() const;
 
   constexpr std::uint64_t limb(std::size_t i) const { return limb_[i]; }
+  /// The three limbs, in the layout the product kernels take.
+  constexpr const std::uint64_t* limbs() const { return limb_.data(); }
 
   constexpr bool is_zero() const {
     return (limb_[0] | limb_[1] | limb_[2]) == 0;
@@ -73,6 +76,10 @@ class Gf163 {
 
   friend Gf163 operator*(const Gf163& a, const Gf163& b) { return mul(a, b); }
 
+  // The per-operation API: each call dispatches to the active backend
+  // through its vtable. Formula code (inversion, point arithmetic, ladders,
+  // MSM, decoders) does not use it — it runs on a field_ops.h policy picked
+  // once per top-level operation. Keep these for cold callers.
   static Gf163 mul(const Gf163& a, const Gf163& b);
   static Gf163 sqr(const Gf163& a);
   /// a·b + c·d with a single modular reduction: the two unreduced 326-bit
@@ -82,7 +89,8 @@ class Gf163 {
                            const Gf163& d);
   /// a^2 + b·c with a single modular reduction.
   static Gf163 sqr_add_mul(const Gf163& a, const Gf163& b, const Gf163& c);
-  /// Multiplicative inverse (Itoh–Tsujii). Precondition: a != 0.
+  /// Multiplicative inverse (Itoh–Tsujii, on one backend for the whole
+  /// chain). Precondition: a != 0.
   static Gf163 inv(const Gf163& a);
   /// In-place batch inversion (Montgomery's trick): n elements cost one
   /// field inversion plus ~3n multiplications instead of n inversions.
@@ -128,5 +136,23 @@ class Gf163 {
  private:
   std::array<std::uint64_t, kLimbs> limb_{};
 };
+
+inline Gf163 Gf163::mul(const Gf163& a, const Gf163& b) {
+  return detail::active_vtable()->field_mul(a, b);
+}
+
+inline Gf163 Gf163::sqr(const Gf163& a) {
+  return detail::active_vtable()->field_sqr(a);
+}
+
+inline Gf163 Gf163::mul_add_mul(const Gf163& a, const Gf163& b,
+                                const Gf163& c, const Gf163& d) {
+  return detail::active_vtable()->field_mul_add_mul(a, b, c, d);
+}
+
+inline Gf163 Gf163::sqr_add_mul(const Gf163& a, const Gf163& b,
+                                const Gf163& c) {
+  return detail::active_vtable()->field_sqr_add_mul(a, b, c);
+}
 
 }  // namespace medsec::gf2m

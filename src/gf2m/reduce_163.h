@@ -34,31 +34,38 @@ inline constexpr unsigned kWordFoldShift = 192 - kFieldBits;  // 29
 /// polynomial into out[0..2] (bit 162 is the top bit of out[2]).
 /// out may alias p[0..2].
 inline void reduce326(const std::uint64_t p_in[6], std::uint64_t out[3]) {
-  std::uint64_t p[6] = {p_in[0], p_in[1], p_in[2], p_in[3], p_in[4], p_in[5]};
-  // Fold words 5..3 (bits >= 192). Bit 64*i + j reduces to exponent
-  // 64*(i-3) + (j + 29), contributing at offsets kPentanomialExps from
-  // there; the shifts straddle the two destination words.
+  // Named words rather than a local array: the fold then stays in
+  // registers, where an array invites the vectorizer to pair words through
+  // the stack and stall on store forwarding (the fold costs ~3x more
+  // out of line).
+  std::uint64_t p0 = p_in[0], p1 = p_in[1], p2 = p_in[2], p3 = p_in[3];
+  // Fold word t (bits >= 64i) into words i-3 and i-2: bit 64*i + j reduces
+  // to exponent 64*(i-3) + (j + 29), contributing at offsets
+  // kPentanomialExps from there; the shifts straddle the two words.
   // No data-dependent zero-word skip here: the fold runs the same
   // instruction sequence for every input (the ct_audit discipline — a
   // skipped word is a timing tell), and a few unconditional shift/XORs
   // of a zero word cost nothing next to the mispredict they replace.
-  for (std::size_t i = 5; i >= 3; --i) {
-    const std::uint64_t t = p[i];
+  const auto fold = [](std::uint64_t t, std::uint64_t& lo_word,
+                       std::uint64_t& hi_word) {
     std::uint64_t lo = 0, hi = 0;
     for (const unsigned e : kPentanomialExps) {
       lo ^= t << (kWordFoldShift + e);
       hi ^= t >> (64 - kWordFoldShift - e);
     }
-    p[i - 3] ^= lo;
-    p[i - 2] ^= hi;
-  }
+    lo_word ^= lo;
+    hi_word ^= hi;
+  };
+  fold(p_in[5], p2, p3);  // words 5..3, top down: word 3 takes in
+  fold(p_in[4], p1, p2);  // word 5's fold before it is folded itself
+  fold(p3, p0, p1);
   // Fold the residual bits 163..191 living in word 2 above bit 35.
-  const std::uint64_t t = p[2] >> kTopLimbBits;
+  const std::uint64_t t = p2 >> kTopLimbBits;
   std::uint64_t tail = 0;
   for (const unsigned e : kPentanomialExps) tail ^= t << e;
-  out[0] = p[0] ^ tail;
-  out[1] = p[1];
-  out[2] = p[2] & kTopLimbMask;
+  out[0] = p0 ^ tail;
+  out[1] = p1;
+  out[2] = p2 & kTopLimbMask;
 }
 
 #if MEDSEC_ARCH_X86_64

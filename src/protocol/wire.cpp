@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ecc/point_arith.h"
+
 namespace medsec::protocol {
 
 namespace {
@@ -88,10 +90,10 @@ std::optional<Point> decode_point(const Curve& curve,
   } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
-  const auto p = curve.decompress({x, bytes[0] & 1});
-  if (!p) return std::nullopt;
-  if (!curve.validate_subgroup_point(*p)) return std::nullopt;
-  return p;
+  // Decompression and the subgroup gate on one field backend.
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return ecc::PointArith<Ops>::decode(curve, {x, bytes[0] & 1});
+  });
 }
 
 Scalar fe_to_scalar_mod_order(const Curve& curve, const Fe& v) {

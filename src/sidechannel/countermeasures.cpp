@@ -3,13 +3,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sidechannel/shuffled_ladder.h"
+
 namespace medsec::sidechannel {
 
 namespace {
 
 using ecc::Curve;
 using ecc::Fe;
-using ecc::LadderObservation;
 using ecc::LadderState;
 using ecc::Point;
 using ecc::Scalar;
@@ -104,7 +105,8 @@ CountermeasureConfig CountermeasureConfig::infective() {
 }
 
 WideScalar blind_scalar(const Curve& curve, const Scalar& k, std::uint64_t r) {
-  return add_scaled(k.mod(curve.order()), r, curve.order());
+  // Barrett reduction: no loop or branch on the secret's bit length.
+  return add_scaled(curve.scalar_ring().reduce(k), r, curve.order());
 }
 
 std::uint64_t draw_blind(rng::RandomSource& rng, unsigned blind_bits) {
@@ -134,7 +136,8 @@ BaseBlindingPair BaseBlindingPair::create(const Curve& curve, const Scalar& k,
   BaseBlindingPair pair;
   const Scalar t = rng.uniform_nonzero(curve.order());
   pair.r_ = ecc::montgomery_ladder(curve, t, curve.base_point());
-  pair.s_ = ecc::montgomery_ladder(curve, k.mod(curve.order()), pair.r_);
+  pair.s_ = ecc::montgomery_ladder(curve, curve.scalar_ring().reduce(k),
+                                   pair.r_);
   return pair;
 }
 
@@ -195,66 +198,11 @@ LadderState shuffled_ladder_raw(
     const std::optional<std::pair<Fe, Fe>>& randomizers,
     unsigned dummy_iterations, rng::RandomSource& rng,
     const ecc::LadderObserver& observer) {
-  if (base.infinity || base.x.is_zero())
-    throw std::invalid_argument("shuffled_ladder_raw: bad base point");
-  const Fe b = curve.b();
-  const Fe x = base.x;
-
-  LadderState real =
-      zero_start ? ecc::ladder_zero_state(x) : ecc::ladder_initial_state(b, x);
-  if (randomizers) {
-    if (randomizers->first.is_zero() || randomizers->second.is_zero())
-      throw std::invalid_argument("shuffled_ladder_raw: zero randomizer");
-    ecc::randomize_ladder_state(real, randomizers->first,
-                                randomizers->second);
-  }
-
-  // Decoy state from an unrelated random x; Z-randomized under the same
-  // policy as the real state so the two register banks look alike.
-  const Fe decoy_x = random_nonzero_fe(rng);
-  LadderState decoy = ecc::ladder_initial_state(b, decoy_x);
-  if (randomizers) {
-    const Fe l1 = random_nonzero_fe(rng);  // draw order is the contract:
-    const Fe l2 = random_nonzero_fe(rng);  // never inline into the call
-    ecc::randomize_ladder_state(decoy, l1, l2);
-  }
-
-  const std::size_t total = real_bits.size() + dummy_iterations;
-  std::size_t dummies_left = dummy_iterations;
-  std::size_t next_real = 0;
-  const bool has_observer = static_cast<bool>(observer);
-  for (std::size_t s = 0; s < total; ++s) {
-    // Sequential sampling (Knuth's algorithm S): every placement of the
-    // D decoys among the `total` slots is equally likely.
-    const std::size_t slots_left = total - s;
-    const bool is_dummy =
-        dummies_left > 0 && rng.uniform(slots_left) < dummies_left;
-    std::uint64_t bit;
-    LadderState* st;
-    const Fe* xd;
-    if (is_dummy) {
-      --dummies_left;
-      bit = rng.next_u64() & 1;
-      st = &decoy;
-      xd = &decoy_x;
-    } else {
-      bit = real_bits[next_real++];
-      st = &real;
-      xd = &x;
-    }
-    ecc::ladder_iteration(b, *xd, *st, bit);
-    if (has_observer) {
-      observer(LadderObservation{
-          .bit_index = total - 1 - s,
-          .key_bit = static_cast<int>(bit),
-          .x1 = st->x1,
-          .z1 = st->z1,
-          .x2 = st->x2,
-          .z2 = st->z2,
-      });
-    }
-  }
-  return real;
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return shuffled_ladder_raw_t<Ops>(curve, base, real_bits, zero_start,
+                                      randomizers, dummy_iterations, rng,
+                                      observer);
+  });
 }
 
 HardenedLadder::HardenedLadder(const Curve& curve,

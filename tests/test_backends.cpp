@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "ecc/fixed_base.h"
 #include "ecc/koblitz.h"
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
+#include "engine/batch_verifier.h"
 #include "gf2m/backend.h"
 #include "gf2m/gf2_163.h"
 #include "gf2m/gf2_poly.h"
 #include "hw/digit_serial.h"
+#include "protocol/wire.h"
 #include "rng/xoshiro.h"
 
 namespace {
@@ -317,6 +320,169 @@ TEST(FixedBaseComb, LdScalarMultMatchesReference) {
     EXPECT_EQ(medsec::ecc::scalar_mult_ld(c, k, p),
               c.scalar_mult_reference(k, p));
   }
+}
+
+// --- per-call dispatch: every top-level operation, every backend -----------
+//
+// Each entry point reads the active backend once and runs formulas
+// instantiated over that backend's kernel. These run the same seeded inputs
+// through every available backend and demand identical outputs.
+
+/// The available backends, the active one first.
+std::vector<Backend> available_backends() {
+  std::vector<Backend> out;
+  for (const Backend b : medsec::gf2m::known_backends())
+    if (medsec::gf2m::backend_available(b)) out.push_back(b);
+  return out;
+}
+
+/// f() evaluated once per available backend.
+template <class F>
+auto on_each_backend(F&& f) {
+  BackendGuard guard;
+  std::vector<decltype(f())> out;
+  for (const Backend b : available_backends()) {
+    EXPECT_TRUE(medsec::gf2m::set_backend(b));
+    out.push_back(f());
+  }
+  return out;
+}
+
+template <class T>
+void expect_all_equal(const std::vector<T>& results, const char* what) {
+  ASSERT_FALSE(results.empty());
+  for (std::size_t i = 1; i < results.size(); ++i)
+    EXPECT_TRUE(results[i] == results[0])
+        << what << ": "
+        << medsec::gf2m::backend_name(available_backends()[i])
+        << " differs from "
+        << medsec::gf2m::backend_name(available_backends()[0]);
+}
+
+TEST(Dispatch, MsmBatchShapeAgreesAcrossBackends) {
+  // The verifier's random linear combination over a 64-item batch: 64
+  // terms with 64-bit coefficients (the c_i·R_i rows), 64 full-width
+  // (c_i e_i)·X_i rows and the full-width (sum c_i s_i)·G row.
+  const Curve& c = Curve::k163();
+  const auto& comb = medsec::ecc::generator_comb(c);
+  Xoshiro256 rng(0xD15);
+  for (int batch = 0; batch < 8; ++batch) {
+    std::vector<medsec::ecc::MsmTerm> terms;
+    for (int i = 0; i < 129; ++i) {
+      const Scalar k =
+          i < 64 ? Scalar{rng.next_u64()} : rng.uniform_nonzero(c.order());
+      terms.push_back({k, comb.mult(rng.uniform_nonzero(c.order()))});
+    }
+    const auto got = on_each_backend(
+        [&] { return medsec::ecc::multi_scalar_mult(c, terms); });
+    expect_all_equal(got, "multi_scalar_mult");
+    if (batch == 0) {
+      Point want = Point::at_infinity();
+      for (const auto& t : terms)
+        want = c.add(want, medsec::ecc::scalar_mult_ld(c, t.k, t.p));
+      EXPECT_EQ(got[0], want);
+    }
+  }
+}
+
+TEST(Dispatch, ScalarMultsAgreeAcrossBackends) {
+  const Curve& c = Curve::k163();
+  const auto& comb = medsec::ecc::generator_comb(c);
+  Xoshiro256 rng(0xD16);
+  std::vector<Scalar> ks;
+  for (int i = 0; i < 1000; ++i) ks.push_back(rng.uniform_nonzero(c.order()));
+  const Point p = comb.mult(rng.uniform_nonzero(c.order()));
+  const auto ladder = on_each_backend([&] {
+    std::vector<Point> out;
+    for (const Scalar& k : ks)
+      out.push_back(medsec::ecc::montgomery_ladder(c, k, p));
+    return out;
+  });
+  expect_all_equal(ladder, "montgomery_ladder");
+  const auto mult = on_each_backend([&] {
+    std::vector<Point> out;
+    for (const Scalar& k : ks) out.push_back(comb.mult(k));
+    return out;
+  });
+  expect_all_equal(mult, "FixedBaseComb::mult");
+  const auto mult_ct = on_each_backend([&] {
+    std::vector<Point> out;
+    for (const Scalar& k : ks) out.push_back(comb.mult_ct(k));
+    return out;
+  });
+  expect_all_equal(mult_ct, "FixedBaseComb::mult_ct");
+  EXPECT_EQ(mult[0], mult_ct[0]);
+}
+
+TEST(Dispatch, DecodeAndInversionAgreeAcrossBackends) {
+  const Curve& c = Curve::k163();
+  const auto& comb = medsec::ecc::generator_comb(c);
+  Xoshiro256 rng(0xD17);
+  // 1k wires: points of the subgroup, plus a share of corrupted x
+  // coordinates (mostly off-curve or outside the subgroup) and bad prefixes.
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (int i = 0; i < 1024; ++i) {
+    auto w = medsec::protocol::encode_point(
+        c, comb.mult(rng.uniform_nonzero(c.order())));
+    if (i % 7 == 3) w[1 + rng.uniform(w.size() - 2)] ^= 0x10;
+    if (i % 31 == 5) w[0] = 0x04;
+    wires.push_back(std::move(w));
+  }
+  const auto decoded = on_each_backend([&] {
+    std::vector<std::optional<Point>> out;
+    for (std::size_t i = 0; i < wires.size(); i += 64) {
+      const std::vector<std::vector<std::uint8_t>> block(
+          wires.begin() + static_cast<std::ptrdiff_t>(i),
+          wires.begin() + static_cast<std::ptrdiff_t>(i + 64));
+      for (auto& p : medsec::engine::decode_points_batch(c, block))
+        out.push_back(std::move(p));
+    }
+    return out;
+  });
+  expect_all_equal(decoded, "decode_points_batch");
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    EXPECT_EQ(decoded[0][i], medsec::protocol::decode_point(c, wires[i]))
+        << "wire " << i;
+    accepted += decoded[0][i].has_value() ? 1 : 0;
+  }
+  EXPECT_GT(accepted, wires.size() / 2);
+  EXPECT_LT(accepted, wires.size());
+
+  std::vector<Gf163> xs(1024);
+  for (auto& x : xs) {
+    x = random_fe(rng);
+    if (x.is_zero()) x = Gf163::one();
+  }
+  const auto inv = on_each_backend([&] {
+    std::vector<Gf163> out;
+    for (const Gf163& x : xs) out.push_back(Gf163::inv(x));
+    return out;
+  });
+  expect_all_equal(inv, "inv");
+  const auto batch = on_each_backend([&] {
+    std::vector<Gf163> out = xs;
+    for (std::size_t i = 0; i < out.size(); i += 64)
+      Gf163::batch_inv(out.data() + i, 64);
+    return out;
+  });
+  expect_all_equal(batch, "batch_inv");
+  EXPECT_EQ(batch[0], inv[0]);
+}
+
+TEST(Dispatch, SetBackendTakesEffectAtTheNextCall) {
+  BackendGuard guard;
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(0xD18);
+  const Scalar k = rng.uniform_nonzero(c.order());
+  std::vector<Point> results;
+  for (const Backend b : available_backends()) {
+    ASSERT_TRUE(medsec::gf2m::set_backend(b));
+    EXPECT_EQ(medsec::gf2m::active_backend(), b);
+    results.push_back(medsec::ecc::montgomery_ladder(c, k, c.base_point()));
+    results.push_back(medsec::ecc::generator_comb(c).mult_ct(k));
+  }
+  for (const Point& r : results) EXPECT_EQ(r, results[0]);
 }
 
 // --- windowed TNAF -----------------------------------------------------------

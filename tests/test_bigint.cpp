@@ -1,6 +1,8 @@
 // Unit and property tests for the fixed-width big-integer substrate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bigint/biguint.h"
 #include "bigint/modring.h"
 #include "rng/xoshiro.h"
@@ -204,6 +206,110 @@ TEST_F(ModRingTest, PowMatchesRepeatedMul) {
   for (std::uint64_t e = 0; e < 20; ++e) {
     EXPECT_EQ(ring_.pow(a, U192{e}), acc);
     acc = ring_.mul(acc, a);
+  }
+}
+
+// --- Barrett reduction against the shift-subtract oracle ---------------------
+
+U384 random_u384(Xoshiro256& rng) {
+  U384 v;
+  for (std::size_t i = 0; i < U384::kLimbs; ++i) v.set_limb(i, rng.next_u64());
+  return v;
+}
+
+U192 all_ones_192() {
+  return U192::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffff");
+}
+
+/// reduce / reduce_wide must equal BigUInt::mod, on seeded random inputs
+/// and on the edges where Barrett's quotient estimate is exact, short by
+/// one or short by two.
+void check_reduction_matches_mod(const U192& m, bool expect_barrett) {
+  const ModRing<192> ring(m);
+  ASSERT_EQ(ring.uses_barrett(), expect_barrett) << m.to_hex();
+  const U384 mw = m.resize<384>();
+  const auto wide = [&](const U384& x) {
+    ASSERT_EQ(ring.reduce_wide(x), x.mod(mw).resize<192>())
+        << "m=" << m.to_hex() << " x=" << x.to_hex();
+  };
+  const auto narrow = [&](const U192& x) {
+    ASSERT_EQ(ring.reduce(x), x.mod(m))
+        << "m=" << m.to_hex() << " x=" << x.to_hex();
+    wide(x.resize<384>());
+  };
+
+  Xoshiro256 rng(0xBA44E77);
+  for (int i = 0; i < 10000; ++i) {
+    narrow(random_u192(rng));
+    wide(random_u384(rng));
+  }
+
+  const U192 m1 = m - U192{1};
+  for (const U192& x : {U192{}, U192{1}, m1, m, m + U192{1}, all_ones_192()})
+    narrow(x);
+  wide(widening_mul(m1, m1));  // (m-1)^2, the largest product of residues
+  U384 ones;
+  for (std::size_t i = 0; i < U384::kLimbs; ++i) ones.set_limb(i, ~0ULL);
+  wide(ones);  // 2^384 - 1
+  // c·m and its neighbours for small, limb-boundary and random c.
+  std::vector<U192> cs = {U192{1}, U192{2}, U192{3}, U192{~0ULL},
+                          U192{1}.shl(64), U192{1}.shl(128), all_ones_192()};
+  for (int i = 0; i < 64; ++i) cs.push_back(random_u192(rng));
+  for (const U192& c : cs) {
+    const U384 cm = widening_mul(c, m);
+    wide(cm);
+    wide(cm + U384{1});
+    if (!cm.is_zero()) wide(cm - U384{1});
+  }
+}
+
+TEST(Barrett, MatchesModOnK163Order) {
+  check_reduction_matches_mod(U192::from_hex(kOrderHex), true);
+}
+
+TEST(Barrett, MatchesModOnB163Order) {
+  check_reduction_matches_mod(
+      U192::from_hex("40000000000000000000292FE77E70C12A4234C33"), true);
+}
+
+TEST(Barrett, MatchesModAtTheLimbBoundaryAndFullWidth) {
+  // 2^128 + 1: the smallest shape with a nonzero top limb; 2^192 - 237:
+  // a full-width modulus, where add() carries out of the top limb.
+  check_reduction_matches_mod(U192{1}.shl(128) + U192{1}, true);
+  check_reduction_matches_mod(all_ones_192() - U192{236}, true);
+}
+
+TEST(Barrett, SmallModulusFallsBackToLongDivision) {
+  // 2^127 - 1 leaves the top limb empty: Barrett's precondition fails and
+  // the ring reduces with BigUInt::mod.
+  check_reduction_matches_mod(U192{1}.shl(127) - U192{1}, false);
+}
+
+TEST(Barrett, AddSubNegMatchWideReference) {
+  for (const U192& m : {U192::from_hex(kOrderHex), all_ones_192() - U192{236},
+                        U192{1}.shl(127) - U192{1}}) {
+    const ModRing<192> ring(m);
+    const U384 mw = m.resize<384>();
+    Xoshiro256 rng(0xADD5);
+    for (int i = 0; i < 2000; ++i) {
+      const U192 a = random_u192(rng).mod(m);
+      const U192 b = i == 0 ? m - U192{1} : random_u192(rng).mod(m);
+      const U384 aw = a.resize<384>(), bw = b.resize<384>();
+      ASSERT_EQ(ring.add(a, b), (aw + bw).mod(mw).resize<192>());
+      ASSERT_EQ(ring.sub(a, b), (aw + mw - bw).mod(mw).resize<192>());
+      ASSERT_EQ(ring.neg(a), (mw - aw).mod(mw).resize<192>());
+    }
+    EXPECT_TRUE(ring.neg(U192{}).is_zero());
+  }
+}
+
+TEST(BigUInt, BitLengthOfEveryLimbBoundary) {
+  EXPECT_EQ(U192{}.bit_length(), 0u);
+  for (std::size_t b = 0; b < 192; ++b) {
+    const U192 p = U192{1}.shl(b);
+    EXPECT_EQ(p.bit_length(), b + 1);
+    EXPECT_EQ((p | U192{1}).bit_length(), b + 1);
+    if (b > 0) EXPECT_EQ((p - U192{1}).bit_length(), b);
   }
 }
 

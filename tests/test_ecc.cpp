@@ -1,6 +1,8 @@
 // Unit, property and cross-check tests for the elliptic-curve layer.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ecc/curve.h"
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
@@ -319,6 +321,70 @@ TEST(ScalarMult, LadderOpCountIndependentOfKeyValue) {
     scalar_mult(c, k, c.base_point(), o);
     EXPECT_EQ(st.op_slots, 163u);          // == order.bit_length(), always
     EXPECT_EQ(st.ladder_iterations, 163u);
+  }
+}
+
+// --- scalar recoding ---------------------------------------------------------
+
+/// The bit-serial wNAF recoder wnaf_digits replaced (one BigUInt shift and
+/// one bit test per digit), kept as the oracle for the limb version.
+std::vector<int> wnaf_reference(const Scalar& k0, unsigned width) {
+  std::vector<int> out;
+  Scalar k = k0;
+  const std::uint64_t modulus = 1ull << width;   // 2^w
+  const std::int64_t half = 1ll << (width - 1);  // 2^(w-1)
+  while (!k.is_zero()) {
+    int digit = 0;
+    if (k.bit(0)) {
+      const std::int64_t r =
+          static_cast<std::int64_t>(k.limb(0) & (modulus - 1));
+      digit = static_cast<int>(
+          r >= half ? r - static_cast<std::int64_t>(modulus) : r);
+      if (digit > 0) {
+        k.sub_in_place(Scalar{static_cast<std::uint64_t>(digit)});
+      } else {
+        k.add_in_place(Scalar{static_cast<std::uint64_t>(-digit)});
+      }
+    }
+    out.push_back(digit);
+    k = k >> 1;
+  }
+  return out;
+}
+
+TEST(ScalarMult, WnafDigitsMatchBitSerialReference) {
+  const Scalar& n = Curve::k163().order();
+  std::vector<Scalar> ks = {Scalar{0}, Scalar{1}, Scalar{1}.shl(162),
+                            n - Scalar{1}, Scalar{1}.shl(163) - Scalar{1}};
+  Xoshiro256 rng(0x3AF);
+  for (int i = 0; i < 10000; ++i) {
+    Scalar k;
+    for (std::size_t l = 0; l < Scalar::kLimbs; ++l)
+      k.set_limb(l, rng.next_u64());
+    // Alternate full-width draws with protocol-sized (163-bit) scalars.
+    if (i % 2 == 0) k = k & (Scalar{1}.shl(163) - Scalar{1});
+    ks.push_back(k);
+  }
+  for (unsigned width = 2; width <= 8; ++width)
+    for (const Scalar& k : ks)
+      ASSERT_EQ(medsec::ecc::wnaf_digits(k, width), wnaf_reference(k, width))
+          << "w=" << width << " k=" << k.to_hex();
+}
+
+TEST(Ladder, ConstantLengthScalarHasFixedLengthAndResidue) {
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    const Scalar& n = c->order();
+    const Scalar ks[] = {
+        Scalar{0},          Scalar{1},
+        n - Scalar{1},      n,
+        Scalar{1}.shl(162), Scalar{1}.shl(163) - Scalar{1},
+        Scalar::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffff")};
+    for (const Scalar& k : ks) {
+      const Scalar padded = medsec::ecc::constant_length_scalar(*c, k);
+      EXPECT_EQ(padded.bit_length(), n.bit_length() + 1)
+          << c->name() << " k=" << k.to_hex();
+      EXPECT_EQ(padded.mod(n), k.mod(n)) << c->name() << " k=" << k.to_hex();
+    }
   }
 }
 
