@@ -23,6 +23,7 @@
 #include "bench_util.h"
 #include "engine/shard.h"
 #include "engine/transport.h"
+#include "protocol/wire.h"
 
 namespace {
 
@@ -162,7 +163,7 @@ void BM_FrameCodec(benchmark::State& state) {
   engine::Frame f;
   f.session = 7;
   f.seq = 3;
-  f.label = "telemetry";
+  f.label = protocol::kLabelEciesBlob;
   f.payload.assign(48, 0xA5);
   for (auto _ : state) {
     const auto bytes = engine::encode_frame(f);

@@ -160,12 +160,7 @@ int main(int argc, char** argv) {
   engine::BatchVerifierStats vs;
   std::size_t verdict_mismatches = 0;
   for (std::size_t s = 0; s < fleet.shards(); ++s) {
-    const engine::BatchVerifierStats v = fleet.shard(s).verifier().stats();
-    vs.items += v.items;
-    vs.batches += v.batches;
-    vs.decode_failures += v.decode_failures;
-    vs.rlc_failures += v.rlc_failures;
-    vs.single_fallbacks += v.single_fallbacks;
+    vs += fleet.shard(s).verifier().stats();
     for (const auto& [sid, rec] : fleet.shard(s).records())
       if (rec.accepted == forged[sid]) ++verdict_mismatches;
   }

@@ -35,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "core/counters.h"
 #include "ecc/curve.h"
 #include "protocol/schnorr.h"
 #include "rng/random_source.h"
@@ -77,14 +78,18 @@ struct PendingTranscript {
 };
 
 struct BatchVerifierStats {
-  std::size_t items = 0;
-  std::size_t batches = 0;           ///< flushes that reached the verifier
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  std::size_t decode_failures = 0;   ///< commitments that failed decoding
-  std::size_t rlc_failures = 0;      ///< batches that fell back to singles
-  std::size_t single_fallbacks = 0;  ///< per-item checks run by fallbacks
+  std::uint64_t items = 0;
+  std::uint64_t batches = 0;           ///< flushes that reached the verifier
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t decode_failures = 0;   ///< commitments that failed decoding
+  std::uint64_t rlc_failures = 0;      ///< batches that fell back to singles
+  std::uint64_t single_fallbacks = 0;  ///< per-item checks run by fallbacks
 };
+inline BatchVerifierStats& operator+=(BatchVerifierStats& a,
+                                      const BatchVerifierStats& b) {
+  return core::add_counters(a, b);
+}
 
 /// Thread-safe batched verifier queue. batch_size == 1 degenerates to
 /// independent per-session verification (the baseline the fleet bench

@@ -1,6 +1,8 @@
 // campaign_fixtures.h — the deterministic world-building kit shared by the
-// sharded campaign (shard.cpp: run_sharded_campaign), the fault drill
-// (fault_drill.cpp) and the benchmark's traced campaign replica.
+// sharded campaign (shard.cpp: run_sharded_campaign, one ShardEngine per
+// world, whose SessionFactory builds the server halves from here), the
+// fault drill (fault_drill.cpp) and the benchmark's traced campaign
+// replica.
 //
 // The determinism contract the campaign relies on: every per-session
 // object (device machine, server machine, link fault schedule, delivery
@@ -79,8 +81,8 @@ MachineFactory device_factory(const Fixtures& fx, std::uint64_t gid);
 MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
                               bool deferred_schnorr = false);
 
-/// Verdict extraction for gid's protocol (inline machines only; deferred
-/// Schnorr verdicts come from the batch queue).
+/// Verdict extraction for gid's protocol (inline machines only; a deferred
+/// Schnorr verdict comes from the batch verifier and lands in the gateway).
 GatewayServer::Judge judge_for(std::uint64_t gid);
 
 /// One session's campaign outcome — the digest unit.

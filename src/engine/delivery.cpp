@@ -117,15 +117,14 @@ void ReliableEndpoint::handle_ack(std::uint32_t next_expected) {
       ++it;
     }
   }
-  // Window space freed — promote backlog frames (their seq is baked into
-  // the encoded bytes; decode to recover it for the timer map).
+  // Window space freed — promote backlog frames, oldest first.
   while (!backlog_.empty() && in_flight_.size() < config_.window) {
-    std::vector<std::uint8_t> bytes = std::move(backlog_.front());
+    const auto seq =
+        static_cast<std::uint32_t>(next_seq_ - backlog_.size());
+    in_flight_[seq] =
+        InFlight{std::move(backlog_.front()), 0, core::kInvalidEvent};
     backlog_.pop_front();
-    const auto f = decode_frame(bytes);
-    if (!f) continue;  // unreachable: we encoded these ourselves
-    in_flight_[f->seq] = InFlight{std::move(bytes), 0, core::kInvalidEvent};
-    transmit(f->seq);
+    transmit(seq);
   }
 }
 
@@ -143,6 +142,12 @@ void ReliableEndpoint::handle_data(Frame f) {
     // Already have it — our ack was lost, not the data. Re-ack.
     ++stats_.dup_suppressed;
     send_ack();
+    return;
+  }
+  if (f.seq - recv_next_ >= config_.window) {
+    // No conforming sender is this far ahead: dropped unacked, so a peer
+    // that never fills the gap cannot grow the reorder buffer.
+    ++stats_.out_of_window;
     return;
   }
   reorder_.emplace(f.seq, std::move(f));
@@ -194,6 +199,7 @@ void ReliableEndpoint::snapshot(protocol::SnapshotWriter& w) const {
   w.u64(stats_.delivered);
   w.u64(stats_.dup_suppressed);
   w.u64(stats_.decode_failures);
+  w.u64(stats_.out_of_window);
   w.u32(static_cast<std::uint32_t>(in_flight_.size()));
   for (const auto& [seq, f] : in_flight_) {
     w.u32(seq);
@@ -221,6 +227,7 @@ void ReliableEndpoint::restore(protocol::SnapshotReader& r) {
   stats_.delivered = r.u64();
   stats_.dup_suppressed = r.u64();
   stats_.decode_failures = r.u64();
+  stats_.out_of_window = r.u64();
   const std::uint32_t n_flight = r.u32();
   for (std::uint32_t i = 0; i < n_flight; ++i) {
     const std::uint32_t seq = r.u32();

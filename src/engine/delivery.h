@@ -12,8 +12,9 @@
 //     exponential backoff and seeded jitter; frames beyond the window wait
 //     in a backlog.
 //   - receiver: cumulative acks (`ack.seq` = next expected sequence);
-//     out-of-order frames are buffered, stale ones suppressed and re-acked
-//     (the ack, not the data, was lost).
+//     out-of-order frames inside the window are buffered, stale ones
+//     suppressed and re-acked (the ack, not the data, was lost), frames
+//     beyond it dropped unacked — whatever the peer sends.
 //
 // The invariant the chaos tests lean on: retransmission happens HERE, on
 // stored encoded frames — a protocol machine is stepped exactly once per
@@ -28,6 +29,7 @@
 #include <map>
 #include <vector>
 
+#include "core/counters.h"
 #include "core/event_queue.h"
 #include "engine/transport.h"
 
@@ -39,7 +41,9 @@ class SnapshotReader;
 namespace medsec::engine {
 
 struct DeliveryConfig {
-  std::size_t window = 4;          ///< max unacked data frames in flight
+  /// Max unacked data frames in flight; a conforming peer is never
+  /// further ahead, so it is also the receive window.
+  std::size_t window = 4;
   core::Cycle rto_initial = 64;    ///< first retransmit timeout
   core::Cycle rto_max = 4096;      ///< backoff ceiling
   double backoff = 2.0;            ///< RTO multiplier per retry
@@ -53,7 +57,11 @@ struct DeliveryStats {
   std::uint64_t delivered = 0;        ///< unique in-order messages surfaced
   std::uint64_t dup_suppressed = 0;   ///< stale/duplicate data frames
   std::uint64_t decode_failures = 0;  ///< frames the CRC/codec rejected
+  std::uint64_t out_of_window = 0;    ///< data frames past the receive window
 };
+inline DeliveryStats& operator+=(DeliveryStats& a, const DeliveryStats& b) {
+  return core::add_counters(a, b);
+}
 
 /// One side of a reliable session channel. Not thread-safe: lives inside
 /// one shard's virtual world, driven by its EventQueue.
@@ -127,11 +135,12 @@ class ReliableEndpoint {
   // Sender half.
   std::uint32_t next_seq_ = 0;               ///< next sequence to assign
   std::map<std::uint32_t, InFlight> in_flight_;
-  std::deque<std::vector<std::uint8_t>> backlog_;  ///< encoded, pre-window
+  /// Encoded, pre-window: the newest seqs, so front = next_seq_ - size.
+  std::deque<std::vector<std::uint8_t>> backlog_;
 
   // Receiver half.
   std::uint32_t recv_next_ = 0;              ///< all seq < this delivered
-  std::map<std::uint32_t, Frame> reorder_;   ///< buffered out-of-order
+  std::map<std::uint32_t, Frame> reorder_;   ///< in-window, out-of-order
 
   bool failed_ = false;
   DeliveryStats stats_;

@@ -7,10 +7,10 @@
 //
 // Quarantine is per device: a front end that relays a device's fault
 // report (core::PointMultOutcome, or an abort after the retry budget ran
-// out) counts each UNRECOVERED fault here, next to the per-session ledger
-// in GatewayServer::report_fault_telemetry. At kFaultThreshold the device
-// is quarantined: admit() stops handing out its key, the factories refuse
-// its sessions, and its shard answers each one with an explicit kReject.
+// out) counts each UNRECOVERED fault here — the one place a device's fault
+// history lives. At kFaultThreshold the device is quarantined: admit()
+// stops handing out its key, the factories refuse its sessions, and its
+// shard answers each one with an explicit kReject.
 // A device under physical fault attack — or simply dying — must not keep
 // consuming server sessions.
 //

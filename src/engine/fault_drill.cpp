@@ -1,6 +1,5 @@
 #include "engine/fault_drill.h"
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -28,41 +27,6 @@ constexpr std::uint64_t kLaneDevRng = 9;
 constexpr std::uint64_t kLaneSrvRng = 10;
 constexpr std::uint64_t kLaneFixtures = 12;  // counter 0
 constexpr std::uint64_t kLaneProbe = 13;     // counter 0
-
-/// In-process message pump: alternate deliveries until both machines
-/// settle. A healthy handshake here is a handful of messages; the step
-/// bound only guards against a (nonexistent) ping-pong bug.
-bool run_handshake(protocol::SessionMachine& dev,
-                   protocol::SessionMachine& srv, std::uint64_t gid) {
-  std::deque<protocol::Message> to_srv;
-  std::deque<protocol::Message> to_dev;
-  const auto queue_out = [](protocol::StepResult r,
-                            std::deque<protocol::Message>& q) {
-    for (auto& m : r.out) q.push_back(std::move(m));
-  };
-  try {
-    queue_out(dev.start(), to_srv);
-    for (int steps = 0;
-         steps < 64 && (!to_srv.empty() || !to_dev.empty()); ++steps) {
-      if (!to_srv.empty()) {
-        const protocol::Message m = std::move(to_srv.front());
-        to_srv.pop_front();
-        if (srv.state() == protocol::SessionState::kAwait)
-          queue_out(srv.on_message(m), to_dev);
-      } else {
-        const protocol::Message m = std::move(to_dev.front());
-        to_dev.pop_front();
-        if (dev.state() == protocol::SessionState::kAwait)
-          queue_out(dev.on_message(m), to_srv);
-      }
-    }
-  } catch (const std::exception&) {
-    return false;
-  }
-  return dev.state() == protocol::SessionState::kDone &&
-         srv.state() == protocol::SessionState::kDone &&
-         campaign::judge_for(gid)(srv);
-}
 
 /// One session's record, written by exactly one shard, merged in gid
 /// order.
@@ -190,7 +154,13 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
           const auto dev = campaign::device_factory(fx, gid)(dr);
           const auto srv = campaign::server_factory(fx, gid, false)(sr);
           en.proto_ran = true;
-          en.accepted = run_handshake(*dev, *srv, gid);
+          try {
+            protocol::Transcript t;
+            en.accepted = protocol::drive_session(*dev, *srv, t) &&
+                          campaign::judge_for(gid)(*srv);
+          } catch (const std::exception&) {
+            // A machine that throws fails the handshake.
+          }
         }
       }
       quarantined[device] = quar ? 1 : 0;

@@ -17,7 +17,7 @@ using protocol::SnapshotReader;
 using protocol::SnapshotWriter;
 using protocol::StepResult;
 
-constexpr std::uint32_t kSessionSnapshotMagic = 0x47534E31;  // "GSN1"
+constexpr std::uint32_t kSessionSnapshotMagic = 0x47534E32;  // "GSN2"
 
 using campaign::mix_seed;
 
@@ -38,20 +38,12 @@ GatewayServer::~GatewayServer() {
   }
 }
 
-std::size_t GatewayServer::live_sessions() const {
-  std::size_t n = 0;
-  for (const auto& [id, s] : sessions_)
-    if (s.status == GatewaySessionStatus::kActive) ++n;
-  return n;
-}
-
 bool GatewayServer::open_session(
     std::uint64_t id, std::unique_ptr<protocol::SessionMachine> machine,
     Downlink downlink, Judge judge, std::unique_ptr<rng::Xoshiro256> rng) {
   if (sessions_.count(id))
     throw std::invalid_argument("GatewayServer: duplicate session id");
-  if (config_.max_live_sessions != 0 &&
-      live_sessions() >= config_.max_live_sessions) {
+  if (config_.max_live_sessions != 0 && live_ >= config_.max_live_sessions) {
     // Shed-new before degrade-existing: the refusal is an explicit
     // verdict frame, not silence — the device fails fast instead of
     // retransmitting into a black hole.
@@ -70,6 +62,7 @@ bool GatewayServer::open_session(
   wire_endpoint(id, s, std::move(downlink));
   auto [it, ok] = sessions_.emplace(id, std::move(s));
   arm_policy_timers(id, it->second);
+  ++live_;
   ++stats_.opened;
   return true;
 }
@@ -85,7 +78,7 @@ void GatewayServer::wire_endpoint(std::uint64_t id, Sess& s,
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) return;
     if (it->second.status == GatewaySessionStatus::kActive)
-      settle(it->second, GatewaySessionStatus::kFailed, false);
+      settle(it->second, GatewaySessionStatus::kFailed);
   });
 }
 
@@ -98,7 +91,7 @@ void GatewayServer::arm_policy_timers(std::uint64_t id, Sess& s) {
           Sess& sess = it->second;
           sess.deadline_timer = core::kInvalidEvent;
           if (sess.status != GatewaySessionStatus::kActive) return;
-          settle(sess, GatewaySessionStatus::kDeadlineEvicted, false);
+          settle(sess, GatewaySessionStatus::kDeadlineEvicted);
           sess.endpoint->send_reject();
         });
   }
@@ -116,7 +109,7 @@ void GatewayServer::idle_check(std::uint64_t id) {
   if (s.status != GatewaySessionStatus::kActive) return;
   const core::Cycle idle_for = queue_->now() - s.last_activity;
   if (idle_for >= config_.idle_timeout) {
-    settle(s, GatewaySessionStatus::kIdleEvicted, false);
+    settle(s, GatewaySessionStatus::kIdleEvicted);
     s.endpoint->send_reject();
     return;
   }
@@ -150,26 +143,27 @@ void GatewayServer::on_delivered(std::uint64_t id, const Frame& f) {
     // Poison session: the machine threw instead of rejecting. Isolate it
     // — verdict refused, machine never stepped again, everyone else
     // unaffected.
-    settle(s, GatewaySessionStatus::kQuarantined, false);
+    settle(s, GatewaySessionStatus::kQuarantined);
     s.endpoint->send_reject();
     return;
   }
   for (auto& out : r.out)
     s.endpoint->send_message(out.label, std::move(out.payload));
   if (r.state == SessionState::kDone) {
-    settle(s, GatewaySessionStatus::kCompleted,
-           s.judge ? s.judge(*s.machine) : true);
+    // Settle before judging: a deferred judge can fill its verifier's
+    // batch and land this very session's verdict before it returns.
+    settle(s, GatewaySessionStatus::kCompleted);
+    land_verdict(id, !s.judge || s.judge(*s.machine));
   } else if (r.state == SessionState::kFailed) {
-    settle(s, GatewaySessionStatus::kFailed, false);
+    settle(s, GatewaySessionStatus::kFailed);
     s.endpoint->send_reject();
   }
 }
 
-void GatewayServer::settle(Sess& s,
-                           GatewaySessionStatus status, bool accepted) {
+void GatewayServer::settle(Sess& s, GatewaySessionStatus status) {
   s.status = status;
-  s.accepted = accepted;
   s.settled_at = queue_->now();
+  --live_;
   queue_->cancel(s.deadline_timer);
   queue_->cancel(s.idle_timer);
   s.deadline_timer = core::kInvalidEvent;
@@ -177,7 +171,6 @@ void GatewayServer::settle(Sess& s,
   switch (status) {
     case GatewaySessionStatus::kCompleted:
       ++stats_.completed;
-      if (accepted) ++stats_.accepted;
       break;
     case GatewaySessionStatus::kFailed:
       ++stats_.failed;
@@ -194,6 +187,15 @@ void GatewayServer::settle(Sess& s,
     case GatewaySessionStatus::kActive:
       break;  // unreachable
   }
+}
+
+void GatewayServer::land_verdict(std::uint64_t id, bool accepted) {
+  const auto it = sessions_.find(id);
+  if (!accepted || it == sessions_.end()) return;
+  Sess& s = it->second;
+  if (s.status != GatewaySessionStatus::kCompleted || s.accepted) return;
+  s.accepted = true;
+  ++stats_.accepted;
 }
 
 GatewaySessionStatus GatewayServer::status(std::uint64_t id) const {
@@ -218,26 +220,6 @@ const DeliveryStats* GatewayServer::delivery_stats(std::uint64_t id) const {
   return it == sessions_.end() ? nullptr : &it->second.endpoint->stats();
 }
 
-void GatewayServer::report_fault_telemetry(std::uint64_t id,
-                                           std::uint64_t detected,
-                                           std::uint64_t retries,
-                                           bool unrecovered) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  GatewayFaultTelemetry& f = it->second.faults;
-  f.detected += detected;
-  f.retries += retries;
-  f.unrecovered = f.unrecovered || unrecovered;
-  stats_.faults_detected += detected;
-  stats_.fault_retries += retries;
-  if (unrecovered) ++stats_.faults_unrecovered;
-}
-
-GatewayFaultTelemetry GatewayServer::fault_telemetry(std::uint64_t id) const {
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? GatewayFaultTelemetry{} : it->second.faults;
-}
-
 std::vector<std::uint64_t> GatewayServer::session_ids() const {
   std::vector<std::uint64_t> ids;
   ids.reserve(sessions_.size());
@@ -255,9 +237,6 @@ std::vector<std::uint8_t> GatewayServer::snapshot_session(
   w.u32(kSessionSnapshotMagic);
   w.u8(static_cast<std::uint8_t>(s.status));
   w.boolean(s.accepted);
-  w.u64(s.faults.detected);
-  w.u64(s.faults.retries);
-  w.boolean(s.faults.unrecovered);
   w.u64(s.settled_at);
   w.boolean(s.rng != nullptr);
   if (s.rng) {
@@ -289,9 +268,6 @@ void GatewayServer::restore_session(
   Sess s;
   s.status = static_cast<GatewaySessionStatus>(status_byte);
   s.accepted = r.boolean();
-  s.faults.detected = r.u64();
-  s.faults.retries = r.u64();
-  s.faults.unrecovered = r.boolean();
   s.settled_at = r.u64();
   const bool has_rng = r.boolean();
   if (has_rng != (rng != nullptr))
@@ -314,14 +290,11 @@ void GatewayServer::restore_session(
   auto [it, ok] = sessions_.emplace(id, std::move(s));
   // Policy clocks restart from the restore point: the replacement node
   // grants a fresh deadline rather than inheriting a dead node's.
-  if (it->second.status == GatewaySessionStatus::kActive)
+  if (it->second.status == GatewaySessionStatus::kActive) {
     arm_policy_timers(id, it->second);
+    ++live_;
+  }
   ++stats_.restored;
-  // The replacement node's ledger inherits the device's fault history —
-  // failover must not launder a faulty device back to a clean slate.
-  stats_.faults_detected += it->second.faults.detected;
-  stats_.fault_retries += it->second.faults.retries;
-  if (it->second.faults.unrecovered) ++stats_.faults_unrecovered;
 }
 
 // --- DeviceEndpoint ----------------------------------------------------------

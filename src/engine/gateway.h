@@ -20,6 +20,11 @@
 //     resumed on a fresh GatewayServer, surviving node death with nothing
 //     but a retransmit visible to the device.
 //
+// A session's verdict lives here: an inline judge decides it when the
+// machine finishes, a deferred one (batched Schnorr) lands it later via
+// land_verdict() — possibly from inside the judge, when its transcript
+// fills a batch. accepted(), stats() and snapshots report both alike.
+//
 // shard.h runs one GatewayServer per shard loop, and its
 // run_sharded_campaign() is the proof harness for these policies.
 #pragma once
@@ -32,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "core/counters.h"
 #include "core/event_queue.h"
 #include "engine/delivery.h"
 #include "engine/transport.h"
@@ -72,25 +78,16 @@ struct GatewayStats {
   std::uint64_t deadline_evicted = 0;
   std::uint64_t idle_evicted = 0;
   std::uint64_t restored = 0;  ///< sessions resumed from a snapshot
-  // Device-reported fault telemetry, summed over sessions (see
-  // report_fault_telemetry).
-  std::uint64_t faults_detected = 0;
-  std::uint64_t fault_retries = 0;
-  std::uint64_t faults_unrecovered = 0;
 };
-
-/// One session's device-reported fault counters (carried through
-/// snapshots, so failover does not launder a faulty device's history).
-struct GatewayFaultTelemetry {
-  std::uint64_t detected = 0;
-  std::uint64_t retries = 0;
-  bool unrecovered = false;
-};
+inline GatewayStats& operator+=(GatewayStats& a, const GatewayStats& b) {
+  return core::add_counters(a, b);
+}
 
 class GatewayServer {
  public:
   /// Extracts the verdict from a finished machine; empty = kDone is
-  /// accepted.
+  /// accepted. A deferred judge returns false and lands the real verdict
+  /// later through land_verdict().
   using Judge = std::function<bool(const protocol::SessionMachine&)>;
   /// Raw encoded frames headed for this session's device.
   using Downlink = std::function<void(std::vector<std::uint8_t>)>;
@@ -121,18 +118,13 @@ class GatewayServer {
   bool accepted(std::uint64_t id) const;
   /// Virtual cycle at which the session left kActive (0 if still active).
   core::Cycle settled_at(std::uint64_t id) const;
-  std::size_t live_sessions() const;
+  /// Sessions still kActive — a running count, O(1) for admission control.
+  std::size_t live_sessions() const { return live_; }
   const DeliveryStats* delivery_stats(std::uint64_t id) const;
 
-  /// Record the device's fault-recovery counters for this session (the
-  /// front-end relays what the device's processor reported — see
-  /// core::PointMultOutcome). Unknown ids are dropped, matching uplink
-  /// semantics. The counters ride the session snapshot, so a failover
-  /// target inherits the device's fault history.
-  void report_fault_telemetry(std::uint64_t id, std::uint64_t detected,
-                              std::uint64_t retries, bool unrecovered);
-  /// This session's accumulated fault telemetry (zeros for unknown ids).
-  GatewayFaultTelemetry fault_telemetry(std::uint64_t id) const;
+  /// A verdict arrives: an accept marks the kCompleted session accepted
+  /// and counts it; anything else changes nothing.
+  void land_verdict(std::uint64_t id, bool accepted);
   const GatewayStats& stats() const { return stats_; }
   std::vector<std::uint64_t> session_ids() const;
 
@@ -159,7 +151,6 @@ class GatewayServer {
     Judge judge;
     GatewaySessionStatus status = GatewaySessionStatus::kActive;
     bool accepted = false;
-    GatewayFaultTelemetry faults;
     core::Cycle settled_at = 0;
     core::Cycle last_activity = 0;
     core::EventId deadline_timer = core::kInvalidEvent;
@@ -168,8 +159,7 @@ class GatewayServer {
 
   void wire_endpoint(std::uint64_t id, Sess& s, Downlink downlink);
   void on_delivered(std::uint64_t id, const Frame& f);
-  void settle(Sess& s, GatewaySessionStatus status,
-              bool accepted);
+  void settle(Sess& s, GatewaySessionStatus status);
   void arm_policy_timers(std::uint64_t id, Sess& s);
   void idle_check(std::uint64_t id);
 
@@ -179,6 +169,7 @@ class GatewayServer {
   /// std::map: session sweeps (failover, stats) iterate in id order —
   /// part of the determinism contract.
   std::map<std::uint64_t, Sess> sessions_;
+  std::size_t live_ = 0;
   GatewayStats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <random>
 #include <utility>
 
@@ -42,8 +41,7 @@ ShardEngine::ShardEngine(std::size_t index, const ShardFleetConfig& config,
       config_(config),
       curve_(&curve),
       factory_(std::move(factory)),
-      gateway_(std::make_unique<GatewayServer>(
-          queue_, mix_seed(config.seed, 0x6A7E + index), config.gateway)),
+      gateway_(make_gateway()),
       verifier_(curve, config.verify_batch == 0 ? 1 : config.verify_batch,
                 mix_seed(config.seed ^ rlc_entropy(), 0xB47C + index)),
       mailbox_(producers, config.mailbox_capacity) {}
@@ -56,17 +54,25 @@ bool ShardEngine::offer(std::size_t lane, IngressItem&& item) {
   return false;
 }
 
+std::unique_ptr<GatewayServer> ShardEngine::make_gateway() {
+  // Not mixed with the shard index: a session's server-side retransmit
+  // jitter must not depend on which shard hosts it.
+  return std::make_unique<GatewayServer>(
+      queue_, mix_seed(config_.seed, 0x6A7E), config_.gateway);
+}
+
 std::size_t ShardEngine::drain_mailbox(std::size_t limit) {
   return mailbox_.drain(
-      [this](IngressItem&& item) {
-        ingress_.fetch_add(1, std::memory_order_relaxed);
-        // Track the latest return address before any reply can fire: the
-        // open path may emit a kReject downlink synchronously.
-        if (item.peer.valid()) peers_[item.session] = item.peer;
-        if (!gateway_->has_session(item.session)) open_from_ingress(item);
-        gateway_->on_uplink(item.session, std::move(item.bytes));
-      },
-      limit);
+      [this](IngressItem&& item) { ingest(std::move(item)); }, limit);
+}
+
+void ShardEngine::ingest(IngressItem&& item) {
+  ingress_.fetch_add(1, std::memory_order_relaxed);
+  if (!gateway_->has_session(item.session))
+    open(item.session, item.peer);
+  else if (item.peer.valid())
+    peers_[item.session] = item.peer;  // the latest return address
+  gateway_->on_uplink(item.session, std::move(item.bytes));
 }
 
 void ShardEngine::record_verdict(std::uint64_t id, bool accepted) {
@@ -86,8 +92,47 @@ void ShardEngine::send(std::uint64_t id, std::vector<std::uint8_t> bytes) {
     transport_->send_downlink(id, p->second, std::move(bytes));
 }
 
-void ShardEngine::open_from_ingress(const IngressItem& item) {
-  const std::uint64_t id = item.session;
+GatewayServer::Downlink ShardEngine::downlink(std::uint64_t id) {
+  return [this, id](std::vector<std::uint8_t> bytes) {
+    send(id, std::move(bytes));
+  };
+}
+
+GatewayServer::Judge ShardEngine::judge(std::uint64_t id,
+                                        SessionSetup& setup) {
+  if (setup.deferred_schnorr) {
+    // The machine finished the exchange without verifying; hand its wire
+    // transcript to this shard's batch queue. The verdict lands in the
+    // gateway through the callback — possibly inside this very call, when
+    // the transcript fills the batch — and, after a failover, on the
+    // restored session.
+    return [this, id](const protocol::SessionMachine& m) {
+      const auto& sv = static_cast<const protocol::SchnorrVerifier&>(m);
+      PendingTranscript t;
+      t.session = id;
+      t.X = sv.public_key();
+      t.commitment_wire = sv.commitment_wire();
+      t.challenge = sv.challenge();
+      t.response = sv.response();
+      t.on_result = [this, id](bool ok) {
+        record_verdict(id, ok);
+        gateway_->land_verdict(id, ok);
+      };
+      verifier_.enqueue(std::move(t));
+      return false;  // not yet: the verdict is in the batch
+    };
+  }
+  return [this, id, inner = std::move(setup.judge)](
+             const protocol::SessionMachine& m) {
+    const bool ok = inner ? inner(m) : true;
+    record_verdict(id, ok);
+    return ok;
+  };
+}
+
+void ShardEngine::open(std::uint64_t id, const Peer& peer) {
+  // The return address first: a refusal or a shed replies at once.
+  if (peer.valid()) peers_[id] = peer;
   SessionSetup setup = factory_(id);
   if (!setup.machine) {
     // Refused (unknown or quarantined device): an explicit verdict, as
@@ -100,42 +145,30 @@ void ShardEngine::open_from_ingress(const IngressItem& item) {
     send(id, encode_frame(reject));
     return;
   }
-
-  GatewayServer::Downlink down = [this, id](std::vector<std::uint8_t> bytes) {
-    send(id, std::move(bytes));
-  };
-
-  GatewayServer::Judge judge;
-  if (setup.deferred_schnorr) {
-    // The machine finished the exchange without verifying; hand its wire
-    // transcript to this shard's batch queue. The verdict lands via the
-    // callback — possibly in this very call when the batch fills.
-    judge = [this, id](const protocol::SessionMachine& m) {
-      const auto& sv = static_cast<const protocol::SchnorrVerifier&>(m);
-      PendingTranscript t;
-      t.session = id;
-      t.X = sv.public_key();
-      t.commitment_wire = sv.commitment_wire();
-      t.challenge = sv.challenge();
-      t.response = sv.response();
-      t.on_result = [this, id](bool ok) { record_verdict(id, ok); };
-      verifier_.enqueue(std::move(t));
-      return false;  // gateway's inline verdict is a placeholder
-    };
-  } else {
-    judge = [this, id, inner = std::move(setup.judge)](
-                const protocol::SessionMachine& m) {
-      const bool ok = inner ? inner(m) : true;
-      record_verdict(id, ok);
-      return ok;
-    };
-  }
-
-  if (gateway_->open_session(id, std::move(setup.machine), std::move(down),
-                             std::move(judge), std::move(setup.rng)))
+  GatewayServer::Judge j = judge(id, setup);
+  if (gateway_->open_session(id, std::move(setup.machine), downlink(id),
+                             std::move(j), std::move(setup.rng)))
     opened_.fetch_add(1, std::memory_order_relaxed);
   else
     rejected_.fetch_add(1, std::memory_order_relaxed);
+}
+
+GatewayStats ShardEngine::failover() {
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> snaps;
+  for (const std::uint64_t id : gateway_->session_ids())
+    snaps.emplace_back(id, gateway_->snapshot_session(id));
+  const GatewayStats dead = gateway_->stats();
+  gateway_ = make_gateway();
+  for (auto& [id, snap] : snaps) {
+    SessionSetup setup = factory_(id);
+    // Refused now (say, its device was quarantined meanwhile): the
+    // session dies with the node, and its next datagram meets the refusal.
+    if (!setup.machine) continue;
+    GatewayServer::Judge j = judge(id, setup);
+    gateway_->restore_session(id, std::move(setup.machine), downlink(id),
+                              snap, std::move(j), std::move(setup.rng));
+  }
+  return dead;
 }
 
 void ShardEngine::flush_verifier() {
@@ -253,19 +286,10 @@ DrainReport ShardFleet::drain_for(std::chrono::milliseconds budget) {
 
 ShardStats ShardFleet::totals() const {
   ShardStats sum;
-  for (const auto& e : engines_) {
-    const ShardStats s = e->stats();
-    sum.ingress += s.ingress;
-    sum.mailbox_shed += s.mailbox_shed;
-    sum.opened += s.opened;
-    sum.completed += s.completed;
-    sum.accepted += s.accepted;
-    sum.rejected += s.rejected;
-    sum.verifier_flushes += s.verifier_flushes;
-    sum.ticks += s.ticks;
-  }
+  for (const auto& e : engines_) sum += e->stats();
   return sum;
 }
+
 
 // --- deterministic sharded campaign ------------------------------------------
 
@@ -277,179 +301,123 @@ using campaign::SessionOutcome;
 struct WorldResult {
   std::vector<SessionOutcome> outcomes;
   GatewayStats gateway;
-  LinkStats link;
-  std::uint64_t retransmits = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t dup_suppressed = 0;
+  LinkStats link;          ///< both directions, all sessions
+  DeliveryStats delivery;  ///< device and gateway endpoints
   BatchVerifierStats verifier;
 };
 
-/// One shard's virtual world: per-gid seeds, the failover drill and
-/// outcome extraction over an arbitrary gid set (the hash partition), with
-/// gid%4==0 Schnorr verdicts deferred through a per-shard
-/// SchnorrBatchVerifier instead of an inline judge. Deferred mode emits
-/// identical wire traffic and consumes identical rng (the challenge draw),
-/// and the batch verifier is verdict-equivalent (honest transcripts always
-/// pass; a failing batch falls back per item), so every per-session
-/// outcome — and therefore the campaign digest — is the inline path's.
+/// Downlinks onto each session's own LossyLink. The world hands every
+/// session a peer whose ip is its index into `links` — the opaque cookie a
+/// Peer may be for an in-process transport.
+struct LinkTransport final : Transport {
+  std::vector<std::unique_ptr<LossyLink>> links;
+  void send_downlink(std::uint64_t, const Peer& peer,
+                     std::vector<std::uint8_t> bytes) override {
+    links[peer.ip]->send(LossyLink::kDown, std::move(bytes));
+  }
+};
+
+/// One shard's virtual world: a ShardEngine serving an arbitrary gid set
+/// (the hash partition) for devices on seeded links, the failover drill,
+/// and outcome extraction. gid%4==0 Schnorr verdicts are deferred through
+/// the engine's batch verifier. Deferred mode emits identical wire traffic
+/// and consumes identical rng (the challenge draw), and the batch verifier
+/// is verdict-equivalent (honest transcripts always pass; a failing batch
+/// falls back per item), so every per-session outcome — and therefore the
+/// campaign digest — is the inline path's.
 WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
                       const std::vector<std::uint64_t>& gids,
                       std::size_t verify_batch) {
   const std::size_t count = gids.size();
-  core::EventQueue q;
-  GatewayConfig gcfg;
-  gcfg.delivery = cfg.delivery;
-  gcfg.session_deadline = cfg.session_deadline;
-  gcfg.idle_timeout = cfg.idle_timeout;
+  ShardFleetConfig scfg;
+  scfg.seed = cfg.seed;
+  scfg.verify_batch = verify_batch;
+  scfg.mailbox_capacity = 1;  // never queued into: ingest() is called
+  scfg.gateway.delivery = cfg.delivery;
+  scfg.gateway.session_deadline = cfg.session_deadline;
+  scfg.gateway.idle_timeout = cfg.idle_timeout;
+  LinkTransport transport;
+  ShardEngine shard(
+      0, scfg, fx.curve,
+      [&cfg, &fx](std::uint64_t gid) {
+        SessionSetup s;
+        s.rng = std::make_unique<rng::Xoshiro256>(
+            mix_seed(cfg.seed, gid * 4 + 1));
+        s.deferred_schnorr = gid % 4 == 0;
+        s.machine =
+            campaign::server_factory(fx, gid, s.deferred_schnorr)(*s.rng);
+        s.judge = campaign::judge_for(gid);
+        return s;
+      },
+      /*producers=*/1);
+  shard.set_transport(&transport);
+  core::EventQueue& queue = shard.queue();
 
-  // Declared before the gateway: judge lambdas stored in gateway sessions
-  // capture these by reference, and enqueued callbacks outlive a failover.
-  SchnorrBatchVerifier bv(fx.curve, verify_batch,
-                          mix_seed(cfg.seed, 0xB47C));
-  std::map<std::uint64_t, bool> verdicts;
-
-  auto gw = std::make_unique<GatewayServer>(q, mix_seed(cfg.seed, 0x6A7E),
-                                            gcfg);
-
-  const auto make_judge = [&bv, &verdicts](std::uint64_t gid)
-      -> GatewayServer::Judge {
-    if (gid % 4 != 0) return campaign::judge_for(gid);
-    return [&bv, &verdicts, gid](const protocol::SessionMachine& m) {
-      const auto& sv = static_cast<const protocol::SchnorrVerifier&>(m);
-      PendingTranscript t;
-      t.session = gid;
-      t.X = sv.public_key();
-      t.commitment_wire = sv.commitment_wire();
-      t.challenge = sv.challenge();
-      t.response = sv.response();
-      t.on_result = [&verdicts, gid](bool ok) { verdicts[gid] = ok; };
-      bv.enqueue(std::move(t));
-      return false;  // placeholder; the outcome reads the batch verdict
-    };
-  };
-
+  // Declared after the shard: device endpoints cancel their timers on its
+  // queue when they die.
   std::vector<std::unique_ptr<rng::Xoshiro256>> dev_rngs(count);
   std::vector<std::unique_ptr<protocol::SessionMachine>> dev_machines(count);
-  std::vector<std::unique_ptr<LossyLink>> links(count);
   std::vector<std::unique_ptr<DeviceEndpoint>> devices(count);
-  std::vector<campaign::MachineFactory> srv_factories(count);
-  std::map<std::uint64_t, std::size_t> index;
+  transport.links.resize(count);
 
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t gid = gids[i];
-    index[gid] = i;
+    const Peer peer{static_cast<std::uint32_t>(i), 1};
     dev_rngs[i] =
         std::make_unique<rng::Xoshiro256>(mix_seed(cfg.seed, gid * 4));
-    auto srv_rng =
-        std::make_unique<rng::Xoshiro256>(mix_seed(cfg.seed, gid * 4 + 1));
     dev_machines[i] = campaign::device_factory(fx, gid)(*dev_rngs[i]);
-    srv_factories[i] = campaign::server_factory(
-        fx, gid, /*deferred_schnorr=*/gid % 4 == 0);
-    auto srv_machine = srv_factories[i](*srv_rng);
-    links[i] = std::make_unique<LossyLink>(
-        q, mix_seed(cfg.seed, gid * 4 + 2), cfg.uplink, cfg.downlink);
-    devices[i] = std::make_unique<DeviceEndpoint>(q, gid, cfg.seed,
+    transport.links[i] = std::make_unique<LossyLink>(
+        queue, mix_seed(cfg.seed, gid * 4 + 2), cfg.uplink, cfg.downlink);
+    devices[i] = std::make_unique<DeviceEndpoint>(queue, gid, cfg.seed,
                                                   *dev_machines[i],
                                                   cfg.delivery);
-    LossyLink* link = links[i].get();
+    LossyLink* link = transport.links[i].get();
     DeviceEndpoint* dev = devices[i].get();
     dev->set_uplink([link](std::vector<std::uint8_t> bytes) {
       link->send(LossyLink::kUp, std::move(bytes));
     });
     link->set_receiver(LossyLink::kUp,
-                       [&gw, gid](std::vector<std::uint8_t> bytes) {
-                         if (gw) gw->on_uplink(gid, std::move(bytes));
+                       [&shard, gid, peer](std::vector<std::uint8_t> bytes) {
+                         shard.ingest(IngressItem{gid, peer, std::move(bytes)});
                        });
     link->set_receiver(LossyLink::kDown,
                        [dev](std::vector<std::uint8_t> bytes) {
                          dev->on_downlink(std::move(bytes));
                        });
-    gw->open_session(gid, std::move(srv_machine),
-                     [link](std::vector<std::uint8_t> bytes) {
-                       link->send(LossyLink::kDown, std::move(bytes));
-                     },
-                     make_judge(gid), std::move(srv_rng));
+    shard.open(gid, peer);
     dev->start();
   }
 
-  GatewayStats pre_failover;
-  if (cfg.failover_at != 0) {
-    q.run_until(cfg.failover_at);
-    std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> snaps;
-    for (const std::uint64_t id : gw->session_ids())
-      snaps.emplace_back(id, gw->snapshot_session(id));
-    pre_failover = gw->stats();
-    gw.reset();
-    gw = std::make_unique<GatewayServer>(q, mix_seed(cfg.seed, 0x6A7E),
-                                         gcfg);
-    for (auto& [id, snap] : snaps) {
-      const std::size_t i = index.at(id);
-      auto srv_rng = std::make_unique<rng::Xoshiro256>(0);  // state loaded
-      auto machine = srv_factories[i](*srv_rng);
-      LossyLink* link = links[i].get();
-      gw->restore_session(id, std::move(machine),
-                          [link](std::vector<std::uint8_t> bytes) {
-                            link->send(LossyLink::kDown, std::move(bytes));
-                          },
-                          snap, make_judge(id), std::move(srv_rng));
-    }
-  }
-
-  while (q.pending() && q.now() < cfg.max_cycles) q.run_next();
-  bv.flush();  // land every still-queued deferred verdict
-
   WorldResult out;
-  out.gateway = gw->stats();
-  out.gateway.opened += pre_failover.opened;
-  out.gateway.shed += pre_failover.shed;
-  out.gateway.completed += pre_failover.completed;
-  out.gateway.accepted += pre_failover.accepted;
-  out.gateway.failed += pre_failover.failed;
-  out.gateway.quarantined += pre_failover.quarantined;
-  out.gateway.deadline_evicted += pre_failover.deadline_evicted;
-  out.gateway.idle_evicted += pre_failover.idle_evicted;
-  // Deferred judges returned the placeholder `false` at settle, so the
-  // gateway never counted their accepts; fold the batch verdicts back in
-  // so `gateway.accepted` counts every accepted session.
-  for (const auto& [gid, ok] : verdicts)
-    if (ok) ++out.gateway.accepted;
-  out.verifier = bv.stats();
+  if (cfg.failover_at != 0) {
+    shard.advance_to(cfg.failover_at);
+    out.gateway = shard.failover();
+  }
+  while (queue.pending() && queue.now() < cfg.max_cycles) queue.run_next();
+  shard.flush_verifier();  // land every still-queued deferred verdict
 
+  const GatewayServer& gw = shard.gateway();
+  out.gateway += gw.stats();
+  out.verifier = shard.verifier().stats();
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t gid = gids[i];
+    const DeviceEndpoint& dev = *devices[i];
     SessionOutcome o;
     o.id = gid;
-    const GatewaySessionStatus st = gw->status(gid);
-    const bool dev_done = devices[i]->done();
-    const bool dev_failed = devices[i]->failed();
-    o.completed = dev_done && st == GatewaySessionStatus::kCompleted;
-    const auto v = verdicts.find(gid);
-    o.accepted = o.completed && (gid % 4 == 0
-                                     ? v != verdicts.end() && v->second
-                                     : gw->accepted(gid));
-    o.failed = !o.completed &&
-               (dev_failed || st != GatewaySessionStatus::kActive);
-    if (o.completed)
-      o.cycle = std::max(devices[i]->done_at(), gw->settled_at(gid));
-    o.retransmits = devices[i]->stats().retransmits;
-    if (const DeliveryStats* ds = gw->delivery_stats(gid)) {
+    const GatewaySessionStatus st = gw.status(gid);
+    o.completed = dev.done() && st == GatewaySessionStatus::kCompleted;
+    o.accepted = o.completed && gw.accepted(gid);
+    o.failed =
+        !o.completed && (dev.failed() || st != GatewaySessionStatus::kActive);
+    if (o.completed) o.cycle = std::max(dev.done_at(), gw.settled_at(gid));
+    o.retransmits = dev.stats().retransmits;
+    out.delivery += dev.stats();
+    if (const DeliveryStats* ds = gw.delivery_stats(gid)) {
       o.retransmits += ds->retransmits;
-      out.decode_failures += ds->decode_failures;
-      out.dup_suppressed += ds->dup_suppressed;
+      out.delivery += *ds;
     }
-    out.decode_failures += devices[i]->stats().decode_failures;
-    out.dup_suppressed += devices[i]->stats().dup_suppressed;
-    out.retransmits += o.retransmits;
-    for (const auto dir : {LossyLink::kUp, LossyLink::kDown}) {
-      const LinkStats& ls = links[i]->stats(dir);
-      out.link.sent += ls.sent;
-      out.link.delivered += ls.delivered;
-      out.link.dropped += ls.dropped;
-      out.link.corrupted += ls.corrupted;
-      out.link.duplicated += ls.duplicated;
-      out.link.reordered += ls.reordered;
-      out.link.corrupted_delivered += ls.corrupted_delivered;
-    }
+    out.link += transport.links[i]->stats(LossyLink::kUp);
+    out.link += transport.links[i]->stats(LossyLink::kDown);
     out.outcomes.push_back(o);
   }
   return out;
@@ -483,38 +451,31 @@ ShardedCampaignResult run_sharded_campaign(
   out.shards = scfg.shards;
   ChaosCampaignResult& c = out.chaos;
   c.sessions = cfg.sessions;
+  LinkStats link;
+  DeliveryStats delivery;
   std::vector<SessionOutcome> outcomes;
   outcomes.reserve(cfg.sessions);
   for (const WorldResult& r : results) {
-    c.gateway.opened += r.gateway.opened;
-    c.gateway.shed += r.gateway.shed;
-    c.gateway.completed += r.gateway.completed;
-    c.gateway.accepted += r.gateway.accepted;
-    c.gateway.failed += r.gateway.failed;
-    c.gateway.quarantined += r.gateway.quarantined;
-    c.gateway.deadline_evicted += r.gateway.deadline_evicted;
-    c.gateway.idle_evicted += r.gateway.idle_evicted;
-    c.gateway.restored += r.gateway.restored;
-    c.frames_sent += r.link.sent;
-    c.frames_dropped += r.link.dropped;
-    c.frames_corrupted += r.link.corrupted;
-    c.frames_duplicated += r.link.duplicated;
-    c.frames_reordered += r.link.reordered;
-    c.retransmits += r.retransmits;
-    c.decode_failures += r.decode_failures;
-    c.dup_suppressed += r.dup_suppressed;
-    // Every corrupted delivery must surface as a decode failure; any gap
-    // means a mangled frame got past the CRC into a machine.
-    c.corrupt_accepted += r.link.corrupted_delivered;
-    out.verifier.items += r.verifier.items;
-    out.verifier.batches += r.verifier.batches;
-    out.verifier.accepted += r.verifier.accepted;
-    out.verifier.rejected += r.verifier.rejected;
-    out.verifier.decode_failures += r.verifier.decode_failures;
-    out.verifier.rlc_failures += r.verifier.rlc_failures;
-    out.verifier.single_fallbacks += r.verifier.single_fallbacks;
+    c.gateway += r.gateway;
+    link += r.link;
+    delivery += r.delivery;
+    out.verifier += r.verifier;
     outcomes.insert(outcomes.end(), r.outcomes.begin(), r.outcomes.end());
   }
+  c.frames_sent = link.sent;
+  c.frames_dropped = link.dropped;
+  c.frames_corrupted = link.corrupted;
+  c.frames_duplicated = link.duplicated;
+  c.frames_reordered = link.reordered;
+  c.retransmits = delivery.retransmits;
+  c.decode_failures = delivery.decode_failures;
+  c.dup_suppressed = delivery.dup_suppressed;
+  // Every corrupted delivery must surface as a decode failure; any gap
+  // means a mangled frame got past the CRC into a machine.
+  c.corrupt_accepted = link.corrupted_delivered > delivery.decode_failures
+                           ? link.corrupted_delivered - delivery.decode_failures
+                           : 0;
+
   // The hash partition scatters gids across shards; the digest folds in
   // GLOBAL session order, so it is the same at any shard count.
   std::sort(outcomes.begin(), outcomes.end(),
@@ -533,9 +494,6 @@ ShardedCampaignResult run_sharded_campaign(
     if (!o.completed && !o.failed) ++c.stuck;
     digest = campaign::digest_outcome(digest, o);
   }
-  c.corrupt_accepted = c.corrupt_accepted > c.decode_failures
-                           ? c.corrupt_accepted - c.decode_failures
-                           : 0;
   c.digest = digest;
   std::sort(latencies.begin(), latencies.end());
   if (!latencies.empty()) {

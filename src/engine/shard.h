@@ -13,7 +13,7 @@
 //              lock-free SPSC mailbox lane        (core/mpsc_ring.h,
 //                         │                        one lane per producer —
 //                         ▼                        full lane => kReject)
-//     shard thread: drain mailbox -> GatewayServer::on_uplink
+//     shard thread: drain mailbox -> ingest -> GatewayServer::on_uplink
 //                   run virtual-clock timers (ARQ retransmits, deadlines)
 //                   flush batch verifier (<= 1 MSM per tick)
 //                         │
@@ -29,10 +29,14 @@
 // Deterministic mode: run_sharded_campaign() is the chaos campaign —
 // device <-> gateway sessions over seeded LossyLinks, hash-partitioned
 // across N shard worlds with Schnorr verdicts deferred to per-shard batch
-// verifiers. Every per-session seed is a pure function of (campaign
-// seed, global session id) — see campaign_fixtures.h — so its outcome
-// digest is bit-identical at ANY shard count, serial or parallel; the
-// gateway and shard suites pin the digests.
+// verifiers. Each world is one ShardEngine driven from outside: sessions
+// open through open(), uplinks arrive through ingest(), downlinks leave
+// through a Transport onto each session's own link, and the failover
+// drill is failover() — the same code that serves UDP, so the pinned
+// digests cover it. Every per-session seed is a pure function of
+// (campaign seed, global session id) — see campaign_fixtures.h — so the
+// outcome digest is bit-identical at ANY shard count, serial or parallel;
+// the gateway and shard suites pin the digests.
 #pragma once
 
 #include <atomic>
@@ -44,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/counters.h"
 #include "core/event_queue.h"
 #include "core/mpsc_ring.h"
 #include "engine/batch_verifier.h"
@@ -117,8 +122,8 @@ struct ShardFleetConfig {
   /// Per-shard batch verifier flush threshold; the shard tick also
   /// flushes whatever is queued, so this is a ceiling, not a latency.
   std::size_t verify_batch = 64;
-  /// Base seed for per-session derivations (delivery jitter, RLC
-  /// coefficients are mixed per shard/session from it).
+  /// Base seed for per-session derivations (delivery jitter — the same
+  /// on every shard — and, with process entropy, RLC coefficients).
   std::uint64_t seed = 0x5EC0FFEE;
   GatewayConfig gateway;
   /// Socket mode: virtual cycles per real microsecond (drives ARQ
@@ -139,6 +144,9 @@ struct ShardStats {
   std::uint64_t verifier_flushes = 0;  ///< ticks that ran an MSM
   std::uint64_t ticks = 0;
 };
+inline ShardStats& operator+=(ShardStats& a, const ShardStats& b) {
+  return core::add_counters(a, b);
+}
 
 /// One shard: event queue + gateway partition + batch verifier + mailbox.
 /// Producer API (offer) is wait-free and callable from its designated
@@ -163,10 +171,25 @@ class ShardEngine {
 
   void set_transport(Transport* t) { transport_ = t; }
 
-  /// Drain up to `limit` mailbox items into the gateway (auto-opening
-  /// unknown sessions via the factory, answering a refusal with
-  /// kReject). Returns items processed.
+  /// Drain up to `limit` mailbox items through ingest(). Returns items
+  /// processed.
   std::size_t drain_mailbox(std::size_t limit);
+
+  /// Serve one datagram: track the peer's latest return address, open an
+  /// unknown session, hand the bytes to the gateway.
+  void ingest(IngressItem&& item);
+
+  /// Open session `id` (not open yet) with the factory's setup, `peer`
+  /// recorded first so any reply can reach it. A factory refusal or an
+  /// admission shed answers with one kReject frame and counts in
+  /// stats().rejected.
+  void open(std::uint64_t id, const Peer& peer);
+
+  /// Node death: snapshot every session onto a fresh gateway, each with a
+  /// machine and rng the factory builds anew (the snapshot overwrites
+  /// their state; a refused one is not restored). Queued verdicts land on
+  /// the restored sessions. Returns the dead gateway's stats.
+  GatewayStats failover();
 
   /// Run timers due by virtual cycle `t` (ARQ retransmits, deadlines).
   void advance_to(core::Cycle t) { queue_.run_until(t); }
@@ -187,8 +210,9 @@ class ShardEngine {
   GatewayServer& gateway() { return *gateway_; }
   SchnorrBatchVerifier& verifier() { return verifier_; }
 
-  /// Verdict bookkeeping for deferred sessions (shard-thread owned; read
-  /// from other threads only after the shard stops).
+  /// Verdict bookkeeping per session, inline and deferred alike; the
+  /// gateway holds the same verdicts (shard-thread owned; read from other
+  /// threads only after the shard stops).
   struct Record {
     bool completed = false;  ///< verdict landed
     bool accepted = false;
@@ -201,7 +225,9 @@ class ShardEngine {
   ShardStats stats() const;
 
  private:
-  void open_from_ingress(const IngressItem& item);
+  std::unique_ptr<GatewayServer> make_gateway();
+  GatewayServer::Downlink downlink(std::uint64_t id);
+  GatewayServer::Judge judge(std::uint64_t id, SessionSetup& setup);
   void send(std::uint64_t id, std::vector<std::uint8_t> bytes);
   void record_verdict(std::uint64_t id, bool accepted);
 
@@ -350,9 +376,9 @@ struct ShardedCampaignResult {
 /// Run a seeded chaos campaign: `chaos.sessions` device <-> gateway
 /// sessions (session gid runs Schnorr / Peeters–Hermans / mutual auth /
 /// ECIES by gid % 4), each over its own seeded LossyLink, hash-partitioned
-/// across `shards` deterministic worlds, gid%4==0 Schnorr verdicts
-/// deferred through per-shard batch verifiers. The digest depends on the
-/// campaign config only — not on `shards`, `verify_batch` or `parallel`.
+/// across `shards` ShardEngine worlds, gid%4==0 Schnorr verdicts deferred
+/// through their batch verifiers. The digest depends on the campaign
+/// config only — not on `shards`, `verify_batch` or `parallel`.
 ShardedCampaignResult run_sharded_campaign(
     const ShardedCampaignConfig& config);
 

@@ -1,11 +1,10 @@
 #include "engine/transport.h"
 
 #include <array>
-#include <mutex>
-#include <string>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
 
+#include "protocol/wire.h"
 #include "rng/xoshiro.h"
 
 namespace medsec::engine {
@@ -32,18 +31,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   std::uint32_t c = 0xFFFFFFFFu;
   for (const std::uint8_t b : data) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
-}
-
-// --- label interning ---------------------------------------------------------
-
-const char* intern_label(std::string_view label) {
-  // unordered_set<string> never moves its nodes, so c_str() pointers are
-  // stable for the life of the pool (process lifetime, intentionally
-  // leaked like ThreadPool::shared()).
-  static std::mutex mu;
-  static auto* pool = new std::unordered_set<std::string>();
-  const std::lock_guard<std::mutex> lock(mu);
-  return pool->emplace(label).first->c_str();
 }
 
 // --- frame buffer pool -------------------------------------------------------
@@ -117,6 +104,15 @@ std::uint64_t get_u64(std::span<const std::uint8_t> in, std::size_t at) {
   return v;
 }
 
+/// A wire label's stable storage: its vocabulary entry, "" for acks and
+/// rejects, nullptr (malformed) for a label no machine sends.
+const char* known_label(std::string_view label) {
+  if (label.empty()) return "";
+  for (const std::string_view known : protocol::kMessageLabels)
+    if (label == known) return known.data();
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(const Frame& f) {
@@ -180,8 +176,9 @@ std::optional<Frame> decode_frame(std::span<const std::uint8_t> bytes) {
   std::size_t at = kHeaderBytes;
   const std::size_t label_len = bytes[at++];
   if (bytes.size() < at + label_len + 2 + kCrcBytes) return std::nullopt;
-  f.label = intern_label(std::string_view(
+  f.label = known_label(std::string_view(
       reinterpret_cast<const char*>(bytes.data() + at), label_len));
+  if (f.label == nullptr) return std::nullopt;
   at += label_len;
   const std::size_t payload_len =
       bytes[at] | (static_cast<std::size_t>(bytes[at + 1]) << 8);

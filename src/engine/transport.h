@@ -26,9 +26,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
+#include "core/counters.h"
 #include "core/event_queue.h"
 
 namespace medsec::engine {
@@ -37,12 +37,6 @@ namespace medsec::engine {
 /// integrity check. Not cryptographic: the MAC layers above guard against
 /// adversaries; the CRC guards against the *channel*.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
-
-/// protocol::Message carries its label as a `const char*` to a string
-/// literal; a label that crossed the wire needs equally stable storage.
-/// Interning gives every distinct label one process-lifetime address
-/// (thread-safe, append-only).
-const char* intern_label(std::string_view label);
 
 enum class FrameType : std::uint8_t {
   kData = 1,    ///< one protocol message (label + payload)
@@ -54,7 +48,9 @@ struct Frame {
   FrameType type = FrameType::kData;
   std::uint64_t session = 0;
   std::uint32_t seq = 0;
-  const char* label = "";  ///< interned; empty for kAck/kReject
+  /// One of protocol::kMessageLabels, or empty (kAck/kReject). Decoded
+  /// frames point into that table, so the label outlives the frame.
+  const char* label = "";
   std::vector<std::uint8_t> payload;
 };
 
@@ -85,8 +81,9 @@ std::vector<std::uint8_t> encode_frame(const Frame& f);
 void encode_frame_into(const Frame& f, std::vector<std::uint8_t>& out);
 
 /// Strict decode: verifies magic, type, length consistency (the encoded
-/// lengths must account for every byte) and the trailing CRC. Returns
-/// nullopt for anything malformed — truncation, stray bytes, bit flips.
+/// lengths must account for every byte), the trailing CRC and the label
+/// (the protocol vocabulary or empty). Returns nullopt for anything
+/// malformed — truncation, stray bytes, bit flips, unknown labels.
 std::optional<Frame> decode_frame(std::span<const std::uint8_t> bytes);
 
 /// Per-direction fault rates and delay band of a LossyLink. Rates are
@@ -116,6 +113,9 @@ struct LinkStats {
   /// zero-accepted-corrupt invariant.
   std::uint64_t corrupted_delivered = 0;
 };
+inline LinkStats& operator+=(LinkStats& a, const LinkStats& b) {
+  return core::add_counters(a, b);
+}
 
 /// An in-process bidirectional datagram channel with scheduled delivery
 /// and a seeded fault model. Directions: kUp = device -> gateway,

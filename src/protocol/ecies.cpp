@@ -174,7 +174,7 @@ StepResult EciesUploader::start() {
                                            *make_cipher_, key_bytes_, *rng_,
                                            &ledger_, hardened_);
   return step(
-      StepResult::done(Message{"ECIES blob", encode_ecies(*curve_, ct)}));
+      StepResult::done(Message{kLabelEciesBlob, encode_ecies(*curve_, ct)}));
 }
 
 StepResult EciesUploader::on_message(const Message&) {

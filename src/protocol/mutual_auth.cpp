@@ -69,7 +69,7 @@ StepResult MutualAuthTag::start() {
   rng_->fill(nt_);
   ledger_.rng_bits += 8 * kNonceBytes;
   started_ = true;
-  Message m{"N_t", nt_};
+  Message m{kLabelTagNonce, nt_};
   ledger_.tx_bits += m.bits();
   return step(StepResult::wait(std::move(m)));
 }
@@ -128,7 +128,7 @@ StepResult MutualAuthTag::on_message(const Message& m) {
   }
 
   // --- move 3: T -> S ------------------------------------------------------
-  Message out{"MAC(TAG) || nonce || ct || MAC(ct)",
+  Message out{kLabelTagMacCiphertext,
               concat({tag_auth_mac, nonce, sealed.ciphertext, sealed.tag})};
   ledger_.tx_bits += out.bits();
   return step(StepResult::done(std::move(out)));
@@ -171,7 +171,7 @@ StepResult MutualAuthServer::on_message(const Message& m) {
     const auto srv_tag_msg = concat({bytes_of("SRV"), nt_, ns_});
     const auto srv_mac_val = ciphers::cmac(*mac_, srv_tag_msg);
     return step(StepResult::wait(
-        Message{"N_s || MAC(SRV)", concat({ns_, srv_mac_val})}));
+        Message{kLabelServerNonceMac, concat({ns_, srv_mac_val})}));
   }
 
   // --- move 3: MAC(TAG) || nonce || ct || MAC(ct) --------------------------

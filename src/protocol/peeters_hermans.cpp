@@ -119,7 +119,7 @@ PhTagMachine::PhTagMachine(const Curve& curve, PhTag tag,
 StepResult PhTagMachine::start() {
   session_ = ph_tag_commit(*curve_, tag_, *rng_, ledger_, hardened_);
   committed_ = true;
-  Message m{"commitment R", encode_point(*curve_, session_.commitment)};
+  Message m{kLabelCommitment, encode_point(*curve_, session_.commitment)};
   ledger_.tx_bits += m.bits();
   return step(StepResult::wait(std::move(m)));
 }
@@ -131,7 +131,7 @@ StepResult PhTagMachine::on_message(const Message& m) {
   const Scalar e = decode_scalar(m.payload);
   const Scalar s =
       ph_tag_respond(*curve_, tag_, session_, e, *rng_, ledger_, hardened_);
-  Message out{"response s", encode_scalar(s)};
+  Message out{kLabelResponse, encode_scalar(s)};
   ledger_.tx_bits += out.bits();
   return step(StepResult::done(std::move(out)));
 }
@@ -164,7 +164,7 @@ StepResult PhReaderMachine::on_message(const Message& m) {
     view_.commitment = *p;
     view_.challenge = rng_->uniform_nonzero(curve_->order());
     return step(StepResult::wait(
-        Message{"challenge e", encode_scalar(view_.challenge)}));
+        Message{kLabelChallenge, encode_scalar(view_.challenge)}));
   }
   if (m.payload.size() != kFeBytes) return step(StepResult::failed());
   view_.response = decode_scalar(m.payload);

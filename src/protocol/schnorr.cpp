@@ -57,7 +57,7 @@ StepResult SchnorrProver::start() {
     ledger_.rng_bits += 163;
   }
   committed_ = true;
-  Message m{"commitment R", encode_point(*curve_, rc)};
+  Message m{kLabelCommitment, encode_point(*curve_, rc)};
   ledger_.tx_bits += m.bits();
   return step(StepResult::wait(std::move(m)));
 }
@@ -72,7 +72,7 @@ StepResult SchnorrProver::on_message(const Message& m) {
   const Scalar s = ring.add(r_, ring.mul(e, key_.x));
   ++ledger_.modmul;
   ++ledger_.modadd;
-  Message out{"response s", encode_scalar(s)};
+  Message out{kLabelResponse, encode_scalar(s)};
   ledger_.tx_bits += out.bits();
   return step(StepResult::done(std::move(out)));
 }
@@ -111,7 +111,7 @@ StepResult SchnorrVerifier::on_message(const Message& m) {
     }
     view_.challenge = rng_->uniform_nonzero(curve_->order());
     return step(StepResult::wait(
-        Message{"challenge e", encode_scalar(view_.challenge)}));
+        Message{kLabelChallenge, encode_scalar(view_.challenge)}));
   }
   if (m.payload.size() != kFeBytes) return step(StepResult::failed());
   view_.response = decode_scalar(m.payload);

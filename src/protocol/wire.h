@@ -8,8 +8,10 @@
 // y-parity bit in a prefix byte).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "ecc/curve.h"
@@ -41,6 +43,22 @@ struct Message {
   std::vector<std::uint8_t> payload;
   std::size_t bits() const { return 8 * payload.size(); }
 };
+
+// Message labels: every label a protocol machine sends, defined once. The
+// framed transport (engine/transport.h) accepts exactly these on the wire
+// and hands back this storage, so a decoded label outlives its frame.
+inline constexpr char kLabelCommitment[] = "commitment R";
+inline constexpr char kLabelChallenge[] = "challenge e";
+inline constexpr char kLabelResponse[] = "response s";
+inline constexpr char kLabelTagNonce[] = "N_t";
+inline constexpr char kLabelServerNonceMac[] = "N_s || MAC(SRV)";
+inline constexpr char kLabelTagMacCiphertext[] =
+    "MAC(TAG) || nonce || ct || MAC(ct)";
+inline constexpr char kLabelEciesBlob[] = "ECIES blob";
+inline constexpr std::array<std::string_view, 7> kMessageLabels = {
+    kLabelCommitment, kLabelChallenge,      kLabelResponse,
+    kLabelTagNonce,   kLabelServerNonceMac, kLabelTagMacCiphertext,
+    kLabelEciesBlob};
 
 /// A transcript: the adversary's view of a session, and the unit the
 /// radio-energy model charges for.

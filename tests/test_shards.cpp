@@ -4,9 +4,12 @@
 // the shard-count invariance contract (one pinned run_sharded_campaign
 // digest at ANY shard count, failover and faults included), per-shard
 // batch verification with forgery isolation and unpredictable RLC
-// coefficients, the inline-judge path, registry refusals answered with
-// kReject, a multi-shard fleet on its loop threads, bounded drain_for,
-// frame-buffer pooling, and the UDP front end end-to-end over loopback.
+// coefficients, deferred verdicts landing in the gateway (inside their own
+// judge, across a snapshot and across ShardEngine::failover), the
+// inline-judge path, registry refusals answered with kReject, a
+// multi-shard fleet on its loop threads, bounded drain_for, the stats
+// merge, frame-buffer pooling, and the UDP front end end-to-end over
+// loopback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -176,6 +179,14 @@ TEST(ShardEngine, MailboxOverflowShedsExplicitly) {
 
 // --- ShardEngine: in-process sessions, batch verify, forgery isolation -------
 
+/// live_sessions() recomputed the slow way.
+std::size_t scan_live(const engine::GatewayServer& gw) {
+  std::size_t n = 0;
+  for (const std::uint64_t id : gw.session_ids())
+    if (gw.status(id) == engine::GatewaySessionStatus::kActive) ++n;
+  return n;
+}
+
 /// Transport that loops shard downlinks straight into client endpoints.
 struct LoopTransport final : engine::Transport {
   std::map<std::uint64_t, engine::ReliableEndpoint*> clients;
@@ -186,91 +197,185 @@ struct LoopTransport final : engine::Transport {
   }
 };
 
-TEST(ShardEngine, DeferredSchnorrBatchIsolatesForgedSession) {
+/// Deferred Schnorr sessions 100.. served by one ShardEngine over a
+/// lossless loop; the last session answers with a wrong response.
+struct DeferredSchnorrRig {
+  static constexpr std::size_t kSessions = 9;
+  static constexpr std::size_t kForged = kSessions - 1;  // last one lies
+
+  static engine::ShardFleetConfig config(std::size_t verify_batch) {
+    engine::ShardFleetConfig cfg;
+    cfg.verify_batch = verify_batch;
+    return cfg;
+  }
+
+  explicit DeferredSchnorrRig(std::size_t verify_batch)
+      : eng(0, config(verify_batch), c,
+            [this](std::uint64_t id) {
+              engine::SessionSetup s;
+              auto rng = std::make_unique<Xoshiro256>(1000 + id);
+              s.machine = std::make_unique<proto::SchnorrVerifier>(
+                  c, kp.X, *rng, proto::SchnorrVerifier::Mode::kDeferred);
+              s.deferred_schnorr = true;
+              s.rng = std::move(rng);
+              return s;
+            },
+            /*producers=*/1) {
+    eng.set_transport(&loop);
+  }
+
+  /// Every device sends its commitment: the factory opens each session,
+  /// the verifier machine answers with its challenge synchronously
+  /// through the loop.
+  void commit() {
+    Xoshiro256 krng(7);
+    k = krng.uniform_nonzero(c.order());
+    const std::vector<std::uint8_t> commitment =
+        proto::encode_point(c, medsec::ecc::generator_comb(c).mult_ct(k));
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      const std::uint64_t id = 100 + i;
+      auto ep = std::make_unique<engine::ReliableEndpoint>(cq, id, 9 + id);
+      ep->set_frame_sink([this, id](std::vector<std::uint8_t> bytes) {
+        engine::IngressItem it;
+        it.session = id;
+        it.peer = engine::Peer{1, 1};
+        it.bytes = std::move(bytes);
+        ASSERT_TRUE(eng.offer(0, std::move(it)));
+      });
+      ep->set_message_sink([this, i](const engine::Frame& f) {
+        if (std::strcmp(f.label, proto::kLabelChallenge) == 0) {
+          challenges[i] = proto::decode_scalar(f.payload);
+          have[i] = true;
+        }
+      });
+      eps.push_back(std::move(ep));
+      loop.clients[id] = eps.back().get();
+      eps.back()->send_message(proto::kLabelCommitment, commitment);
+    }
+    eng.drain_mailbox(1024);
+    eng.drain_mailbox(1024);  // the challenge acks
+    for (std::size_t i = 0; i < kSessions; ++i) ASSERT_TRUE(have[i]);
+  }
+
+  /// Every device answers its challenge; every exchange settles.
+  void respond() {
+    const auto& ring = c.scalar_ring();
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      medsec::ecc::Scalar s = ring.add(k, ring.mul(challenges[i], kp.x));
+      if (i == kForged) s = ring.add(s, s);  // valid scalar, wrong response
+      eps[i]->send_message(proto::kLabelResponse, proto::encode_scalar(s));
+    }
+    eng.drain_mailbox(1024);
+    eng.drain_mailbox(1024);
+  }
+
+  /// Every verdict has landed, in the shard's records and in the gateway
+  /// alike, and the forgery is the one reject.
+  void expect_verdicts() {
+    const engine::ShardStats st = eng.stats();
+    EXPECT_EQ(st.completed, kSessions);
+    EXPECT_EQ(st.accepted, kSessions - 1);
+    EXPECT_EQ(st.rejected, 1u);
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      const auto rec = eng.records().find(100 + i);
+      ASSERT_NE(rec, eng.records().end());
+      EXPECT_TRUE(rec->second.completed);
+      EXPECT_EQ(rec->second.accepted, i != kForged);
+      EXPECT_EQ(eng.gateway().status(100 + i),
+                engine::GatewaySessionStatus::kCompleted);
+      EXPECT_EQ(eng.gateway().accepted(100 + i), i != kForged) << i;
+    }
+    EXPECT_EQ(eng.gateway().stats().accepted, kSessions - 1);
+    EXPECT_EQ(eng.gateway().live_sessions(), 0u);
+  }
+
   const Curve& c = Curve::k163();
-  Xoshiro256 keyrng(42);
-  const auto kp = proto::schnorr_keygen(c, keyrng);
-
-  engine::ShardFleetConfig cfg;
-  cfg.verify_batch = 16;  // > session count: ONE batch holds them all
-  engine::SessionFactory factory = [&c, &kp](std::uint64_t id) {
-    engine::SessionSetup s;
-    auto rng = std::make_unique<Xoshiro256>(1000 + id);
-    s.machine = std::make_unique<proto::SchnorrVerifier>(
-        c, kp.X, *rng, proto::SchnorrVerifier::Mode::kDeferred);
-    s.deferred_schnorr = true;
-    s.rng = std::move(rng);
-    return s;
-  };
-  engine::ShardEngine eng(0, cfg, c, factory, /*producers=*/1);
+  Xoshiro256 keyrng{42};
+  proto::SchnorrKeyPair kp = proto::schnorr_keygen(c, keyrng);
   LoopTransport loop;
-  eng.set_transport(&loop);
-
-  constexpr std::size_t kSessions = 9;
-  constexpr std::size_t kForged = kSessions - 1;  // last one lies
+  engine::ShardEngine eng;
   core::EventQueue cq;  // client-side virtual world (never advances: no loss)
   std::vector<std::unique_ptr<engine::ReliableEndpoint>> eps;
-  std::vector<medsec::ecc::Scalar> challenges(kSessions);
-  std::vector<bool> have(kSessions, false);
-  Xoshiro256 krng(7);
-  const medsec::ecc::Scalar k = krng.uniform_nonzero(c.order());
-  const std::vector<std::uint8_t> commitment =
-      proto::encode_point(c, medsec::ecc::generator_comb(c).mult_ct(k));
+  std::vector<medsec::ecc::Scalar> challenges =
+      std::vector<medsec::ecc::Scalar>(kSessions);
+  std::vector<bool> have = std::vector<bool>(kSessions, false);
+  medsec::ecc::Scalar k;
+};
 
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    const std::uint64_t id = 100 + i;
-    auto ep = std::make_unique<engine::ReliableEndpoint>(cq, id, 9 + id);
-    ep->set_frame_sink([&eng, id](std::vector<std::uint8_t> bytes) {
-      engine::IngressItem it;
-      it.session = id;
-      it.peer = engine::Peer{1, 1};
-      it.bytes = std::move(bytes);
-      ASSERT_TRUE(eng.offer(0, std::move(it)));
-    });
-    ep->set_message_sink([&, i](const engine::Frame& f) {
-      if (std::strcmp(f.label, "challenge e") == 0) {
-        challenges[i] = proto::decode_scalar(f.payload);
-        have[i] = true;
-      }
-    });
-    eps.push_back(std::move(ep));
-    loop.clients[id] = eps.back().get();
-    eps.back()->send_message("commitment R", commitment);
-  }
-  // Drain commitments: the factory opens each session, the verifier
-  // machine answers with its challenge synchronously through the loop.
-  eng.drain_mailbox(1024);
-  eng.drain_mailbox(1024);  // the challenge acks
-  for (std::size_t i = 0; i < kSessions; ++i) ASSERT_TRUE(have[i]);
-
-  const auto& ring = c.scalar_ring();
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    medsec::ecc::Scalar s = ring.add(k, ring.mul(challenges[i], kp.x));
-    if (i == kForged) s = ring.add(s, s);  // valid scalar, wrong response
-    eps[i]->send_message("response s", proto::encode_scalar(s));
-  }
-  eng.drain_mailbox(1024);
-  eng.drain_mailbox(1024);
+TEST(ShardEngine, DeferredSchnorrBatchIsolatesForgedSession) {
+  DeferredSchnorrRig rig(/*verify_batch=*/16);  // > sessions: ONE batch
+  rig.commit();
+  rig.respond();
   // Every exchange settled; every verdict is still parked in the batch.
-  EXPECT_EQ(eng.verifier().pending(), kSessions);
-  EXPECT_EQ(eng.stats().completed, 0u);
+  EXPECT_EQ(rig.eng.verifier().pending(), rig.kSessions);
+  EXPECT_EQ(rig.eng.stats().completed, 0u);
+  EXPECT_EQ(rig.eng.gateway().stats().completed, rig.kSessions);
+  EXPECT_EQ(rig.eng.gateway().stats().accepted, 0u);
 
-  eng.flush_verifier();  // ONE multi-scalar multiplication...
-  const engine::ShardStats st = eng.stats();
-  EXPECT_EQ(st.verifier_flushes, 1u);
-  EXPECT_EQ(st.completed, kSessions);
-  EXPECT_EQ(st.accepted, kSessions - 1);  // ...and the forgery is isolated
-  EXPECT_EQ(st.rejected, 1u);
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    const auto rec = eng.records().find(100 + i);
-    ASSERT_NE(rec, eng.records().end());
-    EXPECT_TRUE(rec->second.completed);
-    EXPECT_EQ(rec->second.accepted, i != kForged);
-  }
-  const auto vs = eng.verifier().stats();
-  EXPECT_EQ(vs.items, kSessions);
+  rig.eng.flush_verifier();  // ONE multi-scalar multiplication...
+  EXPECT_EQ(rig.eng.stats().verifier_flushes, 1u);
+  rig.expect_verdicts();  // ...and the forgery is isolated
+  const auto vs = rig.eng.verifier().stats();
+  EXPECT_EQ(vs.items, rig.kSessions);
   EXPECT_GE(vs.single_fallbacks, 1u);  // the RLC batch fell back to singles
-  EXPECT_TRUE(eng.quiescent());
+  EXPECT_TRUE(rig.eng.quiescent());
+}
+
+TEST(ShardEngine, DeferredVerdictLandsFromInsideItsOwnJudge) {
+  // Batch size 1: each transcript fills its batch inside the judge, so
+  // each verdict lands before the gateway's judge call has returned.
+  DeferredSchnorrRig rig(/*verify_batch=*/1);
+  rig.commit();
+  rig.respond();
+  EXPECT_EQ(rig.eng.verifier().pending(), 0u);
+  rig.expect_verdicts();
+  EXPECT_EQ(rig.eng.verifier().stats().batches, rig.kSessions);
+}
+
+TEST(ShardEngine, DeferredAcceptSurvivesSnapshotRestore) {
+  DeferredSchnorrRig rig(/*verify_batch=*/16);
+  rig.commit();
+  rig.respond();
+  rig.eng.flush_verifier();
+  // A fresh node restores the sessions as the gateway recorded them.
+  core::EventQueue q;
+  engine::GatewayServer fresh(q, 0x78);
+  for (std::size_t i = 0; i < rig.kSessions; ++i) {
+    const std::uint64_t id = 100 + i;
+    auto rng = std::make_unique<Xoshiro256>(0);
+    auto machine = std::make_unique<proto::SchnorrVerifier>(
+        rig.c, rig.kp.X, *rng, proto::SchnorrVerifier::Mode::kDeferred);
+    fresh.restore_session(id, std::move(machine),
+                          [](std::vector<std::uint8_t>) {},
+                          rig.eng.gateway().snapshot_session(id), {},
+                          std::move(rng));
+    EXPECT_EQ(fresh.status(id), engine::GatewaySessionStatus::kCompleted);
+    EXPECT_EQ(fresh.accepted(id), i != rig.kForged) << i;
+  }
+}
+
+TEST(ShardEngine, FailoverLandsQueuedVerdictsOnRestoredSessions) {
+  DeferredSchnorrRig rig(/*verify_batch=*/16);
+  rig.commit();
+  // Node death mid-protocol: every session is awaiting its response.
+  const engine::GatewayStats first = rig.eng.failover();
+  EXPECT_EQ(first.opened, rig.kSessions);
+  EXPECT_EQ(rig.eng.gateway().stats().restored, rig.kSessions);
+  EXPECT_EQ(rig.eng.gateway().live_sessions(), rig.kSessions);
+  EXPECT_EQ(rig.eng.gateway().live_sessions(), scan_live(rig.eng.gateway()));
+  rig.respond();
+  EXPECT_EQ(rig.eng.verifier().pending(), rig.kSessions);
+
+  // And again with every verdict still queued in the verifier.
+  const engine::GatewayStats second = rig.eng.failover();
+  EXPECT_EQ(second.completed, rig.kSessions);
+  EXPECT_EQ(second.accepted, 0u);
+  EXPECT_EQ(rig.eng.gateway().live_sessions(), 0u);
+  EXPECT_EQ(rig.eng.gateway().live_sessions(), scan_live(rig.eng.gateway()));
+  rig.eng.flush_verifier();
+  rig.expect_verdicts();  // they landed on the restored sessions
+  for (const auto& [id, rec] : rig.eng.records())
+    EXPECT_EQ(rec.accepted, rig.eng.gateway().accepted(id)) << id;
 }
 
 // --- shard-count invariance --------------------------------------------------
@@ -594,12 +699,8 @@ void run_forged_fleet(std::size_t verify_batch) {
   EXPECT_TRUE(report.stragglers.empty());
 
   engine::BatchVerifierStats vs;
-  for (std::size_t s = 0; s < fleet.shards(); ++s) {
-    const engine::BatchVerifierStats v = fleet.shard(s).verifier().stats();
-    vs.items += v.items;
-    vs.batches += v.batches;
-    vs.rlc_failures += v.rlc_failures;
-  }
+  for (std::size_t s = 0; s < fleet.shards(); ++s)
+    vs += fleet.shard(s).verifier().stats();
   for (std::uint64_t id = 1; id <= kSessions; ++id) {
     const auto& records = fleet.shard(fleet.shard_index(id)).records();
     const auto rec = records.find(id);
@@ -677,13 +778,78 @@ TEST(ShardFleet, DrainForNamesDeviceThatWentSilent) {
   }
 }
 
+// --- stats merge -------------------------------------------------------------
+
+TEST(Counters, PlusEqualsSumsEveryFieldOfEveryStatsStruct) {
+  // Distinct values everywhere, so a field summed into its neighbour (or
+  // not at all) shows up by name.
+  engine::GatewayStats g{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  g += engine::GatewayStats{10, 20, 30, 40, 50, 60, 70, 80, 90};
+  EXPECT_EQ(g.opened, 11u);
+  EXPECT_EQ(g.shed, 22u);
+  EXPECT_EQ(g.completed, 33u);
+  EXPECT_EQ(g.accepted, 44u);
+  EXPECT_EQ(g.failed, 55u);
+  EXPECT_EQ(g.quarantined, 66u);
+  EXPECT_EQ(g.deadline_evicted, 77u);
+  EXPECT_EQ(g.idle_evicted, 88u);
+  EXPECT_EQ(g.restored, 99u);
+
+  engine::LinkStats l{1, 2, 3, 4, 5, 6, 7};
+  l += engine::LinkStats{10, 20, 30, 40, 50, 60, 70};
+  EXPECT_EQ(l.sent, 11u);
+  EXPECT_EQ(l.delivered, 22u);
+  EXPECT_EQ(l.dropped, 33u);
+  EXPECT_EQ(l.corrupted, 44u);
+  EXPECT_EQ(l.duplicated, 55u);
+  EXPECT_EQ(l.reordered, 66u);
+  EXPECT_EQ(l.corrupted_delivered, 77u);
+
+  engine::DeliveryStats d{1, 2, 3, 4, 5, 6, 7};
+  d += engine::DeliveryStats{10, 20, 30, 40, 50, 60, 70};
+  EXPECT_EQ(d.data_sent, 11u);
+  EXPECT_EQ(d.retransmits, 22u);
+  EXPECT_EQ(d.acks_sent, 33u);
+  EXPECT_EQ(d.delivered, 44u);
+  EXPECT_EQ(d.dup_suppressed, 55u);
+  EXPECT_EQ(d.decode_failures, 66u);
+  EXPECT_EQ(d.out_of_window, 77u);
+
+  engine::ShardStats sh{1, 2, 3, 4, 5, 6, 7, 8};
+  sh += engine::ShardStats{10, 20, 30, 40, 50, 60, 70, 80};
+  EXPECT_EQ(sh.ingress, 11u);
+  EXPECT_EQ(sh.mailbox_shed, 22u);
+  EXPECT_EQ(sh.opened, 33u);
+  EXPECT_EQ(sh.completed, 44u);
+  EXPECT_EQ(sh.accepted, 55u);
+  EXPECT_EQ(sh.rejected, 66u);
+  EXPECT_EQ(sh.verifier_flushes, 77u);
+  EXPECT_EQ(sh.ticks, 88u);
+
+  engine::BatchVerifierStats v{1, 2, 3, 4, 5, 6, 7};
+  v += engine::BatchVerifierStats{10, 20, 30, 40, 50, 60, 70};
+  EXPECT_EQ(v.items, 11u);
+  EXPECT_EQ(v.batches, 22u);
+  EXPECT_EQ(v.accepted, 33u);
+  EXPECT_EQ(v.rejected, 44u);
+  EXPECT_EQ(v.decode_failures, 55u);
+  EXPECT_EQ(v.rlc_failures, 66u);
+  EXPECT_EQ(v.single_fallbacks, 77u);
+
+  // Counters wrap like the std::uint64_t they are, each on its own.
+  engine::LinkStats w{~0ull, 0, 0, 0, 0, 0, 0};
+  w += engine::LinkStats{2, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(w.sent, 1u);
+  EXPECT_EQ(w.delivered, 0u);
+}
+
 // --- frame pool --------------------------------------------------------------
 
 TEST(FramePool, EncodeReusesReleasedBuffers) {
   engine::Frame f;
   f.type = engine::FrameType::kData;
   f.session = 7;
-  f.label = "x";
+  f.label = proto::kLabelResponse;
   f.payload = {1, 2, 3};
   std::vector<std::uint8_t> a = engine::encode_frame(f);
   const std::uint8_t* ptr = a.data();
