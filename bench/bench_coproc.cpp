@@ -7,7 +7,8 @@
 //     second pass with Box–Muller noise) vs the fused sink path — the
 //     acceptance axis (fused must be >= 1.5x the reference; gated
 //     machine-independently by check_perf_regression.py's ratio gate).
-//   * point_mult: record path vs the energy-only sink (E1's path).
+//   * point_mult: a reserved RecordSink vs no sink (E1's energy-only
+//     path).
 //   * capture_averaged_cycle_trace at 1 thread vs the shared pool — the
 //     thread-scaling axis (flat on 1-core hosts; scales in CI).
 //   * the SPA feature-extractor sink vs averaging full traces.
@@ -16,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "bench_util.h"
 #include "sidechannel/spa.h"
@@ -101,12 +103,10 @@ BENCHMARK(BM_CaptureCycleTraceWithRecords)->Unit(benchmark::kMillisecond);
 
 void BM_PointMultEnergyOnly(benchmark::State& state) {
   const ecc::Scalar k = bench_key();
-  hw::CoprocessorConfig hc;
-  hc.record_cycles = false;
-  hw::Coprocessor cop(hc);
+  hw::Coprocessor cop;
   const auto bits = bench::padded_bits(curve(), k);
   for (auto _ : state) {
-    auto r = cop.point_mult(bits, curve().base_point().x);
+    auto r = cop.point_mult(bits, curve().base_point().x, {}, nullptr);
     benchmark::DoNotOptimize(r.energy_j);
   }
   state.SetLabel("E1's path: cycles + weighted toggles, no sink");
@@ -115,11 +115,14 @@ BENCHMARK(BM_PointMultEnergyOnly)->Unit(benchmark::kMillisecond);
 
 void BM_PointMultRecorded(benchmark::State& state) {
   const ecc::Scalar k = bench_key();
-  hw::Coprocessor cop{};
+  hw::Coprocessor cop;
   const auto bits = bench::padded_bits(curve(), k);
   for (auto _ : state) {
-    auto r = cop.point_mult(bits, curve().base_point().x);
-    benchmark::DoNotOptimize(r.exec.records.data());
+    std::vector<hw::CycleRecord> records;
+    records.reserve(cop.point_mult_cycles(bits.size(), {}));
+    hw::RecordSink sink(records);
+    cop.point_mult(bits, curve().base_point().x, {}, &sink);
+    benchmark::DoNotOptimize(records.data());
   }
   state.SetLabel("record sink, reserved from the compiled cycle total");
 }

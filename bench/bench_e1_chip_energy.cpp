@@ -18,11 +18,8 @@ void print_table() {
                 "Section 6 measured numbers (50.4 uW, 5.1 uJ, 9.8 PM/s)");
 
   const ecc::Curve& curve = ecc::Curve::k163();
-  // Energy-only caller: telemetry off, so every multiplication streams
-  // through the energy sink and stores no cycle records.
-  core::CountermeasureConfig cm = core::CountermeasureConfig::protected_default();
-  cm.record_cycles = false;
-  core::SecureEccProcessor proc(curve, cm);
+  core::SecureEccProcessor proc(
+      curve, core::CountermeasureConfig::protected_default());
   rng::Xoshiro256 rng(1);
 
   // Average a few runs (RPC randomizers vary the switching activity).
@@ -64,14 +61,12 @@ void print_table() {
 
 void BM_CoprocessorPointMult(benchmark::State& state) {
   const ecc::Curve& curve = ecc::Curve::k163();
-  hw::CoprocessorConfig cfg;
-  cfg.record_cycles = false;
-  hw::Coprocessor cop(cfg);
+  hw::Coprocessor cop;
   rng::Xoshiro256 rng(2);
   const auto bits =
       bench::padded_bits(curve, rng.uniform_nonzero(curve.order()));
   for (auto _ : state) {
-    auto r = cop.point_mult(bits, curve.base_point().x);
+    auto r = cop.point_mult(bits, curve.base_point().x, {}, nullptr);
     benchmark::DoNotOptimize(r.x_affine);
   }
   state.SetLabel("cycle-accurate model of one 86.9k-cycle ECPM");

@@ -34,7 +34,7 @@ sc::TvlaReport tvla_run(const ecc::Curve& curve,
   auto capture = [&](const ecc::Point& p, std::uint64_t seed) {
     sc::CycleSimConfig cfg;
     cfg.coproc.secure = secure;
-    cfg.rpc = false;
+    cfg.countermeasures = sc::CountermeasureConfig::none();
     cfg.leakage.style = style;
     cfg.leakage.noise_sigma = 200.0;
     cfg.seed = seed;
@@ -82,7 +82,7 @@ double bus_cycle_signal_variance(const ecc::Curve& curve,
     const auto p = ecc::montgomery_ladder(curve, r, curve.base_point());
     sc::CycleSimConfig cfg;
     cfg.coproc.secure = secure;
-    cfg.rpc = false;
+    cfg.countermeasures = sc::CountermeasureConfig::none();
     cfg.leakage.noise_sigma = 0.0;
     cfg.seed = 300 + i;
     cfg.keep_records = klass.empty();  // one record capture keys the scan

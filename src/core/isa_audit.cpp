@@ -21,9 +21,6 @@ AuditFinding check_constant_latency(const CountermeasureConfig& config) {
   hw::CoprocessorConfig hc;
   hc.digit_size = config.digit_size;
   hc.secure = config.circuit;
-  // The audit counts cycles only: run record-free through the energy
-  // sink (execute() with record_cycles off streams to no sink at all).
-  hc.record_cycles = false;
 
   const std::vector<Fe> operand_values = {
       Fe::zero(), Fe::one(), Fe{~0ull, ~0ull, (1ull << 35) - 1},
@@ -44,7 +41,7 @@ AuditFinding check_constant_latency(const CountermeasureConfig& config) {
         Coprocessor cop(hc);
         cop.set_reg(Reg::kX1, a);
         cop.set_reg(Reg::kZ1, b);
-        const auto r = cop.execute({ins});
+        const auto r = cop.execute({ins}, nullptr);
         if (r.cycles != cop.latency(op)) {
           f.pass = false;
           std::ostringstream os;
@@ -92,11 +89,9 @@ AuditFinding check_key_unreachable(const ecc::Curve& curve,
   AuditFinding f{"key not recoverable from post-run register file", true, ""};
   // Differential experiment: same base point, two different keys. After
   // the run + zeroization the register files must agree except for the
-  // legitimate result register. Only the register files are inspected, so
-  // the multiplications run record-free on the energy sink.
+  // legitimate result register.
   CountermeasureConfig cfg = config;
   cfg.zeroize_after_use = true;
-  cfg.record_cycles = false;
 
   rng::Xoshiro256 rng(4242);
   const Scalar k1 = rng.uniform_nonzero(curve.order());

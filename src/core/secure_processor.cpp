@@ -25,7 +25,6 @@ hw::CoprocessorConfig to_hw_config(const CountermeasureConfig& c) {
   hw::CoprocessorConfig hc;
   hc.digit_size = c.digit_size;
   hc.secure = c.circuit;
-  hc.record_cycles = c.record_cycles;
   return hc;
 }
 
@@ -33,7 +32,6 @@ hw::CoprocessorConfig to_hw_config(const CountermeasureConfig& c) {
 
 CountermeasureConfig CountermeasureConfig::unprotected() {
   CountermeasureConfig c;
-  c.constant_time_ladder = true;  // the schedule stays MPL; see below
   c.ladder = LadderCountermeasures::none();
   c.zeroize_after_use = false;
   c.circuit.balanced_mux_encoding = false;
@@ -82,7 +80,7 @@ PointMultOutcome SecureEccProcessor::Session::point_mult(const Scalar& k,
         "SecureEccProcessor::point_mult: invalid input point");
 
   PointMultOutcome out;
-  std::uint64_t backoff = config_.fault_backoff_cycles;
+  std::uint64_t backoff = kFaultBackoffCycles;
   for (std::size_t attempt = 0;; ++attempt) {
     // The countermeasure-dependent inputs — masked base, (possibly
     // blinded) key bits, microcode options — come from the shared
@@ -105,7 +103,8 @@ PointMultOutcome SecureEccProcessor::Session::point_mult(const Scalar& k,
     hw::PointMultResult r{};
     bool ran = false;
     if (!detected) {
-      r = coproc_.point_mult(plan.key_bits, plan.base.x, plan.options);
+      r = coproc_.point_mult(plan.key_bits, plan.base.x, plan.options,
+                             nullptr);
       out.cycles += r.exec.cycles;
       out.energy_j += r.energy_j;
       out.seconds += r.seconds;
@@ -146,10 +145,6 @@ PointMultOutcome SecureEccProcessor::Session::point_mult(const Scalar& k,
       out.result = result;
       out.avg_power_w =
           out.seconds > 0.0 ? out.energy_j / out.seconds : 0.0;
-      // With telemetry off the coprocessor ran the record-free energy
-      // path; clear instead of keeping a stale buffer from an earlier
-      // config.
-      last_records_ = std::move(r.exec.records);
       if (config_.zeroize_after_use) {
         // Result stays in X1 (it is the output); everything else is
         // cleared through the cached compiled fragment (energy-only sink
@@ -161,15 +156,14 @@ PointMultOutcome SecureEccProcessor::Session::point_mult(const Scalar& k,
 
     // Detected fault: nothing leaves the device. Zeroize everything
     // (result register included — it may hold faulty key-dependent
-    // state), drop the telemetry of the poisoned run, and either retry
-    // after a doubling backoff or give up on a persistent fault.
+    // state), and either retry after a doubling backoff or give up on a
+    // persistent fault.
     ++out.faults_detected;
-    last_records_.clear();
     coproc_.zeroize(/*keep_result=*/false);
-    if (attempt == config_.fault_retry_budget)
+    if (attempt == kFaultRetryBudget)
       throw std::logic_error(
           "SecureEccProcessor::point_mult: fault persisted after " +
-          std::to_string(config_.fault_retry_budget) +
+          std::to_string(kFaultRetryBudget) +
           " recovery retries; session quarantine required");
     ++out.retries;
     out.cycles += backoff;

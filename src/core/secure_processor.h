@@ -9,10 +9,10 @@
 //   * the insecure zone: controller software doing the key-independent
 //     steps (point validation, y-recovery, zeroization sequencing — §5's
 //     secure/insecure partition),
-// behind a validated point-multiplication API with energy/side-channel
-// telemetry. The countermeasure set is explicit configuration, because
-// the paper's whole argument is that each one is a design *decision* with
-// an area/power/security price.
+// behind a validated point-multiplication API with energy telemetry. The
+// countermeasure set is explicit configuration, because the paper's whole
+// argument is that each one is a design *decision* with an
+// area/power/security price.
 #pragma once
 
 #include <cstdint>
@@ -30,34 +30,30 @@ namespace medsec::core {
 /// the trace simulator and the evaluation matrix.
 using LadderCountermeasures = sidechannel::CountermeasureConfig;
 
+/// Graceful degradation under detected faults (the §5 controller's
+/// recovery policy). A detection — ladder-invariant canary, or cycle
+/// coherence when ladder.coherence_check is set — zeroizes the register
+/// file, re-randomizes every blind (fresh DRBG draws on the next plan),
+/// waits out a backoff, and retries. The budget bounds how many retries a
+/// persistent (stuck-at) fault can consume before the session gives up
+/// and throws; nothing is ever released from a detected-faulty run.
+inline constexpr std::size_t kFaultRetryBudget = 2;  ///< retries, then throw
+inline constexpr std::uint64_t kFaultBackoffCycles = 4096;  ///< doubles
+
 /// Every countermeasure the paper discusses, one switch each, grouped by
-/// the abstraction level that owns it (the "security pyramid" of §3).
+/// the abstraction level that owns it (the "security pyramid" of §3). The
+/// ladder itself is always the constant-time Montgomery ladder over a
+/// padded scalar: the chip has no other schedule.
 struct CountermeasureConfig {
   // Algorithm level (§4/§7): the unified ladder-countermeasure set. The
   // paper's shipped chip enables exactly RPC; the other switches are the
   // evaluation matrix's extensions.
-  bool constant_time_ladder = true;   ///< MPL with padded scalar (vs D&A)
   LadderCountermeasures ladder = LadderCountermeasures::rpc_only();
   // Architecture level (§5).
   std::size_t digit_size = 4;         ///< the 163x4 MALU choice
   bool zeroize_after_use = true;      ///< no key-derived residue in regs
   // Circuit level (§6).
   hw::SecureConfig circuit;           ///< mux encoding / gating / isolation
-  // Telemetry (model instrumentation, not a chip feature): materialize
-  // per-cycle records for last_records(). Energy-only callers (E1, the
-  // fleet paths) switch this off and the co-processor streams through
-  // the energy sink — no record storage at all; the energy / power /
-  // cycle telemetry in PointMultOutcome is identical either way.
-  bool record_cycles = true;
-  // Graceful degradation under detected faults (the §5 controller's
-  // recovery policy). A detection — ladder-invariant canary, or cycle
-  // coherence when ladder.coherence_check is set — zeroizes the register
-  // file, re-randomizes every blind (fresh DRBG draws on the next plan),
-  // waits out a backoff, and retries. The budget bounds how many retries
-  // a persistent (stuck-at) fault can consume before the session gives
-  // up and throws; nothing is ever released from a detected-faulty run.
-  std::size_t fault_retry_budget = 2;     ///< retries before giving up
-  std::uint64_t fault_backoff_cycles = 4096;  ///< first backoff, doubles
 
   /// The paper's shipped configuration (everything on).
   static CountermeasureConfig protected_default() { return {}; }
@@ -70,7 +66,9 @@ struct CountermeasureConfig {
 /// One point multiplication's outcome + telemetry. Cycles / energy /
 /// seconds accumulate across fault-recovery retries (backoff included):
 /// the ledger charges what the device actually spent, not just the
-/// attempt that succeeded.
+/// attempt that succeeded. The co-processor runs on its energy-only path:
+/// a caller that wants per-cycle records drives hw::Coprocessor with a
+/// hw::RecordSink (or sidechannel::capture_cycle_trace) instead.
 struct PointMultOutcome {
   ecc::Point result;
   std::size_t cycles = 0;
@@ -84,11 +82,11 @@ struct PointMultOutcome {
 class SecureEccProcessor {
  public:
   /// A reentrant per-session execution handle: its own co-processor
-  /// register file, its own DRBG stream, its own telemetry buffer. The
-  /// engine layer opens one per protocol session so concurrent sessions
-  /// never share mutable state (the processor facade itself keeps no
-  /// per-operation state) — the paper's chip serves one link, the fleet
-  /// server model needs thousands of independent ones.
+  /// register file and its own DRBG stream. The engine layer opens one
+  /// per protocol session so concurrent sessions never share mutable
+  /// state (the processor facade itself keeps no per-operation state) —
+  /// the paper's chip serves one link, the fleet server model needs
+  /// thousands of independent ones.
   class Session {
    public:
     Session(const ecc::Curve& curve, const CountermeasureConfig& config,
@@ -97,10 +95,10 @@ class SecureEccProcessor {
     /// Validated k·P. Throws std::invalid_argument if P is not a valid
     /// prime-order subgroup point (invalid-curve / small-subgroup gate).
     /// A detected fault (ladder-invariant canary, cycle coherence)
-    /// zeroizes, re-randomizes blinds and retries under
-    /// config.fault_retry_budget with doubling backoff; when the budget
-    /// is exhausted — a persistent fault — it throws std::logic_error
-    /// with nothing released. Transient glitches recover transparently
+    /// zeroizes, re-randomizes blinds and retries up to kFaultRetryBudget
+    /// times with doubling backoff; when the budget is exhausted — a
+    /// persistent fault — it throws std::logic_error with nothing
+    /// released. Transient glitches recover transparently
     /// (outcome.retries > 0 is the only trace).
     PointMultOutcome point_mult(const ecc::Scalar& k, const ecc::Point& p);
 
@@ -109,11 +107,6 @@ class SecureEccProcessor {
     void arm_fault(const hw::FaultSpec& fault) { coproc_.arm_fault(fault); }
     void disarm_fault() { coproc_.disarm_fault(); }
 
-    /// Telemetry from this session's last operation (empty if
-    /// record_cycles is off or nothing ran yet).
-    const std::vector<hw::CycleRecord>& last_records() const {
-      return last_records_;
-    }
     const hw::Coprocessor& coprocessor() const { return coproc_; }
     double area_ge() const { return coproc_.area_ge(); }
 
@@ -122,7 +115,6 @@ class SecureEccProcessor {
     CountermeasureConfig config_;
     hw::Coprocessor coproc_;
     rng::HmacDrbg drbg_;
-    std::vector<hw::CycleRecord> last_records_;
     /// Base-point-blinding state: the (R, S = k·R) update pair, rebuilt
     /// when the session multiplies under a different key.
     std::optional<sidechannel::BaseBlindingPair> blinding_pair_;
@@ -144,16 +136,9 @@ class SecureEccProcessor {
   /// TRNG); handles are safe to drive from different threads.
   Session open_session(std::uint64_t session_seed) const;
 
-  /// Single-threaded facade: the device's root session. Exactly the
-  /// historical API — point_mult + last_records() on shared state.
+  /// Single-threaded facade: the device's root session.
   PointMultOutcome point_mult(const ecc::Scalar& k, const ecc::Point& p) {
     return root_.point_mult(k, p);
-  }
-
-  /// Telemetry from the last operation (empty if record_cycles is off or
-  /// nothing ran yet) — the hook the side-channel benches instrument.
-  const std::vector<hw::CycleRecord>& last_records() const {
-    return root_.last_records();
   }
 
   /// Direct read of the co-processor register file (white-box evaluation

@@ -151,11 +151,9 @@ CtTarget make_ladder_unblinded_target() {
   t.name = "ladder-unblinded";
   t.modeled = true;
   // One model instance per target, shared across measurements; the grid
-  // is serial and point_mult fully resets per call. record_cycles off:
-  // the cycle *count* is the measurement, the per-cycle records are
-  // dead weight here.
-  auto coproc = std::make_shared<hw::Coprocessor>(
-      hw::CoprocessorConfig{.record_cycles = false});
+  // is serial and point_mult fully resets per call. No sink: the cycle
+  // *count* is the measurement, the per-cycle records are dead weight.
+  auto coproc = std::make_shared<hw::Coprocessor>();
   t.run = [coproc](const std::uint8_t* secret, std::size_t len,
                    std::uint64_t /*aux*/, TimeSource& ts) {
     const Curve& curve = Curve::b163();
@@ -171,8 +169,7 @@ CtTarget make_ladder_blinded_target() {
   CtTarget t;
   t.name = "ladder-blinded";
   t.modeled = true;
-  auto coproc = std::make_shared<hw::Coprocessor>(
-      hw::CoprocessorConfig{.record_cycles = false});
+  auto coproc = std::make_shared<hw::Coprocessor>();
   t.run = [coproc](const std::uint8_t* secret, std::size_t len,
                    std::uint64_t aux, TimeSource& ts) {
     const Curve& curve = Curve::b163();

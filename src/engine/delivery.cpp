@@ -123,7 +123,7 @@ void ReliableEndpoint::handle_ack(std::uint32_t next_expected) {
         static_cast<std::uint32_t>(next_seq_ - backlog_.size());
     in_flight_[seq] =
         InFlight{std::move(backlog_.front()), 0, core::kInvalidEvent};
-    backlog_.pop_front();
+    backlog_.erase(backlog_.begin());
     transmit(seq);
   }
 }

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -136,7 +135,10 @@ class ReliableEndpoint {
   std::uint32_t next_seq_ = 0;               ///< next sequence to assign
   std::map<std::uint32_t, InFlight> in_flight_;
   /// Encoded, pre-window: the newest seqs, so front = next_seq_ - size.
-  std::deque<std::vector<std::uint8_t>> backlog_;
+  /// A vector, not a deque: it allocates nothing while empty, which is
+  /// every session's steady state (a machine sends at most two messages
+  /// per direction, inside the window).
+  std::vector<std::vector<std::uint8_t>> backlog_;
 
   // Receiver half.
   std::uint32_t recv_next_ = 0;              ///< all seq < this delivered

@@ -48,7 +48,6 @@ core::CountermeasureConfig fault_drill_processor_config() {
   core::CountermeasureConfig c;  // the shipped chip (RPC on)
   c.ladder.validate_points = true;
   c.ladder.coherence_check = true;
-  c.record_cycles = false;  // fielded profile: outcomes, not traces
   return c;
 }
 
@@ -124,14 +123,10 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
           // Budget exhausted: budget+1 attempts, all detected, nothing
           // released.
           en.outcome = DrillOutcome::kUnrecovered;
-          en.faults = static_cast<std::uint32_t>(
-              cfg.processor.fault_retry_budget + 1);
-          en.retries =
-              static_cast<std::uint32_t>(cfg.processor.fault_retry_budget);
+          en.faults = static_cast<std::uint32_t>(core::kFaultRetryBudget + 1);
+          en.retries = static_cast<std::uint32_t>(core::kFaultRetryBudget);
           ++unrecovered;
-          if (cfg.device_fault_threshold != 0 &&
-              unrecovered >= cfg.device_fault_threshold)
-            quar = true;
+          if (unrecovered >= kDeviceFaultThreshold) quar = true;
         }
 
         if (released) {

@@ -12,8 +12,8 @@
 //     re-randomize blinds → retry under the bounded budget);
 //   * persistent damage (a stuck-at that re-arms on every subsequent
 //     operation) exhausts the budget, releases NOTHING, and the operator
-//     quarantines the device after `device_fault_threshold` such
-//     failures — later sessions for it are refused at open;
+//     quarantines the device after kDeviceFaultThreshold such failures —
+//     later sessions for it are refused at open;
 //   * the protocol layer only ever runs on released (hence verified-
 //     clean) results, so the handshake mix (Schnorr / Peeters–Hermans /
 //     mutual-auth / ECIES, session gid runs protocol gid % 4) stays
@@ -38,9 +38,12 @@ namespace medsec::engine {
 
 /// The drill's device profile: the paper's shipped chip with every fault
 /// detector armed — entry point validation, cycle coherence, and the
-/// always-on recovery canary — and per-cycle telemetry off (the fielded
-/// configuration; the drill reads outcomes, not traces).
+/// always-on recovery canary.
 core::CountermeasureConfig fault_drill_processor_config();
+
+/// Unrecovered faults a device may accumulate before the operator
+/// quarantines it.
+inline constexpr std::size_t kDeviceFaultThreshold = 2;
 
 struct FaultDrillConfig {
   std::size_t sessions = 1024;
@@ -50,9 +53,6 @@ struct FaultDrillConfig {
   std::uint64_t seed = 0xFA017D21;
   /// parallel_for fan-out over devices: 0 = shared pool, 1 = serial.
   std::size_t threads = 0;
-  /// Unrecovered faults a device may accumulate before the operator
-  /// quarantines it (0 disables quarantine).
-  std::size_t device_fault_threshold = 2;
   core::CountermeasureConfig processor = fault_drill_processor_config();
 };
 

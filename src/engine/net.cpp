@@ -18,8 +18,6 @@ namespace medsec::engine {
 
 namespace {
 
-constexpr std::uint8_t kMagic0 = 0x4D;
-constexpr std::uint8_t kMagic1 = 0x46;
 /// Largest possible encoded frame: header(16) + label_len(1) + label +
 /// payload_len(2) + payload + crc(4).
 constexpr std::size_t kMaxDatagram =
@@ -36,17 +34,6 @@ sockaddr_in to_sockaddr(const Peer& peer) {
 }
 
 }  // namespace
-
-std::optional<std::uint64_t> peek_frame_session(
-    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 16 || bytes[0] != kMagic0 || bytes[1] != kMagic1)
-    return std::nullopt;
-  std::uint64_t id = 0;
-  for (int i = 0; i < 8; ++i)
-    id |= static_cast<std::uint64_t>(bytes[4 + static_cast<std::size_t>(i)])
-          << (8 * i);
-  return id;
-}
 
 // --- UdpSocket ---------------------------------------------------------------
 

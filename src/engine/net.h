@@ -5,8 +5,9 @@
 // one readiness-loop thread (epoll on Linux, poll(2) elsewhere) that:
 //
 //   1. drains every ready datagram without blocking,
-//   2. peeks the session id straight out of the PR 6 frame header
-//      (peek_frame_session — no full decode, no CRC walk, on the hot path),
+//   2. peeks the session id straight out of the frame header
+//      (transport.h's peek_frame_session — no full decode, no CRC walk,
+//      on the hot path),
 //   3. routes the raw bytes into shard_of(session)'s mailbox lane, and
 //   4. on a full lane, sheds: one kReject frame straight back to the
 //      sender from the readiness thread. Backpressure is a verdict the
@@ -24,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -34,13 +34,6 @@
 #include "engine/transport.h"
 
 namespace medsec::engine {
-
-/// Header peek: session id of an encoded frame, or nullopt when the bytes
-/// cannot be a frame (short / bad magic). Reads the id field only — the
-/// router must not pay for a CRC walk per datagram; integrity is checked
-/// once, by the owning shard's decode.
-std::optional<std::uint64_t> peek_frame_session(
-    std::span<const std::uint8_t> bytes);
 
 /// RAII nonblocking UDP/IPv4 socket. Thin: bind, sendto, recvfrom, close.
 /// Throws std::runtime_error when the kernel refuses (socket/bind).

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <random>
 #include <utility>
 
 #include "core/thread_pool.h"
 #include "engine/campaign_fixtures.h"
+#include "engine/transport.h"
 #include "protocol/schnorr.h"
 
 namespace medsec::engine {
@@ -68,10 +70,20 @@ std::size_t ShardEngine::drain_mailbox(std::size_t limit) {
 
 void ShardEngine::ingest(IngressItem&& item) {
   ingress_.fetch_add(1, std::memory_order_relaxed);
-  if (!gateway_->has_session(item.session))
+  if (!gateway_->has_session(item.session)) {
+    // A session opens on its device's first message, nothing less: a
+    // header that merely looks like a frame would otherwise make the
+    // factory build a machine and an rng for bytes that fail the CRC.
+    const std::optional<Frame> f = decode_frame(item.bytes);
+    if (!f || f->type != FrameType::kData) {
+      stray_dropped_.fetch_add(1, std::memory_order_relaxed);
+      FramePool::release(std::move(item.bytes));
+      return;
+    }
     open(item.session, item.peer);
-  else if (item.peer.valid())
+  } else if (item.peer.valid()) {
     peers_[item.session] = item.peer;  // the latest return address
+  }
   gateway_->on_uplink(item.session, std::move(item.bytes));
 }
 
@@ -189,6 +201,7 @@ ShardStats ShardEngine::stats() const {
   ShardStats s;
   s.ingress = ingress_.load(std::memory_order_relaxed);
   s.mailbox_shed = mailbox_shed_.load(std::memory_order_relaxed);
+  s.stray_dropped = stray_dropped_.load(std::memory_order_relaxed);
   s.opened = opened_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.accepted = accepted_.load(std::memory_order_relaxed);

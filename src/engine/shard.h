@@ -137,6 +137,9 @@ struct ShardFleetConfig {
 struct ShardStats {
   std::uint64_t ingress = 0;         ///< datagrams drained from the mailbox
   std::uint64_t mailbox_shed = 0;    ///< try_push failures (backpressure)
+  /// Datagrams for an unknown session that are not a well-formed kData
+  /// frame (CRC failure, ack, reject): dropped unanswered, nothing opened.
+  std::uint64_t stray_dropped = 0;
   std::uint64_t opened = 0;
   std::uint64_t completed = 0;       ///< verdict landed (deferred included)
   std::uint64_t accepted = 0;
@@ -176,7 +179,9 @@ class ShardEngine {
   std::size_t drain_mailbox(std::size_t limit);
 
   /// Serve one datagram: track the peer's latest return address, open an
-  /// unknown session, hand the bytes to the gateway.
+  /// unknown session, hand the bytes to the gateway. Only bytes that
+  /// decode as a kData frame open a session; anything else for an unknown
+  /// id is dropped without a reply and counted in stats().stray_dropped.
   void ingest(IngressItem&& item);
 
   /// Open session `id` (not open yet) with the factory's setup, `peer`
@@ -247,6 +252,7 @@ class ShardEngine {
   // (producers); readers tolerate tearing-free point-in-time values.
   std::atomic<std::uint64_t> ingress_{0};
   std::atomic<std::uint64_t> mailbox_shed_{0};
+  std::atomic<std::uint64_t> stray_dropped_{0};
   std::atomic<std::uint64_t> opened_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> accepted_{0};

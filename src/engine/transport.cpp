@@ -76,6 +76,7 @@ namespace {
 constexpr std::uint8_t kMagic0 = 0x4D;  // 'M'
 constexpr std::uint8_t kMagic1 = 0x46;  // 'F' — medsec frame
 constexpr std::size_t kHeaderBytes = 2 + 1 + 1 + 8 + 4;  // up to label_len
+constexpr std::size_t kSessionAt = 4;  // after magic, type and flags
 constexpr std::size_t kCrcBytes = 4;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -170,7 +171,7 @@ std::optional<Frame> decode_frame(std::span<const std::uint8_t> bytes) {
     default:
       return std::nullopt;
   }
-  f.session = get_u64(bytes, 4);
+  f.session = get_u64(bytes, kSessionAt);
   f.seq = get_u32(bytes, 12);
 
   std::size_t at = kHeaderBytes;
@@ -190,6 +191,14 @@ std::optional<Frame> decode_frame(std::span<const std::uint8_t> bytes) {
                    bytes.begin() +
                        static_cast<std::ptrdiff_t>(at + payload_len));
   return f;
+}
+
+std::optional<std::uint64_t> peek_frame_session(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderBytes || bytes[0] != kMagic0 ||
+      bytes[1] != kMagic1)
+    return std::nullopt;
+  return get_u64(bytes, kSessionAt);
 }
 
 // --- lossy link --------------------------------------------------------------

@@ -86,6 +86,13 @@ void encode_frame_into(const Frame& f, std::vector<std::uint8_t>& out);
 /// malformed — truncation, stray bytes, bit flips, unknown labels.
 std::optional<Frame> decode_frame(std::span<const std::uint8_t> bytes);
 
+/// Header peek: session id of an encoded frame, or nullopt when the bytes
+/// cannot be a frame (short / bad magic). Reads the id field only — the
+/// UDP router must not pay for a CRC walk per datagram; integrity is
+/// checked once, by the owning shard's decode.
+std::optional<std::uint64_t> peek_frame_session(
+    std::span<const std::uint8_t> bytes);
+
 /// Per-direction fault rates and delay band of a LossyLink. Rates are
 /// probabilities in [0, 1]; delays are virtual cycles.
 struct FaultProfile {

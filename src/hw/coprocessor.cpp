@@ -320,16 +320,6 @@ ExecResult Coprocessor::execute(const std::vector<Instruction>& program,
   return out;
 }
 
-ExecResult Coprocessor::execute(const std::vector<Instruction>& program) {
-  if (!config_.record_cycles) return execute(program, nullptr);
-  std::vector<CycleRecord> records;
-  records.reserve(program_cycles(program));
-  RecordSink sink(records);
-  ExecResult out = execute(program, &sink);
-  out.records = std::move(records);
-  return out;
-}
-
 ExecResult Coprocessor::zeroize(bool keep_result) {
   ExecResult out;
   run_program(sched_.zeroize[keep_result ? 1 : 0], out, nullptr);
@@ -600,7 +590,7 @@ PointMultResult Coprocessor::point_mult(const std::vector<int>& key_bits,
     r.x_affine = reg(Reg::kX1);
   }
 
-  r.exec = std::move(total);
+  r.exec = total;
   // Dynamic energy from the weighted toggle total, static from leakage
   // over the whole run.
   r.energy_j = r.exec.ge_toggles * config_.tech.energy_per_ge_toggle_j +
@@ -608,19 +598,6 @@ PointMultResult Coprocessor::point_mult(const std::vector<int>& key_bits,
                    static_cast<double>(r.exec.cycles) / config_.tech.clock_hz;
   r.seconds = static_cast<double>(r.exec.cycles) / config_.tech.clock_hz;
   r.avg_power_w = r.seconds > 0 ? r.energy_j / r.seconds : 0.0;
-  return r;
-}
-
-PointMultResult Coprocessor::point_mult(const std::vector<int>& key_bits,
-                                        const gf2m::Gf163& x,
-                                        const PointMultOptions& options) {
-  if (!config_.record_cycles) return point_mult(key_bits, x, options, nullptr);
-  std::vector<CycleRecord> records;
-  if (!key_bits.empty())
-    records.reserve(point_mult_cycles(key_bits.size(), options));
-  RecordSink sink(records);
-  PointMultResult r = point_mult(key_bits, x, options, &sink);
-  r.exec.records = std::move(records);
   return r;
 }
 

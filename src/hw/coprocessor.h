@@ -18,16 +18,15 @@
 // suppresses it, is recorded per cycle in CycleRecord and interpreted by
 // the side-channel layer (sidechannel/leakage.h).
 //
-// Execution model (PR 5): the per-iteration microcode fragments are
-// compiled once per co-processor into flat CompiledProgram streams (the
-// latency of every instruction is an architecture constant, so a compiled
-// fragment knows its exact cycle cost before it runs), and each executed
-// cycle streams into a CycleSink instead of forcing a materialized
-// std::vector<CycleRecord>. The legacy record-materializing path is a
-// RecordSink over the same stream — bit-identical, asserted by pinned
-// digests in tests — and the energy summary (cycles + weighted toggles)
-// accumulates on every path, so energy-only callers pay for no records at
-// all.
+// Execution model: the per-iteration microcode fragments are compiled
+// once per co-processor into flat CompiledProgram streams (the latency of
+// every instruction is an architecture constant, so a compiled fragment
+// knows its exact cycle cost before it runs). execute() and point_mult()
+// have one output path: each executed cycle streams into the caller's
+// CycleSink, and the energy summary (cycles + weighted toggles)
+// accumulates whether or not a sink is attached, so energy-only callers
+// pass nullptr and pay for no records at all. A caller that wants raw
+// records attaches a RecordSink (pinned record digests in tests).
 //
 // Every point multiplication is cross-checked in tests against the
 // algorithmic ladder in ecc/ladder.h.
@@ -92,12 +91,11 @@ struct CycleRecord {
   Op op = Op::kSelSet;
 };
 
-/// Streaming consumer of executed model cycles — the primary output path
-/// of the co-processor. on_cycle runs once per cycle, in execution order,
-/// with the finalized record (ground-truth key bit / iteration and the
-/// clock-gating mask already applied) and the cycle's weighted GE-toggle
-/// total. The record stream is identical, field for field and cycle for
-/// cycle, to what the legacy ExecResult::records path materializes.
+/// Streaming consumer of executed model cycles — the co-processor's only
+/// per-cycle output path. on_cycle runs once per cycle, in execution
+/// order, with the finalized record (ground-truth key bit / iteration and
+/// the clock-gating mask already applied) and the cycle's weighted
+/// GE-toggle total.
 class CycleSink {
  public:
   virtual ~CycleSink() = default;
@@ -105,9 +103,10 @@ class CycleSink {
 };
 
 /// The record-materializing sink: appends every cycle to a caller-owned
-/// vector. Kept for consumers that genuinely need raw records (profiling,
-/// the ISA audit's telemetry checks, E9's record-keyed scans); everything
-/// else should fold the stream instead.
+/// vector, which the caller reserves exactly from point_mult_cycles().
+/// For consumers that genuinely need raw records (profiling, E9's
+/// record-keyed scans, the reference capture); everything else should
+/// fold the stream instead.
 class RecordSink final : public CycleSink {
  public:
   explicit RecordSink(std::vector<CycleRecord>& out) : out_(&out) {}
@@ -140,10 +139,6 @@ struct CoprocessorConfig {
   std::size_t digit_size = 4;   ///< the paper's chosen MALU width
   SecureConfig secure;
   Technology tech = Technology::umc130();
-  /// Keep per-cycle records on the sink-less point_mult/execute calls
-  /// (needed by record consumers; the energy summary is available either
-  /// way, and the explicit-sink overloads ignore this switch).
-  bool record_cycles = true;
 };
 
 /// A microcode fragment compiled against one co-processor configuration:
@@ -156,11 +151,11 @@ struct CompiledProgram {
   std::size_t cycles = 0;  ///< sum of per-instruction latencies
 };
 
-/// Result of one micro-program execution.
+/// Energy summary of one micro-program execution (the per-cycle records
+/// went to the caller's sink).
 struct ExecResult {
   std::size_t cycles = 0;
-  double ge_toggles = 0.0;          ///< weighted total (see activity.h)
-  std::vector<CycleRecord> records; ///< empty unless the record path ran
+  double ge_toggles = 0.0;  ///< weighted total (see activity.h)
 };
 
 /// Result of a full x-only point multiplication.
@@ -260,21 +255,10 @@ class Coprocessor {
   /// plus the exact cycle cost it will execute in.
   CompiledProgram compile(std::vector<Instruction> program) const;
 
-  /// Just the cycle cost of a microcode stream (the sum of latencies),
-  /// without retaining the code.
-  std::size_t program_cycles(const std::vector<Instruction>& program) const;
-
   /// Execute a raw micro-program against the current register file,
   /// streaming every cycle into `sink` (nullptr = energy summary only).
-  /// The returned ExecResult carries cycles + ge_toggles; records stay
-  /// empty — attach a RecordSink to materialize them.
   ExecResult execute(const std::vector<Instruction>& program,
                      CycleSink* sink);
-
-  /// Legacy entry point: materializes records when config().record_cycles
-  /// is set (reserved up front from the program's compiled cycle total),
-  /// otherwise runs the energy-only path.
-  ExecResult execute(const std::vector<Instruction>& program);
 
   /// Exact cycle count of one point multiplication over `num_key_bits`
   /// scalar bits under `options` — a closed-form configuration constant
@@ -286,8 +270,7 @@ class Coprocessor {
                                 const PointMultOptions& options) const;
 
   /// Full x-only Montgomery-ladder point multiplication, streaming every
-  /// cycle into `sink` (nullptr = energy summary only; the returned
-  /// exec.records stay empty either way).
+  /// cycle into `sink` (nullptr = energy summary only).
   ///
   /// key_bits: the *padded* scalar, MSB first, key_bits.front() == 1
   /// (see ecc::constant_length_scalar). x: affine x of the base point,
@@ -299,13 +282,6 @@ class Coprocessor {
                              const gf2m::Gf163& x,
                              const PointMultOptions& options,
                              CycleSink* sink);
-
-  /// Legacy entry point: materializes exec.records when
-  /// config().record_cycles is set (reserved up front from the compiled
-  /// cycle total), otherwise runs the energy-only path.
-  PointMultResult point_mult(const std::vector<int>& key_bits,
-                             const gf2m::Gf163& x,
-                             const PointMultOptions& options = {});
 
   /// Clear the working registers through the cached zeroize microcode
   /// (energy-only: the controller discards the telemetry of this step).
@@ -328,6 +304,8 @@ class Coprocessor {
   bool fault_fired() const { return fault_fired_; }
 
  private:
+  /// The cycle cost of a microcode stream (the sum of latencies).
+  std::size_t program_cycles(const std::vector<Instruction>& program) const;
   void run_program(const CompiledProgram& program, ExecResult& out,
                    CycleSink* sink, std::size_t first_instruction = 0);
   void run_instruction(const Instruction& ins, ExecResult& out,

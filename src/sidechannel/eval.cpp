@@ -118,7 +118,6 @@ void run_spa_cell(const Curve& curve, const Scalar& k,
   leaky.coproc.secure.balanced_mux_encoding = false;
   leaky.coproc.secure.uniform_clock_gating = false;
   leaky.leakage.noise_sigma = 100.0;
-  leaky.rpc = false;
   leaky.threads = cfg.threads;
 
   // Profiling phase on a device under the attacker's control, running

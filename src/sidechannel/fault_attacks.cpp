@@ -30,14 +30,6 @@ Gf163 bit_mask(unsigned b) {
   return Gf163{l[0], l[1], l[2]};
 }
 
-/// An energy-only co-processor for attack campaigns (records are dead
-/// weight at thousands of shots).
-hw::Coprocessor make_victim_coproc() {
-  hw::CoprocessorConfig hc;
-  hc.record_cycles = false;
-  return hw::Coprocessor(hc);
-}
-
 /// MSB-first classic padded key bits of k — the ground truth the attacks
 /// are scored against (scoring-only knowledge, the DPA convention).
 std::vector<int> padded_key_bits(const Curve& curve, const Scalar& k) {
@@ -129,7 +121,7 @@ FaultAttackResult safe_error_attack(const Curve& curve,
                                     const Scalar& k,
                                     std::size_t bits_to_attack,
                                     std::uint64_t seed) {
-  hw::Coprocessor coproc = make_victim_coproc();
+  hw::Coprocessor coproc;
   std::optional<BaseBlindingPair> pair;
   Scalar pair_key{};
 
@@ -192,8 +184,8 @@ FaultAttackResult invalid_point_attack(const Curve& curve,
                                        const Scalar& k,
                                        std::size_t bits_to_attack,
                                        std::uint64_t seed) {
-  hw::Coprocessor coproc = make_victim_coproc();
-  hw::Coprocessor sim = make_victim_coproc();  // the attacker's own device
+  hw::Coprocessor coproc;
+  hw::Coprocessor sim;  // the attacker's own device
   std::optional<BaseBlindingPair> pair;
   Scalar pair_key{};
 

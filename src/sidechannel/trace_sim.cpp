@@ -332,10 +332,6 @@ CycleVictimPlan plan_cycle_victim(const Curve& curve, const Scalar& k,
 
   rng::Xoshiro256 rng(config.seed);
 
-  const CountermeasureConfig cm = config.countermeasures.value_or(
-      config.rpc ? CountermeasureConfig::rpc_only()
-                 : CountermeasureConfig::none());
-
   CycleVictimPlan out;
   out.true_bits = padded_bits_of(curve, k);
   out.noise_seed = config.seed ^ 0xA5A5'5A5A'1234'8765ull;
@@ -347,7 +343,8 @@ CycleVictimPlan plan_cycle_victim(const Curve& curve, const Scalar& k,
   // correction).
   std::optional<BaseBlindingPair> pair;
   ecc::Scalar pair_key{};
-  out.plan = plan_hardened_coproc_mult(curve, cm, k, p, rng, pair, pair_key);
+  out.plan = plan_hardened_coproc_mult(curve, config.countermeasures, k, p,
+                                       rng, pair, pair_key);
   return out;
 }
 
@@ -395,20 +392,19 @@ CycleTrace capture_cycle_trace(const Curve& curve, const Scalar& k,
 CycleTrace capture_cycle_trace_reference(const Curve& curve, const Scalar& k,
                                          const Point& p,
                                          const CycleSimConfig& config) {
-  hw::CoprocessorConfig cc = config.coproc;
-  cc.record_cycles = true;
-  hw::Coprocessor cop(cc);
+  hw::Coprocessor cop(config.coproc);
 
   const CycleVictimPlan victim = plan_cycle_victim(curve, k, p, config);
   rng::Xoshiro256 noise_rng(victim.noise_seed);
 
   CycleTrace out;
   out.true_bits = victim.true_bits;
-
-  auto r = cop.point_mult(victim.plan.key_bits, victim.plan.base.x,
-                          victim.plan.options);
   out.area_ge = cop.area_ge();
-  out.records = std::move(r.exec.records);
+  out.records.reserve(
+      cop.point_mult_cycles(victim.plan.key_bits.size(), victim.plan.options));
+  hw::RecordSink sink(out.records);
+  cop.point_mult(victim.plan.key_bits, victim.plan.base.x,
+                 victim.plan.options, &sink);
   out.samples.reserve(out.records.size());
   for (const auto& rec : out.records)
     out.samples.push_back(cycle_sample_noiseless(config.leakage, rec,

@@ -127,13 +127,12 @@ struct CycleTrace {
 struct CycleSimConfig {
   hw::CoprocessorConfig coproc;
   LeakageParams leakage;
-  bool rpc = true;
   std::uint64_t seed = 1;
-  /// Ladder countermeasures for the cycle-accurate victim; when unset,
-  /// the legacy rpc flag decides (rpc-only or none). Scalar blinding runs
-  /// the widened neutral-init microcode; shuffled schedules insert the
-  /// co-processor's dummy jitter units at RNG-chosen boundaries.
-  std::optional<CountermeasureConfig> countermeasures;
+  /// Ladder countermeasures for the cycle-accurate victim (default: the
+  /// shipped chip's RPC). Scalar blinding runs the widened neutral-init
+  /// microcode; shuffled schedules insert the co-processor's dummy jitter
+  /// units at RNG-chosen boundaries.
+  CountermeasureConfig countermeasures = CountermeasureConfig::rpc_only();
   /// Materialize the per-cycle ground-truth records in the returned
   /// CycleTrace. Sampling is sink-fused either way; records only matter
   /// to record consumers (profile_schedule, E9's record-keyed variance
@@ -191,12 +190,13 @@ CycleTrace capture_cycle_trace(const ecc::Curve& curve, const ecc::Scalar& k,
                                const ecc::Point& p,
                                const CycleSimConfig& config);
 
-/// The PR 4 capture path, kept verbatim as bench_coproc's baseline and
-/// as a conformance reference: materialize the full record vector through
-/// the legacy point_mult, then fold it into samples in a second pass with
-/// the frozen Box–Muller noise sampler. Record stream identical to
-/// capture_cycle_trace's (asserted by test); samples differ only in the
-/// noise sequence (Box–Muller vs the ziggurat).
+/// The two-pass capture, kept as bench_coproc's baseline and as a
+/// conformance reference: materialize the full record vector through a
+/// hw::RecordSink (reserved from the compiled cycle total), then fold it
+/// into samples in a second pass with the frozen Box–Muller noise
+/// sampler. Record stream identical to capture_cycle_trace's (asserted by
+/// test); samples differ only in the noise sequence (Box–Muller vs the
+/// ziggurat).
 CycleTrace capture_cycle_trace_reference(const ecc::Curve& curve,
                                          const ecc::Scalar& k,
                                          const ecc::Point& p,

@@ -153,8 +153,7 @@ TEST(CtAudit, ToyTableFailsDudect) {
 TEST(CtAudit, ModeledLadderCyclesAreSecretIndependent) {
   // The §5 claim at its sharpest: the modeled co-processor executes the
   // same cycle count for every (nonzero) key, both entry points.
-  medsec::hw::Coprocessor cop(
-      medsec::hw::CoprocessorConfig{.record_cycles = false});
+  medsec::hw::Coprocessor cop;
   const Curve& curve = Curve::b163();
   Xoshiro256 rng(11);
   std::size_t classic = 0, blinded = 0;

@@ -105,12 +105,6 @@ struct CoprocFixture {
   std::vector<int> bits = padded_bits(c, k);
   hw::Coprocessor coproc;
 
-  CoprocFixture() : coproc(energy_only()) {}
-  static hw::CoprocessorConfig energy_only() {
-    hw::CoprocessorConfig hc;
-    hc.record_cycles = false;
-    return hc;
-  }
   hw::PointMultResult run() {
     return coproc.point_mult(bits, c.base_point().x, {}, nullptr);
   }
@@ -216,7 +210,7 @@ TEST(CoprocFaults, BitFlipKeepsCycleCountButCorruptsState) {
 struct VictimFixture {
   const Curve& c = Curve::k163();
   Scalar k = dense_key(c);
-  hw::Coprocessor coproc{CoprocFixture::energy_only()};
+  hw::Coprocessor coproc;
   std::optional<sc::BaseBlindingPair> pair;
   Scalar pair_key{};
   Xoshiro256 rng{77};
@@ -410,7 +404,6 @@ core::CountermeasureConfig detecting_config() {
   core::CountermeasureConfig c;
   c.ladder.validate_points = true;
   c.ladder.coherence_check = true;
-  c.record_cycles = false;
   return c;
 }
 
@@ -443,9 +436,7 @@ TEST(SessionRecovery, TransientGlitchRetriesAndRecovers) {
 TEST(SessionRecovery, PersistentStuckAtExhaustsBudgetAndThrows) {
   const Curve& c = Curve::k163();
   const Scalar k = dense_key(c);
-  auto cfg = detecting_config();
-  cfg.fault_retry_budget = 2;
-  const core::SecureEccProcessor proc(c, cfg, 0x5E55);
+  const core::SecureEccProcessor proc(c, detecting_config(), 0x5E55);
   auto sess = proc.open_session(2);
 
   hw::FaultSpec g;

@@ -144,12 +144,12 @@ TEST_P(CoprocVsLadder, PointMultMatchesAlgorithmicLadder) {
   const Curve& c = Curve::k163();
   hw::CoprocessorConfig cfg;
   cfg.digit_size = GetParam();
-  cfg.record_cycles = false;
   hw::Coprocessor cop(cfg);
   Xoshiro256 rng(7 + GetParam());
   for (int i = 0; i < 4; ++i) {
     const Scalar k = rng.uniform_nonzero(c.order());
-    const auto r = cop.point_mult(padded_bits(c, k), c.base_point().x);
+    const auto r =
+        cop.point_mult(padded_bits(c, k), c.base_point().x, {}, nullptr);
     const Point expect = montgomery_ladder(c, k, c.base_point());
     ASSERT_FALSE(r.result_is_infinity);
     ASSERT_FALSE(expect.infinity);
@@ -177,8 +177,8 @@ TEST(Coprocessor, RpcGivesSameResultDifferentIntermediates) {
   hw::PointMultOptions rpc;
   rpc.z_randomizers = {random_fe(rng), random_fe(rng)};
 
-  const auto r0 = cop.point_mult(bits, c.base_point().x, plain);
-  const auto r1 = cop.point_mult(bits, c.base_point().x, rpc);
+  const auto r0 = cop.point_mult(bits, c.base_point().x, plain, nullptr);
+  const auto r1 = cop.point_mult(bits, c.base_point().x, rpc, nullptr);
   EXPECT_EQ(r0.x_affine, r1.x_affine);
   // Projective representations must differ (the DPA story).
   EXPECT_FALSE(r0.z1 == r1.z1);
@@ -186,11 +186,10 @@ TEST(Coprocessor, RpcGivesSameResultDifferentIntermediates) {
 
 TEST(Coprocessor, SmallScalarsMatchReference) {
   const Curve& c = Curve::k163();
-  hw::CoprocessorConfig cfg;
-  cfg.record_cycles = false;
-  hw::Coprocessor cop(cfg);
+  hw::Coprocessor cop;
   for (std::uint64_t k = 1; k <= 8; ++k) {
-    const auto r = cop.point_mult(padded_bits(c, Scalar{k}), c.base_point().x);
+    const auto r = cop.point_mult(padded_bits(c, Scalar{k}),
+                                  c.base_point().x, {}, nullptr);
     const Point expect = c.scalar_mult_reference(Scalar{k}, c.base_point());
     EXPECT_EQ(r.x_affine, expect.x) << "k=" << k;
   }
@@ -198,24 +197,24 @@ TEST(Coprocessor, SmallScalarsMatchReference) {
 
 TEST(Coprocessor, KZeroYieldsInfinity) {
   const Curve& c = Curve::k163();
-  hw::CoprocessorConfig cfg;
-  cfg.record_cycles = false;
-  hw::Coprocessor cop(cfg);
-  const auto r = cop.point_mult(padded_bits(c, Scalar{}), c.base_point().x);
+  hw::Coprocessor cop;
+  const auto r = cop.point_mult(padded_bits(c, Scalar{}), c.base_point().x,
+                                {}, nullptr);
   EXPECT_TRUE(r.result_is_infinity);
 }
 
 TEST(Coprocessor, RejectsBadInputs) {
   hw::Coprocessor cop;
   const Curve& c = Curve::k163();
-  EXPECT_THROW(cop.point_mult({}, c.base_point().x), std::invalid_argument);
-  EXPECT_THROW(cop.point_mult({0, 1, 1}, c.base_point().x),
+  EXPECT_THROW(cop.point_mult({}, c.base_point().x, {}, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(cop.point_mult({1, 0, 1}, Gf163::zero()),
+  EXPECT_THROW(cop.point_mult({0, 1, 1}, c.base_point().x, {}, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(cop.point_mult({1, 0, 1}, Gf163::zero(), {}, nullptr),
                std::invalid_argument);
   hw::PointMultOptions opt;
   opt.z_randomizers = {Gf163::zero(), Gf163::one()};
-  EXPECT_THROW(cop.point_mult({1, 0}, c.base_point().x, opt),
+  EXPECT_THROW(cop.point_mult({1, 0}, c.base_point().x, opt, nullptr),
                std::invalid_argument);
 }
 
@@ -225,15 +224,14 @@ TEST(Coprocessor, CycleCountIsKeyIndependent) {
   // §7: "the computation time of a point multiplication is the same for
   // different key values" — the intrinsic timing countermeasure.
   const Curve& c = Curve::k163();
-  hw::CoprocessorConfig cfg;
-  cfg.record_cycles = false;
-  hw::Coprocessor cop(cfg);
+  hw::Coprocessor cop;
   Xoshiro256 rng(13);
   std::size_t cycles = 0;
   for (const Scalar& k :
        {Scalar{1}, Scalar{2}, rng.uniform_nonzero(c.order()),
         rng.uniform_nonzero(c.order())}) {
-    const auto r = cop.point_mult(padded_bits(c, k), c.base_point().x);
+    const auto r =
+        cop.point_mult(padded_bits(c, k), c.base_point().x, {}, nullptr);
     if (cycles == 0) cycles = r.exec.cycles;
     EXPECT_EQ(r.exec.cycles, cycles) << "k=" << k.to_hex();
   }
@@ -252,7 +250,7 @@ TEST(Coprocessor, LatencyTableMatchesExecution) {
       {Op::kSelSet, {Op::kSelSet, Reg::kT, Reg::kT, Reg::kT, {}, 1}},
   };
   for (const auto& [op, ins] : cases) {
-    const auto r = cop.execute({ins});
+    const auto r = cop.execute({ins}, nullptr);
     EXPECT_EQ(r.cycles, cop.latency(op));
   }
 }
@@ -303,14 +301,13 @@ TEST(Calibration, ReproducesPaperChipNumbers) {
   // per second. One calibration (Technology::umc130 + ActivityWeights)
   // must reproduce all three within 10%.
   const Curve& c = Curve::k163();
-  hw::CoprocessorConfig cfg;  // defaults: d = 4, protected, umc130
-  cfg.record_cycles = false;
-  hw::Coprocessor cop(cfg);
+  hw::Coprocessor cop;  // defaults: d = 4, protected, umc130
   Xoshiro256 rng(17);
   const Scalar k = rng.uniform_nonzero(c.order());
   hw::PointMultOptions opt;
   opt.z_randomizers = {random_fe(rng), random_fe(rng)};
-  const auto r = cop.point_mult(padded_bits(c, k), c.base_point().x, opt);
+  const auto r = cop.point_mult(padded_bits(c, k), c.base_point().x, opt,
+                                nullptr);
 
   const double pm_per_s = 1.0 / r.seconds;
   RecordProperty("cycles", std::to_string(r.exec.cycles));

@@ -6,10 +6,10 @@
 // batch verification with forgery isolation and unpredictable RLC
 // coefficients, deferred verdicts landing in the gateway (inside their own
 // judge, across a snapshot and across ShardEngine::failover), the
-// inline-judge path, registry refusals answered with kReject, a
-// multi-shard fleet on its loop threads, bounded drain_for, the stats
-// merge, frame-buffer pooling, and the UDP front end end-to-end over
-// loopback.
+// inline-judge path, registry refusals answered with kReject, CRC-failing
+// datagrams that open no session, a multi-shard fleet on its loop
+// threads, bounded drain_for, the stats merge, frame-buffer pooling, and
+// the UDP front end end-to-end over loopback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -629,6 +629,74 @@ TEST(ShardEngine, RefusedOpenIsAnsweredWithReject) {
   EXPECT_TRUE(ep.failed());
 }
 
+// --- ShardEngine: bytes that fail the CRC open nothing ----------------------
+
+TEST(ShardEngine, CrcFailingDatagramsOpenNoSession) {
+  // What the UDP front end forwards: anything with a frame-sized header
+  // and the magic. N such datagrams with distinct ids and a bad CRC must
+  // not make the factory build N machines that no timer ever settles.
+  const Curve& c = Curve::k163();
+  Xoshiro256 key_rng(45);
+  const auto kp = proto::schnorr_keygen(c, key_rng);
+  std::size_t built = 0;
+  engine::SessionFactory factory = [&](std::uint64_t id) {
+    ++built;
+    engine::SessionSetup s;
+    auto r = std::make_unique<Xoshiro256>(id);
+    s.machine = std::make_unique<proto::SchnorrVerifier>(c, kp.X, *r);
+    s.rng = std::move(r);
+    return s;
+  };
+  engine::ShardEngine eng(0, engine::ShardFleetConfig{}, c, factory,
+                          /*producers=*/1);
+  struct Count final : engine::Transport {
+    std::size_t sent = 0;
+    void send_downlink(std::uint64_t, const engine::Peer&,
+                       std::vector<std::uint8_t>) override {
+      ++sent;
+    }
+  } transport;
+  eng.set_transport(&transport);
+
+  constexpr std::uint64_t kDatagrams = 1000;
+  engine::Frame f;
+  f.label = proto::kLabelCommitment;
+  f.payload = proto::encode_point(c, kp.X);
+  for (std::uint64_t id = 1; id <= kDatagrams; ++id) {
+    f.session = id;
+    std::vector<std::uint8_t> bytes = engine::encode_frame(f);
+    bytes[bytes.size() - 6] ^= 0x5A;  // a payload byte: the CRC fails
+    ASSERT_EQ(engine::peek_frame_session(bytes), id);
+    eng.ingest(engine::IngressItem{id, engine::Peer{1, 1}, std::move(bytes)});
+  }
+  EXPECT_TRUE(eng.gateway().session_ids().empty());
+  EXPECT_EQ(eng.gateway().live_sessions(), 0u);
+  EXPECT_EQ(eng.stats().opened, 0u);
+  EXPECT_EQ(eng.stats().rejected, 0u);
+  EXPECT_EQ(eng.stats().stray_dropped, kDatagrams);
+  EXPECT_EQ(transport.sent, 0u);
+  EXPECT_EQ(built, 0u);
+
+  // Intact frames that are not data (an ack, a reject) open nothing
+  // either; the same data frame intact opens its session as before.
+  engine::Frame control;
+  control.session = kDatagrams + 1;
+  for (const auto type : {engine::FrameType::kAck,
+                          engine::FrameType::kReject}) {
+    control.type = type;
+    eng.ingest(engine::IngressItem{control.session, engine::Peer{1, 1},
+                                   engine::encode_frame(control)});
+  }
+  EXPECT_EQ(eng.stats().stray_dropped, kDatagrams + 2);
+  f.session = kDatagrams + 1;
+  eng.ingest(engine::IngressItem{f.session, engine::Peer{1, 1},
+                                 engine::encode_frame(f)});
+  EXPECT_EQ(eng.stats().opened, 1u);
+  EXPECT_EQ(eng.gateway().live_sessions(), 1u);
+  EXPECT_EQ(eng.stats().stray_dropped, kDatagrams + 2);
+  EXPECT_EQ(built, 1u);
+}
+
 // --- ShardFleet: a multi-shard fleet on its loop threads ---------------------
 
 constexpr std::uint32_t kFleetDevices = 8;
@@ -815,16 +883,17 @@ TEST(Counters, PlusEqualsSumsEveryFieldOfEveryStatsStruct) {
   EXPECT_EQ(d.decode_failures, 66u);
   EXPECT_EQ(d.out_of_window, 77u);
 
-  engine::ShardStats sh{1, 2, 3, 4, 5, 6, 7, 8};
-  sh += engine::ShardStats{10, 20, 30, 40, 50, 60, 70, 80};
+  engine::ShardStats sh{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  sh += engine::ShardStats{10, 20, 30, 40, 50, 60, 70, 80, 90};
   EXPECT_EQ(sh.ingress, 11u);
   EXPECT_EQ(sh.mailbox_shed, 22u);
-  EXPECT_EQ(sh.opened, 33u);
-  EXPECT_EQ(sh.completed, 44u);
-  EXPECT_EQ(sh.accepted, 55u);
-  EXPECT_EQ(sh.rejected, 66u);
-  EXPECT_EQ(sh.verifier_flushes, 77u);
-  EXPECT_EQ(sh.ticks, 88u);
+  EXPECT_EQ(sh.stray_dropped, 33u);
+  EXPECT_EQ(sh.opened, 44u);
+  EXPECT_EQ(sh.completed, 55u);
+  EXPECT_EQ(sh.accepted, 66u);
+  EXPECT_EQ(sh.rejected, 77u);
+  EXPECT_EQ(sh.verifier_flushes, 88u);
+  EXPECT_EQ(sh.ticks, 99u);
 
   engine::BatchVerifierStats v{1, 2, 3, 4, 5, 6, 7};
   v += engine::BatchVerifierStats{10, 20, 30, 40, 50, 60, 70};
