@@ -22,6 +22,7 @@
 #include "ecc/fixed_base.h"
 #include "ecc/koblitz.h"
 #include "ecc/ladder.h"
+#include "ecc/ladder_many.h"
 #include "ecc/scalar_mult.h"
 #include "gf2m/backend.h"
 #include "gf2m/gf163_lanes.h"
@@ -357,6 +358,64 @@ void BM_LaneSqrAddMul(benchmark::State& state, LaneBackend backend) {
   gf2m::reset_lane_backend();
 }
 MEDSEC_BENCH_BACKENDS(BM_LaneSqrAddMul);
+
+// --- server key ladders -----------------------------------------------------
+//
+// The PH reader's and ECIES receiver's multiplication by their long-term
+// key, 64 jobs per iteration: one ladder_x each on the clmul backend,
+// against one ladder_x_many lane batch pinned to vpclmul512 (skipped where
+// that backend is unavailable). check_perf_regression.py gates the batch
+// at >= 3x the singles.
+
+constexpr std::size_t kKeyJobs = 64;
+
+struct KeyJobs {
+  std::vector<ecc::Scalar> ks;
+  std::vector<ecc::Point> qs;
+};
+
+/// Random keys and random subgroup points, as the two call sites see them.
+KeyJobs key_jobs(const ecc::Curve& c) {
+  rng::Xoshiro256 rng(31);
+  KeyJobs j;
+  for (std::size_t i = 0; i < kKeyJobs; ++i) {
+    j.ks.push_back(rng.uniform_nonzero(c.order()));
+    j.qs.push_back(
+        ecc::generator_comb(c).mult(rng.uniform_nonzero(c.order())));
+  }
+  return j;
+}
+
+void BM_LadderXSingle64(benchmark::State& state) {
+  if (!use_backend(state, Backend::kClmul)) return;
+  const ecc::Curve& c = ecc::Curve::k163();
+  const KeyJobs j = key_jobs(c);
+  for (auto _ : state)
+    for (std::size_t i = 0; i < kKeyJobs; ++i)
+      benchmark::DoNotOptimize(ecc::ladder_x(c, j.ks[i], j.qs[i]));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kKeyJobs);
+}
+BENCHMARK(BM_LadderXSingle64)->Name("BM_LadderXSingle64/clmul");
+
+void BM_LadderXBatch64(benchmark::State& state) {
+  if (!use_backend(state, Backend::kClmul) ||
+      !use_lane_backend(state, LaneBackend::kLaneVpclmul512))
+    return;
+  const ecc::Curve& c = ecc::Curve::k163();
+  const KeyJobs j = key_jobs(c);
+  ecc::LadderManyWorkspace ws;
+  std::vector<std::optional<ecc::Fe>> xs(kKeyJobs);
+  for (auto _ : state) {
+    ecc::ladder_x_many(c, j.ks.data(), j.qs.data(), kKeyJobs, ws, xs.data());
+    benchmark::DoNotOptimize(xs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kKeyJobs);
+  gf2m::reset_lane_backend();
+}
+BENCHMARK(BM_LadderXBatch64)->Name("BM_LadderXBatch64/vpclmul512");
 
 // --- backend-independent substrates (integer scalar ring) -------------------
 

@@ -79,12 +79,14 @@ FAULT_VERDICT_GATES = [
 # (BENCH_ct_audit.json, schema medsec-ct-audit-v1, written by ./ct_audit).
 # Like the fault matrix, the grid is counter-seeded and measured with the
 # deterministic op-count source, so the gate is exact: every shipped
-# backend x lane combo and both modeled ladders must PASS the dudect
-# test, both leaky negative controls must FAIL it (a harness that stops
-# seeing the planted leaks is broken, not clean), the taint interpreter
-# must agree, and the whole grid must be bit-identical across the
-# in-process rerun. ISA-gated combos may be skipped, never failed; the
-# combo with no ISA requirement must actually have run.
+# backend x lane combo, both modeled ladders and the server's secret-key
+# ladder (ladder-x) must PASS the dudect test, the negative controls —
+# both leaky toys and the double-and-add scalar_mult_ld that ladder-x
+# replaced — must FAIL it (a harness that stops seeing the planted leaks
+# is broken, not clean), the taint interpreter must agree, and the whole
+# grid must be bit-identical across the in-process rerun. ISA-gated
+# combos may be skipped, never failed; the combo with no ISA requirement
+# must actually have run.
 CT_AUDIT_SCHEMA = "medsec-ct-audit-v1"
 # (backend, lanes) combos that every CPU can run: a skip here is a bug.
 CT_ALWAYS_AVAILABLE = {("karatsuba", "scalar")}
@@ -95,8 +97,8 @@ CT_REQUIRED_COMBOS = {
     for b in ("karatsuba", "clmul")
     for l in ("scalar", "clmulwide")
 } | {("clmul", "vpclmul512"), ("clmul", "vpclmul256")}
-CT_REQUIRED_TARGETS = ("ladder-unblinded", "ladder-blinded")
-CT_NEGATIVE_CONTROLS = ("toy-branch", "toy-table")
+CT_REQUIRED_TARGETS = ("ladder-unblinded", "ladder-blinded", "ladder-x")
+CT_NEGATIVE_CONTROLS = ("toy-branch", "toy-table", "scalar-mult-ld")
 CT_TAINT_EXPECT = {
     "ladder-classic": None,            # None = must be clean
     "ladder-blinded": None,
@@ -119,6 +121,11 @@ RATIO_GATES = [
     # the same mul326_clmul + reduce326 (ratio >= 0.67).
     ("BENCH_field_ops.json", "BM_LaneMul/clmulwide",
      "BM_Gf163MulStream/clmul", 0.67),
+    # Server key ladders: one 64-lane ladder_x_many batch on the ZMM
+    # backend is >= 3x 64 single ladder_x calls on clmul (3.6-5.2x
+    # measured on a 4-vCPU AVX-512 host).
+    ("BENCH_field_ops.json", "BM_LadderXSingle64/clmul",
+     "BM_LadderXBatch64/vpclmul512", 3.0),
     # Barrett: ModRing::mul is >= 8x the same product reduced by the
     # shift-subtract BigUInt::mod loop.
     ("BENCH_field_ops.json", "BM_ScalarRingMulShiftSubtract",
@@ -214,9 +221,16 @@ def check_ct_audit(path):
     if missing:
         failures.append("ct audit: backend x lane combos missing from grid: "
                         + ", ".join(f"{b}/{l}" for b, l in sorted(missing)))
-    for target in CT_REQUIRED_TARGETS + CT_NEGATIVE_CONTROLS:
-        if not any(t == target for (t, _, _) in rows):
-            failures.append(f"ct audit: required target missing: {target}")
+    for targets, want in ((CT_REQUIRED_TARGETS, "pass"),
+                          (CT_NEGATIVE_CONTROLS, "fail")):
+        for target in targets:
+            found = [r for (t, _, _), r in rows.items() if t == target]
+            if not found:
+                failures.append(
+                    f"ct audit: required target missing: {target}")
+            elif any(r.get("expected") != want for r in found):
+                failures.append(f"ct audit: {target} must be expected to "
+                                f"{want}")
 
     taint = {r["target"]: r for r in doc.get("taint", [])}
     for target, want_kind in CT_TAINT_EXPECT.items():

@@ -7,8 +7,11 @@
 
 #include "ctaudit/taint_fe.h"
 #include "ecc/curve.h"
+#include "ecc/ladder_arith.h"
 #include "ecc/ladder_core.h"
+#include "ecc/point_arith.h"
 #include "gf2m/backend.h"
+#include "gf2m/field_ops.h"
 #include "gf2m/gf163_lanes.h"
 #include "hash/sha256.h"
 #include "hw/coprocessor.h"
@@ -192,6 +195,73 @@ CtTarget make_ladder_blinded_target() {
   return t;
 }
 
+// --- secret-key scalar multiplications on the op-count source ---------------
+//
+// The production formula templates instantiated over a counting field
+// policy: the portable kernels behind wrappers that count every
+// multiplication and squaring. The op count of one scalar multiplication
+// is then its exact field-operation schedule — key-independent for the
+// ladder, one double (plus one add per set bit) per key bit for
+// double-and-add. Instantiated only here, so the carry-less-multiply
+// confinement of the library objects is untouched.
+
+/// Field kernel calls since the last reset (the grid runs serially).
+std::uint64_t g_field_ops = 0;
+
+void counting_mul326(const std::uint64_t a[3], const std::uint64_t b[3],
+                     std::uint64_t p[6]) {
+  ++g_field_ops;
+  gf2m::mul326_karatsuba(a, b, p);
+}
+
+void counting_sqr326(const std::uint64_t a[3], std::uint64_t p[6]) {
+  ++g_field_ops;
+  gf2m::sqr326_portable(a, p);
+}
+
+using CountingOps = gf2m::FieldOps<&counting_mul326, &counting_sqr326>;
+
+/// A target that multiplies the K-163 generator by the secret key through
+/// `mult` (over CountingOps) and ticks the field operations it ran.
+template <class Mult>
+CtTarget make_key_mult_target(std::string name, bool expect_leak,
+                              Mult mult) {
+  CtTarget t;
+  t.name = std::move(name);
+  t.expect_leak = expect_leak;
+  t.run = [mult](const std::uint8_t* secret, std::size_t len,
+                 std::uint64_t /*aux*/, TimeSource& ts) {
+    const Curve& curve = Curve::k163();
+    const Scalar k = scalar_from_secret(curve, secret, len);
+    g_field_ops = 0;
+    g_sink = g_sink ^ mult(curve, k, curve.base_point());
+    ts.tick(g_field_ops);
+  };
+  return t;
+}
+
+/// ecc::ladder_x's template: the PH reader's and ECIES receiver's
+/// multiplication by their long-term key.
+CtTarget make_ladder_x_target() {
+  return make_key_mult_target(
+      "ladder-x", false,
+      [](const Curve& c, const Scalar& k, const ecc::Point& p) {
+        const auto x = ecc::LadderArith<CountingOps>::x_only(c, k, p);
+        return x ? x->limb(0) : 0;
+      });
+}
+
+/// The double-and-add those two call sites used before: its fixed class
+/// (k = 1) runs one iteration, a random key about 244 point operations.
+CtTarget make_scalar_mult_ld_target() {
+  return make_key_mult_target(
+      "scalar-mult-ld", true,
+      [](const Curve& c, const Scalar& k, const ecc::Point& p) {
+        return ecc::PointArith<CountingOps>::scalar_mult_ld(c, k, p)
+            .x.limb(0);
+      });
+}
+
 // --- leaky toys (negative controls) -----------------------------------------
 //
 // Templated over (FE, Bit) so the SAME toy runs under the dudect engine
@@ -244,6 +314,7 @@ std::uint64_t toy_bits_from_secret(const std::uint8_t* secret,
 CtTarget make_toy_branch_target() {
   CtTarget t;
   t.name = "toy-branch";
+  t.expect_leak = true;
   t.run = [](const std::uint8_t* secret, std::size_t len,
              std::uint64_t /*aux*/, TimeSource& ts) {
     std::uint64_t bits[8];
@@ -258,6 +329,7 @@ CtTarget make_toy_branch_target() {
 CtTarget make_toy_table_target() {
   CtTarget t;
   t.name = "toy-table";
+  t.expect_leak = true;
   t.run = [](const std::uint8_t* secret, std::size_t len,
              std::uint64_t /*aux*/, TimeSource& ts) {
     std::uint64_t bits[8];
@@ -288,6 +360,9 @@ std::vector<CtTarget> ct_audit_targets() {
   // Modeled co-processor ladders: the paper's actual §5 timing claim.
   targets.push_back(make_ladder_unblinded_target());
   targets.push_back(make_ladder_blinded_target());
+  // The server's secret-key multiplication, and the routine it replaced.
+  targets.push_back(make_ladder_x_target());
+  targets.push_back(make_scalar_mult_ld_target());
   // Negative controls.
   targets.push_back(make_toy_branch_target());
   targets.push_back(make_toy_table_target());
@@ -473,7 +548,6 @@ CtAuditGrid run_grid_once(const GridConfig& config) {
   auto ts = make_time_source(config.source);
   for (const CtTarget& target : ct_audit_targets()) {
     if (!name_matches(config.target_filter, target)) continue;
-    const bool toy = target.name.rfind("toy-", 0) == 0;
     CtTestConfig tc;
     tc.samples = target.modeled ? config.model_samples : config.samples;
     tc.calibration = target.modeled
@@ -482,7 +556,7 @@ CtAuditGrid run_grid_once(const GridConfig& config) {
     tc.seed = config.seed;
     tc.threshold = config.threshold;
     grid.dudect.push_back(
-        DudectGridRow{run_ct_test(target, *ts, tc), !toy});
+        DudectGridRow{run_ct_test(target, *ts, tc), !target.expect_leak});
   }
 
   if (config.target_filter.empty()) {
@@ -544,13 +618,14 @@ void check_acceptance(CtAuditGrid& grid, const GridConfig& config) {
     // run.
     if (combo_unskipped < 1)
       fail("no backend × lane combo executed");
-    for (const char* name : {"ladder-unblinded", "ladder-blinded"}) {
+    for (const char* name : {"ladder-unblinded", "ladder-blinded",
+                             "ladder-x", "scalar-mult-ld"}) {
       const bool present = std::any_of(
           grid.dudect.begin(), grid.dudect.end(),
           [name](const DudectGridRow& row) {
             return row.report.target == name && !row.report.skipped;
           });
-      if (!present) fail(std::string("modeled target missing: ") + name);
+      if (!present) fail(std::string("required target missing: ") + name);
     }
 
     // Taint expectations: shipped rows clean, toys flagged with the

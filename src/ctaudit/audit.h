@@ -7,9 +7,10 @@
 //
 // The grid also carries its own negative controls: two deliberately
 // leaky toy ladders (a secret-dependent branch, a secret-indexed table)
-// that MUST be flagged by both engines. A run where the toys pass is a
-// broken harness, not a clean codebase — the acceptance checks treat
-// that as failure.
+// that MUST be flagged by both engines, and the double-and-add
+// scalar_mult_ld on a secret key, which the dudect engine must flag. A
+// run where a control passes is a broken harness, not a clean codebase —
+// the acceptance checks treat that as failure.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +25,11 @@ namespace medsec::ctaudit {
 
 /// Every registered audit target: the 2 × 2 scalar-backend × lane-backend
 /// kernel grid, the ISA-gated mega-lane rows, the modeled co-processor
-/// ladders (unblinded classic and scalar-blinded fixed-length), and the
-/// two leaky negative controls. Rows for combos this CPU cannot run are
-/// returned with available == false (reported as skipped, never failed).
+/// ladders (unblinded classic and scalar-blinded fixed-length), the
+/// server's secret-key entry (`ladder-x`: ecc::ladder_x's template) with
+/// the variable-time `scalar-mult-ld` it replaced as a planted leak, and
+/// the two leaky toys. Rows for combos this CPU cannot run are returned
+/// with available == false (reported as skipped, never failed).
 std::vector<CtTarget> ct_audit_targets();
 
 /// The leaky toys, exposed individually for tests: a ladder with a

@@ -83,6 +83,9 @@ struct CtTarget {
   /// slower per measurement than kernel targets; the grid runner sizes
   /// their sample count separately.
   bool modeled = false;
+  /// Negative control: a planted leak the test must FAIL (the grid
+  /// reports a pass here as a blind harness).
+  bool expect_leak = false;
   std::size_t secret_bytes = 21;  ///< 163 bits and then some
   /// One measured execution: consume `secret`, optionally draw public
   /// per-execution randomness from `aux_seed` (identically distributed

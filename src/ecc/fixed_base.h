@@ -11,8 +11,7 @@
 // per affine group operation.
 //
 // Two evaluation modes:
-//   mult()    — variable-time table indexing; verifier/reader-side use
-//               (public scalars, or the energy-rich server of the paper).
+//   mult()    — variable-time table indexing; public scalars only.
 //   mult_ct() — fixed d-iteration schedule, every iteration performs one
 //               double and one add, and the tooth is fetched with a masked
 //               full-table scan (no secret-dependent addressing): the
@@ -84,8 +83,11 @@ std::string curve_cache_key(const Curve& curve);
 /// Left-to-right double-and-add in López–Dahab coordinates over the EXACT
 /// scalar (no modular reduction, no constant-length padding): one field
 /// inversion for the whole multiplication instead of one per affine group
-/// operation. Variable-time — the verifier/reader-side workhorse for
-/// arbitrary points, and what backs the order·P == infinity subgroup gate.
+/// operation. Variable-time: it loops bit_length(k) times and adds on the
+/// 1 bits only, so k must be PUBLIC — a signature's challenge, the group
+/// order of the exact subgroup gate. A secret key (a reader's or a
+/// recipient's y) goes to the constant-time ladder instead: ecc::ladder_x
+/// when only x(k·P) is needed, montgomery_ladder otherwise.
 Point scalar_mult_ld(const Curve& curve, const Scalar& k, const Point& p);
 
 }  // namespace medsec::ecc

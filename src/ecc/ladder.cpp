@@ -106,6 +106,12 @@ LadderState montgomery_ladder_raw(const Curve& curve, const Scalar& k,
   });
 }
 
+std::optional<Fe> ladder_x(const Curve& curve, const Scalar& k,
+                           const Point& q) {
+  return gf2m::with_field_ops(
+      [&]<class Ops>(Ops) { return LadderArith<Ops>::x_only(curve, k, q); });
+}
+
 Point montgomery_ladder(const Curve& curve, const Scalar& k, const Point& p,
                         const LadderOptions& options) {
   return gf2m::with_field_ops([&]<class Ops>(Ops) {

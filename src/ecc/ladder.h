@@ -102,6 +102,15 @@ void ladder_iteration(const Fe& b, const Fe& x_base, LadderState& s,
 Point montgomery_ladder(const Curve& curve, const Scalar& k, const Point& p,
                         const LadderOptions& options = {});
 
+/// x(k·q) on the constant-time ladder: montgomery_ladder_raw's fixed
+/// schedule (constant-length scalar, masked swaps) plus one inversion, with
+/// no y-recovery. nullopt when k·q = O. The entry for a multiplication by a
+/// secret key whose result only feeds x(·) — a Diffie–Hellman share, the
+/// PH reader's blinding term. ladder_x_many (ladder_many.h) is its batch
+/// form. Precondition: q is affine (not infinity) with x != 0.
+std::optional<Fe> ladder_x(const Curve& curve, const Scalar& k,
+                           const Point& q);
+
 /// The ladder without the inversion-heavy affine recovery: returns the raw
 /// projective accumulators. Pair with recover_from_ladder (one point) or
 /// recover_from_ladder_batch (many points, one shared inversion) so

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -57,6 +58,13 @@ struct LadderArith {
   static Point fixed(const Curve& curve, const WideScalar& k,
                      std::size_t iterations, const Point& p,
                      const LadderOptions& options);
+  /// raw, then X1/Z1 with one inversion and no y-recovery (ladder_x);
+  /// nullopt when k·p = O.
+  static std::optional<Fe> x_only(const Curve& curve, const Scalar& k,
+                                  const Point& p);
+  /// X1/Z1 of n raw states with one batch inversion (ladder_x_many).
+  static void x_only_batch(const LadderState* states, std::size_t n,
+                           std::optional<Fe>* out);
 
  private:
   static Point recover_affine(const Curve& curve, const Point& p,
@@ -288,6 +296,27 @@ Point LadderArith<Ops>::fixed(const Curve& curve, const WideScalar& k,
   if (p.infinity) return Point::at_infinity();
   const LadderState s = fixed_raw(curve, k, iterations, p, options);
   return recover(curve, p, s.x1, s.z1, s.x2, s.z2);
+}
+
+template <class Ops>
+std::optional<Fe> LadderArith<Ops>::x_only(const Curve& curve,
+                                           const Scalar& k, const Point& p) {
+  const LadderState s = raw(curve, k, p, {});
+  if (s.z1.is_zero()) return std::nullopt;
+  return Ops::mul(s.x1, Ops::inv(s.z1));
+}
+
+template <class Ops>
+void LadderArith<Ops>::x_only_batch(const LadderState* states, std::size_t n,
+                                    std::optional<Fe>* out) {
+  // Z1 = 0 (k·p = O) stays zero, which batch_inv skips.
+  std::vector<Fe> z_inv(n);
+  for (std::size_t i = 0; i < n; ++i) z_inv[i] = states[i].z1;
+  Ops::batch_inv(z_inv.data(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = states[i].z1.is_zero()
+                 ? std::nullopt
+                 : std::optional<Fe>(Ops::mul(states[i].x1, z_inv[i]));
 }
 
 }  // namespace medsec::ecc

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ecc/ladder_arith.h"
+
 namespace medsec::ecc {
 
 void ladder_add_lanes(const LaneBatch& xd, const LaneBatch& x1,
@@ -156,6 +158,16 @@ void ladder_many_wide_into(const Curve& curve, const WideScalar* ks,
                [ks](std::size_t j, std::size_t i) -> std::uint8_t {
                  return ks[j].bit(i) ? 1 : 0;
                });
+}
+
+void ladder_x_many(const Curve& curve, const Scalar* ks, const Point* qs,
+                   std::size_t n, LadderManyWorkspace& ws,
+                   std::optional<Fe>* out) {
+  std::vector<LadderState> states(n);
+  ladder_many_into(curve, ks, qs, n, {}, ws, states.data());
+  gf2m::with_field_ops([&]<class Ops>(Ops) {
+    LadderArith<Ops>::x_only_batch(states.data(), n, out);
+  });
 }
 
 std::vector<LadderState> ladder_many(const Curve& curve, const Scalar* ks,

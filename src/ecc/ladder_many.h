@@ -14,6 +14,11 @@
 // (the campaign engine uses 4x) retarget onto wider silicon with no
 // code changes.
 //
+// Two users: the DPA campaign engine, which drives the raw lockstep
+// states, and the serving shards, whose deferred PH and ECIES key
+// multiplications run through ladder_x_many — the lanes plus one batch
+// inversion, the batch form of the constant-time ecc::ladder_x.
+//
 // Bit-exactness contract: lane i of ladder_many() evolves through exactly
 // the field operations (same fusions, same order) of the scalar
 // montgomery_ladder_raw(), so per-lane observations — the trace
@@ -22,6 +27,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -139,5 +145,13 @@ void ladder_many_wide_into(const Curve& curve, const WideScalar* ks,
                            std::size_t iterations, const Point* ps,
                            std::size_t n, const BatchLadderOptions& options,
                            LadderManyWorkspace& ws, LadderState* out);
+
+/// Batch form of ladder_x: out[i] = x(ks[i]·qs[i]), nullopt where the
+/// product is O — ladder_many_into, then one batch inversion over the n Z
+/// coordinates. The results equal ladder_x's. Preconditions per job as
+/// ladder_x.
+void ladder_x_many(const Curve& curve, const Scalar* ks, const Point* qs,
+                   std::size_t n, LadderManyWorkspace& ws,
+                   std::optional<Fe>* out);
 
 }  // namespace medsec::ecc

@@ -108,32 +108,28 @@ SchnorrBatchVerifier::SchnorrBatchVerifier(const Curve& curve,
       rng_(rlc_seed) {}
 
 void SchnorrBatchVerifier::enqueue(PendingTranscript t) {
-  std::vector<PendingTranscript> batch;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(t));
     ++stats_.items;
-    if (queue_.size() < batch_size_) return;
-    batch.swap(queue_);
-    in_verify_ += batch.size();
   }
-  verify_batch(std::move(batch));
+  drain(batch_size_);
 }
 
-void SchnorrBatchVerifier::flush() {
-  std::vector<PendingTranscript> batch;
+void SchnorrBatchVerifier::enqueue(PendingLadder job) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return;
-    batch.swap(queue_);
-    in_verify_ += batch.size();
+    ladders_.push_back(std::move(job));
+    ++stats_.ladders;
   }
-  verify_batch(std::move(batch));
+  drain(batch_size_);
 }
+
+void SchnorrBatchVerifier::flush() { drain(1); }
 
 std::size_t SchnorrBatchVerifier::pending() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + in_verify_;
+  return queue_.size() + ladders_.size() + in_verify_;
 }
 
 BatchVerifierStats SchnorrBatchVerifier::stats() const {
@@ -141,7 +137,26 @@ BatchVerifierStats SchnorrBatchVerifier::stats() const {
   return stats_;
 }
 
-void SchnorrBatchVerifier::verify_batch(std::vector<PendingTranscript> batch) {
+void SchnorrBatchVerifier::drain(std::size_t min_items) {
+  std::vector<PendingTranscript> ts;
+  std::vector<PendingLadder> ls;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const std::size_t n = queue_.size() + ladders_.size();
+    if (n == 0 || n < min_items) return;
+    ts.swap(queue_);
+    ls.swap(ladders_);
+    in_verify_ += n;
+  }
+  if (!ts.empty()) verify_transcripts(ts);
+  if (!ls.empty()) run_ladders(ls);
+  // Verdicts delivered: this batch is no longer pending.
+  const std::lock_guard<std::mutex> lock(mu_);
+  in_verify_ -= ts.size() + ls.size();
+}
+
+void SchnorrBatchVerifier::verify_transcripts(
+    std::vector<PendingTranscript>& batch) {
   // Shared-inversion decode of every commitment in the batch.
   std::vector<std::vector<std::uint8_t>> wires;
   wires.reserve(batch.size());
@@ -190,12 +205,53 @@ void SchnorrBatchVerifier::verify_batch(std::vector<PendingTranscript> batch) {
   // Callbacks last, with no locks held.
   for (std::size_t i = 0; i < batch.size(); ++i)
     if (batch[i].on_result) batch[i].on_result(accepted[i]);
+}
 
-  // Verdicts delivered: this batch is no longer pending.
+void SchnorrBatchVerifier::run_ladders(std::vector<PendingLadder>& batch) {
+  // One lane batch over every job whose point the ladder accepts; any
+  // other point is refused without running (the machines gate theirs, so
+  // only a hand-built job gets here).
+  std::vector<ecc::Scalar> ks;
+  std::vector<ecc::Point> qs;
+  std::vector<std::size_t> origin;  // batch index per ladder input
+  ks.reserve(batch.size());
+  qs.reserve(batch.size());
+  origin.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const protocol::LadderJob& job = batch[i].job;
+    if (job.q.infinity || job.q.x.is_zero()) continue;
+    ks.push_back(job.k);
+    qs.push_back(job.q);
+    origin.push_back(i);
+  }
+  std::vector<std::optional<ecc::Fe>> xs(origin.size());
+  {
+    const std::lock_guard<std::mutex> lock(ladder_mu_);
+    ecc::ladder_x_many(*curve_, ks.data(), qs.data(), ks.size(), ladder_ws_,
+                       xs.data());
+  }
+
+  // The continuations: a throw refuses its own session only.
+  std::vector<bool> accepted(batch.size(), false);
+  for (std::size_t j = 0; j < origin.size(); ++j) {
+    try {
+      accepted[origin[j]] = batch[origin[j]].job.finish(xs[j]);
+    } catch (const std::exception&) {
+      accepted[origin[j]] = false;
+    }
+  }
+
+  std::size_t n_accepted = 0;
+  for (const bool a : accepted) n_accepted += a ? 1 : 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    in_verify_ -= batch.size();
+    ++stats_.ladder_batches;
+    stats_.ladders_rejected += batch.size() - n_accepted;
   }
+
+  // Callbacks last, with no locks held.
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    if (batch[i].on_result) batch[i].on_result(accepted[i]);
 }
 
 }  // namespace medsec::engine

@@ -22,10 +22,18 @@
 //     never hide behind its batch, and an honest session can never be
 //     rejected because of one.
 //
-// SchnorrBatchVerifier is the thread-safe queue each shard drains (one
-// per ShardEngine, flushed every tick): sessions enqueue their (still
-// wire-encoded) transcripts plus a completion callback; the queue also
-// flushes on its own at batch_size.
+// SchnorrBatchVerifier is the thread-safe deferred-verdict queue each
+// shard drains (one per ShardEngine, flushed every tick). It holds two
+// kinds of work, each with a completion callback:
+//
+//   * Schnorr transcripts, still wire-encoded, checked as above;
+//   * key multiplications (protocol::LadderJob) that deferred PH readers
+//     and ECIES receivers leave behind: one flush runs all of them as one
+//     constant-time lane batch (ecc::ladder_x_many — lockstep ladders and
+//     one batch inversion), then each job's own continuation.
+//
+// One flush runs at most one MSM and one ladder batch; the queue also
+// flushes on its own once it holds batch_size items of either kind.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +45,9 @@
 
 #include "core/counters.h"
 #include "ecc/curve.h"
+#include "ecc/ladder_many.h"
 #include "protocol/schnorr.h"
+#include "protocol/session.h"
 #include "rng/random_source.h"
 #include "rng/xoshiro.h"
 
@@ -77,7 +87,14 @@ struct PendingTranscript {
   std::function<void(bool accepted)> on_result;
 };
 
+/// One deferred key multiplication awaiting its lane batch.
+struct PendingLadder {
+  protocol::LadderJob job;
+  std::function<void(bool accepted)> on_result;
+};
+
 struct BatchVerifierStats {
+  // Schnorr transcripts.
   std::uint64_t items = 0;
   std::uint64_t batches = 0;           ///< flushes that reached the verifier
   std::uint64_t accepted = 0;
@@ -85,6 +102,12 @@ struct BatchVerifierStats {
   std::uint64_t decode_failures = 0;   ///< commitments that failed decoding
   std::uint64_t rlc_failures = 0;      ///< batches that fell back to singles
   std::uint64_t single_fallbacks = 0;  ///< per-item checks run by fallbacks
+  // Key multiplications.
+  std::uint64_t ladders = 0;           ///< jobs enqueued
+  std::uint64_t ladder_batches = 0;    ///< flushes that ran ladder jobs
+  /// Jobs refused: their continuation said no or threw, or their point
+  /// was no ladder input (infinity, x = 0).
+  std::uint64_t ladders_rejected = 0;
 };
 inline BatchVerifierStats& operator+=(BatchVerifierStats& a,
                                       const BatchVerifierStats& b) {
@@ -99,33 +122,46 @@ class SchnorrBatchVerifier {
   SchnorrBatchVerifier(const ecc::Curve& curve, std::size_t batch_size,
                        std::uint64_t rlc_seed = 0xBA7C5EED);
 
-  /// Enqueue one transcript; flushes synchronously on the calling thread
-  /// when the queue reaches batch_size. Callbacks run on whichever thread
-  /// flushes — never with internal locks held, so they may re-enter the
-  /// verifier or take session locks.
+  /// Enqueue one transcript or key multiplication; flushes synchronously
+  /// on the calling thread once batch_size items are queued. Callbacks
+  /// run on whichever thread flushes — never with internal locks held, so
+  /// they may re-enter the verifier or take session locks. A ladder job
+  /// whose continuation throws is refused alone (the gateway's poison
+  /// rule); the rest of its batch still lands.
   void enqueue(PendingTranscript t);
+  void enqueue(PendingLadder job);
 
-  /// Verify everything still pending (e.g. at drain time).
+  /// Run everything still pending (e.g. at drain time): at most one MSM
+  /// and one ladder batch.
   void flush();
 
-  /// Transcripts without a verdict yet: queued PLUS mid-verification on
-  /// some thread. A session is only "drained" once this excludes it.
+  /// Transcripts and ladder jobs without a verdict yet: queued PLUS
+  /// mid-flush on some thread. A session is only "drained" once this
+  /// excludes it.
   std::size_t pending() const;
   BatchVerifierStats stats() const;
 
  private:
-  void verify_batch(std::vector<PendingTranscript> batch);
+  /// If both queues hold at least `min_items` between them, move them out
+  /// and decide them: at most one MSM and one ladder batch.
+  void drain(std::size_t min_items);
+  void verify_transcripts(std::vector<PendingTranscript>& batch);
+  void run_ladders(std::vector<PendingLadder>& batch);
 
   const ecc::Curve* curve_;
   std::size_t batch_size_;
-  mutable std::mutex mu_;          ///< guards queue_, in_verify_, stats_
+  mutable std::mutex mu_;  ///< guards queue_, ladders_, in_verify_, stats_
   std::vector<PendingTranscript> queue_;
-  /// Transcripts moved out of queue_ and currently inside verify_batch —
-  /// still verdict-pending, no longer "queued".
+  std::vector<PendingLadder> ladders_;
+  /// Items moved out of the queues and currently inside drain() — still
+  /// verdict-pending, no longer "queued".
   std::size_t in_verify_ = 0;
   BatchVerifierStats stats_;
   std::mutex rng_mu_;              ///< guards rng_
   rng::Xoshiro256 rng_;
+  std::mutex ladder_mu_;           ///< guards ladder_ws_
+  /// Lane buffers of the ladder batch, sized at its first run.
+  ecc::LadderManyWorkspace ladder_ws_;
 };
 
 }  // namespace medsec::engine

@@ -60,21 +60,21 @@ MachineFactory device_factory(const Fixtures& fx, std::uint64_t gid) {
 }
 
 MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
-                              bool deferred_schnorr) {
+                              bool deferred) {
+  const protocol::VerdictMode mode = deferred
+                                         ? protocol::VerdictMode::kDeferred
+                                         : protocol::VerdictMode::kInline;
   switch (gid % 4) {
     case 0:
-      return [&fx, deferred_schnorr](rng::RandomSource& r) {
+      return [&fx, mode](rng::RandomSource& r) {
         return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::SchnorrVerifier(
-                fx.curve, fx.schnorr_key.X, r,
-                deferred_schnorr
-                    ? protocol::SchnorrVerifier::Mode::kDeferred
-                    : protocol::SchnorrVerifier::Mode::kInline));
+            new protocol::SchnorrVerifier(fx.curve, fx.schnorr_key.X, r,
+                                          mode));
       };
     case 1:
-      return [&fx](rng::RandomSource& r) {
+      return [&fx, mode](rng::RandomSource& r) {
         return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::PhReaderMachine(fx.curve, fx.ph_reader, r));
+            new protocol::PhReaderMachine(fx.curve, fx.ph_reader, r, mode));
       };
     case 2:
       return [&fx](rng::RandomSource& r) {
@@ -82,10 +82,10 @@ MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
             new protocol::MutualAuthServer(fx.make_cipher, fx.keys, r));
       };
     default:
-      return [&fx](rng::RandomSource&) {
+      return [&fx, mode](rng::RandomSource&) {
         return std::unique_ptr<protocol::SessionMachine>(
             new protocol::EciesReceiver(fx.curve, fx.ecies_key.y,
-                                        fx.make_cipher, 16));
+                                        fx.make_cipher, 16, mode));
       };
   }
 }

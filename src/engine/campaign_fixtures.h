@@ -74,15 +74,17 @@ using MachineFactory =
 /// (Schnorr / Peeters–Hermans / mutual auth / ECIES).
 MachineFactory device_factory(const Fixtures& fx, std::uint64_t gid);
 
-/// Server-side responder for gid's protocol. `deferred_schnorr` builds
-/// the gid%4==0 SchnorrVerifier in Mode::kDeferred — same wire traffic
-/// and rng consumption, but the verdict comes from a batch verifier
-/// instead of an inline check (the sharded engine's path).
+/// Server-side responder for gid's protocol. `deferred` builds it in
+/// VerdictMode::kDeferred where the protocol has one — the Schnorr
+/// verifier, the PH reader and the ECIES receiver: same wire traffic and
+/// rng consumption, but the verdict comes from the shard's deferred
+/// queue (a batched Schnorr check, a batched key ladder) instead of an
+/// inline check. Mutual auth has no deferred mode.
 MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
-                              bool deferred_schnorr = false);
+                              bool deferred = false);
 
 /// Verdict extraction for gid's protocol (inline machines only; a deferred
-/// Schnorr verdict comes from the batch verifier and lands in the gateway).
+/// verdict comes from the shard's queue and lands in the gateway).
 GatewayServer::Judge judge_for(std::uint64_t gid);
 
 /// One session's campaign outcome — the digest unit.

@@ -21,9 +21,10 @@
 //     but a retransmit visible to the device.
 //
 // A session's verdict lives here: an inline judge decides it when the
-// machine finishes, a deferred one (batched Schnorr) lands it later via
-// land_verdict() — possibly from inside the judge, when its transcript
-// fills a batch. accepted(), stats() and snapshots report both alike.
+// machine finishes, a deferred one (a batched Schnorr check, a batched PH
+// or ECIES key ladder) lands it later via land_verdict() — possibly from
+// inside the judge, when its item fills a batch. accepted(), stats() and
+// snapshots report both alike.
 //
 // shard.h runs one GatewayServer per shard loop, and its
 // run_sharded_campaign() is the proof harness for these policies.

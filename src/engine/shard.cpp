@@ -110,14 +110,23 @@ GatewayServer::Downlink ShardEngine::downlink(std::uint64_t id) {
   };
 }
 
+std::function<void(bool)> ShardEngine::land(std::uint64_t id) {
+  // gateway_ is read when the verdict lands, so after a failover it lands
+  // on the restored session.
+  return [this, id](bool ok) {
+    record_verdict(id, ok);
+    gateway_->land_verdict(id, ok);
+  };
+}
+
 GatewayServer::Judge ShardEngine::judge(std::uint64_t id,
                                         SessionSetup& setup) {
+  // A deferred machine finishes the exchange without deciding; its work
+  // goes to this shard's queue, and the verdict lands through land(id) —
+  // possibly inside this very call, when the item fills the batch. The
+  // judge answers "not yet".
   if (setup.deferred_schnorr) {
-    // The machine finished the exchange without verifying; hand its wire
-    // transcript to this shard's batch queue. The verdict lands in the
-    // gateway through the callback — possibly inside this very call, when
-    // the transcript fills the batch — and, after a failover, on the
-    // restored session.
+    // The wire transcript, for the batched RLC check.
     return [this, id](const protocol::SessionMachine& m) {
       const auto& sv = static_cast<const protocol::SchnorrVerifier&>(m);
       PendingTranscript t;
@@ -126,16 +135,18 @@ GatewayServer::Judge ShardEngine::judge(std::uint64_t id,
       t.commitment_wire = sv.commitment_wire();
       t.challenge = sv.challenge();
       t.response = sv.response();
-      t.on_result = [this, id](bool ok) {
-        record_verdict(id, ok);
-        gateway_->land_verdict(id, ok);
-      };
+      t.on_result = land(id);
       verifier_.enqueue(std::move(t));
-      return false;  // not yet: the verdict is in the batch
+      return false;
     };
   }
   return [this, id, inner = std::move(setup.judge)](
              const protocol::SessionMachine& m) {
+    if (const protocol::LadderJob* job = m.ladder_job()) {
+      // The key multiplication, for the lane batch.
+      verifier_.enqueue(PendingLadder{*job, land(id)});
+      return false;
+    }
     const bool ok = inner ? inner(m) : true;
     record_verdict(id, ok);
     return ok;
@@ -332,12 +343,18 @@ struct LinkTransport final : Transport {
 
 /// One shard's virtual world: a ShardEngine serving an arbitrary gid set
 /// (the hash partition) for devices on seeded links, the failover drill,
-/// and outcome extraction. gid%4==0 Schnorr verdicts are deferred through
-/// the engine's batch verifier. Deferred mode emits identical wire traffic
-/// and consumes identical rng (the challenge draw), and the batch verifier
-/// is verdict-equivalent (honest transcripts always pass; a failing batch
-/// falls back per item), so every per-session outcome — and therefore the
-/// campaign digest — is the inline path's.
+/// and outcome extraction. Every Schnorr, PH and ECIES server runs in
+/// deferred mode: Schnorr verdicts through the engine's batch verifier,
+/// the PH reader's and ECIES receiver's key multiplications through its
+/// lane batch. Deferred mode emits identical wire traffic, consumes
+/// identical rng (the challenge draw) and settles the gateway session at
+/// the same virtual cycle; the batch verifier is verdict-equivalent
+/// (honest transcripts always pass; a failing batch falls back per item)
+/// and the lane batch computes the inline ladder's x bit for bit. So on
+/// honest sessions every per-session outcome — and therefore the
+/// campaign digest — is the inline path's. (A refused ECIES blob would
+/// differ: deferred, it lands completed and not accepted instead of
+/// failed.)
 WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
                       const std::vector<std::uint64_t>& gids,
                       std::size_t verify_batch) {
@@ -358,7 +375,7 @@ WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
             mix_seed(cfg.seed, gid * 4 + 1));
         s.deferred_schnorr = gid % 4 == 0;
         s.machine =
-            campaign::server_factory(fx, gid, s.deferred_schnorr)(*s.rng);
+            campaign::server_factory(fx, gid, /*deferred=*/true)(*s.rng);
         s.judge = campaign::judge_for(gid);
         return s;
       },

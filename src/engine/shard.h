@@ -1,8 +1,10 @@
 // shard.h — the sharded async gateway engine: N independent event loops,
 // each owning one core::EventQueue, one GatewayServer (its partition of
-// the session registry, hashed by session id) and one SchnorrBatchVerifier
-// that drains deferred transcripts into ONE Straus/Shamir multi-scalar
-// multiplication per tick.
+// the session registry, hashed by session id) and one SchnorrBatchVerifier,
+// the deferred-verdict queue, which drains per tick into at most ONE
+// Straus/Shamir multi-scalar multiplication over the queued Schnorr
+// transcripts and ONE constant-time lane batch over the queued PH and
+// ECIES key multiplications.
 //
 // Data flow (socket mode):
 //
@@ -15,7 +17,8 @@
 //                         ▼                        full lane => kReject)
 //     shard thread: drain mailbox -> ingest -> GatewayServer::on_uplink
 //                   run virtual-clock timers (ARQ retransmits, deadlines)
-//                   flush batch verifier (<= 1 MSM per tick)
+//                   flush the deferred queue (<= 1 MSM + 1 ladder batch
+//                   per tick)
 //                         │
 //                         ▼
 //              Transport::send_downlink (sendto / LossyLink)
@@ -26,17 +29,17 @@
 // mailbox rings (wait-free), the verifier (internally locked, but only
 // ever touched by its own shard here), and the relaxed stats counters.
 //
-// Deterministic mode: run_sharded_campaign() is the chaos campaign —
-// device <-> gateway sessions over seeded LossyLinks, hash-partitioned
-// across N shard worlds with Schnorr verdicts deferred to per-shard batch
-// verifiers. Each world is one ShardEngine driven from outside: sessions
-// open through open(), uplinks arrive through ingest(), downlinks leave
-// through a Transport onto each session's own link, and the failover
-// drill is failover() — the same code that serves UDP, so the pinned
-// digests cover it. Every per-session seed is a pure function of
-// (campaign seed, global session id) — see campaign_fixtures.h — so the
-// outcome digest is bit-identical at ANY shard count, serial or parallel;
-// the gateway and shard suites pin the digests.
+// Deterministic mode: run_sharded_campaign() is the chaos campaign — device
+// <-> gateway sessions over seeded LossyLinks, hash-partitioned across N
+// shard worlds with Schnorr verdicts and PH / ECIES key multiplications
+// deferred to per-shard queues. Each world is one ShardEngine driven from
+// outside: sessions open through open(), uplinks arrive through ingest(),
+// downlinks leave through a Transport onto each session's own link, and the
+// failover drill is failover() — the same code that serves UDP, so the pinned
+// digests cover it. Every per-session seed is a pure function of (campaign
+// seed, global session id) — see campaign_fixtures.h — so the outcome digest
+// is bit-identical at ANY shard count, serial or parallel; the gateway and
+// shard suites pin the digests.
 #pragma once
 
 #include <atomic>
@@ -96,12 +99,17 @@ inline std::size_t shard_of(std::uint64_t session, std::size_t shards) {
 }
 
 /// What a shard needs to serve one new session (auto-opened on its first
-/// datagram in socket mode).
+/// datagram in socket mode). A machine that finishes with a ladder_job()
+/// (a deferred PH reader or ECIES receiver) needs nothing here: the
+/// shard's judge finds the job through that hook and queues it.
 struct SessionSetup {
   std::unique_ptr<protocol::SessionMachine> machine;
-  GatewayServer::Judge judge;  ///< inline verdict (ignored when deferred)
-  /// Machine is a Mode::kDeferred SchnorrVerifier: route the verdict
-  /// through the shard's batch verifier instead of the inline judge.
+  /// Verdict of a session that finishes with no deferred work: not
+  /// deferred_schnorr and no ladder_job() — an inline machine, or a
+  /// deferred PH reader whose commitment failed its gate. Empty accepts.
+  GatewayServer::Judge judge;
+  /// Machine is a VerdictMode::kDeferred SchnorrVerifier: route the
+  /// verdict through the shard's batch verifier; `judge` is never called.
   bool deferred_schnorr = false;
   std::unique_ptr<rng::Xoshiro256> rng;
 };
@@ -119,8 +127,9 @@ struct ShardFleetConfig {
   /// power of two). A full lane sheds with kReject — bounded memory and
   /// explicit backpressure, never a blocked readiness loop.
   std::size_t mailbox_capacity = 4096;
-  /// Per-shard batch verifier flush threshold; the shard tick also
-  /// flushes whatever is queued, so this is a ceiling, not a latency.
+  /// Per-shard deferred-queue flush threshold (Schnorr transcripts plus
+  /// key ladders); the shard tick also flushes whatever is queued, so this
+  /// is a ceiling, not a latency.
   std::size_t verify_batch = 64;
   /// Base seed for per-session derivations (delivery jitter — the same
   /// on every shard — and, with process entropy, RLC coefficients).
@@ -199,7 +208,8 @@ class ShardEngine {
   /// Run timers due by virtual cycle `t` (ARQ retransmits, deadlines).
   void advance_to(core::Cycle t) { queue_.run_until(t); }
 
-  /// Verify everything queued — at most one MSM per call/tick.
+  /// Decide everything queued — at most one MSM and one ladder batch per
+  /// call/tick.
   void flush_verifier();
 
   /// One socket-mode tick: drain -> timers -> flush. Returns the number
@@ -233,6 +243,8 @@ class ShardEngine {
   std::unique_ptr<GatewayServer> make_gateway();
   GatewayServer::Downlink downlink(std::uint64_t id);
   GatewayServer::Judge judge(std::uint64_t id, SessionSetup& setup);
+  /// The callback a deferred verdict of session `id` lands through.
+  std::function<void(bool)> land(std::uint64_t id);
   void send(std::uint64_t id, std::vector<std::uint8_t> bytes);
   void record_verdict(std::uint64_t id, bool accepted);
 
@@ -366,7 +378,7 @@ struct ShardedCampaignConfig {
   /// The campaign knobs — seeds, fault profiles, deadlines, failover.
   ChaosCampaignConfig chaos;
   std::size_t shards = 4;
-  /// Per-shard deferred-Schnorr batch size.
+  /// Per-shard deferred-queue batch size.
   std::size_t verify_batch = 64;
   /// Run shard worlds on the shared thread pool (true) or serially
   /// (false) — bit-identical either way.
@@ -382,9 +394,10 @@ struct ShardedCampaignResult {
 /// Run a seeded chaos campaign: `chaos.sessions` device <-> gateway
 /// sessions (session gid runs Schnorr / Peeters–Hermans / mutual auth /
 /// ECIES by gid % 4), each over its own seeded LossyLink, hash-partitioned
-/// across `shards` ShardEngine worlds, gid%4==0 Schnorr verdicts deferred
-/// through their batch verifiers. The digest depends on the campaign
-/// config only — not on `shards`, `verify_batch` or `parallel`.
+/// across `shards` ShardEngine worlds, the Schnorr verdicts and the PH and
+/// ECIES key multiplications deferred through each shard's queue. The
+/// digest depends on the campaign config only — not on `shards`,
+/// `verify_batch` or `parallel`.
 ShardedCampaignResult run_sharded_campaign(
     const ShardedCampaignConfig& config);
 

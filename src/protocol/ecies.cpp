@@ -42,6 +42,34 @@ DerivedKeys kdf(const ecc::Fe& shared_x, const ecc::Fe& ephemeral_x,
   return k;
 }
 
+/// The block size of `make_cipher`'s cipher, read off one zero-key
+/// instance: ECIES's nonce and tag widths are functions of it.
+std::size_t probe_block_bytes(const CipherFactory& make_cipher,
+                              std::size_t key_bytes) {
+  return make_cipher(std::vector<std::uint8_t>(key_bytes, 0))->block_bytes();
+}
+
+/// Decryption once x(y·R) is in hand: KDF, transcript binding,
+/// verify-then-decrypt. ecies_decrypt, the inline receiver and the
+/// deferred receiver's job all end here.
+std::optional<std::vector<std::uint8_t>> open_from(
+    const EciesCiphertext& ct, const std::optional<ecc::Fe>& shared_x,
+    const CipherFactory& make_cipher, std::size_t key_bytes,
+    std::size_t block_bytes) {
+  if (!shared_x) return std::nullopt;
+  const DerivedKeys keys = kdf(*shared_x, ct.ephemeral.x, key_bytes,
+                               cipher_nonce_bytes(block_bytes));
+  if (keys.nonce != ct.nonce) return std::nullopt;  // transcript binding
+
+  const auto enc = make_cipher(keys.enc);
+  const auto mac = make_cipher(keys.mac);
+  std::vector<std::uint8_t> plain;
+  if (!ciphers::decrypt_then_verify(*enc, *mac, ct.nonce, ct.body, ct.tag,
+                                    plain))
+    return std::nullopt;
+  return plain;
+}
+
 }  // namespace
 
 std::size_t EciesCiphertext::wire_bits(const Curve& curve) const {
@@ -102,10 +130,8 @@ EciesCiphertext ecies_encrypt(const Curve& curve, const Point& Y,
     if (ledger) ++ledger->ecpm;
   } while (R.infinity || Z.infinity);
 
-  const auto probe = make_cipher(std::vector<std::uint8_t>(key_bytes, 0));
-  const std::size_t bb = probe->block_bytes();
-  const std::size_t nonce_bytes = cipher_nonce_bytes(bb);
-  const DerivedKeys keys = kdf(Z.x, R.x, key_bytes, nonce_bytes);
+  const std::size_t bb = probe_block_bytes(make_cipher, key_bytes);
+  const DerivedKeys keys = kdf(Z.x, R.x, key_bytes, cipher_nonce_bytes(bb));
 
   const auto enc = make_cipher(keys.enc);
   const auto mac = make_cipher(keys.mac);
@@ -193,21 +219,34 @@ void EciesUploader::restore(SnapshotReader& r) {
 
 EciesReceiver::EciesReceiver(const Curve& curve, const Scalar& y,
                              const CipherFactory& make_cipher,
-                             std::size_t key_bytes)
+                             std::size_t key_bytes, VerdictMode mode)
     : curve_(&curve),
       y_(y),
       make_cipher_(&make_cipher),
-      key_bytes_(key_bytes) {}
+      key_bytes_(key_bytes),
+      block_bytes_(probe_block_bytes(make_cipher, key_bytes)),
+      mode_(mode) {}
 
 StepResult EciesReceiver::on_message(const Message& m) {
-  const auto probe =
-      (*make_cipher_)(std::vector<std::uint8_t>(key_bytes_, 0));
-  const std::size_t bb = probe->block_bytes();
-  const std::size_t nonce_bytes = cipher_nonce_bytes(bb);
-  const auto ct = decode_ecies(*curve_, m.payload, nonce_bytes, bb);
-  if (!ct) return step(StepResult::failed());
-  plaintext_ = ecies_decrypt(*curve_, y_, *ct, *make_cipher_, key_bytes_);
-  return step(plaintext_ ? StepResult::done() : StepResult::failed());
+  auto ct = decode_ecies(*curve_, m.payload, cipher_nonce_bytes(block_bytes_),
+                         block_bytes_);
+  // Invalid-curve gate: the ephemeral point is attacker-controlled.
+  if (!ct || !curve_->validate_subgroup_point(ct->ephemeral))
+    return step(StepResult::failed());
+  if (mode_ == VerdictMode::kInline) {
+    plaintext_ = open_from(*ct, ecc::ladder_x(*curve_, y_, ct->ephemeral),
+                           *make_cipher_, key_bytes_, block_bytes_);
+    return step(plaintext_ ? StepResult::done() : StepResult::failed());
+  }
+  const Point ephemeral = ct->ephemeral;
+  job_ = LadderJob{y_, ephemeral,
+                   [make_cipher = make_cipher_, key_bytes = key_bytes_,
+                    bb = block_bytes_,
+                    ct = std::move(*ct)](const std::optional<ecc::Fe>& x) {
+                     return open_from(ct, x, *make_cipher, key_bytes, bb)
+                         .has_value();
+                   }};
+  return step(StepResult::done());
 }
 
 void EciesReceiver::snapshot(SnapshotWriter& w) const {
@@ -245,22 +284,8 @@ std::optional<std::vector<std::uint8_t>> ecies_decrypt(
     const CipherFactory& make_cipher, std::size_t key_bytes) {
   // Invalid-curve gate: the ephemeral point is attacker-controlled.
   if (!curve.validate_subgroup_point(ct.ephemeral)) return std::nullopt;
-  const Point Z = ecc::scalar_mult_ld(curve, y, ct.ephemeral);
-  if (Z.infinity) return std::nullopt;
-
-  const auto probe = make_cipher(std::vector<std::uint8_t>(key_bytes, 0));
-  const std::size_t bb = probe->block_bytes();
-  const std::size_t nonce_bytes = cipher_nonce_bytes(bb);
-  const DerivedKeys keys = kdf(Z.x, ct.ephemeral.x, key_bytes, nonce_bytes);
-  if (keys.nonce != ct.nonce) return std::nullopt;  // transcript binding
-
-  const auto enc = make_cipher(keys.enc);
-  const auto mac = make_cipher(keys.mac);
-  std::vector<std::uint8_t> plain;
-  if (!ciphers::decrypt_then_verify(*enc, *mac, ct.nonce, ct.body, ct.tag,
-                                    plain))
-    return std::nullopt;
-  return plain;
+  return open_from(ct, ecc::ladder_x(curve, y, ct.ephemeral), make_cipher,
+                   key_bytes, probe_block_bytes(make_cipher, key_bytes));
 }
 
 }  // namespace medsec::protocol

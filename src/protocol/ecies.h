@@ -60,7 +60,8 @@ EciesCiphertext ecies_encrypt(const ecc::Curve& curve, const ecc::Point& Y,
 
 /// Recipient-side decryption. Returns nullopt on any authentication or
 /// validation failure (including an invalid ephemeral point — the
-/// invalid-curve gate).
+/// invalid-curve gate). y·R runs on the constant-time x-only ladder
+/// (ecc::ladder_x): y is the recipient's long-term secret.
 std::optional<std::vector<std::uint8_t>> ecies_decrypt(
     const ecc::Curve& curve, const ecc::Scalar& y, const EciesCiphertext& ct,
     const CipherFactory& make_cipher, std::size_t key_bytes);
@@ -102,12 +103,26 @@ class EciesUploader final : public SessionMachine {
   EnergyLedger ledger_;
 };
 
-/// Recipient side: decodes and verify-then-decrypts the blob.
+/// Recipient side: decodes the blob and gates its ephemeral point (a
+/// failure ends kFailed), then
+///   kInline:   verify-then-decrypts on the spot; a refusal ends kFailed;
+///   kDeferred: finishes kDone and leaves y·R and the verify-then-decrypt
+///              to the host as ladder_job(), whose verdict is "delivered"
+///              (plaintext() is never set). A refusal there lands on a
+///              completed session as not accepted, with no kReject frame
+///              — the way a deferred Schnorr forgery lands.
+/// The cipher geometry (block, nonce and tag widths) is read off one
+/// probe cipher at construction. The cipher factory is caller-owned and
+/// must outlive the machine and, in deferred mode, its job.
 class EciesReceiver final : public SessionMachine {
  public:
   EciesReceiver(const ecc::Curve& curve, const ecc::Scalar& y,
-                const CipherFactory& make_cipher, std::size_t key_bytes);
+                const CipherFactory& make_cipher, std::size_t key_bytes,
+                VerdictMode mode = VerdictMode::kInline);
   StepResult on_message(const Message& m) override;
+  const LadderJob* ladder_job() const override {
+    return job_ ? &*job_ : nullptr;
+  }
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;
   bool delivered() const { return plaintext_.has_value(); }
@@ -118,7 +133,10 @@ class EciesReceiver final : public SessionMachine {
   ecc::Scalar y_;
   const CipherFactory* make_cipher_;
   std::size_t key_bytes_;
+  std::size_t block_bytes_;
+  VerdictMode mode_;
   std::optional<std::vector<std::uint8_t>> plaintext_;
+  std::optional<LadderJob> job_;
 };
 
 struct EciesUploadResult {

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "ecc/fixed_base.h"
+#include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
 #include "protocol/snapshot.h"
 
@@ -90,14 +91,22 @@ Scalar ph_tag_respond(const Curve& curve, const PhTag& tag,
   return s;
 }
 
-std::optional<std::size_t> ph_reader_identify(const Curve& curve,
-                                              const PhReader& reader,
-                                              const PhTranscript& t) {
-  if (t.commitment.infinity) return std::nullopt;
-  if (!curve.validate_subgroup_point(t.commitment)) return std::nullopt;
-  // d' = xcoord(y·R_c); X^ = (s − d')·P − e·R_c via Shamir's trick.
-  const Point yr = ecc::scalar_mult_ld(curve, reader.y, t.commitment);
-  const Scalar d = fe_to_scalar_mod_order(curve, yr.x);
+namespace {
+
+/// The gate on R_c that runs before the reader touches its key.
+bool commitment_ok(const Curve& curve, const Point& rc) {
+  return !rc.infinity && curve.validate_subgroup_point(rc);
+}
+
+/// Identification once x(y·R_c) is in hand: d' = xcoord(y·R_c),
+/// X^ = (s − d')·P − e·R_c via Shamir's trick, then the DB lookup. The
+/// inline path and the deferred reader's job both end here.
+std::optional<std::size_t> identify_from(const Curve& curve,
+                                         const PhReader& reader,
+                                         const PhTranscript& t,
+                                         const std::optional<ecc::Fe>& yr_x) {
+  if (!yr_x) return std::nullopt;
+  const Scalar d = fe_to_scalar_mod_order(curve, *yr_x);
   const auto& ring = curve.scalar_ring();
   const Point x_hat =
       ecc::double_scalar_mult(curve, ring.sub(t.response, d),
@@ -106,6 +115,16 @@ std::optional<std::size_t> ph_reader_identify(const Curve& curve,
   for (std::size_t i = 0; i < reader.db.size(); ++i)
     if (reader.db[i] == x_hat) return i;
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::size_t> ph_reader_identify(const Curve& curve,
+                                              const PhReader& reader,
+                                              const PhTranscript& t) {
+  if (!commitment_ok(curve, t.commitment)) return std::nullopt;
+  return identify_from(curve, reader, t,
+                       ecc::ladder_x(curve, reader.y, t.commitment));
 }
 
 // --- state machines ----------------------------------------------------------
@@ -153,8 +172,8 @@ void PhTagMachine::restore(SnapshotReader& r) {
 }
 
 PhReaderMachine::PhReaderMachine(const Curve& curve, const PhReader& reader,
-                                 rng::RandomSource& rng)
-    : curve_(&curve), reader_(&reader), rng_(&rng) {}
+                                 rng::RandomSource& rng, VerdictMode mode)
+    : curve_(&curve), reader_(&reader), rng_(&rng), mode_(mode) {}
 
 StepResult PhReaderMachine::on_message(const Message& m) {
   if (!have_commitment_) {
@@ -168,7 +187,16 @@ StepResult PhReaderMachine::on_message(const Message& m) {
   }
   if (m.payload.size() != kFeBytes) return step(StepResult::failed());
   view_.response = decode_scalar(m.payload);
-  identity_ = ph_reader_identify(*curve_, *reader_, view_);
+  if (mode_ == VerdictMode::kInline) {
+    identity_ = ph_reader_identify(*curve_, *reader_, view_);
+  } else if (commitment_ok(*curve_, view_.commitment)) {
+    job_ = LadderJob{reader_->y, view_.commitment,
+                     [curve = curve_, reader = reader_,
+                      t = view_](const std::optional<ecc::Fe>& x) {
+                       return identify_from(*curve, *reader, t, x)
+                           .has_value();
+                     }};
+  }
   return step(StepResult::done());
 }
 

@@ -83,10 +83,11 @@ ecc::Scalar ph_tag_respond(const ecc::Curve& curve, const PhTag& tag,
                            rng::RandomSource& rng, EnergyLedger& ledger,
                            sidechannel::HardenedLadder* hardened = nullptr);
 
-/// Reader half: resolve a transcript against the DB. The candidate
-/// X^ = (s − d')·P − e·R_c comes out of one interleaved double-scalar
-/// multiplication (Shamir's trick) instead of two comb multiplications,
-/// one double-and-add and two additions.
+/// Reader half: resolve a transcript against the DB. d' = xcoord(y·R_c)
+/// comes from the constant-time x-only ladder (ecc::ladder_x), since y is
+/// the reader's long-term secret; the candidate X^ = (s − d')·P − e·R_c
+/// from one interleaved double-scalar multiplication (Shamir's trick) over
+/// public scalars.
 std::optional<std::size_t> ph_reader_identify(const ecc::Curve& curve,
                                               const PhReader& reader,
                                               const PhTranscript& t);
@@ -117,15 +118,27 @@ class PhTagMachine final : public SessionMachine {
 };
 
 /// Reader-side state machine: on_message(R_c) -> e, on_message(s) ->
-/// identify against the DB, kDone (identity() may still be nullopt — an
-/// unidentified tag completes the protocol but resolves to nothing).
+/// kDone, with
+///   kInline:   identify against the DB on the spot (identity() may still
+///              be nullopt — an unidentified tag completes the protocol
+///              but resolves to nothing);
+///   kDeferred: gate R_c, then leave y·R_c and the rest of the
+///              identification to the host as ladder_job(), whose verdict
+///              is "identified"; identity() stays nullopt. A commitment
+///              that fails the gate leaves no job: the verdict is the
+///              inline one, unidentified.
 /// The reader (with its whole key DB) is held by reference and must
-/// outlive the machine — it is the long-lived server-side state.
+/// outlive the machine — and, in deferred mode, its job — since it is the
+/// long-lived server-side state.
 class PhReaderMachine final : public SessionMachine {
  public:
   PhReaderMachine(const ecc::Curve& curve, const PhReader& reader,
-                  rng::RandomSource& rng);
+                  rng::RandomSource& rng,
+                  VerdictMode mode = VerdictMode::kInline);
   StepResult on_message(const Message& m) override;
+  const LadderJob* ladder_job() const override {
+    return job_ ? &*job_ : nullptr;
+  }
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;
   const std::optional<std::size_t>& identity() const { return identity_; }
@@ -135,9 +148,11 @@ class PhReaderMachine final : public SessionMachine {
   const ecc::Curve* curve_;
   const PhReader* reader_;
   rng::RandomSource* rng_;
+  VerdictMode mode_;
   bool have_commitment_ = false;
   std::optional<std::size_t> identity_;
   PhTranscript view_;
+  std::optional<LadderJob> job_;
 };
 
 /// Full honest session — a thin driver over the two machines above.

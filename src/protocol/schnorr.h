@@ -94,7 +94,7 @@ class SchnorrProver final : public SessionMachine {
 ///                      inversion for the point decodings.
 class SchnorrVerifier final : public SessionMachine {
  public:
-  enum class Mode { kInline, kDeferred };
+  using Mode = VerdictMode;
 
   SchnorrVerifier(const ecc::Curve& curve, ecc::Point X,
                   rng::RandomSource& rng, Mode mode = Mode::kInline);

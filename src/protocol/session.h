@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,28 @@ struct StepResult {
   static StepResult failed() { return {SessionState::kFailed, {}}; }
 };
 
+/// Who decides a server machine's verdict. kInline: the machine itself,
+/// on the last message. kDeferred: the machine finishes the exchange and
+/// its host decides later, batched with other sessions — a Schnorr
+/// verifier leaves its transcript, a PH reader or an ECIES receiver its
+/// key multiplication (SessionMachine::ladder_job). Both modes send the
+/// same messages and draw the same randomness.
+enum class VerdictMode { kInline, kDeferred };
+
+/// The multiplication by a long-term server key that a deferred machine
+/// leaves to its host, so the host can run many sessions' jobs as one
+/// lane batch (ecc::ladder_x_many). `finish` is the rest of the verdict —
+/// the code the inline path runs after its own ecc::ladder_x — applied to
+/// x(k·q), nullopt when k·q = O. The job is self-contained: `finish`
+/// holds its own copy of the transcript and refers only to the
+/// process-lifetime environment the machine was built with, so it may run
+/// after the machine is gone (failover).
+struct LadderJob {
+  ecc::Scalar k;  ///< the server's secret key
+  ecc::Point q;   ///< the peer's point, decoded and subgroup-gated
+  std::function<bool(const std::optional<ecc::Fe>& x)> finish;
+};
+
 class SnapshotWriter;
 class SnapshotReader;
 
@@ -70,6 +93,12 @@ class SessionMachine {
   virtual StepResult on_message(const Message& m) = 0;
 
   SessionState state() const { return state_; }
+
+  /// The key multiplication a finished kDeferred machine left for its
+  /// host; nullptr when the machine decided its verdict itself (inline
+  /// mode, or a point that failed its gate). Not part of the snapshot:
+  /// the host takes the job as the machine finishes.
+  virtual const LadderJob* ladder_job() const { return nullptr; }
 
   /// Serialize the machine's owned per-session state (failover support;
   /// see snapshot.h). Contract: construct a replacement machine with the

@@ -148,6 +148,32 @@ TEST(CtAudit, ToyTableFailsDudect) {
   EXPECT_GT(r.max_abs_t, cfg.threshold);
 }
 
+TEST(CtAudit, LadderXPassesWhereScalarMultLdLeaks) {
+  // The server's secret-key entry against the routine it replaced, on the
+  // op-count source over the counting field policy: every key costs the
+  // ladder the same field operations; the double-and-add's count follows
+  // the key (one iteration for the fixed class's k = 1).
+  ct::OpCountSource src;
+  ct::CtTestConfig cfg;
+  cfg.samples = 300;
+  cfg.calibration = 32;
+  std::size_t seen = 0;
+  for (const ct::CtTarget& t : ct::ct_audit_targets()) {
+    if (t.name != "ladder-x" && t.name != "scalar-mult-ld") continue;
+    ++seen;
+    const bool leaky = t.name == "scalar-mult-ld";
+    EXPECT_EQ(t.expect_leak, leaky) << t.name;
+    const ct::CtTestReport r = ct::run_ct_test(t, src, cfg);
+    EXPECT_EQ(r.pass, !leaky) << t.name << " max|t| " << r.max_abs_t;
+    if (leaky) {
+      EXPECT_GT(r.max_abs_t, cfg.threshold);
+    } else {
+      EXPECT_EQ(r.max_abs_t, 0.0);  // identical counts in both classes
+    }
+  }
+  EXPECT_EQ(seen, 2u);
+}
+
 // --- positive controls -------------------------------------------------------
 
 TEST(CtAudit, ModeledLadderCyclesAreSecretIndependent) {

@@ -1,13 +1,15 @@
 // Tests for the batch field layer (Gf163xN + lane backends) and the
 // lockstep batched ladder: every wide backend must be bit-identical to
 // the scalar arithmetic, lane by lane, including the reduction edge
-// patterns and the per-iteration leakage taps.
+// patterns and the per-iteration leakage taps — and the x-only batch
+// entry (ladder_x_many) must equal the single one at every batch size.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <vector>
 
 #include "ecc/ladder_many.h"
+#include "ecc/scalar_mult.h"
 #include "gf2m/backend.h"
 #include "gf2m/gf163_lanes.h"
 #include "rng/xoshiro.h"
@@ -170,6 +172,39 @@ TEST_P(LaneBackends, BatchedLadderMatchesScalarLadder) {
       EXPECT_EQ(ref.x2, batch[i].x2) << "lane " << i;
       EXPECT_EQ(ref.z2, batch[i].z2) << "lane " << i;
       EXPECT_EQ(scalar_hw, batch_hw[i]) << "leakage tap mismatch, lane " << i;
+    }
+  }
+}
+
+TEST_P(LaneBackends, LadderXManyMatchesLadderXAndScalarMult) {
+  // Sizes below, at and above one fused-kernel group (4 or 8 lanes on the
+  // wide backends, so 7 and 65 leave tail lanes), two keys interleaved in
+  // each batch (PH and ECIES jobs share one), and one job whose product
+  // is O.
+  const ecc::Curve& curve = ecc::Curve::k163();
+  Xoshiro256 rng(17);
+  const ecc::Scalar keys[2] = {rng.uniform_nonzero(curve.order()),
+                               rng.uniform_nonzero(curve.order())};
+  ecc::LadderManyWorkspace ws;  // reused across sizes, as a shard does
+  for (const std::size_t n : {1u, 2u, 7u, 8u, 64u, 65u}) {
+    std::vector<ecc::Scalar> ks(n);
+    std::vector<ecc::Point> qs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ks[i] = keys[i % 2];
+      qs[i] = curve.scalar_mult_reference(rng.uniform_nonzero(curve.order()),
+                                          curve.base_point());
+    }
+    if (n > 1) ks[n / 2] = curve.order();  // n·Q = O
+    std::vector<std::optional<ecc::Fe>> xs(n);
+    ecc::ladder_x_many(curve, ks.data(), qs.data(), n, ws, xs.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::optional<ecc::Fe> single = ecc::ladder_x(curve, ks[i], qs[i]);
+      EXPECT_EQ(xs[i], single) << "n " << n << " job " << i;
+      const ecc::Point full = ecc::scalar_mult(curve, ks[i], qs[i]);
+      EXPECT_EQ(single.has_value(), !full.infinity) << "n " << n;
+      if (single) {
+        EXPECT_EQ(*single, full.x) << "n " << n << " job " << i;
+      }
     }
   }
 }

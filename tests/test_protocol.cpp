@@ -1,11 +1,14 @@
 // Tests for the protocol layer: wire encoding, Schnorr, Peeters–Hermans
 // (completeness, soundness, workload accounting), mutual authentication
-// with failure injection, the privacy game, and energy accounting.
+// with failure injection, the privacy game, inline against deferred
+// verdicts of the PH reader and the ECIES receiver, and energy accounting.
 #include <gtest/gtest.h>
 
 #include "ciphers/aes128.h"
 #include "ciphers/present.h"
 #include "ecc/curve.h"
+#include "ecc/ladder_many.h"
+#include "protocol/ecies.h"
 #include "protocol/energy_ledger.h"
 #include "protocol/mutual_auth.h"
 #include "protocol/peeters_hermans.h"
@@ -401,6 +404,122 @@ TEST(SessionMachines, MutualAuthMachinesStepAndAbort) {
   EXPECT_FALSE(tag2.accepted_server());
   EXPECT_TRUE(tag2.ledger().aborted_early);
   EXPECT_EQ(tag2.state(), proto::SessionState::kFailed);
+}
+
+// --- deferred key ladders ----------------------------------------------------
+
+using Mode = proto::VerdictMode;
+
+/// What a host makes of a finished deferred machine: the job's x from the
+/// batch entry, then the job's own continuation. Without a job, the
+/// machine's own verdict stands (`inline_verdict`).
+bool host_verdict(const Curve& c, const proto::SessionMachine& m,
+                  bool inline_verdict) {
+  const proto::LadderJob* job = m.ladder_job();
+  if (job == nullptr) return inline_verdict;
+  std::optional<Fe> x;
+  medsec::ecc::LadderManyWorkspace ws;
+  medsec::ecc::ladder_x_many(c, &job->k, &job->q, 1, ws, &x);
+  return job->finish(x);
+}
+
+TEST(DeferredLadders, PhReaderVerdictMatchesInline) {
+  const Curve& c = Curve::k163();
+  Xoshiro256 setup(51);
+  proto::PhReader reader = proto::ph_setup_reader(c, setup);
+  const proto::PhTag tag = proto::ph_register_tag(c, reader, setup);
+  proto::PhReader other = proto::ph_setup_reader(c, setup);
+  proto::PhTag stranger = proto::ph_register_tag(c, other, setup);
+  stranger.Y = reader.Y;  // provisioned for our reader, never registered
+
+  struct Case {
+    const char* name;
+    const proto::PhTag* tag;
+    bool wrong_response;
+    bool identified;
+  };
+  const Case cases[] = {{"honest", &tag, false, true},
+                        {"wrong response", &tag, true, false},
+                        {"unregistered tag", &stranger, false, false}};
+  for (const Case& cs : cases) {
+    for (const Mode mode : {Mode::kInline, Mode::kDeferred}) {
+      Xoshiro256 rng(60);  // both modes see the same transcript
+      proto::PhTagMachine tag_sm(c, *cs.tag, rng);
+      proto::PhReaderMachine reader_sm(c, reader, rng, mode);
+      proto::SessionTap tap;
+      int sent = 0;
+      if (cs.wrong_response)
+        tap.tag_to_reader = [&sent, &c](proto::Message& m) {
+          if (++sent == 2)
+            m.payload = proto::encode_scalar(c.scalar_ring().add(
+                proto::decode_scalar(m.payload), Scalar{1}));
+        };
+      proto::Transcript transcript;
+      EXPECT_TRUE(proto::drive_session(tag_sm, reader_sm, transcript, tap))
+          << cs.name;
+      EXPECT_EQ(reader_sm.ladder_job() != nullptr, mode == Mode::kDeferred)
+          << cs.name;
+      EXPECT_EQ(host_verdict(c, reader_sm, reader_sm.identity().has_value()),
+                cs.identified)
+          << cs.name << (mode == Mode::kInline ? " inline" : " deferred");
+    }
+  }
+}
+
+TEST(DeferredLadders, EciesReceiverVerdictMatchesInline) {
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(52);
+  const proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
+    return std::unique_ptr<medsec::ciphers::BlockCipher>(
+        new medsec::ciphers::Aes128(key));
+  };
+  const proto::EciesKeyPair kp = proto::ecies_keygen(c, rng);
+  const proto::EciesKeyPair other = proto::ecies_keygen(c, rng);
+  const std::vector<std::uint8_t> telemetry(48, 0x5A);
+  const auto honest = proto::ecies_encrypt(c, kp.Y, telemetry, aes, 16, rng);
+
+  struct Case {
+    const char* name;
+    proto::EciesCiphertext ct;
+    bool delivered;
+  };
+  std::vector<Case> cases = {{"honest", honest, true},
+                             {"flipped body", honest, false},
+                             {"flipped tag", honest, false},
+                             {"flipped nonce", honest, false},
+                             {"encrypted to another key",
+                              proto::ecies_encrypt(c, other.Y, telemetry, aes,
+                                                   16, rng),
+                              false}};
+  cases[1].ct.body[0] ^= 1;
+  cases[2].ct.tag[0] ^= 1;
+  cases[3].ct.nonce[0] ^= 1;
+  for (const Case& cs : cases) {
+    const proto::Message blob{proto::kLabelEciesBlob,
+                              proto::encode_ecies(c, cs.ct)};
+    proto::EciesReceiver inline_rx(c, kp.y, aes, 16, Mode::kInline);
+    proto::EciesReceiver deferred_rx(c, kp.y, aes, 16, Mode::kDeferred);
+    const auto a = inline_rx.on_message(blob);
+    const auto b = deferred_rx.on_message(blob);
+    // Inline refuses with kFailed; deferred always finishes the exchange
+    // and leaves the refusal to the verdict.
+    EXPECT_EQ(a.state, cs.delivered ? proto::SessionState::kDone
+                                    : proto::SessionState::kFailed)
+        << cs.name;
+    EXPECT_EQ(b.state, proto::SessionState::kDone) << cs.name;
+    EXPECT_EQ(inline_rx.ladder_job(), nullptr);
+    ASSERT_NE(deferred_rx.ladder_job(), nullptr) << cs.name;
+    EXPECT_EQ(host_verdict(c, inline_rx, inline_rx.delivered()),
+              cs.delivered)
+        << cs.name;
+    EXPECT_EQ(host_verdict(c, deferred_rx, deferred_rx.delivered()),
+              cs.delivered)
+        << cs.name;
+    EXPECT_FALSE(deferred_rx.delivered());  // the plaintext stays in the job
+    if (cs.delivered) {
+      EXPECT_EQ(inline_rx.plaintext(), telemetry);
+    }
+  }
 }
 
 // --- energy accounting -------------------------------------------------------------

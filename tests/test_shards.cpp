@@ -1,15 +1,16 @@
 // Tests for the serving stack (UdpFrontEnd -> ShardFleet/ShardEngine ->
 // GatewayServer): the lock-free SPSC/MPSC mailbox rings under concurrent
-// producers (the TSan target), explicit shedding under mailbox overflow,
-// the shard-count invariance contract (one pinned run_sharded_campaign
-// digest at ANY shard count, failover and faults included), per-shard
-// batch verification with forgery isolation and unpredictable RLC
-// coefficients, deferred verdicts landing in the gateway (inside their own
-// judge, across a snapshot and across ShardEngine::failover), the
-// inline-judge path, registry refusals answered with kReject, CRC-failing
-// datagrams that open no session, a multi-shard fleet on its loop
-// threads, bounded drain_for, the stats merge, frame-buffer pooling, and
-// the UDP front end end-to-end over loopback.
+// producers (the TSan target), explicit shedding under mailbox overflow, the
+// shard-count invariance contract (one pinned run_sharded_campaign digest at
+// ANY shard count, failover and faults included), per-shard batch
+// verification with forgery isolation and unpredictable RLC coefficients,
+// deferred verdicts landing in the gateway (inside their own judge, across a
+// snapshot and across ShardEngine::failover), deferred PH and ECIES key
+// ladders (inline-equal verdicts, the refusal shape, the poison rule for
+// continuations), the inline-judge path, registry refusals answered with
+// kReject, CRC-failing datagrams that open no session, a multi-shard fleet
+// on its loop threads, bounded drain_for, the stats merge, frame-buffer
+// pooling, and the UDP front end end-to-end over loopback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,7 +34,10 @@
 #include "engine/net.h"
 #include "engine/shard.h"
 #include "engine/transport.h"
+#include "ecc/ladder.h"
+#include "protocol/ecies.h"
 #include "protocol/mutual_auth.h"
+#include "protocol/peeters_hermans.h"
 #include "protocol/schnorr.h"
 #include "protocol/wire.h"
 #include "rng/xoshiro.h"
@@ -197,6 +201,65 @@ struct LoopTransport final : engine::Transport {
   }
 };
 
+// --- in-process devices looped into the serving stack ------------------------
+
+/// Device halves looped straight into a ShardEngine or ShardFleet. Each
+/// device is a tag machine behind a DeviceEndpoint on its own client-side
+/// EventQueue, never advanced: the loop loses nothing, so no device
+/// retransmit ever comes due. A device's downlinks arrive on the thread
+/// that runs its shard; its uplinks go out through `offer` on its `lane`.
+/// Devices are added (and send their opening frame) before any loop
+/// thread starts; from then on only their shard's thread touches them.
+struct LoopDevices final : engine::Transport {
+  struct Device {
+    explicit Device(std::uint64_t seed) : rng(seed) {}
+    Xoshiro256 rng;
+    std::unique_ptr<proto::SessionMachine> machine;
+    core::EventQueue queue;
+    std::unique_ptr<engine::DeviceEndpoint> endpoint;
+    std::size_t lane = 0;
+    bool silent = false;  ///< drops every downlink: a device gone dark
+  };
+  using MakeMachine =
+      std::function<std::unique_ptr<proto::SessionMachine>(Xoshiro256&)>;
+
+  std::function<bool(std::size_t lane, engine::IngressItem&&)> offer;
+  std::map<std::uint64_t, std::unique_ptr<Device>> devices;
+
+  Device& add(std::uint64_t id, const MakeMachine& make) {
+    auto owned = std::make_unique<Device>(1000 + id);
+    Device& d = *owned;
+    devices.emplace(id, std::move(owned));
+    d.machine = make(d.rng);
+    d.endpoint =
+        std::make_unique<engine::DeviceEndpoint>(d.queue, id, id, *d.machine);
+    d.endpoint->set_uplink([this, id, &d](std::vector<std::uint8_t> bytes) {
+      engine::IngressItem item;
+      item.session = id;
+      item.peer = engine::Peer{1, 1};
+      item.bytes = std::move(bytes);
+      EXPECT_TRUE(offer(d.lane, std::move(item))) << "shed " << id;
+    });
+    d.endpoint->start();
+    return d;
+  }
+
+  void send_downlink(std::uint64_t session, const engine::Peer&,
+                     std::vector<std::uint8_t> bytes) override {
+    Device& d = *devices.at(session);
+    if (!d.silent) d.endpoint->on_downlink(std::move(bytes));
+  }
+};
+
+proto::CipherFactory aes_factory() {
+  return [](std::span<const std::uint8_t> key) {
+    return std::unique_ptr<medsec::ciphers::BlockCipher>(
+        new medsec::ciphers::Aes128(key));
+  };
+}
+
+// --- ShardEngine: deferred verdicts (Schnorr transcripts, key ladders) -------
+
 /// Deferred Schnorr sessions 100.. served by one ShardEngine over a
 /// lossless loop; the last session answers with a wrong response.
 struct DeferredSchnorrRig {
@@ -302,6 +365,92 @@ struct DeferredSchnorrRig {
   medsec::ecc::Scalar k;
 };
 
+/// PH and ECIES sessions 1..4 served by one ShardEngine over a lossless
+/// loop, their server halves in `mode`: 1 a registered PH tag, 2 an
+/// honest ECIES upload, 3 a PH tag the reader never registered, 4 an ECIES
+/// blob encrypted to another key. 1 and 2 must be accepted, 3 and 4 not.
+struct DeferredLadderRig {
+  static constexpr std::uint64_t kSessions = 4;
+  static bool honest(std::uint64_t id) { return id <= 2; }
+
+  /// Forwards every downlink, counting kReject frames per session.
+  struct Tally final : engine::Transport {
+    engine::Transport* inner = nullptr;
+    std::map<std::uint64_t, std::size_t> rejects;
+    void send_downlink(std::uint64_t session, const engine::Peer& peer,
+                       std::vector<std::uint8_t> bytes) override {
+      const auto f = engine::decode_frame(bytes);
+      if (f && f->type == engine::FrameType::kReject) ++rejects[session];
+      inner->send_downlink(session, peer, std::move(bytes));
+    }
+  };
+
+  explicit DeferredLadderRig(proto::VerdictMode mode)
+      : eng(0, engine::ShardFleetConfig{}, c,
+            [this, mode](std::uint64_t id) {
+              engine::SessionSetup s;
+              auto rng = std::make_unique<Xoshiro256>(500 + id);
+              if (id % 2 == 1)
+                s.machine = std::make_unique<proto::PhReaderMachine>(
+                    c, reader, *rng, mode);
+              else
+                s.machine = std::make_unique<proto::EciesReceiver>(
+                    c, key.y, aes, 16, mode);
+              // The campaign's judges: gid%4 == 1 is PH, 3 is ECIES.
+              s.judge = engine::campaign::judge_for(id % 2 == 1 ? 1 : 3);
+              s.rng = std::move(rng);
+              return s;
+            },
+            /*producers=*/1) {
+    loop.offer = [this](std::size_t lane, engine::IngressItem&& item) {
+      return eng.offer(lane, std::move(item));
+    };
+    tally.inner = &loop;
+    eng.set_transport(&tally);
+  }
+
+  /// Every device runs its side until the shard's mailbox is quiet.
+  void run() {
+    const auto ph = [this](const proto::PhTag& t) {
+      return [this, &t](Xoshiro256& r) {
+        return std::make_unique<proto::PhTagMachine>(c, t, r);
+      };
+    };
+    const auto ecies = [this](const proto::EciesKeyPair& to) {
+      return [this, &to](Xoshiro256& r) {
+        return std::make_unique<proto::EciesUploader>(c, to.Y, telemetry,
+                                                      aes, 16, r);
+      };
+    };
+    loop.add(1, ph(tag));
+    loop.add(2, ecies(key));
+    loop.add(3, ph(stranger));
+    loop.add(4, ecies(other));
+    while (eng.drain_mailbox(1024) != 0) {
+    }
+  }
+
+  proto::PhTag make_stranger() {
+    proto::PhReader elsewhere = proto::ph_setup_reader(c, setup);
+    proto::PhTag t = proto::ph_register_tag(c, elsewhere, setup);
+    t.Y = reader.Y;  // provisioned for our reader, never registered
+    return t;
+  }
+
+  const Curve& c = Curve::k163();
+  Xoshiro256 setup{0x1AD};
+  proto::PhReader reader = proto::ph_setup_reader(c, setup);
+  proto::PhTag tag = proto::ph_register_tag(c, reader, setup);
+  proto::PhTag stranger = make_stranger();
+  proto::EciesKeyPair key = proto::ecies_keygen(c, setup);
+  proto::EciesKeyPair other = proto::ecies_keygen(c, setup);
+  proto::CipherFactory aes = aes_factory();
+  std::vector<std::uint8_t> telemetry = std::vector<std::uint8_t>(48, 0xC3);
+  LoopDevices loop;
+  Tally tally;
+  engine::ShardEngine eng;
+};
+
 TEST(ShardEngine, DeferredSchnorrBatchIsolatesForgedSession) {
   DeferredSchnorrRig rig(/*verify_batch=*/16);  // > sessions: ONE batch
   rig.commit();
@@ -376,6 +525,162 @@ TEST(ShardEngine, FailoverLandsQueuedVerdictsOnRestoredSessions) {
   rig.expect_verdicts();  // they landed on the restored sessions
   for (const auto& [id, rec] : rig.eng.records())
     EXPECT_EQ(rec.accepted, rig.eng.gateway().accepted(id)) << id;
+
+  // PH and ECIES sessions with their key multiplications queued: the jobs
+  // outlive the machines the node death takes with it, and land on the
+  // restored sessions too.
+  DeferredLadderRig ladders(proto::VerdictMode::kDeferred);
+  ladders.run();
+  ASSERT_EQ(ladders.eng.verifier().pending(), ladders.kSessions);
+  const engine::GatewayStats dead = ladders.eng.failover();
+  EXPECT_EQ(dead.completed, ladders.kSessions);
+  EXPECT_EQ(dead.accepted, 0u);
+  EXPECT_EQ(ladders.eng.gateway().stats().restored, ladders.kSessions);
+  EXPECT_EQ(ladders.eng.verifier().pending(), ladders.kSessions);
+  ladders.eng.flush_verifier();
+  for (std::uint64_t id = 1; id <= ladders.kSessions; ++id) {
+    EXPECT_EQ(ladders.eng.gateway().status(id),
+              engine::GatewaySessionStatus::kCompleted);
+    EXPECT_EQ(ladders.eng.gateway().accepted(id), ladders.honest(id)) << id;
+    const auto rec = ladders.eng.records().find(id);
+    ASSERT_NE(rec, ladders.eng.records().end()) << id;
+    EXPECT_EQ(rec->second.accepted, ladders.honest(id)) << id;
+  }
+  EXPECT_EQ(ladders.eng.gateway().stats().accepted, 2u);
+}
+
+TEST(ShardEngine, DeferredLaddersLandTheInlineVerdicts) {
+  DeferredLadderRig inline_rig(proto::VerdictMode::kInline);
+  inline_rig.run();
+  EXPECT_EQ(inline_rig.eng.verifier().pending(), 0u);
+
+  DeferredLadderRig rig(proto::VerdictMode::kDeferred);
+  rig.run();
+  // Every exchange settled; every key multiplication is still queued,
+  // and the queue keeps the shard from being quiescent.
+  EXPECT_EQ(rig.eng.verifier().pending(), rig.kSessions);
+  EXPECT_FALSE(rig.eng.quiescent());
+  EXPECT_EQ(rig.eng.gateway().stats().completed, rig.kSessions);
+  EXPECT_EQ(rig.eng.gateway().stats().accepted, 0u);
+  EXPECT_EQ(rig.eng.stats().completed, 0u);
+
+  rig.eng.flush_verifier();  // one lane batch, then each continuation
+  EXPECT_EQ(rig.eng.verifier().pending(), 0u);
+  EXPECT_TRUE(rig.eng.quiescent());
+  for (std::uint64_t id = 1; id <= rig.kSessions; ++id) {
+    EXPECT_EQ(rig.eng.gateway().accepted(id), rig.honest(id)) << id;
+    EXPECT_EQ(inline_rig.eng.gateway().accepted(id), rig.honest(id)) << id;
+    const auto rec = rig.eng.records().find(id);
+    ASSERT_NE(rec, rig.eng.records().end()) << id;
+    EXPECT_TRUE(rec->second.completed);
+    EXPECT_EQ(rec->second.accepted, rig.honest(id)) << id;
+  }
+  const engine::BatchVerifierStats vs = rig.eng.verifier().stats();
+  EXPECT_EQ(vs.ladders, rig.kSessions);
+  EXPECT_EQ(vs.ladder_batches, 1u);
+  EXPECT_EQ(vs.ladders_rejected, 2u);
+  EXPECT_EQ(vs.items, 0u);  // no Schnorr transcript rode along
+}
+
+TEST(ShardEngine, DeferredEciesRefusalLandsCompletedWithoutReject) {
+  // Inline, the receiver refuses a blob it cannot open on the spot: the
+  // session fails and the device hears a kReject frame.
+  DeferredLadderRig inline_rig(proto::VerdictMode::kInline);
+  inline_rig.run();
+  EXPECT_EQ(inline_rig.eng.gateway().status(4),
+            engine::GatewaySessionStatus::kFailed);
+  EXPECT_EQ(inline_rig.tally.rejects[4], 1u);
+
+  // Deferred, the exchange has completed before the ladder runs, so the
+  // refusal lands as a completed session that is not accepted, and no
+  // kReject goes back — the way a deferred Schnorr forgery lands.
+  DeferredLadderRig rig(proto::VerdictMode::kDeferred);
+  rig.run();
+  rig.eng.flush_verifier();
+  EXPECT_EQ(rig.eng.gateway().status(4),
+            engine::GatewaySessionStatus::kCompleted);
+  EXPECT_FALSE(rig.eng.gateway().accepted(4));
+  EXPECT_EQ(rig.tally.rejects.count(4), 0u);
+  EXPECT_TRUE(rig.loop.devices.at(4)->endpoint->done());
+  // An unidentified PH tag completes unaccepted in either mode.
+  for (DeferredLadderRig* r : {&inline_rig, &rig}) {
+    EXPECT_EQ(r->eng.gateway().status(3),
+              engine::GatewaySessionStatus::kCompleted);
+    EXPECT_FALSE(r->eng.gateway().accepted(3));
+    EXPECT_EQ(r->tally.rejects.count(3), 0u);
+  }
+}
+
+/// Device: one blob, then done.
+struct OneShotDevice final : proto::SessionMachine {
+  proto::StepResult start() override {
+    return step(proto::StepResult::done(
+        proto::Message{proto::kLabelEciesBlob, {0x01}}));
+  }
+  proto::StepResult on_message(const proto::Message&) override {
+    return step(proto::StepResult::failed());
+  }
+};
+
+/// Server: finishes on its first message and leaves `job` to the host.
+struct JobServer final : proto::SessionMachine {
+  explicit JobServer(proto::LadderJob j) : job(std::move(j)) {}
+  proto::StepResult on_message(const proto::Message&) override {
+    return step(proto::StepResult::done());
+  }
+  const proto::LadderJob* ladder_job() const override {
+    return state() == proto::SessionState::kDone ? &job : nullptr;
+  }
+  proto::LadderJob job;
+};
+
+TEST(ShardEngine, ThrowingLadderContinuationRejectsOnlyItsSession) {
+  // The gateway's poison rule, applied to the deferred queue: a
+  // continuation that throws refuses its own session, every other job of
+  // its lane batch still lands, and nothing escapes the tick.
+  const Curve& c = Curve::k163();
+  constexpr std::uint64_t kSessions = 9;  // one full 8-lane group + a tail
+  constexpr std::uint64_t kPoison = 5;
+  Xoshiro256 rng(46);
+  const medsec::ecc::Scalar k = rng.uniform_nonzero(c.order());
+  const medsec::ecc::Point q =
+      medsec::ecc::generator_comb(c).mult_ct(rng.uniform_nonzero(c.order()));
+  const std::optional<medsec::ecc::Fe> want = medsec::ecc::ladder_x(c, k, q);
+  engine::SessionFactory factory = [&k, &q, &want](std::uint64_t id) {
+    engine::SessionSetup s;
+    s.machine = std::make_unique<JobServer>(proto::LadderJob{
+        k, q, [id, want](const std::optional<medsec::ecc::Fe>& x) {
+          if (id == kPoison) throw std::runtime_error("poisoned continuation");
+          return x == want;
+        }});
+    return s;
+  };
+  engine::ShardEngine eng(0, engine::ShardFleetConfig{}, c, factory,
+                          /*producers=*/1);
+  LoopDevices loop;
+  loop.offer = [&eng](std::size_t lane, engine::IngressItem&& item) {
+    return eng.offer(lane, std::move(item));
+  };
+  eng.set_transport(&loop);
+  for (std::uint64_t id = 1; id <= kSessions; ++id)
+    loop.add(id, [](Xoshiro256&) { return std::make_unique<OneShotDevice>(); });
+  while (eng.drain_mailbox(1024) != 0) {
+  }
+  ASSERT_EQ(eng.verifier().pending(), kSessions);
+
+  EXPECT_NO_THROW(eng.tick(0));  // the tick's flush runs the batch
+  EXPECT_TRUE(eng.quiescent());
+  for (std::uint64_t id = 1; id <= kSessions; ++id) {
+    EXPECT_EQ(eng.gateway().accepted(id), id != kPoison) << id;
+    const auto rec = eng.records().find(id);
+    ASSERT_NE(rec, eng.records().end()) << id;
+    EXPECT_TRUE(rec->second.completed);
+    EXPECT_EQ(rec->second.accepted, id != kPoison) << id;
+  }
+  const engine::BatchVerifierStats vs = eng.verifier().stats();
+  EXPECT_EQ(vs.ladders, kSessions);
+  EXPECT_EQ(vs.ladder_batches, 1u);
+  EXPECT_EQ(vs.ladders_rejected, 1u);
 }
 
 // --- shard-count invariance --------------------------------------------------
@@ -402,9 +707,12 @@ TEST(ShardedCampaign, DigestBitIdenticalAtAnyShardCount) {
       EXPECT_EQ(r.chaos.completed, 96u);
       EXPECT_EQ(r.chaos.corrupt_accepted, 0u);
       EXPECT_EQ(r.chaos.gateway.accepted, r.chaos.accepted);
-      // The gid%4==0 Schnorr quarter really went through the batch path.
+      // The gid%4==0 Schnorr quarter really went through the batch path,
+      // and the PH and ECIES halves through the lane batch.
       EXPECT_GT(r.verifier.items, 0u);
       EXPECT_GT(r.verifier.batches, 0u);
+      EXPECT_GT(r.verifier.ladders, 0u);
+      EXPECT_GT(r.verifier.ladder_batches, 0u);
     }
   }
 }
@@ -453,63 +761,6 @@ TEST(ShardEngine, BatchCoefficientsAreUnpredictableToDevices) {
   EXPECT_EQ(accepted, 0);
   EXPECT_EQ(rejected, 2);
   EXPECT_EQ(eng.verifier().stats().rlc_failures, 1u);
-}
-
-// --- in-process devices looped into the serving stack ------------------------
-
-/// Device halves looped straight into a ShardEngine or ShardFleet. Each
-/// device is a tag machine behind a DeviceEndpoint on its own client-side
-/// EventQueue, never advanced: the loop loses nothing, so no device
-/// retransmit ever comes due. A device's downlinks arrive on the thread
-/// that runs its shard; its uplinks go out through `offer` on its `lane`.
-/// Devices are added (and send their opening frame) before any loop
-/// thread starts; from then on only their shard's thread touches them.
-struct LoopDevices final : engine::Transport {
-  struct Device {
-    explicit Device(std::uint64_t seed) : rng(seed) {}
-    Xoshiro256 rng;
-    std::unique_ptr<proto::SessionMachine> machine;
-    core::EventQueue queue;
-    std::unique_ptr<engine::DeviceEndpoint> endpoint;
-    std::size_t lane = 0;
-    bool silent = false;  ///< drops every downlink: a device gone dark
-  };
-  using MakeMachine =
-      std::function<std::unique_ptr<proto::SessionMachine>(Xoshiro256&)>;
-
-  std::function<bool(std::size_t lane, engine::IngressItem&&)> offer;
-  std::map<std::uint64_t, std::unique_ptr<Device>> devices;
-
-  Device& add(std::uint64_t id, const MakeMachine& make) {
-    auto owned = std::make_unique<Device>(1000 + id);
-    Device& d = *owned;
-    devices.emplace(id, std::move(owned));
-    d.machine = make(d.rng);
-    d.endpoint =
-        std::make_unique<engine::DeviceEndpoint>(d.queue, id, id, *d.machine);
-    d.endpoint->set_uplink([this, id, &d](std::vector<std::uint8_t> bytes) {
-      engine::IngressItem item;
-      item.session = id;
-      item.peer = engine::Peer{1, 1};
-      item.bytes = std::move(bytes);
-      EXPECT_TRUE(offer(d.lane, std::move(item))) << "shed " << id;
-    });
-    d.endpoint->start();
-    return d;
-  }
-
-  void send_downlink(std::uint64_t session, const engine::Peer&,
-                     std::vector<std::uint8_t> bytes) override {
-    Device& d = *devices.at(session);
-    if (!d.silent) d.endpoint->on_downlink(std::move(bytes));
-  }
-};
-
-proto::CipherFactory aes_factory() {
-  return [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
 }
 
 // --- ShardEngine: the inline-judge path --------------------------------------
@@ -895,8 +1146,8 @@ TEST(Counters, PlusEqualsSumsEveryFieldOfEveryStatsStruct) {
   EXPECT_EQ(sh.verifier_flushes, 88u);
   EXPECT_EQ(sh.ticks, 99u);
 
-  engine::BatchVerifierStats v{1, 2, 3, 4, 5, 6, 7};
-  v += engine::BatchVerifierStats{10, 20, 30, 40, 50, 60, 70};
+  engine::BatchVerifierStats v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  v += engine::BatchVerifierStats{10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
   EXPECT_EQ(v.items, 11u);
   EXPECT_EQ(v.batches, 22u);
   EXPECT_EQ(v.accepted, 33u);
@@ -904,6 +1155,9 @@ TEST(Counters, PlusEqualsSumsEveryFieldOfEveryStatsStruct) {
   EXPECT_EQ(v.decode_failures, 55u);
   EXPECT_EQ(v.rlc_failures, 66u);
   EXPECT_EQ(v.single_fallbacks, 77u);
+  EXPECT_EQ(v.ladders, 88u);
+  EXPECT_EQ(v.ladder_batches, 99u);
+  EXPECT_EQ(v.ladders_rejected, 110u);
 
   // Counters wrap like the std::uint64_t they are, each on its own.
   engine::LinkStats w{~0ull, 0, 0, 0, 0, 0, 0};
