@@ -5,8 +5,10 @@
 // claim measured and printed up front: verifying a batch of 64
 // transcripts by random linear combination (one interleaved multi-scalar
 // multiplication + one shared batch-inversion decode) beats 64
-// independent schnorr_verify calls. Full-stack sessions/s of the sharded
-// serving engine is bench_loadgen's BM_Loadgen rows.
+// independent schnorr_verify calls. Beside it, what a forged batch costs:
+// the bisection that isolates one forgery, and the all-forged worst case.
+// Full-stack sessions/s of the sharded serving engine is bench_loadgen's
+// BM_Loadgen rows.
 //
 // Emits BENCH_fleet.json (google-benchmark JSON schema) for the perf
 // trajectory unless --benchmark_out is given.
@@ -52,9 +54,21 @@ const HonestBatch& honest_batch(std::size_t n) {
   return slot;
 }
 
+/// The honest 64-item pool with the responses of its first `forged` items
+/// altered: each of those fails schnorr_verify.
+std::vector<proto::SchnorrTranscript> forged_batch(std::size_t forged) {
+  const auto& ring = ecc::Curve::k163().scalar_ring();
+  std::vector<proto::SchnorrTranscript> ts = honest_batch(64).transcripts;
+  for (std::size_t i = 0; i < forged; ++i)
+    ts[i].response = ring.add(ts[i].response, ecc::Scalar{1});
+  return ts;
+}
+
 // --- the headline numbers, printed before the timers -------------------------
 
-void print_table() {
+/// Prints the table; false when a forged batch's verdicts differ from
+/// schnorr_verify's.
+bool print_table() {
   bench::banner("Fleet throughput: batched transcript verification",
                 "verifier-layer scaling scenario (beyond the paper's 1:1 link)");
 
@@ -98,6 +112,34 @@ void print_table() {
               batched_s * 1e6, batched_s * 1e6 / 64);
   std::printf("  speedup                    : %8.2fx  (acceptance: >= 2x)\n",
               independent_s / batched_s);
+
+  // Forged batches (commitments already decoded): the RLC check fails and
+  // bisection over the same table isolates the forgeries. The verdicts are
+  // checked here, once, outside every timed loop.
+  const auto rlc_s = [&](const std::vector<proto::SchnorrTranscript>& ts) {
+    const auto t = clock::now();
+    for (int r = 0; r < kReps; ++r) {
+      const auto out = engine::schnorr_verify_batch(c, ts, pool.keys, rng);
+      benchmark::DoNotOptimize(&out.ok);
+    }
+    return std::chrono::duration<double>(clock::now() - t).count() / kReps;
+  };
+  const double honest_s = rlc_s(pool.transcripts);
+  std::printf("RLC batch of 64 (commitments decoded), cost vs honest:\n");
+  std::printf("  honest                     : %8.2f us\n", honest_s * 1e6);
+  bool verdicts_ok = true;
+  for (const std::size_t forged : {std::size_t{1}, std::size_t{64}}) {
+    const auto ts = forged_batch(forged);
+    const auto out = engine::schnorr_verify_batch(c, ts, pool.keys, rng);
+    for (std::size_t i = 0; i < ts.size(); ++i)
+      verdicts_ok &= out.ok[i] == proto::schnorr_verify(c, pool.keys[i], ts[i]);
+    const double forged_s = rlc_s(ts);
+    std::printf("  %2zu forged                  : %8.2f us  (%.2fx honest)\n",
+                forged, forged_s * 1e6, forged_s / honest_s);
+  }
+  if (!verdicts_ok)
+    std::printf("FAIL: batch verdicts differ from schnorr_verify\n");
+  return verdicts_ok;
 }
 
 // --- microbenchmarks ---------------------------------------------------------
@@ -130,6 +172,23 @@ void BM_SchnorrVerifyBatchRlc(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerifyBatchRlc)->Arg(8)->Arg(64)->ArgName("batch");
 
+/// The honest 64-item pool with 1 or all 64 responses forged: the failed
+/// RLC check plus the bisection that isolates the forgeries (verdicts
+/// checked in print_table).
+void BM_SchnorrVerifyBatchForged(benchmark::State& state) {
+  const ecc::Curve& c = ecc::Curve::k163();
+  const auto forged = static_cast<std::size_t>(state.range(0));
+  const auto& pool = honest_batch(64);
+  const auto ts = forged_batch(forged);
+  rng::Xoshiro256 rng(80);
+  for (auto _ : state) {
+    const auto out = engine::schnorr_verify_batch(c, ts, pool.keys, rng);
+    benchmark::DoNotOptimize(&out.ok);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_SchnorrVerifyBatchForged)->Arg(1)->Arg(64)->ArgName("forged");
+
 void BM_DecodePointSingle(benchmark::State& state) {
   const ecc::Curve& c = ecc::Curve::k163();
   const auto& pool = honest_batch(64);
@@ -156,7 +215,7 @@ BENCHMARK(BM_DecodePointsBatch);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_table();
+  if (!print_table()) return 1;
   return medsec::bench::run_benchmarks_with_json(argc, argv,
                                                  "BENCH_fleet.json");
 }

@@ -126,6 +126,16 @@ RATIO_GATES = [
     # measured on a 4-vCPU AVX-512 host).
     ("BENCH_field_ops.json", "BM_LadderXSingle64/clmul",
      "BM_LadderXBatch64/vpclmul512", 3.0),
+    # Forgery isolation: bisecting a failed 64-item RLC batch over its one
+    # MSM table costs at most 2.5x an honest batch with one forgery in it
+    # (ratio >= 0.4; ~0.5 measured on a 4-vCPU AVX-512 host, 0.25 with the
+    # per-item fallback it replaced) and at most ~6.7x with all 64 forged
+    # (ratio >= 0.15; ~0.18 measured), so the all-forged worst case cannot
+    # grow unseen.
+    ("BENCH_fleet.json", "BM_SchnorrVerifyBatchRlc/batch:64",
+     "BM_SchnorrVerifyBatchForged/forged:1", 0.4),
+    ("BENCH_fleet.json", "BM_SchnorrVerifyBatchRlc/batch:64",
+     "BM_SchnorrVerifyBatchForged/forged:64", 0.15),
     # Barrett: ModRing::mul is >= 8x the same product reduced by the
     # shift-subtract BigUInt::mod loop.
     ("BENCH_field_ops.json", "BM_ScalarRingMulShiftSubtract",

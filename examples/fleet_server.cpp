@@ -12,7 +12,7 @@
 // shard's downlinks come straight back through an in-process Transport.
 // Session s belongs to device (s - 1) % devices. Two sessions are
 // impersonators holding keys the registry never enrolled; the batch
-// verifier's fallback isolates exactly those.
+// verifier's bisection of their failed batches isolates exactly those.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(st.rejected), n_forged);
   std::printf("verifier: %zu batches over %zu items "
               "(%.1f items/batch), %zu decode failures, "
-              "%zu RLC fallbacks re-checking %zu transcripts\n",
+              "%zu failed RLC batches bisected with %zu isolation MSMs\n",
               vs.batches, vs.items,
               vs.batches ? static_cast<double>(vs.items) /
                                static_cast<double>(vs.batches)

@@ -88,8 +88,13 @@ struct PointArith {
                             const Scalar& k);
 
   // --- interleaved multi-scalar multiplication (scalar_mult.h) --------------
-  static Point multi_scalar_mult(const Curve& c,
-                                 std::span<const MsmTerm> terms);
+  /// MsmTable's two phases: fill `table` from `terms` and `base`, then sum
+  /// terms [first, last) plus base_k·base over it.
+  static void msm_table(const Curve& c, std::span<const MsmTerm> terms,
+                        const Point& base, MsmTable& table);
+  static Point msm_evaluate(const Curve& c, const MsmTable& table,
+                            std::size_t first, std::size_t last,
+                            const Scalar& base_k);
 };
 
 #if MEDSEC_HAVE_CLMUL_OPS
@@ -401,67 +406,77 @@ Point PointArith<Ops>::comb_mult_ct(const Curve& c, const CombTable& table,
 // --- interleaved multi-scalar multiplication --------------------------------
 
 template <class Ops>
-Point PointArith<Ops>::multi_scalar_mult(const Curve& c,
-                                         std::span<const MsmTerm> terms) {
-  // wNAF window: 4 precomputed odd multiples (1, 3, 5, 7)·P per term,
-  // ~163/5 additions per full-width scalar.
-  constexpr unsigned kWidth = 4;
-  constexpr std::size_t kOdd = std::size_t{1} << (kWidth - 2);
+void PointArith<Ops>::msm_table(const Curve& c, std::span<const MsmTerm> terms,
+                                const Point& base, MsmTable& t) {
+  constexpr std::size_t kOdd = MsmTable::kOdd;
+  const std::size_t n = terms.size();
+  // A reduced scalar has at most bit_length(order) + 1 wNAF digits, the
+  // base's included, so every evaluation's chain fits in these rows.
+  t.digits_.assign((c.order().bit_length() + 1) * n, 0);
+  t.lengths_.assign(n, 0);
 
-  struct Entry {
-    std::vector<int> digits;
-    std::size_t table_offset = 0;  // into the flat odd-multiple table
-  };
-  std::vector<Entry> entries;
-  entries.reserve(terms.size());
-
-  // Phase 1: 2P for every live term, normalized together (1st batch_inv).
-  std::vector<LdPoint> doubles;
-  std::vector<const Point*> bases;
-  for (const auto& t : terms) {
-    if (t.p.infinity) continue;
-    const Scalar k = c.scalar_ring().reduce(t.k);
+  // Digits per term, and 2P for every point that contributes (the base's
+  // last), normalized together (1st batch_inv).
+  std::vector<LdPoint> doubles(n + 1, LdPoint::infinity());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (terms[i].p.infinity) continue;
+    const Scalar k = c.scalar_ring().reduce(terms[i].k);
     if (k.is_zero()) continue;
-    Entry e;
-    e.digits = wnaf_digits(k, kWidth);
-    e.table_offset = bases.size() * kOdd;
-    entries.push_back(std::move(e));
-    bases.push_back(&t.p);
-    doubles.push_back(ld_double(c, LdPoint::from_affine(t.p)));
+    const std::vector<int> digits = wnaf_digits(k, MsmTable::kWidth);
+    for (std::size_t j = 0; j < digits.size(); ++j)
+      t.digits_[j * n + i] = static_cast<std::int8_t>(digits[j]);
+    t.lengths_[i] = digits.size();
+    doubles[i] = ld_double(c, LdPoint::from_affine(terms[i].p));
   }
-  if (entries.empty()) return Point::at_infinity();
+  if (!base.infinity) doubles[n] = ld_double(c, LdPoint::from_affine(base));
   const std::vector<Point> two_p = normalize_ld_batch(doubles);
 
-  // Phase 2: odd multiples 1P, 3P, 5P, 7P per term — a mixed-addition chain
-  // in projective coordinates, normalized together (2nd batch_inv).
-  std::vector<LdPoint> odd_ld;
-  odd_ld.reserve(bases.size() * kOdd);
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    LdPoint acc = LdPoint::from_affine(*bases[i]);
-    odd_ld.push_back(acc);
+  // Odd multiples 1P, 3P, 5P, 7P per contributing point — a mixed-addition
+  // chain in projective coordinates, normalized together (2nd batch_inv).
+  std::vector<LdPoint> odd_ld((n + 1) * kOdd, LdPoint::infinity());
+  for (std::size_t i = 0; i <= n; ++i) {
+    const bool contributes = i < n ? t.lengths_[i] != 0 : !base.infinity;
+    if (!contributes) continue;
+    LdPoint acc = LdPoint::from_affine(i < n ? terms[i].p : base);
+    odd_ld[i * kOdd] = acc;
     for (std::size_t j = 1; j < kOdd; ++j) {
       acc = ld_add_affine(c, acc, two_p[i]);
-      odd_ld.push_back(acc);
+      odd_ld[i * kOdd + j] = acc;
     }
   }
-  const std::vector<Point> odd = normalize_ld_batch(odd_ld);
+  t.odd_ = normalize_ld_batch(odd_ld);
+}
 
-  // Phase 3: one shared doubling chain, interleaved wNAF additions.
-  std::size_t max_len = 0;
-  for (const auto& e : entries)
-    if (e.digits.size() > max_len) max_len = e.digits.size();
+template <class Ops>
+Point PointArith<Ops>::msm_evaluate(const Curve& c, const MsmTable& t,
+                                    std::size_t first, std::size_t last,
+                                    const Scalar& base_k) {
+  constexpr std::size_t kOdd = MsmTable::kOdd;
+  const std::size_t n = t.lengths_.size();
+  const Point* base_odd = t.odd_.data() + n * kOdd;
+  std::vector<int> base_digits;
+  if (!base_odd->infinity) {
+    const Scalar k = c.scalar_ring().reduce(base_k);
+    if (!k.is_zero()) base_digits = wnaf_digits(k, MsmTable::kWidth);
+  }
+  std::size_t top = base_digits.size();
+  for (std::size_t i = first; i < last; ++i)
+    if (t.lengths_[i] > top) top = t.lengths_[i];
 
+  const auto add_digit = [&c](const LdPoint& acc, const Point* odd, int d) {
+    const Point& m = odd[static_cast<std::size_t>(d > 0 ? d : -d) / 2];
+    return ld_add_affine(c, acc, d > 0 ? m : c.negate(m));
+  };
+  // One shared doubling chain, interleaved wNAF additions; doubling starts
+  // at the first addition.
   LdPoint acc = LdPoint::infinity();
-  for (std::size_t j = max_len; j-- > 0;) {
-    acc = ld_double(c, acc);
-    for (const auto& e : entries) {
-      if (j >= e.digits.size()) continue;
-      const int d = e.digits[j];
-      if (d == 0) continue;
-      const Point& m =
-          odd[e.table_offset + static_cast<std::size_t>(d > 0 ? d : -d) / 2];
-      acc = ld_add_affine(c, acc, d > 0 ? m : c.negate(m));
-    }
+  for (std::size_t j = top; j-- > 0;) {
+    if (!acc.is_infinity()) acc = ld_double(c, acc);
+    const std::int8_t* row = t.digits_.data() + j * n;
+    for (std::size_t i = first; i < last; ++i)
+      if (row[i] != 0) acc = add_digit(acc, t.odd_.data() + i * kOdd, row[i]);
+    if (j < base_digits.size() && base_digits[j] != 0)
+      acc = add_digit(acc, base_odd, base_digits[j]);
   }
   return to_affine(acc);
 }

@@ -68,10 +68,25 @@ Point wnaf_mult(const Curve& curve, const Scalar& k, const Point& p,
 
 }  // namespace
 
-Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
-  return gf2m::with_field_ops([&]<class Ops>(Ops) {
-    return PointArith<Ops>::multi_scalar_mult(curve, terms);
+MsmTable::MsmTable(const Curve& curve, std::span<const MsmTerm> terms,
+                   const Point& base)
+    : curve_(&curve) {
+  gf2m::with_field_ops([&]<class Ops>(Ops) {
+    PointArith<Ops>::msm_table(curve, terms, base, *this);
   });
+}
+
+Point MsmTable::evaluate(std::size_t first, std::size_t last,
+                         const Scalar& base_k) const {
+  if (first > last || last > lengths_.size())
+    throw std::out_of_range("MsmTable::evaluate: term range");
+  return gf2m::with_field_ops([&]<class Ops>(Ops) {
+    return PointArith<Ops>::msm_evaluate(*curve_, *this, first, last, base_k);
+  });
+}
+
+Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
+  return MsmTable(curve, terms).evaluate(0, terms.size(), Scalar{});
 }
 
 Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,

@@ -57,24 +57,62 @@ struct MsmTerm {
   Point p;
 };
 
-/// Interleaved (Straus/Shamir) multi-scalar multiplication:
-/// sum_i terms[i].k * terms[i].p. All terms share ONE doubling chain in
-/// López–Dahab projective coordinates; each term contributes only its wNAF
-/// additions, and every per-term precomputed odd multiple across the whole
-/// call is normalized to affine with a shared batch inversion. For n
-/// full-width terms this costs ~163 doublings + n*(163/5 + 4) additions +
-/// 2 field inversions total, against n*(163 + 81) operations for n
+/// The two phases of an interleaved (Straus/Shamir) multi-scalar
+/// multiplication, kept apart for a caller that sums several runs of the
+/// same terms: the batch verifier bisects a failed batch over one table.
+///
+/// Table phase (the constructor): the width-4 wNAF digits of every term's
+/// scalar, and the affine odd multiples (1, 3, 5, 7)·p of every term's
+/// point and of `base`, normalized with two shared batch inversions.
+/// Evaluation phase (evaluate): ONE doubling chain in López–Dahab
+/// projective coordinates over a run of terms plus base_k·base, where
+/// base_k is supplied per evaluation; each term contributes only its wNAF
+/// additions, and the result costs one inversion.
+///
+/// For n full-width terms the table costs n doublings, 3n additions and 2
+/// inversions; an evaluation over all of them ~163 doublings + n*163/5
+/// additions + 1 inversion, against n*(163 + 81) operations for n
 /// independent double-and-add multiplications. The verifier's 64-item
-/// batch (n = 129 terms, 64 of them with 64-bit coefficients) needs about
-/// 2.9k mixed additions this way; Pippenger buckets with c = 5 would need
-/// about 5.3k, so Straus stays. The whole call runs on one field backend,
-/// read once at entry, with every field operation inlined (point_arith.h);
-/// scalars reduce mod the order through Barrett.
+/// batch (128 terms plus the base, 64 terms with 64-bit coefficients)
+/// needs about 2.9k mixed additions this way; Pippenger buckets with c = 5
+/// would need about 5.3k, so Straus stays. Each phase runs on one field
+/// backend, read once at entry, with every field operation inlined
+/// (point_arith.h); scalars reduce mod the order through Barrett.
 ///
 /// Variable-time (verifier/reader-side only — never feed it a secret
-/// scalar). Zero scalars and infinity points contribute nothing. Like
-/// scalar_mult, it validates nothing: callers at trust boundaries must run
-/// Curve::validate_subgroup_point on each point first.
+/// scalar). Zero scalars and infinity points contribute nothing. It
+/// validates nothing: callers at trust boundaries must run
+/// Curve::validate_subgroup_point on each point first. The table keeps a
+/// pointer to `curve`, which must outlive it.
+class MsmTable {
+ public:
+  MsmTable(const Curve& curve, std::span<const MsmTerm> terms,
+           const Point& base = Point::at_infinity());
+
+  /// sum of terms[i].k·terms[i].p over first <= i < last, plus
+  /// base_k·base.
+  Point evaluate(std::size_t first, std::size_t last,
+                 const Scalar& base_k) const;
+
+ private:
+  template <class Ops>
+  friend struct PointArith;
+
+  static constexpr unsigned kWidth = 4;
+  static constexpr std::size_t kOdd = std::size_t{1} << (kWidth - 2);
+
+  const Curve* curve_;
+  std::vector<std::size_t> lengths_;  ///< digits per term; 0 = no term
+  /// digits_[j * n + i], n terms: wNAF digit j of term i's reduced scalar,
+  /// so one doubling step reads the digits of a run of terms in a row.
+  std::vector<std::int8_t> digits_;
+  /// odd_[i * kOdd + d / 2] = d·p_i for odd d; the base's multiples follow
+  /// the last term's (infinity entries when the base is infinity).
+  std::vector<Point> odd_;
+};
+
+/// sum_i terms[i].k * terms[i].p: an MsmTable over `terms`, evaluated
+/// once over all of them.
 Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms);
 
 /// Double-scalar convenience (Shamir's trick): k1·p1 + k2·p2 with one

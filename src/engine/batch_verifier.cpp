@@ -63,15 +63,19 @@ BatchVerifyOutcome schnorr_verify_batch(
 
   const auto& ring = curve.scalar_ring();
 
-  // Random linear combination:
-  //   (sum c_i s_i)·P − sum c_i·R_i − sum (c_i e_i)·X_i == O.
-  // Nonzero 64-bit coefficients keep the R_i terms short (64 add rows in
-  // the interleaved MSM) at a 2^-64 per-batch forgery bound.
+  // Random linear combination over the live items j (the ones with a
+  // finite commitment), with D_j = s_j·P − R_j − e_j·X_j:
+  //   sum_j c_j·D_j = (sum c_j s_j)·P − sum c_j·R_j − sum (c_j e_j)·X_j.
+  // Item j owns terms 2j and 2j + 1 of one MSM table, so the sum over any
+  // run of items is one evaluation; prefix[j] = sum_{j' < j} c_j' s_j'
+  // gives its base-point scalar. Nonzero 64-bit coefficients keep the
+  // R_j terms short (64 add rows in the interleaved MSM) at a 2^-64
+  // per-check forgery bound.
   std::vector<ecc::MsmTerm> terms;
-  terms.reserve(2 * n + 1);
+  terms.reserve(2 * n);
   std::vector<std::size_t> live;  // indices folded into the combination
   live.reserve(n);
-  Scalar acc_s{};  // sum c_i s_i mod l
+  std::vector<Scalar> prefix(1);
   for (std::size_t i = 0; i < n; ++i) {
     if (transcripts[i].commitment.infinity) continue;  // rejected outright
     std::uint64_t c64;
@@ -79,24 +83,47 @@ BatchVerifyOutcome schnorr_verify_batch(
       c64 = rng.next_u64();
     } while (c64 == 0);
     const Scalar c{c64};
-    acc_s = ring.add(acc_s, ring.mul(c, transcripts[i].response));
+    prefix.push_back(
+        ring.add(prefix.back(), ring.mul(c, transcripts[i].response)));
     terms.push_back({c, curve.negate(transcripts[i].commitment)});
     terms.push_back(
         {ring.mul(c, transcripts[i].challenge), curve.negate(keys[i])});
     live.push_back(i);
   }
   if (live.empty()) return out;
-  terms.push_back({acc_s, curve.base_point()});
+  const ecc::MsmTable table(curve, terms, curve.base_point());
+  const auto run_sum = [&](std::size_t lo, std::size_t hi) {
+    return table.evaluate(2 * lo, 2 * hi, ring.sub(prefix[hi], prefix[lo]));
+  };
 
-  if (ecc::multi_scalar_mult(curve, terms).infinity) {
-    for (const std::size_t i : live) ok[i] = true;
-    return out;
+  // Bisection (Pastuszak, Michałek, Pieprzyk and Seberry, PKC 2000): a
+  // run whose sum is O is accepted; a failing run of two or more items
+  // costs one MSM for its left half, and its right half's sum is the run's
+  // minus the left's. Every point is in the prime-order subgroup and
+  // c_j != 0, so c_j·D_j = O exactly when item j verifies: a one-item run
+  // IS the single verdict. Each check is itself an RLC whose coefficients
+  // were drawn after the transcripts were fixed, so a run holding a
+  // forgery passes with probability <= 2^-64, over at most 2m − 1 checks
+  // for m live items.
+  struct Run {
+    std::size_t lo, hi;
+    Point sum;
+  };
+  std::vector<Run> runs{{0, live.size(), run_sum(0, live.size())}};
+  out.rlc_passed = runs.front().sum.infinity;
+  while (!runs.empty()) {
+    const Run r = runs.back();
+    runs.pop_back();
+    if (r.sum.infinity) {
+      for (std::size_t j = r.lo; j < r.hi; ++j) ok[live[j]] = true;
+    } else if (r.hi - r.lo > 1) {
+      const std::size_t mid = r.lo + (r.hi - r.lo) / 2;
+      const Point left = run_sum(r.lo, mid);
+      ++out.isolation_msms;
+      runs.push_back({mid, r.hi, curve.add(r.sum, curve.negate(left))});
+      runs.push_back({r.lo, mid, left});
+    }
   }
-  // The batch holds at least one forgery: isolate it per item so nobody
-  // hides behind (or is condemned by) the batch.
-  out.rlc_passed = false;
-  for (const std::size_t i : live)
-    ok[i] = protocol::schnorr_verify(curve, keys[i], transcripts[i]);
   return out;
 }
 
@@ -160,7 +187,7 @@ void SchnorrBatchVerifier::verify_transcripts(
   // Shared-inversion decode of every commitment in the batch.
   std::vector<std::vector<std::uint8_t>> wires;
   wires.reserve(batch.size());
-  for (const auto& t : batch) wires.push_back(t.commitment_wire);
+  for (auto& t : batch) wires.push_back(std::move(t.commitment_wire));
   const auto points = decode_points_batch(*curve_, wires);
 
   std::vector<protocol::SchnorrTranscript> transcripts;
@@ -198,7 +225,7 @@ void SchnorrBatchVerifier::verify_transcripts(
     stats_.decode_failures += decode_failures;
     if (!outcome.rlc_passed) {
       ++stats_.rlc_failures;
-      stats_.single_fallbacks += transcripts.size();
+      stats_.single_fallbacks += outcome.isolation_msms;
     }
   }
 

@@ -349,12 +349,12 @@ struct LinkTransport final : Transport {
 /// lane batch. Deferred mode emits identical wire traffic, consumes
 /// identical rng (the challenge draw) and settles the gateway session at
 /// the same virtual cycle; the batch verifier is verdict-equivalent
-/// (honest transcripts always pass; a failing batch falls back per item)
-/// and the lane batch computes the inline ladder's x bit for bit. So on
-/// honest sessions every per-session outcome — and therefore the
-/// campaign digest — is the inline path's. (A refused ECIES blob would
-/// differ: deferred, it lands completed and not accepted instead of
-/// failed.)
+/// (honest transcripts always pass; a failing batch is bisected down to
+/// single verdicts) and the lane batch computes the inline ladder's x bit
+/// for bit. So on honest sessions every per-session outcome — and
+/// therefore the campaign digest — is the inline path's. (A refused ECIES
+/// blob would differ: deferred, it lands completed and not accepted
+/// instead of failed.)
 WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
                       const std::vector<std::uint64_t>& gids,
                       std::size_t verify_batch) {

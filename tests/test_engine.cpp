@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "ecc/curve.h"
 #include "ecc/scalar_mult.h"
@@ -38,14 +40,33 @@ TEST(Msm, MatchesReferenceAcrossSizes) {
     Xoshiro256 rng(1);
     for (std::size_t n = 0; n <= 6; ++n) {
       std::vector<MsmTerm> terms(n);
+      std::vector<Point> products;
       Point expect = Point::at_infinity();
       for (auto& t : terms) {
         t.k = rng.uniform_nonzero(c->order());
         t.p = random_subgroup_point(*c, rng);
-        expect = c->add(expect, c->scalar_mult_reference(t.k, t.p));
+        products.push_back(c->scalar_mult_reference(t.k, t.p));
+        expect = c->add(expect, products.back());
       }
       EXPECT_EQ(medsec::ecc::multi_scalar_mult(*c, terms), expect)
           << c->name() << " n=" << n;
+
+      // The two phases directly: one table, every run of its terms, plus
+      // a base-point term whose scalar is supplied per evaluation.
+      const Scalar kb = rng.uniform_nonzero(c->order());
+      const Point kb_g = c->scalar_mult_reference(kb, c->base_point());
+      const medsec::ecc::MsmTable table(*c, terms, c->base_point());
+      for (std::size_t first = 0; first <= n; ++first) {
+        Point run = kb_g;
+        for (std::size_t last = first; last <= n; ++last) {
+          if (last > first) run = c->add(run, products[last - 1]);
+          EXPECT_EQ(table.evaluate(first, last, kb), run)
+              << c->name() << " n=" << n << " [" << first << ", " << last
+              << ")";
+        }
+      }
+      EXPECT_EQ(table.evaluate(0, n, Scalar{}), expect) << c->name();
+      EXPECT_THROW(table.evaluate(0, n + 1, kb), std::out_of_range);
     }
   }
 }
@@ -173,22 +194,67 @@ TEST(BatchVerify, AcceptsHonestBatchWithOneMsm) {
   for (const bool ok : out.ok) EXPECT_TRUE(ok);
 }
 
-TEST(BatchVerify, FallbackIsolatesTheForgery) {
+TEST(BatchVerify, IsolatesForgeriesLikeSingleVerify) {
+  // Bisection over one table: every verdict is schnorr_verify's, at every
+  // batch size and wherever the forgeries sit.
   const Curve& c = Curve::k163();
   Xoshiro256 rng(7);
-  std::vector<proto::SchnorrTranscript> ts;
+  std::vector<proto::SchnorrTranscript> pool;
   std::vector<Point> keys;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 65; ++i) {
     auto [t, x] = honest_transcript(c, rng);
-    ts.push_back(t);
+    pool.push_back(t);
     keys.push_back(x);
   }
-  // Forge item 3: response for a different key.
-  ts[3].response = c.scalar_ring().add(ts[3].response, Scalar{1});
-  const auto out = engine::schnorr_verify_batch(c, ts, keys, rng);
-  EXPECT_FALSE(out.rlc_passed);
-  for (std::size_t i = 0; i < out.ok.size(); ++i)
-    EXPECT_EQ(out.ok[i], i != 3) << i;
+  using Pattern = bool (*)(std::size_t i, std::size_t n);
+  const std::pair<const char*, Pattern> patterns[] = {
+      {"none", [](std::size_t, std::size_t) { return false; }},
+      {"first", [](std::size_t i, std::size_t) { return i == 0; }},
+      {"last", [](std::size_t i, std::size_t n) { return i == n - 1; }},
+      {"middle", [](std::size_t i, std::size_t n) { return i == n / 2; }},
+      {"two adjacent",
+       [](std::size_t i, std::size_t n) {
+         return i == n / 2 || i + 1 == n / 2;
+       }},
+      {"opposite halves",
+       [](std::size_t i, std::size_t n) {
+         return i == n / 4 || i == n / 2 + n / 4;
+       }},
+      {"every other", [](std::size_t i, std::size_t) { return i % 2 == 0; }},
+      {"all", [](std::size_t, std::size_t) { return true; }},
+  };
+  for (const std::size_t n : {1, 2, 3, 7, 8, 63, 64, 65}) {
+    for (const auto& [name, forged] : patterns) {
+      for (const bool with_infinity : {false, true}) {
+        std::vector<proto::SchnorrTranscript> ts(pool.begin(),
+                                                 pool.begin() + n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (forged(i, n))
+            ts[i].response =
+                c.scalar_ring().add(ts[i].response, Scalar{1u + i});
+          // Infinity commitments are refused outright, forged or not.
+          if (with_infinity && i % 5 == 2)
+            ts[i].commitment = Point::at_infinity();
+        }
+        const auto out = engine::schnorr_verify_batch(
+            c, ts, std::span(keys).first(n), rng);
+        ASSERT_EQ(out.ok.size(), n);
+        bool live_forgery = false;
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool single = proto::schnorr_verify(c, keys[i], ts[i]);
+          EXPECT_EQ(out.ok[i], single)
+              << "n=" << n << " " << name << " inf=" << with_infinity
+              << " item " << i;
+          live_forgery |= !single && !ts[i].commitment.infinity;
+        }
+        EXPECT_EQ(out.rlc_passed, !live_forgery)
+            << "n=" << n << " " << name << " inf=" << with_infinity;
+        if (out.rlc_passed) {
+          EXPECT_EQ(out.isolation_msms, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchVerifierQueue, FlushesAtBatchSizeAndOnDemand) {
@@ -228,28 +294,46 @@ TEST(BatchVerifierQueue, FlushesAtBatchSizeAndOnDemand) {
   EXPECT_EQ(st.rlc_failures, 1u);
 }
 
+TEST(BatchVerifierQueue, CountsIsolationMsms) {
+  // One forgery among 64 costs one isolation MSM per halving (over 32,
+  // 16, 8, 4, 2 and 1 items); a forged batch of one is settled by its
+  // failed RLC check alone.
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(9);
+  const auto pending = [&](bool forge) {
+    const auto [t, x] = honest_transcript(c, rng);
+    engine::PendingTranscript p;
+    p.X = x;
+    p.commitment_wire = proto::encode_point(c, t.commitment);
+    p.challenge = t.challenge;
+    p.response =
+        forge ? c.scalar_ring().add(t.response, Scalar{1}) : t.response;
+    return p;
+  };
+  engine::SchnorrBatchVerifier q64(c, 64);
+  for (int i = 0; i < 64; ++i) q64.enqueue(pending(i == 41));
+  auto st = q64.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.rlc_failures, 1u);
+  EXPECT_EQ(st.single_fallbacks, 6u);
+
+  engine::SchnorrBatchVerifier q1(c, 1);
+  q1.enqueue(pending(true));
+  st = q1.stats();
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.rlc_failures, 1u);
+  EXPECT_EQ(st.single_fallbacks, 0u);
+}
+
 // --- negative paths ----------------------------------------------------------
 
 TEST(BatchVerify, AllForgedBatchRejectsEveryItem) {
-  // The RLC equation fails, the per-item fallback runs — and with *every*
-  // item forged, nothing may slip through on the strength of the batch.
+  // The RLC equation fails and the bisection runs down to every leaf —
+  // with *every* item forged (wrong keys), nothing may slip through on the
+  // strength of the batch: 8 forged items, 8 rejections, 1 RLC failure.
   const Curve& c = Curve::k163();
   Xoshiro256 rng(20);
-  std::vector<proto::SchnorrTranscript> ts;
-  std::vector<Point> keys;
-  for (int i = 0; i < 8; ++i) {
-    auto [t, x] = honest_transcript(c, rng);
-    // Forge every response.
-    t.response = c.scalar_ring().add(t.response, Scalar{1u + (unsigned)i});
-    ts.push_back(t);
-    keys.push_back(x);
-  }
-  const auto out = engine::schnorr_verify_batch(c, ts, keys, rng);
-  EXPECT_FALSE(out.rlc_passed);
-  for (std::size_t i = 0; i < out.ok.size(); ++i)
-    EXPECT_FALSE(out.ok[i]) << i;
-
-  // Same through the queue: 8 forged items, 8 rejections, 1 RLC failure.
   engine::SchnorrBatchVerifier q(c, 8);
   std::atomic<int> accepted{0}, rejected{0};
   for (int i = 0; i < 8; ++i) {
@@ -271,6 +355,8 @@ TEST(BatchVerify, AllForgedBatchRejectsEveryItem) {
   EXPECT_EQ(accepted.load(), 0);
   EXPECT_EQ(rejected.load(), 8);
   EXPECT_EQ(q.stats().rlc_failures, 1u);
+  // One isolation MSM per failing run of two or more items: 4 + 2 + 1.
+  EXPECT_EQ(q.stats().single_fallbacks, 7u);
 }
 
 // --- device registry ---------------------------------------------------------

@@ -466,7 +466,7 @@ TEST(ShardEngine, DeferredSchnorrBatchIsolatesForgedSession) {
   rig.expect_verdicts();  // ...and the forgery is isolated
   const auto vs = rig.eng.verifier().stats();
   EXPECT_EQ(vs.items, rig.kSessions);
-  EXPECT_GE(vs.single_fallbacks, 1u);  // the RLC batch fell back to singles
+  EXPECT_GE(vs.single_fallbacks, 1u);  // the failed RLC batch was bisected
   EXPECT_TRUE(rig.eng.quiescent());
 }
 
@@ -761,6 +761,8 @@ TEST(ShardEngine, BatchCoefficientsAreUnpredictableToDevices) {
   EXPECT_EQ(accepted, 0);
   EXPECT_EQ(rejected, 2);
   EXPECT_EQ(eng.verifier().stats().rlc_failures, 1u);
+  // The bisection sums the first item alone and the second by difference.
+  EXPECT_EQ(eng.verifier().stats().single_fallbacks, 1u);
 }
 
 // --- ShardEngine: the inline-judge path --------------------------------------
@@ -1034,7 +1036,7 @@ void run_forged_fleet(std::size_t verify_batch) {
   EXPECT_EQ(st.rejected, 2u);
   EXPECT_EQ(st.mailbox_shed, 0u);
   EXPECT_EQ(vs.items, kSessions);
-  EXPECT_GE(vs.rlc_failures, 1u);  // the forgeries' batches fell back
+  EXPECT_GE(vs.rlc_failures, 1u);  // the forgeries' batches were bisected
   if (verify_batch == 1) {
     EXPECT_EQ(vs.batches, kSessions);
   }
