@@ -18,12 +18,15 @@
 // schema) for the perf trajectory unless --benchmark_out is given.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/event_queue.h"
 #include "engine/shard.h"
 #include "engine/transport.h"
 #include "protocol/wire.h"
+#include "rng/xoshiro.h"
 
 namespace {
 
@@ -173,6 +176,36 @@ void BM_FrameCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FrameCodec);
+
+/// The ARQ timer pattern at a given RTO: each step arms a retransmit timer
+/// at the RTO plus seeded jitter in [0, RTO/4), cancels the timer armed 64
+/// steps earlier (its ack) and advances the clock one cycle. An ack is a
+/// cancel, so the cost per step must not grow with the RTO; the ratio of
+/// the two rows is gated.
+void BM_TimerAckChurn(benchmark::State& state) {
+  const auto rto = static_cast<core::Cycle>(state.range(0));
+  constexpr std::size_t kInFlight = 64;
+  core::EventQueue q;
+  std::array<core::EventId, kInFlight> armed{};
+  std::uint64_t fired = 0;
+  std::uint64_t jitter = 0x7135;
+  std::size_t step = 0;
+  const auto ack_and_arm = [&] {
+    core::EventId& timer = armed[step++ % kInFlight];
+    q.cancel(timer);
+    timer = q.schedule(rto + rng::splitmix64(jitter) % (rto / 4),
+                       [&fired] { ++fired; });
+    q.run_until(q.now() + 1);
+  };
+  // Steady state: every timer cancelled so far has passed its deadline.
+  for (core::Cycle i = 0; i < rto * 5 / 4; ++i) ack_and_arm();
+  for (auto _ : state) {
+    ack_and_arm();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimerAckChurn)->Arg(256)->Arg(65536)->ArgName("rto");
 
 }  // namespace
 

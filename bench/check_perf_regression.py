@@ -136,6 +136,13 @@ RATIO_GATES = [
      "BM_SchnorrVerifyBatchForged/forged:1", 0.4),
     ("BENCH_fleet.json", "BM_SchnorrVerifyBatchRlc/batch:64",
      "BM_SchnorrVerifyBatchForged/forged:64", 0.15),
+    # Acked timers: an ack cancels its retransmit timer in O(log n) of the
+    # timers in flight, so one step of the ARQ pattern at a 65,536-cycle
+    # RTO costs at most 2x one at 256 cycles (ratio >= 0.5; ~1.0 measured
+    # on a 4-vCPU AVX-512 host, ~0.18 with the lazily cancelled queue it
+    # replaced, whose cost grew with the RTO).
+    ("BENCH_gateway.json", "BM_TimerAckChurn/rto:256",
+     "BM_TimerAckChurn/rto:65536", 0.5),
     # Barrett: ModRing::mul is >= 8x the same product reduced by the
     # shift-subtract BigUInt::mod loop.
     ("BENCH_field_ops.json", "BM_ScalarRingMulShiftSubtract",

@@ -18,10 +18,6 @@ namespace medsec::engine {
 
 namespace {
 
-/// Largest possible encoded frame: header(16) + label_len(1) + label +
-/// payload_len(2) + payload + crc(4).
-constexpr std::size_t kMaxDatagram =
-    16 + 1 + kMaxFrameLabel + 2 + kMaxFramePayload + 4;
 /// Readiness-loop wakeup period — the stop flag is polled at this rate.
 constexpr int kWaitMs = 20;
 
@@ -76,16 +72,15 @@ bool UdpSocket::send_to(const Peer& peer,
 }
 
 bool UdpSocket::recv_from(std::vector<std::uint8_t>& out, Peer& peer) {
-  out.resize(kMaxDatagram);
   sockaddr_in a{};
   socklen_t len = sizeof(a);
-  const ssize_t n = ::recvfrom(fd_, out.data(), out.size(), 0,
+  const ssize_t n = ::recvfrom(fd_, rx_.data(), rx_.size(), 0,
                                reinterpret_cast<sockaddr*>(&a), &len);
   if (n < 0) {
     out.clear();
     return false;  // EAGAIN or a transient error: nothing ready
   }
-  out.resize(static_cast<std::size_t>(n));
+  out.assign(rx_.data(), rx_.data() + n);
   peer.ip = ntohl(a.sin_addr.s_addr);
   peer.port = ntohs(a.sin_port);
   return true;

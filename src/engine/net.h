@@ -23,6 +23,7 @@
 // deterministic chaos campaign exercises.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -37,8 +38,16 @@ namespace medsec::engine {
 
 /// RAII nonblocking UDP/IPv4 socket. Thin: bind, sendto, recvfrom, close.
 /// Throws std::runtime_error when the kernel refuses (socket/bind).
+/// Any number of threads may send on one socket; only one thread receives
+/// on it (the front end's readiness thread, or a client's own thread),
+/// because every receive lands in the socket's one staging buffer.
 class UdpSocket {
  public:
+  /// Largest possible encoded frame: header(16) + label_len(1) + label +
+  /// payload_len(2) + payload + crc(4). Longer datagrams are truncated.
+  static constexpr std::size_t kMaxDatagram =
+      16 + 1 + kMaxFrameLabel + 2 + kMaxFramePayload + 4;
+
   /// Bind to 127.0.0.1:`port` (0 = kernel-assigned ephemeral port).
   explicit UdpSocket(std::uint16_t port = 0);
   ~UdpSocket();
@@ -52,13 +61,19 @@ class UdpSocket {
   /// buffer — UDP's version of shedding); throws nothing on the hot path.
   bool send_to(const Peer& peer, std::span<const std::uint8_t> bytes);
 
-  /// One datagram in (nonblocking). Empty optional = nothing ready.
-  /// The payload lands in `out` (resized), the sender in `peer`.
+  /// One datagram in (nonblocking). Returns false, with `out` cleared,
+  /// when nothing is ready. Otherwise `out` holds exactly the datagram's
+  /// bytes (its earlier contents are discarded) and `peer` the sender.
+  /// Call it from the socket's one receiving thread.
   bool recv_from(std::vector<std::uint8_t>& out, Peer& peer);
 
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;
+  /// The kernel copies into this buffer; `out` then takes only the bytes
+  /// that arrived, so a receive never zero-fills or grows a buffer to the
+  /// maximum frame size.
+  std::array<std::uint8_t, kMaxDatagram> rx_{};
 };
 
 struct UdpFrontEndStats {

@@ -92,6 +92,177 @@ TEST(EventQueue, CancelledEventNeverFires) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
+TEST(EventQueue, CancelAfterFireIsANoOp) {
+  core::EventQueue q;
+  int fired = 0;
+  const core::EventId first = q.schedule(1, [&] { ++fired; });
+  const core::EventId second = q.schedule(5, [&] { ++fired; });
+  ASSERT_TRUE(q.run_next());
+  // The handle outlived its event: cancelling it must not touch the count
+  // of events still queued (a run loop keyed on pending() depends on it).
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_all();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_FALSE(q.cancel(second));
+  EXPECT_FALSE(q.cancel(core::kInvalidEvent));
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+/// Two sides of one scripted run: the real EventQueue, and a naive model
+/// that keeps every event ever scheduled in a flat list and scans it for
+/// the earliest live (time, insertion) pair. Events are named by their
+/// insertion index on both sides. What a firing event does is a pure
+/// function of (seed, index), so both sides take the same actions and
+/// append the same entries to their logs: ('F', i) when event i fires,
+/// ('C', j) or ('c', j) when a callback's cancel of event j returns true
+/// or false.
+using QueueLog = std::vector<std::pair<char, std::size_t>>;
+
+template <typename Side>
+void scripted_fire(Side& side, std::uint64_t seed, std::size_t i) {
+  side.log.emplace_back('F', i);
+  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (i + 1));
+  const std::uint64_t w = medsec::rng::splitmix64(s);
+  switch (w % 4) {
+    case 0:  // schedule another event, often in this very cycle
+      side.schedule((w >> 8) % 3);
+      break;
+    case 1: {  // cancel any event seen so far: live, fired or cancelled
+      const std::size_t j = (w >> 8) % side.count();
+      side.log.emplace_back(side.cancel(j) ? 'C' : 'c', j);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+struct RealQueueSide {
+  explicit RealQueueSide(std::uint64_t seed) : seed(seed) {}
+  std::size_t count() const { return ids.size(); }
+  void schedule(core::Cycle delay) {
+    const std::size_t i = ids.size();
+    ids.push_back(
+        q.schedule(delay, [this, i] { scripted_fire(*this, seed, i); }));
+  }
+  bool cancel(std::size_t i) { return q.cancel(ids[i]); }
+
+  std::uint64_t seed;
+  core::EventQueue q;
+  std::vector<core::EventId> ids;
+  QueueLog log;
+};
+
+struct ModelQueueSide {
+  explicit ModelQueueSide(std::uint64_t seed) : seed(seed) {}
+  std::size_t count() const { return events.size(); }
+  void schedule(core::Cycle delay) {
+    events.push_back({now + delay, true});
+    ++pending;
+  }
+  bool cancel(std::size_t i) {
+    if (!events[i].live) return false;
+    events[i].live = false;
+    --pending;
+    return true;
+  }
+  bool run_next() {
+    std::size_t best = events.size();
+    for (std::size_t i = 0; i < events.size(); ++i)
+      if (events[i].live &&
+          (best == events.size() || events[i].at < events[best].at))
+        best = i;  // strict <: the earliest-inserted wins a tie
+    if (best == events.size()) return false;
+    events[best].live = false;
+    --pending;
+    now = events[best].at;
+    scripted_fire(*this, seed, best);
+    return true;
+  }
+  void run_until(core::Cycle t) {
+    for (;;) {
+      bool due = false;
+      for (const Event& e : events) due = due || (e.live && e.at <= t);
+      if (!due) break;
+      run_next();
+    }
+    if (now < t) now = t;
+  }
+
+  struct Event {
+    core::Cycle at;
+    bool live;
+  };
+  std::uint64_t seed;
+  core::Cycle now = 0;
+  std::size_t pending = 0;
+  std::vector<Event> events;
+  QueueLog log;
+};
+
+TEST(EventQueue, MatchesReferenceModel) {
+  std::size_t stale_reused = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RealQueueSide real(seed);
+    ModelQueueSide model(seed);
+    Xoshiro256 rng(seed);
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t w = rng.next_u64();
+      switch (w % 8) {
+        case 0:
+        case 1:
+        case 2:  // delays in [0, 6): same-cycle ties are common
+          real.schedule((w >> 8) % 6);
+          model.schedule((w >> 8) % 6);
+          break;
+        case 3: {
+          if (real.count() == 0) break;
+          const std::size_t j = (w >> 8) % real.count();
+          const core::EventId id = real.ids[j];
+          // A dead id whose slot a live event now holds is the stale case
+          // a generation count exists for; count it to prove coverage.
+          if (!model.events[j].live)
+            for (std::size_t k = 0; k < real.count(); ++k)
+              if (model.events[k].live &&
+                  static_cast<std::uint32_t>(real.ids[k]) ==
+                      static_cast<std::uint32_t>(id))
+                ++stale_reused;
+          EXPECT_EQ(real.cancel(j), model.cancel(j)) << "cancel of " << j;
+          break;
+        }
+        case 4:
+          EXPECT_FALSE(real.q.cancel(core::kInvalidEvent));
+          break;
+        case 5:
+        case 6:
+          EXPECT_EQ(real.q.run_next(), model.run_next());
+          break;
+        default: {
+          const core::Cycle t = model.now + (w >> 8) % 6;
+          real.q.run_until(t);
+          model.run_until(t);
+          break;
+        }
+      }
+      ASSERT_EQ(real.log, model.log) << "after op " << op;
+      ASSERT_EQ(real.q.now(), model.now) << "after op " << op;
+      ASSERT_EQ(real.q.pending(), model.pending) << "after op " << op;
+      ASSERT_EQ(real.q.empty(), model.pending == 0) << "after op " << op;
+    }
+    real.q.run_all();
+    while (model.run_next()) {
+    }
+    EXPECT_EQ(real.log, model.log);
+    EXPECT_EQ(real.q.pending(), 0u);
+  }
+  EXPECT_GT(stale_reused, 0u);
+}
+
 // --- framed transport --------------------------------------------------------
 
 TEST(Transport, Crc32KnownVector) {

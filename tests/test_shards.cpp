@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -1310,6 +1311,42 @@ TEST(UdpFrontEnd, PeekSocketSmokeAndEndToEndSession) {
   const engine::UdpFrontEndStats fs = front.stats();
   EXPECT_GT(fs.datagrams_in, 0u);
   EXPECT_GT(fs.datagrams_out, 0u);
+}
+
+TEST(UdpSocket, RecvFromYieldsExactlyTheDatagramIntoAReusedBuffer) {
+  engine::UdpSocket rx;
+  engine::UdpSocket tx;
+  const engine::Peer to{0x7F000001, rx.local_port()};
+  // A pooled buffer comes back holding an earlier datagram's bytes.
+  const std::vector<std::uint8_t> stale(100, 0xEE);
+  engine::Peer from;
+
+  std::vector<std::uint8_t> out = stale;
+  EXPECT_FALSE(rx.recv_from(out, from));
+  EXPECT_TRUE(out.empty());
+
+  for (const std::size_t len :
+       {std::size_t{1}, std::size_t{60}, engine::UdpSocket::kMaxDatagram}) {
+    SCOPED_TRACE("datagram of " + std::to_string(len) + " bytes");
+    std::vector<std::uint8_t> sent(len);
+    for (std::size_t i = 0; i < len; ++i)
+      sent[i] = static_cast<std::uint8_t>(i * 7 + len);
+    ASSERT_TRUE(tx.send_to(to, sent));
+    out = stale;
+    from = engine::Peer{};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!rx.recv_from(out, from)) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    EXPECT_EQ(out, sent);
+    EXPECT_EQ(from.ip, 0x7F000001u);
+    EXPECT_EQ(from.port, tx.local_port());
+  }
+  out = stale;
+  EXPECT_FALSE(rx.recv_from(out, from));
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace
