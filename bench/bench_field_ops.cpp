@@ -1,6 +1,6 @@
 // Microbenchmarks of the arithmetic substrates — the performance baseline
-// for everything above them (no paper table; supporting data for
-// EXPERIMENTS.md's runtime notes).
+// for everything above them (no paper table; supporting data for the
+// README's Benchmarks section).
 //
 // The Gf163 benchmarks run once per arithmetic backend and the BM_Lane*
 // benchmarks once per lane backend, each row named after its backend
@@ -241,6 +241,31 @@ void BM_TauNafMultPrecomp(benchmark::State& state, Backend backend) {
     benchmark::DoNotOptimize(ecc::tau_naf_mult(c, k, pre));
 }
 MEDSEC_BENCH_BACKENDS(BM_TauNafMultPrecomp);
+
+/// The reader-side k·G + l·Q (PH identification, Schnorr verification) on
+/// K-163, which runs tau-adic: random public scalars and random subgroup
+/// points, cycled over 16 jobs so the digits vary between iterations.
+/// check_perf_regression.py gates BM_LadderScalarMult / this row.
+void BM_DoubleScalarMult(benchmark::State& state, Backend backend) {
+  if (!use_backend(state, backend)) return;
+  const ecc::Curve& c = ecc::Curve::k163();
+  rng::Xoshiro256 rng(11);
+  constexpr std::size_t kJobs = 16;
+  std::vector<ecc::Scalar> ks, ls;
+  std::vector<ecc::Point> qs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ks.push_back(rng.uniform_nonzero(c.order()));
+    ls.push_back(rng.uniform_nonzero(c.order()));
+    qs.push_back(ecc::generator_comb(c).mult(rng.uniform_nonzero(c.order())));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ecc::double_scalar_mult(c, ks[i], c.base_point(), ls[i], qs[i]));
+    i = (i + 1) % kJobs;
+  }
+}
+MEDSEC_BENCH_BACKENDS(BM_DoubleScalarMult);
 
 void BM_AffinePointAdd(benchmark::State& state, Backend backend) {
   if (!use_backend(state, backend)) return;

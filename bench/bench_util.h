@@ -1,9 +1,9 @@
 // bench_util.h — shared helpers for the experiment benches.
 //
 // Every bench binary regenerates one table/figure/number of the paper
-// (see DESIGN.md's experiment index): it prints the reproduction table to
-// stdout first (paper value vs model value), then runs its
-// google-benchmark timers. Benches are deterministic (fixed seeds).
+// (the README's Benchmarks section lists them): it prints the
+// reproduction table to stdout first (paper value vs model value), then
+// runs its google-benchmark timers. Benches are deterministic (fixed seeds).
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -143,6 +143,12 @@ RATIO_GATES = [
     # replaced, whose cost grew with the RTO).
     ("BENCH_gateway.json", "BM_TimerAckChurn/rto:256",
      "BM_TimerAckChurn/rto:65536", 0.5),
+    # Koblitz k·G + l·Q: the reader's double_scalar_mult on K-163 (tau-adic:
+    # a Frobenius chain where the wNAF path doubles) costs at most ~1.43
+    # constant-time ladders (ratio >= 0.7; ~0.85 measured on a 4-vCPU
+    # AVX-512 host, ~0.55 with the 163-doubling wNAF chain it replaced).
+    ("BENCH_field_ops.json", "BM_LadderScalarMult/clmul",
+     "BM_DoubleScalarMult/clmul", 0.7),
     # Barrett: ModRing::mul is >= 8x the same product reduced by the
     # shift-subtract BigUInt::mod loop.
     ("BENCH_field_ops.json", "BM_ScalarRingMulShiftSubtract",

@@ -404,7 +404,7 @@ TaintLadderResult taint_audit_ladder_classic(const Curve& curve,
   // same ladder_*_t templates, skipping the processed leading 1.
   auto s = ecc::ladder_initial_state_t<TaintFe>(b, x);
   for (std::size_t i = 1; i < bits.size(); ++i)
-    ecc::ladder_iteration_t<TaintFe>(b, x, s, bits[i]);
+    ecc::ladder_iteration_t<TaintFe>(b, curve.b_is_one(), x, s, bits[i]);
 
   return TaintLadderResult{ctx.report(), declassify_state(s)};
 }
@@ -422,7 +422,7 @@ TaintLadderResult taint_audit_ladder_blinded(const Curve& curve,
   // processed, leading zeros included.
   auto s = ecc::ladder_zero_state_t(x);
   for (const TaintBit& bit : bits)
-    ecc::ladder_iteration_t<TaintFe>(b, x, s, bit);
+    ecc::ladder_iteration_t<TaintFe>(b, curve.b_is_one(), x, s, bit);
 
   return TaintLadderResult{ctx.report(), declassify_state(s)};
 }
@@ -560,12 +560,17 @@ CtAuditGrid run_grid_once(const GridConfig& config) {
   }
 
   if (config.target_filter.empty()) {
+    // The classic row audits the paper's curve, whose b = 1 doubling is
+    // the branch the tag executes; the blinded row keeps B-163 and its
+    // general-b doubling, so the two rows cover both ladder_double_t
+    // branches.
     const Curve& curve = Curve::b163();
+    const Curve& k163 = Curve::k163();
     std::uint64_t state = config.seed;
     const Scalar k =
         Scalar{rng::splitmix64(state)}.mod(curve.order()) + Scalar{1};
     grid.taint.push_back(TaintGridRow{
-        taint_audit_ladder_classic(curve, k, curve.base_point()).report,
+        taint_audit_ladder_classic(k163, k, k163.base_point()).report,
         true});
     const WideScalar kp = sidechannel::blind_scalar(
         curve, k, rng::splitmix64(state) & ((1ULL << kBlindBits) - 1));

@@ -1,7 +1,11 @@
 #include "ecc/curve.h"
 
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <vector>
 
+#include "ecc/curve_tables.h"
 #include "ecc/point_arith.h"
 
 namespace medsec::ecc {
@@ -15,6 +19,8 @@ Curve::Curve(std::string name, const Fe& a, const Fe& b, const Fe& gx,
       order_(order),
       cofactor_(cofactor),
       trace_a_(Fe::trace(a)),
+      a_is_one_(a == Fe::one()),
+      b_is_one_(b == Fe::one()),
       ring_(order) {
   if (b_.is_zero())
     throw std::invalid_argument("Curve: b = 0 is singular");
@@ -25,6 +31,39 @@ Curve::Curve(std::string name, const Fe& a, const Fe& b, const Fe& gx,
   if (cofactor_ == 2 && Fe::trace(g_.x) != trace_a_)
     throw std::invalid_argument("Curve: base point fails Tr(x) == Tr(a)");
 }
+
+namespace detail {
+
+CurveTables::CurveTables(const Curve& c)
+    : curve(c),
+      comb(curve, curve.base_point()),
+      tau_precomp(curve, curve.base_point(), TauReducer::kWidth),
+      reducer(TauReducer::derive(curve)) {}
+
+const CurveTables& curve_tables(const Curve& curve) {
+  if (const CurveTables* t = curve.tables_.load()) return *t;
+  // First lookup through this Curve object: find its parameter set, or
+  // build the tables for it. Entries are never removed.
+  static std::mutex mu;
+  static std::vector<std::unique_ptr<const CurveTables>> entries;
+  const auto same = [&curve](const Curve& c) {
+    return c.a() == curve.a() && c.b() == curve.b() &&
+           c.base_point() == curve.base_point() &&
+           c.order() == curve.order() && c.cofactor() == curve.cofactor();
+  };
+  const std::lock_guard<std::mutex> lock(mu);
+  const CurveTables* found = nullptr;
+  for (const auto& e : entries)
+    if (same(e->curve)) found = e.get();
+  if (found == nullptr) {
+    entries.push_back(std::make_unique<const CurveTables>(curve));
+    found = entries.back().get();
+  }
+  curve.tables_.store(found);
+  return *found;
+}
+
+}  // namespace detail
 
 const Curve& Curve::k163() {
   static const Curve c{

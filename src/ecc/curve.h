@@ -13,6 +13,7 @@
 // on its inlined kernel.
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <string>
 
@@ -24,6 +25,36 @@ namespace medsec::ecc {
 
 using Fe = gf2m::Gf163;          ///< field element
 using Scalar = bigint::U192;     ///< scalar (fits 163-bit order)
+
+class Curve;
+
+namespace detail {
+struct CurveTables;  // ecc/curve_tables.h
+/// The tables of `curve`'s parameter set, built on its first lookup.
+const CurveTables& curve_tables(const Curve& curve);
+
+/// Where a Curve keeps the tables its first lookup found, so later lookups
+/// are one load. A copy carries the pointer (it has the same parameters);
+/// a new Curve starts without one.
+class CurveTablesSlot {
+ public:
+  CurveTablesSlot() = default;
+  CurveTablesSlot(const CurveTablesSlot& other) : p_(other.load()) {}
+  CurveTablesSlot& operator=(const CurveTablesSlot& other) {
+    store(other.load());
+    return *this;
+  }
+  const CurveTables* load() const {
+    return p_.load(std::memory_order_acquire);
+  }
+  void store(const CurveTables* t) const {
+    p_.store(t, std::memory_order_release);
+  }
+
+ private:
+  mutable std::atomic<const CurveTables*> p_{nullptr};
+};
+}  // namespace detail
 
 /// An affine point, or the point at infinity.
 struct Point {
@@ -60,6 +91,11 @@ class Curve {
   const Point& base_point() const { return g_; }
   const Scalar& order() const { return order_; }
   unsigned cofactor() const { return cofactor_; }
+  /// Whether a (resp. b) is 1, read from the curve's values. The point and
+  /// ladder formulas skip every multiplication by a constant that is 1:
+  /// a = 1 on both carried curves, b = 1 on K-163.
+  bool a_is_one() const { return a_is_one_; }
+  bool b_is_one() const { return b_is_one_; }
   /// Tr(a), precomputed for the halving-criterion subgroup gate.
   int trace_a() const { return trace_a_; }
   /// Arithmetic modulo the group order (for protocol scalars).
@@ -91,8 +127,10 @@ class Curve {
 
   /// The Frobenius endomorphism phi(x, y) = (x^2, y^2). On a Koblitz
   /// curve (a, b in F_2, the paper's K-163) this maps curve points to
-  /// curve points in two squarings — the structural reason Koblitz
-  /// curves admit very cheap scalar multiplication (tau-adic methods) and
+  /// curve points in two squarings — three in López–Dahab coordinates,
+  /// (X, Y, Z) -> (X^2, Y^2, Z^2), against a doubling's five squarings and
+  /// three multiplications — the structural reason Koblitz curves admit
+  /// very cheap scalar multiplication (tau-adic methods, koblitz.h) and
   /// part of why the paper picks one. Satisfies phi^2 + 2 = mu*phi with
   /// mu = (-1)^(1-a), i.e. mu = 1 for K-163.
   Point frobenius(const Point& p) const;
@@ -113,6 +151,8 @@ class Curve {
   std::optional<Point> decompress(const Compressed& c) const;
 
  private:
+  friend const detail::CurveTables& detail::curve_tables(const Curve& curve);
+
   std::string name_;
   Fe a_;
   Fe b_;
@@ -120,7 +160,10 @@ class Curve {
   Scalar order_;
   unsigned cofactor_;
   int trace_a_;  ///< Tr(a), precomputed for the halving-criterion gate
+  bool a_is_one_;
+  bool b_is_one_;
   bigint::ModRing<192> ring_;
+  detail::CurveTablesSlot tables_;
 };
 
 }  // namespace medsec::ecc

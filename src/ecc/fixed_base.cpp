@@ -1,10 +1,8 @@
 #include "ecc/fixed_base.h"
 
-#include <map>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
+#include "ecc/curve_tables.h"
 #include "ecc/point_arith.h"
 
 namespace medsec::ecc {
@@ -60,22 +58,8 @@ Point scalar_mult_ld(const Curve& curve, const Scalar& k, const Point& p) {
   });
 }
 
-namespace detail {
-std::string curve_cache_key(const Curve& curve) {
-  return curve.name() + '/' + curve.b().to_hex() + '/' +
-         curve.base_point().x.to_hex() + '/' + curve.base_point().y.to_hex() +
-         '/' + curve.order().to_hex();
-}
-}  // namespace detail
-
 const FixedBaseComb& generator_comb(const Curve& curve) {
-  static std::mutex mu;
-  static std::map<std::string, std::unique_ptr<FixedBaseComb>> cache;
-  const std::lock_guard<std::mutex> lock(mu);
-  auto& slot = cache[detail::curve_cache_key(curve)];
-  if (!slot)
-    slot = std::make_unique<FixedBaseComb>(curve, curve.base_point());
-  return *slot;
+  return detail::curve_tables(curve).comb;
 }
 
 }  // namespace medsec::ecc

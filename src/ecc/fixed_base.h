@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "ecc/curve.h"
 
@@ -37,10 +36,12 @@ struct LdPoint {
   bool is_infinity() const { return Z.is_zero(); }
 };
 
-/// 2P in López–Dahab coordinates (5M + 5S, no inversion).
+/// 2P in López–Dahab coordinates, no inversion: 5S + 3M on K-163
+/// (a = b = 1), one more M per constant that is not 1.
 LdPoint ld_double(const Curve& curve, const LdPoint& p);
-/// P + Q with Q affine ("mixed" addition, 9M + 5S, no inversion).
-/// Handles P = infinity, P = Q (doubling) and P = -Q (infinity).
+/// P + Q with Q affine ("mixed" addition, no inversion): 5S + 8M when
+/// a = 1, one more M otherwise. Handles P = infinity, P = Q (doubling)
+/// and P = -Q (infinity).
 LdPoint ld_add_affine(const Curve& curve, const LdPoint& p, const Point& q);
 
 class FixedBaseComb {
@@ -69,16 +70,13 @@ class FixedBaseComb {
   std::array<Point, kTableSize> table_;
 };
 
-/// Process-wide comb for a curve's generator, built lazily on first use and
-/// cached for the lifetime of the process. Cached by curve *identity*
-/// (parameters, not address), so dynamically constructed Curve objects —
-/// including ones whose addresses get recycled — are safe.
+/// Process-wide comb for a curve's generator, built on the first lookup of
+/// the curve's parameter set and kept for the lifetime of the process
+/// (ecc/curve_tables.h). Keyed by parameters, not address, so dynamically
+/// constructed Curve objects — including ones whose addresses get
+/// recycled — are safe; after a Curve's first lookup, its lookups take no
+/// lock.
 const FixedBaseComb& generator_comb(const Curve& curve);
-
-namespace detail {
-/// Stable identity key for per-curve caches.
-std::string curve_cache_key(const Curve& curve);
-}  // namespace detail
 
 /// Left-to-right double-and-add in López–Dahab coordinates over the EXACT
 /// scalar (no modular reduction, no constant-length padding): one field

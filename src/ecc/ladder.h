@@ -63,7 +63,8 @@ Fe random_nonzero_fe(rng::RandomSource& rng);
 void ladder_add(const Fe& xd, const Fe& x1, const Fe& z1, const Fe& x2,
                 const Fe& z2, Fe& x3, Fe& z3);
 
-/// x-only doubling: X3 = X^4 + b Z^4, Z3 = X^2 Z^2.
+/// x-only doubling: X3 = X^4 + b Z^4, Z3 = X^2 Z^2 (with no multiplication
+/// by b when b = 1).
 void ladder_double(const Fe& b, const Fe& x, const Fe& z, Fe& x3, Fe& z3);
 
 /// The ladder's working state: (x1 : z1) = k_high·P, (x2 : z2) = (k_high+1)·P.

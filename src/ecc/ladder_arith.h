@@ -75,8 +75,9 @@ struct LadderArith {
   /// Run the ladder iterations for bits iterations-1 .. 0 of k, reporting
   /// each to the observer if one is installed.
   template <class K>
-  static void run(const Fe& b, const Fe& x, const K& k, std::size_t iterations,
-                  LadderState& s, const LadderOptions& options);
+  static void run(const Curve& curve, const Fe& x, const K& k,
+                  std::size_t iterations, LadderState& s,
+                  const LadderOptions& options);
 };
 
 #if MEDSEC_HAVE_CLMUL_OPS
@@ -92,7 +93,7 @@ void LadderArith<Ops>::add(const Fe& xd, const Fe& x1, const Fe& z1,
 template <class Ops>
 void LadderArith<Ops>::dbl(const Fe& b, const Fe& x, const Fe& z, Fe& x3,
                            Fe& z3) {
-  ladder_double_t<Ops>(b, x, z, x3, z3);
+  ladder_double_t<Ops>(b, b == Fe::one(), x, z, x3, z3);
 }
 
 template <class Ops>
@@ -111,7 +112,7 @@ void LadderArith<Ops>::randomize(LadderState& s, const Fe& l1, const Fe& l2) {
 template <class Ops>
 void LadderArith<Ops>::iteration(const Fe& b, const Fe& x_base,
                                  LadderState& s, std::uint64_t bit) {
-  ladder_iteration_t<Ops>(b, x_base, s, bit);
+  ladder_iteration_t<Ops>(b, b == Fe::one(), x_base, s, bit);
 }
 
 /// §7 projective randomization of a fresh ladder state: (x1, z1) *= l1,
@@ -140,7 +141,7 @@ void LadderArith<Ops>::randomize_state(LadderState& s,
 
 template <class Ops>
 template <class K>
-void LadderArith<Ops>::run(const Fe& b, const Fe& x, const K& k,
+void LadderArith<Ops>::run(const Curve& curve, const Fe& x, const K& k,
                            std::size_t iterations, LadderState& s,
                            const LadderOptions& options) {
   // Hoist the std::function emptiness test out of the hot loop: when no
@@ -149,7 +150,7 @@ void LadderArith<Ops>::run(const Fe& b, const Fe& x, const K& k,
   const bool has_observer = static_cast<bool>(options.observer);
   for (std::size_t i = iterations; i-- > 0;) {
     const std::uint64_t bit = k.bit(i) ? 1 : 0;
-    ladder_iteration_t<Ops>(b, x, s, bit);
+    ladder_iteration_t<Ops>(curve.b(), curve.b_is_one(), x, s, bit);
     if (has_observer) {
       options.observer(LadderObservation{
           .bit_index = i,
@@ -178,7 +179,7 @@ LadderState LadderArith<Ops>::raw(const Curve& curve, const Scalar& k0,
   randomize_state(s, options);
   // The leading 1 (bit order.bit_length()) is consumed by the initial
   // state; the rest is processed MSB first.
-  run(curve.b(), p.x, k, curve.order().bit_length(), s, options);
+  run(curve, p.x, k, curve.order().bit_length(), s, options);
   return s;
 }
 
@@ -195,7 +196,7 @@ LadderState LadderArith<Ops>::fixed_raw(const Curve& curve,
 
   LadderState s = ladder_zero_state_t(p.x);
   randomize_state(s, options);
-  run(curve.b(), p.x, k, iterations, s, options);
+  run(curve, p.x, k, iterations, s, options);
   return s;
 }
 

@@ -19,6 +19,13 @@
 // cswap selector type: std::uint64_t in production, Tainted<std::uint64_t>
 // in the audit build — cswap must consume it branch-free (masking), which
 // is exactly what the taint wrapper verifies.
+//
+// The doubling takes the curve's b together with the public flag
+// `b_is_one` (Curve::b_is_one, read from the curve's value): on K-163
+// (b = 1) it squares X^2 + Z^2 instead of multiplying Z^4 by b. The flag
+// is a curve constant, never secret, and the audit's ladder-classic row
+// runs on K-163, so its taint report covers the b = 1 branch the tag
+// executes; the ladder-blinded row covers the general-b branch on B-163.
 #pragma once
 
 namespace medsec::ecc {
@@ -43,12 +50,15 @@ inline void ladder_add_t(const FE& xd, const FE& x1, const FE& z1,
 
 /// x-only doubling: X3 = X^4 + b Z^4, Z3 = X^2 Z^2.
 template <class Ops, class FE>
-inline void ladder_double_t(const FE& b, const FE& x, const FE& z, FE& x3,
-                            FE& z3) {
+inline void ladder_double_t(const FE& b, bool b_is_one, const FE& x,
+                            const FE& z, FE& x3, FE& z3) {
   const FE x2 = Ops::sqr(x);
   const FE z2 = Ops::sqr(z);
   z3 = Ops::mul(x2, z2);
-  x3 = Ops::sqr_add_mul(x2, b, Ops::sqr(z2));  // x2^2 + b·z2^2, one reduction
+  if (b_is_one)
+    x3 = Ops::sqr(x2 + z2);  // X^4 + Z^4 = (X^2 + Z^2)^2
+  else
+    x3 = Ops::sqr_add_mul(x2, b, Ops::sqr(z2));  // one reduction
 }
 
 /// Unrandomized initial state for base-point x:
@@ -68,7 +78,7 @@ inline LadderStateT<FE> ladder_zero_state_t(const FE& x) {
 
 /// One ladder iteration for key bit `bit` (cswap / add+double / cswap).
 template <class Ops, class FE, class Bit>
-inline void ladder_iteration_t(const FE& b, const FE& x_base,
+inline void ladder_iteration_t(const FE& b, bool b_is_one, const FE& x_base,
                                LadderStateT<FE>& s, const Bit& bit) {
   // Constant-time role swap: after the swap, (x1, z1) is the accumulator
   // to double and (x2, z2) receives the differential add.
@@ -77,7 +87,7 @@ inline void ladder_iteration_t(const FE& b, const FE& x_base,
 
   FE xa, za, xd, zd;
   ladder_add_t<Ops>(x_base, s.x1, s.z1, s.x2, s.z2, xa, za);
-  ladder_double_t<Ops>(b, s.x1, s.z1, xd, zd);
+  ladder_double_t<Ops>(b, b_is_one, s.x1, s.z1, xd, zd);
   s.x1 = xd;
   s.z1 = zd;
   s.x2 = xa;

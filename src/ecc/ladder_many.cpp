@@ -17,14 +17,19 @@ void ladder_add_lanes(const LaneBatch& xd, const LaneBatch& x1,
   LaneBatch::mul_add_mul(xd, za, scr.t, scr.u, xa);  // xd·za + t·u
 }
 
-void ladder_double_lanes(const LaneBatch& b, const LaneBatch& x,
-                         const LaneBatch& z, LaneBatch& x3, LaneBatch& z3,
-                         LaneLadderScratch& scr) {
+void ladder_double_lanes(const LaneBatch& b, bool b_is_one,
+                         const LaneBatch& x, const LaneBatch& z,
+                         LaneBatch& x3, LaneBatch& z3, LaneLadderScratch& scr) {
   LaneBatch::sqr(x, scr.xs);
   LaneBatch::sqr(z, scr.zs);
   LaneBatch::mul(scr.xs, scr.zs, z3);
-  LaneBatch::sqr(scr.zs, scr.zss);
-  LaneBatch::sqr_add_mul(scr.xs, b, scr.zss, x3);  // xs^2 + b·zs^2
+  if (b_is_one) {
+    LaneBatch::add(scr.xs, scr.zs, scr.zss);
+    LaneBatch::sqr(scr.zss, x3);  // (xs + zs)^2
+  } else {
+    LaneBatch::sqr(scr.zs, scr.zss);
+    LaneBatch::sqr_add_mul(scr.xs, b, scr.zss, x3);  // xs^2 + b·zs^2
+  }
 }
 
 void LadderManyWorkspace::resize(std::size_t n) {
@@ -106,7 +111,8 @@ void run_lockstep(const Curve& curve, const Point* ps, std::size_t n,
     LaneBatch::cswap(ws.choices.data(), s.x1, s.x2);
     LaneBatch::cswap(ws.choices.data(), s.z1, s.z2);
     ladder_add_lanes(ws.xd, s.x1, s.z1, s.x2, s.z2, ws.xa, ws.za, ws.scr);
-    ladder_double_lanes(ws.b_lanes, s.x1, s.z1, ws.xdbl, ws.zdbl, ws.scr);
+    ladder_double_lanes(ws.b_lanes, curve.b_is_one(), s.x1, s.z1, ws.xdbl,
+                        ws.zdbl, ws.scr);
     std::swap(s.x1, ws.xdbl);
     std::swap(s.z1, ws.zdbl);
     std::swap(s.x2, ws.xa);

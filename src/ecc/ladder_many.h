@@ -96,10 +96,12 @@ void ladder_add_lanes(const LaneBatch& xd, const LaneBatch& x1,
                       const LaneBatch& z2, LaneBatch& xa, LaneBatch& za,
                       LaneLadderScratch& scr);
 
-/// Lane form of ladder_double: x3 = X^4 + b Z^4, z3 = X^2 Z^2.
-void ladder_double_lanes(const LaneBatch& b, const LaneBatch& x,
-                         const LaneBatch& z, LaneBatch& x3, LaneBatch& z3,
-                         LaneLadderScratch& scr);
+/// Lane form of ladder_double: x3 = X^4 + b Z^4, z3 = X^2 Z^2. With
+/// b_is_one (Curve::b_is_one) the b lanes are not read and x3 is
+/// (X^2 + Z^2)^2, as in the scalar doubling.
+void ladder_double_lanes(const LaneBatch& b, bool b_is_one,
+                         const LaneBatch& x, const LaneBatch& z,
+                         LaneBatch& x3, LaneBatch& z3, LaneLadderScratch& scr);
 
 struct BatchLadderOptions {
   /// Per-lane Z-randomizers (n pairs; the §7 randomized-projective-

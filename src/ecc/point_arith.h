@@ -1,8 +1,9 @@
 // point_arith.h — the point formulas, templated over a field policy.
 //
 // Affine group law and Frobenius, curve membership and the subgroup gate,
-// X9.62 (de)compression, López–Dahab doubling and mixed addition, batch
-// normalization, the comb and the interleaved MSM are static members of
+// X9.62 (de)compression, López–Dahab doubling, Frobenius and mixed
+// addition, batch normalization, the comb, the interleaved MSM and the
+// Koblitz tau-adic double multiplication are static members of
 // PointArith<Ops>, with Ops one of the gf2m/field_ops.h policies. The
 // public functions in curve.h, fixed_base.h and scalar_mult.h (and the
 // decoders in protocol/wire.h and engine/batch_verifier.h) read the active
@@ -10,8 +11,15 @@
 // operation inside a whole scalar multiplication is an inlined kernel
 // call. PointArith<ClmulOps> is instantiated only in
 // gf2m/clmul_instances.cpp (see field_ops.h).
+//
+// No formula multiplies by a curve constant that is 1 (Curve::a_is_one,
+// Curve::b_is_one): on K-163 (a = b = 1) a López–Dahab doubling costs
+// 5S + 3M instead of 5S + 6M, and the mixed addition, the membership test
+// and the decoders each drop one multiplication. The results are the same
+// field elements either way.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -20,6 +28,7 @@
 
 #include "ecc/curve.h"
 #include "ecc/fixed_base.h"
+#include "ecc/koblitz.h"
 #include "ecc/scalar_mult.h"
 #include "gf2m/field_ops.h"
 
@@ -74,6 +83,8 @@ struct PointArith {
   static LdPoint ld_double(const Curve& c, const LdPoint& p);
   static LdPoint ld_add_affine(const Curve& c, const LdPoint& p,
                                const Point& q);
+  /// tau(P) = (X^2, Y^2, Z^2): the Frobenius map in three squarings.
+  static LdPoint ld_frobenius(const LdPoint& p);
   static Point to_affine(const LdPoint& p);
   /// Affine forms of many LD points with one shared batch inversion;
   /// infinity entries come back as the point at infinity.
@@ -95,6 +106,28 @@ struct PointArith {
   static Point msm_evaluate(const Curve& c, const MsmTable& table,
                             std::size_t first, std::size_t last,
                             const Scalar& base_k);
+  /// k1·p1 + k2·p2 on a Koblitz curve for points of the prime-order
+  /// subgroup (or infinity): each scalar reduced mod delta and recoded as
+  /// a width-4 TNAF (koblitz.h), the odd multiples of msm_table, and one
+  /// chain of Frobenius maps where the wNAF path doubles.
+  static Point tau_double_mult(const Curve& c, const TauReducer& tau,
+                               const Scalar& k1, const Point& p1,
+                               const Scalar& k2, const Point& p2);
+
+ private:
+  /// v·b, skipping the multiplication when b = 1. (The a terms are fused
+  /// into sqr_add_mul when a != 1, so they branch in place.)
+  static Fe mul_b(const Curve& c, const Fe& v) {
+    return c.b_is_one() ? v : Ops::mul(c.b(), v);
+  }
+  /// (1, 3, 5, 7)·p for every point in `pts`, kOdd per point (infinity
+  /// entries stay infinity): 2p and the mixed-addition chains, each set
+  /// normalized with one shared batch inversion.
+  static std::vector<Point> odd_multiples(const Curve& c,
+                                          std::span<const Point> pts);
+  /// acc + d·p for a nonzero odd digit d, from p's odd multiples.
+  static LdPoint add_digit(const Curve& c, const LdPoint& acc,
+                           const Point* odd, int d);
 };
 
 #if MEDSEC_HAVE_CLMUL_OPS
@@ -106,11 +139,12 @@ extern template struct PointArith<gf2m::ClmulOps>;
 template <class Ops>
 bool PointArith<Ops>::is_on_curve(const Curve& c, const Point& p) {
   if (p.infinity) return true;
-  // y^2 + xy == x^3 + a x^2 + b
+  // y^2 + xy == x^3 + a x^2 + b, with x^3 + x^2 = x^2 (x + 1) when a = 1
   const Fe lhs = Ops::sqr_add_mul(p.y, p.x, p.y);
   const Fe x2 = Ops::sqr(p.x);
-  const Fe rhs = Ops::mul_add_mul(x2, p.x, c.a(), x2) + c.b();
-  return lhs == rhs;
+  const Fe cubic = c.a_is_one() ? Ops::mul(x2, p.x + Fe::one())
+                                : Ops::mul_add_mul(x2, p.x, c.a(), x2);
+  return lhs == cubic + c.b();
 }
 
 template <class Ops>
@@ -195,7 +229,7 @@ std::optional<Point> PointArith<Ops>::decompress(const Curve& c,
   // Solve y^2 + xy = x^3 + a x^2 + b. Substitute y = x*z:
   // z^2 + z = x + a + b/x^2.
   const Fe x_inv = Ops::inv(in.x);
-  const Fe rhs = in.x + c.a() + Ops::mul(c.b(), Ops::sqr(x_inv));
+  const Fe rhs = in.x + c.a() + mul_b(c, Ops::sqr(x_inv));
   if (Fe::trace(rhs) != 0) return std::nullopt;  // no solution
   Fe z = Fe::half_trace(rhs);
   // half_trace solves z^2+z=rhs when Tr(rhs)=0; pick the root with the
@@ -228,7 +262,7 @@ std::vector<std::optional<Point>> PointArith<Ops>::decode_batch(
   for (std::size_t i = 0; i < in.size(); ++i) {
     const Fe& x = in[i].x;
     if (x.is_zero()) continue;  // the order-2 point: never a protocol point
-    const Fe rhs = x + c.a() + Ops::mul(c.b(), denoms[i]);
+    const Fe rhs = x + c.a() + mul_b(c, denoms[i]);
     if (Fe::trace(rhs) != 0) continue;  // x is not on the curve
     Fe z = Fe::half_trace(rhs);
     if ((z.bit(0) ? 1 : 0) != in[i].y_bit) z += Fe::one();
@@ -246,14 +280,16 @@ LdPoint PointArith<Ops>::ld_double(const Curve& c, const LdPoint& p) {
   // HMV "Guide to ECC" Alg 3.24 for y^2 + xy = x^3 + a x^2 + b:
   //   Z3 = X1^2 Z1^2,  X3 = X1^4 + b Z1^4,
   //   Y3 = b Z1^4 Z3 + X3 (a Z3 + Y1^2 + b Z1^4).
+  // b Z1^4 is formed once; on K-163 neither constant costs a multiplication.
   const Fe x2 = Ops::sqr(p.X);
   const Fe z2 = Ops::sqr(p.Z);
-  const Fe z4 = Ops::sqr(z2);
-  const Fe bz4 = Ops::mul(c.b(), z4);
+  const Fe bz4 = mul_b(c, Ops::sqr(z2));
   LdPoint r;
   r.Z = Ops::mul(x2, z2);
-  r.X = Ops::sqr_add_mul(x2, c.b(), z4);
-  const Fe t = Ops::sqr_add_mul(p.Y, c.a(), r.Z) + bz4;
+  r.X = Ops::sqr(x2) + bz4;
+  const Fe t = (c.a_is_one() ? Ops::sqr(p.Y) + r.Z
+                             : Ops::sqr_add_mul(p.Y, c.a(), r.Z)) +
+               bz4;
   r.Y = Ops::mul_add_mul(bz4, r.Z, r.X, t);
   return r;
 }
@@ -284,7 +320,8 @@ LdPoint PointArith<Ops>::ld_add_affine(const Curve& c, const LdPoint& p,
   LdPoint r;
   r.Z = Ops::sqr(C);
   // X3 = A^2 + C (A + B^2 + a C)
-  const Fe t = A + Ops::sqr_add_mul(B, c.a(), C);
+  const Fe t = A + (c.a_is_one() ? Ops::sqr(B) + C
+                                 : Ops::sqr_add_mul(B, c.a(), C));
   r.X = Ops::sqr_add_mul(A, C, t);
   // Y3 = (E + Z3) F + G with E = A C, F = X3 + x2 Z3, G = (x2 + y2) Z3^2.
   const Fe E = Ops::mul(A, C);
@@ -297,6 +334,12 @@ LdPoint PointArith<Ops>::ld_add_affine(const Curve& c, const LdPoint& p,
   r.Y = Fe::select(p_inf, r.Y, q.y);
   r.Z = Fe::select(p_inf, r.Z, Fe::one());
   return r;
+}
+
+template <class Ops>
+LdPoint PointArith<Ops>::ld_frobenius(const LdPoint& p) {
+  // x = X/Z and y = Y/Z^2 map to x^2 and y^2.
+  return LdPoint{Ops::sqr(p.X), Ops::sqr(p.Y), Ops::sqr(p.Z)};
 }
 
 template <class Ops>
@@ -406,18 +449,51 @@ Point PointArith<Ops>::comb_mult_ct(const Curve& c, const CombTable& table,
 // --- interleaved multi-scalar multiplication --------------------------------
 
 template <class Ops>
+std::vector<Point> PointArith<Ops>::odd_multiples(const Curve& c,
+                                                  std::span<const Point> pts) {
+  constexpr std::size_t kOdd = MsmTable::kOdd;
+  const std::size_t n = pts.size();
+  // 2P for every point, normalized together (1st batch_inv).
+  std::vector<LdPoint> doubles(n, LdPoint::infinity());
+  for (std::size_t i = 0; i < n; ++i)
+    if (!pts[i].infinity)
+      doubles[i] = ld_double(c, LdPoint::from_affine(pts[i]));
+  const std::vector<Point> two_p = normalize_ld_batch(doubles);
+
+  // Odd multiples 1P, 3P, 5P, 7P per point — a mixed-addition chain in
+  // projective coordinates, normalized together (2nd batch_inv).
+  std::vector<LdPoint> odd_ld(n * kOdd, LdPoint::infinity());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pts[i].infinity) continue;
+    LdPoint acc = LdPoint::from_affine(pts[i]);
+    odd_ld[i * kOdd] = acc;
+    for (std::size_t j = 1; j < kOdd; ++j) {
+      acc = ld_add_affine(c, acc, two_p[i]);
+      odd_ld[i * kOdd + j] = acc;
+    }
+  }
+  return normalize_ld_batch(odd_ld);
+}
+
+template <class Ops>
+LdPoint PointArith<Ops>::add_digit(const Curve& c, const LdPoint& acc,
+                                   const Point* odd, int d) {
+  const Point& m = odd[static_cast<std::size_t>(d > 0 ? d : -d) / 2];
+  return ld_add_affine(c, acc, d > 0 ? m : c.negate(m));
+}
+
+template <class Ops>
 void PointArith<Ops>::msm_table(const Curve& c, std::span<const MsmTerm> terms,
                                 const Point& base, MsmTable& t) {
-  constexpr std::size_t kOdd = MsmTable::kOdd;
   const std::size_t n = terms.size();
   // A reduced scalar has at most bit_length(order) + 1 wNAF digits, the
   // base's included, so every evaluation's chain fits in these rows.
   t.digits_.assign((c.order().bit_length() + 1) * n, 0);
   t.lengths_.assign(n, 0);
 
-  // Digits per term, and 2P for every point that contributes (the base's
-  // last), normalized together (1st batch_inv).
-  std::vector<LdPoint> doubles(n + 1, LdPoint::infinity());
+  // Digits per term; the points that contribute (the base last) get odd
+  // multiples.
+  std::vector<Point> pts(n + 1);
   for (std::size_t i = 0; i < n; ++i) {
     if (terms[i].p.infinity) continue;
     const Scalar k = c.scalar_ring().reduce(terms[i].k);
@@ -426,25 +502,10 @@ void PointArith<Ops>::msm_table(const Curve& c, std::span<const MsmTerm> terms,
     for (std::size_t j = 0; j < digits.size(); ++j)
       t.digits_[j * n + i] = static_cast<std::int8_t>(digits[j]);
     t.lengths_[i] = digits.size();
-    doubles[i] = ld_double(c, LdPoint::from_affine(terms[i].p));
+    pts[i] = terms[i].p;
   }
-  if (!base.infinity) doubles[n] = ld_double(c, LdPoint::from_affine(base));
-  const std::vector<Point> two_p = normalize_ld_batch(doubles);
-
-  // Odd multiples 1P, 3P, 5P, 7P per contributing point — a mixed-addition
-  // chain in projective coordinates, normalized together (2nd batch_inv).
-  std::vector<LdPoint> odd_ld((n + 1) * kOdd, LdPoint::infinity());
-  for (std::size_t i = 0; i <= n; ++i) {
-    const bool contributes = i < n ? t.lengths_[i] != 0 : !base.infinity;
-    if (!contributes) continue;
-    LdPoint acc = LdPoint::from_affine(i < n ? terms[i].p : base);
-    odd_ld[i * kOdd] = acc;
-    for (std::size_t j = 1; j < kOdd; ++j) {
-      acc = ld_add_affine(c, acc, two_p[i]);
-      odd_ld[i * kOdd + j] = acc;
-    }
-  }
-  t.odd_ = normalize_ld_batch(odd_ld);
+  pts[n] = base;
+  t.odd_ = odd_multiples(c, pts);
 }
 
 template <class Ops>
@@ -463,10 +524,6 @@ Point PointArith<Ops>::msm_evaluate(const Curve& c, const MsmTable& t,
   for (std::size_t i = first; i < last; ++i)
     if (t.lengths_[i] > top) top = t.lengths_[i];
 
-  const auto add_digit = [&c](const LdPoint& acc, const Point* odd, int d) {
-    const Point& m = odd[static_cast<std::size_t>(d > 0 ? d : -d) / 2];
-    return ld_add_affine(c, acc, d > 0 ? m : c.negate(m));
-  };
   // One shared doubling chain, interleaved wNAF additions; doubling starts
   // at the first addition.
   LdPoint acc = LdPoint::infinity();
@@ -474,9 +531,51 @@ Point PointArith<Ops>::msm_evaluate(const Curve& c, const MsmTable& t,
     if (!acc.is_infinity()) acc = ld_double(c, acc);
     const std::int8_t* row = t.digits_.data() + j * n;
     for (std::size_t i = first; i < last; ++i)
-      if (row[i] != 0) acc = add_digit(acc, t.odd_.data() + i * kOdd, row[i]);
+      if (row[i] != 0)
+        acc = add_digit(c, acc, t.odd_.data() + i * kOdd, row[i]);
     if (j < base_digits.size() && base_digits[j] != 0)
-      acc = add_digit(acc, base_odd, base_digits[j]);
+      acc = add_digit(c, acc, base_odd, base_digits[j]);
+  }
+  return to_affine(acc);
+}
+
+template <class Ops>
+Point PointArith<Ops>::tau_double_mult(const Curve& c, const TauReducer& tau,
+                                       const Scalar& k1, const Point& p1,
+                                       const Scalar& k2, const Point& p2) {
+  // The digits are odd in (-8, 8), the range of the (1, 3, 5, 7)·p tables.
+  static_assert(TauReducer::kWidth == MsmTable::kWidth);
+  constexpr std::size_t kOdd = MsmTable::kOdd;
+  // TNAF digits of each scalar mod n, then mod delta: ~m digits where the
+  // unreduced scalar would need ~2m. delta·P = O on the prime-order
+  // subgroup, so the reduced scalar acts as k there.
+  std::int8_t digits[2][TauReducer::kMaxDigits];
+  std::size_t lengths[2] = {0, 0};
+  Point pts[2] = {p1, p2};
+  const Scalar* ks[2] = {&k1, &k2};
+  for (std::size_t i = 0; i < 2; ++i) {
+    if (pts[i].infinity) continue;
+    lengths[i] = tau.digits(tau.reduce(c.scalar_ring().reduce(*ks[i])),
+                            digits[i]);
+    if (lengths[i] == 0) pts[i] = Point::at_infinity();
+  }
+  // (1, 3, 5, 7)·p per point; the generator's come with the curve's
+  // tables (every protocol caller passes it as p1).
+  const TauNafPrecomp& gen = generator_tau_precomp(c);
+  const bool p1_is_g = pts[0] == gen.base;
+  const std::vector<Point> table =
+      odd_multiples(c, std::span(pts + (p1_is_g ? 1 : 0), p1_is_g ? 1 : 2));
+  const Point* odd[2] = {p1_is_g ? gen.odd.data() : table.data(),
+                         table.data() + (p1_is_g ? 0 : kOdd)};
+
+  // Horner in tau: one chain of Frobenius maps (three squarings each) in
+  // place of the doublings, interleaved additions of the digit multiples.
+  LdPoint acc = LdPoint::infinity();
+  for (std::size_t j = std::max(lengths[0], lengths[1]); j-- > 0;) {
+    if (!acc.is_infinity()) acc = ld_frobenius(acc);
+    for (std::size_t i = 0; i < 2; ++i)
+      if (j < lengths[i] && digits[i][j] != 0)
+        acc = add_digit(c, acc, odd[i], digits[i][j]);
   }
   return to_affine(acc);
 }

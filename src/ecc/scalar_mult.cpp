@@ -91,6 +91,17 @@ Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
 
 Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,
                          const Scalar& k2, const Point& p2) {
+  // The tau path replaces k by k mod delta, which acts as k only on points
+  // of odd order n: both points must pass the O(1) subgroup gate.
+  const auto in_subgroup = [&curve](const Point& p) {
+    return p.infinity || curve.validate_subgroup_point(p);
+  };
+  if (const TauReducer* tau = tau_reducer(curve);
+      tau != nullptr && in_subgroup(p1) && in_subgroup(p2)) {
+    return gf2m::with_field_ops([&]<class Ops>(Ops) {
+      return PointArith<Ops>::tau_double_mult(curve, *tau, k1, p1, k2, p2);
+    });
+  }
   const MsmTerm terms[2] = {{k1, p1}, {k2, p2}};
   return multi_scalar_mult(curve, terms);
 }

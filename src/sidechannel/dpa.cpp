@@ -152,8 +152,10 @@ DpaResult ladder_dpa_attack(const Curve& curve, const DpaExperiment& exp,
           // accumulator, hyp 1 the high one). One add + two doublings
           // replaces the reference path's two full ladder iterations.
           ecc::ladder_add_lanes(xd, st.x1, st.z1, st.x2, st.z2, xa, za, scr);
-          ecc::ladder_double_lanes(blanes, st.x1, st.z1, xd0, zd0, scr);
-          ecc::ladder_double_lanes(blanes, st.x2, st.z2, xd1, zd1, scr);
+          ecc::ladder_double_lanes(blanes, curve.b_is_one(), st.x1, st.z1,
+                                   xd0, zd0, scr);
+          ecc::ladder_double_lanes(blanes, curve.b_is_one(), st.x2, st.z2,
+                                   xd1, zd1, scr);
 
           for (std::size_t l = 0; l < gn; ++l) {
             const std::size_t j = g0 + l;

@@ -76,7 +76,7 @@ ecc::LadderState shuffled_ladder_raw_t(
       st = &real;
       xd = &x;
     }
-    ecc::ladder_iteration_t<Ops>(b, *xd, *st, bit);
+    ecc::ladder_iteration_t<Ops>(b, curve.b_is_one(), *xd, *st, bit);
     if (has_observer) {
       observer(ecc::LadderObservation{
           .bit_index = total - 1 - s,

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "ecc/fixed_base.h"
@@ -311,15 +314,63 @@ TEST(FixedBaseComb, EdgeScalars) {
 }
 
 TEST(FixedBaseComb, LdScalarMultMatchesReference) {
-  const Curve& c = Curve::b163();
-  Xoshiro256 rng(1111);
-  for (int i = 0; i < 10; ++i) {
-    const Scalar k = rng.uniform_nonzero(c.order());
-    const Point p = medsec::ecc::montgomery_ladder(
-        c, rng.uniform_nonzero(c.order()), c.base_point());
-    EXPECT_EQ(medsec::ecc::scalar_mult_ld(c, k, p),
-              c.scalar_mult_reference(k, p));
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    Xoshiro256 rng(1111);
+    for (int i = 0; i < 10; ++i) {
+      const Scalar k = rng.uniform_nonzero(c->order());
+      const Point p = medsec::ecc::montgomery_ladder(
+          *c, rng.uniform_nonzero(c->order()), c->base_point());
+      EXPECT_EQ(medsec::ecc::scalar_mult_ld(*c, k, p),
+                c->scalar_mult_reference(k, p))
+          << c->name();
+    }
   }
+}
+
+/// A Curve built from src's parameters (not a copy of src).
+std::unique_ptr<Curve> rebuilt(const Curve& src) {
+  return std::make_unique<Curve>("rebuilt " + src.name(), src.a(), src.b(),
+                                 src.base_point().x, src.base_point().y,
+                                 src.order(), src.cofactor());
+}
+
+TEST(FixedBaseComb, HeapCurvesGetTheirOwnGeneratorTables) {
+  // Heap curves from K-163, then B-163, then K-163 again, each freed before
+  // the next is made (so an address may come back): copies, and curves
+  // rebuilt from the same parameters. Each finds its own generator's
+  // tables — the one set per parameter set.
+  for (const bool copy : {true, false}) {
+    for (const Curve* src :
+         {&Curve::k163(), &Curve::b163(), &Curve::k163()}) {
+      const auto c = copy ? std::make_unique<Curve>(*src) : rebuilt(*src);
+      const auto& comb = medsec::ecc::generator_comb(*c);
+      EXPECT_EQ(comb.base(), src->base_point()) << src->name();
+      EXPECT_EQ(comb.mult(Scalar{3}),
+                src->scalar_mult_reference(Scalar{3}, src->base_point()))
+          << src->name();
+      EXPECT_EQ(&comb, &medsec::ecc::generator_comb(*src)) << src->name();
+      EXPECT_EQ(medsec::ecc::generator_tau_precomp(*c).base,
+                src->base_point());
+      EXPECT_EQ(medsec::ecc::tau_reducer(*c), medsec::ecc::tau_reducer(*src));
+    }
+  }
+}
+
+TEST(FixedBaseComb, ConcurrentFirstLookupsAgree) {
+  // Fresh curves looked up from four threads at once: every lookup lands
+  // on the one comb of its parameter set.
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([t, &wrong] {
+      const Curve& src = t % 2 != 0 ? Curve::b163() : Curve::k163();
+      for (int i = 0; i < 25; ++i)
+        if (&medsec::ecc::generator_comb(*rebuilt(src)) !=
+            &medsec::ecc::generator_comb(src))
+          ++wrong;
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // --- per-call dispatch: every top-level operation, every backend -----------

@@ -295,38 +295,42 @@ TEST(CtAudit, TaintFeMatchesGf163) {
 }
 
 TEST(CtAudit, TaintLadderCleanAndMatchesProduction) {
-  const Curve& curve = Curve::b163();
-  Xoshiro256 rng(23);
-  const auto k = rng.uniform_nonzero(curve.order());
+  // Both curves: ladder_double_t takes its b = 1 branch on K-163 and its
+  // general-b branch on B-163.
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    const Curve& curve = *c;
+    Xoshiro256 rng(23);
+    const auto k = rng.uniform_nonzero(curve.order());
 
-  // Classic constant-length ladder: audit must be violation-free AND
-  // produce the exact production ladder state (same template, same
-  // formulas — this is the no-drift guarantee).
-  const auto classic =
-      ct::taint_audit_ladder_classic(curve, k, curve.base_point());
-  EXPECT_TRUE(classic.report.clean())
-      << "violations: " << classic.report.violations.size();
-  EXPECT_GT(classic.report.ops, 1000u);  // 163 iterations of field work
-  const auto prod =
-      medsec::ecc::montgomery_ladder_raw(curve, k, curve.base_point(), {});
-  EXPECT_EQ(classic.state.x1, prod.x1);
-  EXPECT_EQ(classic.state.z1, prod.z1);
-  EXPECT_EQ(classic.state.x2, prod.x2);
-  EXPECT_EQ(classic.state.z2, prod.z2);
+    // Classic constant-length ladder: audit must be violation-free AND
+    // produce the exact production ladder state (same template, same
+    // formulas — this is the no-drift guarantee).
+    const auto classic =
+        ct::taint_audit_ladder_classic(curve, k, curve.base_point());
+    EXPECT_TRUE(classic.report.clean())
+        << "violations: " << classic.report.violations.size();
+    EXPECT_GT(classic.report.ops, 1000u);  // 163 iterations of field work
+    const auto prod =
+        medsec::ecc::montgomery_ladder_raw(curve, k, curve.base_point(), {});
+    EXPECT_EQ(classic.state.x1, prod.x1);
+    EXPECT_EQ(classic.state.z1, prod.z1);
+    EXPECT_EQ(classic.state.x2, prod.x2);
+    EXPECT_EQ(classic.state.z2, prod.z2);
 
-  // Blinded fixed-length ladder, same contract.
-  const auto kp = medsec::sidechannel::blind_scalar(curve, k, 0xABCD1234u);
-  const std::size_t iters =
-      medsec::sidechannel::blinded_ladder_iterations(curve, 32);
-  const auto blinded =
-      ct::taint_audit_ladder_blinded(curve, kp, iters, curve.base_point());
-  EXPECT_TRUE(blinded.report.clean());
-  const auto prod_b = medsec::ecc::montgomery_ladder_fixed_raw(
-      curve, kp, iters, curve.base_point(), {});
-  EXPECT_EQ(blinded.state.x1, prod_b.x1);
-  EXPECT_EQ(blinded.state.z1, prod_b.z1);
-  EXPECT_EQ(blinded.state.x2, prod_b.x2);
-  EXPECT_EQ(blinded.state.z2, prod_b.z2);
+    // Blinded fixed-length ladder, same contract.
+    const auto kp = medsec::sidechannel::blind_scalar(curve, k, 0xABCD1234u);
+    const std::size_t iters =
+        medsec::sidechannel::blinded_ladder_iterations(curve, 32);
+    const auto blinded =
+        ct::taint_audit_ladder_blinded(curve, kp, iters, curve.base_point());
+    EXPECT_TRUE(blinded.report.clean());
+    const auto prod_b = medsec::ecc::montgomery_ladder_fixed_raw(
+        curve, kp, iters, curve.base_point(), {});
+    EXPECT_EQ(blinded.state.x1, prod_b.x1);
+    EXPECT_EQ(blinded.state.z1, prod_b.z1);
+    EXPECT_EQ(blinded.state.x2, prod_b.x2);
+    EXPECT_EQ(blinded.state.z2, prod_b.z2);
+  }
 }
 
 TEST(CtAudit, TaintToysAreFlagged) {

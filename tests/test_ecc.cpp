@@ -1,9 +1,12 @@
 // Unit, property and cross-check tests for the elliptic-curve layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "ecc/curve.h"
+#include "ecc/fixed_base.h"
+#include "ecc/koblitz.h"
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
 #include "rng/xoshiro.h"
@@ -14,7 +17,9 @@ using medsec::bigint::U192;
 using medsec::ecc::Curve;
 using medsec::ecc::Fe;
 using medsec::ecc::LadderOptions;
+using medsec::ecc::LdPoint;
 using medsec::ecc::montgomery_ladder;
+using medsec::ecc::MsmTerm;
 using medsec::ecc::MultAlgorithm;
 using medsec::ecc::MultOptions;
 using medsec::ecc::MultStats;
@@ -113,27 +118,29 @@ TEST(Curve, ValidateSubgroupPoint) {
 }
 
 TEST(Curve, CompressDecompressRoundTrip) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(101);
-  Point p = c.base_point();
-  for (int i = 0; i < 10; ++i) {
-    const auto comp = c.compress(p);
-    const auto back = c.decompress(comp);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, p);
-    p = c.dbl(p);
+  // Both curves: the decoder skips its multiplication by b on K-163 only.
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    Point p = c->base_point();
+    for (int i = 0; i < 10; ++i) {
+      const auto comp = c->compress(p);
+      const auto back = c->decompress(comp);
+      ASSERT_TRUE(back.has_value()) << c->name();
+      EXPECT_EQ(*back, p) << c->name();
+      p = c->dbl(p);
+    }
   }
 }
 
 TEST(Curve, DecompressRejectsNonResidue) {
-  const Curve& c = Curve::k163();
-  // Find an x with no curve point: z^2 + z = x + a + b/x^2 unsolvable.
-  int rejected = 0;
-  for (std::uint64_t x0 = 2; x0 < 40 && rejected == 0; ++x0) {
-    const auto r = c.decompress({Fe{x0}, 0});
-    if (!r.has_value()) ++rejected;
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    // Find an x with no curve point: z^2 + z = x + a + b/x^2 unsolvable.
+    int rejected = 0;
+    for (std::uint64_t x0 = 2; x0 < 40 && rejected == 0; ++x0) {
+      const auto r = c->decompress({Fe{x0}, 0});
+      if (!r.has_value()) ++rejected;
+    }
+    EXPECT_EQ(rejected, 1) << c->name();
   }
-  EXPECT_EQ(rejected, 1);
 }
 
 // --- Montgomery ladder vs reference ------------------------------------------
@@ -385,6 +392,264 @@ TEST(Ladder, ConstantLengthScalarHasFixedLengthAndResidue) {
           << c->name() << " k=" << k.to_hex();
       EXPECT_EQ(padded.mod(n), k.mod(n)) << c->name() << " k=" << k.to_hex();
     }
+  }
+}
+
+// --- tau-adic k·G + l·Q (K-163) ---------------------------------------------
+
+/// v mod n for a signed 128-bit v.
+Scalar signed_mod_n(const Curve& c, __int128 v) {
+  const unsigned __int128 m = v < 0 ? -static_cast<unsigned __int128>(v)
+                                    : static_cast<unsigned __int128>(v);
+  Scalar s;
+  s.set_limb(0, static_cast<std::uint64_t>(m));
+  s.set_limb(1, static_cast<std::uint64_t>(m >> 64));
+  s = c.scalar_ring().reduce(s);
+  return v < 0 ? c.scalar_ring().neg(s) : s;
+}
+
+/// k's width-4 TNAF after reduction mod n and mod delta: the digits the
+/// tau path of double_scalar_mult adds.
+std::vector<int> reduced_tnaf(const Curve& c, const Scalar& k) {
+  const medsec::ecc::TauReducer& tau = *medsec::ecc::tau_reducer(c);
+  std::int8_t buf[medsec::ecc::TauReducer::kMaxDigits];
+  const std::size_t len =
+      tau.digits(tau.reduce(c.scalar_ring().reduce(k)), buf);
+  return std::vector<int>(buf, buf + len);
+}
+
+/// tau's eigenvalue on <G>: the root lambda of x^2 - mu*x + 2 (mod n)
+/// with tau(G) = lambda·G.
+Scalar frobenius_eigenvalue(const Curve& c) {
+  const auto& ring = c.scalar_ring();
+  const Scalar& n = c.order();
+  // x = (mu +- sqrt(mu^2 - 8)) / 2; n = 3 (mod 4), so sqrt(d) = d^((n+1)/4).
+  EXPECT_TRUE(n.bit(0) && n.bit(1));
+  const Scalar disc = ring.sub(Scalar{1}, Scalar{8});
+  const Scalar root = ring.pow(disc, (n + Scalar{1}) >> 2);
+  EXPECT_EQ(ring.mul(root, root), disc);
+  const Scalar half = *ring.inv(Scalar{2});
+  const Scalar mu =
+      c.frobenius_trace_mu() == 1 ? Scalar{1} : ring.neg(Scalar{1});
+  for (const Scalar& r : {root, ring.neg(root)}) {
+    const Scalar lambda = ring.mul(ring.add(mu, r), half);
+    if (c.frobenius(c.base_point()) ==
+        c.scalar_mult_reference(lambda, c.base_point()))
+      return lambda;
+  }
+  ADD_FAILURE() << "no root of x^2 - mu*x + 2 acts as tau on G";
+  return Scalar{};
+}
+
+TEST(TauAdic, PartialReductionIsShortAndCongruent) {
+  const Curve& c = Curve::k163();
+  const auto& ring = c.scalar_ring();
+  const Scalar& n = c.order();
+  const Scalar lambda = frobenius_eigenvalue(c);
+  const medsec::ecc::TauReducer* tau = medsec::ecc::tau_reducer(c);
+  ASSERT_NE(tau, nullptr);
+  std::vector<Scalar> ks = {
+      Scalar{0},      Scalar{1},          n - Scalar{1},
+      n,              n + Scalar{1},      n + n - Scalar{1},
+      Scalar{1}.shl(163),
+      Scalar::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffff")};
+  Xoshiro256 rng(0x7A0);
+  for (int i = 0; i < 10000; ++i) {
+    if (i % 4 == 3) {  // scalars >= n reduce mod n first
+      Scalar k;
+      for (std::size_t l = 0; l < Scalar::kLimbs; ++l)
+        k.set_limb(l, rng.next_u64());
+      ks.push_back(k);
+    } else {
+      ks.push_back(rng.uniform_nonzero(n));
+    }
+  }
+
+  const __int128 bound = static_cast<__int128>(1) << 82;
+  std::size_t longest = 0, total = 0;
+  for (const Scalar& k : ks) {
+    const Scalar want = ring.reduce(k);
+    const medsec::ecc::TauElement rho = tau->reduce(want);
+    ASSERT_TRUE(rho.r0 < bound && rho.r0 > -bound) << k.to_hex();
+    ASSERT_TRUE(rho.r1 < bound && rho.r1 > -bound) << k.to_hex();
+    // r0 + r1·lambda = k (mod n): rho acts on <G> as k does.
+    ASSERT_EQ(ring.add(signed_mod_n(c, rho.r0),
+                       ring.mul(signed_mod_n(c, rho.r1), lambda)),
+              want)
+        << k.to_hex();
+
+    const std::vector<int> digits = reduced_tnaf(c, k);
+    longest = std::max(longest, digits.size());
+    total += digits.size();
+    Scalar horner;  // sum of digits[j]·lambda^j
+    for (std::size_t j = digits.size(); j-- > 0;) {
+      const int d = digits[j];
+      const Scalar u{static_cast<std::uint64_t>(d < 0 ? -d : d)};
+      horner = ring.add(ring.mul(horner, lambda), d < 0 ? ring.neg(u) : u);
+      if (d == 0) continue;
+      ASSERT_TRUE(d % 2 != 0 && d > -8 && d < 8) << "digit " << d;
+      for (std::size_t z = 1; z <= 3 && j + z < digits.size(); ++z)
+        ASSERT_EQ(digits[j + z], 0) << "at " << j << "+" << z;
+    }
+    ASSERT_EQ(horner, want) << k.to_hex();
+    if (want.is_zero()) EXPECT_TRUE(digits.empty());
+  }
+  // N(rho) <= (4/7)n puts rho at ~161 bits; the integer digits (+-1..+-7,
+  // so the (1, 3, 5, 7)·P tables serve) add up to ~11.6 digits of tail
+  // over log2 N(rho) for the worst small remainders, so no expansion
+  // passes 172 digits, and the typical one has ~163 (the unreduced
+  // integer expansion has ~330).
+  EXPECT_LE(longest, 172u);
+  EXPECT_LT(static_cast<double>(total) / ks.size(), 165.0);
+}
+
+TEST(TauAdic, DoubleScalarMultMatchesMsmTableAndReference) {
+  const Curve& c = Curve::k163();
+  const auto& ring = c.scalar_ring();
+  const Scalar& n = c.order();
+  const Point& g = c.base_point();
+  Xoshiro256 rng(0x7A1);
+
+  // got = k1·G + k2·Q on the tau path, against the two-term MsmTable
+  // (wNAF, doubling chain) and the affine reference.
+  const auto check = [&](const Scalar& k1, const Point& p1, const Scalar& k2,
+                         const Point& p2, const Point& want) {
+    const MsmTerm terms[2] = {{k1, p1}, {k2, p2}};
+    const Point got = medsec::ecc::double_scalar_mult(c, k1, p1, k2, p2);
+    EXPECT_EQ(got, medsec::ecc::multi_scalar_mult(c, terms))
+        << k1.to_hex() << " " << k2.to_hex();
+    EXPECT_EQ(got, want) << k1.to_hex() << " " << k2.to_hex();
+  };
+
+  for (int i = 0; i < 1000; ++i) {
+    // Q = m·G from the ladder; the reference is (k1 + k2·m)·G.
+    const Scalar m = rng.uniform_nonzero(n);
+    const Point q = montgomery_ladder(c, m, g);
+    Scalar k1 = rng.uniform_nonzero(n), k2 = rng.uniform_nonzero(n);
+    if (i % 8 == 7) k2 = k2 + n;  // a scalar >= n
+    const Scalar s = ring.add(ring.reduce(k1), ring.mul(ring.reduce(k2), m));
+    check(k1, g, k2, q, c.scalar_mult_reference(s, g));
+    // p1 != G: both points' odd multiples come from one table build.
+    if (i % 16 == 0) check(k2, q, k1, g, c.scalar_mult_reference(s, g));
+  }
+
+  // Q in {G, -G, O}, a sum that cancels to O, and zero scalars.
+  const Scalar k1 = rng.uniform_nonzero(n), k2 = rng.uniform_nonzero(n);
+  const Point o = Point::at_infinity();
+  check(k1, g, k2, g, c.scalar_mult_reference(ring.add(k1, k2), g));
+  check(k1, g, k2, c.negate(g), c.scalar_mult_reference(ring.sub(k1, k2), g));
+  check(k1, g, k2, o, c.scalar_mult_reference(k1, g));
+  check(k1, o, k2, g, c.scalar_mult_reference(k2, g));
+  check(k1, o, k2, o, o);
+  check(k1, c.negate(g), k2, g, c.scalar_mult_reference(ring.sub(k2, k1), g));
+  const Scalar m = rng.uniform_nonzero(n);
+  const Point q = montgomery_ladder(c, m, g);
+  check(ring.neg(ring.mul(k2, m)), g, k2, q, o);  // k1·G = -k2·Q
+  check(Scalar{}, g, k2, q, c.scalar_mult_reference(ring.mul(k2, m), g));
+  check(k1, g, Scalar{}, q, c.scalar_mult_reference(k1, g));
+  check(Scalar{}, g, Scalar{}, q, o);
+  check(n, g, n + Scalar{1}, q, q);
+}
+
+/// Horner over k's reduced TNAF digits on p with the affine group law:
+/// what the tau path would compute for p.
+Point reduced_tnaf_eval(const Curve& c, const Scalar& k, const Point& p) {
+  Point acc = Point::at_infinity();
+  const std::vector<int> digits = reduced_tnaf(c, k);
+  for (std::size_t j = digits.size(); j-- > 0;) {
+    acc = c.frobenius(acc);
+    const int d = digits[j];
+    if (d == 0) continue;
+    const Scalar u{static_cast<std::uint64_t>(d < 0 ? -d : d)};
+    const Point m = c.scalar_mult_reference(u, p);
+    acc = c.add(acc, d < 0 ? c.negate(m) : m);
+  }
+  return acc;
+}
+
+TEST(TauAdic, PointOutsideTheSubgroupTakesTheWnafPath) {
+  const Curve& c = Curve::k163();
+  const Point& g = c.base_point();
+  Xoshiro256 rng(0x7A2);
+  // Q + (0, sqrt(b)): on the curve, order 2n, refused by the subgroup gate.
+  const Point t = Point::affine(Fe::zero(), Fe::sqrt(c.b()));
+  const Point q =
+      c.add(montgomery_ladder(c, rng.uniform_nonzero(c.order()), g), t);
+  ASSERT_TRUE(c.is_on_curve(q));
+  ASSERT_FALSE(c.validate_subgroup_point(q));
+
+  int tau_would_miss = 0;
+  for (int i = 0; i < 16; ++i) {
+    const Scalar k1 = rng.uniform_nonzero(c.order());
+    const Scalar k2 = rng.uniform_nonzero(c.order());
+    const Point want =
+        c.add(c.scalar_mult_reference(k1, g), c.scalar_mult_reference(k2, q));
+    EXPECT_EQ(medsec::ecc::double_scalar_mult(c, k1, g, k2, q), want);
+    EXPECT_EQ(medsec::ecc::double_scalar_mult(c, k2, q, k1, g), want);
+    // k mod delta does not act as k on q, so the tau path would be wrong
+    // for some of these scalars: the fallback is needed, not just taken.
+    if (reduced_tnaf_eval(c, k2, q) != c.scalar_mult_reference(k2, q))
+      ++tau_would_miss;
+    EXPECT_EQ(reduced_tnaf_eval(c, k2, g), c.scalar_mult_reference(k2, g));
+  }
+  EXPECT_GT(tau_would_miss, 0);
+}
+
+TEST(TauAdic, B163StaysOnTheMsmTable) {
+  const Curve& b = Curve::b163();
+  // No reducer (b != 1), so double_scalar_mult builds a two-term MsmTable.
+  EXPECT_EQ(medsec::ecc::tau_reducer(b), nullptr);
+  EXPECT_NE(medsec::ecc::tau_reducer(Curve::k163()), nullptr);
+  Xoshiro256 rng(0x7A3);
+  for (int i = 0; i < 4; ++i) {
+    const Scalar k1 = rng.uniform_nonzero(b.order());
+    const Scalar k2 = rng.uniform_nonzero(b.order());
+    const Point q = montgomery_ladder(b, rng.uniform_nonzero(b.order()),
+                                      b.base_point());
+    EXPECT_EQ(medsec::ecc::double_scalar_mult(b, k1, b.base_point(), k2, q),
+              b.add(b.scalar_mult_reference(k1, b.base_point()),
+                    b.scalar_mult_reference(k2, q)));
+  }
+}
+
+// --- formulas without multiplications by a = 1 or b = 1 --------------------
+
+TEST(LopezDahab, FormulasAgreeWithAffineOnBothCurves) {
+  // K-163 has a = b = 1, B-163 a = 1 and a general b: each constant-free
+  // branch and each general one runs on one of them.
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    Xoshiro256 rng(0x1D);
+    Point p = montgomery_ladder(*c, rng.uniform_nonzero(c->order()),
+                                c->base_point());
+    for (int i = 0; i < 32; ++i) {
+      const Point q = montgomery_ladder(*c, rng.uniform_nonzero(c->order()),
+                                        c->base_point());
+      // A projective P with a random Z: (x·Z, y·Z^2, Z).
+      const Fe z = Fe::from_bits(rng.uniform_nonzero(c->order()));
+      const LdPoint lp{Fe::mul(p.x, z), Fe::mul(p.y, Fe::sqr(z)), z};
+      EXPECT_EQ(medsec::ecc::ld_double(*c, lp).to_affine(), c->dbl(p))
+          << c->name();
+      EXPECT_EQ(medsec::ecc::ld_add_affine(*c, lp, q).to_affine(),
+                c->add(p, q))
+          << c->name();
+      EXPECT_EQ(medsec::ecc::ld_add_affine(*c, lp, p).to_affine(), c->dbl(p))
+          << c->name();
+      EXPECT_TRUE(
+          medsec::ecc::ld_add_affine(*c, lp, c->negate(p)).is_infinity());
+      EXPECT_EQ(medsec::ecc::ld_add_affine(*c, LdPoint::infinity(), q)
+                    .to_affine(),
+                q);
+
+      // The x-only ladder steps: 2P and P + Q from the difference Q - P.
+      Fe x3, z3;
+      medsec::ecc::ladder_double(c->b(), lp.X, lp.Z, x3, z3);
+      EXPECT_EQ(Fe::mul(x3, Fe::inv(z3)), c->dbl(p).x) << c->name();
+      const Point diff = c->add(q, c->negate(p));
+      medsec::ecc::ladder_add(diff.x, p.x, Fe::one(), q.x, Fe::one(), x3, z3);
+      EXPECT_EQ(Fe::mul(x3, Fe::inv(z3)), c->add(p, q).x) << c->name();
+      p = c->add(p, q);
+    }
+    EXPECT_TRUE(medsec::ecc::ld_double(*c, LdPoint::infinity()).is_infinity());
   }
 }
 

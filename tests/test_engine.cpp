@@ -90,16 +90,19 @@ TEST(Msm, HandlesDegenerateTerms) {
 }
 
 TEST(Msm, DoubleScalarShamir) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(3);
-  for (int i = 0; i < 5; ++i) {
-    const Point p = random_subgroup_point(c, rng);
-    const Point q = random_subgroup_point(c, rng);
-    const Scalar a = rng.uniform_nonzero(c.order());
-    const Scalar b = rng.uniform_nonzero(c.order());
-    EXPECT_EQ(medsec::ecc::double_scalar_mult(c, a, p, b, q),
-              c.add(c.scalar_mult_reference(a, p),
-                    c.scalar_mult_reference(b, q)));
+  // K-163 runs tau-adic, B-163 on the two-term MsmTable.
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    Xoshiro256 rng(3);
+    for (int i = 0; i < 5; ++i) {
+      const Point p = random_subgroup_point(*c, rng);
+      const Point q = random_subgroup_point(*c, rng);
+      const Scalar a = rng.uniform_nonzero(c->order());
+      const Scalar b = rng.uniform_nonzero(c->order());
+      EXPECT_EQ(medsec::ecc::double_scalar_mult(*c, a, p, b, q),
+                c->add(c->scalar_mult_reference(a, p),
+                       c->scalar_mult_reference(b, q)))
+          << c->name();
+    }
   }
 }
 
@@ -138,35 +141,39 @@ TEST(SubgroupGate, FastPathAgreesWithExactCheck) {
 // --- batch point decoding ----------------------------------------------------
 
 TEST(BatchDecode, AgreesWithSingleDecode) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(5);
-  std::vector<std::vector<std::uint8_t>> wires;
-  // Valid points.
-  for (int i = 0; i < 6; ++i)
-    wires.push_back(proto::encode_point(c, random_subgroup_point(c, rng)));
-  // Infinity, bad prefix, truncation, garbage, order-2 point, random x.
-  wires.push_back(std::vector<std::uint8_t>(1 + proto::kFeBytes, 0x00));
-  auto bad_prefix = wires[0];
-  bad_prefix[0] = 0x07;
-  wires.push_back(bad_prefix);
-  wires.push_back({0x02, 0xab});
-  wires.push_back(std::vector<std::uint8_t>(1 + proto::kFeBytes, 0xff));
-  wires.push_back(
-      proto::encode_point(c, Point::affine(Fe::zero(), Fe::sqrt(c.b()))));
-  for (int i = 0; i < 40; ++i) {
-    std::vector<std::uint8_t> w(1 + proto::kFeBytes);
-    rng.fill(w);
-    w[0] = (i & 1) ? 0x02 : 0x03;
-    w[1] &= 0x07;  // keep the top bits plausible
-    wires.push_back(w);
-  }
+  for (const Curve* curve : {&Curve::k163(), &Curve::b163()}) {
+    const Curve& c = *curve;  // the decoders skip the b multiply on K-163
+    Xoshiro256 rng(5);
+    std::vector<std::vector<std::uint8_t>> wires;
+    // Valid points.
+    for (int i = 0; i < 6; ++i)
+      wires.push_back(proto::encode_point(c, random_subgroup_point(c, rng)));
+    // Infinity, bad prefix, truncation, garbage, order-2 point, random x.
+    wires.push_back(std::vector<std::uint8_t>(1 + proto::kFeBytes, 0x00));
+    auto bad_prefix = wires[0];
+    bad_prefix[0] = 0x07;
+    wires.push_back(bad_prefix);
+    wires.push_back({0x02, 0xab});
+    wires.push_back(std::vector<std::uint8_t>(1 + proto::kFeBytes, 0xff));
+    wires.push_back(
+        proto::encode_point(c, Point::affine(Fe::zero(), Fe::sqrt(c.b()))));
+    for (int i = 0; i < 40; ++i) {
+      std::vector<std::uint8_t> w(1 + proto::kFeBytes);
+      rng.fill(w);
+      w[0] = (i & 1) ? 0x02 : 0x03;
+      w[1] &= 0x07;  // keep the top bits plausible
+      wires.push_back(w);
+    }
 
-  const auto batch = engine::decode_points_batch(c, wires);
-  ASSERT_EQ(batch.size(), wires.size());
-  for (std::size_t i = 0; i < wires.size(); ++i) {
-    const auto single = proto::decode_point(c, wires[i]);
-    ASSERT_EQ(batch[i].has_value(), single.has_value()) << "entry " << i;
-    if (single) EXPECT_EQ(*batch[i], *single) << "entry " << i;
+    const auto batch = engine::decode_points_batch(c, wires);
+    ASSERT_EQ(batch.size(), wires.size());
+    for (std::size_t i = 0; i < wires.size(); ++i) {
+      const auto single = proto::decode_point(c, wires[i]);
+      ASSERT_EQ(batch[i].has_value(), single.has_value())
+          << c.name() << " entry " << i;
+      if (single) EXPECT_EQ(*batch[i], *single) << c.name() << " entry " << i;
+      if (i < 6) EXPECT_TRUE(single.has_value()) << c.name() << " entry " << i;
+    }
   }
 }
 

@@ -123,55 +123,59 @@ TEST_P(LaneBackends, OutputMayAliasInput) {
 }
 
 TEST_P(LaneBackends, BatchedLadderMatchesScalarLadder) {
-  const ecc::Curve& curve = ecc::Curve::k163();
-  Xoshiro256 rng(5);
-  const std::size_t n = 37;  // odd: exercises lane-group tails
-  std::vector<ecc::Scalar> ks(n);
-  std::vector<ecc::Point> ps(n);
-  std::vector<std::pair<ecc::Fe, ecc::Fe>> rands(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ks[i] = rng.uniform_nonzero(curve.order());
-    ps[i] = curve.scalar_mult_reference(rng.uniform_nonzero(curve.order()),
-                                        curve.base_point());
-    ecc::Fe l1 = rand_fe(rng), l2 = rand_fe(rng);
-    if (l1.is_zero()) l1 = ecc::Fe::one();
-    if (l2.is_zero()) l2 = ecc::Fe::one();
-    rands[i] = {l1, l2};
-  }
-
-  for (const bool randomized : {false, true}) {
-    ecc::BatchLadderOptions bo;
-    if (randomized) bo.randomizers = rands.data();
-    std::vector<std::vector<int>> batch_hw(n);
-    bo.observer = [&](std::size_t, const ecc::LadderLanes& s) {
-      std::vector<int> hw(n);
-      s.hamming_weights(hw.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        batch_hw[i].push_back(hw[i]);
-        // bulk form must agree with the per-lane form
-        ASSERT_EQ(hw[i], s.hamming_weight(i));
-      }
-    };
-    const auto batch = ecc::ladder_many(curve, ks.data(), ps.data(), n, bo);
-
+  // Both curves: the lane and scalar doublings skip the multiplication
+  // by b on K-163 (b = 1) and keep it on B-163.
+  for (const ecc::Curve* c : {&ecc::Curve::k163(), &ecc::Curve::b163()}) {
+    const ecc::Curve& curve = *c;
+    Xoshiro256 rng(5);
+    const std::size_t n = 37;  // odd: exercises lane-group tails
+    std::vector<ecc::Scalar> ks(n);
+    std::vector<ecc::Point> ps(n);
+    std::vector<std::pair<ecc::Fe, ecc::Fe>> rands(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ecc::LadderOptions lo;
-      if (randomized) lo.known_randomizers = rands[i];
-      std::vector<int> scalar_hw;
-      lo.observer = [&](const ecc::LadderObservation& ob) {
-        int hw = 0;
-        for (const ecc::Fe* f : {&ob.x1, &ob.z1, &ob.x2, &ob.z2})
-          for (std::size_t l = 0; l < 3; ++l)
-            hw += std::popcount(f->limb(l));
-        scalar_hw.push_back(hw);
+      ks[i] = rng.uniform_nonzero(curve.order());
+      ps[i] = curve.scalar_mult_reference(rng.uniform_nonzero(curve.order()),
+                                          curve.base_point());
+      ecc::Fe l1 = rand_fe(rng), l2 = rand_fe(rng);
+      if (l1.is_zero()) l1 = ecc::Fe::one();
+      if (l2.is_zero()) l2 = ecc::Fe::one();
+      rands[i] = {l1, l2};
+    }
+
+    for (const bool randomized : {false, true}) {
+      ecc::BatchLadderOptions bo;
+      if (randomized) bo.randomizers = rands.data();
+      std::vector<std::vector<int>> batch_hw(n);
+      bo.observer = [&](std::size_t, const ecc::LadderLanes& s) {
+        std::vector<int> hw(n);
+        s.hamming_weights(hw.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          batch_hw[i].push_back(hw[i]);
+          // bulk form must agree with the per-lane form
+          ASSERT_EQ(hw[i], s.hamming_weight(i));
+        }
       };
-      const ecc::LadderState ref =
-          ecc::montgomery_ladder_raw(curve, ks[i], ps[i], lo);
-      EXPECT_EQ(ref.x1, batch[i].x1) << "lane " << i;
-      EXPECT_EQ(ref.z1, batch[i].z1) << "lane " << i;
-      EXPECT_EQ(ref.x2, batch[i].x2) << "lane " << i;
-      EXPECT_EQ(ref.z2, batch[i].z2) << "lane " << i;
-      EXPECT_EQ(scalar_hw, batch_hw[i]) << "leakage tap mismatch, lane " << i;
+      const auto batch = ecc::ladder_many(curve, ks.data(), ps.data(), n, bo);
+
+      for (std::size_t i = 0; i < n; ++i) {
+        ecc::LadderOptions lo;
+        if (randomized) lo.known_randomizers = rands[i];
+        std::vector<int> scalar_hw;
+        lo.observer = [&](const ecc::LadderObservation& ob) {
+          int hw = 0;
+          for (const ecc::Fe* f : {&ob.x1, &ob.z1, &ob.x2, &ob.z2})
+            for (std::size_t l = 0; l < 3; ++l)
+              hw += std::popcount(f->limb(l));
+          scalar_hw.push_back(hw);
+        };
+        const ecc::LadderState ref =
+            ecc::montgomery_ladder_raw(curve, ks[i], ps[i], lo);
+        EXPECT_EQ(ref.x1, batch[i].x1) << "lane " << i;
+        EXPECT_EQ(ref.z1, batch[i].z1) << "lane " << i;
+        EXPECT_EQ(ref.x2, batch[i].x2) << "lane " << i;
+        EXPECT_EQ(ref.z2, batch[i].z2) << "lane " << i;
+        EXPECT_EQ(scalar_hw, batch_hw[i]) << "leakage tap mismatch, lane " << i;
+      }
     }
   }
 }
@@ -180,30 +184,33 @@ TEST_P(LaneBackends, LadderXManyMatchesLadderXAndScalarMult) {
   // Sizes below, at and above one fused-kernel group (4 or 8 lanes on the
   // wide backends, so 7 and 65 leave tail lanes), two keys interleaved in
   // each batch (PH and ECIES jobs share one), and one job whose product
-  // is O.
-  const ecc::Curve& curve = ecc::Curve::k163();
-  Xoshiro256 rng(17);
-  const ecc::Scalar keys[2] = {rng.uniform_nonzero(curve.order()),
-                               rng.uniform_nonzero(curve.order())};
-  ecc::LadderManyWorkspace ws;  // reused across sizes, as a shard does
-  for (const std::size_t n : {1u, 2u, 7u, 8u, 64u, 65u}) {
-    std::vector<ecc::Scalar> ks(n);
-    std::vector<ecc::Point> qs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ks[i] = keys[i % 2];
-      qs[i] = curve.scalar_mult_reference(rng.uniform_nonzero(curve.order()),
-                                          curve.base_point());
-    }
-    if (n > 1) ks[n / 2] = curve.order();  // n·Q = O
-    std::vector<std::optional<ecc::Fe>> xs(n);
-    ecc::ladder_x_many(curve, ks.data(), qs.data(), n, ws, xs.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::optional<ecc::Fe> single = ecc::ladder_x(curve, ks[i], qs[i]);
-      EXPECT_EQ(xs[i], single) << "n " << n << " job " << i;
-      const ecc::Point full = ecc::scalar_mult(curve, ks[i], qs[i]);
-      EXPECT_EQ(single.has_value(), !full.infinity) << "n " << n;
-      if (single) {
-        EXPECT_EQ(*single, full.x) << "n " << n << " job " << i;
+  // is O; on both curves.
+  for (const ecc::Curve* c : {&ecc::Curve::k163(), &ecc::Curve::b163()}) {
+    const ecc::Curve& curve = *c;
+    Xoshiro256 rng(17);
+    const ecc::Scalar keys[2] = {rng.uniform_nonzero(curve.order()),
+                                 rng.uniform_nonzero(curve.order())};
+    ecc::LadderManyWorkspace ws;  // reused across sizes, as a shard does
+    for (const std::size_t n : {1u, 2u, 7u, 8u, 64u, 65u}) {
+      std::vector<ecc::Scalar> ks(n);
+      std::vector<ecc::Point> qs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ks[i] = keys[i % 2];
+        qs[i] = curve.scalar_mult_reference(rng.uniform_nonzero(curve.order()),
+                                            curve.base_point());
+      }
+      if (n > 1) ks[n / 2] = curve.order();  // n·Q = O
+      std::vector<std::optional<ecc::Fe>> xs(n);
+      ecc::ladder_x_many(curve, ks.data(), qs.data(), n, ws, xs.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::optional<ecc::Fe> single =
+            ecc::ladder_x(curve, ks[i], qs[i]);
+        EXPECT_EQ(xs[i], single) << "n " << n << " job " << i;
+        const ecc::Point full = ecc::scalar_mult(curve, ks[i], qs[i]);
+        EXPECT_EQ(single.has_value(), !full.infinity) << "n " << n;
+        if (single) {
+          EXPECT_EQ(*single, full.x) << "n " << n << " job " << i;
+        }
       }
     }
   }
