@@ -96,7 +96,6 @@ struct ServerHarness {
       auto rng = std::make_unique<rng::Xoshiro256>(mix_seed(kSeed, id));
       s.machine = std::make_unique<protocol::SchnorrVerifier>(
           curve, X, *rng, protocol::SchnorrVerifier::Mode::kDeferred);
-      s.deferred_schnorr = true;
       s.rng = std::move(rng);
       return s;
     };

@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
     auto r = std::make_unique<rng::Xoshiro256>(challenge_seed ^ sid);
     s.machine = std::make_unique<proto::SchnorrVerifier>(
         c, *key, *r, proto::SchnorrVerifier::Mode::kDeferred);
-    s.deferred_schnorr = true;
     s.rng = std::move(r);
     return s;
   };

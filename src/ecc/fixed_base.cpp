@@ -52,12 +52,6 @@ Point FixedBaseComb::mult_ct(const Scalar& k) const {
   });
 }
 
-Point scalar_mult_ld(const Curve& curve, const Scalar& k, const Point& p) {
-  return gf2m::with_field_ops([&]<class Ops>(Ops) {
-    return PointArith<Ops>::scalar_mult_ld(curve, k, p);
-  });
-}
-
 const FixedBaseComb& generator_comb(const Curve& curve) {
   return detail::curve_tables(curve).comb;
 }

@@ -78,14 +78,4 @@ class FixedBaseComb {
 /// lock.
 const FixedBaseComb& generator_comb(const Curve& curve);
 
-/// Left-to-right double-and-add in López–Dahab coordinates over the EXACT
-/// scalar (no modular reduction, no constant-length padding): one field
-/// inversion for the whole multiplication instead of one per affine group
-/// operation. Variable-time: it loops bit_length(k) times and adds on the
-/// 1 bits only, so k must be PUBLIC — a signature's challenge, the group
-/// order of the exact subgroup gate. A secret key (a reader's or a
-/// recipient's y) goes to the constant-time ladder instead: ecc::ladder_x
-/// when only x(k·P) is needed, montgomery_ladder otherwise.
-Point scalar_mult_ld(const Curve& curve, const Scalar& k, const Point& p);
-
 }  // namespace medsec::ecc

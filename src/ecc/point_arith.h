@@ -89,6 +89,9 @@ struct PointArith {
   /// Affine forms of many LD points with one shared batch inversion;
   /// infinity entries come back as the point at infinity.
   static std::vector<Point> normalize_ld_batch(const std::vector<LdPoint>& pts);
+  /// Left-to-right double-and-add over the exact k (no reduction):
+  /// variable-time in k, which must be public — the exact subgroup gate's
+  /// group order. The ct-audit times it as its planted leak.
   static Point scalar_mult_ld(const Curve& c, const Scalar& k, const Point& p);
 
   // --- fixed-base comb (fixed_base.h) ---------------------------------------

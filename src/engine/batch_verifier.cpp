@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "ecc/point_arith.h"
 #include "ecc/scalar_mult.h"
@@ -134,22 +135,25 @@ SchnorrBatchVerifier::SchnorrBatchVerifier(const Curve& curve,
       batch_size_(batch_size == 0 ? 1 : batch_size),
       rng_(rlc_seed) {}
 
-void SchnorrBatchVerifier::enqueue(PendingTranscript t) {
+void SchnorrBatchVerifier::enqueue(DeferredCheck check) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(t));
-    ++stats_.items;
+    if (std::holds_alternative<protocol::SchnorrClaim>(check.work)) {
+      queue_.push_back(std::move(check));
+      ++stats_.items;
+    } else {
+      ladders_.push_back(std::move(check));
+      ++stats_.ladders;
+    }
   }
   drain(batch_size_);
 }
 
-void SchnorrBatchVerifier::enqueue(PendingLadder job) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ladders_.push_back(std::move(job));
-    ++stats_.ladders;
-  }
-  drain(batch_size_);
+void SchnorrBatchVerifier::enqueue(PendingTranscript t) {
+  enqueue(DeferredCheck{
+      protocol::SchnorrClaim{t.X, std::move(t.commitment_wire), t.challenge,
+                             t.response},
+      std::move(t.on_result)});
 }
 
 void SchnorrBatchVerifier::flush() { drain(1); }
@@ -165,8 +169,8 @@ BatchVerifierStats SchnorrBatchVerifier::stats() const {
 }
 
 void SchnorrBatchVerifier::drain(std::size_t min_items) {
-  std::vector<PendingTranscript> ts;
-  std::vector<PendingLadder> ls;
+  std::vector<DeferredCheck> ts;
+  std::vector<DeferredCheck> ls;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const std::size_t n = queue_.size() + ladders_.size();
@@ -183,11 +187,13 @@ void SchnorrBatchVerifier::drain(std::size_t min_items) {
 }
 
 void SchnorrBatchVerifier::verify_transcripts(
-    std::vector<PendingTranscript>& batch) {
+    std::vector<DeferredCheck>& batch) {
   // Shared-inversion decode of every commitment in the batch.
   std::vector<std::vector<std::uint8_t>> wires;
   wires.reserve(batch.size());
-  for (auto& t : batch) wires.push_back(std::move(t.commitment_wire));
+  for (auto& t : batch)
+    wires.push_back(
+        std::move(std::get<protocol::SchnorrClaim>(t.work).commitment_wire));
   const auto points = decode_points_batch(*curve_, wires);
 
   std::vector<protocol::SchnorrTranscript> transcripts;
@@ -199,9 +205,10 @@ void SchnorrBatchVerifier::verify_transcripts(
       ++decode_failures;
       continue;
     }
+    const auto& claim = std::get<protocol::SchnorrClaim>(batch[i].work);
     transcripts.push_back(protocol::SchnorrTranscript{
-        *points[i], batch[i].challenge, batch[i].response});
-    keys.push_back(batch[i].X);
+        *points[i], claim.challenge, claim.response});
+    keys.push_back(claim.X);
     origin.push_back(i);
   }
 
@@ -234,7 +241,7 @@ void SchnorrBatchVerifier::verify_transcripts(
     if (batch[i].on_result) batch[i].on_result(accepted[i]);
 }
 
-void SchnorrBatchVerifier::run_ladders(std::vector<PendingLadder>& batch) {
+void SchnorrBatchVerifier::run_ladders(std::vector<DeferredCheck>& batch) {
   // One lane batch over every job whose point the ladder accepts; any
   // other point is refused without running (the machines gate theirs, so
   // only a hand-built job gets here).
@@ -245,7 +252,7 @@ void SchnorrBatchVerifier::run_ladders(std::vector<PendingLadder>& batch) {
   qs.reserve(batch.size());
   origin.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const protocol::LadderJob& job = batch[i].job;
+    const auto& job = std::get<protocol::LadderJob>(batch[i].work);
     if (job.q.infinity || job.q.x.is_zero()) continue;
     ks.push_back(job.k);
     qs.push_back(job.q);
@@ -262,7 +269,8 @@ void SchnorrBatchVerifier::run_ladders(std::vector<PendingLadder>& batch) {
   std::vector<bool> accepted(batch.size(), false);
   for (std::size_t j = 0; j < origin.size(); ++j) {
     try {
-      accepted[origin[j]] = batch[origin[j]].job.finish(xs[j]);
+      accepted[origin[j]] =
+          std::get<protocol::LadderJob>(batch[origin[j]].work).finish(xs[j]);
     } catch (const std::exception&) {
       accepted[origin[j]] = false;
     }

@@ -25,12 +25,14 @@
 //     costs six shrinking MSMs over the table.
 //
 // SchnorrBatchVerifier is the thread-safe deferred-verdict queue each
-// shard drains (one per ShardEngine, flushed every tick). It holds two
-// kinds of work, each with a completion callback:
+// shard drains (one per ShardEngine, flushed every tick). It holds the
+// checks deferred machines leave behind (SessionMachine::deferred()), of
+// two kinds, each with a completion callback:
 //
-//   * Schnorr transcripts, still wire-encoded, checked as above;
-//   * key multiplications (protocol::LadderJob) that deferred PH readers
-//     and ECIES receivers leave behind: one flush runs all of them as one
+//   * Schnorr claims (protocol::SchnorrClaim) from deferred verifiers,
+//     still wire-encoded, checked as above;
+//   * key multiplications (protocol::LadderJob) from deferred PH readers
+//     and ECIES receivers: one flush runs all of them as one
 //     constant-time lane batch (ecc::ladder_x_many — lockstep ladders and
 //     one batch inversion), then each job's own continuation.
 //
@@ -81,7 +83,14 @@ BatchVerifyOutcome schnorr_verify_batch(
     std::span<const protocol::SchnorrTranscript> transcripts,
     std::span<const ecc::Point> keys, rng::RandomSource& rng);
 
-/// One Schnorr transcript awaiting verification, still in wire form.
+/// One check a deferred machine left behind, awaiting its batch.
+struct DeferredCheck {
+  protocol::DeferredWork work;
+  std::function<void(bool accepted)> on_result;
+};
+
+/// A Schnorr transcript built by hand rather than taken from a machine,
+/// still in wire form: enqueued as the DeferredCheck of its claim.
 struct PendingTranscript {
   /// Owning session id (0 = anonymous).
   std::uint64_t session = 0;
@@ -89,12 +98,6 @@ struct PendingTranscript {
   std::vector<std::uint8_t> commitment_wire;  ///< compressed R_c
   ecc::Scalar challenge;
   ecc::Scalar response;
-  std::function<void(bool accepted)> on_result;
-};
-
-/// One deferred key multiplication awaiting its lane batch.
-struct PendingLadder {
-  protocol::LadderJob job;
   std::function<void(bool accepted)> on_result;
 };
 
@@ -129,14 +132,14 @@ class SchnorrBatchVerifier {
   SchnorrBatchVerifier(const ecc::Curve& curve, std::size_t batch_size,
                        std::uint64_t rlc_seed = 0xBA7C5EED);
 
-  /// Enqueue one transcript or key multiplication; flushes synchronously
-  /// on the calling thread once batch_size items are queued. Callbacks
-  /// run on whichever thread flushes — never with internal locks held, so
-  /// they may re-enter the verifier or take session locks. A ladder job
-  /// whose continuation throws is refused alone (the gateway's poison
-  /// rule); the rest of its batch still lands.
+  /// Enqueue one check; flushes synchronously on the calling thread once
+  /// batch_size items are queued. Callbacks run on whichever thread
+  /// flushes — never with internal locks held, so they may re-enter the
+  /// verifier or take session locks. A ladder job whose continuation
+  /// throws is refused alone (the gateway's poison rule); the rest of its
+  /// batch still lands.
+  void enqueue(DeferredCheck check);
   void enqueue(PendingTranscript t);
-  void enqueue(PendingLadder job);
 
   /// Run everything still pending (e.g. at drain time): at most one RLC
   /// batch and one ladder batch.
@@ -152,14 +155,14 @@ class SchnorrBatchVerifier {
   /// If both queues hold at least `min_items` between them, move them out
   /// and decide them: at most one RLC batch and one ladder batch.
   void drain(std::size_t min_items);
-  void verify_transcripts(std::vector<PendingTranscript>& batch);
-  void run_ladders(std::vector<PendingLadder>& batch);
+  void verify_transcripts(std::vector<DeferredCheck>& batch);
+  void run_ladders(std::vector<DeferredCheck>& batch);
 
   const ecc::Curve* curve_;
   std::size_t batch_size_;
   mutable std::mutex mu_;  ///< guards queue_, ladders_, in_verify_, stats_
-  std::vector<PendingTranscript> queue_;
-  std::vector<PendingLadder> ladders_;
+  std::vector<DeferredCheck> queue_;    ///< Schnorr claims
+  std::vector<DeferredCheck> ladders_;  ///< key multiplications
   /// Items moved out of the queues and currently inside drain() — still
   /// verdict-pending, no longer "queued".
   std::size_t in_verify_ = 0;

@@ -90,28 +90,8 @@ MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
   }
 }
 
-GatewayServer::Judge judge_for(std::uint64_t gid) {
-  switch (gid % 4) {
-    case 0:
-      return [](const protocol::SessionMachine& m) {
-        return static_cast<const protocol::SchnorrVerifier&>(m).accepted();
-      };
-    case 1:
-      return [](const protocol::SessionMachine& m) {
-        return static_cast<const protocol::PhReaderMachine&>(m)
-            .identity()
-            .has_value();
-      };
-    case 2:
-      return [](const protocol::SessionMachine& m) {
-        const auto& s = static_cast<const protocol::MutualAuthServer&>(m);
-        return s.accepted_tag() && s.telemetry_delivered();
-      };
-    default:
-      return [](const protocol::SessionMachine& m) {
-        return static_cast<const protocol::EciesReceiver&>(m).delivered();
-      };
-  }
+GatewayServer::Judge judge_for(std::uint64_t) {
+  return [](const protocol::SessionMachine& m) { return m.accepted(); };
 }
 
 }  // namespace medsec::engine::campaign

@@ -83,8 +83,10 @@ MachineFactory device_factory(const Fixtures& fx, std::uint64_t gid);
 MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
                               bool deferred = false);
 
-/// Verdict extraction for gid's protocol (inline machines only; a deferred
-/// verdict comes from the shard's queue and lands in the gateway).
+/// The verdict of gid's server machine: its own accepted(), which every
+/// protocol's server overrides. A deferred machine answers false: its
+/// verdict comes from the shard's queue and lands in the gateway. Kept
+/// for callers that take a Judge; the gid no longer matters.
 GatewayServer::Judge judge_for(std::uint64_t gid);
 
 /// One session's campaign outcome — the digest unit.

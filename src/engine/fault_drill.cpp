@@ -151,8 +151,8 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
           en.proto_ran = true;
           try {
             protocol::Transcript t;
-            en.accepted = protocol::drive_session(*dev, *srv, t) &&
-                          campaign::judge_for(gid)(*srv);
+            en.accepted =
+                protocol::drive_session(*dev, *srv, t) && srv->accepted();
           } catch (const std::exception&) {
             // A machine that throws fails the handshake.
           }

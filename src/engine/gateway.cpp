@@ -153,7 +153,7 @@ void GatewayServer::on_delivered(std::uint64_t id, const Frame& f) {
     // Settle before judging: a deferred judge can fill its verifier's
     // batch and land this very session's verdict before it returns.
     settle(s, GatewaySessionStatus::kCompleted);
-    land_verdict(id, !s.judge || s.judge(*s.machine));
+    land_verdict(id, s.judge ? s.judge(*s.machine) : s.machine->accepted());
   } else if (r.state == SessionState::kFailed) {
     settle(s, GatewaySessionStatus::kFailed);
     s.endpoint->send_reject();

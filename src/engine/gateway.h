@@ -20,11 +20,12 @@
 //     resumed on a fresh GatewayServer, surviving node death with nothing
 //     but a retransmit visible to the device.
 //
-// A session's verdict lives here: an inline judge decides it when the
-// machine finishes, a deferred one (a batched Schnorr check, a batched PH
-// or ECIES key ladder) lands it later via land_verdict() — possibly from
-// inside the judge, when its item fills a batch. accepted(), stats() and
-// snapshots report both alike.
+// A session's verdict lives here. When the machine finishes, its judge
+// decides it — by default the machine's own accepted() — or, for a
+// machine that deferred its check (a batched Schnorr claim, a batched PH
+// or ECIES key ladder), answers "not yet" and lands it later via
+// land_verdict(), possibly from inside the judge when the check fills a
+// batch. accepted(), stats() and snapshots report both alike.
 //
 // shard.h runs one GatewayServer per shard loop, and its
 // run_sharded_campaign() is the proof harness for these policies.
@@ -86,9 +87,9 @@ inline GatewayStats& operator+=(GatewayStats& a, const GatewayStats& b) {
 
 class GatewayServer {
  public:
-  /// Extracts the verdict from a finished machine; empty = kDone is
-  /// accepted. A deferred judge returns false and lands the real verdict
-  /// later through land_verdict().
+  /// Extracts the verdict from a finished machine; empty = the machine's
+  /// own accepted(). A judge that defers the check returns false and lands
+  /// the real verdict later through land_verdict().
   using Judge = std::function<bool(const protocol::SessionMachine&)>;
   /// Raw encoded frames headed for this session's device.
   using Downlink = std::function<void(std::vector<std::uint8_t>)>;

@@ -9,7 +9,6 @@
 #include "core/thread_pool.h"
 #include "engine/campaign_fixtures.h"
 #include "engine/transport.h"
-#include "protocol/schnorr.h"
 
 namespace medsec::engine {
 
@@ -119,35 +118,17 @@ std::function<void(bool)> ShardEngine::land(std::uint64_t id) {
   };
 }
 
-GatewayServer::Judge ShardEngine::judge(std::uint64_t id,
-                                        SessionSetup& setup) {
-  // A deferred machine finishes the exchange without deciding; its work
+GatewayServer::Judge ShardEngine::judge(std::uint64_t id) {
+  // A deferred machine finishes the exchange without deciding; its check
   // goes to this shard's queue, and the verdict lands through land(id) —
-  // possibly inside this very call, when the item fills the batch. The
-  // judge answers "not yet".
-  if (setup.deferred_schnorr) {
-    // The wire transcript, for the batched RLC check.
-    return [this, id](const protocol::SessionMachine& m) {
-      const auto& sv = static_cast<const protocol::SchnorrVerifier&>(m);
-      PendingTranscript t;
-      t.session = id;
-      t.X = sv.public_key();
-      t.commitment_wire = sv.commitment_wire();
-      t.challenge = sv.challenge();
-      t.response = sv.response();
-      t.on_result = land(id);
-      verifier_.enqueue(std::move(t));
-      return false;
-    };
-  }
-  return [this, id, inner = std::move(setup.judge)](
-             const protocol::SessionMachine& m) {
-    if (const protocol::LadderJob* job = m.ladder_job()) {
-      // The key multiplication, for the lane batch.
-      verifier_.enqueue(PendingLadder{*job, land(id)});
+  // possibly inside this very call, when the check fills the batch. The
+  // judge answers "not yet". Any other machine's verdict is its own.
+  return [this, id](const protocol::SessionMachine& m) {
+    if (std::optional<protocol::DeferredWork> work = m.deferred()) {
+      verifier_.enqueue(DeferredCheck{std::move(*work), land(id)});
       return false;
     }
-    const bool ok = inner ? inner(m) : true;
+    const bool ok = m.accepted();
     record_verdict(id, ok);
     return ok;
   };
@@ -168,9 +149,8 @@ void ShardEngine::open(std::uint64_t id, const Peer& peer) {
     send(id, encode_frame(reject));
     return;
   }
-  GatewayServer::Judge j = judge(id, setup);
   if (gateway_->open_session(id, std::move(setup.machine), downlink(id),
-                             std::move(j), std::move(setup.rng)))
+                             judge(id), std::move(setup.rng)))
     opened_.fetch_add(1, std::memory_order_relaxed);
   else
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -187,9 +167,8 @@ GatewayStats ShardEngine::failover() {
     // Refused now (say, its device was quarantined meanwhile): the
     // session dies with the node, and its next datagram meets the refusal.
     if (!setup.machine) continue;
-    GatewayServer::Judge j = judge(id, setup);
     gateway_->restore_session(id, std::move(setup.machine), downlink(id),
-                              snap, std::move(j), std::move(setup.rng));
+                              snap, judge(id), std::move(setup.rng));
   }
   return dead;
 }
@@ -373,10 +352,8 @@ WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
         SessionSetup s;
         s.rng = std::make_unique<rng::Xoshiro256>(
             mix_seed(cfg.seed, gid * 4 + 1));
-        s.deferred_schnorr = gid % 4 == 0;
         s.machine =
             campaign::server_factory(fx, gid, /*deferred=*/true)(*s.rng);
-        s.judge = campaign::judge_for(gid);
         return s;
       },
       /*producers=*/1);

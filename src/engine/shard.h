@@ -99,17 +99,13 @@ inline std::size_t shard_of(std::uint64_t session, std::size_t shards) {
 }
 
 /// What a shard needs to serve one new session (auto-opened on its first
-/// datagram in socket mode). A machine that finishes with a ladder_job()
-/// (a deferred PH reader or ECIES receiver) needs nothing here: the
-/// shard's judge finds the job through that hook and queues it.
+/// datagram in socket mode). The machine says how it is judged: a check it
+/// leaves through SessionMachine::deferred() goes to the shard's queue,
+/// and any other verdict is its own accepted().
 struct SessionSetup {
   std::unique_ptr<protocol::SessionMachine> machine;
-  /// Verdict of a session that finishes with no deferred work: not
-  /// deferred_schnorr and no ladder_job() — an inline machine, or a
-  /// deferred PH reader whose commitment failed its gate. Empty accepts.
-  GatewayServer::Judge judge;
-  /// Machine is a VerdictMode::kDeferred SchnorrVerifier: route the
-  /// verdict through the shard's batch verifier; `judge` is never called.
+  /// Inert: nothing reads it. perfbench's UDP workload still sets it, so
+  /// it stays until the next change to the benchmark.
   bool deferred_schnorr = false;
   std::unique_ptr<rng::Xoshiro256> rng;
 };
@@ -242,7 +238,7 @@ class ShardEngine {
  private:
   std::unique_ptr<GatewayServer> make_gateway();
   GatewayServer::Downlink downlink(std::uint64_t id);
-  GatewayServer::Judge judge(std::uint64_t id, SessionSetup& setup);
+  GatewayServer::Judge judge(std::uint64_t id);
   /// The callback a deferred verdict of session `id` lands through.
   std::function<void(bool)> land(std::uint64_t id);
   void send(std::uint64_t id, std::vector<std::uint8_t> bytes);

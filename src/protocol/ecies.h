@@ -107,10 +107,10 @@ class EciesUploader final : public SessionMachine {
 /// failure ends kFailed), then
 ///   kInline:   verify-then-decrypts on the spot; a refusal ends kFailed;
 ///   kDeferred: finishes kDone and leaves y·R and the verify-then-decrypt
-///              to the host as ladder_job(), whose verdict is "delivered"
-///              (plaintext() is never set). A refusal there lands on a
-///              completed session as not accepted, with no kReject frame
-///              — the way a deferred Schnorr forgery lands.
+///              to the host as deferred(), a LadderJob whose verdict is
+///              "delivered" (plaintext() is never set). A refusal there
+///              lands on a completed session as not accepted, with no
+///              kReject frame — the way a deferred Schnorr forgery lands.
 /// The cipher geometry (block, nonce and tag widths) is read off one
 /// probe cipher at construction. The cipher factory is caller-owned and
 /// must outlive the machine and, in deferred mode, its job.
@@ -120,8 +120,10 @@ class EciesReceiver final : public SessionMachine {
                 const CipherFactory& make_cipher, std::size_t key_bytes,
                 VerdictMode mode = VerdictMode::kInline);
   StepResult on_message(const Message& m) override;
-  const LadderJob* ladder_job() const override {
-    return job_ ? &*job_ : nullptr;
+  bool accepted() const override { return delivered(); }
+  std::optional<DeferredWork> deferred() const override {
+    if (!job_) return std::nullopt;
+    return *job_;
   }
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;

@@ -109,13 +109,14 @@ class MutualAuthTag final : public SessionMachine {
 /// Server-side state machine:
 ///   on_message(N_t)    -> N_s || CMAC_Km("SRV" || N_t || N_s)
 ///   on_message(move 3) -> authenticate the tag, then verify-and-decrypt
-///                         the telemetry; kDone either way (the server
-///                         records what it accepted).
+///                         the telemetry; kDone either way, and accepted()
+///                         only if both held.
 class MutualAuthServer final : public SessionMachine {
  public:
   MutualAuthServer(const CipherFactory& make_cipher, const SharedKeys& keys,
                    rng::RandomSource& rng);
   StepResult on_message(const Message& m) override;
+  bool accepted() const override { return accepted_tag_ && delivered_; }
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;
   bool accepted_tag() const { return accepted_tag_; }

@@ -123,10 +123,10 @@ class PhTagMachine final : public SessionMachine {
 ///              be nullopt — an unidentified tag completes the protocol
 ///              but resolves to nothing);
 ///   kDeferred: gate R_c, then leave y·R_c and the rest of the
-///              identification to the host as ladder_job(), whose verdict
-///              is "identified"; identity() stays nullopt. A commitment
-///              that fails the gate leaves no job: the verdict is the
-///              inline one, unidentified.
+///              identification to the host as deferred(), a LadderJob
+///              whose verdict is "identified"; identity() stays nullopt.
+///              A commitment that fails the gate leaves no job: the
+///              verdict is accepted(), unidentified.
 /// The reader (with its whole key DB) is held by reference and must
 /// outlive the machine — and, in deferred mode, its job — since it is the
 /// long-lived server-side state.
@@ -136,8 +136,11 @@ class PhReaderMachine final : public SessionMachine {
                   rng::RandomSource& rng,
                   VerdictMode mode = VerdictMode::kInline);
   StepResult on_message(const Message& m) override;
-  const LadderJob* ladder_job() const override {
-    return job_ ? &*job_ : nullptr;
+  /// Identified against the DB (kInline only).
+  bool accepted() const override { return identity_.has_value(); }
+  std::optional<DeferredWork> deferred() const override {
+    if (!job_) return std::nullopt;
+    return *job_;
   }
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;

@@ -95,51 +95,59 @@ void SchnorrProver::restore(SnapshotReader& r) {
 
 SchnorrVerifier::SchnorrVerifier(const Curve& curve, Point X,
                                  rng::RandomSource& rng, Mode mode)
-    : curve_(&curve), X_(std::move(X)), rng_(&rng), mode_(mode) {}
+    : curve_(&curve), rng_(&rng), mode_(mode) {
+  claim_.X = std::move(X);
+}
 
 StepResult SchnorrVerifier::on_message(const Message& m) {
   if (!have_commitment_) {
     have_commitment_ = true;
-    commitment_wire_ = m.payload;
+    claim_.commitment_wire = m.payload;
     if (mode_ == Mode::kInline) {
       // Trust boundary: decode + validate the commitment now. Deferred
       // mode leaves both to the batch verifier, which amortizes the
       // decompression inversions across the whole batch.
       const auto p = decode_point(*curve_, m.payload);
       if (!p) return step(StepResult::failed());
-      view_.commitment = *p;
+      commitment_ = *p;
     }
-    view_.challenge = rng_->uniform_nonzero(curve_->order());
+    claim_.challenge = rng_->uniform_nonzero(curve_->order());
     return step(StepResult::wait(
-        Message{kLabelChallenge, encode_scalar(view_.challenge)}));
+        Message{kLabelChallenge, encode_scalar(claim_.challenge)}));
   }
   if (m.payload.size() != kFeBytes) return step(StepResult::failed());
-  view_.response = decode_scalar(m.payload);
+  claim_.response = decode_scalar(m.payload);
   if (mode_ == Mode::kInline) {
-    accepted_ = verify_equation(*curve_, X_, view_);
+    accepted_ = verify_equation(*curve_, claim_.X, view());
     return step(accepted_ ? StepResult::done() : StepResult::failed());
   }
   return step(StepResult::done());  // acceptance decided by the batch queue
+}
+
+std::optional<DeferredWork> SchnorrVerifier::deferred() const {
+  if (mode_ != Mode::kDeferred || state() != SessionState::kDone)
+    return std::nullopt;
+  return claim_;
 }
 
 void SchnorrVerifier::snapshot(SnapshotWriter& w) const {
   SessionMachine::snapshot(w);
   w.boolean(have_commitment_);
   w.boolean(accepted_);
-  w.bytes(commitment_wire_);
-  w.point(view_.commitment);
-  w.scalar(view_.challenge);
-  w.scalar(view_.response);
+  w.bytes(claim_.commitment_wire);
+  w.point(commitment_);
+  w.scalar(claim_.challenge);
+  w.scalar(claim_.response);
 }
 
 void SchnorrVerifier::restore(SnapshotReader& r) {
   SessionMachine::restore(r);
   have_commitment_ = r.boolean();
   accepted_ = r.boolean();
-  commitment_wire_ = r.bytes();
-  view_.commitment = r.point();
-  view_.challenge = r.scalar();
-  view_.response = r.scalar();
+  claim_.commitment_wire = r.bytes();
+  commitment_ = r.point();
+  claim_.challenge = r.scalar();
+  claim_.response = r.scalar();
 }
 
 // --- drivers -----------------------------------------------------------------

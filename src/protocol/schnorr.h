@@ -86,12 +86,13 @@ class SchnorrProver final : public SessionMachine {
 ///   on_message(R_c) -> challenge e
 ///   on_message(s)   -> kInline: decide accepted() on the spot (one
 ///                      interleaved double-scalar multiplication);
-///                      kDeferred: keep the transcript — with the
-///                      commitment still wire-encoded — and finish without
-///                      verifying, so the engine's batched verifier queue
-///                      can decide acceptance for a whole batch with one
-///                      multi-scalar multiplication and one shared batch
-///                      inversion for the point decodings.
+///                      kDeferred: finish without verifying and leave the
+///                      transcript — with the commitment still
+///                      wire-encoded — as deferred(), so the engine's
+///                      batched verifier queue can decide acceptance for a
+///                      whole batch with one multi-scalar multiplication
+///                      and one shared batch inversion for the point
+///                      decodings.
 class SchnorrVerifier final : public SessionMachine {
  public:
   using Mode = VerdictMode;
@@ -99,30 +100,33 @@ class SchnorrVerifier final : public SessionMachine {
   SchnorrVerifier(const ecc::Curve& curve, ecc::Point X,
                   rng::RandomSource& rng, Mode mode = Mode::kInline);
   StepResult on_message(const Message& m) override;
+  bool accepted() const override { return accepted_; }
+  std::optional<DeferredWork> deferred() const override;
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;
 
-  /// kInline only; meaningless in deferred mode.
-  bool accepted() const { return accepted_; }
   /// Decoded view (kInline; the commitment point is only decoded inline).
-  const SchnorrTranscript& view() const { return view_; }
-  /// Raw material for deferred batch verification.
-  const std::vector<std::uint8_t>& commitment_wire() const {
-    return commitment_wire_;
+  SchnorrTranscript view() const {
+    return {commitment_, claim_.challenge, claim_.response};
   }
-  const ecc::Scalar& challenge() const { return view_.challenge; }
-  const ecc::Scalar& response() const { return view_.response; }
-  const ecc::Point& public_key() const { return X_; }
+  /// The transcript as received, in either mode.
+  const std::vector<std::uint8_t>& commitment_wire() const {
+    return claim_.commitment_wire;
+  }
+  const ecc::Scalar& challenge() const { return claim_.challenge; }
+  const ecc::Scalar& response() const { return claim_.response; }
+  const ecc::Point& public_key() const { return claim_.X; }
 
  private:
   const ecc::Curve* curve_;
-  ecc::Point X_;
   rng::RandomSource* rng_;
   Mode mode_;
   bool have_commitment_ = false;
   bool accepted_ = false;
-  std::vector<std::uint8_t> commitment_wire_;
-  SchnorrTranscript view_;
+  /// The transcript, kept once: the accessors above read it, and a
+  /// deferred verifier hands out a copy.
+  SchnorrClaim claim_;
+  ecc::Point commitment_;  ///< R_c decoded (kInline only)
 };
 
 /// Run one honest session between a tag holding `key` and a verifier that

@@ -20,6 +20,7 @@
 #include <functional>
 #include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "protocol/wire.h"
@@ -55,26 +56,40 @@ struct StepResult {
 };
 
 /// Who decides a server machine's verdict. kInline: the machine itself,
-/// on the last message. kDeferred: the machine finishes the exchange and
-/// its host decides later, batched with other sessions — a Schnorr
-/// verifier leaves its transcript, a PH reader or an ECIES receiver its
-/// key multiplication (SessionMachine::ladder_job). Both modes send the
-/// same messages and draw the same randomness.
+/// on the last message, and accepted() reports it. kDeferred: the machine
+/// finishes the exchange without deciding and leaves the check to its host
+/// through deferred() — a Schnorr verifier its claim, a PH reader or an
+/// ECIES receiver its key multiplication — so the host can batch it with
+/// other sessions' checks. Both modes send the same messages and draw the
+/// same randomness.
 enum class VerdictMode { kInline, kDeferred };
 
-/// The multiplication by a long-term server key that a deferred machine
-/// leaves to its host, so the host can run many sessions' jobs as one
-/// lane batch (ecc::ladder_x_many). `finish` is the rest of the verdict —
-/// the code the inline path runs after its own ecc::ladder_x — applied to
-/// x(k·q), nullopt when k·q = O. The job is self-contained: `finish`
-/// holds its own copy of the transcript and refers only to the
-/// process-lifetime environment the machine was built with, so it may run
-/// after the machine is gone (failover).
+/// The multiplication by a long-term server key that a deferred PH reader
+/// or ECIES receiver leaves to its host, so the host can run many
+/// sessions' jobs as one lane batch (ecc::ladder_x_many). `finish` is the
+/// rest of the verdict — the code the inline path runs after its own
+/// ecc::ladder_x — applied to x(k·q), nullopt when k·q = O. The job is
+/// self-contained: `finish` holds its own copy of the transcript and
+/// refers only to the process-lifetime environment the machine was built
+/// with, so it may run after the machine is gone (failover).
 struct LadderJob {
   ecc::Scalar k;  ///< the server's secret key
   ecc::Point q;   ///< the peer's point, decoded and subgroup-gated
   std::function<bool(const std::optional<ecc::Fe>& x)> finish;
 };
+
+/// The check a deferred Schnorr verifier leaves to its host: accept iff
+/// s·P − e·X == R_c. R_c is still wire-encoded, so the host decodes a
+/// whole batch of commitments with one shared inversion.
+struct SchnorrClaim {
+  ecc::Point X;                               ///< the prover's public key
+  std::vector<std::uint8_t> commitment_wire;  ///< compressed R_c
+  ecc::Scalar challenge;                      ///< e
+  ecc::Scalar response;                       ///< s
+};
+
+/// The check a finished kDeferred machine leaves to its host.
+using DeferredWork = std::variant<LadderJob, SchnorrClaim>;
 
 class SnapshotWriter;
 class SnapshotReader;
@@ -94,11 +109,19 @@ class SessionMachine {
 
   SessionState state() const { return state_; }
 
-  /// The key multiplication a finished kDeferred machine left for its
-  /// host; nullptr when the machine decided its verdict itself (inline
-  /// mode, or a point that failed its gate). Not part of the snapshot:
-  /// the host takes the job as the machine finishes.
-  virtual const LadderJob* ladder_job() const { return nullptr; }
+  /// The verdict of a machine that decided it itself. By default,
+  /// reaching kDone; a server machine overrides it with its own check. A
+  /// kDeferred machine answers false, so a host that ignores deferred()
+  /// fails closed.
+  virtual bool accepted() const { return state_ == SessionState::kDone; }
+
+  /// The check a finished kDeferred machine left for its host; nullopt
+  /// when accepted() is the verdict (inline mode, or a point that failed
+  /// its gate). Not part of the snapshot: the host takes the check as the
+  /// machine finishes.
+  virtual std::optional<DeferredWork> deferred() const {
+    return std::nullopt;
+  }
 
   /// Serialize the machine's owned per-session state (failover support;
   /// see snapshot.h). Contract: construct a replacement machine with the

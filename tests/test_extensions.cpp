@@ -259,6 +259,23 @@ TEST_F(SignatureFixture, SignaturesAreRandomized) {
   EXPECT_TRUE(proto::ec_schnorr_verify(c, kp.X, msg, s2));
 }
 
+TEST(Signature, B163RoundTripAndTamperingOnTheWnafPath) {
+  // B-163 is not a Koblitz curve, so the verifier's s·P − e·X runs
+  // double_scalar_mult's wNAF chain instead of the tau-adic one.
+  const Curve& c = Curve::b163();
+  Xoshiro256 rng(81);
+  const auto kp = proto::signature_keygen(c, rng);
+  const auto msg = bytes("dose=1.5u");
+  const auto sig = proto::ec_schnorr_sign(c, kp, msg, rng);
+  EXPECT_TRUE(proto::ec_schnorr_verify(c, kp.X, msg, sig));
+  EXPECT_FALSE(proto::ec_schnorr_verify(c, kp.X, bytes("dose=9.5u"), sig));
+  auto bad = sig;
+  bad.s = c.scalar_ring().add(bad.s, Scalar{1});
+  EXPECT_FALSE(proto::ec_schnorr_verify(c, kp.X, msg, bad));
+  EXPECT_FALSE(proto::ec_schnorr_verify(
+      c, proto::signature_keygen(c, rng).X, msg, sig));
+}
+
 // --- ECIES ---------------------------------------------------------------------------
 
 struct EciesFixture : public ::testing::Test {

@@ -668,6 +668,34 @@ TEST(Gateway, FaultlessSessionMatchesDriveSession) {
   EXPECT_EQ(prover.ledger().rng_bits, prover_ref.ledger().rng_bits);
 }
 
+TEST(Gateway, EmptyJudgeTakesTheMachinesOwnVerdict) {
+  // No judge: the verdict is the machine's accepted(), not "it finished".
+  // An inline PH reader facing a tag it never registered completes the
+  // protocol and identifies no one.
+  const Curve& c = Curve::k163();
+  Xoshiro256 setup(0x7D);
+  proto::PhReader reader = proto::ph_setup_reader(c, setup);
+  proto::PhTag tag = proto::ph_register_tag(c, reader, setup);
+  proto::PhReader elsewhere = proto::ph_setup_reader(c, setup);
+  proto::PhTag stranger = proto::ph_register_tag(c, elsewhere, setup);
+  stranger.Y = reader.Y;  // provisioned for our reader, never registered
+  for (const proto::PhTag* t : {&tag, &stranger}) {
+    const bool registered = t == &tag;
+    Xoshiro256 dev_rng(0x7E), srv_rng(0x7F);
+    proto::PhTagMachine device(c, *t, dev_rng);
+    SessionHarness h(0x80, {});
+    ASSERT_TRUE(h.gw.open_session(
+        1, std::make_unique<proto::PhReaderMachine>(c, reader, srv_rng),
+        h.downlink()));
+    h.start(device);
+    h.q.run_all();
+    EXPECT_EQ(device.state(), proto::SessionState::kDone);
+    EXPECT_EQ(h.gw.status(1), engine::GatewaySessionStatus::kCompleted);
+    EXPECT_EQ(h.gw.accepted(1), registered);
+    EXPECT_EQ(h.gw.stats().accepted, registered ? 1u : 0u);
+  }
+}
+
 TEST(Gateway, DeadlineEvictsStalledSession) {
   engine::GatewayConfig gcfg;
   gcfg.session_deadline = 500;

@@ -356,6 +356,23 @@ TEST(SessionMachines, SchnorrDeferredModeExposesWireTranscript) {
       c, kp.X,
       proto::SchnorrTranscript{*rc, verifier.challenge(),
                                verifier.response()}));
+  // The same transcript is the claim deferred() leaves for the host, and
+  // the machine's own verdict fails closed until the host decides.
+  EXPECT_FALSE(verifier.accepted());
+  const auto work = verifier.deferred();
+  ASSERT_TRUE(work.has_value());
+  const auto* claim = std::get_if<proto::SchnorrClaim>(&*work);
+  ASSERT_NE(claim, nullptr);
+  EXPECT_EQ(claim->X, kp.X);
+  EXPECT_EQ(claim->commitment_wire, verifier.commitment_wire());
+  EXPECT_EQ(claim->challenge, verifier.challenge());
+  EXPECT_EQ(claim->response, verifier.response());
+  // An inline verifier decides itself and leaves nothing behind.
+  proto::SchnorrProver prover2(c, kp, rng);
+  proto::SchnorrVerifier inline_verifier(c, kp.X, rng);
+  EXPECT_TRUE(proto::drive_session(prover2, inline_verifier, transcript));
+  EXPECT_TRUE(inline_verifier.accepted());
+  EXPECT_FALSE(inline_verifier.deferred().has_value());
 }
 
 TEST(SessionMachines, PhMachinesMatchRunFunction) {
@@ -410,17 +427,17 @@ TEST(SessionMachines, MutualAuthMachinesStepAndAbort) {
 
 using Mode = proto::VerdictMode;
 
-/// What a host makes of a finished deferred machine: the job's x from the
-/// batch entry, then the job's own continuation. Without a job, the
-/// machine's own verdict stands (`inline_verdict`).
-bool host_verdict(const Curve& c, const proto::SessionMachine& m,
-                  bool inline_verdict) {
-  const proto::LadderJob* job = m.ladder_job();
-  if (job == nullptr) return inline_verdict;
+/// What a host makes of a finished machine: with a deferred check, the
+/// job's x from the batch entry, then the job's own continuation; without
+/// one, the machine's own accepted().
+bool host_verdict(const Curve& c, const proto::SessionMachine& m) {
+  const std::optional<proto::DeferredWork> work = m.deferred();
+  if (!work) return m.accepted();
+  const auto& job = std::get<proto::LadderJob>(*work);
   std::optional<Fe> x;
   medsec::ecc::LadderManyWorkspace ws;
-  medsec::ecc::ladder_x_many(c, &job->k, &job->q, 1, ws, &x);
-  return job->finish(x);
+  medsec::ecc::ladder_x_many(c, &job.k, &job.q, 1, ws, &x);
+  return job.finish(x);
 }
 
 TEST(DeferredLadders, PhReaderVerdictMatchesInline) {
@@ -457,11 +474,13 @@ TEST(DeferredLadders, PhReaderVerdictMatchesInline) {
       proto::Transcript transcript;
       EXPECT_TRUE(proto::drive_session(tag_sm, reader_sm, transcript, tap))
           << cs.name;
-      EXPECT_EQ(reader_sm.ladder_job() != nullptr, mode == Mode::kDeferred)
+      EXPECT_EQ(reader_sm.deferred().has_value(), mode == Mode::kDeferred)
           << cs.name;
-      EXPECT_EQ(host_verdict(c, reader_sm, reader_sm.identity().has_value()),
-                cs.identified)
+      EXPECT_EQ(host_verdict(c, reader_sm), cs.identified)
           << cs.name << (mode == Mode::kInline ? " inline" : " deferred");
+      // A host that ignores the deferred check fails closed.
+      EXPECT_EQ(reader_sm.accepted(), mode == Mode::kInline && cs.identified)
+          << cs.name;
     }
   }
 }
@@ -507,15 +526,12 @@ TEST(DeferredLadders, EciesReceiverVerdictMatchesInline) {
                                     : proto::SessionState::kFailed)
         << cs.name;
     EXPECT_EQ(b.state, proto::SessionState::kDone) << cs.name;
-    EXPECT_EQ(inline_rx.ladder_job(), nullptr);
-    ASSERT_NE(deferred_rx.ladder_job(), nullptr) << cs.name;
-    EXPECT_EQ(host_verdict(c, inline_rx, inline_rx.delivered()),
-              cs.delivered)
-        << cs.name;
-    EXPECT_EQ(host_verdict(c, deferred_rx, deferred_rx.delivered()),
-              cs.delivered)
-        << cs.name;
+    EXPECT_FALSE(inline_rx.deferred().has_value());
+    ASSERT_TRUE(deferred_rx.deferred().has_value()) << cs.name;
+    EXPECT_EQ(host_verdict(c, inline_rx), cs.delivered) << cs.name;
+    EXPECT_EQ(host_verdict(c, deferred_rx), cs.delivered) << cs.name;
     EXPECT_FALSE(deferred_rx.delivered());  // the plaintext stays in the job
+    EXPECT_FALSE(deferred_rx.accepted());
     if (cs.delivered) {
       EXPECT_EQ(inline_rx.plaintext(), telemetry);
     }

@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -280,7 +281,6 @@ struct DeferredSchnorrRig {
               auto rng = std::make_unique<Xoshiro256>(1000 + id);
               s.machine = std::make_unique<proto::SchnorrVerifier>(
                   c, kp.X, *rng, proto::SchnorrVerifier::Mode::kDeferred);
-              s.deferred_schnorr = true;
               s.rng = std::move(rng);
               return s;
             },
@@ -386,20 +386,19 @@ struct DeferredLadderRig {
     }
   };
 
-  explicit DeferredLadderRig(proto::VerdictMode mode)
+  /// `inert_flag` fills SessionSetup's second field, the Schnorr flag
+  /// that nothing reads any more.
+  explicit DeferredLadderRig(proto::VerdictMode mode, bool inert_flag = false)
       : eng(0, engine::ShardFleetConfig{}, c,
-            [this, mode](std::uint64_t id) {
-              engine::SessionSetup s;
-              auto rng = std::make_unique<Xoshiro256>(500 + id);
+            [this, mode, inert_flag](std::uint64_t id) {
+              engine::SessionSetup s{nullptr, inert_flag,
+                                     std::make_unique<Xoshiro256>(500 + id)};
               if (id % 2 == 1)
                 s.machine = std::make_unique<proto::PhReaderMachine>(
-                    c, reader, *rng, mode);
+                    c, reader, *s.rng, mode);
               else
                 s.machine = std::make_unique<proto::EciesReceiver>(
                     c, key.y, aes, 16, mode);
-              // The campaign's judges: gid%4 == 1 is PH, 3 is ECIES.
-              s.judge = engine::campaign::judge_for(id % 2 == 1 ? 1 : 3);
-              s.rng = std::move(rng);
               return s;
             },
             /*producers=*/1) {
@@ -612,6 +611,62 @@ TEST(ShardEngine, DeferredEciesRefusalLandsCompletedWithoutReject) {
   }
 }
 
+// --- ShardEngine: the machine says how it is judged --------------------------
+
+TEST(ShardEngine, DeferredSchnorrVerifierNeedsNoFlagOrJudge) {
+  // The rig's setups carry neither the old Schnorr flag nor a judge: the
+  // verifier's kDeferred mode alone sends its claim to the queue, and only
+  // the forgery is refused — in the records, ShardStats and the gateway.
+  DeferredSchnorrRig rig(/*verify_batch=*/4);
+  rig.commit();
+  rig.respond();
+  rig.eng.flush_verifier();
+  rig.expect_verdicts();
+  const engine::BatchVerifierStats vs = rig.eng.verifier().stats();
+  EXPECT_EQ(vs.items, rig.kSessions);
+  EXPECT_EQ(vs.rejected, 1u);
+}
+
+TEST(ShardEngine, InlinePhReaderWithoutJudgeRefusesUnregisteredTag) {
+  // No judge: an inline reader's verdict is its own accepted(), so the
+  // tag it never registered (session 3) completes the protocol unaccepted.
+  DeferredLadderRig rig(proto::VerdictMode::kInline);
+  rig.run();
+  EXPECT_EQ(rig.eng.gateway().status(3),
+            engine::GatewaySessionStatus::kCompleted);
+  EXPECT_FALSE(rig.eng.gateway().accepted(3));
+  const auto rec = rig.eng.records().find(3);
+  ASSERT_NE(rec, rig.eng.records().end());
+  EXPECT_TRUE(rec->second.completed);
+  EXPECT_FALSE(rec->second.accepted);
+  EXPECT_TRUE(rig.eng.gateway().accepted(1));
+  // Sessions 1-3 settle with a verdict; the ECIES blob no key opens (4)
+  // fails inline instead.
+  const engine::ShardStats st = rig.eng.stats();
+  EXPECT_EQ(st.completed, 3u);
+  EXPECT_EQ(st.accepted, 2u);
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(rig.eng.gateway().stats().accepted, 2u);
+}
+
+TEST(ShardEngine, InertSchnorrFlagChangesNothing) {
+  // The old flag on inline PH readers and ECIES receivers: nothing reads
+  // it, so every session lands the verdict it lands without it.
+  DeferredLadderRig plain(proto::VerdictMode::kInline);
+  DeferredLadderRig flagged(proto::VerdictMode::kInline, /*inert_flag=*/true);
+  plain.run();
+  flagged.run();
+  for (std::uint64_t id = 1; id <= flagged.kSessions; ++id) {
+    EXPECT_EQ(flagged.eng.gateway().status(id),
+              plain.eng.gateway().status(id))
+        << id;
+    EXPECT_EQ(flagged.eng.gateway().accepted(id), flagged.honest(id)) << id;
+    EXPECT_EQ(plain.eng.gateway().accepted(id), flagged.honest(id)) << id;
+  }
+  EXPECT_EQ(flagged.eng.stats().accepted, 2u);
+  EXPECT_EQ(flagged.eng.verifier().stats().items, 0u);
+}
+
 /// Device: one blob, then done.
 struct OneShotDevice final : proto::SessionMachine {
   proto::StepResult start() override {
@@ -629,8 +684,9 @@ struct JobServer final : proto::SessionMachine {
   proto::StepResult on_message(const proto::Message&) override {
     return step(proto::StepResult::done());
   }
-  const proto::LadderJob* ladder_job() const override {
-    return state() == proto::SessionState::kDone ? &job : nullptr;
+  std::optional<proto::DeferredWork> deferred() const override {
+    if (state() != proto::SessionState::kDone) return std::nullopt;
+    return job;
   }
   proto::LadderJob job;
 };
@@ -770,7 +826,8 @@ TEST(ShardEngine, BatchCoefficientsAreUnpredictableToDevices) {
 
 TEST(ShardEngine, InlineJudgeSettlesMutualAuthSessions) {
   // Generic sessions ride the same shard: a symmetric mutual-auth server
-  // machine, judged inline at settle instead of through the batch queue.
+  // machine, judged inline at settle by its own accepted() instead of
+  // through the batch queue.
   const Curve& c = Curve::k163();
   const proto::CipherFactory aes = aes_factory();
   const auto keys =
@@ -780,10 +837,6 @@ TEST(ShardEngine, InlineJudgeSettlesMutualAuthSessions) {
     engine::SessionSetup s;
     auto rng = std::make_unique<Xoshiro256>(300 + id);
     s.machine = std::make_unique<proto::MutualAuthServer>(aes, keys, *rng);
-    s.judge = [](const proto::SessionMachine& m) {
-      const auto& srv = static_cast<const proto::MutualAuthServer&>(m);
-      return srv.accepted_tag() && srv.telemetry_delivered();
-    };
     s.rng = std::move(rng);
     return s;
   };
@@ -840,7 +893,6 @@ TEST(ShardEngine, RefusedOpenIsAnsweredWithReject) {
     auto r = std::make_unique<Xoshiro256>(id);
     s.machine = std::make_unique<proto::SchnorrVerifier>(
         c, *key, *r, proto::SchnorrVerifier::Mode::kDeferred);
-    s.deferred_schnorr = true;
     s.rng = std::move(r);
     return s;
   };
@@ -981,7 +1033,6 @@ engine::SessionFactory registry_factory(const Curve& c,
     auto r = std::make_unique<Xoshiro256>(5000 + id);
     s.machine = std::make_unique<proto::SchnorrVerifier>(
         c, *key, *r, proto::SchnorrVerifier::Mode::kDeferred);
-    s.deferred_schnorr = true;
     s.rng = std::move(r);
     return s;
   };
@@ -1224,7 +1275,6 @@ TEST(UdpFrontEnd, PeekSocketSmokeAndEndToEndSession) {
     auto rng = std::make_unique<Xoshiro256>(500 + id);
     s.machine = std::make_unique<proto::SchnorrVerifier>(
         c, kp.X, *rng, proto::SchnorrVerifier::Mode::kDeferred);
-    s.deferred_schnorr = true;
     s.rng = std::move(rng);
     return s;
   };
