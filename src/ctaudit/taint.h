@@ -66,11 +66,6 @@ struct TaintAuditReport {
       if (v.kind == k) return true;
     return false;
   }
-  std::uint64_t total_violations() const {
-    std::uint64_t n = 0;
-    for (const TaintViolation& v : violations) n += v.count;
-    return n;
-  }
 };
 
 /// Recording scope for one audited run. RAII: installs itself as the

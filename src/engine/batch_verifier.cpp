@@ -12,7 +12,6 @@ namespace medsec::engine {
 
 namespace {
 using ecc::Curve;
-using ecc::Fe;
 using ecc::Point;
 using ecc::Scalar;
 }  // namespace
@@ -21,26 +20,18 @@ std::vector<std::optional<Point>> decode_points_batch(
     const Curve& curve, const std::vector<std::vector<std::uint8_t>>& encoded) {
   std::vector<std::optional<Point>> out(encoded.size());
 
-  // Parse prefix + x of every well-formed entry; the field work (one
-  // shared inversion, root selection, subgroup gate) then runs in one
-  // call on one field backend.
+  // Parse every entry as decode_point does; the field work (one shared
+  // inversion, root selection, subgroup gate) then runs in one call on one
+  // field backend.
   std::vector<std::size_t> index;
   std::vector<Curve::Compressed> slots;
   index.reserve(encoded.size());
   slots.reserve(encoded.size());
   for (std::size_t i = 0; i < encoded.size(); ++i) {
-    const auto& bytes = encoded[i];
-    if (bytes.size() != 1 + protocol::kFeBytes) continue;
-    if (bytes[0] != 0x02 && bytes[0] != 0x03) continue;  // incl. infinity
-    Fe x;
-    try {
-      x = protocol::decode_fe({bytes.begin() + 1, bytes.end()});
-    } catch (const std::invalid_argument&) {
-      continue;
+    if (const auto c = protocol::parse_point(encoded[i])) {
+      index.push_back(i);
+      slots.push_back(*c);
     }
-    if (x.is_zero()) continue;  // the order-2 point: never a protocol point
-    index.push_back(i);
-    slots.push_back(Curve::Compressed{x, bytes[0] & 1});
   }
 
   const auto points = gf2m::with_field_ops([&]<class Ops>(Ops) {
@@ -136,15 +127,12 @@ SchnorrBatchVerifier::SchnorrBatchVerifier(const Curve& curve,
       rng_(rlc_seed) {}
 
 void SchnorrBatchVerifier::enqueue(DeferredCheck check) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (std::holds_alternative<protocol::SchnorrClaim>(check.work)) {
-      queue_.push_back(std::move(check));
-      ++stats_.items;
-    } else {
-      ladders_.push_back(std::move(check));
-      ++stats_.ladders;
-    }
+  if (std::holds_alternative<protocol::SchnorrClaim>(check.work)) {
+    queue_.push_back(std::move(check));
+    stats_.add<&BatchVerifierStats::items>();
+  } else {
+    ladders_.push_back(std::move(check));
+    stats_.add<&BatchVerifierStats::ladders>();
   }
   drain(batch_size_);
 }
@@ -158,32 +146,16 @@ void SchnorrBatchVerifier::enqueue(PendingTranscript t) {
 
 void SchnorrBatchVerifier::flush() { drain(1); }
 
-std::size_t SchnorrBatchVerifier::pending() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + ladders_.size() + in_verify_;
-}
-
-BatchVerifierStats SchnorrBatchVerifier::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 void SchnorrBatchVerifier::drain(std::size_t min_items) {
+  const std::size_t n = pending();
+  if (n == 0 || n < min_items) return;
+  // Swap out first: a callback that enqueues fills the fresh queues.
   std::vector<DeferredCheck> ts;
   std::vector<DeferredCheck> ls;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t n = queue_.size() + ladders_.size();
-    if (n == 0 || n < min_items) return;
-    ts.swap(queue_);
-    ls.swap(ladders_);
-    in_verify_ += n;
-  }
+  ts.swap(queue_);
+  ls.swap(ladders_);
   if (!ts.empty()) verify_transcripts(ts);
   if (!ls.empty()) run_ladders(ls);
-  // Verdicts delivered: this batch is no longer pending.
-  const std::lock_guard<std::mutex> lock(mu_);
-  in_verify_ -= ts.size() + ls.size();
 }
 
 void SchnorrBatchVerifier::verify_transcripts(
@@ -212,11 +184,8 @@ void SchnorrBatchVerifier::verify_transcripts(
     origin.push_back(i);
   }
 
-  BatchVerifyOutcome outcome;
-  {
-    const std::lock_guard<std::mutex> lock(rng_mu_);
-    outcome = schnorr_verify_batch(*curve_, transcripts, keys, rng_);
-  }
+  const BatchVerifyOutcome outcome =
+      schnorr_verify_batch(*curve_, transcripts, keys, rng_);
 
   std::vector<bool> accepted(batch.size(), false);
   for (std::size_t j = 0; j < origin.size(); ++j)
@@ -224,19 +193,15 @@ void SchnorrBatchVerifier::verify_transcripts(
 
   std::size_t n_accepted = 0;
   for (const bool a : accepted) n_accepted += a ? 1 : 0;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batches;
-    stats_.accepted += n_accepted;
-    stats_.rejected += batch.size() - n_accepted;
-    stats_.decode_failures += decode_failures;
-    if (!outcome.rlc_passed) {
-      ++stats_.rlc_failures;
-      stats_.single_fallbacks += outcome.isolation_msms;
-    }
+  stats_.add<&BatchVerifierStats::batches>();
+  stats_.add<&BatchVerifierStats::accepted>(n_accepted);
+  stats_.add<&BatchVerifierStats::rejected>(batch.size() - n_accepted);
+  stats_.add<&BatchVerifierStats::decode_failures>(decode_failures);
+  if (!outcome.rlc_passed) {
+    stats_.add<&BatchVerifierStats::rlc_failures>();
+    stats_.add<&BatchVerifierStats::single_fallbacks>(outcome.isolation_msms);
   }
 
-  // Callbacks last, with no locks held.
   for (std::size_t i = 0; i < batch.size(); ++i)
     if (batch[i].on_result) batch[i].on_result(accepted[i]);
 }
@@ -259,11 +224,8 @@ void SchnorrBatchVerifier::run_ladders(std::vector<DeferredCheck>& batch) {
     origin.push_back(i);
   }
   std::vector<std::optional<ecc::Fe>> xs(origin.size());
-  {
-    const std::lock_guard<std::mutex> lock(ladder_mu_);
-    ecc::ladder_x_many(*curve_, ks.data(), qs.data(), ks.size(), ladder_ws_,
-                       xs.data());
-  }
+  ecc::ladder_x_many(*curve_, ks.data(), qs.data(), ks.size(), ladder_ws_,
+                     xs.data());
 
   // The continuations: a throw refuses its own session only.
   std::vector<bool> accepted(batch.size(), false);
@@ -278,13 +240,9 @@ void SchnorrBatchVerifier::run_ladders(std::vector<DeferredCheck>& batch) {
 
   std::size_t n_accepted = 0;
   for (const bool a : accepted) n_accepted += a ? 1 : 0;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.ladder_batches;
-    stats_.ladders_rejected += batch.size() - n_accepted;
-  }
+  stats_.add<&BatchVerifierStats::ladder_batches>();
+  stats_.add<&BatchVerifierStats::ladders_rejected>(batch.size() - n_accepted);
 
-  // Callbacks last, with no locks held.
   for (std::size_t i = 0; i < batch.size(); ++i)
     if (batch[i].on_result) batch[i].on_result(accepted[i]);
 }

@@ -24,10 +24,11 @@
 //     session can never be rejected because of one. One forgery in 64
 //     costs six shrinking MSMs over the table.
 //
-// SchnorrBatchVerifier is the thread-safe deferred-verdict queue each
-// shard drains (one per ShardEngine, flushed every tick). It holds the
-// checks deferred machines leave behind (SessionMachine::deferred()), of
-// two kinds, each with a completion callback:
+// SchnorrBatchVerifier is the deferred-verdict queue each shard drains
+// (one per ShardEngine, flushed every tick). Its shard thread is its one
+// owner; only its stats are read from other threads. It holds the checks
+// deferred machines leave behind (SessionMachine::deferred()), of two
+// kinds, each with a completion callback:
 //
 //   * Schnorr claims (protocol::SchnorrClaim) from deferred verifiers,
 //     still wire-encoded, checked as above;
@@ -43,7 +44,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -124,20 +124,20 @@ inline BatchVerifierStats& operator+=(BatchVerifierStats& a,
   return core::add_counters(a, b);
 }
 
-/// Thread-safe batched verifier queue. batch_size == 1 degenerates to
-/// independent per-session verification (the baseline the fleet bench
-/// compares against).
+/// The batched verifier queue of one owning thread: every method but
+/// stats() runs there. batch_size == 1 degenerates to independent
+/// per-session verification (the baseline the fleet bench compares
+/// against).
 class SchnorrBatchVerifier {
  public:
   SchnorrBatchVerifier(const ecc::Curve& curve, std::size_t batch_size,
                        std::uint64_t rlc_seed = 0xBA7C5EED);
 
-  /// Enqueue one check; flushes synchronously on the calling thread once
-  /// batch_size items are queued. Callbacks run on whichever thread
-  /// flushes — never with internal locks held, so they may re-enter the
-  /// verifier or take session locks. A ladder job whose continuation
-  /// throws is refused alone (the gateway's poison rule); the rest of its
-  /// batch still lands.
+  /// Enqueue one check; flushes once batch_size items are queued. A flush
+  /// moves its items out of the queues before it decides them, and runs
+  /// the callbacks last, so a callback may enqueue again: its item waits
+  /// for a later flush. A ladder job whose continuation throws is refused
+  /// alone (the gateway's poison rule); the rest of its batch still lands.
   void enqueue(DeferredCheck check);
   void enqueue(PendingTranscript t);
 
@@ -145,11 +145,12 @@ class SchnorrBatchVerifier {
   /// batch and one ladder batch.
   void flush();
 
-  /// Transcripts and ladder jobs without a verdict yet: queued PLUS
-  /// mid-flush on some thread. A session is only "drained" once this
-  /// excludes it.
-  std::size_t pending() const;
-  BatchVerifierStats stats() const;
+  /// Transcripts and ladder jobs queued for the next flush. Items a flush
+  /// has moved out are no longer counted, even while their callbacks run.
+  std::size_t pending() const { return queue_.size() + ladders_.size(); }
+  /// The counters so far. Safe to call from any thread while the owner
+  /// runs.
+  BatchVerifierStats stats() const { return stats_.load(); }
 
  private:
   /// If both queues hold at least `min_items` between them, move them out
@@ -160,16 +161,10 @@ class SchnorrBatchVerifier {
 
   const ecc::Curve* curve_;
   std::size_t batch_size_;
-  mutable std::mutex mu_;  ///< guards queue_, ladders_, in_verify_, stats_
   std::vector<DeferredCheck> queue_;    ///< Schnorr claims
   std::vector<DeferredCheck> ladders_;  ///< key multiplications
-  /// Items moved out of the queues and currently inside drain() — still
-  /// verdict-pending, no longer "queued".
-  std::size_t in_verify_ = 0;
-  BatchVerifierStats stats_;
-  std::mutex rng_mu_;              ///< guards rng_
+  core::PublishedCounters<BatchVerifierStats> stats_;
   rng::Xoshiro256 rng_;
-  std::mutex ladder_mu_;           ///< guards ladder_ws_
   /// Lane buffers of the ladder batch, sized at its first run.
   ecc::LadderManyWorkspace ladder_ws_;
 };

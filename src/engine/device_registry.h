@@ -30,7 +30,7 @@ namespace medsec::engine {
 class DeviceRegistry {
  public:
   /// Unrecovered faults that quarantine a device.
-  static constexpr std::size_t kFaultThreshold = 3;
+  static constexpr std::size_t kFaultThreshold = 2;
 
   explicit DeviceRegistry(const ecc::Curve& curve) : curve_(&curve) {}
 

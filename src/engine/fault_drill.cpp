@@ -9,6 +9,7 @@
 #include "core/thread_pool.h"
 #include "ecc/scalar_mult.h"
 #include "engine/campaign_fixtures.h"
+#include "engine/device_registry.h"
 #include "hw/fault_injector.h"
 #include "rng/xoshiro.h"
 #include "sidechannel/countermeasures.h"
@@ -78,21 +79,28 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
             .cycles;
   }
 
+  // The operator's registry: device d enrolls (d+1)·G, drawn from no
+  // injector lane, so enrollment moves no fault. It holds each device's
+  // fault history and refuses the sessions of a quarantined one.
+  DeviceRegistry registry(curve);
+  for (std::size_t d = 0; d < cfg.devices; ++d)
+    registry.enroll(ecc::scalar_mult(curve, ecc::Scalar{d + 1},
+                                     curve.base_point()));
+
   std::vector<Entry> entries(cfg.sessions);
-  std::vector<std::uint8_t> quarantined(cfg.devices, 0);
 
   // Shard by device: device d owns sessions gid ≡ d (mod devices), walked
   // in gid order, so its damage/quarantine state evolves identically for
-  // any thread count. Shards touch disjoint entries_ indices — no locks.
+  // any thread count. Shards touch disjoint entries_ indices and registry
+  // slots.
   const auto work = [&](std::size_t dev_begin, std::size_t dev_end) {
     for (std::size_t device = dev_begin; device < dev_end; ++device) {
+      const auto id = static_cast<std::uint32_t>(device);
       std::optional<hw::FaultSpec> permanent;  // stuck-at = lasting damage
-      std::size_t unrecovered = 0;
-      bool quar = false;
       for (std::uint64_t gid = device; gid < cfg.sessions;
            gid += cfg.devices) {
         Entry& en = entries[static_cast<std::size_t>(gid)];
-        if (quar) {
+        if (!registry.admit(id)) {
           en.outcome = DrillOutcome::kRefused;
           continue;
         }
@@ -125,8 +133,7 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
           en.outcome = DrillOutcome::kUnrecovered;
           en.faults = static_cast<std::uint32_t>(core::kFaultRetryBudget + 1);
           en.retries = static_cast<std::uint32_t>(core::kFaultRetryBudget);
-          ++unrecovered;
-          if (unrecovered >= kDeviceFaultThreshold) quar = true;
+          registry.report_unrecovered_fault(id);
         }
 
         if (released) {
@@ -158,7 +165,6 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
           }
         }
       }
-      quarantined[device] = quar ? 1 : 0;
     }
   };
 
@@ -201,7 +207,8 @@ FaultDrillResult run_fault_drill(const ecc::Curve& curve,
         digest = fnv1a(digest, en.x.limb(i));
   }
   for (std::size_t d = 0; d < cfg.devices; ++d)
-    if (quarantined[d] != 0) ++out.devices_quarantined;
+    if (registry.quarantined(static_cast<std::uint32_t>(d)))
+      ++out.devices_quarantined;
   out.digest = digest;
   return out;
 }

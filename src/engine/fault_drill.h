@@ -11,9 +11,10 @@
 //   * transient glitches recover transparently (detect → zeroize →
 //     re-randomize blinds → retry under the bounded budget);
 //   * persistent damage (a stuck-at that re-arms on every subsequent
-//     operation) exhausts the budget, releases NOTHING, and the operator
-//     quarantines the device after kDeviceFaultThreshold such failures —
-//     later sessions for it are refused at open;
+//     operation) exhausts the budget, releases NOTHING, and each such
+//     failure is reported to the operator's DeviceRegistry, which
+//     quarantines the device at DeviceRegistry::kFaultThreshold — later
+//     sessions for it are refused at open;
 //   * the protocol layer only ever runs on released (hence verified-
 //     clean) results, so the handshake mix (Schnorr / Peeters–Hermans /
 //     mutual-auth / ECIES, session gid runs protocol gid % 4) stays
@@ -40,10 +41,6 @@ namespace medsec::engine {
 /// detector armed — entry point validation, cycle coherence, and the
 /// always-on recovery canary.
 core::CountermeasureConfig fault_drill_processor_config();
-
-/// Unrecovered faults a device may accumulate before the operator
-/// quarantines it.
-inline constexpr std::size_t kDeviceFaultThreshold = 2;
 
 struct FaultDrillConfig {
   std::size_t sessions = 1024;

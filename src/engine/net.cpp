@@ -108,15 +108,15 @@ void UdpFrontEnd::stop() {
 void UdpFrontEnd::send_downlink(std::uint64_t /*session*/, const Peer& peer,
                                 std::vector<std::uint8_t> bytes) {
   if (socket_.send_to(peer, bytes))
-    datagrams_out_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&UdpFrontEndStats::datagrams_out>();
   else
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&UdpFrontEndStats::send_failures>();
   // The encode path drew from the pool; recycle on this (shard) thread.
   FramePool::release(std::move(bytes));
 }
 
 void UdpFrontEnd::shed_reject(std::uint64_t session, const Peer& peer) {
-  shed_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&UdpFrontEndStats::shed>();
   Frame reject;
   reject.type = FrameType::kReject;
   reject.session = session;
@@ -135,13 +135,13 @@ void UdpFrontEnd::drain_socket() {
       FramePool::release(std::move(bytes));
       return;
     }
-    datagrams_in_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&UdpFrontEndStats::datagrams_in>();
     const std::optional<std::uint64_t> session = peek_frame_session(bytes);
     if (!session) {
       // Not even a frame header: drop silently. (A frame with a valid
       // header but mangled body reaches the shard, whose CRC rejects it
       // — that path must stay identical to the deterministic stack's.)
-      not_a_frame_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&UdpFrontEndStats::not_a_frame>();
       FramePool::release(std::move(bytes));
       continue;
     }
@@ -181,16 +181,6 @@ void UdpFrontEnd::loop() {
 #endif
   // Final sweep: datagrams that raced the stop flag still get routed.
   drain_socket();
-}
-
-UdpFrontEndStats UdpFrontEnd::stats() const {
-  UdpFrontEndStats s;
-  s.datagrams_in = datagrams_in_.load(std::memory_order_relaxed);
-  s.datagrams_out = datagrams_out_.load(std::memory_order_relaxed);
-  s.not_a_frame = not_a_frame_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.send_failures = send_failures_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace medsec::engine

@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/counters.h"
 #include "engine/shard.h"
 #include "engine/transport.h"
 
@@ -76,6 +77,9 @@ class UdpSocket {
   std::array<std::uint8_t, kMaxDatagram> rx_{};
 };
 
+/// Counters the front end publishes while running
+/// (core::PublishedCounters). Its readiness thread writes them, except
+/// datagrams_out and send_failures (every shard thread).
 struct UdpFrontEndStats {
   std::uint64_t datagrams_in = 0;
   std::uint64_t datagrams_out = 0;
@@ -105,7 +109,8 @@ class UdpFrontEnd final : public Transport {
   void send_downlink(std::uint64_t session, const Peer& peer,
                      std::vector<std::uint8_t> bytes) override;
 
-  UdpFrontEndStats stats() const;
+  /// The counters so far. Safe to call from any thread.
+  UdpFrontEndStats stats() const { return stats_.load(); }
 
  private:
   void loop();
@@ -116,12 +121,7 @@ class UdpFrontEnd final : public Transport {
   UdpSocket socket_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
-
-  std::atomic<std::uint64_t> datagrams_in_{0};
-  std::atomic<std::uint64_t> datagrams_out_{0};
-  std::atomic<std::uint64_t> not_a_frame_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> send_failures_{0};
+  core::PublishedCounters<UdpFrontEndStats> stats_;
 };
 
 }  // namespace medsec::engine

@@ -51,7 +51,7 @@ bool ShardEngine::offer(std::size_t lane, IngressItem&& item) {
   // try_push moves only on success, so a shed item is still intact for the
   // caller's reject reply.
   if (mailbox_.try_push(lane, std::move(item))) return true;
-  mailbox_shed_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&ShardStats::mailbox_shed>();
   return false;
 }
 
@@ -68,14 +68,14 @@ std::size_t ShardEngine::drain_mailbox(std::size_t limit) {
 }
 
 void ShardEngine::ingest(IngressItem&& item) {
-  ingress_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&ShardStats::ingress>();
   if (!gateway_->has_session(item.session)) {
     // A session opens on its device's first message, nothing less: a
     // header that merely looks like a frame would otherwise make the
     // factory build a machine and an rng for bytes that fail the CRC.
     const std::optional<Frame> f = decode_frame(item.bytes);
     if (!f || f->type != FrameType::kData) {
-      stray_dropped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&ShardStats::stray_dropped>();
       FramePool::release(std::move(item.bytes));
       return;
     }
@@ -91,9 +91,11 @@ void ShardEngine::record_verdict(std::uint64_t id, bool accepted) {
   r.completed = true;
   r.accepted = accepted;
   r.settled = queue_.now();
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  (accepted ? accepted_ : rejected_)
-      .fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&ShardStats::completed>();
+  if (accepted)
+    stats_.add<&ShardStats::accepted>();
+  else
+    stats_.add<&ShardStats::rejected>();
 }
 
 void ShardEngine::send(std::uint64_t id, std::vector<std::uint8_t> bytes) {
@@ -142,7 +144,7 @@ void ShardEngine::open(std::uint64_t id, const Peer& peer) {
     // Refused (unknown or quarantined device): an explicit verdict, as
     // for a shed, so the device fails fast instead of retransmitting into
     // silence.
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&ShardStats::rejected>();
     Frame reject;
     reject.type = FrameType::kReject;
     reject.session = id;
@@ -151,9 +153,9 @@ void ShardEngine::open(std::uint64_t id, const Peer& peer) {
   }
   if (gateway_->open_session(id, std::move(setup.machine), downlink(id),
                              judge(id), std::move(setup.rng)))
-    opened_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&ShardStats::opened>();
   else
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&ShardStats::rejected>();
 }
 
 GatewayStats ShardEngine::failover() {
@@ -176,29 +178,15 @@ GatewayStats ShardEngine::failover() {
 void ShardEngine::flush_verifier() {
   if (verifier_.pending() == 0) return;
   verifier_.flush();
-  verifier_flushes_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&ShardStats::verifier_flushes>();
 }
 
 std::size_t ShardEngine::tick(core::Cycle virtual_now) {
-  ticks_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&ShardStats::ticks>();
   const std::size_t drained = drain_mailbox(config_.drain_chunk);
   advance_to(std::max(virtual_now, queue_.now()));
   flush_verifier();
   return drained;
-}
-
-ShardStats ShardEngine::stats() const {
-  ShardStats s;
-  s.ingress = ingress_.load(std::memory_order_relaxed);
-  s.mailbox_shed = mailbox_shed_.load(std::memory_order_relaxed);
-  s.stray_dropped = stray_dropped_.load(std::memory_order_relaxed);
-  s.opened = opened_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.verifier_flushes = verifier_flushes_.load(std::memory_order_relaxed);
-  s.ticks = ticks_.load(std::memory_order_relaxed);
-  return s;
 }
 
 // --- ShardFleet --------------------------------------------------------------

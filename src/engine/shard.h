@@ -24,10 +24,10 @@
 //              Transport::send_downlink (sendto / LossyLink)
 //
 // Threading contract: everything inside a ShardEngine (queue, gateway,
-// session records) is owned by its shard thread — the single-threaded
-// discipline of core::EventQueue. The only cross-thread edges are the
-// mailbox rings (wait-free), the verifier (internally locked, but only
-// ever touched by its own shard here), and the relaxed stats counters.
+// batch verifier, session records) is owned by its shard thread — the
+// single-threaded discipline of core::EventQueue. The only cross-thread
+// edges are the mailbox rings (wait-free) and the stats counters, which
+// the shard and its verifier publish through core::PublishedCounters.
 //
 // Deterministic mode: run_sharded_campaign() is the chaos campaign — device
 // <-> gateway sessions over seeded LossyLinks, hash-partitioned across N
@@ -138,7 +138,8 @@ struct ShardFleetConfig {
   std::size_t drain_chunk = 256;
 };
 
-/// Relaxed-atomic counters a shard thread publishes while running.
+/// Counters a shard publishes while running (core::PublishedCounters).
+/// Its shard thread writes them, except mailbox_shed (the producers).
 struct ShardStats {
   std::uint64_t ingress = 0;         ///< datagrams drained from the mailbox
   std::uint64_t mailbox_shed = 0;    ///< try_push failures (backpressure)
@@ -233,7 +234,8 @@ class ShardEngine {
     return records_;
   }
 
-  ShardStats stats() const;
+  /// The counters so far. Safe to call from any thread.
+  ShardStats stats() const { return stats_.load(); }
 
  private:
   std::unique_ptr<GatewayServer> make_gateway();
@@ -255,18 +257,7 @@ class ShardEngine {
   Transport* transport_ = nullptr;
   std::unordered_map<std::uint64_t, Peer> peers_;
   std::unordered_map<std::uint64_t, Record> records_;
-
-  // Relaxed atomics: single writer (shard thread) except mailbox_shed_
-  // (producers); readers tolerate tearing-free point-in-time values.
-  std::atomic<std::uint64_t> ingress_{0};
-  std::atomic<std::uint64_t> mailbox_shed_{0};
-  std::atomic<std::uint64_t> stray_dropped_{0};
-  std::atomic<std::uint64_t> opened_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> verifier_flushes_{0};
-  std::atomic<std::uint64_t> ticks_{0};
+  core::PublishedCounters<ShardStats> stats_;
 };
 
 /// What a bounded drain left behind.

@@ -6,7 +6,6 @@
 
 #include "gf2m/backend.h"
 #include "gf2m/field_ops.h"
-#include "gf2m/reduce_163.h"
 
 namespace medsec::gf2m {
 
@@ -30,12 +29,6 @@ bigint::U192 Gf163::to_bits() const {
   out.set_limb(1, limb_[1]);
   out.set_limb(2, limb_[2]);
   return out;
-}
-
-Gf163 Gf163::reduce_product(const std::array<std::uint64_t, 6>& prod) {
-  std::uint64_t out[3];
-  reduce326(prod.data(), out);  // shared shift-reduce fold (reduce_163.h)
-  return Gf163{out[0], out[1], out[2]};
 }
 
 namespace {

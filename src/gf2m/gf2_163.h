@@ -129,10 +129,6 @@ class Gf163 {
     }
   }
 
-  /// Reduce a 326-bit polynomial product (6 limbs) modulo the field
-  /// polynomial. Exposed for the digit-serial hardware model's cross-check.
-  static Gf163 reduce_product(const std::array<std::uint64_t, 6>& p);
-
  private:
   std::array<std::uint64_t, kLimbs> limb_{};
 };

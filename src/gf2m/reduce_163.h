@@ -1,7 +1,7 @@
 // reduce_163.h — the shift-reduce fold modulo x^163 + x^7 + x^6 + x^3 + 1.
 //
 // THE one fold definition. Every backend — the scalar field element
-// (gf2_163.cpp), the interleaved hardware-clmul lane kernels and the
+// (field_ops.h), the interleaved hardware-clmul lane kernels and the
 // VPCLMULQDQ vector kernels (lanes.cpp) — produces the same unreduced
 // 326-bit carry-less product layout, and this header is the only place
 // that knows how to fold it back into 163 bits. All variants (scalar

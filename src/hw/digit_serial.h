@@ -46,11 +46,6 @@ struct MaluResult {
   gf2m::Gf163 product;
   std::size_t cycles = 0;
   std::vector<MaluCycle> activity;  ///< one entry per cycle
-  double total_toggles() const {
-    double t = 0;
-    for (const auto& c : activity) t += c.acc_toggles + c.logic_toggles;
-    return t;
-  }
 };
 
 namespace detail {

@@ -51,18 +51,6 @@ struct Technology {
         .um2_per_ge = 5.12,
     };
   }
-
-  /// A faster operating point used by "energy-rich" reader-side models
-  /// (the phone / mini-server of §2 does not run at sub-MHz).
-  static constexpr Technology umc130_fast() {
-    Technology t = umc130();
-    t.name = "UMC 0.13um @ 1.2V, 20 MHz";
-    t.vdd_volts = 1.2;
-    t.clock_hz = 20.0e6;
-    // Dynamic energy scales with Vdd^2.
-    t.energy_per_ge_toggle_j = 11.7e-15 * (1.2 * 1.2);
-    return t;
-  }
 };
 
 }  // namespace medsec::hw

@@ -12,6 +12,22 @@ using ecc::Curve;
 using ecc::Fe;
 using ecc::Point;
 using ecc::Scalar;
+
+/// kFeBytes big-endian bytes as a field element; nullopt when a bit above
+/// 162 is set (never so in a valid encoding).
+std::optional<Fe> parse_fe(std::span<const std::uint8_t> bytes) {
+  U192 bits;
+  for (std::size_t i = 0; i < kFeBytes; ++i) {
+    const std::size_t byte_index = kFeBytes - 1 - i;
+    bits.set_limb(i / 8, bits.limb(i / 8) |
+                             (static_cast<std::uint64_t>(bytes[byte_index])
+                              << (8 * (i % 8))));
+  }
+  for (std::size_t b = 163; b < 168; ++b)
+    if (bits.bit(b)) return std::nullopt;
+  return Fe::from_bits(bits);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_fe(const Fe& v) {
@@ -28,17 +44,9 @@ std::vector<std::uint8_t> encode_fe(const Fe& v) {
 Fe decode_fe(const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() != kFeBytes)
     throw std::invalid_argument("decode_fe: bad length");
-  U192 bits;
-  for (std::size_t i = 0; i < kFeBytes; ++i) {
-    const std::size_t byte_index = kFeBytes - 1 - i;
-    bits.set_limb(i / 8, bits.limb(i / 8) |
-                             (static_cast<std::uint64_t>(bytes[byte_index])
-                              << (8 * (i % 8))));
-  }
-  // Bits above 162 must be clear in a valid encoding.
-  for (std::size_t b = 163; b < 168; ++b)
-    if (bits.bit(b)) throw std::invalid_argument("decode_fe: stray high bits");
-  return Fe::from_bits(bits);
+  const std::optional<Fe> v = parse_fe(bytes);
+  if (!v) throw std::invalid_argument("decode_fe: stray high bits");
+  return *v;
 }
 
 std::vector<std::uint8_t> encode_scalar(const Scalar& v) {
@@ -78,21 +86,23 @@ std::vector<std::uint8_t> encode_point(const Curve& curve, const Point& p) {
   return out;
 }
 
+std::optional<Curve::Compressed> parse_point(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.size() != 1 + kFeBytes) return std::nullopt;
+  // 0x00 (infinity) is never a valid protocol point.
+  if (bytes[0] != 0x02 && bytes[0] != 0x03) return std::nullopt;
+  const std::optional<Fe> x = parse_fe(bytes.subspan(1));
+  if (!x) return std::nullopt;
+  return Curve::Compressed{*x, bytes[0] & 1};
+}
+
 std::optional<Point> decode_point(const Curve& curve,
                                   const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() != 1 + kFeBytes) return std::nullopt;
-  if (bytes[0] == 0x00) return std::nullopt;  // infinity is never a valid
-                                              // protocol point
-  if (bytes[0] != 0x02 && bytes[0] != 0x03) return std::nullopt;
-  Fe x;
-  try {
-    x = decode_fe({bytes.begin() + 1, bytes.end()});
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
+  const std::optional<Curve::Compressed> c = parse_point(bytes);
+  if (!c) return std::nullopt;
   // Decompression and the subgroup gate on one field backend.
   return gf2m::with_field_ops([&]<class Ops>(Ops) {
-    return ecc::PointArith<Ops>::decode(curve, {x, bytes[0] & 1});
+    return ecc::PointArith<Ops>::decode(curve, *c);
   });
 }
 

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -32,6 +33,11 @@ ecc::Scalar decode_scalar(const std::vector<std::uint8_t>& bytes);
 /// 21 bytes of x.
 std::vector<std::uint8_t> encode_point(const ecc::Curve& curve,
                                        const ecc::Point& p);
+/// The prefix and x of a compressed point, not yet decompressed: nullopt
+/// unless `bytes` is 0x02 or 0x03 followed by an x with no bit above 162
+/// set. The one parse behind decode_point and engine::decode_points_batch.
+std::optional<ecc::Curve::Compressed> parse_point(
+    std::span<const std::uint8_t> bytes);
 /// Decompresses and *validates* the point (on-curve + subgroup): protocol
 /// boundaries are exactly where invalid-point injection happens.
 std::optional<ecc::Point> decode_point(const ecc::Curve& curve,

@@ -61,8 +61,6 @@ class TrngModel {
 
   explicit TrngModel(const Params& p) : params_(p), prng_(p.seed) {}
 
-  /// Inject / clear a fault mid-stream (the campaign's glitch hook).
-  void set_fault(TrngFault fault) { params_.fault = fault; }
   TrngFault fault() const { return params_.fault; }
 
   int next_bit() {
@@ -83,19 +81,6 @@ class TrngModel {
     prev_ = bit;
     have_prev_ = true;
     return bit;
-  }
-
-  std::uint8_t next_byte() {
-    std::uint8_t b = 0;
-    for (int i = 0; i < 8; ++i) b = static_cast<std::uint8_t>((b << 1) | next_bit());
-    return b;
-  }
-
-  /// Ideal min-entropy per bit of this source ignoring correlation:
-  /// -log2(max(p, 1-p)).
-  double nominal_min_entropy() const {
-    const double p = std::max(params_.bias, 1.0 - params_.bias);
-    return -std::log2(p);
   }
 
  private:

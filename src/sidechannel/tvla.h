@@ -42,8 +42,6 @@ class TvlaAccumulator {
 
   void reset(std::size_t length);
   std::size_t length() const { return len_; }
-  std::size_t fixed_count() const { return fixed_.n; }
-  std::size_t random_count() const { return random_.n; }
 
   void add_fixed(const Trace& t) { fixed_.add(t, len_); }
   void add_random(const Trace& t) { random_.add(t, len_); }

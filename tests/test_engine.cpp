@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "ecc/curve.h"
 #include "ecc/scalar_mult.h"
@@ -148,7 +150,9 @@ TEST(BatchDecode, AgreesWithSingleDecode) {
     // Valid points.
     for (int i = 0; i < 6; ++i)
       wires.push_back(proto::encode_point(c, random_subgroup_point(c, rng)));
-    // Infinity, bad prefix, truncation, garbage, order-2 point, random x.
+    // Every reject class: infinity, bad prefix, truncation, garbage, the
+    // order-2 point, a valid prefix with bit 163 of x set, one byte too
+    // many. Then random x.
     wires.push_back(std::vector<std::uint8_t>(1 + proto::kFeBytes, 0x00));
     auto bad_prefix = wires[0];
     bad_prefix[0] = 0x07;
@@ -157,6 +161,14 @@ TEST(BatchDecode, AgreesWithSingleDecode) {
     wires.push_back(std::vector<std::uint8_t>(1 + proto::kFeBytes, 0xff));
     wires.push_back(
         proto::encode_point(c, Point::affine(Fe::zero(), Fe::sqrt(c.b()))));
+    auto high_bit = wires[0];
+    high_bit[0] = 0x02;
+    high_bit[1] |= 0x08;  // x's top byte holds bits 160..167
+    wires.push_back(high_bit);
+    auto too_long = wires[0];
+    too_long.push_back(0x00);  // 23 bytes
+    wires.push_back(too_long);
+    const std::size_t rejects_end = wires.size();
     for (int i = 0; i < 40; ++i) {
       std::vector<std::uint8_t> w(1 + proto::kFeBytes);
       rng.fill(w);
@@ -171,8 +183,14 @@ TEST(BatchDecode, AgreesWithSingleDecode) {
       const auto single = proto::decode_point(c, wires[i]);
       ASSERT_EQ(batch[i].has_value(), single.has_value())
           << c.name() << " entry " << i;
-      if (single) EXPECT_EQ(*batch[i], *single) << c.name() << " entry " << i;
-      if (i < 6) EXPECT_TRUE(single.has_value()) << c.name() << " entry " << i;
+      if (single) {
+        EXPECT_EQ(*batch[i], *single) << c.name() << " entry " << i;
+      }
+      if (i < 6) {
+        EXPECT_TRUE(single.has_value()) << c.name() << " entry " << i;
+      } else if (i < rejects_end) {
+        EXPECT_FALSE(single.has_value()) << c.name() << " entry " << i;
+      }
     }
   }
 }
@@ -331,6 +349,44 @@ TEST(BatchVerifierQueue, CountsIsolationMsms) {
   EXPECT_EQ(st.rejected, 1u);
   EXPECT_EQ(st.rlc_failures, 1u);
   EXPECT_EQ(st.single_fallbacks, 0u);
+}
+
+TEST(BatchVerifierQueue, CallbackMayEnqueueIntoTheNextFlush) {
+  // A flush moves its items out before it decides them, so a callback that
+  // enqueues fills the fresh queue: its item waits for the next flush, and
+  // pending() counts it alone, not the batch whose callbacks are running.
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(10);
+  engine::SchnorrBatchVerifier q(c, 2);
+  const auto pending = [&](std::function<void(bool)> on_result) {
+    const auto [t, x] = honest_transcript(c, rng);
+    engine::PendingTranscript p;
+    p.X = x;
+    p.commitment_wire = proto::encode_point(c, t.commitment);
+    p.challenge = t.challenge;
+    p.response = t.response;
+    p.on_result = std::move(on_result);
+    return p;
+  };
+  std::vector<std::size_t> seen;  // pending() inside each callback
+  int late = 0;                   // verdicts of the re-enqueued item
+  q.enqueue(pending([&](bool ok) {
+    EXPECT_TRUE(ok);
+    q.enqueue(pending([&](bool ok2) { late += ok2 ? 1 : -1; }));
+    seen.push_back(q.pending());
+  }));
+  q.enqueue(pending([&](bool ok) {
+    EXPECT_TRUE(ok);
+    seen.push_back(q.pending());
+  }));
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(late, 0);
+  q.flush();
+  EXPECT_EQ(late, 1);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.stats().batches, 2u);
+  EXPECT_EQ(q.stats().accepted, 3u);
 }
 
 // --- negative paths ----------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -1220,6 +1221,105 @@ TEST(Counters, PlusEqualsSumsEveryFieldOfEveryStatsStruct) {
   EXPECT_EQ(w.delivered, 0u);
 }
 
+/// A counter struct's fields in declaration order, for whole-struct checks.
+template <class T>
+typename core::CounterWords<T>::Words words_of(const T& s) {
+  return std::bit_cast<typename core::CounterWords<T>::Words>(s);
+}
+
+TEST(Counters, PublishedAddMovesOneFieldAndSumsAcrossThreads) {
+  // Each add lands on its own field: distinct values, so an add that
+  // reaches a neighbour's word (or none) shows up by name.
+  core::PublishedCounters<engine::ShardStats> sh;
+  sh.add<&engine::ShardStats::ingress>(1);
+  EXPECT_EQ(words_of(sh.load()),
+            words_of(engine::ShardStats{1, 0, 0, 0, 0, 0, 0, 0, 0}));
+  sh.add<&engine::ShardStats::mailbox_shed>(2);
+  sh.add<&engine::ShardStats::stray_dropped>(3);
+  sh.add<&engine::ShardStats::opened>(4);
+  sh.add<&engine::ShardStats::completed>(5);
+  sh.add<&engine::ShardStats::accepted>(6);
+  sh.add<&engine::ShardStats::rejected>(7);
+  sh.add<&engine::ShardStats::verifier_flushes>(8);
+  sh.add<&engine::ShardStats::ticks>();
+  const engine::ShardStats s = sh.load();
+  EXPECT_EQ(s.ingress, 1u);
+  EXPECT_EQ(s.mailbox_shed, 2u);
+  EXPECT_EQ(s.stray_dropped, 3u);
+  EXPECT_EQ(s.opened, 4u);
+  EXPECT_EQ(s.completed, 5u);
+  EXPECT_EQ(s.accepted, 6u);
+  EXPECT_EQ(s.rejected, 7u);
+  EXPECT_EQ(s.verifier_flushes, 8u);
+  EXPECT_EQ(s.ticks, 1u);
+
+  core::PublishedCounters<engine::UdpFrontEndStats> fe;
+  fe.add<&engine::UdpFrontEndStats::send_failures>(5);
+  EXPECT_EQ(words_of(fe.load()),
+            words_of(engine::UdpFrontEndStats{0, 0, 0, 0, 5}));
+  fe.add<&engine::UdpFrontEndStats::datagrams_in>(1);
+  fe.add<&engine::UdpFrontEndStats::datagrams_out>(2);
+  fe.add<&engine::UdpFrontEndStats::not_a_frame>(3);
+  fe.add<&engine::UdpFrontEndStats::shed>(4);
+  const engine::UdpFrontEndStats f = fe.load();
+  EXPECT_EQ(f.datagrams_in, 1u);
+  EXPECT_EQ(f.datagrams_out, 2u);
+  EXPECT_EQ(f.not_a_frame, 3u);
+  EXPECT_EQ(f.shed, 4u);
+  EXPECT_EQ(f.send_failures, 5u);
+
+  core::PublishedCounters<engine::BatchVerifierStats> bv;
+  bv.add<&engine::BatchVerifierStats::single_fallbacks>(7);
+  EXPECT_EQ(
+      words_of(bv.load()),
+      words_of(engine::BatchVerifierStats{0, 0, 0, 0, 0, 0, 7, 0, 0, 0}));
+  bv.add<&engine::BatchVerifierStats::items>(1);
+  bv.add<&engine::BatchVerifierStats::batches>(2);
+  bv.add<&engine::BatchVerifierStats::accepted>(3);
+  bv.add<&engine::BatchVerifierStats::rejected>(4);
+  bv.add<&engine::BatchVerifierStats::decode_failures>(5);
+  bv.add<&engine::BatchVerifierStats::rlc_failures>(6);
+  bv.add<&engine::BatchVerifierStats::ladders>(8);
+  bv.add<&engine::BatchVerifierStats::ladder_batches>(9);
+  bv.add<&engine::BatchVerifierStats::ladders_rejected>(10);
+  const engine::BatchVerifierStats v = bv.load();
+  EXPECT_EQ(v.items, 1u);
+  EXPECT_EQ(v.batches, 2u);
+  EXPECT_EQ(v.accepted, 3u);
+  EXPECT_EQ(v.rejected, 4u);
+  EXPECT_EQ(v.decode_failures, 5u);
+  EXPECT_EQ(v.rlc_failures, 6u);
+  EXPECT_EQ(v.single_fallbacks, 7u);
+  EXPECT_EQ(v.ladders, 8u);
+  EXPECT_EQ(v.ladder_batches, 9u);
+  EXPECT_EQ(v.ladders_rejected, 10u);
+
+  // Many writers on one field, as every producer lane sheds into
+  // mailbox_shed, and a reader copying the struct meanwhile: the adds
+  // are read-modify-writes, so none is lost.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAdds = 10'000;
+  core::PublishedCounters<engine::ShardStats> shared;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t)
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kAdds; ++i)
+        shared.add<&engine::ShardStats::mailbox_shed>();
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  std::uint64_t seen = 0;
+  while (running.load(std::memory_order_acquire) != 0) {
+    const std::uint64_t now = shared.load().mailbox_shed;
+    EXPECT_GE(now, seen);  // a counter never runs backwards
+    seen = now;
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(words_of(shared.load()),
+            words_of(engine::ShardStats{0, kThreads * kAdds, 0, 0, 0, 0, 0,
+                                        0, 0}));
+}
+
 // --- frame pool --------------------------------------------------------------
 
 TEST(FramePool, EncodeReusesReleasedBuffers) {
@@ -1332,12 +1432,24 @@ TEST(UdpFrontEnd, PeekSocketSmokeAndEndToEndSession) {
     cq.run_until(static_cast<core::Cycle>(
         static_cast<double>(us) * cfg.cycles_per_us));
   };
+  // Each poll also reads the front end's and the verifier's counters
+  // while the fleet serves, as a live monitor does; under TSan a read
+  // that races their writers fails the test.
+  engine::UdpFrontEndStats live_front;
   const auto spin_until = [&](const std::function<bool()>& cond) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(20);
     while (!cond()) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline);
       pump();
+      const engine::UdpFrontEndStats fs = front.stats();
+      EXPECT_GE(fs.datagrams_in, live_front.datagrams_in);
+      EXPECT_GE(fs.datagrams_out, live_front.datagrams_out);
+      live_front = fs;
+      const engine::BatchVerifierStats vs =
+          fleet.shard(0).verifier().stats();
+      EXPECT_LE(vs.items, kSessions);
+      EXPECT_LE(vs.accepted + vs.rejected, kSessions);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   };
@@ -1361,6 +1473,10 @@ TEST(UdpFrontEnd, PeekSocketSmokeAndEndToEndSession) {
   const engine::UdpFrontEndStats fs = front.stats();
   EXPECT_GT(fs.datagrams_in, 0u);
   EXPECT_GT(fs.datagrams_out, 0u);
+  const engine::BatchVerifierStats vs = fleet.shard(0).verifier().stats();
+  EXPECT_EQ(vs.items, kSessions);
+  EXPECT_EQ(vs.accepted, 1u);
+  EXPECT_EQ(vs.rejected, 1u);
 }
 
 TEST(UdpSocket, RecvFromYieldsExactlyTheDatagramIntoAReusedBuffer) {
