@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "sidechannel/countermeasures.h"
 #include "sidechannel/spa.h"
 #include "sidechannel/trace_sim.h"
 
@@ -43,7 +44,7 @@ bool print_table() {
   const ecc::Scalar k = bench_key();
 
   hw::Coprocessor cop{};
-  const auto bits = bench::padded_bits(curve(), k);
+  const auto bits = sidechannel::coproc_key_bits(curve(), k);
   const std::size_t closed = cop.point_mult_cycles(bits.size(), {});
   const auto r = cop.point_mult(bits, curve().base_point().x, {}, nullptr);
   std::printf("cycles per ECPM: closed-form %zu, executed %zu (%s)\n",
@@ -104,7 +105,7 @@ BENCHMARK(BM_CaptureCycleTraceWithRecords)->Unit(benchmark::kMillisecond);
 void BM_PointMultEnergyOnly(benchmark::State& state) {
   const ecc::Scalar k = bench_key();
   hw::Coprocessor cop;
-  const auto bits = bench::padded_bits(curve(), k);
+  const auto bits = sidechannel::coproc_key_bits(curve(), k);
   for (auto _ : state) {
     auto r = cop.point_mult(bits, curve().base_point().x, {}, nullptr);
     benchmark::DoNotOptimize(r.energy_j);
@@ -116,7 +117,7 @@ BENCHMARK(BM_PointMultEnergyOnly)->Unit(benchmark::kMillisecond);
 void BM_PointMultRecorded(benchmark::State& state) {
   const ecc::Scalar k = bench_key();
   hw::Coprocessor cop;
-  const auto bits = bench::padded_bits(curve(), k);
+  const auto bits = sidechannel::coproc_key_bits(curve(), k);
   for (auto _ : state) {
     std::vector<hw::CycleRecord> records;
     records.reserve(cop.point_mult_cycles(bits.size(), {}));

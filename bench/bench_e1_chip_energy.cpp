@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "core/secure_processor.h"
+#include "sidechannel/countermeasures.h"
 
 namespace {
 
@@ -64,7 +65,7 @@ void BM_CoprocessorPointMult(benchmark::State& state) {
   hw::Coprocessor cop;
   rng::Xoshiro256 rng(2);
   const auto bits =
-      bench::padded_bits(curve, rng.uniform_nonzero(curve.order()));
+      sidechannel::coproc_key_bits(curve, rng.uniform_nonzero(curve.order()));
   for (auto _ : state) {
     auto r = cop.point_mult(bits, curve.base_point().x, {}, nullptr);
     benchmark::DoNotOptimize(r.x_affine);

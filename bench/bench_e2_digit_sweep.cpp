@@ -10,6 +10,7 @@
 #include "bench_util.h"
 #include "hw/coprocessor.h"
 #include "hw/digit_serial.h"
+#include "sidechannel/countermeasures.h"
 
 namespace {
 
@@ -49,7 +50,7 @@ void print_table() {
   bool constant = true;
   for (int i = 0; i < 5; ++i) {
     const auto bits =
-        bench::padded_bits(curve, rng.uniform_nonzero(curve.order()));
+        sidechannel::coproc_key_bits(curve, rng.uniform_nonzero(curve.order()));
     const auto r = cop.point_mult(bits, curve.base_point().x, {}, nullptr);
     if (cyc == 0) cyc = r.exec.cycles;
     constant = constant && (r.exec.cycles == cyc);

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "ecc/curve.h"
-#include "ecc/ladder.h"
 #include "rng/xoshiro.h"
 
 namespace medsec::bench {
@@ -24,16 +22,6 @@ inline void banner(const char* experiment, const char* paper_artifact) {
   std::printf("\n================================================================\n");
   std::printf("%s\n  reproduces: %s\n", experiment, paper_artifact);
   std::printf("================================================================\n");
-}
-
-inline std::vector<int> padded_bits(const ecc::Curve& c,
-                                    const ecc::Scalar& k) {
-  const ecc::Scalar padded = ecc::constant_length_scalar(c, k);
-  std::vector<int> bits;
-  bits.reserve(padded.bit_length());
-  for (std::size_t i = padded.bit_length(); i-- > 0;)
-    bits.push_back(padded.bit(i) ? 1 : 0);
-  return bits;
 }
 
 /// Log-bucketed latency recorder for the load generators: fixed 4-bit

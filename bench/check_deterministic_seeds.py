@@ -2,7 +2,7 @@
 """Lint for unseeded randomness in the source tree.
 
 Every experiment in this repo must be reproducible from a counter-derived
-seed (the hw::FaultInjector / ctaudit::derive_word idiom).  Ambient entropy
+seed (rng::derive_word in src/rng/xoshiro.h).  Ambient entropy
 sources -- std::random_device, C rand()/srand() -- silently break rerun
 identity, so this script fails CI when one appears outside an explicitly
 annotated site.
@@ -79,8 +79,8 @@ def main() -> int:
     if failed:
         print(
             "\nseed-audit: FAILED -- derive randomness from an explicit seed"
-            " (see ctaudit::derive_word), or annotate intentional entropy"
-            " with '// seed-audit: allow(<reason>)'.",
+            " (see rng::derive_word in src/rng/xoshiro.h), or annotate"
+            " intentional entropy with '// seed-audit: allow(<reason>)'.",
             file=sys.stderr,
         )
         return 1

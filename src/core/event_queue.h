@@ -52,7 +52,6 @@ class EventQueue {
   Cycle now() const { return now_; }
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
-  std::uint64_t events_run() const { return events_run_; }
 
   /// Schedule `fn` to run `delay` cycles from now. Returns a handle that
   /// stays valid until the event fires or is cancelled; a fired or
@@ -97,7 +96,6 @@ class EventQueue {
     // callback may schedule new events (reusing the slot) or cancel others.
     const std::function<void()> fn = release(top.slot);
     now_ = top.at;
-    ++events_run_;
     fn();
     return true;
   }
@@ -199,7 +197,6 @@ class EventQueue {
   std::vector<std::uint32_t> free_;
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t events_run_ = 0;
 };
 
 /// Namespace-scope aliases: timer handles travel through component

@@ -1,15 +1,12 @@
 #include "core/secure_processor.h"
 
 #include <stdexcept>
-
-#include "ecc/ladder.h"
-#include "ecc/scalar_mult.h"
+#include <string>
 
 namespace medsec::core {
 
 namespace {
 
-using ecc::Fe;
 using ecc::Point;
 using ecc::Scalar;
 
@@ -79,70 +76,26 @@ PointMultOutcome SecureEccProcessor::Session::point_mult(const Scalar& k,
     throw std::invalid_argument(
         "SecureEccProcessor::point_mult: invalid input point");
 
+  // The controller never answers a detection with a release, so the
+  // infective response stays off whatever the config says.
+  sidechannel::CountermeasureConfig gate = config_.ladder;
+  gate.infective_computation = false;
+
   PointMultOutcome out;
   std::uint64_t backoff = kFaultBackoffCycles;
   for (std::size_t attempt = 0;; ++attempt) {
-    // The countermeasure-dependent inputs — masked base, (possibly
-    // blinded) key bits, microcode options — come from the shared
-    // planner, so this victim and the trace simulator's cycle-accurate
-    // victim can never drift apart in draw order or encoding. A fresh
-    // plan per attempt is the recovery policy's re-randomization: every
-    // retry draws new blinds and randomizers from the DRBG.
-    const sidechannel::HardenedCoprocPlan plan =
-        sidechannel::plan_hardened_coproc_mult(*curve_, config_.ladder, k, p,
-                                               drbg_, blinding_pair_,
-                                               blinding_key_);
+    // Every attempt plans afresh — the recovery policy's re-randomization:
+    // a retry draws new blinds and randomizers from the DRBG.
+    const sidechannel::VictimRelease run = sidechannel::guarded_coproc_mult(
+        *curve_, gate, coproc_, k, p, drbg_, blinding_pair_, blinding_key_);
+    out.cycles += run.cycles;
+    out.energy_j += run.energy_j;
+    out.seconds += run.seconds;
 
-    bool detected = false;
-    // Entry validation of the masked base (on-the-fly curve membership):
-    // a corrupted blinding pair or masked point never reaches the ladder.
-    if (config_.ladder.validate_points &&
-        (plan.base.infinity || !curve_->is_on_curve(plan.base)))
-      detected = true;
-
-    hw::PointMultResult r{};
-    bool ran = false;
-    if (!detected) {
-      r = coproc_.point_mult(plan.key_bits, plan.base.x, plan.options,
-                             nullptr);
-      out.cycles += r.exec.cycles;
-      out.energy_j += r.energy_j;
-      out.seconds += r.seconds;
-      ran = true;
-      // Cycle coherence against the compiled schedule constant — the
-      // detector that catches computationally-absorbed glitches.
-      if (config_.ladder.coherence_check &&
-          r.exec.cycles !=
-              coproc_.point_mult_cycles(plan.key_bits.size(), plan.options))
-        detected = true;
-    }
-
-    // Insecure-zone software: y-recovery from the projective outputs.
-    // The recovery validates the result against the curve equation — the
-    // always-on fault canary, independent of the ladder config.
-    Point result = Point::at_infinity();
-    if (ran && !detected) {
-      try {
-        result = r.result_is_infinity
-                     ? Point::at_infinity()
-                     : ecc::recover_from_ladder(*curve_, plan.base, r.x1,
-                                                r.z1, r.x2, r.z2);
-      } catch (const std::logic_error&) {
-        detected = true;
-      }
-    }
-
-    if (config_.ladder.base_point_blinding && blinding_pair_) {
-      if (!detected)
-        result = curve_->add(result,
-                             curve_->negate(blinding_pair_->correction()));
-      // The pair advances even on a faulty run — a mask is burned the
-      // moment it was used, recovered result or not.
-      blinding_pair_->update(*curve_);
-    }
-
-    if (!detected) {
-      out.result = result;
+    // A failed y-recovery is a fault even when the config arms no
+    // detector: the always-on canary of the insecure-zone software.
+    if (!run.detected && run.recovered) {
+      out.result = run.result;
       out.avg_power_w =
           out.seconds > 0.0 ? out.energy_j / out.seconds : 0.0;
       if (config_.zeroize_after_use) {
@@ -154,12 +107,12 @@ PointMultOutcome SecureEccProcessor::Session::point_mult(const Scalar& k,
       return out;
     }
 
-    // Detected fault: nothing leaves the device. Zeroize everything
-    // (result register included — it may hold faulty key-dependent
-    // state), and either retry after a doubling backoff or give up on a
-    // persistent fault.
+    // Detected fault: nothing leaves the device. The guarded run has
+    // zeroized everything on its own detections; a catch of the canary
+    // alone is this controller's to clear. Then either retry after a
+    // doubling backoff or give up on a persistent fault.
     ++out.faults_detected;
-    coproc_.zeroize(/*keep_result=*/false);
+    if (!run.detected) coproc_.zeroize(/*keep_result=*/false);
     if (attempt == kFaultRetryBudget)
       throw std::logic_error(
           "SecureEccProcessor::point_mult: fault persisted after " +

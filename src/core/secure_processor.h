@@ -13,6 +13,14 @@
 // countermeasure set is explicit configuration, because the paper's whole
 // argument is that each one is a design *decision* with an
 // area/power/security price.
+//
+// The chip's fault gate is not written here: each attempt is one
+// sidechannel::guarded_coproc_mult, the same guarded execution the eval
+// matrix attacks. This class keeps only the controller's policy around
+// it — the exact subgroup gate on the input, the always-on y-recovery
+// canary (a failed recovery is a fault even with no detector armed), no
+// release on detection (infective response off), zeroize-after-use,
+// telemetry accumulation, and the retry/backoff/throw budget.
 #pragma once
 
 #include <cstdint>

@@ -53,17 +53,6 @@ Scalar scalar_from_secret(const Curve& curve, const std::uint8_t* secret,
   return k;
 }
 
-/// MSB-first padded key bits (constant_length_scalar discipline — the
-/// classic ladder's fixed iteration count).
-std::vector<int> padded_bits(const Curve& curve, const Scalar& k) {
-  const Scalar padded = ecc::constant_length_scalar(curve, k);
-  std::vector<int> bits;
-  bits.reserve(padded.bit_length());
-  for (std::size_t i = padded.bit_length(); i-- > 0;)
-    bits.push_back(padded.bit(i) ? 1 : 0);
-  return bits;
-}
-
 /// Small keyed PRF over the secret bytes for deriving kernel operands:
 /// FNV-1a fold of the secret, then a splitmix64 stream. Pure function of
 /// (secret, stream index) — same secret, same operands, every time.
@@ -161,7 +150,7 @@ CtTarget make_ladder_unblinded_target() {
                    std::uint64_t /*aux*/, TimeSource& ts) {
     const Curve& curve = Curve::b163();
     const Scalar k = scalar_from_secret(curve, secret, len);
-    const auto r = coproc->point_mult(padded_bits(curve, k),
+    const auto r = coproc->point_mult(sidechannel::coproc_key_bits(curve, k),
                                       curve.base_point().x, {}, nullptr);
     ts.tick(r.exec.cycles);
   };

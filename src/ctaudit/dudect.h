@@ -37,15 +37,9 @@
 
 namespace medsec::ctaudit {
 
-/// The n-th derivation word of a seeded campaign on an independent lane
-/// (the hw::FaultInjector / engine::LossyLink counter-derivation idiom):
-/// no hidden state, so any subset of samples can be regenerated exactly.
-inline std::uint64_t derive_word(std::uint64_t seed, std::uint64_t n,
-                                 std::uint64_t lane) {
-  std::uint64_t s = seed ^ (0xD1B54A32D192ED03ULL * (n + 1)) ^
-                    (0x9E3779B97F4A7C15ULL * lane);
-  return rng::splitmix64(s);
-}
+/// The n-th derivation word of a seeded campaign on an independent lane:
+/// any subset of samples can be regenerated exactly.
+using rng::derive_word;
 
 /// Two-class Welch accumulator: one RunningStats per secret class,
 /// mergeable in block order like every PR 3 streaming accumulator.

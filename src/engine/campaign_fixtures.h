@@ -29,14 +29,10 @@
 
 namespace medsec::engine::campaign {
 
-/// The shared per-entity seed derivation (splitmix64 over a golden-ratio
-/// mix). Used with fixed role offsets: gid*4 = device rng, gid*4+1 =
-/// server rng, gid*4+2 = link schedule; 0x6A7E = gateway, 0xF177 =
-/// fixtures.
-inline std::uint64_t mix_seed(std::uint64_t base, std::uint64_t n) {
-  std::uint64_t s = base ^ (0x9E3779B97F4A7C15ULL * (n + 1));
-  return rng::splitmix64(s);
-}
+/// The shared per-entity seed derivation. Used with fixed role offsets:
+/// gid*4 = device rng, gid*4+1 = server rng, gid*4+2 = link schedule;
+/// 0x6A7E = gateway, 0xF177 = fixtures.
+using rng::mix_seed;
 
 /// FNV-1a over little-endian u64s — the campaign outcome digest.
 inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {

@@ -42,10 +42,10 @@ namespace medsec::engine {
 struct DeliveryConfig {
   /// Max unacked data frames in flight; a conforming peer is never
   /// further ahead, so it is also the receive window.
-  std::size_t window = 4;
+  static constexpr std::size_t window = 4;
   core::Cycle rto_initial = 64;    ///< first retransmit timeout
   core::Cycle rto_max = 4096;      ///< backoff ceiling
-  double backoff = 2.0;            ///< RTO multiplier per retry
+  static constexpr double backoff = 2.0;  ///< RTO multiplier per retry
   std::uint32_t max_retries = 24;  ///< then the endpoint gives up
 };
 

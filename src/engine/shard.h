@@ -135,7 +135,7 @@ struct ShardFleetConfig {
   /// retransmit timers off the wall clock).
   double cycles_per_us = 1.0;
   /// Max mailbox items drained per tick before timers run again.
-  std::size_t drain_chunk = 256;
+  static constexpr std::size_t drain_chunk = 256;
 };
 
 /// Counters a shard publishes while running (core::PublishedCounters).
@@ -326,7 +326,7 @@ struct ChaosCampaignConfig {
   core::Cycle session_deadline = 0;
   core::Cycle idle_timeout = 0;
   /// Virtual-time safety valve per shard.
-  core::Cycle max_cycles = 4'000'000;
+  static constexpr core::Cycle max_cycles = 4'000'000;
   /// >0: at this virtual cycle each shard snapshots EVERY session, tears
   /// its GatewayServer down, and restores onto a fresh one — node death
   /// mid-protocol, the failover drill.

@@ -212,11 +212,9 @@ LossyLink::LossyLink(core::EventQueue& queue, std::uint64_t seed,
 
 std::uint64_t LossyLink::fault_word(Direction dir, std::uint64_t n,
                                     std::uint64_t lane) const {
-  std::uint64_t s = seed_ ^ (0xD1B54A32D192ED03ULL * (n + 1)) ^
-                    (0x9E3779B97F4A7C15ULL * lane) ^
-                    (dir == kUp ? 0x5555555555555555ULL
-                                : 0xAAAAAAAAAAAAAAAAULL);
-  return rng::splitmix64(s);
+  const std::uint64_t salt =
+      dir == kUp ? 0x5555555555555555ULL : 0xAAAAAAAAAAAAAAAAULL;
+  return rng::derive_word(seed_ ^ salt, n, lane);
 }
 
 void LossyLink::schedule_delivery(Direction dir,
@@ -235,13 +233,13 @@ void LossyLink::send(Direction dir, std::vector<std::uint8_t> bytes) {
   const std::uint64_t n = counter_[dir]++;
   ++stats_[dir].sent;
 
-  if (p.drop > 0 && to_unit(fault_word(dir, n, 0)) < p.drop) {
+  if (p.drop > 0 && rng::to_unit(fault_word(dir, n, 0)) < p.drop) {
     ++stats_[dir].dropped;
     return;
   }
 
   bool corrupted = false;
-  if (p.corrupt > 0 && to_unit(fault_word(dir, n, 1)) < p.corrupt &&
+  if (p.corrupt > 0 && rng::to_unit(fault_word(dir, n, 1)) < p.corrupt &&
       !bytes.empty()) {
     // Flip one derived bit of one derived byte — enough for the CRC to
     // catch, deterministic enough to replay.
@@ -252,16 +250,16 @@ void LossyLink::send(Direction dir, std::vector<std::uint8_t> bytes) {
     corrupted = true;
   }
 
-  const core::Cycle band =
-      p.delay_max > p.delay_min ? p.delay_max - p.delay_min + 1 : 1;
+  constexpr core::Cycle band =
+      FaultProfile::delay_max - FaultProfile::delay_min + 1;
   core::Cycle delay = p.delay_min + fault_word(dir, n, 3) % band;
-  if (p.reorder > 0 && to_unit(fault_word(dir, n, 4)) < p.reorder) {
+  if (p.reorder > 0 && rng::to_unit(fault_word(dir, n, 4)) < p.reorder) {
     // Hold the frame back past its successors' delay band.
     delay += p.delay_max * (2 + fault_word(dir, n, 5) % 3);
     ++stats_[dir].reordered;
   }
 
-  if (p.duplicate > 0 && to_unit(fault_word(dir, n, 6)) < p.duplicate) {
+  if (p.duplicate > 0 && rng::to_unit(fault_word(dir, n, 6)) < p.duplicate) {
     core::Cycle dup_delay = p.delay_min + fault_word(dir, n, 7) % band;
     ++stats_[dir].duplicated;
     // Copy into a pooled buffer: the original is sent below.

@@ -100,11 +100,8 @@ struct FaultProfile {
   double corrupt = 0.0;    ///< one byte flipped (CRC will catch it)
   double duplicate = 0.0;  ///< frame delivered twice
   double reorder = 0.0;    ///< frame held back past its successors
-  core::Cycle delay_min = 8;
-  core::Cycle delay_max = 32;
-  bool faultless() const {
-    return drop == 0 && corrupt == 0 && duplicate == 0 && reorder == 0;
-  }
+  static constexpr core::Cycle delay_min = 8;
+  static constexpr core::Cycle delay_max = 32;
 };
 
 struct LinkStats {
@@ -149,14 +146,11 @@ class LossyLink {
   const LinkStats& stats(Direction dir) const { return stats_[dir]; }
 
  private:
-  /// The n-th fault word of a direction: splitmix64 over (seed, dir, n,
-  /// lane). Independent lanes keep each decision (drop? corrupt? which
-  /// byte? what delay?) from aliasing another's stream.
+  /// The n-th fault word of a direction: rng::derive_word over the seed
+  /// salted per direction. Independent lanes keep each decision (drop?
+  /// corrupt? which byte? what delay?) from aliasing another's stream.
   std::uint64_t fault_word(Direction dir, std::uint64_t n,
                            std::uint64_t lane) const;
-  static double to_unit(std::uint64_t w) {
-    return static_cast<double>(w >> 11) * 0x1.0p-53;
-  }
 
   void schedule_delivery(Direction dir, std::vector<std::uint8_t> bytes,
                          core::Cycle delay, bool corrupted);

@@ -31,7 +31,6 @@ class Gf2Poly {
   bool bit(std::size_t i) const;
   void set_bit(std::size_t i);
 
-  std::size_t word_count() const { return word_.size(); }
   std::uint64_t word(std::size_t i) const {
     return i < word_.size() ? word_[i] : 0;
   }

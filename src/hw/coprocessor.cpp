@@ -46,17 +46,6 @@ const char* reg_name(Reg r) {
   return "?";
 }
 
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kSkipInstruction: return "skip-instruction";
-    case FaultKind::kSelectGlitch: return "select-glitch";
-    case FaultKind::kBitFlip: return "bit-flip";
-    case FaultKind::kStuckAt: return "stuck-at";
-  }
-  return "?";
-}
-
 Coprocessor::Coprocessor(const CoprocessorConfig& config)
     : config_(config),
       malu_(config.digit_size),

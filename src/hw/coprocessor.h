@@ -226,8 +226,6 @@ enum class FaultKind : std::uint8_t {
   kStuckAt,
 };
 
-const char* fault_kind_name(FaultKind k);
-
 struct FaultSpec {
   FaultKind kind = FaultKind::kNone;
   /// kSkipInstruction / kSelectGlitch: 0-based target unit index.
@@ -299,7 +297,6 @@ class Coprocessor {
   /// execute() entry so `slot` and `cycle` are always relative to the run.
   void arm_fault(const FaultSpec& fault);
   void disarm_fault();
-  const FaultSpec& armed_fault() const { return fault_; }
   /// Did the armed fault actually perturb an execution since arming?
   bool fault_fired() const { return fault_fired_; }
 

@@ -38,17 +38,14 @@ class FaultInjector {
   std::uint64_t seed() const { return seed_; }
   double rate() const { return rate_; }
 
-  /// The n-th derivation word on an independent lane (same contract as
-  /// LossyLink::fault_word).
+  /// The n-th derivation word on an independent lane (rng::derive_word).
   std::uint64_t word(std::uint64_t n, std::uint64_t lane) const {
-    std::uint64_t s = seed_ ^ (0xD1B54A32D192ED03ULL * (n + 1)) ^
-                      (0x9E3779B97F4A7C15ULL * lane);
-    return rng::splitmix64(s);
+    return rng::derive_word(seed_, n, lane);
   }
 
   /// Does a fault land on the n-th operation of the campaign?
   bool should_fault(std::uint64_t n) const {
-    return rate_ > 0.0 && to_unit(word(n, 0)) < rate_;
+    return rate_ > 0.0 && rng::to_unit(word(n, 0)) < rate_;
   }
 
   /// The fault that lands on operation n (independent of should_fault's
@@ -85,10 +82,6 @@ class FaultInjector {
   }
 
  private:
-  static double to_unit(std::uint64_t w) {
-    return static_cast<double>(w >> 11) * 0x1.0p-53;
-  }
-
   std::uint64_t seed_;
   double rate_;
 };

@@ -22,6 +22,27 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// The n-th word of lane `lane` under `seed` — counter-derived randomness
+/// with no hidden state, so any (n, lane) regenerates alone, in any order,
+/// on any thread, and independent lanes never alias each other's stream.
+constexpr std::uint64_t derive_word(std::uint64_t seed, std::uint64_t n,
+                                    std::uint64_t lane) {
+  std::uint64_t s = seed ^ (0xD1B54A32D192ED03ULL * (n + 1)) ^
+                    (0x9E3779B97F4A7C15ULL * lane);
+  return splitmix64(s);
+}
+
+/// The n-th child seed of `base` (per-entity and per-trace seeding).
+constexpr std::uint64_t mix_seed(std::uint64_t base, std::uint64_t n) {
+  std::uint64_t s = base ^ (0x9E3779B97F4A7C15ULL * (n + 1));
+  return splitmix64(s);
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of a word.
+constexpr double to_unit(std::uint64_t w) {
+  return static_cast<double>(w >> 11) * 0x1.0p-53;
+}
+
 class Xoshiro256 final : public RandomSource {
  public:
   explicit Xoshiro256(std::uint64_t seed = 0x6d656473656375ULL) {
@@ -75,9 +96,7 @@ class Xoshiro256 final : public RandomSource {
   }
 
   /// Uniform double in [0, 1).
-  double next_unit() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
+  double next_unit() { return to_unit(next_u64()); }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

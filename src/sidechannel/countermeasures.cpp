@@ -167,10 +167,7 @@ HardenedCoprocPlan plan_hardened_coproc_mult(
                     plan.key_bits);
     plan.options.neutral_init = true;
   } else {
-    const Scalar padded = ecc::constant_length_scalar(curve, k);
-    // The co-processor consumes the full padded scalar (leading 1
-    // included — its init phase consumes it, see Coprocessor::point_mult).
-    unpack_bits_msb(padded, padded.bit_length(), plan.key_bits);
+    plan.key_bits = coproc_key_bits(curve, k);
   }
 
   if (cm.randomize_projective)
@@ -190,6 +187,81 @@ HardenedCoprocPlan plan_hardened_coproc_mult(
     }
   }
   return plan;
+}
+
+VictimRelease guarded_coproc_mult(const Curve& curve,
+                                  const CountermeasureConfig& cm,
+                                  hw::Coprocessor& coproc, const Scalar& k,
+                                  const Point& p, rng::RandomSource& rng,
+                                  std::optional<BaseBlindingPair>& pair,
+                                  Scalar& pair_key) {
+  VictimRelease out;
+  const HardenedCoprocPlan plan =
+      plan_hardened_coproc_mult(curve, cm, k, p, rng, pair, pair_key);
+
+  // Entry gate: the (masked) base handed to the secure zone must be a
+  // curve point. Catches protocol-level invalid-point substitution and a
+  // corrupted blinding pair; blind to glitches inside the run.
+  bool detected = cm.validate_points &&
+                  (plan.base.infinity || !curve.is_on_curve(plan.base));
+
+  hw::PointMultResult r{};
+  if (!detected) {
+    r = coproc.point_mult(plan.key_bits, plan.base.x, plan.options, nullptr);
+    out.cycles = r.exec.cycles;
+    out.energy_j = r.energy_j;
+    out.seconds = r.seconds;
+    // Schedule coherence: the §5 closed form as a runtime check. A
+    // skipped instruction or suppressed SELSET is missing cycles even
+    // when the arithmetic happens to come out right.
+    if (cm.coherence_check &&
+        r.exec.cycles !=
+            coproc.point_mult_cycles(plan.key_bits.size(), plan.options))
+      detected = true;
+
+    // Exit: y-recovery doubles as the ladder-invariant + membership check
+    // — it throws iff the (X1,Z1,X2,Z2) state is inconsistent with base·k
+    // for any k (off-curve result).
+    try {
+      out.result = r.result_is_infinity
+                       ? Point::at_infinity()
+                       : ecc::recover_from_ladder(curve, plan.base, r.x1,
+                                                  r.z1, r.x2, r.z2);
+      out.recovered = true;
+    } catch (const std::logic_error&) {
+      // Off-curve state: recovered stays false.
+    }
+    if (cm.detects_faults() && !out.recovered) detected = true;
+  }
+
+  if (cm.base_point_blinding && pair) {
+    if (out.recovered)
+      out.result = curve.add(out.result, curve.negate(pair->correction()));
+    // The pair advances even on a faulty run — a mask is burned the
+    // moment it was used, recovered result or not.
+    pair->update(curve);
+  }
+
+  out.detected = detected;
+  if (detected) {
+    // Nothing faulty stays behind: the result register may hold faulty
+    // key-dependent state too.
+    coproc.zeroize(/*keep_result=*/false);
+    if (cm.infective_computation) {
+      // Infective response: release key-independent garbage so the
+      // suppress/release oracle disappears along with the faulty value.
+      out.released = true;
+      out.infected = true;
+      out.x = random_nonzero_fe(rng);
+    }
+    return out;
+  }
+
+  out.released = true;
+  // Without a detector the controller releases whatever the affine
+  // conversion produced — the §5 controller minus the fault gate.
+  out.x = out.recovered ? out.result.x : r.x_affine;
+  return out;
 }
 
 LadderState shuffled_ladder_raw(

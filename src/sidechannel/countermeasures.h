@@ -33,7 +33,11 @@
 // HardenedLadder runs one x-only scalar multiplication under a config;
 // the campaign engine (trace_sim) mirrors the same transformations
 // through the wide lane layer so attack evaluation runs at full campaign
-// throughput.
+// throughput. On the cycle-accurate co-processor, plan_hardened_coproc_mult
+// encodes one multiplication and guarded_coproc_mult runs it behind the
+// chip's fault gate — the one guarded execution that both the shipped
+// device (core::SecureEccProcessor) and the fault-attack victim
+// (fault_attacks.h) use.
 #pragma once
 
 #include <cstdint>
@@ -159,6 +163,17 @@ void unpack_bits_msb(const Big& v, std::size_t first_bit,
     out.push_back(static_cast<Int>(v.bit(i) ? 1 : 0));
 }
 
+/// The co-processor's key encoding (hw::Coprocessor::point_mult's
+/// key_bits): the padded scalar, MSB first, leading 1 included — the
+/// chip's init phase consumes it.
+inline std::vector<int> coproc_key_bits(const ecc::Curve& curve,
+                                        const ecc::Scalar& k) {
+  const ecc::Scalar padded = ecc::constant_length_scalar(curve, k);
+  std::vector<int> bits;
+  unpack_bits_msb(padded, padded.bit_length(), bits);
+  return bits;
+}
+
 /// The co-processor view of one hardened multiplication: the masked base
 /// point, the encoded (possibly blinded / neutral-init) key bits, and
 /// the microcode options (Z-randomizers + schedule-jitter units).
@@ -172,14 +187,54 @@ struct HardenedCoprocPlan {
 /// in THE fixed order — pair provisioning (create / rekey through
 /// `pair`/`pair_key`), blind, Z-randomizers, jitter schedule. This is
 /// the single implementation behind both cycle-accurate victims
-/// (core::SecureEccProcessor::Session and capture_cycle_trace), so the
-/// determinism contract cannot drift between them. When base blinding is
-/// on, the caller owns the correction: subtract pair->correction() from
-/// the result, then pair->update().
+/// (guarded_coproc_mult and capture_cycle_trace), so the determinism
+/// contract cannot drift between them. When base blinding is on, the
+/// caller owns the correction: subtract pair->correction() from the
+/// result, then pair->update().
 HardenedCoprocPlan plan_hardened_coproc_mult(
     const ecc::Curve& curve, const CountermeasureConfig& cm,
     const ecc::Scalar& k, const ecc::Point& p, rng::RandomSource& rng,
     std::optional<BaseBlindingPair>& pair, ecc::Scalar& pair_key);
+
+/// One guarded execution: what leaves the device (released / infected /
+/// x — all the fault adversary observes) and what its controller reads
+/// (the recovered k·P and the run's telemetry).
+struct VictimRelease {
+  bool released = false;   ///< false: the device suppressed the result
+  bool infected = false;   ///< released, but key-independent garbage
+  bool detected = false;   ///< some detector tripped
+  bool recovered = false;  ///< y-recovery accepted the ladder state
+  ecc::Fe x;               ///< the observed x-coordinate (when released)
+  ecc::Point result;       ///< k·P, blinding corrected (when recovered)
+  std::size_t cycles = 0;  ///< executed co-processor cycles
+  double energy_j = 0.0;   ///< energy of the executed run
+  double seconds = 0.0;    ///< duration of the executed run
+};
+
+/// The chip's guarded execution of k·P on `coproc` under `cm`: plan,
+/// entry gate, ladder run, coherence check, y-recovery, base-blinding
+/// correction and pair update, zeroize on detection. Both the shipped
+/// device (core::SecureEccProcessor::Session, which retries around it)
+/// and the eval matrix's fault victim (fault_attacks.h) run this one
+/// gate. The fault-countermeasure columns:
+///   validate_points   — curve membership of the (masked) base at entry
+///                       and of the recovered result at exit;
+///   coherence_check   — executed cycles must equal the compiled
+///                       point_mult_cycles constant, and the (X1,Z1,X2,Z2)
+///                       ladder invariant must recover an on-curve point;
+///   infective_computation — a tripped detector releases a random
+///                       key-independent x instead of suppressing.
+/// A victim with NO detector models the §5 controller without the fault
+/// gate: it releases whatever the affine conversion produced, garbage
+/// included, and leaves the registers as they are. Faults are armed by
+/// the caller on `coproc` beforehand.
+VictimRelease guarded_coproc_mult(const ecc::Curve& curve,
+                                  const CountermeasureConfig& cm,
+                                  hw::Coprocessor& coproc,
+                                  const ecc::Scalar& k, const ecc::Point& p,
+                                  rng::RandomSource& rng,
+                                  std::optional<BaseBlindingPair>& pair,
+                                  ecc::Scalar& pair_key);
 
 /// The shuffled-schedule ladder core, shared by HardenedLadder::mult and
 /// the campaign simulator: runs the real iteration sequence `real_bits`

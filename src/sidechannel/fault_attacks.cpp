@@ -1,7 +1,5 @@
 #include "sidechannel/fault_attacks.h"
 
-#include <stdexcept>
-
 #include "ecc/ladder.h"
 #include "rng/xoshiro.h"
 
@@ -15,106 +13,13 @@ using ecc::Point;
 using ecc::Scalar;
 using gf2m::Gf163;
 
-/// Counter-derived attack randomness (the LossyLink idiom): the n-th word
-/// of lane `lane` under `seed`.
-std::uint64_t attack_word(std::uint64_t seed, std::uint64_t n,
-                          std::uint64_t lane) {
-  std::uint64_t s = seed ^ (0xD1B54A32D192ED03ULL * (n + 1)) ^
-                    (0x9E3779B97F4A7C15ULL * lane);
-  return rng::splitmix64(s);
-}
-
 Gf163 bit_mask(unsigned b) {
   std::uint64_t l[3] = {0, 0, 0};
   l[b / 64] = 1ULL << (b % 64);
   return Gf163{l[0], l[1], l[2]};
 }
 
-/// MSB-first classic padded key bits of k — the ground truth the attacks
-/// are scored against (scoring-only knowledge, the DPA convention).
-std::vector<int> padded_key_bits(const Curve& curve, const Scalar& k) {
-  const Scalar padded = ecc::constant_length_scalar(curve, k);
-  std::vector<int> bits;
-  unpack_bits_msb(padded, padded.bit_length(), bits);
-  return bits;
-}
-
 }  // namespace
-
-VictimRelease guarded_coproc_mult(const Curve& curve,
-                                  const CountermeasureConfig& cm,
-                                  hw::Coprocessor& coproc, const Scalar& k,
-                                  const Point& p, rng::RandomSource& rng,
-                                  std::optional<BaseBlindingPair>& pair,
-                                  Scalar& pair_key) {
-  VictimRelease out;
-  const HardenedCoprocPlan plan =
-      plan_hardened_coproc_mult(curve, cm, k, p, rng, pair, pair_key);
-
-  bool detected = false;
-  // Entry gate: the (masked) base handed to the secure zone must be a
-  // curve point. Catches protocol-level invalid-point substitution and a
-  // corrupted blinding pair; blind to glitches inside the run.
-  if (cm.validate_points &&
-      (plan.base.infinity || !curve.is_on_curve(plan.base)))
-    detected = true;
-
-  hw::PointMultResult r{};
-  bool ran = false;
-  if (!detected) {
-    r = coproc.point_mult(plan.key_bits, plan.base.x, plan.options, nullptr);
-    out.cycles = r.exec.cycles;
-    ran = true;
-    // Schedule coherence: the §5 closed form as a runtime check. A
-    // skipped instruction or suppressed SELSET is missing cycles even
-    // when the arithmetic happens to come out right.
-    if (cm.coherence_check &&
-        r.exec.cycles !=
-            coproc.point_mult_cycles(plan.key_bits.size(), plan.options))
-      detected = true;
-  }
-
-  // Exit: y-recovery doubles as the ladder-invariant + membership check —
-  // it throws iff the (X1,Z1,X2,Z2) state is inconsistent with base·k for
-  // any k (off-curve result).
-  Point result = Point::at_infinity();
-  bool recovered = false;
-  if (ran) {
-    try {
-      result = r.result_is_infinity
-                   ? Point::at_infinity()
-                   : ecc::recover_from_ladder(curve, plan.base, r.x1, r.z1,
-                                              r.x2, r.z2);
-      recovered = true;
-    } catch (const std::logic_error&) {
-      recovered = false;
-    }
-    if (cm.detects_faults() && !recovered) detected = true;
-  }
-
-  if (recovered && cm.base_point_blinding && pair)
-    result = curve.add(result, curve.negate(pair->correction()));
-  if (cm.base_point_blinding && pair) pair->update(curve);
-
-  out.detected = detected;
-  if (detected) {
-    coproc.zeroize(/*keep_result=*/false);
-    if (cm.infective_computation) {
-      // Infective response: release key-independent garbage so the
-      // suppress/release oracle disappears along with the faulty value.
-      out.released = true;
-      out.infected = true;
-      out.x = ecc::random_nonzero_fe(rng);
-    }
-    return out;
-  }
-
-  out.released = true;
-  // Without a detector the controller releases whatever the affine
-  // conversion produced — the §5 controller minus the fault gate.
-  out.x = recovered ? result.x : r.x_affine;
-  return out;
-}
 
 FaultAttackResult safe_error_attack(const Curve& curve,
                                     const CountermeasureConfig& cm,
@@ -131,7 +36,7 @@ FaultAttackResult safe_error_attack(const Curve& curve,
   // fault-free observation.
   const Point ref = ecc::montgomery_ladder(curve, k.mod(curve.order()), p);
 
-  const std::vector<int> truth = padded_key_bits(curve, k);
+  const std::vector<int> truth = coproc_key_bits(curve, k);
   const std::size_t bits =
       std::min(bits_to_attack, truth.size() - 1);
 
@@ -139,7 +44,7 @@ FaultAttackResult safe_error_attack(const Curve& curve,
   res.shots = bits;
   std::vector<int> absorbed(bits, 0);
   for (std::size_t s = 0; s < bits; ++s) {
-    rng::Xoshiro256 run_rng(attack_word(seed, s, 0));
+    rng::Xoshiro256 run_rng(rng::derive_word(seed, s, 0));
     hw::FaultSpec f;
     f.kind = hw::FaultKind::kSelectGlitch;
     f.slot = s;
@@ -162,7 +67,7 @@ FaultAttackResult safe_error_attack(const Curve& curve,
   std::vector<int> guess(bits, 0);
   if (res.informative_shots == 0) {
     for (std::size_t s = 0; s < bits; ++s)
-      guess[s] = static_cast<int>(attack_word(seed, s, 7) & 1);
+      guess[s] = static_cast<int>(rng::derive_word(seed, s, 7) & 1);
   } else {
     int prev = 0;
     for (std::size_t s = 0; s < bits; ++s) {
@@ -190,7 +95,7 @@ FaultAttackResult invalid_point_attack(const Curve& curve,
   Scalar pair_key{};
 
   const Point p = curve.base_point();
-  const std::vector<int> truth = padded_key_bits(curve, k);
+  const std::vector<int> truth = coproc_key_bits(curve, k);
   const std::size_t bits = std::min(bits_to_attack, truth.size() - 1);
   const std::size_t probes = (bits + 1) / 2;
 
@@ -202,7 +107,7 @@ FaultAttackResult invalid_point_attack(const Curve& curve,
     // the attacker knows the protocol-visible base x, so forcing the
     // complement of one of its bits guarantees x̃ ≠ x.
     const auto b =
-        static_cast<unsigned>(attack_word(seed, t, 1) % Gf163::kBits);
+        static_cast<unsigned>(rng::derive_word(seed, t, 1) % Gf163::kBits);
     const bool stuck = !p.x.bit(b);
     hw::FaultSpec f;
     f.kind = hw::FaultKind::kStuckAt;
@@ -210,7 +115,7 @@ FaultAttackResult invalid_point_attack(const Curve& curve,
     f.bit = static_cast<std::uint8_t>(b);
     f.stuck_value = stuck;
     coproc.arm_fault(f);
-    rng::Xoshiro256 run_rng(attack_word(seed, t, 2));
+    rng::Xoshiro256 run_rng(rng::derive_word(seed, t, 2));
     const VictimRelease rel =
         guarded_coproc_mult(curve, cm, coproc, k, p, run_rng, pair, pair_key);
     coproc.disarm_fault();
@@ -232,7 +137,7 @@ FaultAttackResult invalid_point_attack(const Curve& curve,
   // holds).
   std::size_t correct = credited;
   for (std::size_t i = credited; i < bits; ++i) {
-    const int g = static_cast<int>(attack_word(seed, i, 8) & 1);
+    const int g = static_cast<int>(rng::derive_word(seed, i, 8) & 1);
     if (g == truth[i + 1]) ++correct;
   }
   res.accuracy = bits ? static_cast<double>(correct) / bits : 0.0;

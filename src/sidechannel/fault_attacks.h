@@ -1,5 +1,6 @@
 // fault_attacks.h — computational-fault adversaries against the guarded
-// co-processor victim, and the guarded victim itself.
+// co-processor victim: the chip's own fault gate, guarded_coproc_mult
+// (countermeasures.h), the same execution the shipped device retries.
 //
 // The timing/power matrix (eval.h) assumes the device always computes
 // correctly; these engines drop that assumption. A glitch adversary arms
@@ -29,45 +30,13 @@
 // same verdict, any thread count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "ecc/curve.h"
-#include "hw/coprocessor.h"
-#include "rng/random_source.h"
 #include "sidechannel/countermeasures.h"
 
 namespace medsec::sidechannel {
-
-/// What the adversary observes from one (possibly faulted) execution of
-/// the guarded victim.
-struct VictimRelease {
-  bool released = false;  ///< false: the device suppressed the result
-  bool infected = false;  ///< released, but key-independent garbage
-  bool detected = false;  ///< some detector tripped
-  ecc::Fe x;              ///< the observed x-coordinate (when released)
-  std::size_t cycles = 0; ///< executed co-processor cycles
-};
-
-/// One guarded execution of k·P on `coproc` under `cm` — the eval-matrix
-/// fault victim. Applies the fault-countermeasure columns:
-///   validate_points   — curve membership of the (masked) base at entry
-///                       and of the recovered result at exit;
-///   coherence_check   — executed cycles must equal the compiled
-///                       point_mult_cycles constant, and the (X1,Z1,X2,Z2)
-///                       ladder invariant must recover an on-curve point;
-///   infective_computation — a tripped detector releases a random
-///                       key-independent x instead of suppressing.
-/// A victim with NO detector models the §5 controller without the fault
-/// gate: it releases whatever the affine conversion produced, garbage
-/// included. Faults are armed by the caller on `coproc` beforehand.
-VictimRelease guarded_coproc_mult(const ecc::Curve& curve,
-                                  const CountermeasureConfig& cm,
-                                  hw::Coprocessor& coproc,
-                                  const ecc::Scalar& k, const ecc::Point& p,
-                                  rng::RandomSource& rng,
-                                  std::optional<BaseBlindingPair>& pair,
-                                  ecc::Scalar& pair_key);
 
 struct FaultAttackResult {
   double accuracy = 0.0;    ///< recovered-bit accuracy vs ground truth

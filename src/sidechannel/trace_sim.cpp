@@ -25,13 +25,6 @@ int hamming_weight(const Fe& v) {
 
 using ecc::random_nonzero_fe;
 
-/// Counter-based per-trace seeding: trace j's randomness is a pure
-/// function of (seed, j), so the campaign's output cannot depend on how
-/// traces are grouped into lanes or scheduled onto threads.
-std::uint64_t trace_seed(std::uint64_t seed, std::uint64_t j) {
-  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (j + 1));
-  return rng::splitmix64(s);
-}
 constexpr std::uint64_t kNoiseSalt = 0xA5A5'5A5A'C0DE'F00Dull;
 
 /// One random point of the prime-order subgroup with x != 0, drawn from
@@ -54,15 +47,6 @@ Point random_subgroup_point(const Curve& c, rng::RandomSource& rng) {
     if (q.infinity || q.x.is_zero()) continue;
     return q;
   }
-}
-
-std::vector<int> padded_bits_of(const Curve& c, const Scalar& k) {
-  const Scalar padded = ecc::constant_length_scalar(c, k);
-  std::vector<int> bits;
-  bits.reserve(padded.bit_length());
-  for (std::size_t i = padded.bit_length(); i-- > 0;)
-    bits.push_back(padded.bit(i) ? 1 : 0);
-  return bits;
 }
 
 /// Random points via the ladder (the PR 2 path, kept for the serial
@@ -110,7 +94,7 @@ DpaExperiment generate_dpa_traces(const Curve& curve, const Scalar& k,
   // its own k); leave true_bits empty so feeding such an experiment to
   // the key-recovery attacks fails loudly instead of scoring against a
   // scalar no trace executed.
-  if (!config.randomize_scalar) out.true_bits = padded_bits_of(curve, k);
+  if (!config.randomize_scalar) out.true_bits = coproc_key_bits(curve, k);
   // The victim's countermeasure set: explicit config wins; otherwise the
   // scenario maps to the historical none / rpc-only pair.
   const CountermeasureConfig cm = config.countermeasures.value_or(
@@ -163,9 +147,12 @@ DpaExperiment generate_dpa_traces(const Curve& curve, const Scalar& k,
     // Phase 1: per-trace inputs from each trace's private RNG. Draw
     // order — scalar, base point, blinding mask, blind, Z-randomizers,
     // then (shuffled schedules only) the slot engine's decoy/schedule
-    // stream — is part of the determinism contract.
+    // stream — is part of the determinism contract. Trace j's randomness
+    // is a pure function of (seed, j), so the campaign's output cannot
+    // depend on how traces are grouped into lanes or scheduled onto
+    // threads.
     for (std::size_t j = j0; j < j1; ++j) {
-      rng::Xoshiro256 rng(trace_seed(config.seed, j));
+      rng::Xoshiro256 rng(rng::mix_seed(config.seed, j));
       const Scalar kj =
           config.randomize_scalar ? rng.uniform_nonzero(curve.order()) : k;
       ks[j - j0] = kj;
@@ -252,7 +239,7 @@ DpaExperiment generate_dpa_traces(const Curve& curve, const Scalar& k,
     // Phase 3: measurement noise, one private stream per trace (drawn in
     // sample order, so the values match any other lane/thread geometry).
     for (std::size_t j = j0; j < j1; ++j) {
-      rng::Xoshiro256 noise_rng(trace_seed(config.seed ^ kNoiseSalt, j));
+      rng::Xoshiro256 noise_rng(rng::mix_seed(config.seed ^ kNoiseSalt, j));
       Trace& t = out.traces.traces[j];
       for (std::size_t i = 0; i < trace_len; ++i)
         t[i] += gaussian(noise_rng, config.leakage.noise_sigma);
@@ -278,7 +265,7 @@ DpaExperiment generate_dpa_traces_serial(const Curve& curve, const Scalar& k,
                                          const AlgorithmicSimConfig& config) {
   DpaExperiment out;
   out.scenario = scenario;
-  out.true_bits = padded_bits_of(curve, k);
+  out.true_bits = coproc_key_bits(curve, k);
   out.traces.traces.reserve(num_traces);
   out.base_points.reserve(num_traces);
 
@@ -333,7 +320,7 @@ CycleVictimPlan plan_cycle_victim(const Curve& curve, const Scalar& k,
   rng::Xoshiro256 rng(config.seed);
 
   CycleVictimPlan out;
-  out.true_bits = padded_bits_of(curve, k);
+  out.true_bits = coproc_key_bits(curve, k);
   out.noise_seed = config.seed ^ 0xA5A5'5A5A'1234'8765ull;
 
   // The same planner SecureEccProcessor::Session uses — one
@@ -382,7 +369,7 @@ CycleTrace capture_cycle_trace(const Curve& curve, const Scalar& k,
                                const Point& p, const CycleSimConfig& config) {
   hw::Coprocessor cop(config.coproc);
   CycleTrace out;
-  out.true_bits = padded_bits_of(curve, k);
+  out.true_bits = coproc_key_bits(curve, k);
   out.area_ge = cop.area_ge();
   capture_cycle_trace_into(curve, k, p, config, cop, out.samples,
                            config.keep_records ? &out.records : nullptr);
@@ -450,7 +437,7 @@ CycleTrace capture_averaged_cycle_trace(const Curve& curve, const Scalar& k,
         hw::Coprocessor cop(config.coproc);
         for (std::size_t j = b; j < e; ++j) {
           if (j == 0) {
-            acc.true_bits = padded_bits_of(curve, k);
+            acc.true_bits = coproc_key_bits(curve, k);
             acc.area_ge = cop.area_ge();
             capture_cycle_trace_into(curve, k, p, config, cop, acc.samples,
                                      config.keep_records ? &acc.records

@@ -185,10 +185,7 @@ TEST(CtAudit, ModeledLadderCyclesAreSecretIndependent) {
   std::size_t classic = 0, blinded = 0;
   for (int i = 0; i < 3; ++i) {
     const auto k = rng.uniform_nonzero(curve.order());
-    const auto padded = medsec::ecc::constant_length_scalar(curve, k);
-    std::vector<int> bits;
-    for (std::size_t b = padded.bit_length(); b-- > 0;)
-      bits.push_back(padded.bit(b) ? 1 : 0);
+    const auto bits = medsec::sidechannel::coproc_key_bits(curve, k);
     const auto r =
         cop.point_mult(bits, curve.base_point().x, {}, nullptr);
     if (i == 0) classic = r.exec.cycles;

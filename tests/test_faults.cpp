@@ -44,14 +44,6 @@ namespace sc = medsec::sidechannel;
 /// drill engine changes.
 constexpr std::uint64_t kGoldenDrillDigest = 0x437e18693ad483a9ull;
 
-/// MSB-first padded scalar bits (the ladder's ground truth).
-std::vector<int> padded_bits(const Curve& c, const Scalar& k) {
-  const Scalar padded = medsec::ecc::constant_length_scalar(c, k);
-  std::vector<int> bits;
-  sc::unpack_bits_msb(padded, padded.bit_length(), bits);
-  return bits;
-}
-
 /// A key whose padded top bits are dense. Fault-attack verdicts are only
 /// meaningful against such a key: a tiny k makes the padded scalar's top
 /// bits all zero and every chain reconstruction trivially "correct".
@@ -102,7 +94,7 @@ TEST(FaultInjector, CounterDerivedAndRateIndependent) {
 struct CoprocFixture {
   const Curve& c = Curve::k163();
   Scalar k = dense_key(c);
-  std::vector<int> bits = padded_bits(c, k);
+  std::vector<int> bits = sc::coproc_key_bits(c, k);
   hw::Coprocessor coproc;
 
   hw::PointMultResult run() {
@@ -452,6 +444,42 @@ TEST(SessionRecovery, PersistentStuckAtExhaustsBudgetAndThrows) {
   const auto out = sess.point_mult(k, c.base_point());
   EXPECT_EQ(out.result, medsec::ecc::scalar_mult(c, k, c.base_point()));
   EXPECT_EQ(out.faults_detected, 0u);
+}
+
+TEST(SessionRecovery, CanaryCatchesWhatNoDetectorSees) {
+  // The one policy the processor adds to the guarded execution: a failed
+  // y-recovery is a fault even when the config arms no detector.
+  const Curve& c = Curve::k163();
+  const Scalar k = dense_key(c);
+  const Point ref = medsec::ecc::scalar_mult(c, k, c.base_point());
+  const core::CountermeasureConfig cfg;  // the shipped chip: rpc only
+  ASSERT_FALSE(cfg.ladder.detects_faults());
+
+  // The one-shot SEU of BitFlipKeepsCycleCountButCorruptsState, halfway
+  // through this config's run.
+  VictimFixture f;
+  hw::FaultSpec flip;
+  flip.kind = hw::FaultKind::kBitFlip;
+  flip.cycle = f.run(cfg.ladder).cycles / 2;
+  flip.reg = hw::Reg::kX1;
+  flip.bit = 42;
+
+  // No detector: the guarded execution releases the corrupted x.
+  f.coproc.arm_fault(flip);
+  const auto bare = f.run(cfg.ladder);
+  ASSERT_TRUE(f.coproc.fault_fired());
+  ASSERT_TRUE(bare.released);
+  ASSERT_FALSE(bare.detected);
+  ASSERT_FALSE(bare.x == ref.x);
+
+  // The processor's canary catches it and the retry releases k·P.
+  const core::SecureEccProcessor proc(c, cfg, 0x5E55);
+  auto sess = proc.open_session(3);
+  sess.arm_fault(flip);
+  const auto out = sess.point_mult(k, c.base_point());
+  EXPECT_EQ(out.result, ref);
+  EXPECT_EQ(out.faults_detected, 1u);
+  EXPECT_EQ(out.retries, 1u);
 }
 
 // --- TRNG health gate --------------------------------------------------------

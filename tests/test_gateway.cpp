@@ -125,8 +125,7 @@ using QueueLog = std::vector<std::pair<char, std::size_t>>;
 template <typename Side>
 void scripted_fire(Side& side, std::uint64_t seed, std::size_t i) {
   side.log.emplace_back('F', i);
-  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (i + 1));
-  const std::uint64_t w = medsec::rng::splitmix64(s);
+  const std::uint64_t w = medsec::rng::mix_seed(seed, i);
   switch (w % 4) {
     case 0:  // schedule another event, often in this very cycle
       side.schedule((w >> 8) % 3);

@@ -13,11 +13,11 @@
 #include "hw/radio.h"
 #include "hw/technology.h"
 #include "rng/xoshiro.h"
+#include "sidechannel/countermeasures.h"
 
 namespace {
 
 using medsec::bigint::U192;
-using medsec::ecc::constant_length_scalar;
 using medsec::ecc::Curve;
 using medsec::ecc::montgomery_ladder;
 using medsec::ecc::Point;
@@ -25,20 +25,13 @@ using medsec::ecc::recover_from_ladder;
 using medsec::ecc::Scalar;
 using medsec::gf2m::Gf163;
 using medsec::rng::Xoshiro256;
+using medsec::sidechannel::coproc_key_bits;
 namespace hw = medsec::hw;
 
 Gf163 random_fe(Xoshiro256& rng) {
   U192 v;
   for (std::size_t i = 0; i < 3; ++i) v.set_limb(i, rng.next_u64());
   return Gf163::from_bits(v);
-}
-
-std::vector<int> padded_bits(const Curve& c, const Scalar& k) {
-  const Scalar padded = constant_length_scalar(c, k);
-  std::vector<int> bits;
-  for (std::size_t i = padded.bit_length(); i-- > 0;)
-    bits.push_back(padded.bit(i) ? 1 : 0);
-  return bits;
 }
 
 // --- digit-serial multiplier --------------------------------------------------
@@ -149,7 +142,7 @@ TEST_P(CoprocVsLadder, PointMultMatchesAlgorithmicLadder) {
   for (int i = 0; i < 4; ++i) {
     const Scalar k = rng.uniform_nonzero(c.order());
     const auto r =
-        cop.point_mult(padded_bits(c, k), c.base_point().x, {}, nullptr);
+        cop.point_mult(coproc_key_bits(c, k), c.base_point().x, {}, nullptr);
     const Point expect = montgomery_ladder(c, k, c.base_point());
     ASSERT_FALSE(r.result_is_infinity);
     ASSERT_FALSE(expect.infinity);
@@ -171,7 +164,7 @@ TEST(Coprocessor, RpcGivesSameResultDifferentIntermediates) {
   hw::Coprocessor cop;
   Xoshiro256 rng(11);
   const Scalar k = rng.uniform_nonzero(c.order());
-  const auto bits = padded_bits(c, k);
+  const auto bits = coproc_key_bits(c, k);
 
   hw::PointMultOptions plain;
   hw::PointMultOptions rpc;
@@ -188,7 +181,7 @@ TEST(Coprocessor, SmallScalarsMatchReference) {
   const Curve& c = Curve::k163();
   hw::Coprocessor cop;
   for (std::uint64_t k = 1; k <= 8; ++k) {
-    const auto r = cop.point_mult(padded_bits(c, Scalar{k}),
+    const auto r = cop.point_mult(coproc_key_bits(c, Scalar{k}),
                                   c.base_point().x, {}, nullptr);
     const Point expect = c.scalar_mult_reference(Scalar{k}, c.base_point());
     EXPECT_EQ(r.x_affine, expect.x) << "k=" << k;
@@ -198,7 +191,7 @@ TEST(Coprocessor, SmallScalarsMatchReference) {
 TEST(Coprocessor, KZeroYieldsInfinity) {
   const Curve& c = Curve::k163();
   hw::Coprocessor cop;
-  const auto r = cop.point_mult(padded_bits(c, Scalar{}), c.base_point().x,
+  const auto r = cop.point_mult(coproc_key_bits(c, Scalar{}), c.base_point().x,
                                 {}, nullptr);
   EXPECT_TRUE(r.result_is_infinity);
 }
@@ -231,7 +224,7 @@ TEST(Coprocessor, CycleCountIsKeyIndependent) {
        {Scalar{1}, Scalar{2}, rng.uniform_nonzero(c.order()),
         rng.uniform_nonzero(c.order())}) {
     const auto r =
-        cop.point_mult(padded_bits(c, k), c.base_point().x, {}, nullptr);
+        cop.point_mult(coproc_key_bits(c, k), c.base_point().x, {}, nullptr);
     if (cycles == 0) cycles = r.exec.cycles;
     EXPECT_EQ(r.exec.cycles, cycles) << "k=" << k.to_hex();
   }
@@ -306,7 +299,7 @@ TEST(Calibration, ReproducesPaperChipNumbers) {
   const Scalar k = rng.uniform_nonzero(c.order());
   hw::PointMultOptions opt;
   opt.z_randomizers = {random_fe(rng), random_fe(rng)};
-  const auto r = cop.point_mult(padded_bits(c, k), c.base_point().x, opt,
+  const auto r = cop.point_mult(coproc_key_bits(c, k), c.base_point().x, opt,
                                 nullptr);
 
   const double pm_per_s = 1.0 / r.seconds;
