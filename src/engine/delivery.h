@@ -46,7 +46,7 @@ struct DeliveryConfig {
   core::Cycle rto_initial = 64;    ///< first retransmit timeout
   core::Cycle rto_max = 4096;      ///< backoff ceiling
   static constexpr double backoff = 2.0;  ///< RTO multiplier per retry
-  std::uint32_t max_retries = 24;  ///< then the endpoint gives up
+  static constexpr std::uint32_t max_retries = 24;  ///< then it gives up
 };
 
 struct DeliveryStats {

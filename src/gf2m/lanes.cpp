@@ -123,6 +123,63 @@ __attribute__((target("pclmul,sse4.1"))) inline void load_reduce_store(
   out.l2[i] = r[2];
 }
 
+// Single-lane tails: lanes [i, n) on the scalar 128-bit clmul kernel,
+// where every backend's lane count that is not a multiple of its group
+// width finishes. The target is a subset of each caller's, so they
+// inline into the vector kernels.
+
+__attribute__((target("pclmul,sse4.1"))) inline void mul_tail(
+    LaneView a, LaneView b, LaneSpan out, std::size_t i, std::size_t n) {
+  for (; i < n; ++i) {
+    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
+    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
+    std::uint64_t p[6];
+    hwclmul::mul326_clmul(av, bv, p);
+    load_reduce_store(p, out, i);
+  }
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline void sqr_tail(
+    LaneView a, LaneSpan out, std::size_t i, std::size_t n) {
+  for (; i < n; ++i) {
+    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
+    std::uint64_t p[6];
+    hwclmul::sqr326_clmul(av, p);
+    load_reduce_store(p, out, i);
+  }
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline void mul_add_mul_tail(
+    LaneView a, LaneView b, LaneView c, LaneView d, LaneSpan out,
+    std::size_t i, std::size_t n) {
+  for (; i < n; ++i) {
+    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
+    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
+    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
+    const std::uint64_t dv[3] = {d.l0[i], d.l1[i], d.l2[i]};
+    std::uint64_t p[6], q[6];
+    hwclmul::mul326_clmul(av, bv, p);
+    hwclmul::mul326_clmul(cv, dv, q);
+    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
+    load_reduce_store(p, out, i);
+  }
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline void sqr_add_mul_tail(
+    LaneView a, LaneView b, LaneView c, LaneSpan out, std::size_t i,
+    std::size_t n) {
+  for (; i < n; ++i) {
+    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
+    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
+    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
+    std::uint64_t p[6], q[6];
+    hwclmul::sqr326_clmul(av, p);
+    hwclmul::mul326_clmul(bv, cv, q);
+    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
+    load_reduce_store(p, out, i);
+  }
+}
+
 __attribute__((target("pclmul,sse4.1"))) void lane_mul_clmulwide(
     LaneView a, LaneView b, LaneSpan out, std::size_t n) {
   std::size_t i = 0;
@@ -139,13 +196,7 @@ __attribute__((target("pclmul,sse4.1"))) void lane_mul_clmulwide(
     load_reduce_store(pA, out, i);
     load_reduce_store(pB, out, i + 1);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    load_reduce_store(p, out, i);
-  }
+  mul_tail(a, b, out, i, n);
 }
 
 __attribute__((target("pclmul,sse4.1"))) void lane_sqr_clmulwide(
@@ -160,12 +211,7 @@ __attribute__((target("pclmul,sse4.1"))) void lane_sqr_clmulwide(
     load_reduce_store(pA, out, i);
     load_reduce_store(pB, out, i + 1);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::sqr326_clmul(av, p);
-    load_reduce_store(p, out, i);
-  }
+  sqr_tail(a, out, i, n);
 }
 
 __attribute__((target("pclmul,sse4.1"))) void lane_mul_add_mul_clmulwide(
@@ -193,17 +239,7 @@ __attribute__((target("pclmul,sse4.1"))) void lane_mul_add_mul_clmulwide(
     load_reduce_store(pA, out, i);
     load_reduce_store(pB, out, i + 1);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
-    const std::uint64_t dv[3] = {d.l0[i], d.l1[i], d.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    hwclmul::mul326_clmul(cv, dv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
-  }
+  mul_add_mul_tail(a, b, c, d, out, i, n);
 }
 
 __attribute__((target("pclmul,sse4.1"))) void lane_sqr_add_mul_clmulwide(
@@ -226,16 +262,7 @@ __attribute__((target("pclmul,sse4.1"))) void lane_sqr_add_mul_clmulwide(
     load_reduce_store(pA, out, i);
     load_reduce_store(pB, out, i + 1);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::sqr326_clmul(av, p);
-    hwclmul::mul326_clmul(bv, cv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
-  }
+  sqr_add_mul_tail(a, b, c, out, i, n);
 }
 
 constexpr LaneVTable kLaneClmulWideVTable{
@@ -276,13 +303,7 @@ MEDSEC_TARGET_VPCLMUL512 void lane_mul_vpclmul512(LaneView a, LaneView b,
     vclmul::mul326_x8(av, bv, p);
     vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    load_reduce_store(p, out, i);
-  }
+  mul_tail(a, b, out, i, n);
 }
 
 MEDSEC_TARGET_VPCLMUL512 void lane_sqr_vpclmul512(LaneView a, LaneSpan out,
@@ -303,12 +324,7 @@ MEDSEC_TARGET_VPCLMUL512 void lane_sqr_vpclmul512(LaneView a, LaneSpan out,
     vclmul::sqr326_x8(av, p);
     vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::sqr326_clmul(av, p);
-    load_reduce_store(p, out, i);
-  }
+  sqr_tail(a, out, i, n);
 }
 
 MEDSEC_TARGET_VPCLMUL512 void lane_mul_add_mul_vpclmul512(
@@ -327,17 +343,7 @@ MEDSEC_TARGET_VPCLMUL512 void lane_mul_add_mul_vpclmul512(
     for (std::size_t w = 0; w < 6; ++w) p[w] = _mm512_xor_si512(p[w], q[w]);
     vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
-    const std::uint64_t dv[3] = {d.l0[i], d.l1[i], d.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    hwclmul::mul326_clmul(cv, dv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
-  }
+  mul_add_mul_tail(a, b, c, d, out, i, n);
 }
 
 MEDSEC_TARGET_VPCLMUL512 void lane_sqr_add_mul_vpclmul512(LaneView a,
@@ -356,16 +362,7 @@ MEDSEC_TARGET_VPCLMUL512 void lane_sqr_add_mul_vpclmul512(LaneView a,
     for (std::size_t w = 0; w < 6; ++w) p[w] = _mm512_xor_si512(p[w], q[w]);
     vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::sqr326_clmul(av, p);
-    hwclmul::mul326_clmul(bv, cv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
-  }
+  sqr_add_mul_tail(a, b, c, out, i, n);
 }
 
 constexpr LaneVTable kLaneVpclmul512VTable{
@@ -399,13 +396,7 @@ MEDSEC_TARGET_VPCLMUL256 void lane_mul_vpclmul256(LaneView a, LaneView b,
     vclmul::mul326_x4(av, bv, p);
     vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    load_reduce_store(p, out, i);
-  }
+  mul_tail(a, b, out, i, n);
 }
 
 MEDSEC_TARGET_VPCLMUL256 void lane_sqr_vpclmul256(LaneView a, LaneSpan out,
@@ -426,12 +417,7 @@ MEDSEC_TARGET_VPCLMUL256 void lane_sqr_vpclmul256(LaneView a, LaneSpan out,
     vclmul::sqr326_x4(av, p);
     vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::sqr326_clmul(av, p);
-    load_reduce_store(p, out, i);
-  }
+  sqr_tail(a, out, i, n);
 }
 
 MEDSEC_TARGET_VPCLMUL256 void lane_mul_add_mul_vpclmul256(
@@ -449,17 +435,7 @@ MEDSEC_TARGET_VPCLMUL256 void lane_mul_add_mul_vpclmul256(
     for (std::size_t w = 0; w < 6; ++w) p[w] = _mm256_xor_si256(p[w], q[w]);
     vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
-    const std::uint64_t dv[3] = {d.l0[i], d.l1[i], d.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    hwclmul::mul326_clmul(cv, dv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
-  }
+  mul_add_mul_tail(a, b, c, d, out, i, n);
 }
 
 MEDSEC_TARGET_VPCLMUL256 void lane_sqr_add_mul_vpclmul256(LaneView a,
@@ -478,16 +454,7 @@ MEDSEC_TARGET_VPCLMUL256 void lane_sqr_add_mul_vpclmul256(LaneView a,
     for (std::size_t w = 0; w < 6; ++w) p[w] = _mm256_xor_si256(p[w], q[w]);
     vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::sqr326_clmul(av, p);
-    hwclmul::mul326_clmul(bv, cv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
-  }
+  sqr_add_mul_tail(a, b, c, out, i, n);
 }
 
 constexpr LaneVTable kLaneVpclmul256VTable{

@@ -8,6 +8,7 @@
 #include "hash/hmac.h"
 #include "hash/sha256.h"
 #include "protocol/snapshot.h"
+#include "protocol/tag_mult.h"
 #include "protocol/wire.h"
 
 namespace medsec::protocol {
@@ -93,41 +94,12 @@ EciesCiphertext ecies_encrypt(const Curve& curve, const Point& Y,
   if (!curve.validate_subgroup_point(Y))
     throw std::invalid_argument("ecies_encrypt: invalid recipient key");
 
-  // Ephemeral point R = r·P on the fixed-base comb (constant schedule,
-  // masked table scan); shared secret Z = r·Y on the RPC ladder, whose
-  // output conversion shares one joint inversion across its two
-  // denominators (Montgomery's trick inside recover_from_ladder). With a
-  // countermeasure engine installed, both multiplications ride the
-  // hardened ladder instead.
-  ecc::LadderOptions lo;
-  lo.randomize_z = true;
-  lo.rng = &rng;
-  const ecc::FixedBaseComb& comb = ecc::generator_comb(curve);
-  Point R, Z;
-  Scalar r;
+  Point R, Z;  // ephemeral point r·P, shared secret r·Y
   do {
-    r = rng.uniform_nonzero(curve.order());
-    // Scalar draw + the per-mult countermeasure draws: the comb consumes
-    // none, the plain RPC ladder two randomizers, the hardened engine
-    // whatever its config says (2 mults here).
-    if (ledger)
-      ledger->rng_bits +=
-          163 + (hardened ? 2 * hardened->rng_bits_per_mult() : 2 * 163);
-    const auto charge_provisioning = [&] {
-      // Base-blinding pair provisioning: two hidden ladders + a draw.
-      if (ledger && hardened && hardened->last_mult_provisioned_pair()) {
-        ledger->ecpm += 2;
-        ledger->rng_bits += 163;
-      }
-    };
-    R = hardened ? hardened->mult(r, curve.base_point(), rng)
-                 : comb.mult_ct(r);
-    charge_provisioning();
-    if (ledger) ++ledger->ecpm;
-    Z = hardened ? hardened->mult(r, Y, rng)
-                 : ecc::montgomery_ladder(curve, r, Y, lo);
-    charge_provisioning();
-    if (ledger) ++ledger->ecpm;
+    const Scalar r = rng.uniform_nonzero(curve.order());
+    if (ledger) ledger->rng_bits += 163;
+    R = tag_mult(curve, r, kGenerator, rng, ledger, hardened);
+    Z = tag_mult(curve, r, &Y, rng, ledger, hardened);
   } while (R.infinity || Z.infinity);
 
   const std::size_t bb = probe_block_bytes(make_cipher, key_bytes);

@@ -49,8 +49,8 @@ EciesKeyPair ecies_keygen(const ecc::Curve& curve, rng::RandomSource& rng);
 
 /// Device-side encryption to public key Y. `key_bytes` sizes the derived
 /// cipher keys (16 for AES-128 / PRESENT-128, 10 for PRESENT-80).
-/// `hardened`: optional countermeasure engine carrying both encapsulation
-/// point multiplications (defense-evaluation wiring).
+/// `hardened`: optional engine both encapsulation point multiplications
+/// pass to tag_mult (tag_mult.h), which also charges them to `ledger`.
 EciesCiphertext ecies_encrypt(const ecc::Curve& curve, const ecc::Point& Y,
                               std::span<const std::uint8_t> plaintext,
                               const CipherFactory& make_cipher,

@@ -6,6 +6,7 @@
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
 #include "protocol/snapshot.h"
+#include "protocol/tag_mult.h"
 
 namespace medsec::protocol {
 
@@ -13,16 +14,6 @@ namespace {
 using ecc::Curve;
 using ecc::Point;
 using ecc::Scalar;
-
-Point tag_pm(const Curve& c, const Scalar& k, const Point& p,
-             rng::RandomSource& rng, EnergyLedger& ledger) {
-  ecc::MultOptions opt;
-  opt.algorithm = ecc::MultAlgorithm::kLadderRpc;
-  opt.rng = &rng;
-  ++ledger.ecpm;
-  ledger.rng_bits += 2 * 163;
-  return ecc::scalar_mult(c, k, p, opt);
-}
 }  // namespace
 
 PhReader ph_setup_reader(const Curve& curve, rng::RandomSource& rng) {
@@ -49,17 +40,7 @@ PhTagSession ph_tag_commit(const Curve& curve,
   PhTagSession s;
   s.r = rng.uniform_nonzero(curve.order());
   ledger.rng_bits += 163;
-  if (hardened) ledger.rng_bits += hardened->rng_bits_per_mult();
-  // Generator multiplication: fixed-base comb, constant schedule — or
-  // the countermeasure engine when one is installed.
-  ++ledger.ecpm;
-  s.commitment = hardened ? hardened->mult(s.r, curve.base_point(), rng)
-                          : ecc::generator_comb(curve).mult_ct(s.r);
-  if (hardened && hardened->last_mult_provisioned_pair()) {
-    // Base-blinding pair provisioning: two hidden ladders + a scalar draw.
-    ledger.ecpm += 2;
-    ledger.rng_bits += 163;
-  }
+  s.commitment = tag_mult(curve, s.r, kGenerator, rng, &ledger, hardened);
   return s;
 }
 
@@ -69,18 +50,7 @@ Scalar ph_tag_respond(const Curve& curve, const PhTag& tag,
                       sidechannel::HardenedLadder* hardened) {
   const auto& ring = curve.scalar_ring();
   // d = xcoord(r·Y): the second (and last) heavy operation on the tag.
-  const Point ry = [&] {
-    if (hardened == nullptr)
-      return tag_pm(curve, session.r, tag.Y, rng, ledger);
-    ++ledger.ecpm;
-    ledger.rng_bits += hardened->rng_bits_per_mult();
-    const Point out = hardened->mult(session.r, tag.Y, rng);
-    if (hardened->last_mult_provisioned_pair()) {
-      ledger.ecpm += 2;
-      ledger.rng_bits += 163;
-    }
-    return out;
-  }();
+  const Point ry = tag_mult(curve, session.r, &tag.Y, rng, &ledger, hardened);
   const Scalar d = fe_to_scalar_mod_order(curve, ry.x);
   // s = d + x + e·r — one modular multiplication, two additions (§4's
   // "two point multiplications and one modular multiplication").

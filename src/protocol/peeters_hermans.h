@@ -71,9 +71,8 @@ struct PhTagSession {
   ecc::Scalar r;
   ecc::Point commitment;
 };
-/// `hardened` (optional, both functions): route the tag's two point
-/// multiplications through the countermeasure engine instead of the
-/// comb / RPC ladder (defense-evaluation wiring).
+/// `hardened` (optional, both functions): the engine both of the tag's
+/// point multiplications pass to tag_mult (tag_mult.h).
 PhTagSession ph_tag_commit(const ecc::Curve& curve, const PhTag& tag,
                            rng::RandomSource& rng, EnergyLedger& ledger,
                            sidechannel::HardenedLadder* hardened = nullptr);

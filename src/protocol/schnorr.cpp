@@ -5,6 +5,7 @@
 #include "ecc/fixed_base.h"
 #include "ecc/scalar_mult.h"
 #include "protocol/snapshot.h"
+#include "protocol/tag_mult.h"
 
 namespace medsec::protocol {
 
@@ -39,23 +40,11 @@ SchnorrProver::SchnorrProver(const Curve& curve, SchnorrKeyPair key,
     : curve_(&curve), key_(std::move(key)), rng_(&rng), hardened_(hardened) {}
 
 StepResult SchnorrProver::start() {
-  // T: commitment — a generator multiplication, so the tag runs the
-  // fixed-base comb with its key-independent double+add schedule and
-  // masked table scan instead of the general-point ladder — unless a
-  // countermeasure engine is installed, in which case the hardened
-  // ladder carries the multiplication (defense-evaluation wiring).
+  // T: commitment R_c = r·P, a generator multiplication.
   r_ = rng_->uniform_nonzero(curve_->order());
   ledger_.rng_bits += 163;
-  if (hardened_) ledger_.rng_bits += hardened_->rng_bits_per_mult();
-  ++ledger_.ecpm;
-  const Point rc = hardened_
-                       ? hardened_->mult(r_, curve_->base_point(), *rng_)
-                       : ecc::generator_comb(*curve_).mult_ct(r_);
-  if (hardened_ && hardened_->last_mult_provisioned_pair()) {
-    // Base-blinding pair provisioning: two hidden ladders + a scalar draw.
-    ledger_.ecpm += 2;
-    ledger_.rng_bits += 163;
-  }
+  const Point rc =
+      tag_mult(*curve_, r_, kGenerator, *rng_, &ledger_, hardened_);
   committed_ = true;
   Message m{kLabelCommitment, encode_point(*curve_, rc)};
   ledger_.tx_bits += m.bits();

@@ -58,11 +58,9 @@ struct SchnorrSessionResult {
 /// and the caller-owned RNG are held by reference.
 class SchnorrProver final : public SessionMachine {
  public:
-  /// `hardened`: optional countermeasure engine for the commitment's
-  /// point multiplication (a device under defense evaluation runs its
-  /// protocol flows through the hardened ladder instead of the comb).
-  /// Caller-owned, must outlive the machine; one engine per session —
-  /// HardenedLadder is not thread-safe.
+  /// `hardened`: optional engine for the commitment, passed to tag_mult
+  /// (tag_mult.h). Caller-owned, must outlive the machine; one engine per
+  /// session — HardenedLadder is not thread-safe.
   SchnorrProver(const ecc::Curve& curve, SchnorrKeyPair key,
                 rng::RandomSource& rng,
                 sidechannel::HardenedLadder* hardened = nullptr);

@@ -3,6 +3,7 @@
 #include "ecc/fixed_base.h"
 #include "ecc/scalar_mult.h"
 #include "hash/sha256.h"
+#include "protocol/tag_mult.h"
 #include "protocol/wire.h"
 
 namespace medsec::protocol {
@@ -58,9 +59,7 @@ Signature ec_schnorr_sign(const Curve& curve, const SignatureKeyPair& key,
   for (;;) {
     const Scalar r = rng.uniform_nonzero(curve.order());
     if (ledger) ledger->rng_bits += 163;
-    // Generator multiplication: fixed-base comb, constant schedule.
-    const Point R = ecc::generator_comb(curve).mult_ct(r);
-    if (ledger) ++ledger->ecpm;
+    const Point R = tag_mult(curve, r, kGenerator, rng, ledger, nullptr);
     if (R.infinity) continue;  // r = 0 mod l, impossible by construction
 
     const Scalar e = challenge_scalar(curve, R.x, message, ledger);

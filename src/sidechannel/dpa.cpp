@@ -1,7 +1,6 @@
 #include "sidechannel/dpa.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -17,14 +16,8 @@ using ecc::Curve;
 using ecc::Fe;
 using ecc::LadderState;
 
-int hamming_weight(const Fe& v) {
-  return std::popcount(v.limb(0)) + std::popcount(v.limb(1)) +
-         std::popcount(v.limb(2));
-}
-
 double predict(const LadderState& s) {
-  return static_cast<double>(hamming_weight(s.x1) + hamming_weight(s.z1) +
-                             hamming_weight(s.x2) + hamming_weight(s.z2));
+  return static_cast<double>(register_hw(s));
 }
 
 /// Shared input validation + attacker-side initial states (the recovered

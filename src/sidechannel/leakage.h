@@ -27,9 +27,11 @@
 // cycles execute, and nothing needs a materialized record vector.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "ecc/curve.h"
 #include "hw/activity.h"
 #include "hw/coprocessor.h"
 #include "hw/gates.h"
@@ -83,6 +85,28 @@ inline double style_power(const LeakageParams& p, double data_toggles,
              p.sabl_imbalance * data_toggles + baseline_ge;
   }
   return 0.0;
+}
+
+/// Register-transfer leakage of one algorithmic-level (per ladder
+/// iteration) sample, and the DPA hypothesis: the Hamming weight of the
+/// four working registers of a LadderObservation or LadderState.
+inline int hamming_weight(const ecc::Fe& v) {
+  return std::popcount(v.limb(0)) + std::popcount(v.limb(1)) +
+         std::popcount(v.limb(2));
+}
+template <class Registers>
+int register_hw(const Registers& s) {
+  return hamming_weight(s.x1) + hamming_weight(s.z1) + hamming_weight(s.x2) +
+         hamming_weight(s.z2);
+}
+
+/// That sample, pre-noise, over its data-independent floor (clock tree,
+/// sequencer).
+inline constexpr double kAlgorithmicBaselineGe = 2200.0;
+inline double algorithmic_sample(const LeakageParams& p, int hw_state,
+                                 double area_ge) {
+  return style_power(p, hw::ActivityWeights::kRegisterBit * hw_state,
+                     kAlgorithmicBaselineGe, area_ge);
 }
 
 /// Per-register clock-branch load skew (§6: layout asymmetry). With

@@ -1,12 +1,10 @@
 #include "sidechannel/trace_sim.h"
 
-#include <bit>
 #include <memory>
 #include <stdexcept>
 
 #include "core/thread_pool.h"
 #include "ecc/ladder_many.h"
-#include "hw/activity.h"
 #include "rng/xoshiro.h"
 
 namespace medsec::sidechannel {
@@ -17,11 +15,6 @@ using ecc::Curve;
 using ecc::Fe;
 using ecc::Point;
 using ecc::Scalar;
-
-int hamming_weight(const Fe& v) {
-  return std::popcount(v.limb(0)) + std::popcount(v.limb(1)) +
-         std::popcount(v.limb(2));
-}
 
 using ecc::random_nonzero_fe;
 
@@ -193,12 +186,8 @@ DpaExperiment generate_dpa_traces(const Curve& curve, const Scalar& k,
         }
         Trace& row = out.traces.traces[j];
         const auto observer = [&](const ecc::LadderObservation& ob) {
-          const double hw_state =
-              hamming_weight(ob.x1) + hamming_weight(ob.z1) +
-              hamming_weight(ob.x2) + hamming_weight(ob.z2);
-          const double data = hw::ActivityWeights::kRegisterBit * hw_state;
-          row[top - ob.bit_index] = style_power(
-              config.leakage, data, /*baseline_ge=*/2200.0, area_ge);
+          row[top - ob.bit_index] =
+              algorithmic_sample(config.leakage, register_hw(ob), area_ge);
         };
         shuffled_ladder_raw(curve, masked, real_bits,
                             /*zero_start=*/cm.scalar_blinding,
@@ -220,13 +209,9 @@ DpaExperiment generate_dpa_traces(const Curve& curve, const Scalar& k,
       bo.observer = [&](std::size_t bit_index, const ecc::LadderLanes& s) {
         const std::size_t sample = top - bit_index;
         s.hamming_weights(hw_buf.data());
-        for (std::size_t lane = 0; lane < n; ++lane) {
-          const double data = hw::ActivityWeights::kRegisterBit *
-                              static_cast<double>(hw_buf[lane]);
+        for (std::size_t lane = 0; lane < n; ++lane)
           out.traces.traces[j0 + lane][sample] =
-              style_power(config.leakage, data, /*baseline_ge=*/2200.0,
-                          area_ge);
-        }
+              algorithmic_sample(config.leakage, hw_buf[lane], area_ge);
       };
       if (cm.scalar_blinding)
         ecc::ladder_many_wide_into(curve, wks.data(), real_iters, ps.data(),
@@ -278,6 +263,7 @@ DpaExperiment generate_dpa_traces_serial(const Curve& curve, const Scalar& k,
   if (!config.fixed_base_point)
     points = random_subgroup_points_ladder(curve, rng, num_traces);
 
+  const double area_ge = hw::ecc_coprocessor_ge(163, 4);
   for (std::size_t j = 0; j < num_traces; ++j) {
     const Point p =
         config.fixed_base_point ? *config.fixed_base_point : points[j];
@@ -295,15 +281,9 @@ DpaExperiment generate_dpa_traces_serial(const Curve& curve, const Scalar& k,
     Trace trace;
     trace.reserve(out.true_bits.size());
     lo.observer = [&](const ecc::LadderObservation& ob) {
-      // Register-transfer leakage: Hamming weight of the four working
-      // registers after the iteration, in GE-toggle units.
-      const double hw_state = hamming_weight(ob.x1) + hamming_weight(ob.z1) +
-                              hamming_weight(ob.x2) + hamming_weight(ob.z2);
-      const double data = hw::ActivityWeights::kRegisterBit * hw_state;
-      trace.push_back(style_power(config.leakage, data,
-                                  /*baseline_ge=*/2200.0,
-                                  hw::ecc_coprocessor_ge(163, 4)) +
-                      gaussian(noise_rng, config.leakage.noise_sigma));
+      trace.push_back(
+          algorithmic_sample(config.leakage, register_hw(ob), area_ge) +
+          gaussian(noise_rng, config.leakage.noise_sigma));
     };
     montgomery_ladder(curve, k, p, lo);
     out.traces.traces.push_back(std::move(trace));

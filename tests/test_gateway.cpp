@@ -471,9 +471,7 @@ TEST(Delivery, LossAndCorruptionRepairedByRetransmission) {
 
 TEST(Delivery, RetryExhaustionDeclaresFailure) {
   core::EventQueue q;
-  engine::DeliveryConfig cfg;
-  cfg.max_retries = 3;
-  engine::ReliableEndpoint ep(q, 1, 0x33, cfg);
+  engine::ReliableEndpoint ep(q, 1, 0x33);
   ep.set_frame_sink([](std::vector<std::uint8_t>) {});  // black hole
   bool failed = false;
   ep.set_failure_sink([&] { failed = true; });
@@ -481,7 +479,7 @@ TEST(Delivery, RetryExhaustionDeclaresFailure) {
   q.run_all();
   EXPECT_TRUE(failed);
   EXPECT_TRUE(ep.failed());
-  EXPECT_EQ(ep.stats().retransmits, 3u);
+  EXPECT_EQ(ep.stats().retransmits, engine::DeliveryConfig::max_retries);
 }
 
 TEST(Delivery, ReceiveWindowBoundsWhatAPeerCanMakeItBuffer) {

@@ -14,6 +14,7 @@
 #include "protocol/peeters_hermans.h"
 #include "protocol/privacy_game.h"
 #include "protocol/schnorr.h"
+#include "protocol/signature.h"
 #include "protocol/wire.h"
 #include "rng/xoshiro.h"
 
@@ -566,6 +567,72 @@ TEST(EnergyLedger, AccumulationOperator) {
   a += b;
   EXPECT_EQ(a.ecpm, 3u);
   EXPECT_EQ(a.cipher_blocks, 7u);
+}
+
+TEST(TagLedger, EveryDeviceMultiplicationChargesItsEngine) {
+  // ECPM / rng bits of every device flow's point multiplications: the
+  // 163-bit nonce, then per multiplication the engine's draws (comb 0,
+  // RPC ladder 2·163, a hardened engine its config's), and 2 ECPM + 163
+  // bits whenever a hardened engine re-provisions its blinding pair (once
+  // per fresh nonce: PH's r·Y and ECIES's Z reuse the commitment's pair).
+  namespace sc = medsec::sidechannel;
+  using Charge = std::pair<std::size_t, std::size_t>;
+  const auto charge = [](const proto::EnergyLedger& l) {
+    return Charge{l.ecpm, l.rng_bits};
+  };
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(25);
+  const auto prover_key = proto::schnorr_keygen(c, rng);
+  auto reader = proto::ph_setup_reader(c, rng);
+  const auto tag = proto::ph_register_tag(c, reader, rng);
+  const auto clinic = proto::ecies_keygen(c, rng);
+  const auto signer = proto::signature_keygen(c, rng);
+  const proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
+    return std::unique_ptr<medsec::ciphers::BlockCipher>(
+        new medsec::ciphers::Aes128(key));
+  };
+  const std::vector<std::uint8_t> telemetry{'h', 'r', '=', '6', '2'};
+
+  struct Row {
+    const char* engine;
+    std::optional<sc::CountermeasureConfig> config;
+    Charge schnorr, ph, ecies;
+  };
+  const Row rows[] = {
+      {"none", std::nullopt, {1, 163}, {2, 489}, {2, 489}},
+      {"rpc_only", sc::CountermeasureConfig::rpc_only(), {1, 489}, {2, 815},
+       {2, 815}},
+      {"full", sc::CountermeasureConfig::full(), {3, 1401}, {4, 2476},
+       {4, 2476}},
+  };
+  for (const Row& row : rows) {
+    // One fresh engine per flow, as a device session would own it.
+    std::optional<sc::HardenedLadder> engine;
+    const auto fresh = [&]() -> sc::HardenedLadder* {
+      if (!row.config) return nullptr;
+      return &engine.emplace(c, *row.config);
+    };
+
+    proto::SchnorrProver prover(c, prover_key, rng, fresh());
+    prover.start();
+    EXPECT_EQ(charge(prover.ledger()), row.schnorr) << row.engine;
+
+    proto::EnergyLedger ph;
+    sc::HardenedLadder* ph_engine = fresh();
+    const auto session = proto::ph_tag_commit(c, tag, rng, ph, ph_engine);
+    proto::ph_tag_respond(c, tag, session, rng.uniform_nonzero(c.order()),
+                          rng, ph, ph_engine);
+    EXPECT_EQ(charge(ph), row.ph) << row.engine;
+
+    proto::EciesUploader uploader(c, clinic.Y, telemetry, aes, 16, rng,
+                                  fresh());
+    uploader.start();
+    EXPECT_EQ(charge(uploader.ledger()), row.ecies) << row.engine;
+  }
+
+  proto::EnergyLedger sig;
+  proto::ec_schnorr_sign(c, signer, telemetry, rng, &sig);
+  EXPECT_EQ(charge(sig), (Charge{1, 163}));
 }
 
 }  // namespace
