@@ -10,7 +10,8 @@ AArch64) appears anywhere outside the allow-list:
                          instruction (src/gf2m/field_ops.h). Every function
                          in it that contains the instruction must be an
                          instantiation over the clmul kernels, i.e. its
-                         symbol names hwclmul::mul326_clmul / sqr326_clmul.
+                         symbol names hwclmul::XmmKernel (the x86-64 field
+                         kernel) or hwclmul::mul326_clmul / sqr326_clmul.
                          That catches an inline helper the compiler emitted
                          there under -mpclmul, which the linker could pick
                          for callers on any host.
@@ -35,7 +36,7 @@ import sys
 
 INSTANCES_OBJECT = "clmul_instances.cpp.o"
 ALLOWED_OBJECTS = {INSTANCES_OBJECT, "lanes.cpp.o"}
-KERNEL_SYMBOLS = ("mul326_clmul", "sqr326_clmul")
+KERNEL_SYMBOLS = ("XmmKernel", "mul326_clmul", "sqr326_clmul")
 
 CLMUL_RE = re.compile(r"\s(v?pclmul[a-z]*dq|pmull2?)\s")
 OBJECT_RE = re.compile(r"^(\S+):\s+file format (\S+)")

@@ -121,9 +121,17 @@ RATIO_GATES = [
     # the same mul326_clmul + reduce326 (ratio >= 0.67).
     ("BENCH_field_ops.json", "BM_LaneMul/clmulwide",
      "BM_Gf163MulStream/clmul", 0.67),
+    # The clmul field kernel keeps its product in XMM registers and folds
+    # it with three carry-less multiplies: one squaring through the
+    # per-operation API costs at most a third of the karatsuba kernel's
+    # (ratio >= 3.0; 3.7-5.6x measured on a 4-vCPU AVX-512 host, 1.5-2.0x
+    # with the ten lane extractions and general-register fold it replaced).
+    ("BENCH_field_ops.json", "BM_Gf163Sqr/karatsuba", "BM_Gf163Sqr/clmul",
+     3.0),
     # Server key ladders: one 64-lane ladder_x_many batch on the ZMM
-    # backend is >= 3x 64 single ladder_x calls on clmul (3.6-5.2x
-    # measured on a 4-vCPU AVX-512 host).
+    # backend is >= 3x 64 single ladder_x calls on clmul (3.2-4.3x
+    # measured on a 4-vCPU AVX-512 host since the single ladder's kernel
+    # was sped up and the batch's add / cswap passes moved onto ZMM).
     ("BENCH_field_ops.json", "BM_LadderXSingle64/clmul",
      "BM_LadderXBatch64/vpclmul512", 3.0),
     # Forgery isolation: bisecting a failed 64-item RLC batch over its one

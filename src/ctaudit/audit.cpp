@@ -113,11 +113,11 @@ void run_lane_kernels(const LaneCombo& combo, const std::uint8_t* secret,
     ts.tick(1);
     vt->sqr(out.view(), a.span(), n);
     ts.tick(1);
-    Gf163xN::cswap(choice.data(), a, c);
+    vt->cswap(choice.data(), a.span(), c.span(), n);
     ts.tick(1);
   }
   const Gf163 r = out.get(0) + a.get(n - 1);
-  g_sink ^= r.limb(0) ^ r.limb(1) ^ r.limb(2);
+  g_sink = g_sink ^ r.limb(0) ^ r.limb(1) ^ r.limb(2);
 }
 
 CtTarget make_lane_target(gf2m::Backend be, gf2m::LaneBackend lb) {
@@ -208,7 +208,8 @@ void counting_sqr326(const std::uint64_t a[3], std::uint64_t p[6]) {
   gf2m::sqr326_portable(a, p);
 }
 
-using CountingOps = gf2m::FieldOps<&counting_mul326, &counting_sqr326>;
+using CountingOps =
+    gf2m::FieldOps<gf2m::WordKernel<&counting_mul326, &counting_sqr326>>;
 
 /// A target that multiplies the K-163 generator by the secret key through
 /// `mult` (over CountingOps) and ticks the field operations it ran.

@@ -141,8 +141,16 @@ class Tainted {
   // on small cores, so that form records a violation. --
   friend Tainted operator<<(Tainted a, unsigned s) { return {T(a.v_ << s)}; }
   friend Tainted operator>>(Tainted a, unsigned s) { return {T(a.v_ >> s)}; }
-  friend Tainted operator<<(Tainted a, Tainted<unsigned> s);
-  friend Tainted operator>>(Tainted a, Tainted<unsigned> s);
+  friend Tainted operator<<(Tainted a, Tainted<unsigned> s) {
+    detail::taint_record(TaintViolationKind::kVariableLatencyOp,
+                         "Tainted::operator<< (tainted amount)");
+    return {T(a.v_ << s.declassify())};
+  }
+  friend Tainted operator>>(Tainted a, Tainted<unsigned> s) {
+    detail::taint_record(TaintViolationKind::kVariableLatencyOp,
+                         "Tainted::operator>> (tainted amount)");
+    return {T(a.v_ >> s.declassify())};
+  }
 
   // -- variable-latency op classes: recorded at use --
   friend Tainted operator/(Tainted a, Tainted b) {
@@ -171,19 +179,6 @@ class Tainted {
  private:
   T v_{};
 };
-
-template <typename T>
-Tainted<T> operator<<(Tainted<T> a, Tainted<unsigned> s) {
-  detail::taint_record(TaintViolationKind::kVariableLatencyOp,
-                       "Tainted::operator<< (tainted amount)");
-  return Tainted<T>(T(a.declassify() << s.declassify()));
-}
-template <typename T>
-Tainted<T> operator>>(Tainted<T> a, Tainted<unsigned> s) {
-  detail::taint_record(TaintViolationKind::kVariableLatencyOp,
-                       "Tainted::operator>> (tainted amount)");
-  return Tainted<T>(T(a.declassify() >> s.declassify()));
-}
 
 // ct:: guards — the only sanctioned exits from the tainted domain. Both
 // have pass-through overloads for plain values so audited code can be

@@ -19,8 +19,8 @@ namespace {
 // clmul_instances.cpp with every other ClmulOps instantiation, so this
 // object never contains a carry-less multiply instruction.
 
-constexpr BackendVTable kKaratsubaVTable =
-    make_backend_vtable<KaratsubaOps>(Backend::kKaratsuba, "karatsuba");
+constexpr BackendVTable kKaratsubaVTable = make_backend_vtable<KaratsubaOps>(
+    Backend::kKaratsuba, "karatsuba", &mul326_karatsuba, &sqr326_portable);
 
 const BackendVTable* vtable_for(Backend b) {
   switch (b) {

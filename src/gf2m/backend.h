@@ -166,6 +166,14 @@ using LaneMulAddMulFn = void (*)(LaneView a, LaneView b, LaneView c,
 /// out[i] = a[i]^2 + b[i]·c[i], one reduction per lane.
 using LaneSqrAddMulFn = void (*)(LaneView a, LaneView b, LaneView c,
                                  LaneSpan out, std::size_t n);
+/// out[i] = a[i] + b[i] (XOR).
+using LaneAddFn = void (*)(LaneView a, LaneView b, LaneSpan out,
+                           std::size_t n);
+/// Lane i of a and b swapped when choice[i] & 1, with no branch or
+/// address that depends on choice (the masking discipline of
+/// Gf163::cswap).
+using LaneCswapFn = void (*)(const std::uint8_t* choice, LaneSpan a,
+                             LaneSpan b, std::size_t n);
 
 struct LaneVTable {
   LaneBackend id;
@@ -178,6 +186,9 @@ struct LaneVTable {
   LaneSqrFn sqr;
   LaneMulAddMulFn mul_add_mul;
   LaneSqrAddMulFn sqr_add_mul;
+  /// The ladder's bookkeeping passes, at the backend's vector width.
+  LaneAddFn add;
+  LaneCswapFn cswap;
 };
 
 const char* lane_backend_name(LaneBackend b);

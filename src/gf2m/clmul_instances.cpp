@@ -25,11 +25,11 @@
 namespace medsec {
 
 namespace gf2m {
-template struct FieldOps<&hwclmul::mul326_clmul, &hwclmul::sqr326_clmul>;
+template struct FieldOps<ClmulKernel>;
 
 namespace detail {
-constinit const BackendVTable kClmulVTable =
-    make_backend_vtable<ClmulOps>(Backend::kClmul, "clmul");
+constinit const BackendVTable kClmulVTable = make_backend_vtable<ClmulOps>(
+    Backend::kClmul, "clmul", &hwclmul::mul326_clmul, &hwclmul::sqr326_clmul);
 }  // namespace detail
 }  // namespace gf2m
 

@@ -7,17 +7,22 @@
 // point formulas, comb, MSM and decoders (ecc/point_arith.h), the ladder
 // wrappers (ecc/ladder_arith.h) and the shuffled ladder
 // (sidechannel/shuffled_ladder.h) — is a template over one of two
-// policies, each a static face of one scalar kernel pair:
+// policies. Each is FieldOps over a field kernel: a product type `Wide`,
+// the product and square into it, and the fold back to 163 bits.
 //
-//   KaratsubaOps — mul326_karatsuba / sqr326_portable (clmul.h);
-//   ClmulOps     — hwclmul::mul326_clmul / sqr326_clmul (clmul_hw.h).
+//   KaratsubaOps — WordKernel over mul326_karatsuba / sqr326_portable
+//                  (clmul.h): six words, the shift fold reduce326;
+//   ClmulOps     — on x86-64, hwclmul::XmmKernel (clmul_hw.h): three XMM
+//                  registers, the clmul fold reduce326_clmul; on AArch64,
+//                  WordKernel over the PMULL kernel.
 //
-// Both fold through the one reduce326 (reduce_163.h), so the two are bit
-// for bit interchangeable. A public entry point (a scalar multiplication,
-// an MSM, a batch decode, an inversion) reads the active backend once
-// through with_field_ops() and runs the matching instantiation, inside
-// which every field operation is an inlined kernel call. set_backend()
-// therefore takes effect at the next top-level call.
+// Both folds come from the one pentanomial in reduce_163.h, and reduction
+// mod f is unique, so the two policies are bit for bit interchangeable.
+// A public entry point (a scalar multiplication, an MSM, a batch decode,
+// an inversion) reads the active backend once through with_field_ops()
+// and runs the matching instantiation, inside which every field operation
+// is an inlined kernel call. set_backend() therefore takes effect at the
+// next top-level call.
 //
 // ISA confinement: every ClmulOps instantiation lives in
 // clmul_instances.cpp, the one translation unit compiled with -mpclmul
@@ -57,70 +62,78 @@ inline constexpr unsigned kMultiSqrStrides[] = {81, 40, 20, 10, 5};
 Gf163 multi_sqr(const Gf163& a, unsigned stride);
 }  // namespace detail
 
-/// Field arithmetic over one unreduced kernel pair. The four single
-/// operations are inline; the formulas built from them are defined out of
-/// line below, so `extern template` can keep them out of a translation
-/// unit.
+/// A field kernel over an unreduced kernel pair: the product as six
+/// words, folded by the shift fold.
 template <MulFn Mul326, SqrFn Sqr326>
-struct FieldOps {
-  /// The unreduced kernels (the backend vtable exposes them).
-  static constexpr MulFn kMul326 = Mul326;
-  static constexpr SqrFn kSqr326 = Sqr326;
+struct WordKernel {
+  struct Wide {
+    std::uint64_t w[6];
 
+    friend Wide operator^(Wide a, const Wide& b) {
+      for (std::size_t i = 0; i < 6; ++i) a.w[i] ^= b.w[i];
+      return a;
+    }
+  };
+
+  static Wide mul(const std::uint64_t a[3], const std::uint64_t b[3]) {
+    Wide p;
+    Mul326(a, b, p.w);
+    return p;
+  }
+  static Wide sqr(const std::uint64_t a[3]) {
+    Wide p;
+    Sqr326(a, p.w);
+    return p;
+  }
+  static Gf163 fold(const Wide& p) {
+    std::uint64_t r[3];
+    reduce326(p.w, r);
+    return Gf163{r[0], r[1], r[2]};
+  }
+};
+
+/// Field arithmetic over one field kernel. The four single operations are
+/// inline; the formulas built from them are defined out of line below, so
+/// `extern template` can keep them out of a translation unit.
+template <class Kernel>
+struct FieldOps {
   static Gf163 mul(const Gf163& a, const Gf163& b) {
-    std::uint64_t p[6];
-    Mul326(a.limbs(), b.limbs(), p);
-    return fold(p);
+    return Kernel::fold(Kernel::mul(a.limbs(), b.limbs()));
   }
 
   static Gf163 sqr(const Gf163& a) {
-    std::uint64_t p[6];
-    Sqr326(a.limbs(), p);
-    return fold(p);
+    return Kernel::fold(Kernel::sqr(a.limbs()));
   }
 
   /// a·b + c·d with one reduction (the unreduced products are XORed).
   static Gf163 mul_add_mul(const Gf163& a, const Gf163& b, const Gf163& c,
                            const Gf163& d) {
-    std::uint64_t p[6], q[6];
-    Mul326(a.limbs(), b.limbs(), p);
-    Mul326(c.limbs(), d.limbs(), q);
-    for (std::size_t i = 0; i < 6; ++i) p[i] ^= q[i];
-    return fold(p);
+    return Kernel::fold(Kernel::mul(a.limbs(), b.limbs()) ^
+                        Kernel::mul(c.limbs(), d.limbs()));
   }
 
   /// a^2 + b·c with one reduction.
   static Gf163 sqr_add_mul(const Gf163& a, const Gf163& b, const Gf163& c) {
-    std::uint64_t p[6], q[6];
-    Sqr326(a.limbs(), p);
-    Mul326(b.limbs(), c.limbs(), q);
-    for (std::size_t i = 0; i < 6; ++i) p[i] ^= q[i];
-    return fold(p);
+    return Kernel::fold(Kernel::sqr(a.limbs()) ^
+                        Kernel::mul(b.limbs(), c.limbs()));
   }
 
   /// See Gf163::inv / batch_inv / sqr_n.
   static Gf163 inv(const Gf163& a);
   static void batch_inv(Gf163* elems, std::size_t n);
   static Gf163 sqr_n(Gf163 a, unsigned n);
-
- private:
-  static Gf163 fold(const std::uint64_t p[6]) {
-    std::uint64_t r[3];
-    reduce326(p, r);
-    return Gf163{r[0], r[1], r[2]};
-  }
 };
 
-template <MulFn M, SqrFn S>
-Gf163 FieldOps<M, S>::sqr_n(Gf163 a, unsigned n) {
+template <class K>
+Gf163 FieldOps<K>::sqr_n(Gf163 a, unsigned n) {
   for (const unsigned stride : detail::kMultiSqrStrides)
     for (; n >= stride; n -= stride) a = detail::multi_sqr(a, stride);
   for (; n > 0; --n) a = sqr(a);
   return a;
 }
 
-template <MulFn M, SqrFn S>
-Gf163 FieldOps<M, S>::inv(const Gf163& a) {
+template <class K>
+Gf163 FieldOps<K>::inv(const Gf163& a) {
   // Itoh–Tsujii: a^{-1} = (a^(2^162 - 1))^2, with the addition chain
   // 1 -> 2 -> 4 -> 5 -> 10 -> 20 -> 40 -> 80 -> 81 -> 162 for the
   // exponents beta_k = a^(2^k - 1). The sqr_n steps with stride >= 5 hit
@@ -138,8 +151,8 @@ Gf163 FieldOps<M, S>::inv(const Gf163& a) {
   return sqr(b162);
 }
 
-template <MulFn M, SqrFn S>
-void FieldOps<M, S>::batch_inv(Gf163* elems, std::size_t n) {
+template <class K>
+void FieldOps<K>::batch_inv(Gf163* elems, std::size_t n) {
   if (n == 0) return;
   if (n == 1) {
     if (!elems[0].is_zero()) elems[0] = inv(elems[0]);
@@ -163,12 +176,17 @@ void FieldOps<M, S>::batch_inv(Gf163* elems, std::size_t n) {
   }
 }
 
-using KaratsubaOps = FieldOps<&mul326_karatsuba, &sqr326_portable>;
+using KaratsubaOps = FieldOps<WordKernel<&mul326_karatsuba, &sqr326_portable>>;
 
 #if MEDSEC_HAVE_CLMUL_OPS
-using ClmulOps = FieldOps<&hwclmul::mul326_clmul, &hwclmul::sqr326_clmul>;
-extern template struct FieldOps<&hwclmul::mul326_clmul,
-                                &hwclmul::sqr326_clmul>;
+#if MEDSEC_ARCH_X86_64
+using ClmulKernel = hwclmul::XmmKernel;
+#else
+using ClmulKernel =
+    WordKernel<&hwclmul::mul326_clmul, &hwclmul::sqr326_clmul>;
+#endif
+using ClmulOps = FieldOps<ClmulKernel>;
+extern template struct FieldOps<ClmulKernel>;
 namespace detail {
 /// The clmul backend's vtable, defined in clmul_instances.cpp.
 extern const BackendVTable kClmulVTable;
@@ -194,16 +212,17 @@ inline Gf163 store_for_return(const Gf163& v) {
 }
 }  // namespace detail
 
-/// A backend vtable over policy Ops: its unreduced kernels plus the
-/// reduced single operations behind the Gf163 per-operation API.
+/// A backend vtable: the backend's unreduced kernels plus the reduced
+/// single operations of its policy Ops behind the Gf163 per-operation API.
 template <class Ops>
-constexpr BackendVTable make_backend_vtable(Backend id, const char* name) {
+constexpr BackendVTable make_backend_vtable(Backend id, const char* name,
+                                            MulFn mul326, SqrFn sqr326) {
   using detail::store_for_return;
   return BackendVTable{
       id,
       name,
-      Ops::kMul326,
-      Ops::kSqr326,
+      mul326,
+      sqr326,
       [](const Gf163& a, const Gf163& b) {
         return store_for_return(Ops::mul(a, b));
       },

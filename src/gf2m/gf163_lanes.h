@@ -63,31 +63,12 @@ class Gf163xN {
   static void sqr_add_mul(const Gf163xN& a, const Gf163xN& b,
                           const Gf163xN& c, Gf163xN& out);
 
-  /// out[i] = a[i] + b[i] (XOR; no backend dispatch needed).
-  static void add(const Gf163xN& a, const Gf163xN& b, Gf163xN& out) {
-    for (std::size_t i = 0; i < out.n_; ++i) {
-      out.l0_[i] = a.l0_[i] ^ b.l0_[i];
-      out.l1_[i] = a.l1_[i] ^ b.l1_[i];
-      out.l2_[i] = a.l2_[i] ^ b.l2_[i];
-    }
-  }
+  /// out[i] = a[i] + b[i] (XOR).
+  static void add(const Gf163xN& a, const Gf163xN& b, Gf163xN& out);
 
   /// Constant-time per-lane conditional swap: lane i of a and b swapped
   /// when choice[i] & 1 (same masking discipline as Gf163::cswap).
-  static void cswap(const std::uint8_t* choice, Gf163xN& a, Gf163xN& b) {
-    for (std::size_t i = 0; i < a.n_; ++i) {
-      const std::uint64_t m = 0 - static_cast<std::uint64_t>(choice[i] & 1);
-      std::uint64_t t = (a.l0_[i] ^ b.l0_[i]) & m;
-      a.l0_[i] ^= t;
-      b.l0_[i] ^= t;
-      t = (a.l1_[i] ^ b.l1_[i]) & m;
-      a.l1_[i] ^= t;
-      b.l1_[i] ^= t;
-      t = (a.l2_[i] ^ b.l2_[i]) & m;
-      a.l2_[i] ^= t;
-      b.l2_[i] ^= t;
-    }
-  }
+  static void cswap(const std::uint8_t* choice, Gf163xN& a, Gf163xN& b);
 
   /// Hamming weight of lane i (the register-transfer leakage unit).
   int hamming_weight(std::size_t i) const;

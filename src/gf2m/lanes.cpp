@@ -21,8 +21,14 @@
 //     (clmul_vec.h). The plain mul/sqr kernels keep two 8-lane groups in
 //     flight (16 lanes per iteration); the fused forms already carry two
 //     independent products per group. Tails (< one group) fall back to
-//     the scalar 128-bit clmul kernel — bit-identical by the shared fold.
+//     the x86-64 `clmul` field kernel; reduction mod f is unique, so its
+//     clmul fold and the vector shift fold agree bit for bit.
+//
+// Each backend also carries the lockstep ladder's bookkeeping passes,
+// add and cswap: ZMM / YMM on the vpclmul backends, per-lane loops on
+// the other two.
 #include <bit>
+#include <cstring>
 
 #include "gf2m/backend.h"
 #include "gf2m/clmul_hw.h"
@@ -100,10 +106,50 @@ void lane_sqr_add_mul_scalar(LaneView a, LaneView b, LaneView c, LaneSpan out,
   }
 }
 
+// --- add / cswap: the per-lane loops ---------------------------------------
+//
+// The scalar and clmulwide backends run these as they are; the vector
+// backends finish their tails on them.
+
+inline void add_from(LaneView a, LaneView b, LaneSpan out, std::size_t i,
+                     std::size_t n) {
+  for (; i < n; ++i) {
+    out.l0[i] = a.l0[i] ^ b.l0[i];
+    out.l1[i] = a.l1[i] ^ b.l1[i];
+    out.l2[i] = a.l2[i] ^ b.l2[i];
+  }
+}
+
+inline void cswap_from(const std::uint8_t* choice, LaneSpan a, LaneSpan b,
+                       std::size_t i, std::size_t n) {
+  for (; i < n; ++i) {
+    const std::uint64_t m = 0 - static_cast<std::uint64_t>(choice[i] & 1);
+    std::uint64_t t = (a.l0[i] ^ b.l0[i]) & m;
+    a.l0[i] ^= t;
+    b.l0[i] ^= t;
+    t = (a.l1[i] ^ b.l1[i]) & m;
+    a.l1[i] ^= t;
+    b.l1[i] ^= t;
+    t = (a.l2[i] ^ b.l2[i]) & m;
+    a.l2[i] ^= t;
+    b.l2[i] ^= t;
+  }
+}
+
+void lane_add_loop(LaneView a, LaneView b, LaneSpan out, std::size_t n) {
+  add_from(a, b, out, 0, n);
+}
+
+void lane_cswap_loop(const std::uint8_t* choice, LaneSpan a, LaneSpan b,
+                     std::size_t n) {
+  cswap_from(choice, a, b, 0, n);
+}
+
 constexpr LaneVTable kLaneScalarVTable{
     LaneBackend::kLaneScalar, "scalar", 4,
     &lane_mul_scalar, &lane_sqr_scalar,
-    &lane_mul_add_mul_scalar, &lane_sqr_add_mul_scalar};
+    &lane_mul_add_mul_scalar, &lane_sqr_add_mul_scalar,
+    &lane_add_loop, &lane_cswap_loop};
 
 // --- interleaved hardware-clmul lane kernels (x86-64) -----------------------
 //
@@ -123,19 +169,25 @@ __attribute__((target("pclmul,sse4.1"))) inline void load_reduce_store(
   out.l2[i] = r[2];
 }
 
-// Single-lane tails: lanes [i, n) on the scalar 128-bit clmul kernel,
-// where every backend's lane count that is not a multiple of its group
-// width finishes. The target is a subset of each caller's, so they
-// inline into the vector kernels.
+// Single-lane tails: lanes [i, n) on the x86-64 `clmul` field kernel
+// (product and fold in XMM registers), where every backend's lane count
+// that is not a multiple of its group width finishes. The target is a
+// subset of each caller's, so they inline into the vector kernels.
+
+using hwclmul::XmmKernel;
+
+inline void store_lane(const Gf163& r, LaneSpan out, std::size_t i) {
+  out.l0[i] = r.limb(0);
+  out.l1[i] = r.limb(1);
+  out.l2[i] = r.limb(2);
+}
 
 __attribute__((target("pclmul,sse4.1"))) inline void mul_tail(
     LaneView a, LaneView b, LaneSpan out, std::size_t i, std::size_t n) {
   for (; i < n; ++i) {
     const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
     const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    load_reduce_store(p, out, i);
+    store_lane(XmmKernel::fold(XmmKernel::mul(av, bv)), out, i);
   }
 }
 
@@ -143,9 +195,7 @@ __attribute__((target("pclmul,sse4.1"))) inline void sqr_tail(
     LaneView a, LaneSpan out, std::size_t i, std::size_t n) {
   for (; i < n; ++i) {
     const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
-    std::uint64_t p[6];
-    hwclmul::sqr326_clmul(av, p);
-    load_reduce_store(p, out, i);
+    store_lane(XmmKernel::fold(XmmKernel::sqr(av)), out, i);
   }
 }
 
@@ -157,11 +207,9 @@ __attribute__((target("pclmul,sse4.1"))) inline void mul_add_mul_tail(
     const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
     const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
     const std::uint64_t dv[3] = {d.l0[i], d.l1[i], d.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::mul326_clmul(av, bv, p);
-    hwclmul::mul326_clmul(cv, dv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
+    store_lane(
+        XmmKernel::fold(XmmKernel::mul(av, bv) ^ XmmKernel::mul(cv, dv)),
+        out, i);
   }
 }
 
@@ -172,11 +220,8 @@ __attribute__((target("pclmul,sse4.1"))) inline void sqr_add_mul_tail(
     const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
     const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
     const std::uint64_t cv[3] = {c.l0[i], c.l1[i], c.l2[i]};
-    std::uint64_t p[6], q[6];
-    hwclmul::sqr326_clmul(av, p);
-    hwclmul::mul326_clmul(bv, cv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] ^= q[w];
-    load_reduce_store(p, out, i);
+    store_lane(XmmKernel::fold(XmmKernel::sqr(av) ^ XmmKernel::mul(bv, cv)),
+               out, i);
   }
 }
 
@@ -268,7 +313,8 @@ __attribute__((target("pclmul,sse4.1"))) void lane_sqr_add_mul_clmulwide(
 constexpr LaneVTable kLaneClmulWideVTable{
     LaneBackend::kLaneClmulWide, "clmulwide", 8,
     &lane_mul_clmulwide, &lane_sqr_clmulwide,
-    &lane_mul_add_mul_clmulwide, &lane_sqr_add_mul_clmulwide};
+    &lane_mul_add_mul_clmulwide, &lane_sqr_add_mul_clmulwide,
+    &lane_add_loop, &lane_cswap_loop};
 
 // --- VPCLMULQDQ mega-lane kernels (x86-64) ----------------------------------
 //
@@ -276,9 +322,8 @@ constexpr LaneVTable kLaneClmulWideVTable{
 // independent 8-lane ZMM groups per iteration (16 lanes, 24 VPCLMULQDQ
 // in flight for mul); the fused forms run one group per iteration but
 // already carry two independent products (24 VPCLMULQDQ). Lane counts
-// that are not a multiple of the group width finish on the scalar
-// 128-bit clmul kernel — the shared reduce_163.h fold keeps every path
-// bit-identical. All loads of a group happen before its stores, so `out`
+// that are not a multiple of the group width finish on the single-lane
+// tails above. All loads of a group happen before its stores, so `out`
 // aliasing an input stays safe.
 
 MEDSEC_TARGET_VPCLMUL512 void lane_mul_vpclmul512(LaneView a, LaneView b,
@@ -365,10 +410,48 @@ MEDSEC_TARGET_VPCLMUL512 void lane_sqr_add_mul_vpclmul512(LaneView a,
   sqr_add_mul_tail(a, b, c, out, i, n);
 }
 
+MEDSEC_TARGET_VPCLMUL512 void lane_add_vpclmul512(LaneView a, LaneView b,
+                                                  LaneSpan out,
+                                                  std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const vclmul::Soa512 av = vclmul::load_x8(a.l0, a.l1, a.l2, i);
+    const vclmul::Soa512 bv = vclmul::load_x8(b.l0, b.l1, b.l2, i);
+    std::uint64_t* const ol[3] = {out.l0, out.l1, out.l2};
+    for (std::size_t l = 0; l < 3; ++l)
+      _mm512_storeu_si512(ol[l] + i, _mm512_xor_si512(av.l[l], bv.l[l]));
+  }
+  add_from(a, b, out, i, n);
+}
+
+/// Eight lanes per step: bit 0 of each choice byte becomes a mask
+/// register, and every limb of both operands is loaded, blended both ways
+/// and stored whatever the mask holds.
+MEDSEC_TARGET_VPCLMUL512 void lane_cswap_vpclmul512(const std::uint8_t* choice,
+                                                    LaneSpan a, LaneSpan b,
+                                                    std::size_t n) {
+  std::uint64_t* const al[3] = {a.l0, a.l1, a.l2};
+  std::uint64_t* const bl[3] = {b.l0, b.l1, b.l2};
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __mmask8 k = static_cast<__mmask8>(_mm_test_epi8_mask(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(choice + i)),
+        _mm_set1_epi8(1)));
+    for (std::size_t l = 0; l < 3; ++l) {
+      const __m512i x = _mm512_loadu_si512(al[l] + i);
+      const __m512i y = _mm512_loadu_si512(bl[l] + i);
+      _mm512_storeu_si512(al[l] + i, _mm512_mask_blend_epi64(k, x, y));
+      _mm512_storeu_si512(bl[l] + i, _mm512_mask_blend_epi64(k, y, x));
+    }
+  }
+  cswap_from(choice, a, b, i, n);
+}
+
 constexpr LaneVTable kLaneVpclmul512VTable{
     LaneBackend::kLaneVpclmul512, "vpclmul512", 16,
     &lane_mul_vpclmul512, &lane_sqr_vpclmul512,
-    &lane_mul_add_mul_vpclmul512, &lane_sqr_add_mul_vpclmul512};
+    &lane_mul_add_mul_vpclmul512, &lane_sqr_add_mul_vpclmul512,
+    &lane_add_vpclmul512, &lane_cswap_vpclmul512};
 
 // The 4-wide YMM analog for VPCLMULQDQ+AVX2 hosts without AVX-512:
 // identical structure at half group width (8 lanes per mul/sqr
@@ -457,10 +540,54 @@ MEDSEC_TARGET_VPCLMUL256 void lane_sqr_add_mul_vpclmul256(LaneView a,
   sqr_add_mul_tail(a, b, c, out, i, n);
 }
 
+MEDSEC_TARGET_VPCLMUL256 void lane_add_vpclmul256(LaneView a, LaneView b,
+                                                  LaneSpan out,
+                                                  std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const vclmul::Soa256 av = vclmul::load_x4(a.l0, a.l1, a.l2, i);
+    const vclmul::Soa256 bv = vclmul::load_x4(b.l0, b.l1, b.l2, i);
+    std::uint64_t* const ol[3] = {out.l0, out.l1, out.l2};
+    for (std::size_t l = 0; l < 3; ++l)
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ol[l] + i),
+                          _mm256_xor_si256(av.l[l], bv.l[l]));
+  }
+  add_from(a, b, out, i, n);
+}
+
+/// Four lanes per step: bit 0 of each choice byte widens to an all-ones
+/// or all-zero word, then the XOR-mask swap of Gf163::cswap.
+MEDSEC_TARGET_VPCLMUL256 void lane_cswap_vpclmul256(const std::uint8_t* choice,
+                                                    LaneSpan a, LaneSpan b,
+                                                    std::size_t n) {
+  std::uint64_t* const al[3] = {a.l0, a.l1, a.l2};
+  std::uint64_t* const bl[3] = {b.l0, b.l1, b.l2};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    std::uint32_t bytes;
+    std::memcpy(&bytes, choice + i, sizeof bytes);
+    const __m256i bit = _mm256_and_si256(
+        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(bytes))),
+        _mm256_set1_epi64x(1));
+    const __m256i m = _mm256_sub_epi64(_mm256_setzero_si256(), bit);
+    for (std::size_t l = 0; l < 3; ++l) {
+      auto* const ap = reinterpret_cast<__m256i*>(al[l] + i);
+      auto* const bp = reinterpret_cast<__m256i*>(bl[l] + i);
+      const __m256i x = _mm256_loadu_si256(ap);
+      const __m256i y = _mm256_loadu_si256(bp);
+      const __m256i t = _mm256_and_si256(_mm256_xor_si256(x, y), m);
+      _mm256_storeu_si256(ap, _mm256_xor_si256(x, t));
+      _mm256_storeu_si256(bp, _mm256_xor_si256(y, t));
+    }
+  }
+  cswap_from(choice, a, b, i, n);
+}
+
 constexpr LaneVTable kLaneVpclmul256VTable{
     LaneBackend::kLaneVpclmul256, "vpclmul256", 8,
     &lane_mul_vpclmul256, &lane_sqr_vpclmul256,
-    &lane_mul_add_mul_vpclmul256, &lane_sqr_add_mul_vpclmul256};
+    &lane_mul_add_mul_vpclmul256, &lane_sqr_add_mul_vpclmul256,
+    &lane_add_vpclmul256, &lane_cswap_vpclmul256};
 
 #endif  // MEDSEC_ARCH_X86_64
 
@@ -509,6 +636,14 @@ void Gf163xN::sqr_add_mul(const Gf163xN& a, const Gf163xN& b, const Gf163xN& c,
                           Gf163xN& out) {
   active_lane_vtable()->sqr_add_mul(a.view(), b.view(), c.view(), out.span(),
                                     out.lanes());
+}
+
+void Gf163xN::add(const Gf163xN& a, const Gf163xN& b, Gf163xN& out) {
+  active_lane_vtable()->add(a.view(), b.view(), out.span(), out.lanes());
+}
+
+void Gf163xN::cswap(const std::uint8_t* choice, Gf163xN& a, Gf163xN& b) {
+  active_lane_vtable()->cswap(choice, a.span(), b.span(), a.lanes());
 }
 
 int Gf163xN::hamming_weight(std::size_t i) const {

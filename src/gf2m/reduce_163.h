@@ -1,14 +1,24 @@
-// reduce_163.h — the shift-reduce fold modulo x^163 + x^7 + x^6 + x^3 + 1.
+// reduce_163.h — the folds modulo x^163 + x^7 + x^6 + x^3 + 1.
 //
-// THE one fold definition. Every backend — the scalar field element
-// (field_ops.h), the interleaved hardware-clmul lane kernels and the
-// VPCLMULQDQ vector kernels (lanes.cpp) — produces the same unreduced
-// 326-bit carry-less product layout, and this header is the only place
-// that knows how to fold it back into 163 bits. All variants (scalar
-// word, ZMM/YMM word-vector) derive their shift distances from
-// kPentanomialExps below, so the reduction polynomial is written exactly
-// once: drift between the folds would silently break the 1-lane ≡ N-lane
-// bit-identity contract.
+// Every way this repo reduces a 326-bit carry-less product back into 163
+// bits is defined here, and every one is generated from kPentanomialExps
+// and kWordFoldShift below, so the reduction polynomial is written
+// exactly once. There are two folds:
+//
+//   * the shift fold (reduce326 and its ZMM/YMM word-vector forms): the
+//     product as six 64-bit words, each word above bit 192 folded down
+//     by shifts and XORs. The karatsuba backend, the AArch64 PMULL
+//     kernel, the paired clmulwide loops and the VPCLMULQDQ lane kernels
+//     use it;
+//   * the clmul fold (reduce326_clmul, x86-64): the product in three XMM
+//     registers, words 3-5 folded by three carry-less multiplies with
+//     x^192 mod f. The x86-64 `clmul` field kernel (clmul_hw.h) uses it,
+//     so its product never leaves the vector registers.
+//
+// Both end with the same fold of the 29 residual bits 163..191, and
+// reduction modulo f is unique, so the two agree bit for bit: drift
+// between them would break the 1-lane ≡ N-lane and karatsuba ≡ clmul
+// bit-identity contracts.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +39,15 @@ inline constexpr std::uint64_t kTopLimbMask = (1ULL << kTopLimbBits) - 1;
 /// 64(i-3) + kWordFoldShift + e for each tail exponent e
 /// (64*3 - 163 = 29).
 inline constexpr unsigned kWordFoldShift = 192 - kFieldBits;  // 29
+/// x^163 mod f = x^7 + x^6 + x^3 + 1 as a polynomial word (0xC9).
+inline constexpr std::uint64_t kPentanomialTail = [] {
+  std::uint64_t t = 0;
+  for (const unsigned e : kPentanomialExps) t |= 1ULL << e;
+  return t;
+}();
+/// x^192 mod f = x^29 · (x^7 + x^6 + x^3 + 1): one carry-less multiply
+/// by this word folds a product word down by 192 bits.
+inline constexpr std::uint64_t kX192ModF = kPentanomialTail << kWordFoldShift;
 
 /// Reduce a 326-bit polynomial product p[0..5] modulo the field
 /// polynomial into out[0..2] (bit 162 is the top bit of out[2]).
@@ -70,6 +89,37 @@ inline void reduce326(const std::uint64_t p_in[6], std::uint64_t out[3]) {
 
 #if MEDSEC_ARCH_X86_64
 
+/// The clmul fold: reduce a product held as three XMM registers (bits
+/// 0-127, 128-255 and 256-383) into limbs 0-1 (`r01`) and limb 2 (the
+/// low half of `r2`, high half zero).
+///
+/// Words 3, 4 and 5 each fold down by 192 bits with one carry-less
+/// multiply by kX192ModF, landing at bit offsets 0, 64 and 128. The
+/// operands are a product of two reduced elements (or the XOR of two
+/// such products), so word 5 holds at most 5 bits and its fold stays
+/// below bit 192: the three multiplies are independent. The shift fold
+/// has no such precondition; it reduces any six words. What is left
+/// above bit 162 — bits 163..191 of word 2 — folds by the same shifts
+/// as reduce326's last step. Branch-free and table-free.
+__attribute__((target("pclmul"))) inline void reduce326_clmul(
+    __m128i lo, __m128i mid, __m128i hi, __m128i& r01, __m128i& r2) {
+  const __m128i k = _mm_cvtsi64_si128(static_cast<long long>(kX192ModF));
+  const __m128i f3 = _mm_clmulepi64_si128(mid, k, 0x01);  // word 3 · k
+  const __m128i f4 = _mm_clmulepi64_si128(hi, k, 0x00);   // word 4 · k
+  const __m128i f5 = _mm_clmulepi64_si128(hi, k, 0x01);   // word 5 · k
+  lo = _mm_xor_si128(_mm_xor_si128(lo, f3), _mm_slli_si128(f4, 8));
+  // Word 2 in the low half; the high half (word 3) is spent.
+  const __m128i w2 = _mm_move_epi64(
+      _mm_xor_si128(_mm_xor_si128(mid, f5), _mm_srli_si128(f4, 8)));
+  const __m128i t = _mm_srli_epi64(w2, kTopLimbBits);
+  __m128i tail = _mm_setzero_si128();
+  for (const unsigned e : kPentanomialExps)
+    tail = _mm_xor_si128(tail, _mm_slli_epi64(t, static_cast<int>(e)));
+  r01 = _mm_xor_si128(lo, tail);
+  r2 = _mm_and_si128(
+      w2, _mm_cvtsi64_si128(static_cast<long long>(kTopLimbMask)));
+}
+
 // GCC's unmasked AVX-512 shift intrinsics expand through
 // _mm512_undefined_epi32(), which GCC 12 flags as use-of-uninitialized
 // (bug PR105593). Header-wide false positive, not ours.
@@ -79,7 +129,7 @@ inline void reduce326(const std::uint64_t p_in[6], std::uint64_t out[3]) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-// Word-vector forms of the same fold for the VPCLMULQDQ lane kernels:
+// Word-vector forms of the shift fold for the VPCLMULQDQ lane kernels:
 // p[w] holds word w of the unreduced product for 8 (ZMM) or 4 (YMM)
 // independent lanes, structure-of-arrays. Same shift schedule as the
 // scalar reduce326, derived from the same constants; the data-dependent

@@ -18,6 +18,7 @@
 #include "engine/batch_verifier.h"
 #include "gf2m/backend.h"
 #include "gf2m/field_ops.h"
+#include "gf2m/gf163_lanes.h"
 #include "gf2m/gf2_163.h"
 #include "gf2m/gf2_poly.h"
 #include "hw/digit_serial.h"
@@ -107,6 +108,95 @@ TEST(Backend, UnreducedProductCrossCheck10k) {
       ASSERT_EQ(words_to_poly(got, 6), pa * pa)
           << vt->name << " sqr, iter " << iter;
     }
+  }
+}
+
+// --- every pair of basis elements: a proof, not a sample -------------------
+//
+// mul and sqr are GF(2)-linear in each operand, and mul_add_mul /
+// sqr_add_mul are sums of such maps folded once, so agreement on every
+// basis pair x^i, x^j (0 <= i, j <= 162) proves a kernel on all inputs.
+// The pairs reach every product bit 0..324, so every fold path runs:
+// words 3-5 and the residual bits 163..191.
+
+Gf163 basis(unsigned i) {
+  std::uint64_t l[3] = {0, 0, 0};
+  l[i / 64] = 1ULL << (i % 64);
+  return Gf163{l[0], l[1], l[2]};
+}
+
+/// x^k mod f for k = 0..324, from the polynomial oracle.
+std::vector<Gf163> basis_products() {
+  std::vector<Gf163> out;
+  for (unsigned k = 0; k <= 2 * 162; ++k) {
+    const Gf2Poly r = Gf2Poly::mod(Gf2Poly::from_exponents({k}), kFieldPoly);
+    out.push_back(Gf163{r.word(0), r.word(1), r.word(2)});
+  }
+  return out;
+}
+
+TEST(Backend, EveryBasisPairMatchesOracle) {
+  BackendGuard guard;
+  const std::vector<Gf163> want = basis_products();
+  const Gf163 z = Gf163::zero();
+  for (const Backend bk : medsec::gf2m::known_backends()) {
+    if (!medsec::gf2m::set_backend(bk)) continue;
+    const char* name = medsec::gf2m::backend_name(bk);
+    for (unsigned i = 0; i < 163; ++i) {
+      const Gf163 xi = basis(i);
+      ASSERT_EQ(Gf163::sqr(xi), want[2 * i]) << name << " sqr x^" << i;
+      ASSERT_EQ(Gf163::sqr_add_mul(xi, z, z), want[2 * i])
+          << name << " sqr_add_mul x^" << i;
+      for (unsigned j = 0; j < 163; ++j) {
+        const Gf163 xj = basis(j);
+        ASSERT_EQ(Gf163::mul(xi, xj), want[i + j])
+            << name << " mul x^" << i << " x^" << j;
+        ASSERT_EQ(Gf163::mul_add_mul(xi, xj, z, z), want[i + j])
+            << name << " mul_add_mul (a, b) x^" << i << " x^" << j;
+        ASSERT_EQ(Gf163::mul_add_mul(z, z, xi, xj), want[i + j])
+            << name << " mul_add_mul (c, d) x^" << i << " x^" << j;
+        ASSERT_EQ(Gf163::sqr_add_mul(z, xi, xj), want[i + j])
+            << name << " sqr_add_mul (b, c) x^" << i << " x^" << j;
+      }
+    }
+  }
+}
+
+TEST(Backend, EveryBasisPairMatchesOracleOnEveryLaneBackend) {
+  // All 163 * 163 = 26,569 pairs as one batch: not a multiple of any
+  // group width, so every backend's single-lane tail runs too.
+  using medsec::gf2m::Gf163xN;
+  const std::vector<Gf163> want = basis_products();
+  constexpr std::size_t kLanes = 163 * 163;
+  Gf163xN a(kLanes), b(kLanes), z(kLanes), out(kLanes);
+  for (unsigned i = 0; i < 163; ++i)
+    for (unsigned j = 0; j < 163; ++j) {
+      a.set(i * 163 + j, basis(i));
+      b.set(i * 163 + j, basis(j));
+    }
+  const auto expect = [&](const char* backend, const char* op, bool square) {
+    for (unsigned i = 0; i < 163; ++i)
+      for (unsigned j = 0; j < 163; ++j)
+        ASSERT_EQ(out.get(i * 163 + j), want[square ? 2 * i : i + j])
+            << backend << " " << op << " x^" << i << " x^" << j;
+  };
+  for (const auto lb : medsec::gf2m::known_lane_backends()) {
+    const auto* vt = medsec::gf2m::lane_vtable(lb);
+    if (vt == nullptr) continue;  // an ISA this CPU lacks
+    vt->mul(a.view(), b.view(), out.span(), kLanes);
+    expect(vt->name, "mul", false);
+    vt->mul_add_mul(a.view(), b.view(), z.view(), z.view(), out.span(),
+                    kLanes);
+    expect(vt->name, "mul_add_mul (a, b)", false);
+    vt->mul_add_mul(z.view(), z.view(), a.view(), b.view(), out.span(),
+                    kLanes);
+    expect(vt->name, "mul_add_mul (c, d)", false);
+    vt->sqr(a.view(), out.span(), kLanes);
+    expect(vt->name, "sqr", true);
+    vt->sqr_add_mul(a.view(), z.view(), z.view(), out.span(), kLanes);
+    expect(vt->name, "sqr_add_mul (a)", true);
+    vt->sqr_add_mul(z.view(), a.view(), b.view(), out.span(), kLanes);
+    expect(vt->name, "sqr_add_mul (b, c)", false);
   }
 }
 

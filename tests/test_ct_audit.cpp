@@ -245,6 +245,27 @@ TEST(CtAudit, TaintPropagationAndGuards) {
   EXPECT_EQ(branch_count, 2u);
 }
 
+TEST(CtAudit, TaintedShiftAmountRecordsVariableLatency) {
+  ct::TaintContext ctx("unit");
+  const ct::Tainted<std::uint64_t> v(0x80);
+  // A public amount is a barrel shift: nothing recorded.
+  EXPECT_EQ((v << 3u).declassify(), 0x400u);
+  EXPECT_TRUE(ctx.report().clean());
+
+  const auto latency_ops = [&ctx] {
+    std::uint64_t n = 0;
+    for (const auto& v : ctx.report().violations)
+      if (v.kind == ct::TaintViolationKind::kVariableLatencyOp) n += v.count;
+    return n;
+  };
+  const ct::Tainted<unsigned> s(3u);
+  EXPECT_EQ((v << s).declassify(), 0x400u);
+  EXPECT_EQ(latency_ops(), 1u);
+  EXPECT_EQ((v >> s).declassify(), 0x10u);
+  EXPECT_EQ(latency_ops(), 2u);
+  EXPECT_EQ(ctx.report().violations.size(), 2u);  // nothing else recorded
+}
+
 TEST(CtAudit, TaintGuardPassThroughForPlainTypes) {
   ct::TaintContext ctx("unit");
   // The production instantiation of audited templates: plain bool /

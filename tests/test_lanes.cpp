@@ -122,6 +122,44 @@ TEST_P(LaneBackends, OutputMayAliasInput) {
     ASSERT_EQ(a.get(i), Gf163::mul(av[i], bv[i]));
 }
 
+TEST_P(LaneBackends, AddAndCswapMatchPerLaneLoop) {
+  // Each backend's add and cswap against the scalar backend's per-lane
+  // loops, at sizes around every vector width (4 and 8 lanes) so the
+  // tails run, with every choice byte's high bits set in half the lanes
+  // (only bit 0 may count).
+  const gf::LaneVTable* vt = gf::lane_vtable(GetParam());
+  const gf::LaneVTable* ref = gf::lane_vtable(LaneBackend::kLaneScalar);
+  Xoshiro256 rng(23);
+  for (const std::size_t n : {1u, 3u, 4u, 7u, 8u, 9u, 17u, 64u, 130u}) {
+    const auto av = operand_set(n, 300 + n);
+    const auto bv = operand_set(n, 400 + n);
+    std::vector<std::uint8_t> choice(n);
+    for (auto& c : choice) c = static_cast<std::uint8_t>(rng.next_u64());
+    Gf163xN a(n), b(n), a_ref(n), b_ref(n), sum(n), sum_ref(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a.set(i, av[i]);
+      b.set(i, bv[i]);
+      a_ref.set(i, av[i]);
+      b_ref.set(i, bv[i]);
+    }
+    vt->add(a.view(), b.view(), sum.span(), n);
+    ref->add(a.view(), b.view(), sum_ref.span(), n);
+    vt->cswap(choice.data(), a.span(), b.span(), n);
+    ref->cswap(choice.data(), a_ref.span(), b_ref.span(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sum.get(i), sum_ref.get(i)) << "add n " << n << " lane " << i;
+      ASSERT_EQ(sum.get(i), av[i] + bv[i]) << "add n " << n << " lane " << i;
+      ASSERT_EQ(a.get(i), a_ref.get(i)) << "cswap n " << n << " lane " << i;
+      ASSERT_EQ(b.get(i), b_ref.get(i)) << "cswap n " << n << " lane " << i;
+      ASSERT_EQ(a.get(i), (choice[i] & 1) ? bv[i] : av[i])
+          << "cswap n " << n << " lane " << i;
+    }
+    vt->add(a.view(), b.view(), a.span(), n);  // out aliases an input
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(a.get(i), av[i] + bv[i]) << "aliased add n " << n;
+  }
+}
+
 TEST_P(LaneBackends, BatchedLadderMatchesScalarLadder) {
   // Both curves: the lane and scalar doublings skip the multiplication
   // by b on K-163 (b = 1) and keep it on B-163.
