@@ -48,7 +48,7 @@ void print_matrix_and_check() {
               "countermeasure", "lanes", "traces", "accuracy", "t-max",
               "to-break", "verdict", "seconds");
   for (const sc::EvalCell& c : matrix.cells) {
-    char to_break[16];
+    char to_break[24];  // any %zu: 20 digits and the NUL
     if (c.attack == "tvla") std::snprintf(to_break, sizeof(to_break), "-");
     else if (c.traces_to_break == 0)
       std::snprintf(to_break, sizeof(to_break), "held");

@@ -1,6 +1,6 @@
 // bench_loadgen.cpp — 100k-session load generator for the sharded gateway.
 //
-// Exercises the full socket path: UDP datagrams -> epoll front end ->
+// Exercises the full socket path: UDP datagrams -> poll front end ->
 // lock-free shard mailboxes -> per-shard gateways -> deferred Schnorr
 // transcripts -> per-shard batch verifiers, with downlinks flowing back
 // over the same socket.

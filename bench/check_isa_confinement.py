@@ -11,12 +11,28 @@ AArch64) appears anywhere outside the allow-list:
                          in it that contains the instruction must be an
                          instantiation over the clmul kernels, i.e. its
                          symbol names hwclmul::XmmKernel (the x86-64 field
-                         kernel) or hwclmul::mul326_clmul / sqr326_clmul.
+                         kernel), hwclmul::mul326_clmul / sqr326_clmul, or
+                         the kernel's fold reduce326_clmul (its own pclmul
+                         target; a Debug build emits it out of line).
                          That catches an inline helper the compiler emitted
                          there under -mpclmul, which the linker could pick
                          for callers on any host.
   lanes.cpp.o            the lane kernels, which carry their own target
                          attributes and are selected by CPUID at run time.
+                         In an optimized build every function in it that
+                         contains the instruction must be a lane_* kernel
+                         entry: the VPCLMULQDQ kernel templates are
+                         always inlined and the entries flatten the width
+                         members into themselves, so one emitted out of
+                         line costs a call per instruction. An unoptimized
+                         object (its DWARF producer names -O0, -Og or no
+                         -O level: a Debug build) calls them by design and
+                         is exempt from this rule only.
+
+Every *_vpclmul256 function must also be free of AVX-512-only encodings
+(a ZMM register, a mask register, xmm/ymm16-31, VPTERNLOG, the EVEX-only
+moves and logic ops): the YMM backend serves VPCLMULQDQ+AVX2 hosts without
+AVX-512, where such an instruction traps.
 
 A host that dispatches to karatsuba must never meet the instruction; the
 rest of the library is built for the baseline ISA, and this gate proves it
@@ -33,18 +49,69 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 INSTANCES_OBJECT = "clmul_instances.cpp.o"
-ALLOWED_OBJECTS = {INSTANCES_OBJECT, "lanes.cpp.o"}
-KERNEL_SYMBOLS = ("XmmKernel", "mul326_clmul", "sqr326_clmul")
+LANES_OBJECT = "lanes.cpp.o"
+ALLOWED_OBJECTS = {INSTANCES_OBJECT, LANES_OBJECT}
+KERNEL_SYMBOLS = ("XmmKernel", "mul326_clmul", "sqr326_clmul",
+                  "reduce326_clmul")
+LANE_ENTRY_PREFIX = "lane_"
+YMM_SUFFIX = "_vpclmul256"
 
 CLMUL_RE = re.compile(r"\s(v?pclmul[a-z]*dq|pmull2?)\s")
+AVX512_ONLY_RE = re.compile(
+    r"%zmm|%k[0-7]\b|%[xy]mm(1[6-9]|2[0-9]|3[01])\b|\svpternlog"
+    r"|\svmovdq[au](8|16|32|64)\s|\svp(and|andn|or|xor)[dq]\s")
 OBJECT_RE = re.compile(r"^(\S+):\s+file format (\S+)")
 FUNCTION_RE = re.compile(r"^[0-9a-f]+ <(.+)>:$")
 
 
+def function_name(symbol):
+    """Innermost identifier of a mangled nested name (_ZN...), e.g.
+    lane_mul_vpclmul512 for medsec::gf2m::(anon)::lane_mul_vpclmul512;
+    the symbol itself when it is not one."""
+    if not symbol.startswith("_ZN"):
+        return symbol
+    i = 3
+    name = symbol
+    while i < len(symbol) and symbol[i].isdigit():
+        j = i
+        while j < len(symbol) and symbol[j].isdigit():
+            j += 1
+        n = int(symbol[i:j])
+        name = symbol[j:j + n]
+        i = j + n
+    return name
+
+
+def optimized(library, member):
+    """False when `member` of `library` was compiled without optimization:
+    its DWARF producer string names -O0, -Og or no -O level. True
+    otherwise, including when it carries no DWARF (a Release build)."""
+    ar, readelf = shutil.which("ar"), shutil.which("readelf")
+    if ar is None or readelf is None:
+        return True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, member)
+        with open(path, "wb") as out:
+            if subprocess.run([ar, "p", library, member], stdout=out,
+                              stderr=subprocess.DEVNULL).returncode != 0:
+                return True
+        info = subprocess.run([readelf, "--debug-dump=info", path],
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True).stdout
+    m = re.search(r"DW_AT_producer.*", info)
+    if m is None:
+        return True
+    levels = re.findall(r"\s-O(\w*)", m.group(0))
+    return bool(levels) and levels[-1] not in ("0", "g")
+
+
 def scan(library):
-    """{object: {function: count}} of carry-less multiplies, and formats."""
+    """{object: {function: count}} of carry-less multiplies, the
+    *_vpclmul256 functions with their AVX-512-only instructions, and
+    formats."""
     objdump = shutil.which("objdump")
     if objdump is None:
         sys.exit("check_isa_confinement: objdump not found")
@@ -54,8 +121,10 @@ def scan(library):
     if proc.returncode != 0:
         sys.exit(f"check_isa_confinement: objdump failed: {proc.stderr}")
     hits = {}
+    ymm = {}
     formats = {}
     obj = fn = None
+    fn_is_ymm = False
     for line in proc.stdout.splitlines():
         m = OBJECT_RE.match(line)
         if m:
@@ -65,18 +134,25 @@ def scan(library):
         m = FUNCTION_RE.match(line)
         if m:
             fn = m.group(1)
+            fn_is_ymm = function_name(fn).endswith(YMM_SUFFIX)
+            if fn_is_ymm:
+                ymm.setdefault((obj, fn), [])
             continue
-        if obj is not None and CLMUL_RE.search(line):
+        if obj is None:
+            continue
+        if CLMUL_RE.search(line):
             per_fn = hits.setdefault(obj, {})
             per_fn[fn] = per_fn.get(fn, 0) + 1
-    return hits, formats
+        if fn_is_ymm and AVX512_ONLY_RE.search(line):
+            ymm[(obj, fn)].append(line.split("\t")[-1].strip())
+    return hits, ymm, formats
 
 
 def main():
     library = sys.argv[1] if len(sys.argv) > 1 else "build/libmedsec.a"
     if not os.path.exists(library):
         sys.exit(f"check_isa_confinement: {library} not found (build first)")
-    hits, formats = scan(library)
+    hits, ymm, formats = scan(library)
     if not formats:
         sys.exit(f"check_isa_confinement: no objects in {library}")
 
@@ -95,6 +171,23 @@ def main():
                     failures.append(f"{obj}: {fn} carries a carry-less "
                                     "multiply but is not a clmul-policy "
                                     "instantiation")
+        if obj == LANES_OBJECT and not optimized(library, obj):
+            print(f"     {obj}: unoptimized build, lane_* entry rule "
+                  "skipped")
+        elif obj == LANES_OBJECT:
+            for fn in sorted(per_fn):
+                if not function_name(fn).startswith(LANE_ENTRY_PREFIX):
+                    failures.append(f"{obj}: {fn} carries a carry-less "
+                                    "multiply but is not a lane_* kernel "
+                                    "entry (a width member or kernel "
+                                    "template emitted out of line?)")
+
+    for (obj, fn), bad in sorted(ymm.items()):
+        if bad:
+            failures.append(f"{obj}: {fn} holds {len(bad)} AVX-512-only "
+                            f"instructions, e.g. '{bad[0]}'")
+    print(f"ok   {len(ymm)} *{YMM_SUFFIX} functions checked for "
+          "AVX-512-only encodings")
 
     x86 = any("x86-64" in f for f in formats.values())
     if x86 and INSTANCES_OBJECT not in hits:

@@ -76,7 +76,7 @@ class BigUInt {
         if (seen) s.push_back(kDigits[d]);
       }
     }
-    if (!seen) s = "0";
+    if (!seen) return "0";
     return s;
   }
 

@@ -23,18 +23,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
 namespace medsec::core {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 inline constexpr std::size_t ceil_pow2(std::size_t n) {
   std::size_t p = 1;

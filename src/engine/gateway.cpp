@@ -48,10 +48,7 @@ bool GatewayServer::open_session(
     // verdict frame, not silence — the device fails fast instead of
     // retransmitting into a black hole.
     ++stats_.shed;
-    Frame reject;
-    reject.type = FrameType::kReject;
-    reject.session = id;
-    if (downlink) downlink(encode_frame(reject));
+    if (downlink) downlink(encode_reject(id));
     return false;
   }
   Sess s;

@@ -7,12 +7,8 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#else
 #include <poll.h>
-#endif
+#include <unistd.h>
 
 namespace medsec::engine {
 
@@ -117,16 +113,13 @@ void UdpFrontEnd::send_downlink(std::uint64_t /*session*/, const Peer& peer,
 
 void UdpFrontEnd::shed_reject(std::uint64_t session, const Peer& peer) {
   stats_.add<&UdpFrontEndStats::shed>();
-  Frame reject;
-  reject.type = FrameType::kReject;
-  reject.session = session;
-  std::vector<std::uint8_t> bytes = encode_frame(reject);
+  std::vector<std::uint8_t> bytes = encode_reject(session);
   socket_.send_to(peer, bytes);
   FramePool::release(std::move(bytes));
 }
 
 void UdpFrontEnd::drain_socket() {
-  // Drain to EAGAIN: epoll is level-triggered here but one pass per
+  // Drain to EAGAIN: poll is level-triggered but one pass per
   // wakeup costs a syscall per datagram anyway — loop until dry.
   for (;;) {
     std::vector<std::uint8_t> bytes = FramePool::acquire();
@@ -159,26 +152,14 @@ void UdpFrontEnd::drain_socket() {
 }
 
 void UdpFrontEnd::loop() {
-#ifdef __linux__
-  const int ep = ::epoll_create1(0);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = socket_.fd();
-  ::epoll_ctl(ep, EPOLL_CTL_ADD, socket_.fd(), &ev);
-  while (!stop_.load(std::memory_order_acquire)) {
-    epoll_event out{};
-    const int n = ::epoll_wait(ep, &out, 1, kWaitMs);
-    if (n > 0) drain_socket();
-  }
-  ::close(ep);
-#else
+  // One socket to watch, so poll(2) on every platform. Any readiness
+  // (data or a pending socket error) drains: recvfrom consumes the error,
+  // so it cannot keep poll returning at once.
   pollfd pfd{socket_.fd(), POLLIN, 0};
   while (!stop_.load(std::memory_order_acquire)) {
     pfd.revents = 0;
-    const int n = ::poll(&pfd, 1, kWaitMs);
-    if (n > 0 && (pfd.revents & POLLIN)) drain_socket();
+    if (::poll(&pfd, 1, kWaitMs) > 0) drain_socket();
   }
-#endif
   // Final sweep: datagrams that raced the stop flag still get routed.
   drain_socket();
 }

@@ -2,7 +2,7 @@
 //
 // Everything below shard.h is deterministic and in-process; this file is
 // the one place real I/O happens. A UdpFrontEnd owns one UDP socket and
-// one readiness-loop thread (epoll on Linux, poll(2) elsewhere) that:
+// one readiness-loop thread (poll(2) on its one socket) that:
 //
 //   1. drains every ready datagram without blocking,
 //   2. peeks the session id straight out of the frame header

@@ -145,10 +145,7 @@ void ShardEngine::open(std::uint64_t id, const Peer& peer) {
     // for a shed, so the device fails fast instead of retransmitting into
     // silence.
     stats_.add<&ShardStats::rejected>();
-    Frame reject;
-    reject.type = FrameType::kReject;
-    reject.session = id;
-    send(id, encode_frame(reject));
+    send(id, encode_reject(id));
     return;
   }
   if (gateway_->open_session(id, std::move(setup.machine), downlink(id),

@@ -8,7 +8,7 @@
 //
 // Data flow (socket mode):
 //
-//   UDP datagrams ──> net.h front end (epoll readiness loop)
+//   UDP datagrams ──> net.h front end (poll readiness loop)
 //                         │  peek session id from the frame header,
 //                         │  shard = shard_of(id)
 //                         ▼

@@ -122,6 +122,13 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   return out;
 }
 
+std::vector<std::uint8_t> encode_reject(std::uint64_t session) {
+  Frame reject;
+  reject.type = FrameType::kReject;
+  reject.session = session;
+  return encode_frame(reject);
+}
+
 void encode_frame_into(const Frame& f, std::vector<std::uint8_t>& out) {
   const std::string_view label = f.label ? f.label : "";
   out.clear();

@@ -76,6 +76,10 @@ class FramePool {
 
 std::vector<std::uint8_t> encode_frame(const Frame& f);
 
+/// The refusal verdict for `session` (a kReject frame, seq 0, no label or
+/// payload): what a shed, a refused device or a full mailbox answers.
+std::vector<std::uint8_t> encode_reject(std::uint64_t session);
+
 /// Encode into an existing buffer (cleared first), reusing its capacity —
 /// the zero-allocation path for pooled buffers.
 void encode_frame_into(const Frame& f, std::vector<std::uint8_t>& out);

@@ -1,5 +1,5 @@
-// clmul_vec.h — VPCLMULQDQ mega-lane carry-less multiply kernels
-// (internal).
+// clmul_vec.h — the VPCLMULQDQ lane layer: vector-width types and the
+// unreduced product blocks (internal).
 //
 // VPCLMULQDQ performs four independent 64x64 carry-less multiplies per
 // instruction across the 128-bit lanes of a ZMM register (two per YMM in
@@ -19,15 +19,20 @@
 // (lanes 0..7 in order) and UNPACKHI the high words — the gather back to
 // word-major costs one shuffle per product.
 //
-// The same schedule at half width (4 lanes, YMM) covers
-// VPCLMULQDQ+AVX2-only hosts. Kernels for both widths live in lanes.cpp;
-// this header provides the 8- and 4-lane unreduced product blocks shared
-// with the benches and tests.
+// The schedule is written once, over a vector-width type W: Zmm (8 lanes,
+// VPCLMULQDQ + AVX-512) or Ymm (4 lanes, VEX VPCLMULQDQ + AVX2). A width
+// type names its register type V, its lane count and the instructions
+// used; each member carries its width's target. The blocks below,
+// reduce326_vec and the kernels in lanes.cpp carry none: always inlined,
+// they compile only inside a lane entry that carries the target.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "gf2m/arch.h"
+#include "gf2m/backend.h"
 #include "gf2m/reduce_163.h"
 
 #if MEDSEC_ARCH_X86_64
@@ -45,178 +50,184 @@ namespace medsec::gf2m::vclmul {
 
 // GCC's unmasked AVX-512 unpack/shift intrinsics expand through
 // _mm512_undefined_epi32(), which GCC 12 flags as use-of-uninitialized
-// (bug PR105593). Header-wide false positive, not ours.
+// (bug PR105593). Header-wide false positive, not ours. -Wpsabi: GCC
+// warns at each call passing a vector from code without that ISA; the
+// blocks make such calls, but only ever run inlined into an entry that
+// has it, so no call crosses that ABI boundary.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wpsabi"
 #endif
 
-/// Limb words of 8 (ZMM) or 4 (YMM) consecutive SoA lanes.
-struct Soa512 {
-  __m512i l[3];
-};
-struct Soa256 {
-  __m256i l[3];
+/// 8 lanes per ZMM register.
+struct Zmm {
+  using V = __m512i;
+  static constexpr std::size_t kLanes = 8;
+  MEDSEC_TARGET_VPCLMUL512
+  static V load(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
+  MEDSEC_TARGET_VPCLMUL512
+  static void store(std::uint64_t* p, V v) { _mm512_storeu_si512(p, v); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V set1(long long w) { return _mm512_set1_epi64(w); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V xor_(V a, V b) { return _mm512_xor_si512(a, b); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V shl(V v, int n) { return _mm512_slli_epi64(v, n); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V shr(V v, int n) { return _mm512_srli_epi64(v, n); }
+  /// Carry-less products of each 128-bit lane's even / odd words.
+  MEDSEC_TARGET_VPCLMUL512
+  static V clmul00(V a, V b) { return _mm512_clmulepi64_epi128(a, b, 0x00); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V clmul11(V a, V b) { return _mm512_clmulepi64_epi128(a, b, 0x11); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V unpack_lo(V a, V b) { return _mm512_unpacklo_epi64(a, b); }
+  MEDSEC_TARGET_VPCLMUL512
+  static V unpack_hi(V a, V b) { return _mm512_unpackhi_epi64(a, b); }
+  /// Bit 0 of choice[0..7] as a mask register.
+  MEDSEC_TARGET_VPCLMUL512
+  static __mmask8 cswap_mask(const std::uint8_t* choice) {
+    return static_cast<__mmask8>(_mm_test_epi8_mask(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(choice)),
+        _mm_set1_epi8(1)));
+  }
+  /// Per lane: y where the mask is set, x elsewhere (a masked blend).
+  MEDSEC_TARGET_VPCLMUL512
+  static V select(__mmask8 m, V x, V y) {
+    return _mm512_mask_blend_epi64(m, x, y);
+  }
 };
 
-MEDSEC_TARGET_VPCLMUL512 inline Soa512 load_x8(const std::uint64_t* l0,
-                                               const std::uint64_t* l1,
-                                               const std::uint64_t* l2,
-                                               std::size_t i) {
-  return Soa512{{_mm512_loadu_si512(l0 + i), _mm512_loadu_si512(l1 + i),
-                 _mm512_loadu_si512(l2 + i)}};
+/// 4 lanes per YMM register.
+struct Ymm {
+  using V = __m256i;
+  static constexpr std::size_t kLanes = 4;
+  MEDSEC_TARGET_VPCLMUL256
+  static V load(const std::uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  MEDSEC_TARGET_VPCLMUL256
+  static void store(std::uint64_t* p, V v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  MEDSEC_TARGET_VPCLMUL256
+  static V set1(long long w) { return _mm256_set1_epi64x(w); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V xor_(V a, V b) { return _mm256_xor_si256(a, b); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V and_(V a, V b) { return _mm256_and_si256(a, b); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V shl(V v, int n) { return _mm256_slli_epi64(v, n); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V shr(V v, int n) { return _mm256_srli_epi64(v, n); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V clmul00(V a, V b) { return _mm256_clmulepi64_epi128(a, b, 0x00); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V clmul11(V a, V b) { return _mm256_clmulepi64_epi128(a, b, 0x11); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V unpack_lo(V a, V b) { return _mm256_unpacklo_epi64(a, b); }
+  MEDSEC_TARGET_VPCLMUL256
+  static V unpack_hi(V a, V b) { return _mm256_unpackhi_epi64(a, b); }
+  /// Bit 0 of choice[0..3] widened to an all-ones or all-zero word.
+  MEDSEC_TARGET_VPCLMUL256
+  static V cswap_mask(const std::uint8_t* choice) {
+    std::uint32_t bytes;
+    std::memcpy(&bytes, choice, sizeof bytes);
+    const V bit = _mm256_and_si256(
+        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(bytes))),
+        _mm256_set1_epi64x(1));
+    return _mm256_sub_epi64(_mm256_setzero_si256(), bit);
+  }
+  /// Per lane: y where the mask is set, x elsewhere (the XOR-mask swap
+  /// of Gf163::cswap).
+  MEDSEC_TARGET_VPCLMUL256
+  static V select(V m, V x, V y) {
+    return _mm256_xor_si256(x, _mm256_and_si256(_mm256_xor_si256(x, y), m));
+  }
+};
+
+/// Limb words of the W::kLanes consecutive SoA lanes from lane i.
+template <class W>
+[[gnu::always_inline]] inline void load3(LaneView a, std::size_t i,
+                                         typename W::V v[3]) {
+  v[0] = W::load(a.l0 + i);
+  v[1] = W::load(a.l1 + i);
+  v[2] = W::load(a.l2 + i);
 }
 
-MEDSEC_TARGET_VPCLMUL256 inline Soa256 load_x4(const std::uint64_t* l0,
-                                               const std::uint64_t* l1,
-                                               const std::uint64_t* l2,
-                                               std::size_t i) {
-  return Soa256{{_mm256_loadu_si256(reinterpret_cast<const __m256i*>(l0 + i)),
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(l1 + i)),
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(l2 + i))}};
-}
+/// Unreduced 3x3-limb Karatsuba product of W::kLanes SoA lanes: p[w] =
+/// word w of a[i]·b[i]. 6 carry-less multiplies per lane, XOR
+/// recombination and 10 qword unpacks, all register-resident.
+template <class W>
+[[gnu::always_inline]] inline void mul326(const typename W::V a[3],
+                                          const typename W::V b[3],
+                                          typename W::V p[6]) {
+  using V = typename W::V;
+  const V sa01 = W::xor_(a[0], a[1]);
+  const V sb01 = W::xor_(b[0], b[1]);
+  const V sa02 = W::xor_(a[0], a[2]);
+  const V sb02 = W::xor_(b[0], b[2]);
+  const V sa12 = W::xor_(a[1], a[2]);
+  const V sb12 = W::xor_(b[1], b[2]);
 
-/// Unreduced 3x3-limb Karatsuba product of 8 SoA lanes: p[w] = word w of
-/// a[i]·b[i] for the 8 lanes. 12 VPCLMULQDQ + XOR recombination + 10
-/// qword unpacks, all ZMM-resident.
-MEDSEC_TARGET_VPCLMUL512 inline void mul326_x8(const Soa512& a,
-                                               const Soa512& b,
-                                               __m512i p[6]) {
-  const __m512i sa01 = _mm512_xor_si512(a.l[0], a.l[1]);
-  const __m512i sb01 = _mm512_xor_si512(b.l[0], b.l[1]);
-  const __m512i sa02 = _mm512_xor_si512(a.l[0], a.l[2]);
-  const __m512i sb02 = _mm512_xor_si512(b.l[0], b.l[2]);
-  const __m512i sa12 = _mm512_xor_si512(a.l[1], a.l[2]);
-  const __m512i sb12 = _mm512_xor_si512(b.l[1], b.l[2]);
-
-  const __m512i d0e = _mm512_clmulepi64_epi128(a.l[0], b.l[0], 0x00);
-  const __m512i d0o = _mm512_clmulepi64_epi128(a.l[0], b.l[0], 0x11);
-  const __m512i d1e = _mm512_clmulepi64_epi128(a.l[1], b.l[1], 0x00);
-  const __m512i d1o = _mm512_clmulepi64_epi128(a.l[1], b.l[1], 0x11);
-  const __m512i d2e = _mm512_clmulepi64_epi128(a.l[2], b.l[2], 0x00);
-  const __m512i d2o = _mm512_clmulepi64_epi128(a.l[2], b.l[2], 0x11);
-  const __m512i e01e = _mm512_clmulepi64_epi128(sa01, sb01, 0x00);
-  const __m512i e01o = _mm512_clmulepi64_epi128(sa01, sb01, 0x11);
-  const __m512i e02e = _mm512_clmulepi64_epi128(sa02, sb02, 0x00);
-  const __m512i e02o = _mm512_clmulepi64_epi128(sa02, sb02, 0x11);
-  const __m512i e12e = _mm512_clmulepi64_epi128(sa12, sb12, 0x00);
-  const __m512i e12o = _mm512_clmulepi64_epi128(sa12, sb12, 0x11);
+  const V d0e = W::clmul00(a[0], b[0]);
+  const V d0o = W::clmul11(a[0], b[0]);
+  const V d1e = W::clmul00(a[1], b[1]);
+  const V d1o = W::clmul11(a[1], b[1]);
+  const V d2e = W::clmul00(a[2], b[2]);
+  const V d2o = W::clmul11(a[2], b[2]);
+  const V e01e = W::clmul00(sa01, sb01);
+  const V e01o = W::clmul11(sa01, sb01);
+  const V e02e = W::clmul00(sa02, sb02);
+  const V e02o = W::clmul11(sa02, sb02);
+  const V e12e = W::clmul00(sa12, sb12);
+  const V e12o = W::clmul11(sa12, sb12);
 
   // Same recombination as mul326_karatsuba, per product half.
-  const __m512i d01e = _mm512_xor_si512(d0e, d1e);
-  const __m512i d01o = _mm512_xor_si512(d0o, d1o);
-  const __m512i c1e = _mm512_xor_si512(e01e, d01e);
-  const __m512i c1o = _mm512_xor_si512(e01o, d01o);
-  const __m512i c2e = _mm512_xor_si512(e02e, _mm512_xor_si512(d01e, d2e));
-  const __m512i c2o = _mm512_xor_si512(e02o, _mm512_xor_si512(d01o, d2o));
-  const __m512i c3e = _mm512_xor_si512(e12e, _mm512_xor_si512(d1e, d2e));
-  const __m512i c3o = _mm512_xor_si512(e12o, _mm512_xor_si512(d1o, d2o));
+  const V d01e = W::xor_(d0e, d1e);
+  const V d01o = W::xor_(d0o, d1o);
+  const V c1e = W::xor_(e01e, d01e);
+  const V c1o = W::xor_(e01o, d01o);
+  const V c2e = W::xor_(e02e, W::xor_(d01e, d2e));
+  const V c2o = W::xor_(e02o, W::xor_(d01o, d2o));
+  const V c3e = W::xor_(e12e, W::xor_(d1e, d2e));
+  const V c3o = W::xor_(e12o, W::xor_(d1o, d2o));
 
-  p[0] = _mm512_unpacklo_epi64(d0e, d0o);
-  p[1] = _mm512_xor_si512(_mm512_unpackhi_epi64(d0e, d0o),
-                          _mm512_unpacklo_epi64(c1e, c1o));
-  p[2] = _mm512_xor_si512(_mm512_unpackhi_epi64(c1e, c1o),
-                          _mm512_unpacklo_epi64(c2e, c2o));
-  p[3] = _mm512_xor_si512(_mm512_unpackhi_epi64(c2e, c2o),
-                          _mm512_unpacklo_epi64(c3e, c3o));
-  p[4] = _mm512_xor_si512(_mm512_unpackhi_epi64(c3e, c3o),
-                          _mm512_unpacklo_epi64(d2e, d2o));
-  p[5] = _mm512_unpackhi_epi64(d2e, d2o);
+  p[0] = W::unpack_lo(d0e, d0o);
+  p[1] = W::xor_(W::unpack_hi(d0e, d0o), W::unpack_lo(c1e, c1o));
+  p[2] = W::xor_(W::unpack_hi(c1e, c1o), W::unpack_lo(c2e, c2o));
+  p[3] = W::xor_(W::unpack_hi(c2e, c2o), W::unpack_lo(c3e, c3o));
+  p[4] = W::xor_(W::unpack_hi(c3e, c3o), W::unpack_lo(d2e, d2o));
+  p[5] = W::unpack_hi(d2e, d2o);
 }
 
-/// Unreduced squares of 8 SoA lanes (squaring over GF(2) has no cross
-/// terms: one carry-less self-multiply per limb).
-MEDSEC_TARGET_VPCLMUL512 inline void sqr326_x8(const Soa512& a,
-                                               __m512i p[6]) {
+/// Unreduced squares of W::kLanes SoA lanes (squaring over GF(2) has no
+/// cross terms: one carry-less self-multiply per limb).
+template <class W>
+[[gnu::always_inline]] inline void sqr326(const typename W::V a[3],
+                                          typename W::V p[6]) {
   for (std::size_t l = 0; l < 3; ++l) {
-    const __m512i se = _mm512_clmulepi64_epi128(a.l[l], a.l[l], 0x00);
-    const __m512i so = _mm512_clmulepi64_epi128(a.l[l], a.l[l], 0x11);
-    p[2 * l] = _mm512_unpacklo_epi64(se, so);
-    p[2 * l + 1] = _mm512_unpackhi_epi64(se, so);
+    const typename W::V se = W::clmul00(a[l], a[l]);
+    const typename W::V so = W::clmul11(a[l], a[l]);
+    p[2 * l] = W::unpack_lo(se, so);
+    p[2 * l + 1] = W::unpack_hi(se, so);
   }
 }
 
-/// Fold + store 8 lanes back to SoA memory (out may alias the inputs:
-/// everything for these lanes was loaded before this call).
-MEDSEC_TARGET_VPCLMUL512 inline void reduce_store_x8(const __m512i p[6],
-                                                     std::uint64_t* l0,
-                                                     std::uint64_t* l1,
-                                                     std::uint64_t* l2,
-                                                     std::size_t i) {
-  __m512i r[3];
-  reduce326_x8(p, r);
-  _mm512_storeu_si512(l0 + i, r[0]);
-  _mm512_storeu_si512(l1 + i, r[1]);
-  _mm512_storeu_si512(l2 + i, r[2]);
-}
-
-// --- 4-lane YMM variants (VPCLMULQDQ without AVX-512) -----------------------
-
-MEDSEC_TARGET_VPCLMUL256 inline void mul326_x4(const Soa256& a,
-                                               const Soa256& b,
-                                               __m256i p[6]) {
-  const __m256i sa01 = _mm256_xor_si256(a.l[0], a.l[1]);
-  const __m256i sb01 = _mm256_xor_si256(b.l[0], b.l[1]);
-  const __m256i sa02 = _mm256_xor_si256(a.l[0], a.l[2]);
-  const __m256i sb02 = _mm256_xor_si256(b.l[0], b.l[2]);
-  const __m256i sa12 = _mm256_xor_si256(a.l[1], a.l[2]);
-  const __m256i sb12 = _mm256_xor_si256(b.l[1], b.l[2]);
-
-  const __m256i d0e = _mm256_clmulepi64_epi128(a.l[0], b.l[0], 0x00);
-  const __m256i d0o = _mm256_clmulepi64_epi128(a.l[0], b.l[0], 0x11);
-  const __m256i d1e = _mm256_clmulepi64_epi128(a.l[1], b.l[1], 0x00);
-  const __m256i d1o = _mm256_clmulepi64_epi128(a.l[1], b.l[1], 0x11);
-  const __m256i d2e = _mm256_clmulepi64_epi128(a.l[2], b.l[2], 0x00);
-  const __m256i d2o = _mm256_clmulepi64_epi128(a.l[2], b.l[2], 0x11);
-  const __m256i e01e = _mm256_clmulepi64_epi128(sa01, sb01, 0x00);
-  const __m256i e01o = _mm256_clmulepi64_epi128(sa01, sb01, 0x11);
-  const __m256i e02e = _mm256_clmulepi64_epi128(sa02, sb02, 0x00);
-  const __m256i e02o = _mm256_clmulepi64_epi128(sa02, sb02, 0x11);
-  const __m256i e12e = _mm256_clmulepi64_epi128(sa12, sb12, 0x00);
-  const __m256i e12o = _mm256_clmulepi64_epi128(sa12, sb12, 0x11);
-
-  const __m256i d01e = _mm256_xor_si256(d0e, d1e);
-  const __m256i d01o = _mm256_xor_si256(d0o, d1o);
-  const __m256i c1e = _mm256_xor_si256(e01e, d01e);
-  const __m256i c1o = _mm256_xor_si256(e01o, d01o);
-  const __m256i c2e = _mm256_xor_si256(e02e, _mm256_xor_si256(d01e, d2e));
-  const __m256i c2o = _mm256_xor_si256(e02o, _mm256_xor_si256(d01o, d2o));
-  const __m256i c3e = _mm256_xor_si256(e12e, _mm256_xor_si256(d1e, d2e));
-  const __m256i c3o = _mm256_xor_si256(e12o, _mm256_xor_si256(d1o, d2o));
-
-  p[0] = _mm256_unpacklo_epi64(d0e, d0o);
-  p[1] = _mm256_xor_si256(_mm256_unpackhi_epi64(d0e, d0o),
-                          _mm256_unpacklo_epi64(c1e, c1o));
-  p[2] = _mm256_xor_si256(_mm256_unpackhi_epi64(c1e, c1o),
-                          _mm256_unpacklo_epi64(c2e, c2o));
-  p[3] = _mm256_xor_si256(_mm256_unpackhi_epi64(c2e, c2o),
-                          _mm256_unpacklo_epi64(c3e, c3o));
-  p[4] = _mm256_xor_si256(_mm256_unpackhi_epi64(c3e, c3o),
-                          _mm256_unpacklo_epi64(d2e, d2o));
-  p[5] = _mm256_unpackhi_epi64(d2e, d2o);
-}
-
-MEDSEC_TARGET_VPCLMUL256 inline void sqr326_x4(const Soa256& a,
-                                               __m256i p[6]) {
-  for (std::size_t l = 0; l < 3; ++l) {
-    const __m256i se = _mm256_clmulepi64_epi128(a.l[l], a.l[l], 0x00);
-    const __m256i so = _mm256_clmulepi64_epi128(a.l[l], a.l[l], 0x11);
-    p[2 * l] = _mm256_unpacklo_epi64(se, so);
-    p[2 * l + 1] = _mm256_unpackhi_epi64(se, so);
-  }
-}
-
-MEDSEC_TARGET_VPCLMUL256 inline void reduce_store_x4(const __m256i p[6],
-                                                     std::uint64_t* l0,
-                                                     std::uint64_t* l1,
-                                                     std::uint64_t* l2,
-                                                     std::size_t i) {
-  __m256i r[3];
-  reduce326_x4(p, r);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(l0 + i), r[0]);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(l1 + i), r[1]);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(l2 + i), r[2]);
+/// Fold + store W::kLanes lanes back to SoA memory (out may alias the
+/// inputs: everything for these lanes was loaded before this call).
+template <class W>
+[[gnu::always_inline]] inline void reduce_store(const typename W::V p[6],
+                                                LaneSpan out, std::size_t i) {
+  typename W::V r[3];
+  reduce326_vec<W>(p, r);
+  W::store(out.l0 + i, r[0]);
+  W::store(out.l1 + i, r[1]);
+  W::store(out.l2 + i, r[2]);
 }
 
 #if defined(__GNUC__) && !defined(__clang__)

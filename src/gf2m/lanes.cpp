@@ -17,18 +17,18 @@
 //   * vpclmul512 / vpclmul256 — the mega-lane backends: VPCLMULQDQ packs
 //     four (ZMM) or two (YMM) carry-less multiplies per instruction, so
 //     8 (resp. 4) SoA lanes run one shared 3-limb Karatsuba schedule with
-//     products and the shift-reduce fold staying vector-resident
-//     (clmul_vec.h). The plain mul/sqr kernels keep two 8-lane groups in
-//     flight (16 lanes per iteration); the fused forms already carry two
-//     independent products per group. Tails (< one group) fall back to
-//     the x86-64 `clmul` field kernel; reduction mod f is unique, so its
-//     clmul fold and the vector shift fold agree bit for bit.
+//     products and the shift-reduce fold staying vector-resident; both
+//     widths run one set of kernel templates (clmul_vec.h). The plain
+//     mul/sqr kernels keep two groups in flight (16 ZMM lanes per
+//     iteration); the fused forms already carry two independent products
+//     per group. Tails (< one group) fall back to the x86-64 `clmul` field
+//     kernel; reduction mod f is unique, so its clmul fold and the vector
+//     shift fold agree bit for bit.
 //
 // Each backend also carries the lockstep ladder's bookkeeping passes,
-// add and cswap: ZMM / YMM on the vpclmul backends, per-lane loops on
-// the other two.
+// add and cswap: the same templates on the vpclmul backends, per-lane
+// loops on the other two.
 #include <bit>
-#include <cstring>
 
 #include "gf2m/backend.h"
 #include "gf2m/clmul_hw.h"
@@ -109,10 +109,13 @@ void lane_sqr_add_mul_scalar(LaneView a, LaneView b, LaneView c, LaneSpan out,
 // --- add / cswap: the per-lane loops ---------------------------------------
 //
 // The scalar and clmulwide backends run these as they are; the vector
-// backends finish their tails on them.
+// backends finish their tails on them. Every tail loop is `#pragma GCC
+// unroll 1`: after a vector loop fewer lanes than one group are left, and
+// GCC would otherwise peel the tail into one copy per possible lane.
 
 inline void add_from(LaneView a, LaneView b, LaneSpan out, std::size_t i,
                      std::size_t n) {
+#pragma GCC unroll 1
   for (; i < n; ++i) {
     out.l0[i] = a.l0[i] ^ b.l0[i];
     out.l1[i] = a.l1[i] ^ b.l1[i];
@@ -122,6 +125,7 @@ inline void add_from(LaneView a, LaneView b, LaneSpan out, std::size_t i,
 
 inline void cswap_from(const std::uint8_t* choice, LaneSpan a, LaneSpan b,
                        std::size_t i, std::size_t n) {
+#pragma GCC unroll 1
   for (; i < n; ++i) {
     const std::uint64_t m = 0 - static_cast<std::uint64_t>(choice[i] & 1);
     std::uint64_t t = (a.l0[i] ^ b.l0[i]) & m;
@@ -184,6 +188,7 @@ inline void store_lane(const Gf163& r, LaneSpan out, std::size_t i) {
 
 __attribute__((target("pclmul,sse4.1"))) inline void mul_tail(
     LaneView a, LaneView b, LaneSpan out, std::size_t i, std::size_t n) {
+#pragma GCC unroll 1
   for (; i < n; ++i) {
     const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
     const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
@@ -193,6 +198,7 @@ __attribute__((target("pclmul,sse4.1"))) inline void mul_tail(
 
 __attribute__((target("pclmul,sse4.1"))) inline void sqr_tail(
     LaneView a, LaneSpan out, std::size_t i, std::size_t n) {
+#pragma GCC unroll 1
   for (; i < n; ++i) {
     const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
     store_lane(XmmKernel::fold(XmmKernel::sqr(av)), out, i);
@@ -202,6 +208,7 @@ __attribute__((target("pclmul,sse4.1"))) inline void sqr_tail(
 __attribute__((target("pclmul,sse4.1"))) inline void mul_add_mul_tail(
     LaneView a, LaneView b, LaneView c, LaneView d, LaneSpan out,
     std::size_t i, std::size_t n) {
+#pragma GCC unroll 1
   for (; i < n; ++i) {
     const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
     const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
@@ -216,6 +223,7 @@ __attribute__((target("pclmul,sse4.1"))) inline void mul_add_mul_tail(
 __attribute__((target("pclmul,sse4.1"))) inline void sqr_add_mul_tail(
     LaneView a, LaneView b, LaneView c, LaneSpan out, std::size_t i,
     std::size_t n) {
+#pragma GCC unroll 1
   for (; i < n; ++i) {
     const std::uint64_t av[3] = {a.l0[i], a.l1[i], a.l2[i]};
     const std::uint64_t bv[3] = {b.l0[i], b.l1[i], b.l2[i]};
@@ -318,133 +326,175 @@ constexpr LaneVTable kLaneClmulWideVTable{
 
 // --- VPCLMULQDQ mega-lane kernels (x86-64) ----------------------------------
 //
-// Kernel blocks in clmul_vec.h; here the loop structure. mul/sqr run two
-// independent 8-lane ZMM groups per iteration (16 lanes, 24 VPCLMULQDQ
-// in flight for mul); the fused forms run one group per iteration but
-// already carry two independent products (24 VPCLMULQDQ). Lane counts
-// that are not a multiple of the group width finish on the single-lane
-// tails above. All loads of a group happen before its stores, so `out`
-// aliasing an input stays safe.
+// One set of loops for both widths of clmul_vec.h (W::kLanes: 8 on Zmm,
+// 4 on Ymm). mul/sqr run two independent groups per iteration (16 ZMM
+// lanes, 24 VPCLMULQDQ in flight for mul); the fused forms run one group
+// but already carry two independent products. Lane counts that are not a
+// multiple of the group width finish on the single-lane tails above. All
+// loads of a group happen before its stores, so `out` may alias an
+// input. No target, always inlined (-Wpsabi: see clmul_vec.h).
 
-MEDSEC_TARGET_VPCLMUL512 void lane_mul_vpclmul512(LaneView a, LaneView b,
-                                                  LaneSpan out,
-                                                  std::size_t n) {
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
+
+template <class W>
+[[gnu::always_inline]] inline void vec_mul(LaneView a, LaneView b,
+                                           LaneSpan out, std::size_t n) {
+  constexpr std::size_t k = W::kLanes;
   std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const vclmul::Soa512 aA = vclmul::load_x8(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa512 bA = vclmul::load_x8(b.l0, b.l1, b.l2, i);
-    const vclmul::Soa512 aB = vclmul::load_x8(a.l0, a.l1, a.l2, i + 8);
-    const vclmul::Soa512 bB = vclmul::load_x8(b.l0, b.l1, b.l2, i + 8);
-    __m512i pA[6], pB[6];
-    vclmul::mul326_x8(aA, bA, pA);
-    vclmul::mul326_x8(aB, bB, pB);
-    vclmul::reduce_store_x8(pA, out.l0, out.l1, out.l2, i);
-    vclmul::reduce_store_x8(pB, out.l0, out.l1, out.l2, i + 8);
+  for (; i + 2 * k <= n; i += 2 * k) {
+    typename W::V aA[3], bA[3], aB[3], bB[3], pA[6], pB[6];
+    vclmul::load3<W>(a, i, aA);
+    vclmul::load3<W>(b, i, bA);
+    vclmul::load3<W>(a, i + k, aB);
+    vclmul::load3<W>(b, i + k, bB);
+    vclmul::mul326<W>(aA, bA, pA);
+    vclmul::mul326<W>(aB, bB, pB);
+    vclmul::reduce_store<W>(pA, out, i);
+    vclmul::reduce_store<W>(pB, out, i + k);
   }
-  for (; i + 8 <= n; i += 8) {
-    const vclmul::Soa512 av = vclmul::load_x8(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa512 bv = vclmul::load_x8(b.l0, b.l1, b.l2, i);
-    __m512i p[6];
-    vclmul::mul326_x8(av, bv, p);
-    vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
+  for (; i + k <= n; i += k) {
+    typename W::V av[3], bv[3], p[6];
+    vclmul::load3<W>(a, i, av);
+    vclmul::load3<W>(b, i, bv);
+    vclmul::mul326<W>(av, bv, p);
+    vclmul::reduce_store<W>(p, out, i);
   }
   mul_tail(a, b, out, i, n);
 }
 
-MEDSEC_TARGET_VPCLMUL512 void lane_sqr_vpclmul512(LaneView a, LaneSpan out,
-                                                  std::size_t n) {
+template <class W>
+[[gnu::always_inline]] inline void vec_sqr(LaneView a, LaneSpan out,
+                                           std::size_t n) {
+  constexpr std::size_t k = W::kLanes;
   std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const vclmul::Soa512 aA = vclmul::load_x8(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa512 aB = vclmul::load_x8(a.l0, a.l1, a.l2, i + 8);
-    __m512i pA[6], pB[6];
-    vclmul::sqr326_x8(aA, pA);
-    vclmul::sqr326_x8(aB, pB);
-    vclmul::reduce_store_x8(pA, out.l0, out.l1, out.l2, i);
-    vclmul::reduce_store_x8(pB, out.l0, out.l1, out.l2, i + 8);
+  for (; i + 2 * k <= n; i += 2 * k) {
+    typename W::V aA[3], aB[3], pA[6], pB[6];
+    vclmul::load3<W>(a, i, aA);
+    vclmul::load3<W>(a, i + k, aB);
+    vclmul::sqr326<W>(aA, pA);
+    vclmul::sqr326<W>(aB, pB);
+    vclmul::reduce_store<W>(pA, out, i);
+    vclmul::reduce_store<W>(pB, out, i + k);
   }
-  for (; i + 8 <= n; i += 8) {
-    const vclmul::Soa512 av = vclmul::load_x8(a.l0, a.l1, a.l2, i);
-    __m512i p[6];
-    vclmul::sqr326_x8(av, p);
-    vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
+  for (; i + k <= n; i += k) {
+    typename W::V av[3], p[6];
+    vclmul::load3<W>(a, i, av);
+    vclmul::sqr326<W>(av, p);
+    vclmul::reduce_store<W>(p, out, i);
   }
   sqr_tail(a, out, i, n);
 }
 
-MEDSEC_TARGET_VPCLMUL512 void lane_mul_add_mul_vpclmul512(
-    LaneView a, LaneView b, LaneView c, LaneView d, LaneSpan out,
-    std::size_t n) {
+template <class W>
+[[gnu::always_inline]] inline void vec_mul_add_mul(LaneView a, LaneView b,
+                                                   LaneView c, LaneView d,
+                                                   LaneSpan out,
+                                                   std::size_t n) {
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const vclmul::Soa512 av = vclmul::load_x8(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa512 bv = vclmul::load_x8(b.l0, b.l1, b.l2, i);
-    const vclmul::Soa512 cv = vclmul::load_x8(c.l0, c.l1, c.l2, i);
-    const vclmul::Soa512 dv = vclmul::load_x8(d.l0, d.l1, d.l2, i);
-    __m512i p[6], q[6];
-    vclmul::mul326_x8(av, bv, p);
-    vclmul::mul326_x8(cv, dv, q);
+  for (; i + W::kLanes <= n; i += W::kLanes) {
+    typename W::V av[3], bv[3], cv[3], dv[3], p[6], q[6];
+    vclmul::load3<W>(a, i, av);
+    vclmul::load3<W>(b, i, bv);
+    vclmul::load3<W>(c, i, cv);
+    vclmul::load3<W>(d, i, dv);
+    vclmul::mul326<W>(av, bv, p);
+    vclmul::mul326<W>(cv, dv, q);
     // Accumulate before the single fold (the lane-domain lazy reduction).
-    for (std::size_t w = 0; w < 6; ++w) p[w] = _mm512_xor_si512(p[w], q[w]);
-    vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
+    for (std::size_t w = 0; w < 6; ++w) p[w] = W::xor_(p[w], q[w]);
+    vclmul::reduce_store<W>(p, out, i);
   }
   mul_add_mul_tail(a, b, c, d, out, i, n);
 }
 
-MEDSEC_TARGET_VPCLMUL512 void lane_sqr_add_mul_vpclmul512(LaneView a,
-                                                          LaneView b,
-                                                          LaneView c,
-                                                          LaneSpan out,
-                                                          std::size_t n) {
+template <class W>
+[[gnu::always_inline]] inline void vec_sqr_add_mul(LaneView a, LaneView b,
+                                                   LaneView c, LaneSpan out,
+                                                   std::size_t n) {
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const vclmul::Soa512 av = vclmul::load_x8(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa512 bv = vclmul::load_x8(b.l0, b.l1, b.l2, i);
-    const vclmul::Soa512 cv = vclmul::load_x8(c.l0, c.l1, c.l2, i);
-    __m512i p[6], q[6];
-    vclmul::sqr326_x8(av, p);
-    vclmul::mul326_x8(bv, cv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] = _mm512_xor_si512(p[w], q[w]);
-    vclmul::reduce_store_x8(p, out.l0, out.l1, out.l2, i);
+  for (; i + W::kLanes <= n; i += W::kLanes) {
+    typename W::V av[3], bv[3], cv[3], p[6], q[6];
+    vclmul::load3<W>(a, i, av);
+    vclmul::load3<W>(b, i, bv);
+    vclmul::load3<W>(c, i, cv);
+    vclmul::sqr326<W>(av, p);
+    vclmul::mul326<W>(bv, cv, q);
+    for (std::size_t w = 0; w < 6; ++w) p[w] = W::xor_(p[w], q[w]);
+    vclmul::reduce_store<W>(p, out, i);
   }
   sqr_add_mul_tail(a, b, c, out, i, n);
 }
 
-MEDSEC_TARGET_VPCLMUL512 void lane_add_vpclmul512(LaneView a, LaneView b,
-                                                  LaneSpan out,
-                                                  std::size_t n) {
+template <class W>
+[[gnu::always_inline]] inline void vec_add(LaneView a, LaneView b,
+                                           LaneSpan out, std::size_t n) {
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const vclmul::Soa512 av = vclmul::load_x8(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa512 bv = vclmul::load_x8(b.l0, b.l1, b.l2, i);
+  for (; i + W::kLanes <= n; i += W::kLanes) {
+    typename W::V av[3], bv[3];
+    vclmul::load3<W>(a, i, av);
+    vclmul::load3<W>(b, i, bv);
     std::uint64_t* const ol[3] = {out.l0, out.l1, out.l2};
     for (std::size_t l = 0; l < 3; ++l)
-      _mm512_storeu_si512(ol[l] + i, _mm512_xor_si512(av.l[l], bv.l[l]));
+      W::store(ol[l] + i, W::xor_(av[l], bv[l]));
   }
   add_from(a, b, out, i, n);
 }
 
-/// Eight lanes per step: bit 0 of each choice byte becomes a mask
-/// register, and every limb of both operands is loaded, blended both ways
-/// and stored whatever the mask holds.
-MEDSEC_TARGET_VPCLMUL512 void lane_cswap_vpclmul512(const std::uint8_t* choice,
-                                                    LaneSpan a, LaneSpan b,
-                                                    std::size_t n) {
+/// W::kLanes lanes per step: bit 0 of each choice byte becomes the
+/// width's lane mask, and every limb of both operands is loaded, selected
+/// both ways and stored whatever the mask holds.
+template <class W>
+[[gnu::always_inline]] inline void vec_cswap(const std::uint8_t* choice,
+                                             LaneSpan a, LaneSpan b,
+                                             std::size_t n) {
   std::uint64_t* const al[3] = {a.l0, a.l1, a.l2};
   std::uint64_t* const bl[3] = {b.l0, b.l1, b.l2};
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __mmask8 k = static_cast<__mmask8>(_mm_test_epi8_mask(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(choice + i)),
-        _mm_set1_epi8(1)));
+  for (; i + W::kLanes <= n; i += W::kLanes) {
+    const auto m = W::cswap_mask(choice + i);
     for (std::size_t l = 0; l < 3; ++l) {
-      const __m512i x = _mm512_loadu_si512(al[l] + i);
-      const __m512i y = _mm512_loadu_si512(bl[l] + i);
-      _mm512_storeu_si512(al[l] + i, _mm512_mask_blend_epi64(k, x, y));
-      _mm512_storeu_si512(bl[l] + i, _mm512_mask_blend_epi64(k, y, x));
+      const auto x = W::load(al[l] + i);
+      const auto y = W::load(bl[l] + i);
+      W::store(al[l] + i, W::select(m, x, y));
+      W::store(bl[l] + i, W::select(m, y, x));
     }
   }
   cswap_from(choice, a, b, i, n);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+// The entries: one kernel at one width under that width's target;
+// [[gnu::flatten]] inlines the width members and the tails, so an entry
+// holds its whole kernel with no call.
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL512 void lane_mul_vpclmul512(
+    LaneView a, LaneView b, LaneSpan out, std::size_t n) {
+  vec_mul<vclmul::Zmm>(a, b, out, n);
+}
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL512 void lane_sqr_vpclmul512(
+    LaneView a, LaneSpan out, std::size_t n) {
+  vec_sqr<vclmul::Zmm>(a, out, n);
+}
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL512 void lane_mul_add_mul_vpclmul512(
+    LaneView a, LaneView b, LaneView c, LaneView d, LaneSpan out,
+    std::size_t n) {
+  vec_mul_add_mul<vclmul::Zmm>(a, b, c, d, out, n);
+}
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL512 void lane_sqr_add_mul_vpclmul512(
+    LaneView a, LaneView b, LaneView c, LaneSpan out, std::size_t n) {
+  vec_sqr_add_mul<vclmul::Zmm>(a, b, c, out, n);
+}
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL512 void lane_add_vpclmul512(
+    LaneView a, LaneView b, LaneSpan out, std::size_t n) {
+  vec_add<vclmul::Zmm>(a, b, out, n);
+}
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL512 void lane_cswap_vpclmul512(
+    const std::uint8_t* choice, LaneSpan a, LaneSpan b, std::size_t n) {
+  vec_cswap<vclmul::Zmm>(choice, a, b, n);
 }
 
 constexpr LaneVTable kLaneVpclmul512VTable{
@@ -453,134 +503,31 @@ constexpr LaneVTable kLaneVpclmul512VTable{
     &lane_mul_add_mul_vpclmul512, &lane_sqr_add_mul_vpclmul512,
     &lane_add_vpclmul512, &lane_cswap_vpclmul512};
 
-// The 4-wide YMM analog for VPCLMULQDQ+AVX2 hosts without AVX-512:
-// identical structure at half group width (8 lanes per mul/sqr
-// iteration, 4 per fused iteration).
-
-MEDSEC_TARGET_VPCLMUL256 void lane_mul_vpclmul256(LaneView a, LaneView b,
-                                                  LaneSpan out,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const vclmul::Soa256 aA = vclmul::load_x4(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa256 bA = vclmul::load_x4(b.l0, b.l1, b.l2, i);
-    const vclmul::Soa256 aB = vclmul::load_x4(a.l0, a.l1, a.l2, i + 4);
-    const vclmul::Soa256 bB = vclmul::load_x4(b.l0, b.l1, b.l2, i + 4);
-    __m256i pA[6], pB[6];
-    vclmul::mul326_x4(aA, bA, pA);
-    vclmul::mul326_x4(aB, bB, pB);
-    vclmul::reduce_store_x4(pA, out.l0, out.l1, out.l2, i);
-    vclmul::reduce_store_x4(pB, out.l0, out.l1, out.l2, i + 4);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const vclmul::Soa256 av = vclmul::load_x4(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa256 bv = vclmul::load_x4(b.l0, b.l1, b.l2, i);
-    __m256i p[6];
-    vclmul::mul326_x4(av, bv, p);
-    vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
-  }
-  mul_tail(a, b, out, i, n);
+// The same six at YMM width.
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL256 void lane_mul_vpclmul256(
+    LaneView a, LaneView b, LaneSpan out, std::size_t n) {
+  vec_mul<vclmul::Ymm>(a, b, out, n);
 }
-
-MEDSEC_TARGET_VPCLMUL256 void lane_sqr_vpclmul256(LaneView a, LaneSpan out,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const vclmul::Soa256 aA = vclmul::load_x4(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa256 aB = vclmul::load_x4(a.l0, a.l1, a.l2, i + 4);
-    __m256i pA[6], pB[6];
-    vclmul::sqr326_x4(aA, pA);
-    vclmul::sqr326_x4(aB, pB);
-    vclmul::reduce_store_x4(pA, out.l0, out.l1, out.l2, i);
-    vclmul::reduce_store_x4(pB, out.l0, out.l1, out.l2, i + 4);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const vclmul::Soa256 av = vclmul::load_x4(a.l0, a.l1, a.l2, i);
-    __m256i p[6];
-    vclmul::sqr326_x4(av, p);
-    vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
-  }
-  sqr_tail(a, out, i, n);
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL256 void lane_sqr_vpclmul256(
+    LaneView a, LaneSpan out, std::size_t n) {
+  vec_sqr<vclmul::Ymm>(a, out, n);
 }
-
-MEDSEC_TARGET_VPCLMUL256 void lane_mul_add_mul_vpclmul256(
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL256 void lane_mul_add_mul_vpclmul256(
     LaneView a, LaneView b, LaneView c, LaneView d, LaneSpan out,
     std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const vclmul::Soa256 av = vclmul::load_x4(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa256 bv = vclmul::load_x4(b.l0, b.l1, b.l2, i);
-    const vclmul::Soa256 cv = vclmul::load_x4(c.l0, c.l1, c.l2, i);
-    const vclmul::Soa256 dv = vclmul::load_x4(d.l0, d.l1, d.l2, i);
-    __m256i p[6], q[6];
-    vclmul::mul326_x4(av, bv, p);
-    vclmul::mul326_x4(cv, dv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] = _mm256_xor_si256(p[w], q[w]);
-    vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
-  }
-  mul_add_mul_tail(a, b, c, d, out, i, n);
+  vec_mul_add_mul<vclmul::Ymm>(a, b, c, d, out, n);
 }
-
-MEDSEC_TARGET_VPCLMUL256 void lane_sqr_add_mul_vpclmul256(LaneView a,
-                                                          LaneView b,
-                                                          LaneView c,
-                                                          LaneSpan out,
-                                                          std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const vclmul::Soa256 av = vclmul::load_x4(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa256 bv = vclmul::load_x4(b.l0, b.l1, b.l2, i);
-    const vclmul::Soa256 cv = vclmul::load_x4(c.l0, c.l1, c.l2, i);
-    __m256i p[6], q[6];
-    vclmul::sqr326_x4(av, p);
-    vclmul::mul326_x4(bv, cv, q);
-    for (std::size_t w = 0; w < 6; ++w) p[w] = _mm256_xor_si256(p[w], q[w]);
-    vclmul::reduce_store_x4(p, out.l0, out.l1, out.l2, i);
-  }
-  sqr_add_mul_tail(a, b, c, out, i, n);
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL256 void lane_sqr_add_mul_vpclmul256(
+    LaneView a, LaneView b, LaneView c, LaneSpan out, std::size_t n) {
+  vec_sqr_add_mul<vclmul::Ymm>(a, b, c, out, n);
 }
-
-MEDSEC_TARGET_VPCLMUL256 void lane_add_vpclmul256(LaneView a, LaneView b,
-                                                  LaneSpan out,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const vclmul::Soa256 av = vclmul::load_x4(a.l0, a.l1, a.l2, i);
-    const vclmul::Soa256 bv = vclmul::load_x4(b.l0, b.l1, b.l2, i);
-    std::uint64_t* const ol[3] = {out.l0, out.l1, out.l2};
-    for (std::size_t l = 0; l < 3; ++l)
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ol[l] + i),
-                          _mm256_xor_si256(av.l[l], bv.l[l]));
-  }
-  add_from(a, b, out, i, n);
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL256 void lane_add_vpclmul256(
+    LaneView a, LaneView b, LaneSpan out, std::size_t n) {
+  vec_add<vclmul::Ymm>(a, b, out, n);
 }
-
-/// Four lanes per step: bit 0 of each choice byte widens to an all-ones
-/// or all-zero word, then the XOR-mask swap of Gf163::cswap.
-MEDSEC_TARGET_VPCLMUL256 void lane_cswap_vpclmul256(const std::uint8_t* choice,
-                                                    LaneSpan a, LaneSpan b,
-                                                    std::size_t n) {
-  std::uint64_t* const al[3] = {a.l0, a.l1, a.l2};
-  std::uint64_t* const bl[3] = {b.l0, b.l1, b.l2};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    std::uint32_t bytes;
-    std::memcpy(&bytes, choice + i, sizeof bytes);
-    const __m256i bit = _mm256_and_si256(
-        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(bytes))),
-        _mm256_set1_epi64x(1));
-    const __m256i m = _mm256_sub_epi64(_mm256_setzero_si256(), bit);
-    for (std::size_t l = 0; l < 3; ++l) {
-      auto* const ap = reinterpret_cast<__m256i*>(al[l] + i);
-      auto* const bp = reinterpret_cast<__m256i*>(bl[l] + i);
-      const __m256i x = _mm256_loadu_si256(ap);
-      const __m256i y = _mm256_loadu_si256(bp);
-      const __m256i t = _mm256_and_si256(_mm256_xor_si256(x, y), m);
-      _mm256_storeu_si256(ap, _mm256_xor_si256(x, t));
-      _mm256_storeu_si256(bp, _mm256_xor_si256(y, t));
-    }
-  }
-  cswap_from(choice, a, b, i, n);
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL256 void lane_cswap_vpclmul256(
+    const std::uint8_t* choice, LaneSpan a, LaneSpan b, std::size_t n) {
+  vec_cswap<vclmul::Ymm>(choice, a, b, n);
 }
 
 constexpr LaneVTable kLaneVpclmul256VTable{

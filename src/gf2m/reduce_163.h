@@ -5,11 +5,11 @@
 // and kWordFoldShift below, so the reduction polynomial is written
 // exactly once. There are two folds:
 //
-//   * the shift fold (reduce326 and its ZMM/YMM word-vector forms): the
-//     product as six 64-bit words, each word above bit 192 folded down
-//     by shifts and XORs. The karatsuba backend, the AArch64 PMULL
-//     kernel, the paired clmulwide loops and the VPCLMULQDQ lane kernels
-//     use it;
+//   * the shift fold (reduce326, and reduce326_vec: the same fold on
+//     word vectors, written once for every vector width): the product as
+//     six 64-bit words, each word above bit 192 folded down by shifts and
+//     XORs. The karatsuba backend, the AArch64 PMULL kernel, the paired
+//     clmulwide loops and the VPCLMULQDQ lane kernels use it;
 //   * the clmul fold (reduce326_clmul, x86-64): the product in three XMM
 //     registers, words 3-5 folded by three carry-less multiplies with
 //     x^192 mod f. The x86-64 `clmul` field kernel (clmul_hw.h) uses it,
@@ -21,6 +21,7 @@
 // bit-identity contracts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "gf2m/arch.h"
@@ -120,70 +121,41 @@ __attribute__((target("pclmul"))) inline void reduce326_clmul(
       w2, _mm_cvtsi64_si128(static_cast<long long>(kTopLimbMask)));
 }
 
-// GCC's unmasked AVX-512 shift intrinsics expand through
-// _mm512_undefined_epi32(), which GCC 12 flags as use-of-uninitialized
-// (bug PR105593). Header-wide false positive, not ours.
+#endif  // MEDSEC_ARCH_X86_64
+
+/// The shift fold on word vectors, for the VPCLMULQDQ lane kernels:
+/// p[w] holds word w of the unreduced product for W::kLanes lanes, W a
+/// vector-width type (clmul_vec.h). Same shift schedule as reduce326,
+/// from the same constants. Always inlined into a caller that carries
+/// W's target (-Wpsabi: see clmul_vec.h).
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wpsabi"
 #endif
-
-// Word-vector forms of the shift fold for the VPCLMULQDQ lane kernels:
-// p[w] holds word w of the unreduced product for 8 (ZMM) or 4 (YMM)
-// independent lanes, structure-of-arrays. Same shift schedule as the
-// scalar reduce326, derived from the same constants; the data-dependent
-// zero-word skip is dropped (a vector XOR of zero contributions is free
-// and branch-free).
-
-__attribute__((target("avx512f"))) inline void reduce326_x8(
-    const __m512i p_in[6], __m512i out[3]) {
-  __m512i p[6] = {p_in[0], p_in[1], p_in[2], p_in[3], p_in[4], p_in[5]};
+template <class W>
+[[gnu::always_inline]] inline void reduce326_vec(const typename W::V p_in[6],
+                                                 typename W::V out[3]) {
+  using V = typename W::V;
+  V p[6] = {p_in[0], p_in[1], p_in[2], p_in[3], p_in[4], p_in[5]};
   for (std::size_t i = 5; i >= 3; --i) {
-    const __m512i t = p[i];
-    __m512i lo = _mm512_setzero_si512(), hi = lo;
+    const V t = p[i];
+    V lo{}, hi{};
     for (const unsigned e : kPentanomialExps) {
-      lo = _mm512_xor_si512(lo, _mm512_slli_epi64(t, kWordFoldShift + e));
-      hi = _mm512_xor_si512(hi, _mm512_srli_epi64(t, 64 - kWordFoldShift - e));
+      lo = W::xor_(lo, W::shl(t, kWordFoldShift + e));
+      hi = W::xor_(hi, W::shr(t, 64 - kWordFoldShift - e));
     }
-    p[i - 3] = _mm512_xor_si512(p[i - 3], lo);
-    p[i - 2] = _mm512_xor_si512(p[i - 2], hi);
+    p[i - 3] = W::xor_(p[i - 3], lo);
+    p[i - 2] = W::xor_(p[i - 2], hi);
   }
-  const __m512i t = _mm512_srli_epi64(p[2], kTopLimbBits);
-  __m512i tail = _mm512_setzero_si512();
-  for (const unsigned e : kPentanomialExps)
-    tail = _mm512_xor_si512(tail, _mm512_slli_epi64(t, e));
-  out[0] = _mm512_xor_si512(p[0], tail);
+  const V t = W::shr(p[2], kTopLimbBits);
+  V tail{};
+  for (const unsigned e : kPentanomialExps) tail = W::xor_(tail, W::shl(t, e));
+  out[0] = W::xor_(p[0], tail);
   out[1] = p[1];
-  out[2] = _mm512_and_si512(p[2], _mm512_set1_epi64(kTopLimbMask));
+  out[2] = W::and_(p[2], W::set1(kTopLimbMask));
 }
-
-__attribute__((target("avx2"))) inline void reduce326_x4(
-    const __m256i p_in[6], __m256i out[3]) {
-  __m256i p[6] = {p_in[0], p_in[1], p_in[2], p_in[3], p_in[4], p_in[5]};
-  for (std::size_t i = 5; i >= 3; --i) {
-    const __m256i t = p[i];
-    __m256i lo = _mm256_setzero_si256(), hi = lo;
-    for (const unsigned e : kPentanomialExps) {
-      lo = _mm256_xor_si256(lo, _mm256_slli_epi64(t, kWordFoldShift + e));
-      hi = _mm256_xor_si256(hi, _mm256_srli_epi64(t, 64 - kWordFoldShift - e));
-    }
-    p[i - 3] = _mm256_xor_si256(p[i - 3], lo);
-    p[i - 2] = _mm256_xor_si256(p[i - 2], hi);
-  }
-  const __m256i t = _mm256_srli_epi64(p[2], kTopLimbBits);
-  __m256i tail = _mm256_setzero_si256();
-  for (const unsigned e : kPentanomialExps)
-    tail = _mm256_xor_si256(tail, _mm256_slli_epi64(t, e));
-  out[0] = _mm256_xor_si256(p[0], tail);
-  out[1] = p[1];
-  out[2] = _mm256_and_si256(p[2], _mm256_set1_epi64x(kTopLimbMask));
-}
-
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
-
-#endif  // MEDSEC_ARCH_X86_64
 
 }  // namespace medsec::gf2m

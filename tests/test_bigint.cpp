@@ -309,7 +309,9 @@ TEST(BigUInt, BitLengthOfEveryLimbBoundary) {
     const U192 p = U192{1}.shl(b);
     EXPECT_EQ(p.bit_length(), b + 1);
     EXPECT_EQ((p | U192{1}).bit_length(), b + 1);
-    if (b > 0) EXPECT_EQ((p - U192{1}).bit_length(), b);
+    if (b > 0) {
+      EXPECT_EQ((p - U192{1}).bit_length(), b);
+    }
   }
 }
 

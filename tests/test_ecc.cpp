@@ -492,7 +492,9 @@ TEST(TauAdic, PartialReductionIsShortAndCongruent) {
         ASSERT_EQ(digits[j + z], 0) << "at " << j << "+" << z;
     }
     ASSERT_EQ(horner, want) << k.to_hex();
-    if (want.is_zero()) EXPECT_TRUE(digits.empty());
+    if (want.is_zero()) {
+      EXPECT_TRUE(digits.empty());
+    }
   }
   // N(rho) <= (4/7)n puts rho at ~161 bits; the integer digits (+-1..+-7,
   // so the (1, 3, 5, 7)·P tables serve) add up to ~11.6 digits of tail

@@ -5,6 +5,7 @@
 // entry (ladder_x_many) must equal the single one at every batch size.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <vector>
 
@@ -109,17 +110,55 @@ TEST_P(LaneBackends, TenThousandOperandSetsMatchScalar) {
 }
 
 TEST_P(LaneBackends, OutputMayAliasInput) {
-  const std::size_t n = 100;
-  const auto av = operand_set(n, 77);
-  const auto bv = operand_set(n, 78);
-  Gf163xN a(n), b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a.set(i, av[i]);
-    b.set(i, bv[i]);
+  // Every op with `out` aliasing each of its inputs in turn. 47 lanes run
+  // every loop shape: on ZMM two 16-lane groups, one 8-lane group and a
+  // 7-lane tail; on YMM 8-lane pairs, one 4-lane group and a 3-lane tail;
+  // on clmulwide pairs and one tail. A kernel that stores part of a group
+  // before it has loaded all of it fails here.
+  const std::size_t n = 47;
+  std::array<std::vector<Gf163>, 4> vals;
+  for (std::size_t k = 0; k < vals.size(); ++k) vals[k] = operand_set(n, 77 + k);
+  using Ins = std::array<Gf163xN, 4>;
+  using Lane = std::array<Gf163, 4>;
+  struct Op {
+    const char* name;
+    std::size_t arity;
+    void (*run)(const Ins& x, Gf163xN& out);
+    Gf163 (*want)(const Lane& v);
+  };
+  const Op ops[] = {
+      {"mul", 2, [](const Ins& x, Gf163xN& o) { Gf163xN::mul(x[0], x[1], o); },
+       [](const Lane& v) { return Gf163::mul(v[0], v[1]); }},
+      {"sqr", 1, [](const Ins& x, Gf163xN& o) { Gf163xN::sqr(x[0], o); },
+       [](const Lane& v) { return Gf163::sqr(v[0]); }},
+      {"mul_add_mul", 4,
+       [](const Ins& x, Gf163xN& o) {
+         Gf163xN::mul_add_mul(x[0], x[1], x[2], x[3], o);
+       },
+       [](const Lane& v) { return Gf163::mul_add_mul(v[0], v[1], v[2], v[3]); }},
+      {"sqr_add_mul", 3,
+       [](const Ins& x, Gf163xN& o) {
+         Gf163xN::sqr_add_mul(x[0], x[1], x[2], o);
+       },
+       [](const Lane& v) { return Gf163::sqr_add_mul(v[0], v[1], v[2]); }},
+      {"add", 2, [](const Ins& x, Gf163xN& o) { Gf163xN::add(x[0], x[1], o); },
+       [](const Lane& v) { return v[0] + v[1]; }},
+  };
+  for (const Op& op : ops) {
+    for (std::size_t k = 0; k < op.arity; ++k) {
+      Ins x;
+      for (std::size_t j = 0; j < x.size(); ++j) {
+        x[j].resize(n);
+        for (std::size_t i = 0; i < n; ++i) x[j].set(i, vals[j][i]);
+      }
+      op.run(x, x[k]);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Lane v = {vals[0][i], vals[1][i], vals[2][i], vals[3][i]};
+        ASSERT_EQ(x[k].get(i), op.want(v))
+            << op.name << " with out = input " << k << ", lane " << i;
+      }
+    }
   }
-  Gf163xN::mul(a, b, a);  // in-place
-  for (std::size_t i = 0; i < n; ++i)
-    ASSERT_EQ(a.get(i), Gf163::mul(av[i], bv[i]));
 }
 
 TEST_P(LaneBackends, AddAndCswapMatchPerLaneLoop) {

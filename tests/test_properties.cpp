@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <vector>
 
 #include "core/secure_processor.h"
@@ -15,6 +16,7 @@
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
 #include "gf2m/arch.h"
+#include "gf2m/clmul_vec.h"
 #include "gf2m/reduce_163.h"
 #include "protocol/wire.h"
 #include "rng/xoshiro.h"
@@ -236,40 +238,36 @@ TEST(ReduceFold, ScalarMatchesNaiveReferenceOnBoundaries) {
 }
 
 #if MEDSEC_ARCH_X86_64
-__attribute__((target("avx2"))) std::array<std::uint64_t, 3> via_x4_fold(
-    const std::array<std::uint64_t, 6>& p, int lane) {
-  __m256i vp[6], vout[3];
+/// The vector shift fold at width W, with the product in one lane of the
+/// word vectors and zeros in the others. The caller carries W's target,
+/// as a lane kernel entry does.
+template <class W>
+[[gnu::always_inline]] inline std::array<std::uint64_t, 3> via_vec_fold(
+    const std::array<std::uint64_t, 6>& p, std::size_t lane) {
+  typename W::V vp[6], vout[3];
   for (std::size_t w = 0; w < 6; ++w) {
-    alignas(32) std::uint64_t lanes[4] = {};
+    std::uint64_t lanes[W::kLanes] = {};
     lanes[lane] = p[w];
-    vp[w] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
+    std::memcpy(&vp[w], lanes, sizeof lanes);
   }
-  gf::reduce326_x4(vp, vout);
+  gf::reduce326_vec<W>(vp, vout);
   std::array<std::uint64_t, 3> out;
   for (std::size_t w = 0; w < 3; ++w) {
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vout[w]);
+    std::uint64_t lanes[W::kLanes];
+    std::memcpy(lanes, &vout[w], sizeof lanes);
     out[w] = lanes[lane];
   }
   return out;
 }
 
-__attribute__((target("avx512f"))) std::array<std::uint64_t, 3> via_x8_fold(
-    const std::array<std::uint64_t, 6>& p, int lane) {
-  __m512i vp[6], vout[3];
-  for (std::size_t w = 0; w < 6; ++w) {
-    alignas(64) std::uint64_t lanes[8] = {};
-    lanes[lane] = p[w];
-    vp[w] = _mm512_load_si512(lanes);
-  }
-  gf::reduce326_x8(vp, vout);
-  std::array<std::uint64_t, 3> out;
-  for (std::size_t w = 0; w < 3; ++w) {
-    alignas(64) std::uint64_t lanes[8];
-    _mm512_store_si512(lanes, vout[w]);
-    out[w] = lanes[lane];
-  }
-  return out;
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL256 std::array<std::uint64_t, 3>
+via_ymm_fold(const std::array<std::uint64_t, 6>& p, std::size_t lane) {
+  return via_vec_fold<gf::vclmul::Ymm>(p, lane);
+}
+
+[[gnu::flatten]] MEDSEC_TARGET_VPCLMUL512 std::array<std::uint64_t, 3>
+via_zmm_fold(const std::array<std::uint64_t, 6>& p, std::size_t lane) {
+  return via_vec_fold<gf::vclmul::Zmm>(p, lane);
 }
 
 TEST(ReduceFold, VectorFoldsMatchScalarOnBoundaries) {
@@ -277,13 +275,13 @@ TEST(ReduceFold, VectorFoldsMatchScalarOnBoundaries) {
     GTEST_SKIP() << "no VPCLMULQDQ+AVX2 on this CPU";
   for (const auto& p : fold_boundary_inputs()) {
     const auto want = naive_reduce384(p);
-    for (const int lane : {0, 3}) {
-      const auto got4 = via_x4_fold(p, lane);
+    for (const std::size_t lane : {0u, 3u}) {
+      const auto got4 = via_ymm_fold(p, lane);
       EXPECT_EQ(got4, want);
     }
     if (gf::cpu::has_vpclmul512()) {
-      for (const int lane : {0, 7}) {
-        const auto got8 = via_x8_fold(p, lane);
+      for (const std::size_t lane : {0u, 7u}) {
+        const auto got8 = via_zmm_fold(p, lane);
         EXPECT_EQ(got8, want);
       }
     }
@@ -306,10 +304,10 @@ TEST(ReduceFold, AllVariantsAgreeOn10kSeededInputs) {
 
 #if MEDSEC_ARCH_X86_64
     if (gf::cpu::has_vpclmul256()) {
-      ASSERT_EQ(via_x4_fold(p, iter % 4), want) << "iter " << iter;
+      ASSERT_EQ(via_ymm_fold(p, iter % 4), want) << "iter " << iter;
     }
     if (gf::cpu::has_vpclmul512()) {
-      ASSERT_EQ(via_x8_fold(p, iter % 8), want) << "iter " << iter;
+      ASSERT_EQ(via_zmm_fold(p, iter % 8), want) << "iter " << iter;
     }
 #endif
   }

@@ -152,7 +152,9 @@ TEST(WireFuzz, PointDecoderSurvivesRandomBytes) {
   for (std::size_t i = 0; i < wires.size(); ++i) {
     const auto single = proto::decode_point(c, wires[i]);
     ASSERT_EQ(batch[i].has_value(), single.has_value()) << i;
-    if (single) ASSERT_EQ(*batch[i], *single) << i;
+    if (single) {
+      ASSERT_EQ(*batch[i], *single) << i;
+    }
   }
   (void)decoded;  // hit rate is curve-dependent; agreement is the property
 }
