@@ -14,17 +14,21 @@
 //
 // No paper table: the paper's channel is an idealized 1:1 link. This bench
 // opens the deployment axis — what serving the protocols over a real
-// (lossy) channel costs. Emits BENCH_gateway.json (google-benchmark JSON
-// schema) for the perf trajectory unless --benchmark_out is given.
+// (lossy) channel costs. The timers also cover the per-session byte kernels
+// (frame codec, AES-128 block, SHA-256 compression) and the ARQ timer
+// queue. Emits BENCH_gateway.json (google-benchmark JSON schema) for the
+// perf trajectory unless --benchmark_out is given.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstdio>
 
 #include "bench_util.h"
+#include "ciphers/aes128.h"
 #include "core/event_queue.h"
 #include "engine/shard.h"
 #include "engine/transport.h"
+#include "hash/sha256.h"
 #include "protocol/wire.h"
 #include "rng/xoshiro.h"
 
@@ -176,6 +180,55 @@ void BM_FrameCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FrameCodec);
+
+/// The other session byte kernels on each of their paths: one AES-128 block
+/// encryption and one SHA-256 compression per iteration, each fed its own
+/// output. A hardware row skips where CPUID lacks the instructions; the
+/// portable / hardware ratio of each pair is gated.
+void BM_Aes128Encrypt(benchmark::State& state,
+                      const ciphers::detail::Aes128Kernel* kernel) {
+  if (kernel == nullptr) {
+    state.SkipWithError("AES-NI unavailable on this CPU");
+    return;
+  }
+  std::array<std::uint8_t, 16> key{}, block{};
+  rng::Xoshiro256 rng(0xAE5);
+  rng.fill(key);
+  rng.fill(block);
+  ciphers::Aes128::RoundKeys rk{};
+  kernel->expand_key(key.data(), rk);
+  for (auto _ : state) {
+    kernel->encrypt_block(rk, block.data(), block.data());
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_Aes128Encrypt, portable,
+                  &ciphers::detail::aes128_portable());
+BENCHMARK_CAPTURE(BM_Aes128Encrypt, aesni, ciphers::detail::aes128_aesni());
+
+void BM_Sha256Compress(benchmark::State& state,
+                       hash::detail::Sha256Compress compress) {
+  if (compress == nullptr) {
+    state.SkipWithError("SHA-NI unavailable on this CPU");
+    return;
+  }
+  std::array<std::uint8_t, hash::Sha256::kBlockSize> block{};
+  rng::Xoshiro256 rng(0x5A256);
+  rng.fill(block);
+  hash::Sha256::State chain{};
+  for (auto _ : state) {
+    compress(chain, block.data(), 1);
+    benchmark::DoNotOptimize(chain.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, portable,
+                  &hash::detail::sha256_compress_portable);
+BENCHMARK_CAPTURE(BM_Sha256Compress, shani,
+                  hash::detail::sha256_compress_shani());
 
 /// The ARQ timer pattern at a given RTO: each step arms a retransmit timer
 /// at the RTO plus seeded jitter in [0, RTO/4), cancels the timer armed 64

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""ISA confinement gate: carry-less multiplies live only in the kernel objects.
+"""ISA confinement gate: carry-less multiplies, AES-NI and SHA-NI live only in
+their kernel objects.
 
 Disassembles the medsec static library with `objdump -d` and fails (exit 1)
 when a carry-less multiply instruction (PCLMULQDQ / VPCLMULQDQ in any of
@@ -40,6 +41,16 @@ on the built archive. On x86-64 the gate also requires the clmul
 translation unit to contain the instruction, so a build that lost its
 -mpclmul flag cannot pass by accident.
 
+The session byte kernels are confined the same way. AES-NI (aesenc,
+aesenclast, aesdec, aesdeclast, aesimc, aeskeygenassist and their
+v-prefixed forms) may appear only in aes128.cpp.o, and there only in the
+kernel functions expand_key_aesni and encrypt_block_aesni; SHA-NI
+(sha256rnds2, sha256msg1, sha256msg2) only in sha256.cpp.o, and there only
+in compress_shani. Each kernel carries its own target attribute and is
+chosen by CPUID once per process, so the instructions inlined into any
+other function would run on hosts without them. On x86-64 each object must
+contain its family, so a build that lost the attribute fails.
+
 Usage:
   python3 bench/check_isa_confinement.py [build/libmedsec.a]
 """
@@ -60,6 +71,18 @@ LANE_ENTRY_PREFIX = "lane_"
 YMM_SUFFIX = "_vpclmul256"
 
 CLMUL_RE = re.compile(r"\s(v?pclmul[a-z]*dq|pmull2?)\s")
+# (family, mnemonics, the one object allowed to hold them, the functions in
+# it that may).
+KERNEL_FAMILIES = (
+    ("AES-NI",
+     re.compile(r"\sv?aes(enc|enclast|dec|declast|imc|keygenassist)\s"),
+     "aes128.cpp.o", ("expand_key_aesni", "encrypt_block_aesni")),
+    ("SHA-NI", re.compile(r"\ssha256(rnds2|msg1|msg2)\s"),
+     "sha256.cpp.o", ("compress_shani",)),
+)
+CLMUL = "carry-less multiply"
+MNEMONICS = {CLMUL: CLMUL_RE,
+             **{family: regex for family, regex, _, _ in KERNEL_FAMILIES}}
 AVX512_ONLY_RE = re.compile(
     r"%zmm|%k[0-7]\b|%[xy]mm(1[6-9]|2[0-9]|3[01])\b|\svpternlog"
     r"|\svmovdq[au](8|16|32|64)\s|\svp(and|andn|or|xor)[dq]\s")
@@ -109,7 +132,7 @@ def optimized(library, member):
 
 
 def scan(library):
-    """{object: {function: count}} of carry-less multiplies, the
+    """{family: {object: {function: count}}} over MNEMONICS, the
     *_vpclmul256 functions with their AVX-512-only instructions, and
     formats."""
     objdump = shutil.which("objdump")
@@ -120,7 +143,7 @@ def scan(library):
                           text=True)
     if proc.returncode != 0:
         sys.exit(f"check_isa_confinement: objdump failed: {proc.stderr}")
-    hits = {}
+    hits = {family: {} for family in MNEMONICS}
     ymm = {}
     formats = {}
     obj = fn = None
@@ -140,12 +163,38 @@ def scan(library):
             continue
         if obj is None:
             continue
-        if CLMUL_RE.search(line):
-            per_fn = hits.setdefault(obj, {})
-            per_fn[fn] = per_fn.get(fn, 0) + 1
+        for family, mnemonics in MNEMONICS.items():
+            if mnemonics.search(line):
+                per_fn = hits[family].setdefault(obj, {})
+                per_fn[fn] = per_fn.get(fn, 0) + 1
         if fn_is_ymm and AVX512_ONLY_RE.search(line):
             ymm[(obj, fn)].append(line.split("\t")[-1].strip())
     return hits, ymm, formats
+
+
+def check_kernel_family(family, hits, obj_allowed, functions, x86):
+    """Failures for one KERNEL_FAMILIES entry: its instructions outside
+    `obj_allowed`, in a function there not named in `functions`, or (on
+    x86-64) absent from `obj_allowed`."""
+    failures = []
+    for obj, per_fn in sorted(hits.items()):
+        total = sum(per_fn.values())
+        if obj != obj_allowed:
+            failures.append(f"{obj}: {total} {family} instructions outside "
+                            f"{obj_allowed}, in {', '.join(sorted(per_fn))}")
+            continue
+        print(f"ok   {obj}: {total} {family} instructions in "
+              f"{len(per_fn)} functions")
+        for fn in sorted(per_fn):
+            if function_name(fn) not in functions:
+                failures.append(f"{obj}: {fn} carries {family} instructions "
+                                f"but is not one of the kernels "
+                                f"{', '.join(functions)}")
+    if x86 and obj_allowed not in hits:
+        failures.append(f"{obj_allowed}: no {family} instruction on an x86-64 "
+                        "build (did its kernels lose their target "
+                        "attribute?)")
+    return failures
 
 
 def main():
@@ -157,7 +206,8 @@ def main():
         sys.exit(f"check_isa_confinement: no objects in {library}")
 
     failures = []
-    for obj, per_fn in sorted(hits.items()):
+    clmul = hits[CLMUL]
+    for obj, per_fn in sorted(clmul.items()):
         total = sum(per_fn.values())
         if obj not in ALLOWED_OBJECTS:
             failures.append(f"{obj}: {total} carry-less multiplies outside "
@@ -190,17 +240,22 @@ def main():
           "AVX-512-only encodings")
 
     x86 = any("x86-64" in f for f in formats.values())
-    if x86 and INSTANCES_OBJECT not in hits:
+    if x86 and INSTANCES_OBJECT not in clmul:
         failures.append(f"{INSTANCES_OBJECT}: no carry-less multiply on an "
                         "x86-64 build (was it compiled without -mpclmul?)")
+    for family, _, obj_allowed, functions in KERNEL_FAMILIES:
+        failures.extend(check_kernel_family(family, hits[family],
+                                            obj_allowed, functions, x86))
 
     if failures:
         print("\nISA CONFINEMENT GATE FAILED:")
         for f in failures:
             print(f"  - {f}")
         return 1
-    print(f"\nisa confinement: {len(formats)} objects checked, carry-less "
-          f"multiplies only in {', '.join(sorted(hits)) or 'none'}")
+    confined = ", ".join(
+        f"{family} only in {', '.join(sorted(per_obj)) or 'none'}"
+        for family, per_obj in hits.items())
+    print(f"\nisa confinement: {len(formats)} objects checked, {confined}")
     return 0
 
 

@@ -151,6 +151,16 @@ RATIO_GATES = [
     # replaced, whose cost grew with the RTO).
     ("BENCH_gateway.json", "BM_TimerAckChurn/rto:256",
      "BM_TimerAckChurn/rto:65536", 0.5),
+    # Session byte kernels: one AES-128 block on AES-NI is >= 4x the
+    # byte-wise table kernel, and one SHA-256 compression on SHA-NI is
+    # >= 2.5x the portable rounds (13.8-27.6x and 5.6-9.5x in 10 runs at
+    # CI's min_time on a 4-vCPU AVX-512 host; each bar is at most half the
+    # smallest). The hardware rows skip, and so these gates, where CPUID
+    # lacks the instructions.
+    ("BENCH_gateway.json", "BM_Aes128Encrypt/portable",
+     "BM_Aes128Encrypt/aesni", 4.0),
+    ("BENCH_gateway.json", "BM_Sha256Compress/portable",
+     "BM_Sha256Compress/shani", 2.5),
     # Koblitz k·G + l·Q: the reader's double_scalar_mult on K-163 (tau-adic:
     # a Frobenius chain where the wNAF path doubles) costs at most ~1.43
     # constant-time ladders (ratio >= 0.7; ~0.85 measured on a 4-vCPU

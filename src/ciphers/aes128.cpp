@@ -1,6 +1,9 @@
 #include "ciphers/aes128.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "gf2m/arch.h"
 
 namespace medsec::ciphers {
 
@@ -68,13 +71,11 @@ std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
   return r;
 }
 
-}  // namespace
+// --- byte-wise kernel ---------------------------------------------------------
 
-Aes128::Aes128(std::span<const std::uint8_t> key) {
-  if (key.size() != kKeyBytes)
-    throw std::invalid_argument("Aes128: key must be 16 bytes");
+void expand_key_portable(const std::uint8_t* key, Aes128::RoundKeys& rk) {
   std::array<std::uint8_t, 176> w{};
-  std::copy(key.begin(), key.end(), w.begin());
+  std::copy(key, key + Aes128::kKeyBytes, w.begin());
   std::uint8_t rcon = 1;
   for (std::size_t i = 16; i < w.size(); i += 4) {
     std::uint8_t t[4] = {w[i - 4], w[i - 3], w[i - 2], w[i - 1]};
@@ -90,21 +91,20 @@ Aes128::Aes128(std::span<const std::uint8_t> key) {
       w[i + static_cast<std::size_t>(j)] =
           static_cast<std::uint8_t>(w[i + static_cast<std::size_t>(j) - 16] ^ t[j]);
   }
-  for (int r = 0; r <= kRounds; ++r)
+  for (int r = 0; r <= Aes128::kRounds; ++r)
     for (int j = 0; j < 16; ++j)
-      round_key_[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] =
+      rk[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] =
           w[static_cast<std::size_t>(16 * r + j)];
 }
 
-void Aes128::encrypt_block(std::span<const std::uint8_t> in,
-                           std::span<std::uint8_t> out) const {
+void encrypt_block_portable(const Aes128::RoundKeys& rk,
+                            const std::uint8_t* in, std::uint8_t* out) {
   std::array<std::uint8_t, 16> s{};
   for (int i = 0; i < 16; ++i)
-    s[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(in[static_cast<std::size_t>(i)] ^
-                                  round_key_[0][static_cast<std::size_t>(i)]);
+    s[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
+        in[i] ^ rk[0][static_cast<std::size_t>(i)]);
 
-  for (int round = 1; round <= kRounds; ++round) {
+  for (int round = 1; round <= Aes128::kRounds; ++round) {
     // SubBytes
     for (auto& b : s) b = kSbox[b];
     // ShiftRows (state is column-major: s[4*c + r])
@@ -115,7 +115,7 @@ void Aes128::encrypt_block(std::span<const std::uint8_t> in,
             s[static_cast<std::size_t>(4 * ((c + r) % 4) + r)];
     s = t;
     // MixColumns (skipped in the final round)
-    if (round != kRounds) {
+    if (round != Aes128::kRounds) {
       for (int c = 0; c < 4; ++c) {
         const std::uint8_t a0 = s[static_cast<std::size_t>(4 * c)];
         const std::uint8_t a1 = s[static_cast<std::size_t>(4 * c + 1)];
@@ -134,9 +134,101 @@ void Aes128::encrypt_block(std::span<const std::uint8_t> in,
     // AddRoundKey
     for (int i = 0; i < 16; ++i)
       s[static_cast<std::size_t>(i)] ^=
-          round_key_[static_cast<std::size_t>(round)][static_cast<std::size_t>(i)];
+          rk[static_cast<std::size_t>(round)][static_cast<std::size_t>(i)];
   }
-  std::copy(s.begin(), s.end(), out.begin());
+  std::copy(s.begin(), s.end(), out);
+}
+
+// --- AES-NI kernel -------------------------------------------------------------
+
+#if MEDSEC_ARCH_X86_64
+
+__m128i load128(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+void store128(std::uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+// Round key i from round key i - 1 (`prev`) and AESKEYGENASSIST of it, whose
+// top word is RotWord(SubWord(w[4i - 1])) ^ Rcon: each new word is the word
+// four back XOR the new word before it, so word j of the result is the XOR
+// of words 0..j of `prev` and that assist word.
+__m128i expand_step(__m128i prev, __m128i assist) {
+  assist = _mm_shuffle_epi32(assist, 0xFF);
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  return _mm_xor_si128(prev, assist);
+}
+
+// AESKEYGENASSIST takes its round constant as an immediate, hence one line
+// per round.
+__attribute__((target("aes"))) void expand_key_aesni(const std::uint8_t* key,
+                                                     Aes128::RoundKeys& rk) {
+  __m128i k[Aes128::kRounds + 1];
+  k[0] = load128(key);
+  k[1] = expand_step(k[0], _mm_aeskeygenassist_si128(k[0], 0x01));
+  k[2] = expand_step(k[1], _mm_aeskeygenassist_si128(k[1], 0x02));
+  k[3] = expand_step(k[2], _mm_aeskeygenassist_si128(k[2], 0x04));
+  k[4] = expand_step(k[3], _mm_aeskeygenassist_si128(k[3], 0x08));
+  k[5] = expand_step(k[4], _mm_aeskeygenassist_si128(k[4], 0x10));
+  k[6] = expand_step(k[5], _mm_aeskeygenassist_si128(k[5], 0x20));
+  k[7] = expand_step(k[6], _mm_aeskeygenassist_si128(k[6], 0x40));
+  k[8] = expand_step(k[7], _mm_aeskeygenassist_si128(k[7], 0x80));
+  k[9] = expand_step(k[8], _mm_aeskeygenassist_si128(k[8], 0x1B));
+  k[10] = expand_step(k[9], _mm_aeskeygenassist_si128(k[9], 0x36));
+  for (std::size_t r = 0; r < rk.size(); ++r) store128(rk[r].data(), k[r]);
+}
+
+__attribute__((target("aes"))) void encrypt_block_aesni(
+    const Aes128::RoundKeys& rk, const std::uint8_t* in, std::uint8_t* out) {
+  __m128i s = _mm_xor_si128(load128(in), load128(rk[0].data()));
+  for (std::size_t r = 1; r < Aes128::kRounds; ++r)
+    s = _mm_aesenc_si128(s, load128(rk[r].data()));
+  store128(out, _mm_aesenclast_si128(s, load128(rk[Aes128::kRounds].data())));
+}
+
+#endif  // MEDSEC_ARCH_X86_64
+
+// The kernel this process runs, chosen once from CPUID.
+const detail::Aes128Kernel& kernel() {
+  static const detail::Aes128Kernel& k = detail::aes128_aesni() != nullptr
+                                             ? *detail::aes128_aesni()
+                                             : detail::aes128_portable();
+  return k;
+}
+
+}  // namespace
+
+namespace detail {
+
+const Aes128Kernel& aes128_portable() {
+  static constexpr Aes128Kernel k{expand_key_portable, encrypt_block_portable};
+  return k;
+}
+
+const Aes128Kernel* aes128_aesni() {
+#if MEDSEC_ARCH_X86_64
+  static constexpr Aes128Kernel k{expand_key_aesni, encrypt_block_aesni};
+  return __builtin_cpu_supports("aes") != 0 ? &k : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace detail
+
+Aes128::Aes128(std::span<const std::uint8_t> key) {
+  if (key.size() != kKeyBytes)
+    throw std::invalid_argument("Aes128: key must be 16 bytes");
+  kernel().expand_key(key.data(), round_key_);
+}
+
+void Aes128::encrypt_block(std::span<const std::uint8_t> in,
+                           std::span<std::uint8_t> out) const {
+  kernel().encrypt_block(round_key_, in.data(), out.data());
 }
 
 void Aes128::decrypt_block(std::span<const std::uint8_t> in,

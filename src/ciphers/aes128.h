@@ -1,9 +1,14 @@
 // aes128.h — AES-128 (FIPS 197).
 //
-// Table-based S-box implementation; round keys are expanded once at
-// construction. This is the host-side reference cipher for the protocol
-// layer — the *hardware cost* of an AES core on the modeled device comes
-// from hw/gates.h, not from profiling this code.
+// Round keys are expanded once at construction. On x86-64 hosts whose
+// CPUID reports AES-NI, the key expansion (AESKEYGENASSIST) and block
+// encryption (AESENC/AESENCLAST) run on the instructions; everywhere else
+// they run the byte-wise table code, whose S-box lookups are indexed by
+// secret bytes. The choice is made once per process and yields the same
+// round-key and ciphertext bytes. Decryption has no caller on the serving
+// path and is always byte-wise. This is the host-side reference cipher for
+// the protocol layer — the *hardware cost* of an AES core on the modeled
+// device comes from hw/gates.h, not from profiling this code.
 #pragma once
 
 #include <array>
@@ -19,6 +24,9 @@ class Aes128 final : public BlockCipher {
   static constexpr std::size_t kBlockBytes = 16;
   static constexpr std::size_t kKeyBytes = 16;
   static constexpr int kRounds = 10;
+  /// The 11 round keys in FIPS-197 byte order (w[4r..4r+3], each word's
+  /// bytes in order).
+  using RoundKeys = std::array<std::array<std::uint8_t, 16>, kRounds + 1>;
 
   explicit Aes128(std::span<const std::uint8_t> key);
 
@@ -32,8 +40,27 @@ class Aes128 final : public BlockCipher {
                      std::span<std::uint8_t> out) const override;
 
  private:
-  // Round keys as 4x4 byte matrices, 11 of them.
-  std::array<std::array<std::uint8_t, 16>, kRounds + 1> round_key_{};
+  RoundKeys round_key_{};
 };
+
+namespace detail {
+
+/// One AES-128 implementation: the FIPS-197 key expansion of a 16-byte
+/// key, and the encryption of one 16-byte block (`in` may equal `out`).
+struct Aes128Kernel {
+  void (*expand_key)(const std::uint8_t* key, Aes128::RoundKeys& rk);
+  void (*encrypt_block)(const Aes128::RoundKeys& rk, const std::uint8_t* in,
+                        std::uint8_t* out);
+};
+
+/// The byte-wise kernel: the only one on hosts without AES-NI, and the
+/// reference the tests compare the hardware kernel against.
+const Aes128Kernel& aes128_portable();
+
+/// The AES-NI kernel, or nullptr where the build is not x86-64 or CPUID
+/// lacks AES-NI. Aes128 runs it wherever it is available.
+const Aes128Kernel* aes128_aesni();
+
+}  // namespace detail
 
 }  // namespace medsec::ciphers

@@ -13,23 +13,49 @@ namespace medsec::engine {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 (Kounavis and Berry, IEEE Trans. Computers 2008): table k
+// holds the CRC contribution of a byte with k more bytes of its 8-byte chunk
+// after it, so one chunk costs eight independent lookups. Table 0 is the
+// bytewise table; each next one is derived from it.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
   return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// Little-endian word of p[0..3], assembled from bytes on any host.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

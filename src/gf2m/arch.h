@@ -2,7 +2,9 @@
 //
 // One place defines the architecture gates (MEDSEC_ARCH_X86_64 /
 // MEDSEC_ARCH_AARCH64) and the runtime CPUID predicates the lane
-// registry dispatches on. The hardware paths use GCC/Clang-only
+// registry dispatches on. The AES-NI and SHA-NI kernels of
+// ciphers/aes128.cpp and hash/sha256.cpp compile under the same x86-64
+// gate. The hardware paths use GCC/Clang-only
 // constructs (target attributes, __builtin_cpu_supports), so the gates
 // require those compilers too; other compilers fall back to the software
 // (karatsuba / per-lane scalar) backends.

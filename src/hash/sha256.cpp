@@ -1,7 +1,10 @@
 #include "hash/sha256.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#include "gf2m/arch.h"
 
 namespace medsec::hash {
 
@@ -18,62 +21,10 @@ constexpr std::uint32_t kK[64] = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-}  // namespace
 
-void Sha256::reset() {
-  state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-            0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
-  total_bytes_ = 0;
-  buffer_len_ = 0;
-}
+// --- portable compression --------------------------------------------------------
 
-void Sha256::update(std::span<const std::uint8_t> data) {
-  if (data.empty()) return;  // also keeps nullptr out of memcpy (UB)
-  total_bytes_ += data.size();
-  std::size_t off = 0;
-  if (buffer_len_ != 0) {
-    const std::size_t take = std::min(kBlockSize - buffer_len_, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
-    buffer_len_ += take;
-    off += take;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
-  while (off + kBlockSize <= data.size()) {
-    process_block(data.data() + off);
-    off += kBlockSize;
-  }
-  if (off < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
-    buffer_len_ = data.size() - off;
-  }
-}
-
-Sha256::Digest Sha256::finish() {
-  const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update({&zero, 1});
-  std::array<std::uint8_t, 8> len_be{};
-  for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(len_be);
-
-  Digest out{};
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  reset();
-  return out;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void compress_block(Sha256::State& state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[4 * i]} << 24) |
@@ -89,8 +40,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t S1 =
         std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
@@ -109,14 +60,160 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+// --- SHA-NI compression ------------------------------------------------------------
+
+#if MEDSEC_ARCH_X86_64
+
+// SHA256RNDS2 keeps the state as two words-of-four, ABEF and CDGH, and runs
+// two rounds per instruction on the low two words of its W + K operand. Each
+// 4-round group g adds K[4g..4g+3] to the schedule words W[4g..4g+3], held in
+// msg[g % 4]: the first four groups load them from the block (big-endian
+// words), the later twelve compute them from the four before with
+// SHA256MSG1 (the sigma0 terms), an add of W[t-7] and SHA256MSG2 (the sigma1
+// terms). Register names list the words from the high lane down.
+__attribute__((target("sha,ssse3,sse4.1"))) void compress_shani(
+    Sha256::State& state, const std::uint8_t* blocks, std::size_t n) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; n > 0; --n, blocks += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& w = msg[g % 4];
+      if (g < 4) {
+        w = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+            bswap);
+      } else {
+        const __m128i& w1 = msg[(g + 1) % 4];  // W[4g-12..4g-9]
+        const __m128i& w2 = msg[(g + 2) % 4];  // W[4g-8..4g-5]
+        const __m128i& w3 = msg[(g + 3) % 4];  // W[4g-4..4g-1]
+        w = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w, w1),
+                          _mm_alignr_epi8(w3, w2, 4)),
+            w3);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // MEDSEC_ARCH_X86_64
+
+// The compression this process runs, chosen once from CPUID.
+detail::Sha256Compress compress() {
+  static const detail::Sha256Compress c =
+      detail::sha256_compress_shani() != nullptr
+          ? detail::sha256_compress_shani()
+          : detail::sha256_compress_portable;
+  return c;
+}
+
+}  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(Sha256::State& state, const std::uint8_t* blocks,
+                              std::size_t n) {
+  for (; n > 0; --n, blocks += Sha256::kBlockSize) compress_block(state, blocks);
+}
+
+Sha256Compress sha256_compress_shani() {
+#if MEDSEC_ARCH_X86_64
+  return __builtin_cpu_supports("sha") != 0 &&
+                 __builtin_cpu_supports("sse4.1") != 0
+             ? compress_shani
+             : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace detail
+
+void Sha256::reset() {
+  state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+            0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  total_bytes_ = 0;
+  buffer_len_ = 0;
+}
+
+void Sha256::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return;  // also keeps nullptr out of memcpy (UB)
+  total_bytes_ += data.size();
+  std::size_t off = 0;
+  if (buffer_len_ != 0) {
+    const std::size_t take = std::min(kBlockSize - buffer_len_, data.size());
+    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    buffer_len_ += take;
+    off += take;
+    if (buffer_len_ == kBlockSize) {
+      compress()(state_, buffer_.data(), 1);
+      buffer_len_ = 0;
+    }
+  }
+  const std::size_t blocks = (data.size() - off) / kBlockSize;
+  if (blocks != 0) {
+    compress()(state_, data.data() + off, blocks);
+    off += blocks * kBlockSize;
+  }
+  if (off < data.size()) {
+    std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
+    buffer_len_ = data.size() - off;
+  }
+}
+
+Sha256::Digest Sha256::finish() {
+  const std::uint64_t bit_len = total_bytes_ * 8;
+  // 0x80, zeros up to 56 mod 64, then the bit length big-endian: one update
+  // that ends on a block boundary.
+  std::array<std::uint8_t, kBlockSize + 8> pad{};
+  pad[0] = 0x80;
+  const std::size_t len_at = 1 + (kBlockSize + 55 - buffer_len_) % kBlockSize;
+  for (std::size_t i = 0; i < 8; ++i)
+    pad[len_at + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  update({pad.data(), len_at + 8});
+
+  Digest out{};
+  for (int i = 0; i < 8; ++i) {
+    out[4 * i + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+  }
+  reset();
+  return out;
 }
 
 }  // namespace medsec::hash

@@ -214,18 +214,18 @@ class VonNeumannDebiaser {
   /// Feed one raw bit; returns the debiased bit when a pair completes with
   /// differing values.
   std::optional<int> feed(int bit) {
-    if (!pending_) {
-      pending_ = bit + 1;  // store as 1/2 to distinguish from "none"
+    if (pending_ < 0) {
+      pending_ = bit;
       return std::nullopt;
     }
-    const int first = *pending_ - 1;
-    pending_.reset();
+    const int first = pending_;
+    pending_ = -1;
     if (first == bit) return std::nullopt;
     return first;
   }
 
  private:
-  std::optional<int> pending_;
+  int pending_ = -1;  // first bit of the open pair; -1 when none is open
 };
 
 /// A TRNG with the SP 800-90B repetition-count test wired in-line: every

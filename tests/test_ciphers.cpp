@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "ciphers/aes128.h"
@@ -70,6 +71,45 @@ TEST(Aes128, Metadata) {
   EXPECT_EQ(aes.block_bytes(), 16u);
   EXPECT_EQ(aes.key_bytes(), 16u);
   EXPECT_EQ(aes.name(), "AES-128");
+}
+
+// Aes128 runs the AES-NI kernel wherever CPUID has it, so the byte-wise
+// kernel is reached through detail:: here to keep it tested on such hosts.
+TEST(Aes128, PortableKernelFips197Example) {
+  const auto& sw = ci::detail::aes128_portable();
+  const auto key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  ci::Aes128::RoundKeys rk{};
+  sw.expand_key(key.data(), rk);
+  EXPECT_EQ(to_hex(rk[10]), "d014f9a8c9ee2589e13f0cc8b6630ca6");  // A.1
+  auto block = from_hex("3243f6a8885a308d313198a2e0370734");       // B
+  sw.encrypt_block(rk, block.data(), block.data());
+  EXPECT_EQ(to_hex(block), "3925841d02dc09fbdc118597196a0b32");
+}
+
+TEST(Aes128, AesniKernelMatchesPortable) {
+  const auto* hw = ci::detail::aes128_aesni();
+  if (hw == nullptr) GTEST_SKIP() << "CPU lacks AES-NI";
+  const auto& sw = ci::detail::aes128_portable();
+  medsec::rng::Xoshiro256 rng(0xAE5);
+  for (int i = 0; i < 10000; ++i) {
+    std::array<std::uint8_t, 16> key{}, pt{};
+    rng.fill(key);
+    rng.fill(pt);
+    ci::Aes128::RoundKeys rk_sw{}, rk_hw{};
+    sw.expand_key(key.data(), rk_sw);
+    hw->expand_key(key.data(), rk_hw);
+    ASSERT_EQ(rk_hw, rk_sw) << "key #" << i;
+
+    std::array<std::uint8_t, 16> ct_sw{}, ct_hw{};
+    sw.encrypt_block(rk_sw, pt.data(), ct_sw.data());
+    hw->encrypt_block(rk_sw, pt.data(), ct_hw.data());
+    ASSERT_EQ(ct_hw, ct_sw) << "block #" << i;
+    auto in_place_sw = pt, in_place_hw = pt;  // in == out
+    sw.encrypt_block(rk_sw, in_place_sw.data(), in_place_sw.data());
+    hw->encrypt_block(rk_sw, in_place_hw.data(), in_place_hw.data());
+    ASSERT_EQ(in_place_sw, ct_sw) << "block #" << i;
+    ASSERT_EQ(in_place_hw, ct_sw) << "block #" << i;
+  }
 }
 
 // --- PRESENT (Bogdanov et al., CHES 2007, Table 2) ----------------------------

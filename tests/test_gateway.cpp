@@ -264,9 +264,26 @@ TEST(EventQueue, MatchesReferenceModel) {
 
 // --- framed transport --------------------------------------------------------
 
+// Reflected CRC-32 (polynomial 0xEDB88320) one bit at a time.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
 TEST(Transport, Crc32KnownVector) {
   const std::uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(engine::crc32(msg), 0xCBF43926u);
+  // Every length 0-130: each count of 8-byte chunks with each tail length.
+  std::vector<std::uint8_t> bytes(130);
+  Xoshiro256(0xC4C).fill(bytes);
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    const std::span<const std::uint8_t> data(bytes.data(), len);
+    EXPECT_EQ(engine::crc32(data), crc32_bitwise(data)) << len;
+  }
 }
 
 TEST(Transport, FrameRoundtripAllTypes) {

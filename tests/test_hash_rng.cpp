@@ -5,6 +5,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "hash/hmac.h"
 #include "hash/sha1.h"
@@ -87,6 +88,56 @@ TEST(Sha256, BoundaryLengths) {
     for (const auto b : msg) h.update({&b, 1});
     EXPECT_EQ(to_hex(h.finish()), to_hex(Sha256::digest(msg))) << len;
   }
+}
+
+// Sha256 runs the SHA-NI compression wherever CPUID has it, so the portable
+// one is reached through detail:: here to keep it tested on such hosts. The
+// padding below is written from FIPS 180-4 section 5.1.1, independently of
+// Sha256::finish; lengths 0-300 cover every padding shape and up to five
+// blocks per compression call.
+Sha256::Digest digest_through(medsec::hash::detail::Sha256Compress compress,
+                              std::span<const std::uint8_t> msg) {
+  std::vector<std::uint8_t> m(msg.begin(), msg.end());
+  m.push_back(0x80);
+  while (m.size() % Sha256::kBlockSize != 56) m.push_back(0);
+  const std::uint64_t bits = msg.size() * 8;
+  for (int i = 7; i >= 0; --i)
+    m.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  Sha256::State s = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+                     0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  compress(s, m.data(), m.size() / Sha256::kBlockSize);
+  Sha256::Digest out{};
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = static_cast<std::uint8_t>(s[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+std::vector<std::vector<std::uint8_t>> messages_of_every_length() {
+  medsec::rng::Xoshiro256 rng(0x5A256);
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    out.emplace_back(len);
+    rng.fill(out.back());
+  }
+  return out;
+}
+
+TEST(Sha256, PortableCompressionMatchesDigestAtEveryLength) {
+  for (const auto& msg : messages_of_every_length())
+    ASSERT_EQ(to_hex(digest_through(
+                  medsec::hash::detail::sha256_compress_portable, msg)),
+              to_hex(Sha256::digest(msg)))
+        << msg.size();
+}
+
+TEST(Sha256, ShaniCompressionMatchesPortableAtEveryLength) {
+  const auto shani = medsec::hash::detail::sha256_compress_shani();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks SHA-NI";
+  for (const auto& msg : messages_of_every_length())
+    ASSERT_EQ(to_hex(digest_through(shani, msg)),
+              to_hex(digest_through(
+                  medsec::hash::detail::sha256_compress_portable, msg)))
+        << msg.size();
 }
 
 // --- HMAC / HKDF ----------------------------------------------------------------
