@@ -364,6 +364,7 @@ std::vector<CtTarget> ct_audit_targets() {
 namespace {
 
 using TaintBit = Tainted<std::uint64_t>;
+using TaintOps = ecc::ValueOps<TaintFe>;
 
 /// Tainted MSB-first bits of a scalar at a fixed length.
 std::vector<TaintBit> taint_bits(const auto& k, std::size_t nbits) {
@@ -392,9 +393,10 @@ TaintLadderResult taint_audit_ladder_classic(const Curve& curve,
 
   // Exactly montgomery_ladder_raw's schedule over the audited field: the
   // same ladder_*_t templates, skipping the processed leading 1.
-  auto s = ecc::ladder_initial_state_t<TaintFe>(b, x);
+  auto s = ecc::ladder_initial_state_t<TaintOps>(b, x);
+  ecc::LadderTempsT<TaintFe> tmp;
   for (std::size_t i = 1; i < bits.size(); ++i)
-    ecc::ladder_iteration_t<TaintFe>(b, curve.b_is_one(), x, s, bits[i]);
+    ecc::ladder_iteration_t<TaintOps>(b, curve.b_is_one(), x, s, bits[i], tmp);
 
   return TaintLadderResult{ctx.report(), declassify_state(s)};
 }
@@ -411,8 +413,9 @@ TaintLadderResult taint_audit_ladder_blinded(const Curve& curve,
   // montgomery_ladder_fixed_raw's schedule: neutral start, every bit
   // processed, leading zeros included.
   auto s = ecc::ladder_zero_state_t(x);
+  ecc::LadderTempsT<TaintFe> tmp;
   for (const TaintBit& bit : bits)
-    ecc::ladder_iteration_t<TaintFe>(b, curve.b_is_one(), x, s, bit);
+    ecc::ladder_iteration_t<TaintOps>(b, curve.b_is_one(), x, s, bit, tmp);
 
   return TaintLadderResult{ctx.report(), declassify_state(s)};
 }

@@ -1,9 +1,9 @@
 // taint_fe.h — GF(2^163) field element over tainted limbs, for the
 // secret-taint audit of the ladder core.
 //
-// TaintFe satisfies both the Ops and the FE contract of ecc/ladder_core.h
-// (mul / sqr / mul_add_mul / sqr_add_mul, and cswap / zero / one /
-// operator+) with three Tainted<uint64_t> limbs, so the audit build
+// TaintFe is the FE of ecc/ladder_core.h (cswap / zero / one / operator+)
+// and, through ecc::ValueOps<TaintFe>, its Ops (mul / sqr / mul_add_mul /
+// sqr_add_mul), with three Tainted<uint64_t> limbs, so the audit build
 // instantiates the *same* ladder formulas the production Gf163 runs. The
 // arithmetic here is a deliberately branch-free reference implementation:
 //

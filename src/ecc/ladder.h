@@ -72,6 +72,7 @@ void ladder_double(const Fe& b, const Fe& x, const Fe& z, Fe& x3, Fe& z3);
 /// the constant-time audit harness instantiates the same core with its
 /// taint-tracking field element.
 using LadderState = LadderStateT<Fe>;
+using LadderTemps = LadderTempsT<Fe>;
 
 /// Unrandomized initial state for base-point x (projective 1-coordinates).
 LadderState ladder_initial_state(const Fe& b, const Fe& x);
@@ -89,10 +90,10 @@ void randomize_ladder_state(LadderState& s, const Fe& l1, const Fe& l2);
 /// even though bitlen(k + r·n) varies with r.
 LadderState ladder_zero_state(const Fe& x);
 
-/// One ladder iteration for key bit `bit` (cswap / add+double / cswap).
-/// This exact function is shared by the victim (montgomery_ladder) and by
-/// the modeled DPA adversary's hypothesis engine, so predictions and
-/// reality can never drift apart by implementation detail.
+/// One ladder iteration for key bit `bit` (cswap / add+double / cswap):
+/// ladder_iteration_t, the formula the victim (montgomery_ladder), the
+/// lockstep lanes and the modeled DPA adversary's hypotheses all run, so
+/// predictions and reality can never drift apart by implementation detail.
 void ladder_iteration(const Fe& b, const Fe& x_base, LadderState& s,
                       std::uint64_t bit);
 
@@ -166,14 +167,5 @@ std::vector<Point> recover_from_ladder_batch(
 /// point of that order, but the bit length (and hence the ladder's
 /// iteration count) becomes a key-independent curve constant.
 Scalar constant_length_scalar(const Curve& curve, const Scalar& k);
-
-/// Field-operation budget of one ladder iteration (used by the
-/// architecture-level model to build the microcode schedule):
-/// 6 multiplications, 5 squarings, 3 additions.
-struct LadderIterationCost {
-  static constexpr int kMultiplications = 6;
-  static constexpr int kSquarings = 5;
-  static constexpr int kAdditions = 3;
-};
 
 }  // namespace medsec::ecc

@@ -87,32 +87,32 @@ extern template struct LadderArith<gf2m::ClmulOps>;
 template <class Ops>
 void LadderArith<Ops>::add(const Fe& xd, const Fe& x1, const Fe& z1,
                            const Fe& x2, const Fe& z2, Fe& x3, Fe& z3) {
-  ladder_add_t<Ops>(xd, x1, z1, x2, z2, x3, z3);
+  LadderTemps r;
+  ladder_add_t<ValueOps<Ops>>(xd, x1, z1, x2, z2, x3, z3, r);
 }
 
 template <class Ops>
 void LadderArith<Ops>::dbl(const Fe& b, const Fe& x, const Fe& z, Fe& x3,
                            Fe& z3) {
-  ladder_double_t<Ops>(b, b == Fe::one(), x, z, x3, z3);
+  LadderTemps r;
+  ladder_double_t<ValueOps<Ops>>(b, b == Fe::one(), x, z, x3, z3, r);
 }
 
 template <class Ops>
 LadderState LadderArith<Ops>::initial_state(const Fe& b, const Fe& x) {
-  return ladder_initial_state_t<Ops>(b, x);
+  return ladder_initial_state_t<ValueOps<Ops>>(b, x);
 }
 
 template <class Ops>
 void LadderArith<Ops>::randomize(LadderState& s, const Fe& l1, const Fe& l2) {
-  s.x1 = Ops::mul(s.x1, l1);
-  s.z1 = Ops::mul(s.z1, l1);
-  s.x2 = Ops::mul(s.x2, l2);
-  s.z2 = Ops::mul(s.z2, l2);
+  ladder_randomize_t<ValueOps<Ops>>(s, l1, l2);
 }
 
 template <class Ops>
 void LadderArith<Ops>::iteration(const Fe& b, const Fe& x_base,
                                  LadderState& s, std::uint64_t bit) {
-  ladder_iteration_t<Ops>(b, b == Fe::one(), x_base, s, bit);
+  LadderTemps r;
+  ladder_iteration_t<ValueOps<Ops>>(b, b == Fe::one(), x_base, s, bit, r);
 }
 
 /// §7 projective randomization of a fresh ladder state: (x1, z1) *= l1,
@@ -148,9 +148,11 @@ void LadderArith<Ops>::run(const Curve& curve, const Fe& x, const K& k,
   // observer is installed the iteration body is pure field arithmetic and
   // no LadderObservation is ever materialized.
   const bool has_observer = static_cast<bool>(options.observer);
+  LadderTemps r;
   for (std::size_t i = iterations; i-- > 0;) {
     const std::uint64_t bit = k.bit(i) ? 1 : 0;
-    ladder_iteration_t<Ops>(curve.b(), curve.b_is_one(), x, s, bit);
+    ladder_iteration_t<ValueOps<Ops>>(curve.b(), curve.b_is_one(), x, s, bit,
+                                      r);
     if (has_observer) {
       options.observer(LadderObservation{
           .bit_index = i,

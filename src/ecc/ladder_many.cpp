@@ -6,42 +6,10 @@
 
 namespace medsec::ecc {
 
-void ladder_add_lanes(const LaneBatch& xd, const LaneBatch& x1,
-                      const LaneBatch& z1, const LaneBatch& x2,
-                      const LaneBatch& z2, LaneBatch& xa, LaneBatch& za,
-                      LaneLadderScratch& scr) {
-  LaneBatch::mul(x1, z2, scr.t);
-  LaneBatch::mul(x2, z1, scr.u);
-  LaneBatch::add(scr.t, scr.u, scr.s);
-  LaneBatch::sqr(scr.s, za);
-  LaneBatch::mul_add_mul(xd, za, scr.t, scr.u, xa);  // xd·za + t·u
-}
-
-void ladder_double_lanes(const LaneBatch& b, bool b_is_one,
-                         const LaneBatch& x, const LaneBatch& z,
-                         LaneBatch& x3, LaneBatch& z3, LaneLadderScratch& scr) {
-  LaneBatch::sqr(x, scr.xs);
-  LaneBatch::sqr(z, scr.zs);
-  LaneBatch::mul(scr.xs, scr.zs, z3);
-  if (b_is_one) {
-    LaneBatch::add(scr.xs, scr.zs, scr.zss);
-    LaneBatch::sqr(scr.zss, x3);  // (xs + zs)^2
-  } else {
-    LaneBatch::sqr(scr.zs, scr.zss);
-    LaneBatch::sqr_add_mul(scr.xs, b, scr.zss, x3);  // xs^2 + b·zs^2
-  }
-}
-
 void LadderManyWorkspace::resize(std::size_t n) {
   s.resize(n);
-  scr.resize(n);
-  b_lanes.resize(n);
-  xd.resize(n);
-  xa.resize(n);
-  za.resize(n);
-  xdbl.resize(n);
-  zdbl.resize(n);
-  rand_lanes.resize(n);
+  tmp.resize(n);
+  for (LaneBatch* r : {&b_lanes, &xd, &l1, &l2}) r->resize(n);
   padded.resize(n);
   choices.resize(n);
 }
@@ -76,50 +44,29 @@ void run_lockstep(const Curve& curve, const Point* ps, std::size_t n,
   // Start state per lane: the classic entry consumes the scalar's leading
   // 1 as (P, 2P); the wide entry starts from the neutral (O, P) so leading
   // zeros are processed correctly.
-  for (std::size_t i = 0; i < n; ++i) {
-    const LadderState init = zero_start ? ladder_zero_state(ps[i].x)
-                                        : ladder_initial_state(b, ps[i].x);
-    s.x1.set(i, init.x1);
-    s.z1.set(i, init.z1);
-    s.x2.set(i, init.x2);
-    s.z2.set(i, init.z2);
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    s.set_lane_state(i, zero_start ? ladder_zero_state(ps[i].x)
+                                   : ladder_initial_state(b, ps[i].x));
 
   if (options.randomizers != nullptr) {
-    LaneBatch& l = ws.rand_lanes;
     for (std::size_t i = 0; i < n; ++i) {
-      if (options.randomizers[i].first.is_zero() ||
-          options.randomizers[i].second.is_zero())
+      const auto& [l1, l2] = options.randomizers[i];
+      if (l1.is_zero() || l2.is_zero())
         throw std::invalid_argument("ladder_many: zero randomizer");
-      l.set(i, options.randomizers[i].first);
+      ws.l1.set(i, l1);
+      ws.l2.set(i, l2);
     }
-    LaneBatch::mul(s.x1, l, s.x1);
-    LaneBatch::mul(s.z1, l, s.z1);
-    for (std::size_t i = 0; i < n; ++i)
-      l.set(i, options.randomizers[i].second);
-    LaneBatch::mul(s.x2, l, s.x2);
-    LaneBatch::mul(s.z2, l, s.z2);
+    ladder_randomize_t<LaneBatch>(s, ws.l1, ws.l2);
   }
 
   const bool has_observer = static_cast<bool>(options.observer);
 
   for (std::size_t i = iterations; i-- > 0;) {
     for (std::size_t j = 0; j < n; ++j) ws.choices[j] = bit_of(j, i);
-
-    // One lockstep ladder_iteration: cswap / add+double / cswap, every
-    // field op batched across the n lanes.
-    LaneBatch::cswap(ws.choices.data(), s.x1, s.x2);
-    LaneBatch::cswap(ws.choices.data(), s.z1, s.z2);
-    ladder_add_lanes(ws.xd, s.x1, s.z1, s.x2, s.z2, ws.xa, ws.za, ws.scr);
-    ladder_double_lanes(ws.b_lanes, curve.b_is_one(), s.x1, s.z1, ws.xdbl,
-                        ws.zdbl, ws.scr);
-    std::swap(s.x1, ws.xdbl);
-    std::swap(s.z1, ws.zdbl);
-    std::swap(s.x2, ws.xa);
-    std::swap(s.z2, ws.za);
-    LaneBatch::cswap(ws.choices.data(), s.x1, s.x2);
-    LaneBatch::cswap(ws.choices.data(), s.z1, s.z2);
-
+    // The scalar ladder's iteration, every field op batched across the n
+    // lanes.
+    ladder_iteration_t<LaneBatch>(ws.b_lanes, curve.b_is_one(), ws.xd, s,
+                                  ws.choices.data(), ws.tmp);
     if (has_observer) options.observer(i, s);
   }
 

@@ -22,8 +22,10 @@
 // Bit-exactness contract: lane i of ladder_many() evolves through exactly
 // the field operations (same fusions, same order) of the scalar
 // montgomery_ladder_raw(), so per-lane observations — the trace
-// simulator's leakage taps — are bit-identical to a serial run. The
-// determinism tests assert this.
+// simulator's leakage taps — are bit-identical to a serial run. It holds
+// by construction: the iteration and the Z-randomization are the
+// ladder_core.h templates over Gf163xN. The determinism tests assert it;
+// the lane tests also check against affine double-and-add.
 #pragma once
 
 #include <functional>
@@ -40,19 +42,20 @@ namespace medsec::ecc {
 using LaneBatch = gf2m::Gf163xN;
 
 /// The four working registers of N lockstep ladders.
-struct LadderLanes {
-  LaneBatch x1, z1, x2, z2;
-
+struct LadderLanes : LadderStateT<LaneBatch> {
   void resize(std::size_t n) {
-    x1.resize(n);
-    z1.resize(n);
-    x2.resize(n);
-    z2.resize(n);
+    for (LaneBatch* r : {&x1, &z1, &x2, &z2}) r->resize(n);
   }
   std::size_t lanes() const { return x1.lanes(); }
 
   LadderState lane_state(std::size_t i) const {
     return LadderState{x1.get(i), z1.get(i), x2.get(i), z2.get(i)};
+  }
+  void set_lane_state(std::size_t i, const LadderState& v) {
+    x1.set(i, v.x1);
+    z1.set(i, v.z1);
+    x2.set(i, v.x2);
+    z2.set(i, v.z2);
   }
   /// Register-transfer Hamming weight of lane i (the DPA leakage unit;
   /// matches hamming weight of the scalar LadderObservation registers).
@@ -73,36 +76,6 @@ struct LadderLanes {
   }
 };
 
-/// Scratch batches for the lane forms of ladder_add / ladder_double.
-/// Allocate once, reuse across iterations and traces (the campaign
-/// engine's no-per-trace-allocation contract).
-struct LaneLadderScratch {
-  LaneBatch t, u, s, xs, zs, zss;
-  void resize(std::size_t n) {
-    t.resize(n);
-    u.resize(n);
-    s.resize(n);
-    xs.resize(n);
-    zs.resize(n);
-    zss.resize(n);
-  }
-};
-
-/// Lane form of ladder_add: za = (X1 Z2 + X2 Z1)^2, xa = xd·za + t·u.
-/// Same operation order and lazy-reduction fusions as the scalar
-/// ladder_add, so results are bit-identical lane by lane.
-void ladder_add_lanes(const LaneBatch& xd, const LaneBatch& x1,
-                      const LaneBatch& z1, const LaneBatch& x2,
-                      const LaneBatch& z2, LaneBatch& xa, LaneBatch& za,
-                      LaneLadderScratch& scr);
-
-/// Lane form of ladder_double: x3 = X^4 + b Z^4, z3 = X^2 Z^2. With
-/// b_is_one (Curve::b_is_one) the b lanes are not read and x3 is
-/// (X^2 + Z^2)^2, as in the scalar doubling.
-void ladder_double_lanes(const LaneBatch& b, bool b_is_one,
-                         const LaneBatch& x, const LaneBatch& z,
-                         LaneBatch& x3, LaneBatch& z3, LaneLadderScratch& scr);
-
 struct BatchLadderOptions {
   /// Per-lane Z-randomizers (n pairs; the §7 randomized-projective-
   /// coordinates countermeasure), or nullptr for the unrandomized ladder.
@@ -117,8 +90,8 @@ struct BatchLadderOptions {
 /// trace blocks through it without touching the allocator.
 struct LadderManyWorkspace {
   LadderLanes s;
-  LaneLadderScratch scr;
-  LaneBatch b_lanes, xd, xa, za, xdbl, zdbl, rand_lanes;
+  LadderTempsT<LaneBatch> tmp;
+  LaneBatch b_lanes, xd, l1, l2;
   std::vector<Scalar> padded;
   std::vector<std::uint8_t> choices;
   void resize(std::size_t n);

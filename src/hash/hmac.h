@@ -28,24 +28,25 @@ class Hmac {
     } else {
       std::copy(key.begin(), key.end(), k.begin());
     }
+    std::array<std::uint8_t, H::kBlockSize> ipad, opad;
     for (std::size_t i = 0; i < H::kBlockSize; ++i) {
-      ipad_[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-      opad_[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+      ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+      opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
     }
+    inner_key_.update(ipad);
+    outer_key_.update(opad);
     reset();
   }
 
-  void reset() {
-    inner_.reset();
-    inner_.update(ipad_);
-  }
+  void reset() { inner_ = inner_key_; }
 
   void update(std::span<const std::uint8_t> data) { inner_.update(data); }
 
+  /// The tag of the message since construction or the last finish();
+  /// then ready for the next message under the same key.
   Digest finish() {
     const auto inner_digest = inner_.finish();
-    H outer;
-    outer.update(opad_);
+    H outer = outer_key_;
     outer.update(inner_digest);
     reset();
     return outer.finish();
@@ -59,9 +60,8 @@ class Hmac {
   }
 
  private:
-  H inner_;
-  std::array<std::uint8_t, H::kBlockSize> ipad_{};
-  std::array<std::uint8_t, H::kBlockSize> opad_{};
+  // The states after the ipad and opad blocks: no message re-hashes a pad.
+  H inner_key_, outer_key_, inner_;
 };
 
 /// HKDF-Extract + HKDF-Expand (RFC 5869).
@@ -75,8 +75,8 @@ std::vector<std::uint8_t> hkdf(std::span<const std::uint8_t> salt,
   okm.reserve(length);
   std::vector<std::uint8_t> t;
   std::uint8_t counter = 1;
+  Hmac<H> h(prk);
   while (okm.size() < length) {
-    Hmac<H> h(prk);
     h.update(t);
     h.update(info);
     h.update({&counter, 1});

@@ -105,9 +105,9 @@ DpaResult ladder_dpa_attack(const Curve& curve, const DpaExperiment& exp,
   for (std::size_t i = 0; i < bits; ++i) {
     auto extend_block = [&](std::size_t b0, std::size_t b1) {
       // Reusable per-worker lane scratch (sized on first use, kept
-      // across bits and blocks).
+      // across bits, blocks and attacks).
       thread_local ecc::LadderLanes st;
-      thread_local ecc::LaneLadderScratch scr;
+      thread_local ecc::LadderTempsT<ecc::LaneBatch> tmp;
       thread_local ecc::LaneBatch xd, blanes, xa, za, xd0, zd0, xd1, zd1;
 
       for (std::size_t blk = b0; blk < b1; ++blk) {
@@ -120,23 +120,16 @@ DpaResult ladder_dpa_attack(const Curve& curve, const DpaExperiment& exp,
           const std::size_t gn = std::min(lanes, hi - g0);
           if (st.lanes() != gn) {
             st.resize(gn);
-            scr.resize(gn);
-            xd.resize(gn);
-            blanes.resize(gn);
-            xa.resize(gn);
-            za.resize(gn);
-            xd0.resize(gn);
-            zd0.resize(gn);
-            xd1.resize(gn);
-            zd1.resize(gn);
-            blanes.fill(b);  // constant across the attack; refill on resize
+            tmp.resize(gn);
+            for (ecc::LaneBatch* r : {&xd, &blanes, &xa, &za, &xd0, &zd0,
+                                      &xd1, &zd1})
+              r->resize(gn);
           }
+          // Every group: the scratch outlives this attack, and a previous
+          // one on this thread may have run on another curve.
+          blanes.fill(b);
           for (std::size_t l = 0; l < gn; ++l) {
-            const LadderState& s = state[g0 + l];
-            st.x1.set(l, s.x1);
-            st.z1.set(l, s.z1);
-            st.x2.set(l, s.x2);
-            st.z2.set(l, s.z2);
+            st.set_lane_state(l, state[g0 + l]);
             xd.set(l, exp.base_points[g0 + l].x);
           }
 
@@ -144,11 +137,12 @@ DpaResult ladder_dpa_attack(const Curve& curve, const DpaExperiment& exp,
           // share it; only the doubling differs (hyp 0 doubles the low
           // accumulator, hyp 1 the high one). One add + two doublings
           // replaces the reference path's two full ladder iterations.
-          ecc::ladder_add_lanes(xd, st.x1, st.z1, st.x2, st.z2, xa, za, scr);
-          ecc::ladder_double_lanes(blanes, curve.b_is_one(), st.x1, st.z1,
-                                   xd0, zd0, scr);
-          ecc::ladder_double_lanes(blanes, curve.b_is_one(), st.x2, st.z2,
-                                   xd1, zd1, scr);
+          ecc::ladder_add_t<ecc::LaneBatch>(xd, st.x1, st.z1, st.x2, st.z2, xa,
+                                            za, tmp);
+          ecc::ladder_double_t<ecc::LaneBatch>(blanes, curve.b_is_one(), st.x1,
+                                               st.z1, xd0, zd0, tmp);
+          ecc::ladder_double_t<ecc::LaneBatch>(blanes, curve.b_is_one(), st.x2,
+                                               st.z2, xd1, zd1, tmp);
 
           for (std::size_t l = 0; l < gn; ++l) {
             const std::size_t j = g0 + l;

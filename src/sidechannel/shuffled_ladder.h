@@ -57,6 +57,7 @@ ecc::LadderState shuffled_ladder_raw_t(
   std::size_t dummies_left = dummy_iterations;
   std::size_t next_real = 0;
   const bool has_observer = static_cast<bool>(observer);
+  ecc::LadderTemps tmp;
   for (std::size_t s = 0; s < total; ++s) {
     // Sequential sampling (Knuth's algorithm S): every placement of the
     // D decoys among the `total` slots is equally likely.
@@ -76,7 +77,8 @@ ecc::LadderState shuffled_ladder_raw_t(
       st = &real;
       xd = &x;
     }
-    ecc::ladder_iteration_t<Ops>(b, curve.b_is_one(), *xd, *st, bit);
+    ecc::ladder_iteration_t<ecc::ValueOps<Ops>>(b, curve.b_is_one(), *xd, *st,
+                                                bit, tmp);
     if (has_observer) {
       observer(ecc::LadderObservation{
           .bit_index = total - 1 - s,

@@ -216,6 +216,24 @@ TEST(CampaignDeterminism, StreamingAttackMatchesReferenceAttack) {
                 1e-9);
   // And the engine run actually breaks the unprotected ladder.
   EXPECT_TRUE(engine.full_success);
+
+  // Both curves on this thread, K-163 first: the engine's per-thread lane
+  // registers outlive an attack, and the B-163 attack must double with
+  // its own b, not with K-163's b = 1. B-163 is also the engine's check
+  // of the general-b doubling.
+  sc::DpaConfig one_thread;
+  one_thread.threads = 1;
+  one_thread.lanes = 16;
+  one_thread.bits_to_attack = 24;
+  for (const Curve* curve : {&Curve::k163(), &Curve::b163()}) {
+    const auto e = sc::generate_dpa_traces(
+        *curve, rng.uniform_nonzero(curve->order()), 256,
+        sc::RpcScenario::kDisabled, sim);
+    const auto eng = sc::ladder_dpa_attack(*curve, e, one_thread);
+    const auto ref = sc::ladder_dpa_attack_reference(*curve, e, one_thread);
+    EXPECT_EQ(eng.recovered_bits, ref.recovered_bits) << curve->name();
+    EXPECT_EQ(eng.bits_correct, ref.bits_correct) << curve->name();
+  }
 }
 
 TEST(CampaignDeterminism, SerialBaselineKeepsPr2Shape) {

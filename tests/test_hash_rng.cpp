@@ -144,11 +144,28 @@ TEST(Sha256, ShaniCompressionMatchesPortableAtEveryLength) {
 
 TEST(Hmac, Rfc4231TestCase1And2) {
   const auto k1 = std::vector<std::uint8_t>(20, 0x0b);
+  const std::string tag1 =
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7";
+  const std::string tag2 =
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843";
   EXPECT_EQ(to_hex(medsec::hash::Hmac<Sha256>::mac(k1, bytes("Hi There"))),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+            tag1);
   EXPECT_EQ(to_hex(medsec::hash::Hmac<Sha256>::mac(
                 bytes("Jefe"), bytes("what do ya want for nothing?"))),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+            tag2);
+
+  // One object per key, reused after finish() (and after a reset() that
+  // drops a partial message): every tag starts from the keyed state.
+  medsec::hash::Hmac<Sha256> h1(k1), h2(bytes("Jefe"));
+  for (int round = 0; round < 3; ++round) {
+    h1.update(bytes("Hi "));
+    h1.update(bytes("There"));
+    EXPECT_EQ(to_hex(h1.finish()), tag1) << "round " << round;
+    h2.update(bytes("discarded"));
+    h2.reset();
+    h2.update(bytes("what do ya want for nothing?"));
+    EXPECT_EQ(to_hex(h2.finish()), tag2) << "round " << round;
+  }
 }
 
 TEST(Hmac, Rfc4231LongKey) {
@@ -167,6 +184,26 @@ TEST(Hkdf, Rfc5869TestCase1) {
   EXPECT_EQ(to_hex(okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
+
+  // Every length 1-200 (one to seven blocks, every tail) against RFC 5869
+  // §2.3 spelled out with one-shot MACs: T(i) = HMAC(PRK, T(i-1) | info | i).
+  using Mac = medsec::hash::Hmac<Sha256>;
+  const auto prk = Mac::mac(salt, ikm);
+  std::vector<std::uint8_t> stream, t;
+  for (std::uint8_t i = 1; stream.size() < 200; ++i) {
+    std::vector<std::uint8_t> msg = t;
+    msg.insert(msg.end(), info.begin(), info.end());
+    msg.push_back(i);
+    const auto block = Mac::mac(prk, msg);
+    t.assign(block.begin(), block.end());
+    stream.insert(stream.end(), t.begin(), t.end());
+  }
+  for (std::size_t len = 1; len <= 200; ++len) {
+    const auto out = medsec::hash::hkdf<Sha256>(salt, ikm, info, len);
+    ASSERT_EQ(out, std::vector<std::uint8_t>(stream.begin(),
+                                             stream.begin() + len))
+        << "length " << len;
+  }
 }
 
 TEST(Hash, ConstantTimeEqual) {

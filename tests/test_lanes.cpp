@@ -252,6 +252,12 @@ TEST_P(LaneBackends, BatchedLadderMatchesScalarLadder) {
         EXPECT_EQ(ref.x2, batch[i].x2) << "lane " << i;
         EXPECT_EQ(ref.z2, batch[i].z2) << "lane " << i;
         EXPECT_EQ(scalar_hw, batch_hw[i]) << "leakage tap mismatch, lane " << i;
+        // The lanes and montgomery_ladder_raw share ladder_core.h, so also
+        // check x(k·P) against affine double-and-add, which shares no
+        // formula with the ladder.
+        EXPECT_EQ(batch[i].x1 * ecc::Fe::inv(batch[i].z1),
+                  curve.scalar_mult_reference(ks[i], ps[i]).x)
+            << curve.name() << " lane " << i;
       }
     }
   }
@@ -287,6 +293,14 @@ TEST_P(LaneBackends, LadderXManyMatchesLadderXAndScalarMult) {
         EXPECT_EQ(single.has_value(), !full.infinity) << "n " << n;
         if (single) {
           EXPECT_EQ(*single, full.x) << "n " << n << " job " << i;
+        }
+        // scalar_mult runs the same ladder by default; affine
+        // double-and-add shares no formula with it.
+        const ecc::Point oracle = curve.scalar_mult_reference(ks[i], qs[i]);
+        EXPECT_EQ(xs[i].has_value(), !oracle.infinity) << "n " << n;
+        if (xs[i] && !oracle.infinity) {
+          EXPECT_EQ(*xs[i], oracle.x)
+              << curve.name() << " n " << n << " job " << i;
         }
       }
     }
