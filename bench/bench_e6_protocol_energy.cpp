@@ -20,17 +20,8 @@ namespace {
 
 using namespace medsec;
 namespace proto = protocol;
-
-proto::CipherFactory aes_factory() {
-  return [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<ciphers::BlockCipher>(new ciphers::Aes128(key));
-  };
-}
-proto::CipherFactory present_factory() {
-  return [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<ciphers::BlockCipher>(new ciphers::Present(key));
-  };
-}
+using ciphers::kAes128Suite;
+using ciphers::kPresent80Suite;
 
 void print_table() {
   bench::banner("E6: protocol energy, computation vs communication",
@@ -48,20 +39,20 @@ void print_table() {
   const auto schnorr_kp = proto::schnorr_keygen(curve, rng);
   const auto schnorr = proto::run_schnorr_session(curve, schnorr_kp, rng);
 
-  const auto keys =
-      proto::derive_session_keys(std::vector<std::uint8_t>(16, 1), 16);
+  const auto keys = proto::derive_session_keys(
+      std::vector<std::uint8_t>(16, 1), kAes128Suite);
   const std::vector<std::uint8_t> telemetry(32, 0x42);
   const auto sk_aes =
-      proto::run_mutual_auth(aes_factory(), keys, telemetry, rng);
-  const auto keys10 =
-      proto::derive_session_keys(std::vector<std::uint8_t>(16, 2), 10);
+      proto::run_mutual_auth(kAes128Suite, keys, telemetry, rng);
+  const auto keys10 = proto::derive_session_keys(
+      std::vector<std::uint8_t>(16, 2), kPresent80Suite);
   const auto sk_present =
-      proto::run_mutual_auth(present_factory(), keys10, telemetry, rng);
+      proto::run_mutual_auth(kPresent80Suite, keys10, telemetry, rng);
 
   // Store-and-forward upload (no live round-trip): ECIES to the clinic.
   const auto clinic = proto::ecies_keygen(curve, rng);
   proto::EnergyLedger ecies_ledger;
-  proto::ecies_encrypt(curve, clinic.Y, telemetry, aes_factory(), 16, rng,
+  proto::ecies_encrypt(curve, clinic.Y, telemetry, kAes128Suite, rng,
                        &ecies_ledger);
 
   struct Row {
@@ -107,9 +98,9 @@ void print_table() {
   fake_server.wrong_server_key = true;
   proto::MutualAuthConfig first, naive;
   naive.server_first = false;
-  const auto f1 = proto::run_mutual_auth(aes_factory(), keys, telemetry, rng,
+  const auto f1 = proto::run_mutual_auth(kAes128Suite, keys, telemetry, rng,
                                          first, fake_server);
-  const auto f2 = proto::run_mutual_auth(aes_factory(), keys, telemetry, rng,
+  const auto f2 = proto::run_mutual_auth(kAes128Suite, keys, telemetry, rng,
                                          naive, fake_server);
   std::printf("\nfailed-session compute energy (impersonated server):\n"
               "  server-auth-first : %.3f uJ\n"
@@ -137,12 +128,11 @@ BENCHMARK(BM_PhSession)->Unit(benchmark::kMillisecond);
 
 void BM_MutualAuthSession(benchmark::State& state) {
   rng::Xoshiro256 rng(11);
-  const auto keys =
-      proto::derive_session_keys(std::vector<std::uint8_t>(16, 1), 16);
+  const auto keys = proto::derive_session_keys(
+      std::vector<std::uint8_t>(16, 1), kAes128Suite);
   const std::vector<std::uint8_t> telemetry(32, 0x42);
-  const auto factory = aes_factory();
   for (auto _ : state) {
-    auto s = proto::run_mutual_auth(factory, keys, telemetry, rng);
+    auto s = proto::run_mutual_auth(kAes128Suite, keys, telemetry, rng);
     benchmark::DoNotOptimize(s.telemetry_delivered);
   }
 }

@@ -55,12 +55,10 @@ int main() {
   const auto pkc = protocol::run_ph_session(curve, tag, reader, rng);
 
   const auto keys = protocol::derive_session_keys(
-      std::vector<std::uint8_t>(16, 1), 16);
-  protocol::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<ciphers::BlockCipher>(new ciphers::Aes128(key));
-  };
+      std::vector<std::uint8_t>(16, 1), ciphers::kAes128Suite);
   const std::vector<std::uint8_t> telemetry(32, 0x42);
-  const auto sk = protocol::run_mutual_auth(aes, keys, telemetry, rng);
+  const auto sk =
+      protocol::run_mutual_auth(ciphers::kAes128Suite, keys, telemetry, rng);
 
   const protocol::TagCostModel cost;
   std::printf("%10s %22s %22s\n", "dist[m]", "PKC ident (PH) [uJ]",

@@ -59,10 +59,8 @@ int main() {
 
   // --- step 2: mutual auth + telemetry -----------------------------------------
   const std::vector<std::uint8_t> master(16, 0x5A);  // provisioned secret
-  const auto keys = protocol::derive_session_keys(master, 16);
-  protocol::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<ciphers::BlockCipher>(new ciphers::Aes128(key));
-  };
+  const ciphers::CipherSuite& aes = ciphers::kAes128Suite;
+  const auto keys = protocol::derive_session_keys(master, aes);
   const std::string telemetry_str = "HR=072;PACE=1.2ms@60bpm;BATT=83%";
   const std::vector<std::uint8_t> telemetry(telemetry_str.begin(),
                                             telemetry_str.end());
@@ -99,5 +97,14 @@ int main() {
               "therapy\")\n",
               drill2.telemetry_delivered ? "YES (bug!)" : "no");
 
-  return ok.telemetry_delivered && !drill2.telemetry_delivered ? 0 : 1;
+  // Every FAIL / LOST / "(bug!)" above, and an identification that did not
+  // resolve both devices to their own slots, fails the run.
+  const bool identified = id_session.identified && pump_session.identified &&
+                          id_session.identity != pump_session.identity;
+  const bool honest = ok.tag_accepted_server && ok.server_accepted_tag &&
+                      ok.telemetry_delivered;
+  const bool drills_held = !drill1.tag_accepted_server &&
+                           drill1.tag_ledger.aborted_early &&
+                           !drill2.telemetry_delivered;
+  return identified && honest && drills_held ? 0 : 1;
 }

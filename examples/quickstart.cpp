@@ -59,8 +59,8 @@ int main() {
               device_shared.result.x.to_hex().substr(0, 16).c_str());
   std::printf("  server computed  x(abG) = %s...\n",
               server_shared.x.to_hex().substr(0, 16).c_str());
-  std::printf("  shared secrets match: %s\n",
-              device_shared.result == server_shared ? "yes" : "NO (bug!)");
+  const bool agreed = device_shared.result == server_shared;
+  std::printf("  shared secrets match: %s\n", agreed ? "yes" : "NO (bug!)");
 
   // --- what validation buys you ------------------------------------------------
   ecc::Point bogus = curve.base_point();
@@ -73,5 +73,5 @@ int main() {
     std::printf("\noff-curve input point rejected before the key touched it "
                 "(invalid-curve gate)\n");
   }
-  return 0;
+  return agreed ? 0 : 1;
 }

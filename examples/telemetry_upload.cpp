@@ -33,9 +33,7 @@ int main() {
   // public key.
   const auto device_key = protocol::signature_keygen(curve, rng);
   const auto clinic_key = protocol::ecies_keygen(curve, rng);
-  protocol::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<ciphers::BlockCipher>(new ciphers::Aes128(key));
-  };
+  const ciphers::CipherSuite& aes = ciphers::kAes128Suite;
 
   const std::string records[] = {
       "2026-06-12T08:00 HR=061 HRV=48ms",
@@ -61,12 +59,11 @@ int main() {
     bundle.insert(bundle.end(), msg.begin(), msg.end());
 
     const auto ct = protocol::ecies_encrypt(curve, clinic_key.Y, bundle, aes,
-                                            16, rng, &ledger);
+                                            rng, &ledger);
     total += ledger;
 
     // ... the radio, the internet, weeks later: the clinic decrypts.
-    const auto opened =
-        protocol::ecies_decrypt(curve, clinic_key.y, ct, aes, 16);
+    const auto opened = protocol::ecies_decrypt(curve, clinic_key.y, ct, aes);
     if (!opened) {
       std::printf("  record LOST (decrypt failed)\n");
       continue;
@@ -99,10 +96,10 @@ int main() {
 
   // Tamper drill: a flipped ciphertext bit must kill the whole record.
   auto ct = protocol::ecies_encrypt(
-      curve, clinic_key.Y, std::vector<std::uint8_t>{1, 2, 3}, aes, 16, rng);
+      curve, clinic_key.Y, std::vector<std::uint8_t>{1, 2, 3}, aes, rng);
   ct.body[0] ^= 0x01;
   const bool rejected =
-      !protocol::ecies_decrypt(curve, clinic_key.y, ct, aes, 16).has_value();
+      !protocol::ecies_decrypt(curve, clinic_key.y, ct, aes).has_value();
   std::printf("\ntampered upload rejected: %s\n", rejected ? "yes" : "NO (bug!)");
   return delivered == 3 && rejected ? 0 : 1;
 }

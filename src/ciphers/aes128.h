@@ -5,8 +5,8 @@
 // encryption (AESENC/AESENCLAST) run on the instructions; everywhere else
 // they run the byte-wise table code, whose S-box lookups are indexed by
 // secret bytes. The choice is made once per process and yields the same
-// round-key and ciphertext bytes. Decryption has no caller on the serving
-// path and is always byte-wise. This is the host-side reference cipher for
+// round-key and ciphertext bytes. Only encryption exists: CTR and CMAC
+// never run the inverse cipher. This is the host-side reference cipher for
 // the protocol layer — the *hardware cost* of an AES core on the modeled
 // device comes from hw/gates.h, not from profiling this code.
 #pragma once
@@ -31,17 +31,16 @@ class Aes128 final : public BlockCipher {
   explicit Aes128(std::span<const std::uint8_t> key);
 
   std::size_t block_bytes() const override { return kBlockBytes; }
-  std::size_t key_bytes() const override { return kKeyBytes; }
-  std::string name() const override { return "AES-128"; }
 
   void encrypt_block(std::span<const std::uint8_t> in,
-                     std::span<std::uint8_t> out) const override;
-  void decrypt_block(std::span<const std::uint8_t> in,
                      std::span<std::uint8_t> out) const override;
 
  private:
   RoundKeys round_key_{};
 };
+
+/// AES-128 as a protocol suite: 16-byte keys, 16-byte blocks.
+extern const CipherSuite kAes128Suite;
 
 namespace detail {
 

@@ -81,22 +81,6 @@ std::vector<std::uint8_t> cmac(const BlockCipher& cipher,
   return x;
 }
 
-std::vector<std::uint8_t> cbc_mac(const BlockCipher& cipher,
-                                  std::span<const std::uint8_t> data) {
-  const std::size_t bs = cipher.block_bytes();
-  std::vector<std::uint8_t> x(bs, 0);
-  std::vector<std::uint8_t> block(bs, 0);
-  for (std::size_t off = 0; off < data.size(); off += bs) {
-    std::fill(block.begin(), block.end(), 0);
-    const std::size_t n = std::min(bs, data.size() - off);
-    std::copy(data.begin() + static_cast<long>(off),
-              data.begin() + static_cast<long>(off + n), block.begin());
-    for (std::size_t i = 0; i < bs; ++i) x[i] ^= block[i];
-    cipher.encrypt_block(x, x);
-  }
-  return x;
-}
-
 AeadResult encrypt_then_mac(const BlockCipher& enc_cipher,
                             const BlockCipher& mac_cipher,
                             std::span<const std::uint8_t> nonce,

@@ -1,6 +1,6 @@
-// modes.h — block-cipher modes of operation used by the protocol layer:
-// CTR encryption, CMAC (OMAC1, RFC 4493 generalized to 64-bit blocks) and
-// authenticated encrypt-then-MAC composition.
+// modes.h — the block-cipher modes the protocol layer runs: CTR
+// encryption, CMAC (OMAC1, RFC 4493 generalized to 64-bit blocks) and
+// their encrypt-then-MAC composition. Both run the cipher forward only.
 //
 // The paper's §4 requires both encryption and data authentication on the
 // pacemaker link ("a modification on the ciphertext may also lead to a
@@ -26,12 +26,6 @@ std::vector<std::uint8_t> ctr_crypt(const BlockCipher& cipher,
 std::vector<std::uint8_t> cmac(const BlockCipher& cipher,
                                std::span<const std::uint8_t> data);
 
-/// Fixed-length-message CBC-MAC (secure only when all messages authenticated
-/// under one key share a single length — the classic footgun; kept for the
-/// protocol-energy comparison and as a teaching baseline, prefer cmac()).
-std::vector<std::uint8_t> cbc_mac(const BlockCipher& cipher,
-                                  std::span<const std::uint8_t> data);
-
 struct AeadResult {
   std::vector<std::uint8_t> ciphertext;
   std::vector<std::uint8_t> tag;
@@ -43,6 +37,20 @@ AeadResult encrypt_then_mac(const BlockCipher& enc_cipher,
                             const BlockCipher& mac_cipher,
                             std::span<const std::uint8_t> nonce,
                             std::span<const std::uint8_t> plaintext);
+
+/// What a tag's energy ledger charges, in cipher blocks, for one
+/// encrypt_then_mac of `plaintext_bytes` under a `nonce_bytes` nonce:
+/// ceil(p/bb) + 1 for the CTR pass and ceil((n + p)/bb) + 1 for the CMAC
+/// (its subkey block plus one per input block). The CTR pass is charged one
+/// block beyond its keystream, as the E6 table has always counted it.
+constexpr std::size_t encrypt_then_mac_blocks(std::size_t block_bytes,
+                                              std::size_t nonce_bytes,
+                                              std::size_t plaintext_bytes) {
+  const auto pass = [block_bytes](std::size_t bytes) {
+    return (bytes + block_bytes - 1) / block_bytes + 1;
+  };
+  return pass(plaintext_bytes) + pass(nonce_bytes + plaintext_bytes);
+}
 
 /// Returns the plaintext, or an empty optional-like flag via bool: on tag
 /// mismatch the plaintext is not released.

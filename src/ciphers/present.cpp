@@ -8,8 +8,6 @@ namespace {
 
 constexpr std::uint8_t kSbox[16] = {0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD,
                                     0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2};
-constexpr std::uint8_t kInvSbox[16] = {0x5, 0xE, 0xF, 0x8, 0xC, 0x1, 0x2, 0xD,
-                                       0xB, 0x4, 0x6, 0x3, 0x0, 0x7, 0x9, 0xA};
 
 std::uint64_t load_be64(std::span<const std::uint8_t> in) {
   std::uint64_t v = 0;
@@ -31,14 +29,6 @@ std::uint64_t sbox_layer(std::uint64_t s) {
   return out;
 }
 
-std::uint64_t inv_sbox_layer(std::uint64_t s) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < 16; ++i)
-    out |= static_cast<std::uint64_t>(kInvSbox[(s >> (4 * i)) & 0xF])
-           << (4 * i);
-  return out;
-}
-
 // P(i) = 16*i mod 63 for i < 63, P(63) = 63: bit i of the state moves to
 // position P(i).
 std::uint64_t perm_layer(std::uint64_t s) {
@@ -50,20 +40,10 @@ std::uint64_t perm_layer(std::uint64_t s) {
   return out;
 }
 
-std::uint64_t inv_perm_layer(std::uint64_t s) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < 64; ++i) {
-    const int p = (i == 63) ? 63 : (16 * i) % 63;
-    out |= ((s >> p) & 1u) << i;
-  }
-  return out;
-}
-
 }  // namespace
 
 Present::Present(std::span<const std::uint8_t> key) {
-  key_bytes_ = key.size();
-  if (key_bytes_ == 10) {
+  if (key.size() == 10) {
     // 80-bit key register, big-endian: k79..k0. Keep in two words:
     // hi = k79..k16 (64 bits), lo = k15..k0 (16 bits).
     std::uint64_t hi = 0;
@@ -86,7 +66,7 @@ Present::Present(std::span<const std::uint8_t> key) {
       hi = static_cast<std::uint64_t>(Kp >> 16);
       lo = static_cast<std::uint64_t>(Kp) & 0xFFFF;
     }
-  } else if (key_bytes_ == 16) {
+  } else if (key.size() == 16) {
     std::uint64_t hi = load_be64(key.first(8));
     std::uint64_t lo = load_be64(key.subspan(8, 8));
     for (int round = 1; round <= kRounds + 1; ++round) {
@@ -123,16 +103,10 @@ void Present::encrypt_block(std::span<const std::uint8_t> in,
   store_be64(s, out);
 }
 
-void Present::decrypt_block(std::span<const std::uint8_t> in,
-                            std::span<std::uint8_t> out) const {
-  std::uint64_t s = load_be64(in);
-  s ^= round_key_[kRounds];
-  for (int round = kRounds - 1; round >= 0; --round) {
-    s = inv_perm_layer(s);
-    s = inv_sbox_layer(s);
-    s ^= round_key_[static_cast<std::size_t>(round)];
-  }
-  store_be64(s, out);
-}
+const CipherSuite kPresent80Suite{
+    10, Present::kBlockBytes,
+    [](std::span<const std::uint8_t> key) -> std::unique_ptr<BlockCipher> {
+      return std::make_unique<Present>(key);
+    }};
 
 }  // namespace medsec::ciphers

@@ -18,26 +18,20 @@ class Present final : public BlockCipher {
   static constexpr std::size_t kBlockBytes = 8;
   static constexpr int kRounds = 31;
 
-  enum class KeySize { k80, k128 };
-
   /// key is 10 bytes (PRESENT-80) or 16 bytes (PRESENT-128), big-endian as
   /// in the specification's test vectors.
   explicit Present(std::span<const std::uint8_t> key);
 
   std::size_t block_bytes() const override { return kBlockBytes; }
-  std::size_t key_bytes() const override { return key_bytes_; }
-  std::string name() const override {
-    return key_bytes_ == 10 ? "PRESENT-80" : "PRESENT-128";
-  }
 
   void encrypt_block(std::span<const std::uint8_t> in,
-                     std::span<std::uint8_t> out) const override;
-  void decrypt_block(std::span<const std::uint8_t> in,
                      std::span<std::uint8_t> out) const override;
 
  private:
   std::array<std::uint64_t, kRounds + 1> round_key_{};
-  std::size_t key_bytes_ = 10;
 };
+
+/// PRESENT-80 as a protocol suite: 10-byte keys, 8-byte blocks.
+extern const CipherSuite kPresent80Suite;
 
 }  // namespace medsec::ciphers

@@ -10,16 +10,12 @@ Fixtures make_fixtures(const ecc::Curve& curve, rng::Xoshiro256& rng) {
               protocol::ph_setup_reader(curve, rng),
               {},
               {},
-              [](std::span<const std::uint8_t> key) {
-                return std::unique_ptr<ciphers::BlockCipher>(
-                    new ciphers::Aes128(key));
-              },
               {},
               {}};
   fx.ph_tag = protocol::ph_register_tag(curve, fx.ph_reader, rng);
   std::vector<std::uint8_t> master(32);
   rng.fill(master);
-  fx.keys = protocol::derive_session_keys(master, 16);
+  fx.keys = protocol::derive_session_keys(master, ciphers::kAes128Suite);
   fx.ecies_key = protocol::ecies_keygen(curve, rng);
   fx.telemetry.resize(48);
   rng.fill(fx.telemetry);
@@ -46,14 +42,14 @@ MachineFactory device_factory(const Fixtures& fx, std::uint64_t gid) {
     case 2:
       return [&fx](rng::RandomSource& r) {
         return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::MutualAuthTag(fx.make_cipher, fx.keys,
+            new protocol::MutualAuthTag(ciphers::kAes128Suite, fx.keys,
                                         fx.telemetry, r));
       };
     default:
       return [&fx](rng::RandomSource& r) {
         return std::unique_ptr<protocol::SessionMachine>(
             new protocol::EciesUploader(fx.curve, fx.ecies_key.Y,
-                                        fx.telemetry, fx.make_cipher, 16,
+                                        fx.telemetry, ciphers::kAes128Suite,
                                         r));
       };
   }
@@ -79,13 +75,14 @@ MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
     case 2:
       return [&fx](rng::RandomSource& r) {
         return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::MutualAuthServer(fx.make_cipher, fx.keys, r));
+            new protocol::MutualAuthServer(ciphers::kAes128Suite, fx.keys,
+                                           r));
       };
     default:
       return [&fx, mode](rng::RandomSource&) {
         return std::unique_ptr<protocol::SessionMachine>(
             new protocol::EciesReceiver(fx.curve, fx.ecies_key.y,
-                                        fx.make_cipher, 16, mode));
+                                        ciphers::kAes128Suite, mode));
       };
   }
 }

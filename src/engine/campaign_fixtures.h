@@ -43,15 +43,15 @@ inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Everything shared, read-only, across shards: curve, fleet credentials,
-/// cipher factory. Built once per campaign from the seed.
+/// Everything shared, read-only, across shards: curve and fleet
+/// credentials. Built once per campaign from the seed. Mutual auth and
+/// ECIES run ciphers::kAes128Suite.
 struct Fixtures {
   const ecc::Curve& curve;
   protocol::SchnorrKeyPair schnorr_key;
   protocol::PhReader ph_reader;
   protocol::PhTag ph_tag;
   protocol::SharedKeys keys;
-  protocol::CipherFactory make_cipher;
   protocol::EciesKeyPair ecies_key;
   std::vector<std::uint8_t> telemetry;
 };

@@ -25,9 +25,12 @@ struct DerivedKeys {
   std::vector<std::uint8_t> nonce;
 };
 
-/// (k_enc || k_mac || nonce) = HKDF(Z_x || R_x), domain-separated.
+/// (k_enc || k_mac || nonce) = HKDF(Z_x || R_x), domain-separated; the
+/// keys are `suite.key_bytes` long, the nonce is sized for its block.
 DerivedKeys kdf(const ecc::Fe& shared_x, const ecc::Fe& ephemeral_x,
-                std::size_t key_bytes, std::size_t nonce_bytes) {
+                const ciphers::CipherSuite& suite) {
+  const std::size_t key_bytes = suite.key_bytes;
+  const std::size_t nonce_bytes = cipher_nonce_bytes(suite.block_bytes);
   std::vector<std::uint8_t> ikm = encode_fe(shared_x);
   const auto rx = encode_fe(ephemeral_x);
   ikm.insert(ikm.end(), rx.begin(), rx.end());
@@ -43,27 +46,18 @@ DerivedKeys kdf(const ecc::Fe& shared_x, const ecc::Fe& ephemeral_x,
   return k;
 }
 
-/// The block size of `make_cipher`'s cipher, read off one zero-key
-/// instance: ECIES's nonce and tag widths are functions of it.
-std::size_t probe_block_bytes(const CipherFactory& make_cipher,
-                              std::size_t key_bytes) {
-  return make_cipher(std::vector<std::uint8_t>(key_bytes, 0))->block_bytes();
-}
-
 /// Decryption once x(y·R) is in hand: KDF, transcript binding,
 /// verify-then-decrypt. ecies_decrypt, the inline receiver and the
 /// deferred receiver's job all end here.
 std::optional<std::vector<std::uint8_t>> open_from(
     const EciesCiphertext& ct, const std::optional<ecc::Fe>& shared_x,
-    const CipherFactory& make_cipher, std::size_t key_bytes,
-    std::size_t block_bytes) {
+    const ciphers::CipherSuite& suite) {
   if (!shared_x) return std::nullopt;
-  const DerivedKeys keys = kdf(*shared_x, ct.ephemeral.x, key_bytes,
-                               cipher_nonce_bytes(block_bytes));
+  const DerivedKeys keys = kdf(*shared_x, ct.ephemeral.x, suite);
   if (keys.nonce != ct.nonce) return std::nullopt;  // transcript binding
 
-  const auto enc = make_cipher(keys.enc);
-  const auto mac = make_cipher(keys.mac);
+  const auto enc = suite.build(keys.enc);
+  const auto mac = suite.build(keys.mac);
   std::vector<std::uint8_t> plain;
   if (!ciphers::decrypt_then_verify(*enc, *mac, ct.nonce, ct.body, ct.tag,
                                     plain))
@@ -87,9 +81,8 @@ EciesKeyPair ecies_keygen(const Curve& curve, rng::RandomSource& rng) {
 
 EciesCiphertext ecies_encrypt(const Curve& curve, const Point& Y,
                               std::span<const std::uint8_t> plaintext,
-                              const CipherFactory& make_cipher,
-                              std::size_t key_bytes, rng::RandomSource& rng,
-                              EnergyLedger* ledger,
+                              const ciphers::CipherSuite& suite,
+                              rng::RandomSource& rng, EnergyLedger* ledger,
                               sidechannel::HardenedLadder* hardened) {
   if (!curve.validate_subgroup_point(Y))
     throw std::invalid_argument("ecies_encrypt: invalid recipient key");
@@ -102,17 +95,14 @@ EciesCiphertext ecies_encrypt(const Curve& curve, const Point& Y,
     Z = tag_mult(curve, r, &Y, rng, ledger, hardened);
   } while (R.infinity || Z.infinity);
 
-  const std::size_t bb = probe_block_bytes(make_cipher, key_bytes);
-  const DerivedKeys keys = kdf(Z.x, R.x, key_bytes, cipher_nonce_bytes(bb));
-
-  const auto enc = make_cipher(keys.enc);
-  const auto mac = make_cipher(keys.mac);
+  const DerivedKeys keys = kdf(Z.x, R.x, suite);
+  const auto enc = suite.build(keys.enc);
+  const auto mac = suite.build(keys.mac);
   const auto sealed = ciphers::encrypt_then_mac(*enc, *mac, keys.nonce,
                                                 plaintext);
   if (ledger)
-    ledger->cipher_blocks += (plaintext.size() + bb - 1) / bb + 1 +
-                             (keys.nonce.size() + plaintext.size() + bb - 1) /
-                                 bb + 1;
+    ledger->cipher_blocks += ciphers::encrypt_then_mac_blocks(
+        suite.block_bytes, keys.nonce.size(), plaintext.size());
 
   EciesCiphertext out;
   out.ephemeral = R;
@@ -134,8 +124,10 @@ std::vector<std::uint8_t> encode_ecies(const Curve& curve,
 
 std::optional<EciesCiphertext> decode_ecies(
     const Curve& curve, const std::vector<std::uint8_t>& bytes,
-    std::size_t nonce_bytes, std::size_t tag_bytes) {
+    const ciphers::CipherSuite& suite) {
   constexpr std::size_t kPointBytes = 1 + kFeBytes;
+  const std::size_t nonce_bytes = cipher_nonce_bytes(suite.block_bytes);
+  const std::size_t tag_bytes = suite.block_bytes;
   if (bytes.size() < kPointBytes + nonce_bytes + tag_bytes)
     return std::nullopt;
   const auto p = decode_point(
@@ -156,21 +148,19 @@ std::optional<EciesCiphertext> decode_ecies(
 
 EciesUploader::EciesUploader(const Curve& curve, Point recipient,
                              std::span<const std::uint8_t> telemetry,
-                             const CipherFactory& make_cipher,
-                             std::size_t key_bytes, rng::RandomSource& rng,
+                             const ciphers::CipherSuite& suite,
+                             rng::RandomSource& rng,
                              sidechannel::HardenedLadder* hardened)
     : curve_(&curve),
       recipient_(std::move(recipient)),
       telemetry_(telemetry.begin(), telemetry.end()),
-      make_cipher_(&make_cipher),
-      key_bytes_(key_bytes),
+      suite_(suite),
       rng_(&rng),
       hardened_(hardened) {}
 
 StepResult EciesUploader::start() {
   const EciesCiphertext ct = ecies_encrypt(*curve_, recipient_, telemetry_,
-                                           *make_cipher_, key_bytes_, *rng_,
-                                           &ledger_, hardened_);
+                                           suite_, *rng_, &ledger_, hardened_);
   return step(
       StepResult::done(Message{kLabelEciesBlob, encode_ecies(*curve_, ct)}));
 }
@@ -190,33 +180,25 @@ void EciesUploader::restore(SnapshotReader& r) {
 }
 
 EciesReceiver::EciesReceiver(const Curve& curve, const Scalar& y,
-                             const CipherFactory& make_cipher,
-                             std::size_t key_bytes, VerdictMode mode)
-    : curve_(&curve),
-      y_(y),
-      make_cipher_(&make_cipher),
-      key_bytes_(key_bytes),
-      block_bytes_(probe_block_bytes(make_cipher, key_bytes)),
-      mode_(mode) {}
+                             const ciphers::CipherSuite& suite,
+                             VerdictMode mode)
+    : curve_(&curve), y_(y), suite_(suite), mode_(mode) {}
 
 StepResult EciesReceiver::on_message(const Message& m) {
-  auto ct = decode_ecies(*curve_, m.payload, cipher_nonce_bytes(block_bytes_),
-                         block_bytes_);
+  auto ct = decode_ecies(*curve_, m.payload, suite_);
   // Invalid-curve gate: the ephemeral point is attacker-controlled.
   if (!ct || !curve_->validate_subgroup_point(ct->ephemeral))
     return step(StepResult::failed());
   if (mode_ == VerdictMode::kInline) {
-    plaintext_ = open_from(*ct, ecc::ladder_x(*curve_, y_, ct->ephemeral),
-                           *make_cipher_, key_bytes_, block_bytes_);
+    plaintext_ =
+        open_from(*ct, ecc::ladder_x(*curve_, y_, ct->ephemeral), suite_);
     return step(plaintext_ ? StepResult::done() : StepResult::failed());
   }
   const Point ephemeral = ct->ephemeral;
   job_ = LadderJob{y_, ephemeral,
-                   [make_cipher = make_cipher_, key_bytes = key_bytes_,
-                    bb = block_bytes_,
+                   [suite = suite_,
                     ct = std::move(*ct)](const std::optional<ecc::Fe>& x) {
-                     return open_from(ct, x, *make_cipher, key_bytes, bb)
-                         .has_value();
+                     return open_from(ct, x, suite).has_value();
                    }};
   return step(StepResult::done());
 }
@@ -238,13 +220,11 @@ void EciesReceiver::restore(SnapshotReader& r) {
 EciesUploadResult run_ecies_upload(const Curve& curve,
                                    const EciesKeyPair& recipient,
                                    std::span<const std::uint8_t> telemetry,
-                                   const CipherFactory& make_cipher,
-                                   std::size_t key_bytes,
+                                   const ciphers::CipherSuite& suite,
                                    rng::RandomSource& rng) {
   EciesUploadResult out;
-  EciesUploader device(curve, recipient.Y, telemetry, make_cipher, key_bytes,
-                       rng);
-  EciesReceiver clinic(curve, recipient.y, make_cipher, key_bytes);
+  EciesUploader device(curve, recipient.Y, telemetry, suite, rng);
+  EciesReceiver clinic(curve, recipient.y, suite);
   out.delivered = drive_session(device, clinic, out.transcript);
   if (out.delivered) out.plaintext = clinic.plaintext();
   out.tag_ledger = device.ledger();
@@ -253,11 +233,10 @@ EciesUploadResult run_ecies_upload(const Curve& curve,
 
 std::optional<std::vector<std::uint8_t>> ecies_decrypt(
     const Curve& curve, const Scalar& y, const EciesCiphertext& ct,
-    const CipherFactory& make_cipher, std::size_t key_bytes) {
+    const ciphers::CipherSuite& suite) {
   // Invalid-curve gate: the ephemeral point is attacker-controlled.
   if (!curve.validate_subgroup_point(ct.ephemeral)) return std::nullopt;
-  return open_from(ct, ecc::ladder_x(curve, y, ct.ephemeral), make_cipher,
-                   key_bytes, probe_block_bytes(make_cipher, key_bytes));
+  return open_from(ct, ecc::ladder_x(curve, y, ct.ephemeral), suite);
 }
 
 }  // namespace medsec::protocol

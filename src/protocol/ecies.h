@@ -24,7 +24,6 @@
 #include "ciphers/block_cipher.h"
 #include "ecc/curve.h"
 #include "protocol/energy_ledger.h"
-#include "protocol/mutual_auth.h"  // CipherFactory
 #include "protocol/session.h"
 #include "rng/random_source.h"
 #include "sidechannel/countermeasures.h"
@@ -47,14 +46,14 @@ struct EciesKeyPair {
 
 EciesKeyPair ecies_keygen(const ecc::Curve& curve, rng::RandomSource& rng);
 
-/// Device-side encryption to public key Y. `key_bytes` sizes the derived
-/// cipher keys (16 for AES-128 / PRESENT-128, 10 for PRESENT-80).
+/// Device-side encryption to public key Y. `suite` sizes the derived keys
+/// and the nonce and builds the CTR and CMAC ciphers (two per call).
 /// `hardened`: optional engine both encapsulation point multiplications
 /// pass to tag_mult (tag_mult.h), which also charges them to `ledger`.
 EciesCiphertext ecies_encrypt(const ecc::Curve& curve, const ecc::Point& Y,
                               std::span<const std::uint8_t> plaintext,
-                              const CipherFactory& make_cipher,
-                              std::size_t key_bytes, rng::RandomSource& rng,
+                              const ciphers::CipherSuite& suite,
+                              rng::RandomSource& rng,
                               EnergyLedger* ledger = nullptr,
                               sidechannel::HardenedLadder* hardened = nullptr);
 
@@ -64,27 +63,26 @@ EciesCiphertext ecies_encrypt(const ecc::Curve& curve, const ecc::Point& Y,
 /// (ecc::ladder_x): y is the recipient's long-term secret.
 std::optional<std::vector<std::uint8_t>> ecies_decrypt(
     const ecc::Curve& curve, const ecc::Scalar& y, const EciesCiphertext& ct,
-    const CipherFactory& make_cipher, std::size_t key_bytes);
+    const ciphers::CipherSuite& suite);
 
 /// Wire encoding of a ciphertext: compressed ephemeral point || nonce ||
-/// body || tag. Self-delimiting given the cipher geometry (nonce and tag
-/// widths are functions of the block size), so no length fields travel.
+/// body || tag. Self-delimiting given the suite (the nonce and tag widths
+/// are functions of its block size), so no length fields travel.
 std::vector<std::uint8_t> encode_ecies(const ecc::Curve& curve,
                                        const EciesCiphertext& ct);
 std::optional<EciesCiphertext> decode_ecies(
     const ecc::Curve& curve, const std::vector<std::uint8_t>& bytes,
-    std::size_t nonce_bytes, std::size_t tag_bytes);
+    const ciphers::CipherSuite& suite);
 
 /// Device-side store-and-forward upload as a (one-shot) session machine:
 /// start() emits the whole ECIES blob as a single message and finishes.
-/// Copies its per-session inputs (recipient key, telemetry); the cipher
-/// factory and RNG are caller-owned and must outlive the machine.
+/// Copies its per-session inputs (recipient key, telemetry, suite); the
+/// RNG is caller-owned and must outlive the machine.
 class EciesUploader final : public SessionMachine {
  public:
   EciesUploader(const ecc::Curve& curve, ecc::Point recipient,
                 std::span<const std::uint8_t> telemetry,
-                const CipherFactory& make_cipher, std::size_t key_bytes,
-                rng::RandomSource& rng,
+                const ciphers::CipherSuite& suite, rng::RandomSource& rng,
                 sidechannel::HardenedLadder* hardened = nullptr);
   StepResult start() override;
   StepResult on_message(const Message& m) override;
@@ -96,8 +94,7 @@ class EciesUploader final : public SessionMachine {
   const ecc::Curve* curve_;
   ecc::Point recipient_;
   std::vector<std::uint8_t> telemetry_;
-  const CipherFactory* make_cipher_;
-  std::size_t key_bytes_;
+  ciphers::CipherSuite suite_;
   rng::RandomSource* rng_;
   sidechannel::HardenedLadder* hardened_;
   EnergyLedger ledger_;
@@ -111,13 +108,12 @@ class EciesUploader final : public SessionMachine {
 ///              "delivered" (plaintext() is never set). A refusal there
 ///              lands on a completed session as not accepted, with no
 ///              kReject frame — the way a deferred Schnorr forgery lands.
-/// The cipher geometry (block, nonce and tag widths) is read off one
-/// probe cipher at construction. The cipher factory is caller-owned and
-/// must outlive the machine and, in deferred mode, its job.
+/// Builds no cipher until it opens a blob (two then, in the job when
+/// deferred); the machine and its job each hold a copy of the suite.
 class EciesReceiver final : public SessionMachine {
  public:
   EciesReceiver(const ecc::Curve& curve, const ecc::Scalar& y,
-                const CipherFactory& make_cipher, std::size_t key_bytes,
+                const ciphers::CipherSuite& suite,
                 VerdictMode mode = VerdictMode::kInline);
   StepResult on_message(const Message& m) override;
   bool accepted() const override { return delivered(); }
@@ -133,9 +129,7 @@ class EciesReceiver final : public SessionMachine {
  private:
   const ecc::Curve* curve_;
   ecc::Scalar y_;
-  const CipherFactory* make_cipher_;
-  std::size_t key_bytes_;
-  std::size_t block_bytes_;
+  ciphers::CipherSuite suite_;
   VerdictMode mode_;
   std::optional<std::vector<std::uint8_t>> plaintext_;
   std::optional<LadderJob> job_;
@@ -154,8 +148,7 @@ struct EciesUploadResult {
 EciesUploadResult run_ecies_upload(const ecc::Curve& curve,
                                    const EciesKeyPair& recipient,
                                    std::span<const std::uint8_t> telemetry,
-                                   const CipherFactory& make_cipher,
-                                   std::size_t key_bytes,
+                                   const ciphers::CipherSuite& suite,
                                    rng::RandomSource& rng);
 
 }  // namespace medsec::protocol

@@ -31,37 +31,30 @@ std::span<const std::uint8_t> bytes_of(const char* s) {
 }  // namespace
 
 SharedKeys derive_session_keys(std::span<const std::uint8_t> master_secret,
-                               std::size_t key_bytes) {
+                               const ciphers::CipherSuite& suite) {
   static constexpr std::uint8_t kSalt[] = {'m', 'e', 'd', 's', 'e', 'c'};
   static constexpr std::uint8_t kInfoEnc[] = {'e', 'n', 'c'};
   static constexpr std::uint8_t kInfoMac[] = {'m', 'a', 'c'};
   SharedKeys k;
   k.enc_key = hash::hkdf<hash::Sha256>(kSalt, master_secret, kInfoEnc,
-                                       key_bytes);
+                                       suite.key_bytes);
   k.mac_key = hash::hkdf<hash::Sha256>(kSalt, master_secret, kInfoMac,
-                                       key_bytes);
+                                       suite.key_bytes);
   return k;
 }
 
 // --- tag machine -------------------------------------------------------------
 
-MutualAuthTag::MutualAuthTag(const CipherFactory& make_cipher,
+MutualAuthTag::MutualAuthTag(const ciphers::CipherSuite& suite,
                              const SharedKeys& keys,
                              std::span<const std::uint8_t> telemetry,
                              rng::RandomSource& rng,
                              const MutualAuthConfig& config)
-    : enc_(make_cipher(keys.enc_key)),
-      mac_(make_cipher(keys.mac_key)),
+    : enc_(suite.build(keys.enc_key)),
+      mac_(suite.build(keys.mac_key)),
       telemetry_(telemetry.begin(), telemetry.end()),
       rng_(&rng),
       config_(config) {}
-
-std::size_t MutualAuthTag::block_bytes() const { return mac_->block_bytes(); }
-
-std::size_t MutualAuthTag::nonce_bytes() const {
-  const std::size_t bb = mac_->block_bytes();
-  return cipher_nonce_bytes(bb);
-}
 
 StepResult MutualAuthTag::start() {
   // --- move 1: T -> S, tag nonce -------------------------------------------
@@ -93,7 +86,7 @@ StepResult MutualAuthTag::on_message(const Message& m) {
 
   std::vector<std::uint8_t> tag_auth_mac;
   ciphers::AeadResult sealed;
-  std::vector<std::uint8_t> nonce(nonce_bytes());
+  std::vector<std::uint8_t> nonce(cipher_nonce_bytes(bb));
   auto heavy_work = [&] {
     // Tag authenticator.
     const auto tag_msg = concat({bytes_of("TAG"), ns, nt_});
@@ -104,8 +97,7 @@ StepResult MutualAuthTag::on_message(const Message& m) {
     ledger_.rng_bits += 8 * nonce.size();
     sealed = ciphers::encrypt_then_mac(*enc_, *mac_, nonce, telemetry_);
     ledger_.cipher_blocks +=
-        blocks(telemetry_.size(), bb) +                  // CTR keystream
-        blocks(nonce.size() + telemetry_.size(), bb);    // CMAC
+        ciphers::encrypt_then_mac_blocks(bb, nonce.size(), telemetry_.size());
   };
 
   if (config_.server_first) {
@@ -152,11 +144,11 @@ void MutualAuthTag::restore(SnapshotReader& r) {
 
 // --- server machine ----------------------------------------------------------
 
-MutualAuthServer::MutualAuthServer(const CipherFactory& make_cipher,
+MutualAuthServer::MutualAuthServer(const ciphers::CipherSuite& suite,
                                    const SharedKeys& keys,
                                    rng::RandomSource& rng)
-    : enc_(make_cipher(keys.enc_key)),
-      mac_(make_cipher(keys.mac_key)),
+    : enc_(suite.build(keys.enc_key)),
+      mac_(suite.build(keys.mac_key)),
       rng_(&rng) {}
 
 StepResult MutualAuthServer::on_message(const Message& m) {
@@ -218,7 +210,7 @@ void MutualAuthServer::restore(SnapshotReader& r) {
 
 // --- driver ------------------------------------------------------------------
 
-MutualAuthResult run_mutual_auth(const CipherFactory& make_cipher,
+MutualAuthResult run_mutual_auth(const ciphers::CipherSuite& suite,
                                  const SharedKeys& keys,
                                  std::span<const std::uint8_t> telemetry,
                                  rng::RandomSource& rng,
@@ -226,18 +218,18 @@ MutualAuthResult run_mutual_auth(const CipherFactory& make_cipher,
                                  const MutualAuthFaults& faults) {
   MutualAuthResult out;
 
-  MutualAuthTag tag(make_cipher, keys, telemetry, rng, config);
+  MutualAuthTag tag(suite, keys, telemetry, rng, config);
 
   // An impersonated server holds the wrong MAC key.
   SharedKeys server_keys = keys;
   if (faults.wrong_server_key)
     for (auto& b : server_keys.mac_key) b ^= 0xA5;
-  MutualAuthServer server(make_cipher, server_keys, rng);
+  MutualAuthServer server(suite, server_keys, rng);
 
   // In-flight tampering: move 3 is the second tag->server message; its
-  // layout is MAC(TAG) [bb] || nonce || ct || MAC(ct) (see MutualAuthTag).
-  const std::size_t bb = tag.block_bytes();
-  const std::size_t ct_offset = bb + tag.nonce_bytes();
+  // layout is MAC(TAG) [bb] || nonce || ct || MAC(ct) (see mutual_auth.h).
+  const std::size_t bb = suite.block_bytes;
+  const std::size_t ct_offset = bb + cipher_nonce_bytes(bb);
   std::size_t tag_msgs = 0;
   SessionTap tap;
   tap.tag_to_reader = [&](Message& msg) {

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -41,9 +40,9 @@ struct SharedKeys {
 };
 
 /// HKDF the provisioned master secret into independent encryption and MAC
-/// keys of `key_bytes` each (never reuse one key for both roles).
+/// keys, each `suite.key_bytes` long (never reuse one key for both roles).
 SharedKeys derive_session_keys(std::span<const std::uint8_t> master_secret,
-                               std::size_t key_bytes);
+                               const ciphers::CipherSuite& suite);
 
 struct MutualAuthConfig {
   /// Enforce §4's ordering; false models the naive design that spends the
@@ -67,20 +66,17 @@ struct MutualAuthResult {
   EnergyLedger tag_ledger;
 };
 
-/// `make_cipher` must construct the cipher for a given key (the tag
-/// instantiates one for encryption and one for MAC).
-using CipherFactory =
-    std::function<std::unique_ptr<ciphers::BlockCipher>(
-        std::span<const std::uint8_t> key)>;
-
 /// Tag-side state machine:
 ///   start()             -> N_t
 ///   on_message(N_s|MAC) -> verify server (ordering per config), then the
 ///                          heavy work and move 3; kFailed + aborted_early
 ///                          when server authentication fails.
+/// Both machines build their encryption and MAC ciphers from `suite` at
+/// construction and throw std::invalid_argument when a key's length is not
+/// the suite's key size.
 class MutualAuthTag final : public SessionMachine {
  public:
-  MutualAuthTag(const CipherFactory& make_cipher, const SharedKeys& keys,
+  MutualAuthTag(const ciphers::CipherSuite& suite, const SharedKeys& keys,
                 std::span<const std::uint8_t> telemetry,
                 rng::RandomSource& rng, const MutualAuthConfig& config = {});
   StepResult start() override;
@@ -89,10 +85,6 @@ class MutualAuthTag final : public SessionMachine {
   void restore(SnapshotReader& r) override;
   bool accepted_server() const { return accepted_server_; }
   const EnergyLedger& ledger() const { return ledger_; }
-  /// Wire geometry of move 3 (for taps / parsers): MAC(TAG) || nonce ||
-  /// ct || MAC(ct), with both MACs one cipher block wide.
-  std::size_t block_bytes() const;
-  std::size_t nonce_bytes() const;
 
  private:
   std::unique_ptr<ciphers::BlockCipher> enc_;
@@ -113,7 +105,7 @@ class MutualAuthTag final : public SessionMachine {
 ///                         only if both held.
 class MutualAuthServer final : public SessionMachine {
  public:
-  MutualAuthServer(const CipherFactory& make_cipher, const SharedKeys& keys,
+  MutualAuthServer(const ciphers::CipherSuite& suite, const SharedKeys& keys,
                    rng::RandomSource& rng);
   StepResult on_message(const Message& m) override;
   bool accepted() const override { return accepted_tag_ && delivered_; }
@@ -138,7 +130,7 @@ class MutualAuthServer final : public SessionMachine {
 /// the way a real adversary would: wrong_server_key swaps in an
 /// impersonator server machine; the tamper flags mutate move-3 payload
 /// bytes in flight through a SessionTap.
-MutualAuthResult run_mutual_auth(const CipherFactory& make_cipher,
+MutualAuthResult run_mutual_auth(const ciphers::CipherSuite& suite,
                                  const SharedKeys& keys,
                                  std::span<const std::uint8_t> telemetry,
                                  rng::RandomSource& rng,

@@ -12,9 +12,9 @@
 // per field — the reader and writer are the same code walking the same
 // struct, and the leading magic/version plus the exhausted() check at the
 // end catch any drift. Machines serialize only what they OWN: references
-// to process-lifetime objects (curve, reader DB, cipher factory, RNG) are
-// re-bound by constructing the replacement machine with the same arguments
-// before calling restore().
+// to process-lifetime objects (curve, reader DB, RNG) and the cipher suite
+// are re-bound by constructing the replacement machine with the same
+// arguments before calling restore().
 //
 // Snapshot bytes are part of the compatibility surface — the golden tests
 // pin their digests the same way wire transcripts are pinned.

@@ -213,15 +213,12 @@ TEST(HardenedProtocols, SchnorrEciesAndPhRunUnderFullCountermeasures) {
 
   // ECIES: hardened uploader, normal receiver, payload round-trips.
   {
-    proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-      return std::unique_ptr<medsec::ciphers::BlockCipher>(
-          new medsec::ciphers::Aes128(key));
-    };
+    const auto& aes = medsec::ciphers::kAes128Suite;
     const auto kp = proto::ecies_keygen(c, rng);
     const std::vector<std::uint8_t> telemetry{'h', 'r', '=', '6', '2'};
     sc::HardenedLadder hl(c, cm);
-    proto::EciesUploader up(c, kp.Y, telemetry, aes, 16, rng, &hl);
-    proto::EciesReceiver rx(c, kp.y, aes, 16);
+    proto::EciesUploader up(c, kp.Y, telemetry, aes, rng, &hl);
+    proto::EciesReceiver rx(c, kp.y, aes);
     proto::Transcript transcript;
     EXPECT_TRUE(proto::drive_session(up, rx, transcript));
     ASSERT_TRUE(rx.delivered());

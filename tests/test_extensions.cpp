@@ -282,10 +282,7 @@ struct EciesFixture : public ::testing::Test {
   const Curve& c = Curve::k163();
   Xoshiro256 rng{9};
   proto::EciesKeyPair kp = proto::ecies_keygen(c, rng);
-  proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
+  const medsec::ciphers::CipherSuite& aes = medsec::ciphers::kAes128Suite;
 };
 
 TEST_F(EciesFixture, EncryptDecryptRoundTrip) {
@@ -293,9 +290,9 @@ TEST_F(EciesFixture, EncryptDecryptRoundTrip) {
     std::vector<std::uint8_t> pt(len);
     rng.fill(pt);
     proto::EnergyLedger ledger;
-    const auto ct = proto::ecies_encrypt(c, kp.Y, pt, aes, 16, rng, &ledger);
+    const auto ct = proto::ecies_encrypt(c, kp.Y, pt, aes, rng, &ledger);
     EXPECT_EQ(ledger.ecpm, 2u) << "ephemeral + shared point mult";
-    const auto back = proto::ecies_decrypt(c, kp.y, ct, aes, 16);
+    const auto back = proto::ecies_decrypt(c, kp.y, ct, aes);
     ASSERT_TRUE(back.has_value()) << len;
     EXPECT_EQ(*back, pt);
   }
@@ -303,45 +300,43 @@ TEST_F(EciesFixture, EncryptDecryptRoundTrip) {
 
 TEST_F(EciesFixture, RejectsTamperingAndWrongKey) {
   const auto pt = bytes("glucose=5.4mmol/L");
-  auto ct = proto::ecies_encrypt(c, kp.Y, pt, aes, 16, rng);
+  auto ct = proto::ecies_encrypt(c, kp.Y, pt, aes, rng);
   auto bad = ct;
   bad.body[0] ^= 1;
-  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, bad, aes, 16));
+  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, bad, aes));
   bad = ct;
   bad.tag[0] ^= 1;
-  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, bad, aes, 16));
+  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, bad, aes));
   bad = ct;
   bad.ephemeral = c.dbl(bad.ephemeral);  // different valid point
-  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, bad, aes, 16));
+  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, bad, aes));
   const auto other = proto::ecies_keygen(c, rng);
-  EXPECT_FALSE(proto::ecies_decrypt(c, other.y, ct, aes, 16));
+  EXPECT_FALSE(proto::ecies_decrypt(c, other.y, ct, aes));
 }
 
 TEST_F(EciesFixture, RejectsInvalidEphemeralPoint) {
   const auto pt = bytes("x");
-  auto ct = proto::ecies_encrypt(c, kp.Y, pt, aes, 16, rng);
+  auto ct = proto::ecies_encrypt(c, kp.Y, pt, aes, rng);
   // Small-subgroup / off-curve injection at the trust boundary.
   ct.ephemeral = Point::affine(Fe::zero(), Fe::sqrt(c.b()));
-  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, ct, aes, 16));
+  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, ct, aes));
   ct.ephemeral = Point::at_infinity();
-  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, ct, aes, 16));
+  EXPECT_FALSE(proto::ecies_decrypt(c, kp.y, ct, aes));
 }
 
 TEST_F(EciesFixture, WorksWithLightweightCipher) {
-  proto::CipherFactory present = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Present(key));
-  };
+  const auto& present = medsec::ciphers::kPresent80Suite;
   const auto pt = bytes("spo2=97%");
-  const auto ct = proto::ecies_encrypt(c, kp.Y, pt, present, 10, rng);
-  const auto back = proto::ecies_decrypt(c, kp.y, ct, present, 10);
+  const auto ct = proto::ecies_encrypt(c, kp.Y, pt, present, rng);
+  EXPECT_EQ(ct.tag.size(), 8u);
+  const auto back = proto::ecies_decrypt(c, kp.y, ct, present);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, pt);
 }
 
 TEST_F(EciesFixture, EncryptToInvalidKeyThrows) {
   EXPECT_THROW(
-      proto::ecies_encrypt(c, Point::at_infinity(), bytes("x"), aes, 16, rng),
+      proto::ecies_encrypt(c, Point::at_infinity(), bytes("x"), aes, rng),
       std::invalid_argument);
 }
 

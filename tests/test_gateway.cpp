@@ -39,15 +39,9 @@ using engine::decode_frame;
 using engine::encode_frame;
 using engine::Frame;
 using engine::FrameType;
+using medsec::ciphers::kAes128Suite;
 
 // --- shared fixtures ---------------------------------------------------------
-
-proto::CipherFactory aes_factory() {
-  return [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
-}
 
 std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -869,9 +863,8 @@ struct ProtoFixtures {
   proto::SchnorrKeyPair kp = proto::schnorr_keygen(c, setup);
   proto::PhReader reader = proto::ph_setup_reader(c, setup);
   proto::PhTag tag = proto::ph_register_tag(c, reader, setup);
-  proto::CipherFactory aes = aes_factory();
-  proto::SharedKeys keys =
-      proto::derive_session_keys(std::vector<std::uint8_t>(16, 7), 16);
+  proto::SharedKeys keys = proto::derive_session_keys(
+      std::vector<std::uint8_t>(16, 7), kAes128Suite);
   proto::EciesKeyPair ek = proto::ecies_keygen(c, setup);
   std::vector<std::uint8_t> telemetry = std::vector<std::uint8_t>(48, 0xC3);
 
@@ -883,11 +876,11 @@ struct ProtoFixtures {
       case 1:
         return std::make_unique<proto::PhTagMachine>(c, tag, rng);
       case 2:
-        return std::make_unique<proto::MutualAuthTag>(aes, keys, telemetry,
-                                                      rng);
+        return std::make_unique<proto::MutualAuthTag>(kAes128Suite, keys,
+                                                      telemetry, rng);
       default:
         return std::make_unique<proto::EciesUploader>(c, ek.Y, telemetry,
-                                                      aes, 16, rng);
+                                                      kAes128Suite, rng);
     }
   }
   std::unique_ptr<proto::SessionMachine> server(std::size_t kind,
@@ -898,9 +891,10 @@ struct ProtoFixtures {
       case 1:
         return std::make_unique<proto::PhReaderMachine>(c, reader, rng);
       case 2:
-        return std::make_unique<proto::MutualAuthServer>(aes, keys, rng);
+        return std::make_unique<proto::MutualAuthServer>(kAes128Suite, keys,
+                                                         rng);
       default:
-        return std::make_unique<proto::EciesReceiver>(c, ek.y, aes, 16);
+        return std::make_unique<proto::EciesReceiver>(c, ek.y, kAes128Suite);
     }
   }
 };

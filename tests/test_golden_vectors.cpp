@@ -35,6 +35,7 @@
 
 namespace {
 
+using medsec::ciphers::kAes128Suite;
 using medsec::ecc::Curve;
 using medsec::rng::Xoshiro256;
 namespace proto = medsec::protocol;
@@ -96,13 +97,6 @@ void golden_check(const char* name, const std::string& actual,
   EXPECT_EQ(actual, expected) << name;
 }
 
-proto::CipherFactory aes_factory() {
-  return [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
-}
-
 // --- checked-in vectors (regenerate with MEDSEC_PRINT_GOLDEN=1) -------------
 
 constexpr const char kSchnorrTranscript[] =
@@ -160,8 +154,7 @@ TEST(GoldenVectors, EciesRoundTrip) {
   const auto kp = proto::ecies_keygen(c, rng);
   const std::vector<std::uint8_t> telemetry{'g', 'o', 'l', 'd', 'e', 'n',
                                             '-', 'h', 'r', '6', '2'};
-  const auto r =
-      proto::run_ecies_upload(c, kp, telemetry, aes_factory(), 16, rng);
+  const auto r = proto::run_ecies_upload(c, kp, telemetry, kAes128Suite, rng);
   ASSERT_TRUE(r.delivered);
   ASSERT_EQ(r.plaintext, telemetry);
   golden_check("kEciesTranscript", transcript_hex(r.transcript),
@@ -186,10 +179,9 @@ TEST(GoldenVectors, MutualAuth) {
   std::vector<std::uint8_t> master(16);
   for (std::size_t i = 0; i < master.size(); ++i)
     master[i] = static_cast<std::uint8_t>(0xA0 + i);
-  const auto keys = proto::derive_session_keys(master, 16);
+  const auto keys = proto::derive_session_keys(master, kAes128Suite);
   const std::vector<std::uint8_t> telemetry{'m', 'v', '-', '7'};
-  const auto r =
-      proto::run_mutual_auth(aes_factory(), keys, telemetry, rng);
+  const auto r = proto::run_mutual_auth(kAes128Suite, keys, telemetry, rng);
   ASSERT_TRUE(r.tag_accepted_server);
   ASSERT_TRUE(r.server_accepted_tag);
   ASSERT_TRUE(r.telemetry_delivered);

@@ -1,12 +1,14 @@
 // Tests for the protocol layer: wire encoding, Schnorr, Peeters–Hermans
 // (completeness, soundness, workload accounting), mutual authentication
 // with failure injection, the privacy game, inline against deferred
-// verdicts of the PH reader and the ECIES receiver, and energy accounting.
+// verdicts of the PH reader and the ECIES receiver, the ciphers the
+// protocols build through their suite, and energy accounting.
 #include <gtest/gtest.h>
 
 #include "ciphers/aes128.h"
 #include "ciphers/present.h"
 #include "ecc/curve.h"
+#include "ecc/ladder.h"
 #include "ecc/ladder_many.h"
 #include "protocol/ecies.h"
 #include "protocol/energy_ledger.h"
@@ -25,6 +27,7 @@ using medsec::ecc::Fe;
 using medsec::ecc::Point;
 using medsec::ecc::Scalar;
 using medsec::rng::Xoshiro256;
+namespace ci = medsec::ciphers;
 namespace proto = medsec::protocol;
 
 // --- wire encoding -----------------------------------------------------------
@@ -218,13 +221,10 @@ TEST(PrivacyGame, PeetersHermansIsNot) {
 // --- mutual authentication --------------------------------------------------------
 
 struct MutualAuthFixture : public ::testing::Test {
-  proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
+  const ci::CipherSuite& aes = ci::kAes128Suite;
   std::vector<std::uint8_t> master{1, 2, 3, 4, 5, 6, 7, 8,
                                    9, 10, 11, 12, 13, 14, 15, 16};
-  proto::SharedKeys keys = proto::derive_session_keys(master, 16);
+  proto::SharedKeys keys = proto::derive_session_keys(master, aes);
   std::vector<std::uint8_t> telemetry{'h', 'r', '=', '7', '2',
                                       'b', 'p', 'm', '!', '!'};
   Xoshiro256 rng{30};
@@ -283,14 +283,25 @@ TEST_F(MutualAuthFixture, ImpersonatedTagIsRejected) {
 }
 
 TEST_F(MutualAuthFixture, WorksWithLightweightCipherToo) {
-  proto::CipherFactory present = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Present(key));  // 16-byte key -> PRESENT-128
-  };
-  const auto k2 = proto::derive_session_keys(master, 16);
-  const auto r = proto::run_mutual_auth(present, k2, telemetry, rng);
+  const ci::CipherSuite present128{
+      16, ci::Present::kBlockBytes,
+      [](std::span<const std::uint8_t> k) -> std::unique_ptr<ci::BlockCipher> {
+        return std::make_unique<ci::Present>(k);
+      }};
+  const auto k2 = proto::derive_session_keys(master, present128);
+  const auto r = proto::run_mutual_auth(present128, k2, telemetry, rng);
   EXPECT_TRUE(r.telemetry_delivered);
   EXPECT_EQ(r.delivered_telemetry, telemetry);
+}
+
+TEST_F(MutualAuthFixture, KeyOfAnotherSizeIsRefused) {
+  // 16-byte keys under the PRESENT-80 suite: Present would quietly run
+  // PRESENT-128 on them.
+  ASSERT_EQ(keys.enc_key.size(), 16u);
+  EXPECT_THROW(proto::MutualAuthTag(ci::kPresent80Suite, keys, telemetry, rng),
+               std::invalid_argument);
+  EXPECT_THROW(proto::MutualAuthServer(ci::kPresent80Suite, keys, rng),
+               std::invalid_argument);
 }
 
 // --- session state machines --------------------------------------------------------
@@ -394,12 +405,9 @@ TEST(SessionMachines, PhMachinesMatchRunFunction) {
 }
 
 TEST(SessionMachines, MutualAuthMachinesStepAndAbort) {
-  proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
-  const auto keys = proto::derive_session_keys(
-      std::vector<std::uint8_t>(16, 3), 16);
+  const ci::CipherSuite& aes = ci::kAes128Suite;
+  const auto keys =
+      proto::derive_session_keys(std::vector<std::uint8_t>(16, 3), aes);
   const std::vector<std::uint8_t> telemetry{'t'};
   Xoshiro256 rng(44);
 
@@ -489,14 +497,11 @@ TEST(DeferredLadders, PhReaderVerdictMatchesInline) {
 TEST(DeferredLadders, EciesReceiverVerdictMatchesInline) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(52);
-  const proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
+  const ci::CipherSuite& aes = ci::kAes128Suite;
   const proto::EciesKeyPair kp = proto::ecies_keygen(c, rng);
   const proto::EciesKeyPair other = proto::ecies_keygen(c, rng);
   const std::vector<std::uint8_t> telemetry(48, 0x5A);
-  const auto honest = proto::ecies_encrypt(c, kp.Y, telemetry, aes, 16, rng);
+  const auto honest = proto::ecies_encrypt(c, kp.Y, telemetry, aes, rng);
 
   struct Case {
     const char* name;
@@ -509,7 +514,7 @@ TEST(DeferredLadders, EciesReceiverVerdictMatchesInline) {
                              {"flipped nonce", honest, false},
                              {"encrypted to another key",
                               proto::ecies_encrypt(c, other.Y, telemetry, aes,
-                                                   16, rng),
+                                                   rng),
                               false}};
   cases[1].ct.body[0] ^= 1;
   cases[2].ct.tag[0] ^= 1;
@@ -517,8 +522,8 @@ TEST(DeferredLadders, EciesReceiverVerdictMatchesInline) {
   for (const Case& cs : cases) {
     const proto::Message blob{proto::kLabelEciesBlob,
                               proto::encode_ecies(c, cs.ct)};
-    proto::EciesReceiver inline_rx(c, kp.y, aes, 16, Mode::kInline);
-    proto::EciesReceiver deferred_rx(c, kp.y, aes, 16, Mode::kDeferred);
+    proto::EciesReceiver inline_rx(c, kp.y, aes, Mode::kInline);
+    proto::EciesReceiver deferred_rx(c, kp.y, aes, Mode::kDeferred);
     const auto a = inline_rx.on_message(blob);
     const auto b = deferred_rx.on_message(blob);
     // Inline refuses with kFailed; deferred always finishes the exchange
@@ -537,6 +542,59 @@ TEST(DeferredLadders, EciesReceiverVerdictMatchesInline) {
       EXPECT_EQ(inline_rx.plaintext(), telemetry);
     }
   }
+}
+
+// --- ciphers built through the suite ----------------------------------------
+
+/// AES-128 that counts every cipher it builds.
+std::size_t ciphers_built = 0;
+const ci::CipherSuite kCountingAes{
+    ci::kAes128Suite.key_bytes, ci::kAes128Suite.block_bytes,
+    [](std::span<const std::uint8_t> key) {
+      ++ciphers_built;
+      return ci::kAes128Suite.make(key);
+    }};
+
+struct CipherSuiteUse : ::testing::Test {
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng{53};
+  proto::EciesKeyPair kp = proto::ecies_keygen(c, rng);
+  std::vector<std::uint8_t> telemetry = std::vector<std::uint8_t>(48, 0x5A);
+  proto::EciesCiphertext ct =
+      proto::ecies_encrypt(c, kp.Y, telemetry, ci::kAes128Suite, rng);
+  proto::Message blob{proto::kLabelEciesBlob, proto::encode_ecies(c, ct)};
+};
+
+TEST_F(CipherSuiteUse, EciesBuildsOnlyItsCtrAndCmacCiphers) {
+  ciphers_built = 0;
+  proto::ecies_encrypt(c, kp.Y, telemetry, kCountingAes, rng);
+  EXPECT_EQ(ciphers_built, 2u);
+
+  ciphers_built = 0;
+  const auto opened = proto::ecies_decrypt(c, kp.y, ct, kCountingAes);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, telemetry);
+  EXPECT_EQ(ciphers_built, 2u);
+
+  ciphers_built = 0;
+  proto::EciesReceiver rx(c, kp.y, kCountingAes, Mode::kDeferred);
+  rx.on_message(blob);
+  EXPECT_EQ(ciphers_built, 0u);  // the opening waits in the job
+  EXPECT_TRUE(host_verdict(c, rx));
+  EXPECT_EQ(ciphers_built, 2u);
+}
+
+TEST_F(CipherSuiteUse, DeferredEciesJobOutlivesItsMachineAndSuite) {
+  auto suite = std::make_unique<ci::CipherSuite>(ci::kAes128Suite);
+  auto rx = std::make_unique<proto::EciesReceiver>(c, kp.y, *suite,
+                                                   Mode::kDeferred);
+  rx->on_message(blob);
+  const auto work = rx->deferred();
+  ASSERT_TRUE(work.has_value());
+  const proto::LadderJob job = std::get<proto::LadderJob>(*work);
+  rx.reset();
+  suite.reset();
+  EXPECT_TRUE(job.finish(medsec::ecc::ladder_x(c, job.k, job.q)));
 }
 
 // --- energy accounting -------------------------------------------------------------
@@ -587,10 +645,6 @@ TEST(TagLedger, EveryDeviceMultiplicationChargesItsEngine) {
   const auto tag = proto::ph_register_tag(c, reader, rng);
   const auto clinic = proto::ecies_keygen(c, rng);
   const auto signer = proto::signature_keygen(c, rng);
-  const proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
   const std::vector<std::uint8_t> telemetry{'h', 'r', '=', '6', '2'};
 
   struct Row {
@@ -624,8 +678,8 @@ TEST(TagLedger, EveryDeviceMultiplicationChargesItsEngine) {
                           rng, ph, ph_engine);
     EXPECT_EQ(charge(ph), row.ph) << row.engine;
 
-    proto::EciesUploader uploader(c, clinic.Y, telemetry, aes, 16, rng,
-                                  fresh());
+    proto::EciesUploader uploader(c, clinic.Y, telemetry, ci::kAes128Suite,
+                                  rng, fresh());
     uploader.start();
     EXPECT_EQ(charge(uploader.ledger()), row.ecies) << row.engine;
   }

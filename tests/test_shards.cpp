@@ -47,6 +47,7 @@
 
 namespace {
 
+using medsec::ciphers::kAes128Suite;
 using medsec::ecc::Curve;
 using medsec::rng::Xoshiro256;
 namespace core = medsec::core;
@@ -254,13 +255,6 @@ struct LoopDevices final : engine::Transport {
   }
 };
 
-proto::CipherFactory aes_factory() {
-  return [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
-}
-
 // --- ShardEngine: deferred verdicts (Schnorr transcripts, key ladders) -------
 
 /// Deferred Schnorr sessions 100.. served by one ShardEngine over a
@@ -399,7 +393,7 @@ struct DeferredLadderRig {
                     c, reader, *s.rng, mode);
               else
                 s.machine = std::make_unique<proto::EciesReceiver>(
-                    c, key.y, aes, 16, mode);
+                    c, key.y, kAes128Suite, mode);
               return s;
             },
             /*producers=*/1) {
@@ -420,7 +414,7 @@ struct DeferredLadderRig {
     const auto ecies = [this](const proto::EciesKeyPair& to) {
       return [this, &to](Xoshiro256& r) {
         return std::make_unique<proto::EciesUploader>(c, to.Y, telemetry,
-                                                      aes, 16, r);
+                                                      kAes128Suite, r);
       };
     };
     loop.add(1, ph(tag));
@@ -445,7 +439,6 @@ struct DeferredLadderRig {
   proto::PhTag stranger = make_stranger();
   proto::EciesKeyPair key = proto::ecies_keygen(c, setup);
   proto::EciesKeyPair other = proto::ecies_keygen(c, setup);
-  proto::CipherFactory aes = aes_factory();
   std::vector<std::uint8_t> telemetry = std::vector<std::uint8_t>(48, 0xC3);
   LoopDevices loop;
   Tally tally;
@@ -830,14 +823,14 @@ TEST(ShardEngine, InlineJudgeSettlesMutualAuthSessions) {
   // machine, judged inline at settle by its own accepted() instead of
   // through the batch queue.
   const Curve& c = Curve::k163();
-  const proto::CipherFactory aes = aes_factory();
-  const auto keys =
-      proto::derive_session_keys(std::vector<std::uint8_t>(16, 7), 16);
+  const auto keys = proto::derive_session_keys(
+      std::vector<std::uint8_t>(16, 7), kAes128Suite);
   const std::vector<std::uint8_t> telemetry{'o', 'k'};
-  engine::SessionFactory factory = [&aes, &keys](std::uint64_t id) {
+  engine::SessionFactory factory = [&keys](std::uint64_t id) {
     engine::SessionSetup s;
     auto rng = std::make_unique<Xoshiro256>(300 + id);
-    s.machine = std::make_unique<proto::MutualAuthServer>(aes, keys, *rng);
+    s.machine =
+        std::make_unique<proto::MutualAuthServer>(kAes128Suite, keys, *rng);
     s.rng = std::move(rng);
     return s;
   };
@@ -852,7 +845,8 @@ TEST(ShardEngine, InlineJudgeSettlesMutualAuthSessions) {
   constexpr std::uint64_t kSessions = 4;
   for (std::uint64_t id = 1; id <= kSessions; ++id)
     loop.add(id, [&](Xoshiro256& r) {
-      return std::make_unique<proto::MutualAuthTag>(aes, keys, telemetry, r);
+      return std::make_unique<proto::MutualAuthTag>(kAes128Suite, keys,
+                                                    telemetry, r);
     });
   while (eng.drain_mailbox(1024) != 0) {
   }

@@ -162,50 +162,42 @@ TEST(WireFuzz, PointDecoderSurvivesRandomBytes) {
 TEST(WireFuzz, EciesBlobRoundTripAndTruncation) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(106);
-  proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
+  const medsec::ciphers::CipherSuite& aes = medsec::ciphers::kAes128Suite;
   const auto kp = proto::ecies_keygen(c, rng);
   const std::vector<std::uint8_t> msg{'e', 'c', 'g', ':', 'o', 'k'};
-  const auto ct = proto::ecies_encrypt(c, kp.Y, msg, aes, 16, rng);
+  const auto ct = proto::ecies_encrypt(c, kp.Y, msg, aes, rng);
   const auto blob = proto::encode_ecies(c, ct);
 
-  const std::size_t nonce_bytes = ct.nonce.size();
-  const std::size_t tag_bytes = ct.tag.size();
-  const auto dec = proto::decode_ecies(c, blob, nonce_bytes, tag_bytes);
+  const auto dec = proto::decode_ecies(c, blob, aes);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(dec->ephemeral, ct.ephemeral);
   EXPECT_EQ(dec->nonce, ct.nonce);
   EXPECT_EQ(dec->body, ct.body);
   EXPECT_EQ(dec->tag, ct.tag);
-  const auto plain = proto::ecies_decrypt(c, kp.y, *dec, aes, 16);
+  const auto plain = proto::ecies_decrypt(c, kp.y, *dec, aes);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(*plain, msg);
 
   // Too short to hold point + nonce + tag: rejected, never UB.
-  for (std::size_t len = 0; len < 22 + nonce_bytes + tag_bytes; ++len) {
+  const std::size_t shortest = 22 + ct.nonce.size() + ct.tag.size();
+  for (std::size_t len = 0; len < shortest; ++len) {
     const std::vector<std::uint8_t> trunc{blob.begin(),
                                           blob.begin() + len};
-    EXPECT_FALSE(proto::decode_ecies(c, trunc, nonce_bytes, tag_bytes))
-        << len;
+    EXPECT_FALSE(proto::decode_ecies(c, trunc, aes)) << len;
   }
   // A corrupted ephemeral point is caught at decode time.
   auto bad = blob;
   bad[0] = 0x09;
-  EXPECT_FALSE(proto::decode_ecies(c, bad, nonce_bytes, tag_bytes));
+  EXPECT_FALSE(proto::decode_ecies(c, bad, aes));
 }
 
 TEST(WireFuzz, RunEciesUploadDriver) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(107);
-  proto::CipherFactory aes = [](std::span<const std::uint8_t> key) {
-    return std::unique_ptr<medsec::ciphers::BlockCipher>(
-        new medsec::ciphers::Aes128(key));
-  };
+  const medsec::ciphers::CipherSuite& aes = medsec::ciphers::kAes128Suite;
   const auto kp = proto::ecies_keygen(c, rng);
   const std::vector<std::uint8_t> msg(48, 0x5A);
-  const auto r = proto::run_ecies_upload(c, kp, msg, aes, 16, rng);
+  const auto r = proto::run_ecies_upload(c, kp, msg, aes, rng);
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(r.plaintext, msg);
   EXPECT_EQ(r.tag_ledger.ecpm, 2u);  // comb + ladder
@@ -213,8 +205,8 @@ TEST(WireFuzz, RunEciesUploadDriver) {
   EXPECT_EQ(r.tag_ledger.tx_bits, r.transcript.tag_tx_bits());
 
   // Tampered blob: receiver rejects, nothing delivered.
-  proto::EciesUploader device(c, kp.Y, msg, aes, 16, rng);
-  proto::EciesReceiver clinic(c, kp.y, aes, 16);
+  proto::EciesUploader device(c, kp.Y, msg, aes, rng);
+  proto::EciesReceiver clinic(c, kp.y, aes);
   proto::Transcript transcript;
   proto::SessionTap tap;
   tap.tag_to_reader = [](proto::Message& m) { m.payload.back() ^= 0x01; };
