@@ -102,13 +102,13 @@ struct PointArith {
                             const Scalar& k);
 
   // --- interleaved multi-scalar multiplication (scalar_mult.h) --------------
-  /// MsmTable's two phases: fill `table` from `terms` and `base`, then sum
-  /// terms [first, last) plus base_k·base over it.
+  /// MsmTable's two phases: fill `table` from `terms` and `bases`, then
+  /// sum terms [first, last) plus base_ks[b]·bases[b] over it.
   static void msm_table(const Curve& c, std::span<const MsmTerm> terms,
-                        const Point& base, MsmTable& table);
-  static Point msm_evaluate(const Curve& c, const MsmTable& table,
-                            std::size_t first, std::size_t last,
-                            const Scalar& base_k);
+                        std::span<const Point> bases, MsmTable& table);
+  static Point msm_sum(const Curve& c, const MsmTable& table,
+                       std::size_t first, std::size_t last,
+                       std::span<const Scalar> base_ks);
   /// k1·p1 + k2·p2 on a Koblitz curve for points of the prime-order
   /// subgroup (or infinity): each scalar reduced mod delta and recoded as
   /// a width-4 TNAF (koblitz.h), the odd multiples of msm_table, and one
@@ -487,45 +487,55 @@ LdPoint PointArith<Ops>::add_digit(const Curve& c, const LdPoint& acc,
 
 template <class Ops>
 void PointArith<Ops>::msm_table(const Curve& c, std::span<const MsmTerm> terms,
-                                const Point& base, MsmTable& t) {
+                                std::span<const Point> bases, MsmTable& t) {
+  constexpr std::size_t kOdd = MsmTable::kOdd;
   const std::size_t n = terms.size();
   // A reduced scalar has at most bit_length(order) + 1 wNAF digits, the
-  // base's included, so every evaluation's chain fits in these rows.
+  // bases' included, so every evaluation's chain fits in these rows.
   t.digits_.assign((c.order().bit_length() + 1) * n, 0);
   t.lengths_.assign(n, 0);
 
-  // Digits per term; the points that contribute (the base last) get odd
-  // multiples.
-  std::vector<Point> pts(n + 1);
+  // Digits per term; the points that contribute (the bases last) get odd
+  // multiples, except the generator, whose come with the curve's tables.
+  std::vector<Point> pts(n + bases.size());
+  std::int8_t digits[MsmTable::kMaxDigits];
   for (std::size_t i = 0; i < n; ++i) {
     if (terms[i].p.infinity) continue;
     const Scalar k = c.scalar_ring().reduce(terms[i].k);
-    if (k.is_zero()) continue;
-    const std::vector<int> digits = wnaf_digits(k, MsmTable::kWidth);
-    for (std::size_t j = 0; j < digits.size(); ++j)
-      t.digits_[j * n + i] = static_cast<std::int8_t>(digits[j]);
-    t.lengths_[i] = digits.size();
+    const std::size_t len = wnaf_digits(k, MsmTable::kWidth, digits);
+    if (len == 0) continue;
+    for (std::size_t j = 0; j < len; ++j) t.digits_[j * n + i] = digits[j];
+    t.lengths_[i] = len;
     pts[i] = terms[i].p;
   }
-  pts[n] = base;
+  const Point& g = c.base_point();
+  for (std::size_t b = 0; b < bases.size(); ++b)
+    if (!(bases[b] == g)) pts[n + b] = bases[b];
   t.odd_ = odd_multiples(c, pts);
+  for (std::size_t b = 0; b < bases.size(); ++b)
+    if (bases[b] == g)
+      std::copy_n(generator_tau_precomp(c).odd.begin(), kOdd,
+                  t.odd_.begin() + static_cast<std::ptrdiff_t>((n + b) * kOdd));
 }
 
 template <class Ops>
-Point PointArith<Ops>::msm_evaluate(const Curve& c, const MsmTable& t,
-                                    std::size_t first, std::size_t last,
-                                    const Scalar& base_k) {
+Point PointArith<Ops>::msm_sum(const Curve& c, const MsmTable& t,
+                               std::size_t first, std::size_t last,
+                               std::span<const Scalar> base_ks) {
   constexpr std::size_t kOdd = MsmTable::kOdd;
   const std::size_t n = t.lengths_.size();
-  const Point* base_odd = t.odd_.data() + n * kOdd;
-  std::vector<int> base_digits;
-  if (!base_odd->infinity) {
-    const Scalar k = c.scalar_ring().reduce(base_k);
-    if (!k.is_zero()) base_digits = wnaf_digits(k, MsmTable::kWidth);
+  // Each base's digits for this evaluation (none for a zero scalar or an
+  // infinite base).
+  std::int8_t base_digits[MsmTable::kMaxBases][MsmTable::kMaxDigits];
+  std::size_t base_lengths[MsmTable::kMaxBases] = {};
+  std::size_t top = 0;
+  for (std::size_t b = 0; b < base_ks.size(); ++b) {
+    if (t.odd_[(n + b) * kOdd].infinity) continue;
+    base_lengths[b] = wnaf_digits(c.scalar_ring().reduce(base_ks[b]),
+                                  MsmTable::kWidth, base_digits[b]);
+    top = std::max(top, base_lengths[b]);
   }
-  std::size_t top = base_digits.size();
-  for (std::size_t i = first; i < last; ++i)
-    if (t.lengths_[i] > top) top = t.lengths_[i];
+  for (std::size_t i = first; i < last; ++i) top = std::max(top, t.lengths_[i]);
 
   // One shared doubling chain, interleaved wNAF additions; doubling starts
   // at the first addition.
@@ -536,8 +546,10 @@ Point PointArith<Ops>::msm_evaluate(const Curve& c, const MsmTable& t,
     for (std::size_t i = first; i < last; ++i)
       if (row[i] != 0)
         acc = add_digit(c, acc, t.odd_.data() + i * kOdd, row[i]);
-    if (j < base_digits.size() && base_digits[j] != 0)
-      acc = add_digit(c, acc, base_odd, base_digits[j]);
+    for (std::size_t b = 0; b < base_ks.size(); ++b)
+      if (j < base_lengths[b] && base_digits[b][j] != 0)
+        acc = add_digit(c, acc, t.odd_.data() + (n + b) * kOdd,
+                        base_digits[b][j]);
   }
   return to_affine(acc);
 }

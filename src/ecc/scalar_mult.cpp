@@ -69,24 +69,28 @@ Point wnaf_mult(const Curve& curve, const Scalar& k, const Point& p,
 }  // namespace
 
 MsmTable::MsmTable(const Curve& curve, std::span<const MsmTerm> terms,
-                   const Point& base)
-    : curve_(&curve) {
+                   std::span<const Point> bases)
+    : curve_(&curve), bases_(bases.size()) {
+  if (bases.size() > kMaxBases)
+    throw std::invalid_argument("MsmTable: more than kMaxBases bases");
   gf2m::with_field_ops([&]<class Ops>(Ops) {
-    PointArith<Ops>::msm_table(curve, terms, base, *this);
+    PointArith<Ops>::msm_table(curve, terms, bases, *this);
   });
 }
 
-Point MsmTable::evaluate(std::size_t first, std::size_t last,
-                         const Scalar& base_k) const {
+Point MsmTable::sum(std::size_t first, std::size_t last,
+                    std::span<const Scalar> base_ks) const {
   if (first > last || last > lengths_.size())
-    throw std::out_of_range("MsmTable::evaluate: term range");
+    throw std::out_of_range("MsmTable::sum: term range");
+  if (base_ks.size() != bases_)
+    throw std::invalid_argument("MsmTable::sum: one scalar per base");
   return gf2m::with_field_ops([&]<class Ops>(Ops) {
-    return PointArith<Ops>::msm_evaluate(*curve_, *this, first, last, base_k);
+    return PointArith<Ops>::msm_sum(*curve_, *this, first, last, base_ks);
   });
 }
 
 Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
-  return MsmTable(curve, terms).evaluate(0, terms.size(), Scalar{});
+  return MsmTable(curve, terms).sum(0, terms.size());
 }
 
 Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,
@@ -106,7 +110,7 @@ Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,
   return multi_scalar_mult(curve, terms);
 }
 
-std::vector<int> wnaf_digits(const Scalar& k0, unsigned width) {
+std::size_t wnaf_digits(const Scalar& k0, unsigned width, std::int8_t* out) {
   if (width < 2 || width > 8)
     throw std::invalid_argument("wnaf_digits: width must be in [2, 8]");
   // Digits are decided in place on the limbs of k, lowest first, without
@@ -118,7 +122,6 @@ std::vector<int> wnaf_digits(const Scalar& k0, unsigned width) {
   for (std::size_t l = 0; l < Scalar::kLimbs; ++l) k[l] = k0.limb(l);
   const std::uint64_t mask = (std::uint64_t{1} << width) - 1;  // 2^w - 1
   const std::uint64_t half = std::uint64_t{1} << (width - 1);  // 2^(w-1)
-  std::vector<int> out(k0.bit_length() + 1, 0);  // at most bitlen + 1 digits
   std::size_t len = 0;
   for (std::size_t i = 0;;) {
     std::size_t l = i / 64;
@@ -151,12 +154,17 @@ std::vector<int> wnaf_digits(const Scalar& k0, unsigned width) {
         carry = k[c] < carry ? 1 : 0;
       }
     }
-    out[i] = digit;
-    len = i + 1;
+    while (len < i) out[len++] = 0;  // the zero digits below this one
+    out[len++] = static_cast<std::int8_t>(digit);
     i += width;  // the next w - 1 digits are zero
   }
-  out.resize(len);
-  return out;
+  return len;
+}
+
+std::vector<int> wnaf_digits(const Scalar& k, unsigned width) {
+  std::vector<std::int8_t> digits(k.bit_length() + 1);
+  digits.resize(wnaf_digits(k, width, digits.data()));
+  return {digits.begin(), digits.end()};
 }
 
 Point scalar_mult(const Curve& curve, const Scalar& k, const Point& p,

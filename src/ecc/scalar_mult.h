@@ -63,10 +63,13 @@ struct MsmTerm {
 ///
 /// Table phase (the constructor): the width-4 wNAF digits of every term's
 /// scalar, and the affine odd multiples (1, 3, 5, 7)·p of every term's
-/// point and of `base`, normalized with two shared batch inversions.
-/// Evaluation phase (evaluate): ONE doubling chain in López–Dahab
-/// projective coordinates over a run of terms plus base_k·base, where
-/// base_k is supplied per evaluation; each term contributes only its wNAF
+/// point and of each of up to kMaxBases `bases`, normalized with two
+/// shared batch inversions. A base equal to the curve's generator reads
+/// its multiples from the curve tables (generator_tau_precomp) instead.
+/// Evaluation phase (sum): ONE doubling chain in López–Dahab projective
+/// coordinates over a run of terms plus base_ks[b]·bases[b] for every
+/// base, where the base scalars are supplied per evaluation and recoded
+/// into fixed-size arrays; each term and base contributes only its wNAF
 /// additions, and the result costs one inversion.
 ///
 /// For n full-width terms the table costs n doublings, 3n additions and 2
@@ -74,14 +77,16 @@ struct MsmTerm {
 /// additions + 1 inversion, against n*(163 + 81) operations for n
 /// independent double-and-add multiplications. The table stays on wNAF
 /// digits on K-163 too: a tau-adic recoding costs ~0.8 µs per scalar
-/// against ~0.3 µs for wnaf_digits, which at the batch's 129 terms is more
-/// than one Frobenius chain saves over one doubling chain (only
-/// double_scalar_mult runs tau-adic). The verifier's 64-item
-/// batch (128 terms plus the base, 64 terms with 64-bit coefficients)
-/// needs about 2.9k mixed additions this way; Pippenger buckets with c = 5
-/// would need about 5.3k, so Straus stays. Each phase runs on one field
-/// backend, read once at entry, with every field operation inlined
-/// (point_arith.h); scalars reduce mod the order through Barrett.
+/// against ~0.3 µs for wnaf_digits, which over a 64-item batch's scalars
+/// is more than one Frobenius chain saves over one doubling chain (only
+/// double_scalar_mult runs tau-adic). The verifier's 64-item batch under
+/// one key (64 terms with 64-bit coefficients, the generator and the
+/// folded key as bases) needs about 0.9k mixed additions this way, and
+/// about 2.9k when every item brings its own key (64 more full-width
+/// terms); Pippenger buckets with c = 5 would need about 5.3k for the
+/// latter, so Straus stays. Each phase runs on one field backend, read
+/// once at entry, with every field operation inlined (point_arith.h);
+/// scalars reduce mod the order through Barrett.
 ///
 /// Variable-time (verifier/reader-side only — never feed it a secret
 /// scalar). Zero scalars and infinity points contribute nothing. It
@@ -90,13 +95,18 @@ struct MsmTerm {
 /// pointer to `curve`, which must outlive it.
 class MsmTable {
  public:
+  /// Most points whose scalar sum() takes per evaluation.
+  static constexpr std::size_t kMaxBases = 8;
+
+  /// Throws std::invalid_argument for more than kMaxBases bases.
   MsmTable(const Curve& curve, std::span<const MsmTerm> terms,
-           const Point& base = Point::at_infinity());
+           std::span<const Point> bases = {});
 
   /// sum of terms[i].k·terms[i].p over first <= i < last, plus
-  /// base_k·base.
-  Point evaluate(std::size_t first, std::size_t last,
-                 const Scalar& base_k) const;
+  /// base_ks[b]·bases[b] for every base (base_ks holds one scalar per
+  /// base).
+  Point sum(std::size_t first, std::size_t last,
+            std::span<const Scalar> base_ks = {}) const;
 
  private:
   template <class Ops>
@@ -104,14 +114,18 @@ class MsmTable {
 
   static constexpr unsigned kWidth = 4;
   static constexpr std::size_t kOdd = std::size_t{1} << (kWidth - 2);
+  /// wNAF digits of a reduced scalar: at most bit_length(order) + 1.
+  static constexpr std::size_t kMaxDigits = Scalar::kBits + 1;
 
   const Curve* curve_;
+  std::size_t bases_ = 0;
   std::vector<std::size_t> lengths_;  ///< digits per term; 0 = no term
   /// digits_[j * n + i], n terms: wNAF digit j of term i's reduced scalar,
   /// so one doubling step reads the digits of a run of terms in a row.
   std::vector<std::int8_t> digits_;
-  /// odd_[i * kOdd + d / 2] = d·p_i for odd d; the base's multiples follow
-  /// the last term's (infinity entries when the base is infinity).
+  /// odd_[i * kOdd + d / 2] = d·p_i for odd d; each base's multiples
+  /// follow the last term's, in order (infinity entries for an infinite
+  /// base).
   std::vector<Point> odd_;
 };
 
@@ -143,5 +157,10 @@ Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,
 /// SPA discussion: the *positions* of nonzero digits are key-dependent,
 /// which is exactly why the ladder wins on the device.
 std::vector<int> wnaf_digits(const Scalar& k, unsigned width);
+
+/// The same digits written to `out`, which has room for
+/// k.bit_length() + 1 of them; returns how many (0 for k = 0). The MSM's
+/// allocation-free form.
+std::size_t wnaf_digits(const Scalar& k, unsigned width, std::int8_t* out);
 
 }  // namespace medsec::ecc

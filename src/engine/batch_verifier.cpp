@@ -1,5 +1,8 @@
 #include "engine/batch_verifier.h"
 
+#include <algorithm>
+#include <array>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -14,6 +17,67 @@ namespace {
 using ecc::Curve;
 using ecc::Point;
 using ecc::Scalar;
+
+/// The keys that two or more live items share, each folded into one base
+/// of the MSM table: bases[0] is the generator, bases[b] for b >= 1 the
+/// negation of the b-th shared key (the most used first, ties by first
+/// use; at most MsmTable::kMaxBases - 1 of them), and base_of[j] is live
+/// item j's base, or 0 when its key keeps its own term. Keys are whole
+/// points: X and −X share x but not y, so they are two keys.
+struct KeyFold {
+  std::vector<Point> bases;
+  std::vector<std::size_t> base_of;
+};
+
+KeyFold fold_shared_keys(const Curve& curve, std::span<const Point> keys,
+                         std::span<const std::size_t> live) {
+  const std::size_t m = live.size();
+  KeyFold fold{{curve.base_point()}, std::vector<std::size_t>(m, 0)};
+
+  // Items sorted by key (stable: each group leads with its first use).
+  using Words = std::array<std::uint64_t, 7>;
+  std::vector<Words> words(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const Point& key = keys[live[j]];
+    if (key.infinity) {
+      words[j] = {1, 0, 0, 0, 0, 0, 0};
+    } else {
+      words[j] = {0,           key.x.limb(0), key.x.limb(1), key.x.limb(2),
+                  key.y.limb(0), key.y.limb(1), key.y.limb(2)};
+    }
+  }
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return words[a] < words[b];
+                   });
+
+  struct Group {
+    std::size_t begin, end;  ///< its items: order[begin, end)
+  };
+  std::vector<Group> shared;
+  for (std::size_t g = 0; g < m;) {
+    std::size_t e = g + 1;
+    while (e < m && words[order[e]] == words[order[g]]) ++e;
+    if (e - g >= 2) shared.push_back({g, e});
+    g = e;
+  }
+  std::sort(shared.begin(), shared.end(), [&](const Group& a, const Group& b) {
+    if (a.end - a.begin != b.end - b.begin)
+      return a.end - a.begin > b.end - b.begin;
+    return order[a.begin] < order[b.begin];
+  });
+  if (shared.size() > ecc::MsmTable::kMaxBases - 1)
+    shared.resize(ecc::MsmTable::kMaxBases - 1);
+  for (const Group& g : shared) {
+    for (std::size_t k = g.begin; k < g.end; ++k)
+      fold.base_of[order[k]] = fold.bases.size();
+    fold.bases.push_back(curve.negate(keys[live[order[g.begin]]]));
+  }
+  return fold;
+}
+
 }  // namespace
 
 std::vector<std::optional<Point>> decode_points_batch(
@@ -58,34 +122,54 @@ BatchVerifyOutcome schnorr_verify_batch(
   // Random linear combination over the live items j (the ones with a
   // finite commitment), with D_j = s_j·P − R_j − e_j·X_j:
   //   sum_j c_j·D_j = (sum c_j s_j)·P − sum c_j·R_j − sum (c_j e_j)·X_j.
-  // Item j owns terms 2j and 2j + 1 of one MSM table, so the sum over any
-  // run of items is one evaluation; prefix[j] = sum_{j' < j} c_j' s_j'
-  // gives its base-point scalar. Nonzero 64-bit coefficients keep the
-  // R_j terms short (64 add rows in the interleaved MSM) at a 2^-64
-  // per-check forgery bound.
-  std::vector<ecc::MsmTerm> terms;
-  terms.reserve(2 * n);
   std::vector<std::size_t> live;  // indices folded into the combination
   live.reserve(n);
-  std::vector<Scalar> prefix(1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (transcripts[i].commitment.infinity) continue;  // rejected outright
+  for (std::size_t i = 0; i < n; ++i)
+    if (!transcripts[i].commitment.infinity) live.push_back(i);
+  if (live.empty()) return out;  // infinity commitments: rejected outright
+  const std::size_t m = live.size();
+
+  // Item j owns the terms [first_term[j], first_term[j + 1]) of one MSM
+  // table: c_j·(−R_j), then (c_j e_j)·(−X_j) unless X_j is shared. A
+  // shared key is one base of the table, (sum c_j e_j)·(−X) over the items
+  // under it, as P is with sum c_j s_j. So the sum over any run of items
+  // is one evaluation, whose base scalars are differences of the prefix
+  // sums: prefix[j * nb + b] sums base b's scalars over the items < j.
+  // Nonzero 64-bit coefficients keep the R_j terms short (64 add rows in
+  // the interleaved MSM) at a 2^-64 per-check forgery bound.
+  const KeyFold fold = fold_shared_keys(curve, keys, live);
+  const std::size_t nb = fold.bases.size();
+  std::vector<ecc::MsmTerm> terms;
+  terms.reserve(2 * m);
+  std::vector<std::size_t> first_term(m + 1);
+  std::vector<Scalar> prefix((m + 1) * nb);
+  for (std::size_t j = 0; j < m; ++j) {
     std::uint64_t c64;
     do {
       c64 = rng.next_u64();
     } while (c64 == 0);
     const Scalar c{c64};
-    prefix.push_back(
-        ring.add(prefix.back(), ring.mul(c, transcripts[i].response)));
-    terms.push_back({c, curve.negate(transcripts[i].commitment)});
-    terms.push_back(
-        {ring.mul(c, transcripts[i].challenge), curve.negate(keys[i])});
-    live.push_back(i);
+    const protocol::SchnorrTranscript& t = transcripts[live[j]];
+    const Scalar ce = ring.mul(c, t.challenge);
+    first_term[j] = terms.size();
+    terms.push_back({c, curve.negate(t.commitment)});
+    const Scalar* row = prefix.data() + j * nb;
+    Scalar* next = prefix.data() + (j + 1) * nb;
+    std::copy_n(row, nb, next);
+    next[0] = ring.add(row[0], ring.mul(c, t.response));
+    if (const std::size_t b = fold.base_of[j]; b != 0)
+      next[b] = ring.add(row[b], ce);
+    else
+      terms.push_back({ce, curve.negate(keys[live[j]])});
   }
-  if (live.empty()) return out;
-  const ecc::MsmTable table(curve, terms, curve.base_point());
+  first_term[m] = terms.size();
+  const ecc::MsmTable table(curve, terms, fold.bases);
   const auto run_sum = [&](std::size_t lo, std::size_t hi) {
-    return table.evaluate(2 * lo, 2 * hi, ring.sub(prefix[hi], prefix[lo]));
+    std::array<Scalar, ecc::MsmTable::kMaxBases> ks;
+    for (std::size_t b = 0; b < nb; ++b)
+      ks[b] = ring.sub(prefix[hi * nb + b], prefix[lo * nb + b]);
+    return table.sum(first_term[lo], first_term[hi],
+                     std::span(ks.data(), nb));
   };
 
   // Bisection (Pastuszak, Michałek, Pieprzyk and Seberry, PKC 2000): a
@@ -101,7 +185,7 @@ BatchVerifyOutcome schnorr_verify_batch(
     std::size_t lo, hi;
     Point sum;
   };
-  std::vector<Run> runs{{0, live.size(), run_sum(0, live.size())}};
+  std::vector<Run> runs{{0, m, run_sum(0, m)}};
   out.rlc_passed = runs.front().sum.infinity;
   while (!runs.empty()) {
     const Run r = runs.back();

@@ -13,8 +13,15 @@
 //     multi-scalar multiplication via a random linear combination: draw
 //     random nonzero 64-bit coefficients c_i and test
 //
-//         (sum_i c_i s_i)·P  −  sum_i c_i·R_i  −  sum_i (c_i e_i)·X_i  =  O.
+//         (sum_i c_i s_i)·P  −  sum_i c_i·R_i  −  sum_i (c_i e_i)·X_i  =  O,
 //
+//     with the items that share a key X folded into one term
+//     (sum_{i: X_i = X} c_i e_i)·X (Bellare, Garay and Rabin, "Fast batch
+//     verification for modular exponentiation and digital signatures",
+//     EUROCRYPT 1998): a fleet whose tags all prove one key pays one
+//     full-length key term per batch instead of one per item. Keys used
+//     once keep their own term; the folded ones are bases of the MSM
+//     table, like P, whose scalars each check sums over its own items.
 //     Honest transcripts always pass. A batch containing a forgery passes
 //     with probability 2^-64 per draw (the c_i are chosen after the
 //     transcripts are fixed). A failing batch is bisected over the same

@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,21 +56,42 @@ TEST(Msm, MatchesReferenceAcrossSizes) {
           << c->name() << " n=" << n;
 
       // The two phases directly: one table, every run of its terms, plus
-      // a base-point term whose scalar is supplied per evaluation.
-      const Scalar kb = rng.uniform_nonzero(c->order());
-      const Point kb_g = c->scalar_mult_reference(kb, c->base_point());
-      const medsec::ecc::MsmTable table(*c, terms, c->base_point());
-      for (std::size_t first = 0; first <= n; ++first) {
-        Point run = kb_g;
-        for (std::size_t last = first; last <= n; ++last) {
-          if (last > first) run = c->add(run, products[last - 1]);
-          EXPECT_EQ(table.evaluate(first, last, kb), run)
-              << c->name() << " n=" << n << " [" << first << ", " << last
-              << ")";
+      // one, two or three points whose scalars are supplied per
+      // evaluation (the generator first, as the batch verifier passes it).
+      // Each run takes base b's scalar or zero, by the run's bounds, so
+      // zero scalars meet every run too.
+      std::vector<Point> bases{c->base_point()};
+      for (std::size_t nb = 1; nb <= 3; ++nb) {
+        if (nb > 1) bases.push_back(random_subgroup_point(*c, rng));
+        std::vector<Scalar> kb;
+        std::vector<Point> kb_p;
+        for (const Point& b : bases) {
+          kb.push_back(rng.uniform_nonzero(c->order()));
+          kb_p.push_back(c->scalar_mult_reference(kb.back(), b));
         }
+        const medsec::ecc::MsmTable table(*c, terms, bases);
+        for (std::size_t first = 0; first <= n; ++first) {
+          Point run = Point::at_infinity();
+          for (std::size_t last = first; last <= n; ++last) {
+            if (last > first) run = c->add(run, products[last - 1]);
+            std::vector<Scalar> ks(nb);
+            Point want = run;
+            for (std::size_t b = 0; b < nb; ++b) {
+              if ((first + last + b) % 3 == 2) continue;  // zero scalar
+              ks[b] = kb[b];
+              want = c->add(want, kb_p[b]);
+            }
+            EXPECT_EQ(table.sum(first, last, ks), want)
+                << c->name() << " n=" << n << " bases=" << nb << " ["
+                << first << ", " << last << ")";
+          }
+        }
+        EXPECT_EQ(table.sum(0, n, std::vector<Scalar>(nb)), expect)
+            << c->name();
+        EXPECT_THROW(table.sum(0, n + 1, kb), std::out_of_range);
+        EXPECT_THROW(table.sum(0, n, std::span(kb).first(nb - 1)),
+                     std::invalid_argument);
       }
-      EXPECT_EQ(table.evaluate(0, n, Scalar{}), expect) << c->name();
-      EXPECT_THROW(table.evaluate(0, n + 1, kb), std::out_of_range);
     }
   }
 }
@@ -89,6 +112,15 @@ TEST(Msm, HandlesDegenerateTerms) {
   const std::vector<MsmTerm> big{{c.order() + k, p}};
   EXPECT_EQ(medsec::ecc::multi_scalar_mult(c, big),
             c.scalar_mult_reference(k, p));
+  // An infinite base adds nothing; more than kMaxBases bases is refused.
+  const std::vector<Point> bases{Point::at_infinity(), p};
+  const medsec::ecc::MsmTable table(c, terms, bases);
+  EXPECT_EQ(table.sum(0, terms.size(), std::vector<Scalar>{k, k}),
+            c.scalar_mult_reference(c.scalar_ring().add(k, k), p));
+  EXPECT_THROW(medsec::ecc::MsmTable(
+                   c, terms,
+                   std::vector<Point>(medsec::ecc::MsmTable::kMaxBases + 1, p)),
+               std::invalid_argument);
 }
 
 TEST(Msm, DoubleScalarShamir) {
@@ -221,16 +253,33 @@ TEST(BatchVerify, AcceptsHonestBatchWithOneMsm) {
 
 TEST(BatchVerify, IsolatesForgeriesLikeSingleVerify) {
   // Bisection over one table: every verdict is schnorr_verify's, at every
-  // batch size and wherever the forgeries sit.
+  // batch size, wherever the forgeries sit and however the items share
+  // keys (a key two or more items share is one base of the table).
   const Curve& c = Curve::k163();
   Xoshiro256 rng(7);
-  std::vector<proto::SchnorrTranscript> pool;
-  std::vector<Point> keys;
-  for (int i = 0; i < 65; ++i) {
-    auto [t, x] = honest_transcript(c, rng);
-    pool.push_back(t);
-    keys.push_back(x);
-  }
+  const auto a = proto::schnorr_keygen(c, rng);
+  const auto b = proto::schnorr_keygen(c, rng);
+  // -X = (x, x + y) on a binary curve: the same x as X, another key.
+  const proto::SchnorrKeyPair minus_a{c.scalar_ring().neg(a.x),
+                                      c.negate(a.X)};
+  std::vector<proto::SchnorrKeyPair> sixteen;
+  for (int i = 0; i < 16; ++i) sixteen.push_back(proto::schnorr_keygen(c, rng));
+  static_assert(medsec::ecc::MsmTable::kMaxBases - 1 < 16);
+  using KeyPattern = std::function<proto::SchnorrKeyPair(std::size_t i)>;
+  const std::pair<const char*, KeyPattern> key_patterns[] = {
+      {"distinct", [&](std::size_t) { return proto::schnorr_keygen(c, rng); }},
+      {"one key", [&](std::size_t) { return a; }},
+      {"two alternating", [&](std::size_t i) { return i % 2 ? b : a; }},
+      {"one repeated among distinct",
+       [&](std::size_t i) {
+         return i % 3 == 1 ? a : proto::schnorr_keygen(c, rng);
+       }},
+      {"X and -X alternating",
+       [&](std::size_t i) { return i % 2 ? minus_a : a; }},
+      // More shared keys than the table has bases: the rest keep their
+      // own terms.
+      {"sixteen in turn", [&](std::size_t i) { return sixteen[i % 16]; }},
+  };
   using Pattern = bool (*)(std::size_t i, std::size_t n);
   const std::pair<const char*, Pattern> patterns[] = {
       {"none", [](std::size_t, std::size_t) { return false; }},
@@ -248,34 +297,61 @@ TEST(BatchVerify, IsolatesForgeriesLikeSingleVerify) {
       {"every other", [](std::size_t i, std::size_t) { return i % 2 == 0; }},
       {"all", [](std::size_t, std::size_t) { return true; }},
   };
-  for (const std::size_t n : {1, 2, 3, 7, 8, 63, 64, 65}) {
-    for (const auto& [name, forged] : patterns) {
-      for (const bool with_infinity : {false, true}) {
-        std::vector<proto::SchnorrTranscript> ts(pool.begin(),
-                                                 pool.begin() + n);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (forged(i, n))
-            ts[i].response =
-                c.scalar_ring().add(ts[i].response, Scalar{1u + i});
-          // Infinity commitments are refused outright, forged or not.
-          if (with_infinity && i % 5 == 2)
-            ts[i].commitment = Point::at_infinity();
-        }
-        const auto out = engine::schnorr_verify_batch(
-            c, ts, std::span(keys).first(n), rng);
-        ASSERT_EQ(out.ok.size(), n);
-        bool live_forgery = false;
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool single = proto::schnorr_verify(c, keys[i], ts[i]);
-          EXPECT_EQ(out.ok[i], single)
-              << "n=" << n << " " << name << " inf=" << with_infinity
-              << " item " << i;
-          live_forgery |= !single && !ts[i].commitment.infinity;
-        }
-        EXPECT_EQ(out.rlc_passed, !live_forgery)
-            << "n=" << n << " " << name << " inf=" << with_infinity;
-        if (out.rlc_passed) {
-          EXPECT_EQ(out.isolation_msms, 0u);
+  // The bisection's MSM count per (n, forgery pattern, infinity) case,
+  // from the first key pattern: it must not depend on how keys are shared.
+  std::vector<std::size_t> isolation_msms;
+  for (std::size_t kp = 0; kp < std::size(key_patterns); ++kp) {
+    const auto& [key_name, key_of] = key_patterns[kp];
+    std::vector<proto::SchnorrTranscript> pool;
+    std::vector<Point> keys;
+    for (std::size_t i = 0; i < 65; ++i) {
+      const auto key = key_of(i);
+      pool.push_back(proto::run_schnorr_session(c, key, rng).view);
+      keys.push_back(key.X);
+    }
+    // schnorr_verify of item i, by whether it is forged and whether its
+    // commitment is infinity: the transcript depends on nothing else.
+    std::vector<std::optional<bool>> single_cache(65 * 4);
+    std::size_t case_index = 0;
+    for (const std::size_t n : {1, 2, 3, 7, 8, 63, 64, 65}) {
+      for (const auto& [name, forged] : patterns) {
+        for (const bool with_infinity : {false, true}) {
+          std::vector<proto::SchnorrTranscript> ts(pool.begin(),
+                                                   pool.begin() + n);
+          std::vector<bool> single(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (forged(i, n))
+              ts[i].response =
+                  c.scalar_ring().add(ts[i].response, Scalar{1u + i});
+            // Infinity commitments are refused outright, forged or not.
+            const bool infinity = with_infinity && i % 5 == 2;
+            if (infinity) ts[i].commitment = Point::at_infinity();
+            auto& cached = single_cache[4 * i + 2 * forged(i, n) + infinity];
+            if (!cached) cached = proto::schnorr_verify(c, keys[i], ts[i]);
+            single[i] = *cached;
+          }
+          const auto out = engine::schnorr_verify_batch(
+              c, ts, std::span(keys).first(n), rng);
+          const std::string where = std::string(key_name) +
+                                    " n=" + std::to_string(n) + " " + name +
+                                    " inf=" + std::to_string(with_infinity);
+          ASSERT_EQ(out.ok.size(), n);
+          bool live_forgery = false;
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(out.ok[i], single[i]) << where << " item " << i;
+            live_forgery |= !single[i] && !ts[i].commitment.infinity;
+          }
+          EXPECT_EQ(out.rlc_passed, !live_forgery) << where;
+          if (out.rlc_passed) {
+            EXPECT_EQ(out.isolation_msms, 0u) << where;
+          }
+          if (kp == 0) {
+            isolation_msms.push_back(out.isolation_msms);
+          } else {
+            EXPECT_EQ(out.isolation_msms, isolation_msms[case_index])
+                << where;
+          }
+          ++case_index;
         }
       }
     }
